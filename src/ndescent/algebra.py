@@ -11,7 +11,7 @@ a coboundary the algebra is trivialized by delta_T -> gamma(T) M_T.
 
 from fractions import Fraction
 
-from .fields import FieldElement, Poly, poly_x, roots_in_field, tower_extend
+from .fields import poly_x, roots_in_field, tower_extend
 from .linalg import ExactMatrix
 from .curve import r_eval, PoleAtP
 
@@ -40,9 +40,6 @@ class RhoTable:
 
     def value(self, ij, kl):
         return self.values[(ij, kl)]
-
-    def field(self):
-        return self.table.curve.field
 
     def is_trivial(self):
         return all(v == 1 for v in self.values.values())
@@ -305,15 +302,21 @@ def solve_gamma(table, rho):
         for j in range(n):
             den = (c1[i] * c2[j] * rho.value((i, 0), (0, j))).lift_to(L)
             gamma[(i, j)] = apow[i] * bpow[j] / den
-    # exact check of the coboundary identity
-    for a in _indices(n):
-        for b in _indices(n):
-            ab = table.add_index(a, b)
-            lhs = gamma[a] * gamma[b] / gamma[ab]
+    check_coboundary(table, gamma, rho)
+    return gamma, L
+
+
+def check_coboundary(table, gamma, rho):
+    """Check d(gamma) = rho exactly on every pair of torsion points, in
+    the field of gamma.  Raises CertificationFailed(("coboundary", a, b))
+    at the first pair where it fails."""
+    L = next(iter(gamma.values())).tower
+    for a in _indices(table.n):
+        for b in _indices(table.n):
+            lhs = gamma[a] * gamma[b] / gamma[table.add_index(a, b)]
             if not (lhs == rho.value(a, b).lift_to(L)):
                 raise CertificationFailed(("coboundary", a, b),
                                           "gamma does not satisfy d(gamma) = rho")
-    return gamma, L
 
 
 class Trivialisation:
@@ -331,14 +334,6 @@ class Trivialisation:
 
     def of_basis(self, ij):
         return self.matrices[ij]
-
-    def apply(self, coeffs):
-        out = None
-        for ij, m in self.matrices.items():
-            c = coeffs[ij]
-            term = m.scale(c)
-            out = term if out is None else out + term
-        return out
 
 
 def certify_trivialisation(triv, eps):

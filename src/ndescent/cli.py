@@ -11,19 +11,19 @@ import sys
 
 from . import serialize as ser
 from .fields import ReducibleExtension
-from .curve import TorsionNotRational, torsion_table
-from .descent_funcs import (compute_miller_table, compute_epsilon,
-                            compute_G_basis, compute_embedding, affine_sample,
-                            DegenerateSample, EigenspaceDimensionError)
+from .curve import TorsionNotRational
+from .descent_funcs import (CurveData, compute_embedding, DegenerateSample,
+                            EigenspaceDimensionError)
 from .algebra import (RhoTable, validate_rho, rho_from_point, build_csa,
-                      trivialize, certify_trivialisation,
+                      check_coboundary, trivialize, certify_trivialisation,
                       CertificationFailed, BadBasePoint)
-from .geometry import (quadrics_for_C, descend, g_eval, lambda_eval,
-                       extract_point, RankNotOne, KernelEmpty, KernelTooBig)
+from .geometry import (quadrics_for_C, descend, sample_image, RankNotOne,
+                       KernelEmpty, KernelTooBig)
 
 
 def _load_curve(args):
-    return ser.curve_from_json(ser.load(args.curve))
+    """The per-curve data of the --curve file for --n."""
+    return CurveData(ser.curve_from_json(ser.load(args.curve)), args.n)
 
 
 def _load_rho(path, table):
@@ -37,9 +37,9 @@ def _load_rho(path, table):
 
 
 def cmd_torsion(args):
-    curve = _load_curve(args)
+    data = _load_curve(args)
     try:
-        table = torsion_table(curve, args.n)
+        table = data.table
     except TorsionNotRational as e:
         print("error: found %d of %d torsion points over the base field"
               % (e.count, args.n * args.n), file=sys.stderr)
@@ -50,43 +50,38 @@ def cmd_torsion(args):
 
 
 def cmd_quadrics(args):
-    curve = _load_curve(args)
-    table = torsion_table(curve, args.n)
+    data = _load_curve(args)
+    table = data.table
     rho = _load_rho(args.rho, table) if args.rho else RhoTable.trivial(table)
-    qs = quadrics_for_C(curve, table, rho)
-    ser.save(args.out, ser.quadrics_to_json(qs, curve, rho))
+    qs = quadrics_for_C(data.curve, table, rho)
+    ser.save(args.out, ser.quadrics_to_json(qs, data.curve, rho))
     print("%d independent quadrics -> %s" % (len(qs), args.out))
     return 0
 
 
 def cmd_algebra(args):
-    curve = _load_curve(args)
-    table = torsion_table(curve, args.n)
-    rho = _load_rho(args.rho, table)
-    eps = compute_epsilon(table)
-    csa = build_csa(table, eps, rho)
+    data = _load_curve(args)
+    rho = _load_rho(args.rho, data.table)
+    csa = build_csa(data.table, data.eps, rho)
     ser.save(args.out, ser.csa_to_json(csa))
     print("certified algebra -> %s" % args.out)
     return 0
 
 
 def cmd_rho_from_point(args):
-    curve = _load_curve(args)
-    table = torsion_table(curve, args.n)
-    q = ser.point_file_from_json(ser.load(args.point), curve)
-    rho = rho_from_point(table, q)
+    data = _load_curve(args)
+    q = ser.point_file_from_json(ser.load(args.point), data.curve)
+    rho = rho_from_point(data.table, q)
     ser.save(args.out, ser.rho_to_json(rho))
     print("validated rho from base point -> %s" % args.out)
     return 0
 
 
 def cmd_trivialize(args):
-    curve = _load_curve(args)
-    table = torsion_table(curve, args.n)
+    data = _load_curve(args)
+    table, eps = data.table, data.eps
     rho = _load_rho(args.rho, table)
-    millers = compute_miller_table(table)
-    eps = compute_epsilon(table, millers)
-    emb = compute_embedding(table, eps, millers, seed=args.seed)
+    emb = compute_embedding(table, eps, data.millers, seed=args.seed)
     matrices = gamma = None
     if args.mode == "user":
         if not args.triv:
@@ -100,39 +95,26 @@ def cmd_trivialize(args):
 
 
 def cmd_descend(args):
-    curve = _load_curve(args)
-    table = torsion_table(curve, args.n)
-    rho = _load_rho(args.rho, table)
-    triv = ser.triv_from_json(ser.load(args.triv), table)
-    out = descend(curve, args.n, rho, triv, seed=args.seed)
-    ser.save(args.out, ser.descent_to_json(out, curve))
+    data = _load_curve(args)
+    rho = _load_rho(args.rho, data.table)
+    triv = ser.triv_from_json(ser.load(args.triv), data.table)
+    out = descend(data.curve, args.n, rho, triv, seed=args.seed)
+    ser.save(args.out, ser.descent_to_json(out, data.curve))
     print("%s -> %s" % (out["report"]["summary"], args.out))
     return 0
 
 
-class _Context:
-    """Lazily shared torsion/pairing data for verify."""
-
-    def __init__(self, curve, n):
-        self.curve = curve
-        self.n = n
-        self._table = None
-        self._eps = None
-
-    def table(self):
-        if self._table is None:
-            self._table = torsion_table(self.curve, self.n)
-        return self._table
-
-    def eps(self):
-        if self._eps is None:
-            self._eps = compute_epsilon(self.table())
-        return self._eps
+def _certified(run):
+    """(run(), None), or (None, witness) when run raises CertificationFailed."""
+    try:
+        return run(), None
+    except CertificationFailed as e:
+        return None, e.witness
 
 
-def _verify_file(path, j, ctx, emit):
+def _verify_file(path, j, data, emit):
     kind = j.get("kind")
-    curve = ctx.curve
+    curve = data.curve
     if kind == "curve":
         ser.curve_from_json(j)
         emit(path, "curve parses and matches its hash", True)
@@ -141,109 +123,78 @@ def _verify_file(path, j, ctx, emit):
         emit(path, "point lies on the curve", True)
     elif kind == "torsion":
         table = ser.torsion_from_json(j, curve)
-        ok = (ctx.n * table.t1).is_infinity and (ctx.n * table.t2).is_infinity
+        ok = (data.n * table.t1).is_infinity and (data.n * table.t2).is_infinity
         emit(path, "basis points are n-torsion", ok)
     elif kind == "rho":
-        try:
-            validate_rho(ctx.table(), ser.rho_from_json(j, ctx.table()).values)
-            emit(path, "rho is a symmetric cocycle", True)
-        except CertificationFailed as e:
-            emit(path, "rho is a symmetric cocycle", False, e.witness)
+        values = ser.rho_from_json(j, data.table).values
+        _, w = _certified(lambda: validate_rho(data.table, values))
+        emit(path, "rho is a symmetric cocycle", w is None, w)
     elif kind == "csa":
-        csa = ser.csa_from_json(j, ctx.table())
-        try:
-            rebuilt = build_csa(ctx.table(), ctx.eps(), csa.rho)
-            ok = rebuilt.structure == csa.structure
-            emit(path, "structure constants certify and match", ok)
-        except CertificationFailed as e:
-            emit(path, "structure constants certify and match", False, e.witness)
+        csa = ser.csa_from_json(j, data.table)
+        rebuilt, w = _certified(lambda: build_csa(data.table, data.eps, csa.rho))
+        emit(path, "structure constants certify and match",
+             w is None and rebuilt.structure == csa.structure, w)
     elif kind == "trivialisation":
-        triv = ser.triv_from_json(j, ctx.table())
-        try:
-            certify_trivialisation(triv, ctx.eps())
-            emit(path, "trivialisation certifies", True)
-        except CertificationFailed as e:
-            emit(path, "trivialisation certifies", False, e.witness)
+        triv = ser.triv_from_json(j, data.table)
+        _, w = _certified(lambda: certify_trivialisation(triv, data.eps))
+        emit(path, "trivialisation certifies", w is None, w)
     elif kind == "quadrics":
         qs = ser.quadrics_from_json(j, curve)
-        rho = ser.quadrics_rho_from_json(j, ctx.table())
-        want = ctx.n ** 2 * (ctx.n ** 2 - 3) // 2
+        rho = ser.quadrics_rho_from_json(j, data.table)
+        want = data.n ** 2 * (data.n ** 2 - 3) // 2
         emit(path, "quadric count", len(qs) == want, len(qs))
         emit(path, "quadric rank", qs.rank() == want, qs.rank())
-        rebuilt = quadrics_for_C(curve, ctx.table(), rho)
+        rebuilt = quadrics_for_C(curve, data.table, rho)
         emit(path, "quadrics match recomputation", qs == rebuilt)
     elif kind == "descent":
-        _verify_descent(path, j, ctx, emit)
+        _verify_descent(path, j, data, emit)
     else:
         raise ser.ParseError("unknown artifact kind %r" % kind)
 
 
-def _verify_descent(path, j, ctx, emit):
-    out = ser.descent_from_json(j, ctx.curve)
-    n, curve, table = ctx.n, ctx.curve, ctx.table()
+def _verify_descent(path, j, data, emit):
+    out = ser.descent_from_json(j, data.curve)
+    n, curve, table = data.n, data.curve, data.table
     qs, csa, triv, gamma = (out["quadrics"], out["csa"],
                             out["trivialisation"], out["gamma"])
     cubic = out["plane_curve"]
-    try:
-        rho = validate_rho(table, triv.rho.values)
-        emit(path, "rho is a symmetric cocycle", True)
-    except CertificationFailed as e:
-        emit(path, "rho is a symmetric cocycle", False, e.witness)
+    rho, w = _certified(lambda: validate_rho(table, triv.rho.values))
+    emit(path, "rho is a symmetric cocycle", w is None, w)
+    if w is not None:
         return
     want = n ** 2 * (n ** 2 - 3) // 2
     emit(path, "quadric count and rank", len(qs) == want and qs.rank() == want)
     emit(path, "quadrics match recomputation",
          qs == quadrics_for_C(curve, table, rho))
-    try:
-        rebuilt = build_csa(table, ctx.eps(), rho)
-        emit(path, "algebra certifies and matches", rebuilt.structure == csa.structure)
-    except CertificationFailed as e:
-        emit(path, "algebra certifies and matches", False, e.witness)
-    try:
-        certify_trivialisation(triv, ctx.eps())
-        emit(path, "trivialisation certifies", True)
-    except CertificationFailed as e:
-        emit(path, "trivialisation certifies", False, e.witness)
+    rebuilt, w = _certified(lambda: build_csa(table, data.eps, rho))
+    emit(path, "algebra certifies and matches",
+         w is None and rebuilt.structure == csa.structure, w)
+    _, w = _certified(lambda: certify_trivialisation(triv, data.eps))
+    emit(path, "trivialisation certifies", w is None, w)
+    if w is not None:
         return
-    L = next(iter(gamma.values())).tower
-    cob = True
-    for a in gamma:
-        for b in gamma:
-            ab = table.add_index(a, b)
-            if not (gamma[a] * gamma[b] / gamma[ab] == rho.value(a, b).lift_to(L)):
-                cob = False
-    emit(path, "gamma is a coboundary for rho", cob)
+    _, w = _certified(lambda: check_coboundary(table, gamma, rho))
+    emit(path, "gamma is a coboundary for rho", w is None, w)
     lead = next((c for c in cubic.coeffs if not c.is_zero()), None)
     emit(path, "plane cubic is nonzero and normalized",
          lead is not None and lead == 1)
     # fresh samples: the stored gamma and trivialisation must keep
     # producing points of the stored cubic
-    gbasis = compute_G_basis(table, ctx.eps())
+    L = next(iter(gamma.values())).tower
     cx = curve if L == curve.field else curve.base_change(L)
-    rng = random.Random(j["seed"] + 1)
+    rng = random.Random(out["seed"] + 1)
     used = set()
-    fresh = True
-    for k in range(3):
-        p = affine_sample(cx, n, rng, "v%d" % k, used)
-        z = g_eval(curve, gbasis, gamma, p)
-        if not all(v.is_zero() for v in qs.evaluate_all(z)):
-            fresh = False
-            break
-        try:
-            m = lambda_eval(triv, rho, gamma, p, gbasis)
-        except RankNotOne:
-            fresh = False
-            break
-        col, _ = extract_point(m)
-        if not cubic.evaluate(col).is_zero():
-            fresh = False
-            break
+    try:
+        fresh = all(cubic.evaluate(sample_image(cx, data.gbasis, gamma, qs, triv,
+                                                rng, "v%d" % k, used)).is_zero()
+                    for k in range(3))
+    except (CertificationFailed, RankNotOne):
+        fresh = False
     emit(path, "fresh samples land on the stored cubic", fresh)
 
 
 def cmd_verify(args):
-    curve = _load_curve(args)
-    ctx = _Context(curve, args.n)
+    data = _load_curve(args)
     failures = []
 
     def emit(path, name, ok, detail=None):
@@ -254,7 +205,7 @@ def cmd_verify(args):
             failures.append((path, name))
 
     for path in args.files:
-        _verify_file(path, ser.load(path), ctx, emit)
+        _verify_file(path, ser.load(path), data, emit)
     if failures:
         print("%d check(s) failed" % len(failures))
         return 3

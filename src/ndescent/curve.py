@@ -295,9 +295,6 @@ class TorsionTable:
     def __len__(self):
         return len(self.points)
 
-    def nonzero(self):
-        return self.points[1:]
-
     def neg_index(self, ij):
         i, j = ij
         return ((-i) % self.n, (-j) % self.n)
@@ -310,10 +307,12 @@ def torsion_table(curve, n):
     """Find the full rational n-torsion and pick a deterministic basis.
 
     Raises TorsionNotRational(count) if fewer than n^2 points are rational
-    (count includes O).  Basis: T1 is the first point of exact order n in
-    the coordinate sort order, T2 the first outside the cycle of T1.
+    (count includes O), and ValueError unless n is odd and at least 3.
+    Basis: T1 is the first point of exact order n in the coordinate sort
+    order, T2 the first outside the cycle of T1.
     """
-    assert n >= 2
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n = %d: only odd n >= 3 is supported" % n)
     psi = division_polynomial(curve, n)
     pts = [Point.at_infinity(curve)]
     for x0 in roots_in_field(psi, curve.field):

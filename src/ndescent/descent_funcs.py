@@ -13,10 +13,11 @@ Builds, for a curve with fully rational n-torsion:
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
-from .fields import Poly, poly_x, roots_in_field, tower_extend, ReducibleExtension
-from .linalg import ExactMatrix
-from .curve import Point, division_polynomial, PoleAtP
+from .fields import poly_x, roots_in_field, tower_extend
+from .linalg import ExactMatrix, split_row
+from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, miller_function
 
 
@@ -28,28 +29,27 @@ class DegenerateSample(Exception):
     """Sampling kept producing degenerate linear systems."""
 
 
+def _exponents(d):
+    """Exponents (i, j) with x^i y^j in L(d(O)): j <= 1, 2i + 3j <= d."""
+    return ([(i, 0) for i in range(d // 2 + 1)]
+            + [(i, 1) for i in range((d - 3) // 2 + 1)])
+
+
+def _monomials(x, y, d):
+    """The monomial basis of L(d(O)) at x, y: coordinate functions or a
+    point's coordinates."""
+    return [x ** i * y if j else x ** i for i, j in _exponents(d)]
+
+
 def monomial_exponents(n):
-    """Exponents (i, j) with x^i y^j in L(n^2(O)): j <= 1, 2i + 3j <= n^2."""
-    out = []
-    for i in range(n * n // 2 + 1):
-        out.append((i, 0))
-    for i in range((n * n - 3) // 2 + 1):
-        out.append((i, 1))
-    assert len(out) == n * n
-    return out
+    """Exponents (i, j) with x^i y^j in L(n^2(O))."""
+    return _exponents(n * n)
 
 
 def v_basis(curve, n):
     """The monomial basis of L(n^2(O)) as function field elements."""
-    fx = FunctionFieldElement.coordinate_x(curve)
-    fy = FunctionFieldElement.coordinate_y(curve)
-    out = []
-    for i, j in monomial_exponents(n):
-        h = fx ** i
-        if j:
-            h = h * fy
-        out.append(h)
-    return out
+    return _monomials(FunctionFieldElement.coordinate_x(curve),
+                      FunctionFieldElement.coordinate_y(curve), n * n)
 
 
 def _v_coords(ffe, n):
@@ -181,9 +181,6 @@ class GBasis:
     def __getitem__(self, ij):
         return self.funcs[ij]
 
-    def at_point(self, t):
-        return self.funcs[self.table.index(t)]
-
 
 def compute_G_basis(table, eps=None):
     """G_T with divisor [n]*(T) - [n]*(O), coefficient of t^{-1} equal 1/n.
@@ -221,6 +218,32 @@ def compute_G_basis(table, eps=None):
     return GBasis(table, funcs)
 
 
+class CurveData:
+    """The per-(curve, n) data of the pipeline, each computed on first
+    use: the torsion table, the Miller functions, epsilon and the
+    G-basis."""
+
+    def __init__(self, curve, n):
+        self.curve = curve
+        self.n = n
+
+    @cached_property
+    def table(self):
+        return torsion_table(self.curve, self.n)
+
+    @cached_property
+    def millers(self):
+        return compute_miller_table(self.table)
+
+    @cached_property
+    def eps(self):
+        return compute_epsilon(self.table, self.millers)
+
+    @cached_property
+    def gbasis(self):
+        return compute_G_basis(self.table, self.eps)
+
+
 def dual_vector_at_O(curve, n):
     """Coefficients of the hyperplane osculating the degree-n embedding
     at the image of O, over the basis of L(n(O)).
@@ -243,26 +266,14 @@ def dual_vector_at_O(curve, n):
 def embedding_basis(curve, n):
     """The basis of L(n(O)) giving the degree-n embedding: x^i y^j with
     j <= 1 and 2i + 3j <= n."""
-    fx = FunctionFieldElement.coordinate_x(curve)
-    fy = FunctionFieldElement.coordinate_y(curve)
-    out = []
-    for i in range(n // 2 + 1):
-        out.append(fx ** i)
-    for i in range((n - 3) // 2 + 1):
-        out.append(fx ** i * fy)
-    assert len(out) == n
-    return out
+    return _monomials(FunctionFieldElement.coordinate_x(curve),
+                      FunctionFieldElement.coordinate_y(curve), n)
 
 
 def embedding_values(curve, n, p):
     """The affine coordinate vector of the embedding at an affine point."""
     assert not p.is_infinity, "the embedding vector at O is a limit, not a value"
-    out = []
-    for i in range(n // 2 + 1):
-        out.append(p.x ** i)
-    for i in range((n - 3) // 2 + 1):
-        out.append(p.x ** i * p.y)
-    return out
+    return _monomials(p.x, p.y, n)
 
 
 def affine_sample(curve, n, rng, name, used_x):
@@ -322,9 +333,6 @@ class Embedding:
     def M(self, ij):
         return self.matrices[ij]
 
-    def f_at(self, p):
-        return embedding_values(self.curve, self.n, p)
-
 
 def compute_embedding(table, eps=None, millers=None, seed=0):
     """The matrices M_T with f(P+T) proportional to M_T f(P), scaled so
@@ -363,12 +371,7 @@ def compute_embedding(table, eps=None, millers=None, seed=0):
             fp = embedding_values(p.curve, n, p)
             fq = embedding_values(p.curve, n, q)
             for row in _cross_rows(fq, fp):
-                if p.curve.field == K:
-                    rows.append([c.lift_to(K) for c in row])
-                else:
-                    split = [c.coords_over(K) for c in row]
-                    for b in range(len(split[0])):
-                        rows.append([s[b] for s in split])
+                rows.extend(split_row(row, K))
             if nsamples < n + 2:
                 continue
             kern = ExactMatrix(rows, K).kernel_basis()

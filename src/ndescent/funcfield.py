@@ -205,9 +205,6 @@ class FunctionFieldElement:
     def is_zero(self):
         return self.u.is_zero() and self.v.is_zero()
 
-    def is_constant(self):
-        return self.v.is_zero() and self.w.degree == 0 and self.u.degree <= 0
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
             other = FunctionFieldElement.const(self.curve, other)

@@ -10,10 +10,9 @@ interpolate to a degree-n curve in P^{n-1}.
 import random
 from fractions import Fraction
 
-from .linalg import ExactMatrix
-from .curve import Point, slope, division_polynomial, torsion_table, PoleAtP
-from .descent_funcs import (Embedding, compute_miller_table, compute_epsilon,
-                            compute_G_basis, affine_sample)
+from .linalg import ExactMatrix, split_row
+from .curve import slope, division_polynomial, PoleAtP
+from .descent_funcs import CurveData, compute_G_basis, affine_sample
 from .algebra import (RhoTable, BadBasePoint, validate_rho, build_csa,
                       solve_gamma, certify_trivialisation, CertificationFailed)
 
@@ -183,21 +182,15 @@ def g_eval(curve, gbasis, gamma, p):
     return out
 
 
-def lambda_eval(triv, rho, gamma, p, gbasis=None):
+def lambda_eval(triv, gamma, p, gbasis=None):
     """The Segre image of P: apply the trivialisation to the covering
     coordinates and project onto trace zero,
 
         sum_T z_T tau(delta_T)  -  (Tr/n) 1,      z = g_eval(P).
 
-    Accepts a Trivialisation or a bare Embedding (the standard tau_1,
-    trivial rho only).  The result has trace zero; rank 1 is what a
-    valid trivialisation guarantees, anything else raises RankNotOne."""
-    if isinstance(triv, Embedding):
-        if rho is not None:
-            assert rho.is_trivial(), "an embedding only trivialises the untwisted algebra"
-        table = triv.table
-    else:
-        table = triv.table
+    The result has trace zero; rank 1 is what a valid trivialisation
+    guarantees, anything else raises RankNotOne."""
+    table = triv.table
     n = table.n
     if gbasis is None:
         gbasis = compute_G_basis(table)
@@ -237,6 +230,26 @@ def extract_point(m):
             if not (col[i] * row[j] == m[i, j]):
                 raise RankNotOne("matrix is not a column times a row")
     return col, row
+
+
+def sample_image(cx, gbasis, gamma, qs, triv, rng, name, used_x):
+    """Draw an affine point P of cx, the curve over the field of gamma,
+    and return its image in P^{n-1}: the column factor of the Segre
+    image of P, scaled so its first nonzero entry is 1.
+
+    Raises CertificationFailed if a quadric of qs does not vanish at the
+    covering coordinates of P, and RankNotOne if the Segre image is not
+    a column times a row."""
+    table = gbasis.table
+    p = affine_sample(cx, table.n, rng, name, used_x)
+    z = g_eval(table.curve, gbasis, gamma, p)
+    for k, val in enumerate(qs.evaluate_all(z)):
+        if not val.is_zero():
+            raise CertificationFailed(("quadric", k),
+                                      "quadric %d does not vanish at a sample" % k)
+    col, _ = extract_point(lambda_eval(triv, gamma, p, gbasis))
+    unit = next(e for e in col if not e.is_zero()).inverse()
+    return [unit * e for e in col]
 
 
 class PlaneCurveEquation:
@@ -290,12 +303,7 @@ def interpolate_plane_curve(points, field):
     for pt in points:
         assert len(pt) == 3
         vals = [pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] for e in mono]
-        if vals[0].tower == field:
-            rows.append(vals)
-        else:
-            split = [v.coords_over(field) for v in vals]
-            for b in range(len(split[0])):
-                rows.append([s[b] for s in split])
+        rows.extend(split_row(vals, field))
     kern = ExactMatrix(rows, field).kernel_basis()
     if not kern:
         raise KernelEmpty("no cubic through the sampled points")
@@ -313,11 +321,11 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     The supplied trivialisation is re-certified and must twist the same
     rho.  Returns a dict with the quadric system, the algebra, the
     cubic, gamma, and a report of every check run."""
-    assert n == 3, "only cubic descent is wired end to end"
-    table = torsion_table(curve, n)
+    if n != 3:
+        raise ValueError("n = %d: only cubic descent is wired end to end" % n)
+    data = CurveData(curve, n)
+    table, eps = data.table, data.eps
     K = curve.field
-    millers = compute_miller_table(table)
-    eps = compute_epsilon(table, millers)
 
     rho = validate_rho(table, rho.values)
     if not (triv.rho.values == rho.values):
@@ -334,7 +342,7 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
         raise ValueError("trivialisation field is incompatible with the gamma extension")
     certify_trivialisation(triv, eps)
     if gbasis is None:
-        gbasis = compute_G_basis(table, eps)
+        gbasis = data.gbasis
 
     cx = curve if field == K else curve.base_change(field)
     rng = random.Random(seed)
@@ -343,16 +351,8 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     points = []
 
     def one_image():
-        p = affine_sample(cx, n, rng, "w%d" % len(points), used_x)
-        z = g_eval(curve, gbasis, gamma, p)
-        for k, val in enumerate(qs.evaluate_all(z)):
-            if not val.is_zero():
-                raise CertificationFailed(("quadric", k),
-                                          "quadric %d does not vanish at a sample" % k)
-        m = lambda_eval(triv, rho, gamma, p, gbasis)
-        col, _ = extract_point(m)
-        unit = next(e for e in col if not e.is_zero()).inverse()
-        return [unit * e for e in col]
+        return sample_image(cx, gbasis, gamma, qs, triv, rng,
+                            "w%d" % len(points), used_x)
 
     for _ in range(len(plane_monomials(3)) + held):
         points.append(one_image())

@@ -33,6 +33,14 @@ def save(path, obj):
         fh.write("\n")
 
 
+def _req(j, key):
+    """j[key], or ParseError when the artifact has no such field."""
+    try:
+        return j[key]
+    except (KeyError, TypeError):
+        raise ParseError("artifact has no %r field" % key)
+
+
 def load(path):
     with open(path) as fh:
         try:
@@ -99,15 +107,23 @@ def _ij_unkey(s):
         raise ParseError("bad index key %r" % s)
 
 
-def _pair_key(ab):
-    return _ij_key(ab[0]) + "|" + _ij_key(ab[1])
-
-
 def _pair_unkey(s):
     parts = s.split("|")
     if len(parts) != 2:
         raise ParseError("bad pair key %r" % s)
     return (_ij_unkey(parts[0]), _ij_unkey(parts[1]))
+
+
+def _pairs_to_json(values):
+    """A table keyed by pairs of torsion indices, as {"i,j|k,l": element}."""
+    return {_ij_key(a) + "|" + _ij_key(b): elem_to_json(v)
+            for (a, b), v in values.items()}
+
+
+def _pairs_from_json(field, j):
+    if not isinstance(j, dict):
+        raise ParseError("pair tables are objects keyed by 'i,j|k,l'")
+    return {_pair_unkey(k): elem_from_json(field, v) for k, v in j.items()}
 
 
 def curve_to_json(curve):
@@ -127,8 +143,9 @@ def curve_hash(curve):
 def curve_from_json(j):
     if j.get("kind") != "curve":
         raise ParseError("not a curve file")
-    field = tower_from_json(j["field"])
-    curve = Curve(field, elem_from_json(field, j["a"]), elem_from_json(field, j["b"]))
+    field = tower_from_json(_req(j, "field"))
+    curve = Curve(field, elem_from_json(field, _req(j, "a")),
+                  elem_from_json(field, _req(j, "b")))
     if curve_hash(curve) != j.get("hash"):
         raise ParseError("curve hash does not match its contents")
     return curve
@@ -152,8 +169,8 @@ def torsion_from_json(j, curve):
     if j.get("kind") != "torsion":
         raise ParseError("not a torsion file")
     _check_hash(j, curve)
-    n = j["n"]
-    pts = j["points"]
+    n = _req(j, "n")
+    pts = _req(j, "points")
     if len(pts) != n * n or pts[0] is not None:
         raise ParseError("torsion file needs n^2 points starting at O")
     t1 = point_from_json(pts[n], curve)
@@ -175,8 +192,8 @@ def point_to_json(p):
 
 def point_from_json(j, curve):
     K = curve.field
-    x = elem_from_json(K, j["x"])
-    y = elem_from_json(K, j["y"])
+    x = elem_from_json(K, _req(j, "x"))
+    y = elem_from_json(K, _req(j, "y"))
     if not curve.contains(x, y):
         raise ParseError("point is not on the curve")
     return Point(curve, x, y)
@@ -191,17 +208,15 @@ def point_file_from_json(j, curve):
 
 def rho_to_json(rho):
     table = rho.table
-    vals = {_pair_key(k): elem_to_json(v) for k, v in rho.values.items()}
     return {"kind": "rho", "hash": curve_hash(table.curve), "n": table.n,
-            "values": vals}
+            "values": _pairs_to_json(rho.values)}
 
 
 def rho_from_json(j, table):
     if j.get("kind") != "rho":
         raise ParseError("not a rho file")
     _check_hash(j, table.curve)
-    K = table.curve.field
-    values = {_pair_unkey(k): elem_from_json(K, v) for k, v in j["values"].items()}
+    values = _pairs_from_json(table.curve.field, _req(j, "values"))
     if len(values) != len(table) ** 2:
         raise ParseError("rho file needs one value per pair of torsion points")
     return RhoTable(table, values)
@@ -210,9 +225,8 @@ def rho_from_json(j, table):
 def csa_to_json(csa):
     table = csa.table
     return {"kind": "csa", "hash": curve_hash(table.curve), "n": table.n,
-            "rho": {_pair_key(k): elem_to_json(v) for k, v in csa.rho.values.items()},
-            "structure": {_pair_key(k): elem_to_json(v)
-                          for k, v in csa.structure.items()}}
+            "rho": _pairs_to_json(csa.rho.values),
+            "structure": _pairs_to_json(csa.structure)}
 
 
 def csa_from_json(j, table):
@@ -220,10 +234,8 @@ def csa_from_json(j, table):
         raise ParseError("not a csa file")
     _check_hash(j, table.curve)
     K = table.curve.field
-    rho = RhoTable(table, {_pair_unkey(k): elem_from_json(K, v)
-                           for k, v in j["rho"].items()})
-    structure = {_pair_unkey(k): elem_from_json(K, v)
-                 for k, v in j["structure"].items()}
+    rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho")))
+    structure = _pairs_from_json(K, _req(j, "structure"))
     return CSA(table, rho, structure)
 
 
@@ -238,7 +250,7 @@ def matrix_from_json(tower, j):
 def triv_to_json(triv):
     out = {"kind": "trivialisation", "hash": curve_hash(triv.table.curve),
            "n": triv.n, "mode": triv.mode, "field": tower_to_json(triv.field),
-           "rho": {_pair_key(k): elem_to_json(v) for k, v in triv.rho.values.items()},
+           "rho": _pairs_to_json(triv.rho.values),
            "matrices": {_ij_key(ij): matrix_to_json(m)
                         for ij, m in triv.matrices.items()}}
     if triv.gamma is not None:
@@ -253,15 +265,14 @@ def triv_from_json(j, table):
         raise ParseError("not a trivialisation file")
     _check_hash(j, table.curve)
     K = table.curve.field
-    L = tower_from_json(j["field"])
-    rho = RhoTable(table, {_pair_unkey(k): elem_from_json(K, v)
-                           for k, v in j["rho"].items()})
+    L = tower_from_json(_req(j, "field"))
+    rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho")))
     matrices = {_ij_unkey(k): matrix_from_json(L, m)
-                for k, m in j["matrices"].items()}
-    gamma = None
-    if j.get("gamma") is not None:
-        gamma = {_ij_unkey(k): elem_from_json(L, g) for k, g in j["gamma"].items()}
-    return Trivialisation(table, rho, L, matrices, j["mode"], gamma)
+                for k, m in _req(j, "matrices").items()}
+    gamma = j.get("gamma")
+    if gamma is not None:
+        gamma = {_ij_unkey(k): elem_from_json(L, g) for k, g in gamma.items()}
+    return Trivialisation(table, rho, L, matrices, _req(j, "mode"), gamma)
 
 
 def quadrics_to_json_forms(qs):
@@ -286,7 +297,7 @@ def quadrics_from_json_forms(field, n, forms):
 
 def quadrics_to_json(qs, curve, rho):
     return {"kind": "quadrics", "hash": curve_hash(curve), "n": qs.n,
-            "rho": {_pair_key(k): elem_to_json(v) for k, v in rho.values.items()},
+            "rho": _pairs_to_json(rho.values),
             "forms": quadrics_to_json_forms(qs)}
 
 
@@ -294,13 +305,11 @@ def quadrics_from_json(j, curve):
     if j.get("kind") != "quadrics":
         raise ParseError("not a quadrics file")
     _check_hash(j, curve)
-    return quadrics_from_json_forms(curve.field, j["n"], j["forms"])
+    return quadrics_from_json_forms(curve.field, _req(j, "n"), _req(j, "forms"))
 
 
 def quadrics_rho_from_json(j, table):
-    K = table.curve.field
-    return RhoTable(table, {_pair_unkey(k): elem_from_json(K, v)
-                            for k, v in j["rho"].items()})
+    return RhoTable(table, _pairs_from_json(table.curve.field, _req(j, "rho")))
 
 
 def plane_to_json(cub):
@@ -309,10 +318,10 @@ def plane_to_json(cub):
 
 
 def plane_from_json(j, field, n):
-    mono = [tuple(m) for m in j["monomials"]]
+    mono = [tuple(m) for m in _req(j, "monomials")]
     if mono != plane_monomials(n):
         raise ParseError("monomial list is not the graded lex basis")
-    coeffs = [elem_from_json(field, c) for c in j["coeffs"]]
+    coeffs = [elem_from_json(field, c) for c in _req(j, "coeffs")]
     return PlaneCurveEquation(field, n, mono, coeffs)
 
 
@@ -336,15 +345,16 @@ def descent_from_json(j, curve):
     if j.get("kind") != "descent":
         raise ParseError("not a descent output file")
     _check_hash(j, curve)
-    n = j["n"]
+    n = _req(j, "n")
     table = torsion_table(curve, n)
     K = curve.field
-    gfield = tower_from_json(j["gamma"]["field"])
+    gj = _req(j, "gamma")
+    gfield = tower_from_json(_req(gj, "field"))
     gamma = {_ij_unkey(k): elem_from_json(gfield, g)
-             for k, g in j["gamma"]["values"].items()}
-    return {"quadrics": quadrics_from_json_forms(K, n, j["quadrics"]),
-            "csa": csa_from_json(j["csa"], table),
-            "trivialisation": triv_from_json(j["trivialisation"], table),
+             for k, g in _req(gj, "values").items()}
+    return {"quadrics": quadrics_from_json_forms(K, n, _req(j, "quadrics")),
+            "csa": csa_from_json(_req(j, "csa"), table),
+            "trivialisation": triv_from_json(_req(j, "trivialisation"), table),
             "gamma": gamma,
-            "plane_curve": plane_from_json(j["plane_curve"], K, n),
-            "report": j["report"], "seed": j["seed"]}
+            "plane_curve": plane_from_json(_req(j, "plane_curve"), K, n),
+            "report": _req(j, "report"), "seed": _req(j, "seed")}

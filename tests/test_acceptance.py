@@ -166,7 +166,7 @@ def test_criterion_05_tau1_and_algebra(emb, eps, table, field):
 def test_criterion_06_segre_factorisation(emb, eps, table, gbasis, curve):
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     for p in _samples(curve, 3, seed=601):
-        m = lambda_eval(triv, None, None, p, gbasis)
+        m = lambda_eval(triv, None, p, gbasis)
         assert m.trace().is_zero()
         assert m.rank() == 1
         # m equals lambda_E(P) = sum_{T != O} G_T(P) M_T
@@ -283,7 +283,7 @@ def test_criterion_11_negative_paths(table, eps, emb, field, curve, tmp_path):
     # and produces RankNotOne when pushed through the Segre map
     p = _samples(curve, 1, seed=1101)[0]
     with pytest.raises(RankNotOne):
-        lambda_eval(bad, None, None, p)
+        lambda_eval(bad, None, p)
     # cmd_verify exits 3 on a tampered artifact
     rhopath = tmp_path / "rho.json"
     curvepath = tmp_path / "curve.json"

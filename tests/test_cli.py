@@ -199,3 +199,39 @@ def test_point_not_on_curve_exit_1(work, tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "not on the curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["torsion", "quadrics"])
+def test_unsupported_n_exit_2(work, tmp_path, command, capsys):
+    _, paths, _ = work
+    rc = main([command, "--curve", paths["curve"], "--n", "4",
+               "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert "only odd n" in capsys.readouterr().err
+
+
+def test_rho_without_values_exit_1(work, tmp_path, capsys):
+    _, paths, _ = work
+    j = json.loads(open(paths["rho"]).read())
+    del j["values"]
+    bad = tmp_path / "novalues.json"
+    bad.write_text(json.dumps(j))
+    rc = main(["algebra", "--curve", paths["curve"], "--rho", str(bad),
+               "--out", str(tmp_path / "a.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "'values'" in err and "Traceback" not in err
+
+
+def test_tampered_gamma_exit_3(work, tmp_path, capsys):
+    _, paths, _ = work
+    j = json.loads(open(paths["out"]).read())
+    old = j["gamma"]["values"]["1,0"]
+    j["gamma"]["values"]["1,0"] = ["7"] + ["0"] * (len(old) - 1)
+    assert j["gamma"]["values"]["1,0"] != old
+    bad = tmp_path / "badgamma.json"
+    bad.write_text(json.dumps(j))
+    rc = main(["verify", "--curve", paths["curve"], str(bad)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "FAIL %s: gamma is a coboundary for rho" % bad in out

@@ -115,3 +115,9 @@ def test_base_change(curve, field, table):
     p = table.t1.base_change(L)
     assert cl.contains(p.x, p.y)
     assert 3 * p == Point.at_infinity(cl)
+
+
+def test_torsion_table_rejects_unsupported_n(curve):
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError):
+            torsion_table(curve, n)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from ndescent.fields import tower_extend
 from ndescent.curve import Point
 from ndescent.linalg import ExactMatrix
+from ndescent import serialize as ser
 from ndescent.algebra import (BadBasePoint, RhoTable, partial, solve_gamma,
                               trivialize, validate_rho)
 from ndescent.descent_funcs import affine_sample
@@ -91,7 +93,7 @@ def test_lambda_eval_rank_one(curve, table, eps, emb, gbasis):
     from ndescent.algebra import RhoTable
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     for p in _samples(curve, 3, seed=4):
-        m = lambda_eval(triv, None, None, p, gbasis)
+        m = lambda_eval(triv, None, p, gbasis)
         assert m.trace().is_zero()
         assert m.rank() == 1
         col, row = extract_point(m)
@@ -114,7 +116,7 @@ def test_lambda_eval_rejects_bad_trivialisation(curve, table, eps, emb, gbasis, 
     bad = Trivialisation(table, RhoTable.trivial(table), field, mats, "user")
     p = _samples(curve, 1, seed=5)[0]
     with pytest.raises(RankNotOne):
-        lambda_eval(bad, None, None, p, gbasis)
+        lambda_eval(bad, None, p, gbasis)
 
 
 def test_extract_point_shapes(field):
@@ -176,7 +178,7 @@ def test_descend_trivial_rho(curve, table, eps, emb, gbasis, field):
     # direct images of E lie on the output cubic
     for p in _samples(curve, 2, seed=8):
         z = g_eval(p.curve, gbasis, None, p)
-        m = lambda_eval(triv, None, None, p, gbasis)
+        m = lambda_eval(triv, None, p, gbasis)
         col, _ = extract_point(m)
         assert out["plane_curve"].evaluate(col).is_zero()
 
@@ -199,3 +201,21 @@ def test_descend_rejects_mismatched_rho(curve, table, eps, emb, gbasis, field):
     triv = trivialize(emb, eps, rho2, mode="gamma")
     with pytest.raises(ValueError):
         descend(curve, 3, rho1, triv, gbasis=gbasis)
+
+
+def test_descend_golden_artifact(curve, table, eps, emb, tmp_path):
+    # the reference artifact: same-seed output must stay byte-identical
+    rho = RhoTable.trivial(table)
+    out = descend(curve, 3, rho, trivialize(emb, eps, rho), seed=7)
+    path = tmp_path / "golden.json"
+    ser.save(str(path), ser.descent_to_json(out, curve))
+    data = path.read_bytes()
+    assert len(data) == 9017
+    assert hashlib.sha256(data).hexdigest() == (
+        "f244654ac24704fbb18352081eefd7e3bcf757d3c5bc3a1c04efef89e86b0e35")
+
+
+def test_descend_rejects_unsupported_n(curve, table, eps, emb):
+    rho = RhoTable.trivial(table)
+    with pytest.raises(ValueError):
+        descend(curve, 5, rho, trivialize(emb, eps, rho))

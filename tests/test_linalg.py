@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ndescent.linalg import ExactMatrix, NoSolution, kernel_basis, solve_linear
+from ndescent.linalg import ExactMatrix, NoSolution
 
 
 def _mat(field, rows):
@@ -43,7 +43,7 @@ def test_solve(field):
     x = a.solve(b)
     got = a.mat_vec(x)
     assert all(u == v for u, v in zip(got, b))
-    assert solve_linear(a, b) == x
+    assert a.solve(b) == x
     singular = _mat(field, [[1, 1], [1, 1]])
     with pytest.raises(NoSolution):
         singular.solve([field.one(), field.zero()])
@@ -56,7 +56,6 @@ def test_rank_nullity(field):
                  for _ in range(4)] for _ in range(3)]
         m = ExactMatrix(rows)
         assert m.rank() + len(m.kernel_basis()) == 4
-        assert kernel_basis(m) == m.kernel_basis()
 
 
 def test_mixed_tower_entries(field):
