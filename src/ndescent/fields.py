@@ -1,12 +1,25 @@
 """Exact arithmetic in towers of number fields over Q.
 
 A tower is a chain Q = K_0 < K_1 < ... < K_r where each level is a
-monogenic extension K_i = K_{i-1}[t]/(m_i(t)) with m_i monic and
-irreducible over the level below.  Elements are nested coefficient
-lists with Fraction leaves, so every comparison is exact.
+monogenic extension K_i = K_{i-1}[t_i]/(m_i(t_i)) with m_i monic and
+irreducible over the level below.  K_r has the Q-basis of monomials
+t_1^e_1 ... t_r^e_r (0 <= e_i < deg m_i), listed with t_1 fastest and
+t_r most significant.  An element is its coordinate vector in this
+basis, stored flat as a tuple of Python ints over one positive
+denominator and kept in lowest terms (Cohen, GTM 138, section 4.2.1),
+so equal elements have equal data and every comparison is exact.
+
+Each tower multiplies with a sparse table of structure constants
+b_i b_j = sum_k c_ijk b_k, built once from its minimal polynomial and
+the multiplication of the level below.  Inverses run the extended
+Euclidean algorithm against the top minimal polynomial.  Polynomials
+are Poly objects with FieldElement coefficients; factoring uses sympy
+over Q and Trager's norm method up each level.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm, prod
 
 import sympy
 
@@ -33,255 +46,6 @@ def _fr(x):
 
 
 # ---------------------------------------------------------------------------
-# nested coefficient data
-#
-# A datum at level 0 is a Fraction.  A datum at level k > 0 is a list of
-# exactly tower.degrees[k-1] data at level k-1.  All data are kept at full
-# fixed shape, so structural equality coincides with field equality.
-# ---------------------------------------------------------------------------
-
-def _dzero(tw, lvl):
-    if lvl == 0:
-        return Fraction(0)
-    return [_dzero(tw, lvl - 1) for _ in range(tw.degrees[lvl - 1])]
-
-
-def _done(tw, lvl):
-    if lvl == 0:
-        return Fraction(1)
-    out = _dzero(tw, lvl)
-    out[0] = _done(tw, lvl - 1)
-    return out
-
-
-def _dfrom_fraction(tw, lvl, q):
-    if lvl == 0:
-        return q
-    out = _dzero(tw, lvl)
-    out[0] = _dfrom_fraction(tw, lvl - 1, q)
-    return out
-
-
-def _dis0(tw, lvl, a):
-    if lvl == 0:
-        return a == 0
-    return all(_dis0(tw, lvl - 1, c) for c in a)
-
-
-def _dadd(tw, lvl, a, b):
-    if lvl == 0:
-        return a + b
-    return [_dadd(tw, lvl - 1, x, y) for x, y in zip(a, b)]
-
-
-def _dsub(tw, lvl, a, b):
-    if lvl == 0:
-        return a - b
-    return [_dsub(tw, lvl - 1, x, y) for x, y in zip(a, b)]
-
-
-def _dneg(tw, lvl, a):
-    if lvl == 0:
-        return -a
-    return [_dneg(tw, lvl - 1, c) for c in a]
-
-
-def _dmul(tw, lvl, a, b):
-    if lvl == 0:
-        return a * b
-    d = tw.degrees[lvl - 1]
-    prod = [_dzero(tw, lvl - 1) for _ in range(2 * d - 1)]
-    for i, ai in enumerate(a):
-        if _dis0(tw, lvl - 1, ai):
-            continue
-        for j, bj in enumerate(b):
-            if _dis0(tw, lvl - 1, bj):
-                continue
-            prod[i + j] = _dadd(tw, lvl - 1, prod[i + j], _dmul(tw, lvl - 1, ai, bj))
-    # reduce modulo the monic minimal polynomial of this level
-    tail = tw._mintails[lvl - 1]
-    for i in range(2 * d - 2, d - 1, -1):
-        c = prod[i]
-        if _dis0(tw, lvl - 1, c):
-            continue
-        for j in range(d):
-            prod[i - d + j] = _dsub(tw, lvl - 1, prod[i - d + j],
-                                    _dmul(tw, lvl - 1, c, tail[j]))
-    return prod[:d]
-
-
-def _dinv(tw, lvl, a):
-    if lvl == 0:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-    if _dis0(tw, lvl, a):
-        raise ZeroDivisionError("inverse of zero")
-    # extended Euclid against the minimal polynomial, one level down
-    m = list(tw.levels[lvl - 1][1])
-    p = _pstrip(tw, lvl - 1, list(a))
-    g, s = _pxgcd_first(tw, lvl - 1, p, m)
-    assert _pdeg(g) == 0, "minimal polynomial not irreducible over its base"
-    ginv = _dinv(tw, lvl - 1, g[0])
-    out = [_dmul(tw, lvl - 1, ginv, c) for c in s]
-    out = out[: tw.degrees[lvl - 1]]
-    while len(out) < tw.degrees[lvl - 1]:
-        out.append(_dzero(tw, lvl - 1))
-    return out
-
-
-def _dflatten(tw, lvl, a, out):
-    if lvl == 0:
-        out.append(a)
-        return
-    for c in a:
-        _dflatten(tw, lvl - 1, c, out)
-
-
-def _dunflatten(tw, lvl, flat, pos):
-    if lvl == 0:
-        return _fr(flat[pos]), pos + 1
-    out = []
-    for _ in range(tw.degrees[lvl - 1]):
-        c, pos = _dunflatten(tw, lvl - 1, flat, pos)
-        out.append(c)
-    return out, pos
-
-
-def _dlift(tw, from_lvl, to_lvl, a):
-    """Embed a datum of a prefix level as a constant at a higher level."""
-    for lvl in range(from_lvl, to_lvl):
-        wrapped = [a]
-        for _ in range(tw.degrees[lvl] - 1):
-            wrapped.append(_dzero(tw, lvl))
-        a = wrapped
-    return a
-
-
-def _dcopy(a):
-    if isinstance(a, Fraction):
-        return a
-    return [_dcopy(c) for c in a]
-
-
-def _dsplit(tw, lvl, base_lvl, a, out):
-    if lvl == base_lvl:
-        out.append(_dcopy(a))
-        return
-    for c in a:
-        _dsplit(tw, lvl - 1, base_lvl, c, out)
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials whose coefficients are data at a fixed level
-# (ascending coefficient lists, stripped of leading zeros)
-# ---------------------------------------------------------------------------
-
-def _pstrip(tw, lvl, p):
-    while p and _dis0(tw, lvl, p[-1]):
-        p.pop()
-    return p
-
-
-def _pdeg(p):
-    return len(p) - 1
-
-
-def _padd(tw, lvl, p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else _dzero(tw, lvl)
-        b = q[i] if i < len(q) else _dzero(tw, lvl)
-        out.append(_dadd(tw, lvl, a, b))
-    return _pstrip(tw, lvl, out)
-
-
-def _psub(tw, lvl, p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else _dzero(tw, lvl)
-        b = q[i] if i < len(q) else _dzero(tw, lvl)
-        out.append(_dsub(tw, lvl, a, b))
-    return _pstrip(tw, lvl, out)
-
-
-def _pmul(tw, lvl, p, q):
-    if not p or not q:
-        return []
-    out = [_dzero(tw, lvl) for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        if _dis0(tw, lvl, a):
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = _dadd(tw, lvl, out[i + j], _dmul(tw, lvl, a, b))
-    return _pstrip(tw, lvl, out)
-
-
-def _pscal(tw, lvl, c, p):
-    return _pstrip(tw, lvl, [_dmul(tw, lvl, c, a) for a in p])
-
-
-def _pdivmod(tw, lvl, p, q):
-    assert q, "polynomial division by zero"
-    inv_lc = _dinv(tw, lvl, q[-1])
-    rem = list(p)
-    quot = [_dzero(tw, lvl) for _ in range(max(0, len(p) - len(q) + 1))]
-    while len(rem) >= len(q) and rem:
-        rem = _pstrip(tw, lvl, rem)
-        if len(rem) < len(q):
-            break
-        c = _dmul(tw, lvl, rem[-1], inv_lc)
-        k = len(rem) - len(q)
-        quot[k] = c
-        for j in range(len(q)):
-            rem[k + j] = _dsub(tw, lvl, rem[k + j], _dmul(tw, lvl, c, q[j]))
-        rem.pop()
-    return _pstrip(tw, lvl, quot), _pstrip(tw, lvl, rem)
-
-
-def _pmonic(tw, lvl, p):
-    if not p:
-        return p
-    inv = _dinv(tw, lvl, p[-1])
-    return _pscal(tw, lvl, inv, p)
-
-
-def _pgcd(tw, lvl, p, q):
-    p, q = list(p), list(q)
-    while q:
-        _, r = _pdivmod(tw, lvl, p, q)
-        p, q = q, r
-    return _pmonic(tw, lvl, p)
-
-
-def _pxgcd_first(tw, lvl, p, q):
-    """Return (g, s) with s*p = g mod q, g a gcd of p and q (not normalized)."""
-    r0, r1 = list(p), list(q)
-    s0, s1 = [_done(tw, lvl)], []
-    while r1:
-        quo, rem = _pdivmod(tw, lvl, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _psub(tw, lvl, s0, _pmul(tw, lvl, quo, s1))
-    return r0, s0
-
-
-def _pderiv(tw, lvl, p):
-    out = []
-    for i in range(1, len(p)):
-        out.append(_dmul(tw, lvl, _dfrom_fraction(tw, lvl, Fraction(i)), p[i]))
-    return _pstrip(tw, lvl, out)
-
-
-def _peval(tw, lvl, p, x):
-    acc = _dzero(tw, lvl)
-    for c in reversed(p):
-        acc = _dadd(tw, lvl, _dmul(tw, lvl, acc, x), c)
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # towers and elements
 # ---------------------------------------------------------------------------
 
@@ -289,24 +53,36 @@ class FieldTower:
     """A number field presented as a tower of monogenic extensions of Q.
 
     levels: tuple of (generator name, minimal polynomial) where the
-    minimal polynomial is a monic coefficient list (ascending) of data
-    one level down.  Irreducibility is certified at construction.
+    minimal polynomial is a monic tuple of coefficients (ascending),
+    elements of the tower one level down.  Irreducibility is certified
+    at construction: a reducible level raises ReducibleExtension.
     """
 
-    def __init__(self, levels=(), _trusted=False):
-        self.levels = tuple((name, tuple(_dcopy(c) for c in mp)) for name, mp in levels)
-        self.degrees = tuple(len(mp) - 1 for _, mp in self.levels)
-        self.degree = 1
-        for d in self.degrees:
-            self.degree *= d
-        # tails m_0..m_{d-1} of each monic minimal polynomial, for reduction
-        self._mintails = [list(mp[:-1]) for _, mp in self.levels]
-        if not _trusted:
-            for i in range(len(self.levels)):
-                prefix = FieldTower(self.levels[:i], _trusted=True)
-                mp = [_dcopy(c) for c in self.levels[i][1]]
-                if not _is_irreducible(prefix, mp):
-                    raise ValueError("level %d minimal polynomial is reducible" % (i + 1))
+    def __init__(self, levels=()):
+        levels = tuple(levels)
+        if not levels:
+            self.levels, self.degrees, self.degree, self._sig = (), (), 1, ()
+            self._base = self._minpoly = None
+            self._table, self._tden = [[((0, 1),)]], 1
+            return
+        name, mp = levels[-1]
+        lead = mp[-1] if mp else None
+        if isinstance(lead, FieldElement) and lead.tower.levels == levels[:-1]:
+            base = lead.tower  # already certified at its construction
+        else:
+            base = FieldTower(levels[:-1])
+        minpoly = Poly(mp, base)
+        if minpoly.degree < 1 or minpoly.degree != len(mp) - 1 or not minpoly.is_monic():
+            raise ValueError("minimal polynomial must be monic and nonconstant")
+        factors = factor_poly(minpoly)
+        if len(factors) != 1 or factors[0][1] != 1:
+            raise ReducibleExtension(list(factors[0][0].coeffs))
+        self._base, self._minpoly = base, minpoly
+        self.levels = base.levels + ((name, minpoly.coeffs),)
+        self.degrees = base.degrees + (minpoly.degree,)
+        self.degree = base.degree * minpoly.degree
+        self._sig = base._sig + ((name, tuple((c._num, c._den) for c in minpoly.coeffs)),)
+        self._table, self._tden = _structure_constants(base, minpoly)
 
     @staticmethod
     def rationals():
@@ -317,39 +93,43 @@ class FieldTower:
         return len(self.levels)
 
     def zero(self):
-        return FieldElement(self, _dzero(self, self.nlevels))
+        return FieldElement(self, (0,) * self.degree, 1)
 
     def one(self):
-        return FieldElement(self, _done(self, self.nlevels))
+        return self.from_fraction(1)
 
     def from_fraction(self, q):
-        return FieldElement(self, _dfrom_fraction(self, self.nlevels, _fr(q)))
+        q = _fr(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def gen(self, i=-1):
         """The generator of level i (default: the top level)."""
         if i < 0:
             i += self.nlevels
-        assert 0 <= i < self.nlevels, "no such level"
-        g = _dzero(self, i + 1)
-        g[1] = _done(self, i)
-        return FieldElement(self, _dlift(self, i + 1, self.nlevels, g))
+        if not 0 <= i < self.nlevels:
+            raise ValueError("no such level")
+        num = [0] * self.degree
+        num[prod(self.degrees[:i])] = 1
+        return FieldElement(self, num, 1)
 
     def element(self, flat):
         """Build an element from its flattened coordinate vector over Q."""
-        assert len(flat) == self.degree, "coordinate vector has wrong length"
-        data, pos = _dunflatten(self, self.nlevels, list(flat), 0)
-        return FieldElement(self, data)
+        if len(flat) != self.degree:
+            raise ValueError("coordinate vector has wrong length")
+        flat = [_fr(c) for c in flat]
+        den = lcm(*(q.denominator for q in flat))
+        return FieldElement(self, [q.numerator * (den // q.denominator) for q in flat], den)
 
     def __eq__(self, other):
         if not isinstance(other, FieldTower):
             return NotImplemented
-        return self.levels == other.levels
+        return self._sig == other._sig
 
     def __hash__(self):
         return hash(self.nlevels) ^ hash(self.degrees)
 
     def is_prefix_of(self, other):
-        return self.levels == other.levels[: self.nlevels]
+        return self._sig == other._sig[: self.nlevels]
 
     def __repr__(self):
         if not self.levels:
@@ -357,38 +137,102 @@ class FieldTower:
         return "FieldTower(Q(%s), degree %d)" % (", ".join(n for n, _ in self.levels), self.degree)
 
 
+def _structure_constants(base, m):
+    """The multiplication table of base[t]/(m) in the flat basis
+    b_{k*S+i} = c_i t^k (c_i the basis of base, S its degree).  Returns
+    (table, den): table[p][q] is a tuple of the pairs (k, c) with c != 0
+    and b_p b_q = sum c b_k / den."""
+    S, d = base.degree, m.degree
+    unit = [base.element([int(i == k) for k in range(S)]) for i in range(S)]
+    x = poly_x(base)
+    powers = [(x ** e) % m for e in range(2 * d - 1)]
+    flat = {}
+    for p in range(S * d):
+        k, i = divmod(p, S)
+        for q in range(p, S * d):
+            l, j = divmod(q, S)
+            c = _mul(unit[i], unit[j])
+            flat[p, q] = [f for e in range(d) for f in _mul(c, powers[k + l].coeff(e)).flatten()]
+    den = lcm(*(f.denominator for v in flat.values() for f in v))
+    table = [[None] * (S * d) for _ in range(S * d)]
+    for (p, q), v in flat.items():
+        table[p][q] = table[q][p] = tuple((k, f.numerator * (den // f.denominator))
+                                          for k, f in enumerate(v) if f)
+    return table, den
+
+
+# The two kernels below take elements of one tower (equal towers, not
+# merely prefix-related).  The operators coerce and then call them, and
+# every computation inside this module calls them directly.
+
+def _mul(a, b):
+    """Multiply with the structure-constant table of the tower."""
+    tw = a.tower
+    acc = [0] * tw.degree
+    table = tw._table
+    bnz = [(j, y) for j, y in enumerate(b._num) if y]
+    for i, x in enumerate(a._num):
+        if x:
+            row = table[i]
+            for j, y in bnz:
+                xy = x * y
+                for k, c in row[j]:
+                    acc[k] += xy * c
+    return FieldElement(tw, acc, a._den * b._den * tw._tden)
+
+
+def _inv(a):
+    """Invert by extended Euclid against the top minimal polynomial."""
+    tw = a.tower
+    if a.is_zero():
+        raise ZeroDivisionError("inverse of zero")
+    if not any(a._num[1:]):  # rational, as is every element of Q
+        return FieldElement(tw, (a._den,) + a._num[1:], a._num[0])
+    base = tw._base
+    g, s = _xgcd_first(Poly._of(base, a.coords_over(base)), tw._minpoly)
+    if g.degree != 0:
+        raise ValueError("minimal polynomial is reducible over its base")
+    coords = (s * _inv(g.coeffs[0])).coeffs
+    den = lcm(*(c._den for c in coords))
+    num = [x * (den // c._den) for c in coords for x in c._num]
+    return FieldElement(tw, num + [0] * (tw.degree - len(num)), den)
+
+
 class FieldElement:
-    """An element of a FieldTower; all arithmetic is exact."""
+    """An element of a FieldTower: integer coordinates over one positive
+    denominator, in lowest terms.  All arithmetic is exact."""
 
-    __slots__ = ("tower", "_data")
+    __slots__ = ("tower", "_num", "_den")
 
-    def __init__(self, tower, data):
+    def __init__(self, tower, num, den):
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
         self.tower = tower
-        self._data = data
+        self._num = tuple(num) if g == 1 else tuple(c // g for c in num)
+        self._den = den // g
 
     # -- coercion ----------------------------------------------------------
 
     def _pair(self, other):
+        if isinstance(other, FieldElement):
+            st, ot = self.tower, other.tower
+            if st is ot or st._sig == ot._sig:
+                return self, other
+            if st.is_prefix_of(ot):
+                return self.lift_to(ot), other
+            if ot.is_prefix_of(st):
+                return self, other.lift_to(st)
+            raise ValueError("elements of incompatible towers")
         if isinstance(other, (int, Fraction)):
             return self, self.tower.from_fraction(other)
-        if isinstance(other, FieldElement):
-            if self.tower is other.tower or self.tower == other.tower:
-                return self, other
-            if self.tower.is_prefix_of(other.tower):
-                lifted = _dlift(other.tower, self.tower.nlevels, other.tower.nlevels, self._data)
-                return FieldElement(other.tower, lifted), other
-            if other.tower.is_prefix_of(self.tower):
-                lifted = _dlift(self.tower, other.tower.nlevels, self.tower.nlevels, other._data)
-                return self, FieldElement(self.tower, lifted)
-            raise ValueError("elements of incompatible towers")
         return self, None
 
     def lift_to(self, tower):
         """Reinterpret in a tower having this element's tower as a prefix."""
-        if self.tower == tower:
-            return FieldElement(tower, self._data)
-        assert self.tower.is_prefix_of(tower), "not a prefix tower"
-        return FieldElement(tower, _dlift(tower, self.tower.nlevels, tower.nlevels, self._data))
+        if not self.tower.is_prefix_of(tower):
+            raise ValueError("not a prefix tower")
+        return FieldElement(tower, self._num + (0,) * (tower.degree - len(self._num)), self._den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -396,8 +240,10 @@ class FieldElement:
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        tw = a.tower
-        return FieldElement(tw, _dadd(tw, tw.nlevels, a._data, b._data))
+        da, db = a._den, b._den
+        if da == db:
+            return FieldElement(a.tower, [x + y for x, y in zip(a._num, b._num)], da)
+        return FieldElement(a.tower, [x * db + y * da for x, y in zip(a._num, b._num)], da * db)
 
     __radd__ = __add__
 
@@ -405,21 +251,22 @@ class FieldElement:
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        tw = a.tower
-        return FieldElement(tw, _dsub(tw, tw.nlevels, a._data, b._data))
+        da, db = a._den, b._den
+        if da == db:
+            return FieldElement(a.tower, [x - y for x, y in zip(a._num, b._num)], da)
+        return FieldElement(a.tower, [x * db - y * da for x, y in zip(a._num, b._num)], da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement(self.tower, _dneg(self.tower, self.tower.nlevels, self._data))
+        return FieldElement(self.tower, [-x for x in self._num], self._den)
 
     def __mul__(self, other):
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        tw = a.tower
-        return FieldElement(tw, _dmul(tw, tw.nlevels, a._data, b._data))
+        return _mul(a, b)
 
     __rmul__ = __mul__
 
@@ -427,33 +274,33 @@ class FieldElement:
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        tw = a.tower
-        return FieldElement(tw, _dmul(tw, tw.nlevels, a._data, _dinv(tw, tw.nlevels, b._data)))
+        return _mul(a, _inv(b))
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        a, b = self._pair(other)
+        if b is None:
+            return NotImplemented
+        return _mul(b, _inv(a))
 
     def inverse(self):
-        tw = self.tower
-        return FieldElement(tw, _dinv(tw, tw.nlevels, self._data))
+        return _inv(self)
 
     def __pow__(self, k):
-        assert isinstance(k, int)
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.tower.one()
-        base = self
+        if not isinstance(k, int):
+            return NotImplemented
+        out, base = self.tower.one(), self if k >= 0 else _inv(self)
+        k = abs(k)
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = _mul(out, base)
+            base = _mul(base, base)
             k >>= 1
         return out
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return _dis0(self.tower, self.tower.nlevels, self._data)
+        return not any(self._num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -461,7 +308,7 @@ class FieldElement:
                 a, b = self._pair(other)
             except ValueError:
                 return False
-            return a._data == b._data
+            return a._num == b._num and a._den == b._den
         return NotImplemented
 
     def __hash__(self):
@@ -472,52 +319,34 @@ class FieldElement:
 
     def flatten(self):
         """Coordinate vector over Q, outermost generator most significant."""
-        out = []
-        _dflatten(self.tower, self.tower.nlevels, self._data, out)
-        return out
+        return [Fraction(x, self._den) for x in self._num]
 
     def coords_over(self, subtower):
         """Coordinates over a prefix tower, as a list of its elements.
         The list runs over the basis monomials in the generators above
         the subtower, innermost generator fastest."""
-        assert subtower.is_prefix_of(self.tower), "not a prefix tower"
-        data = []
-        _dsplit(self.tower, self.tower.nlevels, subtower.nlevels, self._data, data)
-        return [FieldElement(subtower, d) for d in data]
+        if not subtower.is_prefix_of(self.tower):
+            raise ValueError("not a prefix tower")
+        s = subtower.degree
+        return [FieldElement(subtower, self._num[k:k + s], self._den)
+                for k in range(0, len(self._num), s)]
 
     def key(self):
         """Deterministic sort key: the flattened coordinate vector."""
         return tuple(self.flatten())
 
     def as_fraction(self):
-        """The value as a Fraction; raises if not rational."""
-        flat = self.flatten()
-        assert all(c == 0 for c in flat[1:]), "element is not rational"
-        return flat[0]
+        """The value as a Fraction; raises ValueError if not rational."""
+        if any(self._num[1:]):
+            raise ValueError("element is not rational")
+        return Fraction(self._num[0], self._den)
 
     def __repr__(self):
-        names = [n for n, _ in self.tower.levels]
-        return "FieldElement(%s)" % _data_str(self.tower, self.tower.nlevels, self._data, names)
-
-
-def _data_str(tw, lvl, a, names):
-    if lvl == 0:
-        return str(a)
-    terms = []
-    for i, c in enumerate(a):
-        if _dis0(tw, lvl - 1, c):
-            continue
-        cs = _data_str(tw, lvl - 1, c, names)
-        if i == 0:
-            terms.append(cs)
-        else:
-            mono = names[lvl - 1] if i == 1 else "%s^%d" % (names[lvl - 1], i)
-            terms.append("(%s)*%s" % (cs, mono))
-    return " + ".join(terms) if terms else "0"
+        return "FieldElement([%s] in %r)" % (", ".join(map(str, self.flatten())), self.tower)
 
 
 # ---------------------------------------------------------------------------
-# public polynomials over a tower
+# polynomials over a tower
 # ---------------------------------------------------------------------------
 
 class Poly:
@@ -526,40 +355,28 @@ class Poly:
     __slots__ = ("tower", "coeffs")
 
     def __init__(self, coeffs, tower=None):
-        elems = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                elems.append(c)
-            else:
-                elems.append(_fr(c))
-        towers = [c.tower for c in elems if isinstance(c, FieldElement)]
+        elems = [c if isinstance(c, FieldElement) else _fr(c) for c in coeffs]
         if tower is None:
-            if not towers:
-                tower = FieldTower.rationals()
-            else:
-                tower = towers[0]
-                for t in towers[1:]:
-                    if tower.is_prefix_of(t):
-                        tower = t
-                    else:
-                        assert t.is_prefix_of(tower), "coefficients from incompatible towers"
-        final = []
-        for c in elems:
-            if isinstance(c, FieldElement):
-                final.append(c.lift_to(tower))
-            else:
-                final.append(tower.from_fraction(c))
-        while final and final[-1].is_zero():
-            final.pop()
-        self.tower = tower
-        self.coeffs = tuple(final)
+            tower = FieldTower.rationals()
+            for c in elems:
+                if isinstance(c, FieldElement):
+                    if tower.is_prefix_of(c.tower):
+                        tower = c.tower
+                    elif not c.tower.is_prefix_of(tower):
+                        raise ValueError("coefficients from incompatible towers")
+        final = [c.lift_to(tower) if isinstance(c, FieldElement) else tower.from_fraction(c)
+                 for c in elems]
+        self.tower, self.coeffs = tower, Poly._of(tower, final).coeffs
 
     @staticmethod
-    def _from_data(tower, data_list):
-        return Poly([FieldElement(tower, d) for d in data_list], tower)
-
-    def _data(self):
-        return [c._data for c in self.coeffs]
+    def _of(tower, coeffs):
+        """A Poly from coefficients already in tower, trailing zeros dropped."""
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        p = object.__new__(Poly)
+        p.tower, p.coeffs = tower, tuple(coeffs)
+        return p
 
     @property
     def degree(self):
@@ -569,7 +386,8 @@ class Poly:
         return not self.coeffs
 
     def lc(self):
-        assert self.coeffs, "zero polynomial has no leading coefficient"
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def is_monic(self):
@@ -594,14 +412,14 @@ class Poly:
         raise ValueError("polynomials over incompatible towers")
 
     def lift_to(self, tower):
-        return Poly([c.lift_to(tower) for c in self.coeffs], tower)
+        return Poly._of(tower, [c.lift_to(tower) for c in self.coeffs])
 
     def __add__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        tw = a.tower
-        return Poly._from_data(tw, _padd(tw, tw.nlevels, a._data(), b._data()))
+        z = a.tower.zero()
+        return Poly._of(a.tower, [x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=z)])
 
     __radd__ = __add__
 
@@ -609,21 +427,28 @@ class Poly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        tw = a.tower
-        return Poly._from_data(tw, _psub(tw, tw.nlevels, a._data(), b._data()))
+        z = a.tower.zero()
+        return Poly._of(a.tower, [x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=z)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.tower)
+        return Poly._of(self.tower, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
         tw = a.tower
-        return Poly._from_data(tw, _pmul(tw, tw.nlevels, a._data(), b._data()))
+        if a.is_zero() or b.is_zero():
+            return Poly._of(tw, [])
+        out = [tw.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if not x.is_zero():
+                for j, y in enumerate(b.coeffs):
+                    out[i + j] = out[i + j] + _mul(x, y)
+        return Poly._of(tw, out)
 
     __rmul__ = __mul__
 
@@ -631,10 +456,18 @@ class Poly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        assert not b.is_zero(), "polynomial division by zero"
-        tw = a.tower
-        q, r = _pdivmod(tw, tw.nlevels, a._data(), b._data())
-        return Poly._from_data(tw, q), Poly._from_data(tw, r)
+        if b.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        tw, n = a.tower, len(b.coeffs)
+        inv = _inv(b.lc())
+        rem = list(a.coeffs)
+        quot = [tw.zero()] * max(0, len(rem) - n + 1)
+        for k in range(len(rem) - n, -1, -1):
+            c = quot[k] = _mul(rem[k + n - 1], inv)
+            if not c.is_zero():
+                for j, y in enumerate(b.coeffs):
+                    rem[k + j] = rem[k + j] - _mul(c, y)
+        return Poly._of(tw, quot), Poly._of(tw, rem[:n - 1])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -643,7 +476,8 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("polynomial powers take an integer exponent >= 0")
         out = Poly([1], self.tower)
         base = self
         while k:
@@ -665,33 +499,28 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        inv = self.lc().inverse()
-        return Poly([c * inv for c in self.coeffs], self.tower)
+        inv = _inv(self.lc())
+        return Poly._of(self.tower, [_mul(c, inv) for c in self.coeffs])
 
     def derivative(self):
         tw = self.tower
-        return Poly._from_data(tw, _pderiv(tw, tw.nlevels, self._data()))
+        return Poly._of(tw, [_mul(c, tw.from_fraction(i)) for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
+        """Horner evaluation at a field element, a rational, or any
+        ring-like argument (series, functions, polys)."""
         if isinstance(x, (int, Fraction)):
             x = self.tower.from_fraction(x)
         if isinstance(x, FieldElement):
-            a, xe = (self, x) if self.tower == x.tower else self._call_pair(x)
-            tw = a.tower
-            return FieldElement(tw, _peval(tw, tw.nlevels, a._data(), xe._data))
-        # generic Horner for ring-like arguments (series, functions, polys)
+            acc, x = self.tower.zero()._pair(x)  # both in the larger tower
+            p = self if acc.tower is self.tower else self.lift_to(acc.tower)
+            for c in reversed(p.coeffs):
+                acc = _mul(acc, x) + c
+            return acc
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        if acc is None:
-            return self.tower.zero()
-        return acc
-
-    def _call_pair(self, x):
-        if self.tower.is_prefix_of(x.tower):
-            return self.lift_to(x.tower), x
-        assert x.tower.is_prefix_of(self.tower)
-        return self, x.lift_to(self.tower)
+        return self.tower.zero() if acc is None else acc
 
     def __repr__(self):
         if self.is_zero():
@@ -708,8 +537,20 @@ class Poly:
 
 def poly_gcd(p, q):
     a, b = p._pair(q)
-    tw = a.tower
-    return Poly._from_data(tw, _pgcd(tw, tw.nlevels, a._data(), b._data()))
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _xgcd_first(p, q):
+    """(g, s) with s*p = g mod q, g a gcd of p and q (not normalized)."""
+    r0, r1 = q, p
+    s0, s1 = Poly._of(p.tower, []), Poly._of(p.tower, [p.tower.one()])
+    while not r1.is_zero():
+        quo, rem = divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - quo * s1
+    return r0, s0
 
 
 def poly_x(tower):
@@ -723,153 +564,124 @@ def poly_x(tower):
 _X = sympy.Symbol("x")
 
 
-def _factor_rational(p):
-    """Factor a nonzero poly (list of Fractions, ascending) into monic
-    irreducibles; returns a list of (coeff list, multiplicity)."""
-    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
+def _factor_rational(f):
+    """Factor a nonzero Poly over Q into monic irreducibles; returns a
+    list of (Poly, multiplicity)."""
+    cs = [c.as_fraction() for c in reversed(f.coeffs)]
+    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in cs],
                        _X, domain="QQ")
     _, factors = spoly.factor_list()
-    out = []
-    for f, mult in factors:
-        cs = [Fraction(c.numerator, c.denominator) for c in reversed(f.all_coeffs())]
-        lc = cs[-1]
-        cs = [c / lc for c in cs]
-        out.append((cs, mult))
-    return out
+    return [(Poly([Fraction(c.numerator, c.denominator) for c in reversed(g.all_coeffs())],
+                  f.tower).monic(), mult)
+            for g, mult in factors]
 
 
-def _resultant(tw, lvl, a, b):
-    """Resultant of two data-polys at a level, via the Euclidean recursion.
+def _resultant(a, b):
+    """Resultant of two Polys over one tower, via the Euclidean recursion.
     With a monic this is the product of b over the roots of a."""
-    a = _pstrip(tw, lvl, list(a))
-    b = _pstrip(tw, lvl, list(b))
-    res = _done(tw, lvl)
+    res = a.tower.one()
     while True:
-        if not a:
-            return _dzero(tw, lvl)
-        if _pdeg(a) == 0:
-            return _dmul(tw, lvl, res, _dpow(tw, lvl, a[0], _pdeg(b) if b else 0))
-        if not b:
-            return _dzero(tw, lvl)
-        if _pdeg(b) == 0:
-            return _dmul(tw, lvl, res, _dpow(tw, lvl, b[0], _pdeg(a)))
-        _, r = _pdivmod(tw, lvl, b, a)
+        if a.is_zero():
+            return a.tower.zero()
+        if a.degree == 0:
+            return _mul(res, a.coeffs[0] ** max(b.degree, 0))
+        if b.is_zero():
+            return a.tower.zero()
+        if b.degree == 0:
+            return _mul(res, b.coeffs[0] ** a.degree)
+        r = b % a
         # res(a,b) = lc(a)^(deg b - deg r) * (-1)^(deg a * deg r) * res(r, a)
-        res = _dmul(tw, lvl, res, _dpow(tw, lvl, a[-1], _pdeg(b) - _pdeg(r)))
-        if (_pdeg(a) * max(_pdeg(r), 0)) % 2 == 1:
-            res = _dneg(tw, lvl, res)
-        a, b = _pstrip(tw, lvl, list(r)), a
+        res = _mul(res, a.lc() ** (b.degree - r.degree))
+        if (a.degree * max(r.degree, 0)) % 2 == 1:
+            res = -res
+        a, b = r, a
 
 
-def _dpow(tw, lvl, a, k):
-    out = _done(tw, lvl)
-    for _ in range(k):
-        out = _dmul(tw, lvl, out, a)
-    return out
-
-
-def _norm_poly(tw, lvl, g):
-    """Norm of a monic data-poly g at level lvl down to level lvl-1,
-    computed by evaluation at rational points and Lagrange interpolation."""
-    d = tw.degrees[lvl - 1]
-    D = _pdeg(g) * d
+def _norm_poly(g):
+    """Norm of a monic Poly g over a tower down to the tower one level
+    below, computed by evaluation at rational points and Lagrange
+    interpolation."""
+    tw = g.tower
+    base, m = tw._base, tw._minpoly
     xs = []
     v = 0
-    while len(xs) < D + 1:
+    while len(xs) < g.degree * m.degree + 1:
         xs.append(Fraction(v))
         v = -v if v > 0 else -v + 1
-    vals = []
-    m = list(tw.levels[lvl - 1][1])
-    for c in xs:
-        cd = _dfrom_fraction(tw, lvl, c)
-        gc = _peval(tw, lvl, g, cd)
-        # gc is a datum at lvl = a poly in the level generator over lvl-1
-        vals.append(_resultant(tw, lvl - 1, m, _pstrip(tw, lvl - 1, list(gc))))
-    # Lagrange interpolation over level lvl-1 with rational nodes
-    out = []
+    # g(c) is a polynomial in the level generator over the base
+    vals = [_resultant(m, Poly._of(base, g(c).coords_over(base))) for c in xs]
+    out = Poly._of(base, [])
     for i, (xi, yi) in enumerate(zip(xs, vals)):
-        num = [_done(tw, lvl - 1)]
+        num = Poly([1], base)
         den = Fraction(1)
         for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            num = _pmul(tw, lvl - 1, num,
-                        [_dfrom_fraction(tw, lvl - 1, -xj), _done(tw, lvl - 1)])
-            den *= xi - xj
-        scale = _dmul(tw, lvl - 1, yi, _dfrom_fraction(tw, lvl - 1, 1 / den))
-        out = _padd(tw, lvl - 1, out, _pscal(tw, lvl - 1, scale, num))
+            if i != j:
+                num = num * Poly([-xj, 1], base)
+                den *= xi - xj
+        out = out + num * _mul(yi, base.from_fraction(1 / den))
     return out
 
 
-def _sqfree_parts(tw, lvl, f):
-    """Yun's squarefree decomposition of a monic data-poly: [(part, mult)]."""
-    fp = _pderiv(tw, lvl, f)
-    a = _pgcd(tw, lvl, f, fp)
-    if _pdeg(a) == 0:
+def _sqfree_parts(f):
+    """Yun's squarefree decomposition of a monic Poly: [(part, mult)]."""
+    fp = f.derivative()
+    a = poly_gcd(f, fp)
+    if a.degree == 0:
         return [(f, 1)]
-    b, _ = _pdivmod(tw, lvl, f, a)
-    c, _ = _pdivmod(tw, lvl, fp, a)
-    d = _psub(tw, lvl, c, _pderiv(tw, lvl, b))
+    b = f // a
+    d = fp // a - b.derivative()
     out = []
     i = 1
-    while _pdeg(b) > 0:
-        p = _pgcd(tw, lvl, b, d)
-        if _pdeg(p) > 0:
+    while b.degree > 0:
+        p = poly_gcd(b, d)
+        if p.degree > 0:
             out.append((p, i))
-        b, _ = _pdivmod(tw, lvl, b, p)
-        c, _ = _pdivmod(tw, lvl, d, p)
-        d = _psub(tw, lvl, c, _pderiv(tw, lvl, b))
+        b = b // p
+        d = d // p - b.derivative()
         i += 1
     return out
 
 
-def _shift_by_gen(tw, lvl, f, s):
-    """Substitute x -> x + s*theta into f (data-poly at level lvl >= 1)."""
-    theta = _dzero(tw, lvl)
-    theta[1] = _done(tw, lvl - 1)
-    shift = _dmul(tw, lvl, _dfrom_fraction(tw, lvl, Fraction(s)), theta)
-    lin = [shift, _done(tw, lvl)]  # x + s*theta
-    acc = []
-    for c in reversed(f):
-        acc = _pmul(tw, lvl, acc, lin)
-        acc = _padd(tw, lvl, acc, [c])
-    return acc
+def _shift_by_gen(f, s):
+    """Substitute x -> x + s*theta into f (degree >= 1), theta the top
+    generator of its tower."""
+    tw = f.tower
+    return f(Poly([_mul(tw.gen(), tw.from_fraction(s)), tw.one()], tw))
 
 
-def _factor_data(tw, lvl, f):
-    """Factor a nonzero data-poly into monic irreducibles: [(poly, mult)]."""
-    f = _pmonic(tw, lvl, _pstrip(tw, lvl, list(f)))
-    if _pdeg(f) == 0:
+def _factor_data(f):
+    """Factor a nonzero Poly into monic irreducibles: [(Poly, mult)]."""
+    f = f.monic()
+    if f.degree == 0:
         return []
-    if lvl == 0:
-        return [( [c for c in cs], m) for cs, m in _factor_rational(f)]
+    tw = f.tower
+    if tw._base is None:
+        return _factor_rational(f)
     out = []
-    for part, mult in _sqfree_parts(tw, lvl, f):
-        if _pdeg(part) == 1:
+    for part, mult in _sqfree_parts(f):
+        if part.degree == 1:
             out.append((part, mult))
             continue
         s = 0
         while True:
-            shifted = _shift_by_gen(tw, lvl, part, -s)
-            norm = _norm_poly(tw, lvl, shifted)
-            dn = _pderiv(tw, lvl - 1, norm)
-            if _pdeg(_pgcd(tw, lvl - 1, norm, dn)) == 0:
+            norm = _norm_poly(_shift_by_gen(part, -s))
+            if poly_gcd(norm, norm.derivative()).degree == 0:
                 break
             s = -s if s > 0 else -s + 1
-        subfactors = _factor_data(tw, lvl - 1, norm)
+        subfactors = _factor_data(norm)
         if len(subfactors) == 1 and subfactors[0][1] == 1:
             out.append((part, mult))
             continue
         remaining = part
         for q, _m in subfactors:
-            lifted = [_dlift(tw, lvl - 1, lvl, c) for c in q]
-            qshift = _shift_by_gen(tw, lvl, lifted, s)
-            h = _pgcd(tw, lvl, remaining, qshift)
-            if _pdeg(h) >= 1:
+            h = poly_gcd(remaining, _shift_by_gen(q.lift_to(tw), s))
+            if h.degree >= 1:
                 out.append((h, mult))
-                remaining, rem = _pdivmod(tw, lvl, remaining, h)
-                assert not rem
-        assert _pdeg(remaining) == 0, "norm factorization did not recombine"
+                remaining, rem = divmod(remaining, h)
+                if not rem.is_zero():
+                    raise ArithmeticError("a norm factor does not divide its part")
+        if remaining.degree != 0:
+            raise ArithmeticError("norm factorization did not recombine")
     return out
 
 
@@ -881,10 +693,9 @@ def factor_poly(poly, field=None):
     """
     if field is not None and poly.tower != field:
         poly = poly.lift_to(field)
-    tw = poly.tower
-    assert not poly.is_zero(), "cannot factor the zero polynomial"
-    factors = _factor_data(tw, tw.nlevels, poly._data())
-    out = [(Poly._from_data(tw, f), m) for f, m in factors]
+    if poly.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    out = _factor_data(poly)
     out.sort(key=lambda fm: (fm[0].degree, [c.key() for c in fm[0].coeffs]))
     return out
 
@@ -899,28 +710,17 @@ def roots_in_field(poly, field=None):
     return roots
 
 
-def _is_irreducible(tower, data_poly):
-    factors = _factor_data(tower, tower.nlevels, list(data_poly))
-    return len(factors) == 1 and factors[0][1] == 1 and \
-        _pdeg(factors[0][0]) == _pdeg(_pstrip(tower, tower.nlevels, list(data_poly)))
-
-
 def tower_extend(base, minpoly, name=None):
     """Extend a tower by a monic irreducible polynomial.
 
     minpoly: Poly over base (or list of coefficients).  Raises
+    ValueError unless it is monic and nonconstant, and
     ReducibleExtension carrying an irreducible factor if it splits.
     """
     if not isinstance(minpoly, Poly):
         minpoly = Poly(minpoly, base)
     elif minpoly.tower != base:
         minpoly = minpoly.lift_to(base)
-    assert minpoly.degree >= 1, "minimal polynomial must be nonconstant"
-    assert minpoly.is_monic(), "minimal polynomial must be monic"
-    factors = factor_poly(minpoly, base)
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise ReducibleExtension(list(factors[0][0].coeffs))
     if name is None:
         name = "t%d" % (base.nlevels + 1)
-    levels = list(base.levels) + [(name, tuple(minpoly._data()))]
-    return FieldTower(levels, _trusted=True)
+    return FieldTower(base.levels + ((name, minpoly.coeffs),))

@@ -12,7 +12,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .fields import FieldTower
+from .fields import FieldTower, ReducibleExtension, tower_extend
 from .curve import Curve, Point, TorsionTable, torsion_table
 from .linalg import ExactMatrix
 from .algebra import RhoTable, CSA, Trivialisation
@@ -52,37 +52,51 @@ def load(path):
     return obj
 
 
-def _data_to_json(d):
-    if isinstance(d, Fraction):
-        return str(d)
-    return [_data_to_json(c) for c in d]
+def _rational(s):
+    try:
+        return Fraction(s)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ParseError("bad rational %r" % (s,))
 
 
-def _data_from_json(j):
-    if isinstance(j, str):
-        try:
-            return Fraction(j)
-        except ValueError:
-            raise ParseError("bad rational %r" % j)
-    if not isinstance(j, list):
-        raise ParseError("coefficient data must be strings or lists")
-    return [_data_from_json(c) for c in j]
+def _nest(flat, degrees):
+    """A coordinate vector as the nested lists of the file format: one
+    list level per tower level, the outermost generator outermost."""
+    if not degrees:
+        return str(flat[0])
+    step = len(flat) // degrees[-1]
+    return [_nest(flat[k:k + step], degrees[:-1]) for k in range(0, len(flat), step)]
+
+
+def _unnest(j, degrees):
+    if not degrees:
+        return [_rational(j)]
+    if not isinstance(j, list) or len(j) != degrees[-1]:
+        raise ParseError("coefficient data does not match the tower")
+    return [q for c in j for q in _unnest(c, degrees[:-1])]
 
 
 def tower_to_json(tower):
-    return [{"name": name, "minpoly": [_data_to_json(c) for c in mp]}
-            for name, mp in tower.levels]
+    return [{"name": name, "minpoly": [_nest(c.flatten(), tower.degrees[:i]) for c in mp]}
+            for i, (name, mp) in enumerate(tower.levels)]
 
 
 def tower_from_json(j):
-    """Rebuild a tower without re-certifying irreducibility; artifact
-    files are trusted as the user's own prior output."""
-    levels = []
+    """Rebuild a tower level by level; tower_extend certifies each
+    minimal polynomial monic and irreducible, as at creation."""
+    if not isinstance(j, list):
+        raise ParseError("a tower is a list of levels")
+    tower = FieldTower.rationals()
     for lvl in j:
-        if not isinstance(lvl, dict) or "name" not in lvl or "minpoly" not in lvl:
-            raise ParseError("tower levels need 'name' and 'minpoly'")
-        levels.append((lvl["name"], tuple(_data_from_json(c) for c in lvl["minpoly"])))
-    return FieldTower(levels, _trusted=True)
+        if not isinstance(lvl, dict) or not isinstance(lvl.get("name"), str) \
+                or not isinstance(lvl.get("minpoly"), list):
+            raise ParseError("tower levels need a 'name' and a 'minpoly' list")
+        coeffs = [tower.element(_unnest(c, tower.degrees)) for c in lvl["minpoly"]]
+        try:
+            tower = tower_extend(tower, coeffs, name=lvl["name"])
+        except (ReducibleExtension, ValueError) as e:
+            raise ParseError("tower level %r: %s" % (lvl["name"], e))
+    return tower
 
 
 def elem_to_json(e):
@@ -92,7 +106,7 @@ def elem_to_json(e):
 def elem_from_json(tower, j):
     if not isinstance(j, list) or len(j) != tower.degree:
         raise ParseError("coordinate vector has wrong length for the tower")
-    return tower.element([Fraction(c) for c in j])
+    return tower.element([_rational(c) for c in j])
 
 
 def _ij_key(ij):
@@ -350,8 +364,13 @@ def descent_from_json(j, curve):
     K = curve.field
     gj = _req(j, "gamma")
     gfield = tower_from_json(_req(gj, "field"))
-    gamma = {_ij_unkey(k): elem_from_json(gfield, g)
-             for k, g in _req(gj, "values").items()}
+    values = _req(gj, "values")
+    if not isinstance(values, dict):
+        raise ParseError("gamma values are an object keyed by 'i,j'")
+    gamma = {_ij_unkey(k): elem_from_json(gfield, g) for k, g in values.items()}
+    if set(gamma) != {divmod(k, n) for k in range(len(table))} \
+            or any(g.is_zero() for g in gamma.values()):
+        raise ParseError("gamma needs one nonzero value per torsion point")
     return {"quadrics": quadrics_from_json_forms(K, n, _req(j, "quadrics")),
             "csa": csa_from_json(_req(j, "csa"), table),
             "trivialisation": triv_from_json(_req(j, "trivialisation"), table),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -235,3 +236,39 @@ def test_tampered_gamma_exit_3(work, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 3
     assert "FAIL %s: gamma is a coboundary for rho" % bad in out
+
+
+def test_reducible_tower_in_curve_file_exit_1(work, tmp_path, capsys):
+    # x^2 - 1 factors over Q; the file's hash matches, so only the
+    # certification of its tower can reject it
+    body = {"field": [{"name": "s", "minpoly": ["-1", "0", "1"]}],
+            "a": ["0", "0"], "b": ["-432", "0"]}
+    digest = hashlib.sha256(ser.dumps_canonical(body).encode()).hexdigest()[:16]
+    bad = tmp_path / "reducible.json"
+    ser.save(bad, {"kind": "curve", "hash": digest, **body})
+    rc = main(["torsion", "--curve", str(bad), "--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "reducible" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("zero", "one nonzero value per torsion point"),
+    ("missing", "one nonzero value per torsion point"),
+    ("list", "an object keyed by 'i,j'")])
+def test_bad_gamma_value_exit_1(work, tmp_path, damage, message, capsys):
+    _, paths, _ = work
+    j = json.loads(open(paths["out"]).read())
+    values = j["gamma"]["values"]
+    if damage == "zero":
+        values["1,0"] = ["0"] * len(values["1,0"])
+    elif damage == "missing":
+        del values["1,0"]
+    else:
+        j["gamma"]["values"] = list(values.values())
+    bad = tmp_path / "gamma.json"
+    bad.write_text(json.dumps(j))
+    rc = main(["verify", "--curve", paths["curve"], str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and "Traceback" not in err

@@ -67,6 +67,17 @@ def test_tower_roundtrip(field):
     assert ser.elem_from_json(back, ser.elem_to_json(e)) == e
 
 
+def test_two_level_tower_json_is_identical_after_roundtrip(aux_field):
+    j = ser.tower_to_json(aux_field)
+    assert j == [{"name": "zeta3", "minpoly": ["1", "1", "1"]},
+                 {"name": "sqrt2", "minpoly": [["-2", "0"], ["0", "0"], ["1", "0"]]}]
+    back = ser.tower_from_json(json.loads(ser.dumps_canonical(j)))
+    assert ser.dumps_canonical(ser.tower_to_json(back)) == ser.dumps_canonical(j)
+    e = aux_field.element([Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 7)])
+    ej = ser.elem_to_json(e)
+    assert ser.elem_to_json(ser.elem_from_json(back, ej)) == ej == ["1/3", "-2", "0", "5/7"]
+
+
 def test_elem_json_is_flat_strings(field):
     e = field.element([Fraction(1, 3), Fraction(-7)])
     assert ser.elem_to_json(e) == ["1/3", "-7"]
