@@ -6,7 +6,6 @@ failed mathematical preconditions, 3 for certification failures.
 """
 
 import argparse
-import random
 import sys
 
 from . import serialize as ser
@@ -17,13 +16,13 @@ from .descent_funcs import (CurveData, compute_embedding, DegenerateSample,
 from .algebra import (RhoTable, validate_rho, rho_from_point, build_csa,
                       check_coboundary, trivialize, certify_trivialisation,
                       CertificationFailed, BadBasePoint)
-from .geometry import (quadrics_for_C, descend, sample_image, RankNotOne,
+from .geometry import (quadrics_for_C, descend, sample_images, RankNotOne,
                        KernelEmpty, KernelTooBig)
 
 
 def _load_curve(args):
     """The per-curve data of the --curve file for --n."""
-    return CurveData(ser.curve_from_json(ser.load(args.curve)), args.n)
+    return CurveData.of(ser.curve_from_json(ser.load(args.curve)), args.n)
 
 
 def _load_rho(path, table):
@@ -153,7 +152,7 @@ def _verify_file(path, j, data, emit):
 
 
 def _verify_descent(path, j, data, emit):
-    out = ser.descent_from_json(j, data.curve)
+    out = ser.descent_from_json(j, data.table)
     n, curve, table = data.n, data.curve, data.table
     qs, csa, triv, gamma = (out["quadrics"], out["csa"],
                             out["trivialisation"], out["gamma"])
@@ -180,14 +179,9 @@ def _verify_descent(path, j, data, emit):
          lead is not None and lead == 1)
     # fresh samples: the stored gamma and trivialisation must keep
     # producing points of the stored cubic
-    L = next(iter(gamma.values())).tower
-    cx = curve if L == curve.field else curve.base_change(L)
-    rng = random.Random(out["seed"] + 1)
-    used = set()
+    images = sample_images(curve, data.gbasis, gamma, qs, triv, out["seed"] + 1, "v")
     try:
-        fresh = all(cubic.evaluate(sample_image(cx, data.gbasis, gamma, qs, triv,
-                                                rng, "v%d" % k, used)).is_zero()
-                    for k in range(3))
+        fresh = all(cubic.evaluate(next(images)).is_zero() for _ in range(3))
     except (CertificationFailed, RankNotOne):
         fresh = False
     emit(path, "fresh samples land on the stored cubic", fresh)

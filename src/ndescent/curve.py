@@ -38,6 +38,7 @@ class Curve:
             raise ValueError("singular curve: discriminant is zero")
         self.disc = disc
         self._divpoly = {}
+        self._data = {}  # n -> descent_funcs.CurveData
 
     def rhs(self, x):
         return x ** 3 + self.a * x + self.b
@@ -75,7 +76,8 @@ class Point:
             y = curve.field.from_fraction(y)
         x = x.lift_to(curve.field)
         y = y.lift_to(curve.field)
-        assert curve.contains(x, y), "point is not on the curve"
+        if not curve.contains(x, y):
+            raise ValueError("point is not on the curve")
         self.x = x
         self.y = y
         self.is_infinity = False
@@ -168,7 +170,8 @@ def slope(t1, t2):
     Both points affine, t1 + t2 != O."""
     assert not (t1.is_infinity or t2.is_infinity)
     if t1.x == t2.x:
-        assert t1.y == t2.y and not t1.y.is_zero(), "vertical line has no slope"
+        if not (t1.y == t2.y) or t1.y.is_zero():
+            raise ValueError("vertical line has no slope")
         return (3 * t1.x ** 2 + t1.curve.a) / (2 * t1.y)
     return (t2.y - t1.y) / (t2.x - t1.x)
 

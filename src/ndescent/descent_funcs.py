@@ -15,10 +15,11 @@ import random
 from fractions import Fraction
 from functools import cached_property
 
-from .fields import poly_x, roots_in_field, tower_extend
+from .fields import ReducibleExtension, tower_extend
 from .linalg import ExactMatrix, split_row
 from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, miller_function
+from .algebra import CertificationFailed
 
 
 class EigenspaceDimensionError(Exception):
@@ -131,13 +132,12 @@ class EpsilonTable:
         return self.weil(self.table.index(p), self.table.index(q))
 
 
-def compute_epsilon(table, millers=None):
-    """The table of eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1)).
+def compute_epsilon(table, millers):
+    """The table of eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1)),
+    from the Miller functions of compute_miller_table.
 
     The value does not depend on P outside {O, T1, T1+T2}; P runs over
     the torsion table in order and the first usable point is taken."""
-    if millers is None:
-        millers = compute_miller_table(table)
     n = table.n
     values = {}
     for k1, t1 in enumerate(table):
@@ -182,7 +182,7 @@ class GBasis:
         return self.funcs[ij]
 
 
-def compute_G_basis(table, eps=None):
+def compute_G_basis(table, eps):
     """G_T with divisor [n]*(T) - [n]*(O), coefficient of t^{-1} equal 1/n.
 
     G_T psi_n lies in L(n^2(O)) and is a joint eigenvector of the
@@ -191,8 +191,6 @@ def compute_G_basis(table, eps=None):
     eigenspace is not a line."""
     curve, n = table.curve, table.n
     K = curve.field
-    if eps is None:
-        eps = compute_epsilon(table)
     psi = division_polynomial(curve, n)
     psi_ffe = FunctionFieldElement(curve, psi, 0, 1)
     L1 = translation_operator(table, table.t1)
@@ -221,11 +219,16 @@ def compute_G_basis(table, eps=None):
 class CurveData:
     """The per-(curve, n) data of the pipeline, each computed on first
     use: the torsion table, the Miller functions, epsilon and the
-    G-basis."""
+    G-basis.  Get it with CurveData.of(curve, n)."""
 
     def __init__(self, curve, n):
         self.curve = curve
         self.n = n
+
+    @classmethod
+    def of(cls, curve, n):
+        """The one CurveData of this curve object and n, kept on the curve."""
+        return curve._data.setdefault(n, cls(curve, n))
 
     @cached_property
     def table(self):
@@ -293,13 +296,13 @@ def affine_sample(curve, n, rng, name, used_x):
         if ysq.is_zero():
             continue
         used_x.add(x0)
-        z = poly_x(K)
-        rr = roots_in_field(z * z - ysq, K)
-        if rr:
-            return Point(curve, xe, rr[0])
-        ext = tower_extend(K, [-ysq, K.zero(), K.one()], name=name)
-        cx = curve.base_change(ext)
-        return Point(cx, xe.lift_to(ext), ext.gen())
+        try:
+            ext = tower_extend(K, [-ysq, K.zero(), K.one()], name=name)
+        except ReducibleExtension as e:
+            # z - y0 divides z^2 - ysq; the root of smaller key is the sample
+            y0 = -e.factor[0]
+            return Point(curve, xe, min(y0, -y0, key=lambda y: y.key()))
+        return Point(curve.base_change(ext), xe.lift_to(ext), ext.gen())
 
 
 def _cross_rows(fq, fp):
@@ -334,7 +337,7 @@ class Embedding:
         return self.matrices[ij]
 
 
-def compute_embedding(table, eps=None, millers=None, seed=0):
+def compute_embedding(table, eps, millers, seed=0):
     """The matrices M_T with f(P+T) proportional to M_T f(P), scaled so
     that F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
 
@@ -343,10 +346,6 @@ def compute_embedding(table, eps=None, millers=None, seed=0):
     random sampling keeps giving underdetermined systems."""
     curve, n = table.curve, table.n
     K = curve.field
-    if millers is None:
-        millers = compute_miller_table(table)
-    if eps is None:
-        eps = compute_epsilon(table, millers)
     dual_O = dual_vector_at_O(curve, n)
     rng = random.Random(seed)
     used_x = set()
@@ -386,7 +385,6 @@ def compute_embedding(table, eps=None, millers=None, seed=0):
         minv = mtilde.inverse()
         ft = millers[ij]
         scaled = None
-        checked = False
         for p in table:
             if p.is_infinity or p == t:
                 continue
@@ -407,10 +405,11 @@ def compute_embedding(table, eps=None, millers=None, seed=0):
                 minv_scaled = scaled.inverse()
             else:
                 lhs = _dot(dual_O, minv_scaled.mat_vec(fp))
-                assert lhs == fval * den, "scaling identity fails at a second point"
-                checked = True
+                if not (lhs == fval * den):
+                    raise CertificationFailed(("scaling", ij))
                 break
-        assert scaled is not None and checked, "not enough points to scale M_T"
+        else:
+            raise CertificationFailed(("scaling", ij, "too few points"))
         matrices[ij] = scaled
     emb = Embedding(table, dual_O, matrices)
     _certify_embedding(emb, eps)
@@ -430,15 +429,16 @@ def _certify_embedding(emb, eps):
     for k1 in range(n * n):
         ij = divmod(k1, n)
         m1 = emb.matrices[ij]
-        if ij != (0, 0):
-            assert m1.trace().is_zero(), "M_T must be traceless for T != O"
+        if ij != (0, 0) and not m1.trace().is_zero():
+            raise CertificationFailed(("trace", ij))
         for k2 in range(n * n):
             kl = divmod(k2, n)
             m2 = emb.matrices[kl]
             target = table.add_index(ij, kl)
             prod = m1 * m2
             expect = emb.matrices[target].scale(eps.eps(ij, kl))
-            assert prod == expect, "M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2} fails"
+            if not (prod == expect):
+                raise CertificationFailed(("product", ij, kl))
 
 
 def tau_1(emb, alpha):

@@ -7,12 +7,13 @@ sampled covering points into rank-1 matrices whose column factors
 interpolate to a degree-n curve in P^{n-1}.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 from .linalg import ExactMatrix, split_row
 from .curve import slope, division_polynomial, PoleAtP
-from .descent_funcs import CurveData, compute_G_basis, affine_sample
+from .descent_funcs import CurveData, affine_sample
 from .algebra import (RhoTable, BadBasePoint, validate_rho, build_csa,
                       solve_gamma, certify_trivialisation, CertificationFailed)
 
@@ -147,7 +148,8 @@ def quadrics_for_C(curve, table, rho):
 
     assert len(forms) == n * n * (n * n - 3) // 2
     out = QuadricSystem(K, n, forms)
-    assert out.rank() == len(forms), "quadric system lost rank"
+    if out.rank() != len(forms):
+        raise CertificationFailed(("quadric-rank",))
     return out
 
 
@@ -182,19 +184,16 @@ def g_eval(curve, gbasis, gamma, p):
     return out
 
 
-def lambda_eval(triv, gamma, p, gbasis=None):
-    """The Segre image of P: apply the trivialisation to the covering
-    coordinates and project onto trace zero,
+def lambda_eval(triv, z):
+    """The Segre image of a point P from its covering coordinates
+    z = g_eval(curve, gbasis, gamma, P): apply the trivialisation and
+    project onto trace zero,
 
-        sum_T z_T tau(delta_T)  -  (Tr/n) 1,      z = g_eval(P).
+        sum_T z_T tau(delta_T)  -  (Tr/n) 1.
 
     The result has trace zero; rank 1 is what a valid trivialisation
     guarantees, anything else raises RankNotOne."""
-    table = triv.table
-    n = table.n
-    if gbasis is None:
-        gbasis = compute_G_basis(table)
-    z = g_eval(table.curve, gbasis, gamma, p)
+    n = triv.n
     out = None
     for k in range(n * n):
         term = triv.matrices[divmod(k, n)].scale(z[k])
@@ -232,24 +231,31 @@ def extract_point(m):
     return col, row
 
 
-def sample_image(cx, gbasis, gamma, qs, triv, rng, name, used_x):
-    """Draw an affine point P of cx, the curve over the field of gamma,
-    and return its image in P^{n-1}: the column factor of the Segre
-    image of P, scaled so its first nonzero entry is 1.
+def sample_images(curve, gbasis, gamma, qs, triv, seed, prefix):
+    """Images in P^{n-1} of affine points P drawn, from the given seed,
+    on the curve over the field of gamma: each the column factor of the
+    Segre image of P, scaled so its first nonzero entry is 1.  The
+    quadratic extension of the k-th point, if it needs one, is named
+    prefix + k.  One g_eval per point serves the quadric check and the
+    Segre step.
 
     Raises CertificationFailed if a quadric of qs does not vanish at the
     covering coordinates of P, and RankNotOne if the Segre image is not
     a column times a row."""
-    table = gbasis.table
-    p = affine_sample(cx, table.n, rng, name, used_x)
-    z = g_eval(table.curve, gbasis, gamma, p)
-    for k, val in enumerate(qs.evaluate_all(z)):
-        if not val.is_zero():
-            raise CertificationFailed(("quadric", k),
-                                      "quadric %d does not vanish at a sample" % k)
-    col, _ = extract_point(lambda_eval(triv, gamma, p, gbasis))
-    unit = next(e for e in col if not e.is_zero()).inverse()
-    return [unit * e for e in col]
+    L = next(iter(gamma.values())).tower
+    cx = curve if L == curve.field else curve.base_change(L)
+    rng = random.Random(seed)
+    used_x = set()
+    for k in itertools.count():
+        p = affine_sample(cx, gbasis.table.n, rng, "%s%d" % (prefix, k), used_x)
+        z = g_eval(curve, gbasis, gamma, p)
+        for i, val in enumerate(qs.evaluate_all(z)):
+            if not val.is_zero():
+                raise CertificationFailed(("quadric", i),
+                                          "quadric %d does not vanish at a sample" % i)
+        col, _ = extract_point(lambda_eval(triv, z))
+        unit = next(e for e in col if not e.is_zero()).inverse()
+        yield [unit * e for e in col]
 
 
 class PlaneCurveEquation:
@@ -323,50 +329,35 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     cubic, gamma, and a report of every check run."""
     if n != 3:
         raise ValueError("n = %d: only cubic descent is wired end to end" % n)
-    data = CurveData(curve, n)
+    data = CurveData.of(curve, n)
     table, eps = data.table, data.eps
-    K = curve.field
 
     rho = validate_rho(table, rho.values)
     if not (triv.rho.values == rho.values):
         raise ValueError("trivialisation twists a different rho")
     qs = quadrics_for_C(curve, table, rho)
     csa = build_csa(table, eps, rho)
-    gamma, L = solve_gamma(table, rho)
-    if triv.field.is_prefix_of(L):
-        field = L
-    elif L.is_prefix_of(triv.field):
+    gamma, field = solve_gamma(table, rho)
+    if field.is_prefix_of(triv.field):
         field = triv.field
         gamma = {ij: g.lift_to(field) for ij, g in gamma.items()}
-    else:
+    elif not triv.field.is_prefix_of(field):
         raise ValueError("trivialisation field is incompatible with the gamma extension")
     certify_trivialisation(triv, eps)
     if gbasis is None:
         gbasis = data.gbasis
 
-    cx = curve if field == K else curve.base_change(field)
-    rng = random.Random(seed)
-    used_x = set()
+    images = sample_images(curve, gbasis, gamma, qs, triv, seed, "w")
     held = 5
-    points = []
-
-    def one_image():
-        return sample_image(cx, gbasis, gamma, qs, triv, rng,
-                            "w%d" % len(points), used_x)
-
-    for _ in range(len(plane_monomials(3)) + held):
-        points.append(one_image())
-    rounds = 0
-    while True:
+    points = [next(images) for _ in range(len(plane_monomials(3)) + held)]
+    for rounds in range(4):
         try:
-            cubic = interpolate_plane_curve(points[:-held], K)
+            cubic = interpolate_plane_curve(points[:-held], curve.field)
             break
         except KernelTooBig:
-            rounds += 1
-            if rounds > 3:
+            if rounds == 3:
                 raise
-            for _ in range(held):
-                points.append(one_image())
+            points.extend(next(images) for _ in range(held))
     for k, pt in enumerate(points[-held:]):
         if not cubic.evaluate(pt).is_zero():
             raise CertificationFailed(("held-out", k),

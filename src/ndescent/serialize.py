@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .fields import FieldTower, ReducibleExtension, tower_extend
-from .curve import Curve, Point, TorsionTable, torsion_table
+from .curve import Curve, Point, TorsionTable
 from .linalg import ExactMatrix
 from .algebra import RhoTable, CSA, Trivialisation
 from .geometry import QuadricSystem, PlaneCurveEquation, plane_monomials
@@ -128,6 +128,13 @@ def _pair_unkey(s):
     return (_ij_unkey(parts[0]), _ij_unkey(parts[1]))
 
 
+def _indexed_from_json(j, decode):
+    """A table keyed by torsion indices, {"i,j": value}, decoded."""
+    if not isinstance(j, dict):
+        raise ParseError("expected an object keyed by 'i,j'")
+    return {_ij_unkey(k): decode(v) for k, v in j.items()}
+
+
 def _pairs_to_json(values):
     """A table keyed by pairs of torsion indices, as {"i,j|k,l": element}."""
     return {_ij_key(a) + "|" + _ij_key(b): elem_to_json(v)
@@ -185,7 +192,8 @@ def torsion_from_json(j, curve):
     _check_hash(j, curve)
     n = _req(j, "n")
     pts = _req(j, "points")
-    if len(pts) != n * n or pts[0] is not None:
+    if not isinstance(n, int) or not isinstance(pts, list) \
+            or len(pts) != n * n or pts[0] is not None:
         raise ParseError("torsion file needs n^2 points starting at O")
     t1 = point_from_json(pts[n], curve)
     t2 = point_from_json(pts[1], curve)
@@ -258,6 +266,8 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(tower, j):
+    if not isinstance(j, list) or not all(isinstance(row, list) for row in j):
+        raise ParseError("a matrix is a list of rows")
     return ExactMatrix([[elem_from_json(tower, e) for e in row] for row in j], tower)
 
 
@@ -281,11 +291,10 @@ def triv_from_json(j, table):
     K = table.curve.field
     L = tower_from_json(_req(j, "field"))
     rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho")))
-    matrices = {_ij_unkey(k): matrix_from_json(L, m)
-                for k, m in _req(j, "matrices").items()}
+    matrices = _indexed_from_json(_req(j, "matrices"), lambda m: matrix_from_json(L, m))
     gamma = j.get("gamma")
     if gamma is not None:
-        gamma = {_ij_unkey(k): elem_from_json(L, g) for k, g in gamma.items()}
+        gamma = _indexed_from_json(gamma, lambda g: elem_from_json(L, g))
     return Trivialisation(table, rho, L, matrices, _req(j, "mode"), gamma)
 
 
@@ -336,6 +345,8 @@ def plane_from_json(j, field, n):
     if mono != plane_monomials(n):
         raise ParseError("monomial list is not the graded lex basis")
     coeffs = [elem_from_json(field, c) for c in _req(j, "coeffs")]
+    if len(coeffs) != len(mono):
+        raise ParseError("plane curve needs one coefficient per monomial")
     return PlaneCurveEquation(field, n, mono, coeffs)
 
 
@@ -355,19 +366,17 @@ def descent_to_json(out, curve):
             "report": out["report"]}
 
 
-def descent_from_json(j, curve):
+def descent_from_json(j, table):
     if j.get("kind") != "descent":
         raise ParseError("not a descent output file")
+    curve, n = table.curve, table.n
     _check_hash(j, curve)
-    n = _req(j, "n")
-    table = torsion_table(curve, n)
+    if _req(j, "n") != n:
+        raise ParseError("descent file is for n = %r, not %d" % (j["n"], n))
     K = curve.field
     gj = _req(j, "gamma")
     gfield = tower_from_json(_req(gj, "field"))
-    values = _req(gj, "values")
-    if not isinstance(values, dict):
-        raise ParseError("gamma values are an object keyed by 'i,j'")
-    gamma = {_ij_unkey(k): elem_from_json(gfield, g) for k, g in values.items()}
+    gamma = _indexed_from_json(_req(gj, "values"), lambda g: elem_from_json(gfield, g))
     if set(gamma) != {divmod(k, n) for k in range(len(table))} \
             or any(g.is_zero() for g in gamma.values()):
         raise ParseError("gamma needs one nonzero value per torsion point")

@@ -1,14 +1,14 @@
 """Shared fixtures: the reference curve y^2 = x^3 - 432 over Q(zeta3)
 with full rational 3-torsion, and the auxiliary curve y^2 = x^3 - 54
 over Q(zeta3, sqrt2).  Everything is session scoped because the torsion
-table and the embedding are reused by most of the suite."""
+table and the embedding are reused by most of the suite; the per-curve
+fixtures are those of the curve's CurveData, which descend reuses."""
 
 import pytest
 
 from ndescent.fields import FieldTower, tower_extend
-from ndescent.curve import Curve, torsion_table
-from ndescent.descent_funcs import (compute_miller_table, compute_epsilon,
-                                    compute_G_basis, compute_embedding)
+from ndescent.curve import Curve
+from ndescent.descent_funcs import CurveData, compute_embedding
 
 
 @pytest.fixture(scope="session")
@@ -23,22 +23,22 @@ def curve(field):
 
 @pytest.fixture(scope="session")
 def table(curve):
-    return torsion_table(curve, 3)
+    return CurveData.of(curve, 3).table
 
 
 @pytest.fixture(scope="session")
-def millers(table):
-    return compute_miller_table(table)
+def millers(curve):
+    return CurveData.of(curve, 3).millers
 
 
 @pytest.fixture(scope="session")
-def eps(table, millers):
-    return compute_epsilon(table, millers)
+def eps(curve):
+    return CurveData.of(curve, 3).eps
 
 
 @pytest.fixture(scope="session")
-def gbasis(table, eps):
-    return compute_G_basis(table, eps)
+def gbasis(curve):
+    return CurveData.of(curve, 3).gbasis
 
 
 @pytest.fixture(scope="session")
@@ -58,4 +58,4 @@ def aux_curve(aux_field):
 
 @pytest.fixture(scope="session")
 def aux_table(aux_curve):
-    return torsion_table(aux_curve, 3)
+    return CurveData.of(aux_curve, 3).table

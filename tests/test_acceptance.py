@@ -12,7 +12,8 @@ import pytest
 from ndescent.fields import FieldTower, tower_extend
 from ndescent.curve import Curve, Point, r_eval, torsion_table
 from ndescent.linalg import ExactMatrix
-from ndescent.descent_funcs import affine_sample, dual_row
+from ndescent.descent_funcs import (affine_sample, compute_epsilon,
+                                    compute_miller_table, dual_row)
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               build_csa, certify_trivialisation, partial,
                               rho_from_point, solve_gamma, trivialize,
@@ -59,8 +60,7 @@ def test_criterion_01_torsion():
         assert p.is_infinity or (3 * p).is_infinity
         seen.add(p.key())
     assert len(seen) == 9
-    from ndescent.descent_funcs import compute_epsilon
-    eps = compute_epsilon(table)
+    eps = compute_epsilon(table, compute_miller_table(table))
     w = eps.weil((1, 0), (0, 1))
     assert not (w == field.one())
     assert w ** 3 == field.one()
@@ -166,7 +166,7 @@ def test_criterion_05_tau1_and_algebra(emb, eps, table, field):
 def test_criterion_06_segre_factorisation(emb, eps, table, gbasis, curve):
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     for p in _samples(curve, 3, seed=601):
-        m = lambda_eval(triv, None, p, gbasis)
+        m = lambda_eval(triv, g_eval(curve, gbasis, None, p))
         assert m.trace().is_zero()
         assert m.rank() == 1
         # m equals lambda_E(P) = sum_{T != O} G_T(P) M_T
@@ -254,8 +254,7 @@ def test_criterion_09_end_to_end(curve, table, eps, emb, gbasis, field):
 def test_criterion_10_point_rho_path(aux_table, aux_field):
     q = Point(aux_table.curve, aux_field.from_fraction(7), aux_field.from_fraction(17))
     rho = rho_from_point(aux_table, q)          # includes validate_rho
-    from ndescent.descent_funcs import compute_epsilon
-    eps2 = compute_epsilon(aux_table)
+    eps2 = compute_epsilon(aux_table, compute_miller_table(aux_table))
     build_csa(aux_table, eps2, rho)             # certification is built in
     gamma, L = solve_gamma(aux_table, rho)
     for a in _idx():
@@ -266,7 +265,7 @@ def test_criterion_10_point_rho_path(aux_table, aux_field):
           "d(gamma) = rho on 81 pairs")
 
 
-def test_criterion_11_negative_paths(table, eps, emb, field, curve, tmp_path):
+def test_criterion_11_negative_paths(table, eps, emb, gbasis, field, curve, tmp_path):
     # tampered rho is rejected with a witness
     vals = dict(RhoTable.trivial(table).values)
     vals[((1, 0), (0, 1))] = field.from_fraction(5)
@@ -283,7 +282,7 @@ def test_criterion_11_negative_paths(table, eps, emb, field, curve, tmp_path):
     # and produces RankNotOne when pushed through the Segre map
     p = _samples(curve, 1, seed=1101)[0]
     with pytest.raises(RankNotOne):
-        lambda_eval(bad, None, p)
+        lambda_eval(bad, g_eval(curve, gbasis, None, p))
     # cmd_verify exits 3 on a tampered artifact
     rhopath = tmp_path / "rho.json"
     curvepath = tmp_path / "curve.json"

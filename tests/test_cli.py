@@ -272,3 +272,28 @@ def test_bad_gamma_value_exit_1(work, tmp_path, damage, message, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,damage,message", [
+    ("triv", "matrices", "an object keyed by 'i,j'"),
+    ("triv", "gamma", "an object keyed by 'i,j'"),
+    ("triv", "matrix", "a list of rows"),
+    ("torsion", "points", "n^2 points"),
+    ("out", "coeffs", "one coefficient per monomial")])
+def test_malformed_artifact_exit_1(work, tmp_path, key, damage, message, capsys):
+    _, paths, _ = work
+    j = json.loads(open(paths[key]).read())
+    if damage in ("matrices", "gamma"):
+        j[damage] = list(j[damage].values())
+    elif damage == "matrix":
+        j["matrices"]["1,0"] = 5
+    elif damage == "points":
+        j["points"] = 9
+    else:
+        j["plane_curve"]["coeffs"].pop()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(j))
+    rc = main(["verify", "--curve", paths["curve"], str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and "Traceback" not in err

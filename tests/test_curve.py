@@ -23,7 +23,7 @@ def test_point_arithmetic(curve, field):
 
 
 def test_point_must_lie_on_curve(curve, field):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Point(curve, field.from_fraction(1), field.from_fraction(1))
 
 
@@ -87,7 +87,7 @@ def test_slope(table, field):
     lam = slope(t1, t2)
     # the chord really passes through both points
     assert t1.y - lam * t1.x == t2.y - lam * t2.x
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         slope(t1, -t1)
 
 

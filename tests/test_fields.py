@@ -264,12 +264,35 @@ import sys
 from fractions import Fraction
 from ndescent.fields import (FieldTower, Poly, ReducibleExtension, factor_poly,
                              poly_x, tower_extend)
+from ndescent.curve import Curve, Point, slope
+from ndescent.funcfield import FunctionFieldElement
+from ndescent.linalg import ExactMatrix
+from ndescent.descent_funcs import (CurveData, Embedding, _certify_embedding,
+                                    compute_embedding)
+from ndescent.algebra import CertificationFailed, RhoTable
+from ndescent.geometry import quadrics_for_C
 
 if not sys.flags.optimize:
     sys.exit("run under python -O")
 Q = FieldTower.rationals()
 K = tower_extend(Q, [1, 1, 1], name="zeta3")
+data = CurveData.of(Curve(K, 0, -432), 3)
+table, eps, millers = data.table, data.eps, data.millers
+zero_rho = RhoTable(table, {k: K.zero() for k in RhoTable.trivial(table).values})
+idx = [divmod(k, 3) for k in range(9)]
+identities = Embedding(table, None, {ij: ExactMatrix.identity(3, K) for ij in idx})
+zeros = Embedding(table, None, {ij: identities.M(ij) if ij == (0, 0)
+                                else ExactMatrix.zero(3, 3, K) for ij in idx})
+# F_T times y: no longer the scale of M_T at a second torsion point
+wrong_f = dict(millers)
+wrong_f[(0, 1)] = millers[(0, 1)] * FunctionFieldElement.coordinate_y(data.curve)
 cases = [
+    (ValueError, lambda: Point(data.curve, 1, 1)),
+    (ValueError, lambda: slope(table.t1, -table.t1)),
+    (CertificationFailed, lambda: quadrics_for_C(data.curve, table, zero_rho)),
+    (CertificationFailed, lambda: _certify_embedding(identities, eps)),
+    (CertificationFailed, lambda: _certify_embedding(zeros, eps)),
+    (CertificationFailed, lambda: compute_embedding(table, eps, wrong_f)),
     (ValueError, lambda: K.element([Fraction(1)])),
     (ValueError, lambda: K.gen().as_fraction()),
     (ValueError, lambda: K.gen(3)),

@@ -1,16 +1,19 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ndescent import descent_funcs, geometry
 from ndescent.fields import tower_extend
-from ndescent.curve import Point
+from ndescent.curve import Curve, Point
 from ndescent.linalg import ExactMatrix
 from ndescent import serialize as ser
-from ndescent.algebra import (BadBasePoint, RhoTable, partial, solve_gamma,
-                              trivialize, validate_rho)
-from ndescent.descent_funcs import affine_sample
+from ndescent.algebra import (BadBasePoint, RhoTable, partial, rho_from_point,
+                              solve_gamma, trivialize, validate_rho)
+from ndescent.cli import main
+from ndescent.descent_funcs import CurveData, affine_sample, compute_embedding
 from ndescent.geometry import (KernelEmpty, KernelTooBig, PlaneCurveEquation,
                                RankNotOne, descend, extract_point, g_eval,
                                interpolate_plane_curve, lambda_eval,
@@ -93,7 +96,7 @@ def test_lambda_eval_rank_one(curve, table, eps, emb, gbasis):
     from ndescent.algebra import RhoTable
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     for p in _samples(curve, 3, seed=4):
-        m = lambda_eval(triv, None, p, gbasis)
+        m = lambda_eval(triv, g_eval(curve, gbasis, None, p))
         assert m.trace().is_zero()
         assert m.rank() == 1
         col, row = extract_point(m)
@@ -116,7 +119,7 @@ def test_lambda_eval_rejects_bad_trivialisation(curve, table, eps, emb, gbasis, 
     bad = Trivialisation(table, RhoTable.trivial(table), field, mats, "user")
     p = _samples(curve, 1, seed=5)[0]
     with pytest.raises(RankNotOne):
-        lambda_eval(bad, None, p, gbasis)
+        lambda_eval(bad, g_eval(curve, gbasis, None, p))
 
 
 def test_extract_point_shapes(field):
@@ -178,7 +181,7 @@ def test_descend_trivial_rho(curve, table, eps, emb, gbasis, field):
     # direct images of E lie on the output cubic
     for p in _samples(curve, 2, seed=8):
         z = g_eval(p.curve, gbasis, None, p)
-        m = lambda_eval(triv, None, p, gbasis)
+        m = lambda_eval(triv, z)
         col, _ = extract_point(m)
         assert out["plane_curve"].evaluate(col).is_zero()
 
@@ -219,3 +222,51 @@ def test_descend_rejects_unsupported_n(curve, table, eps, emb):
     rho = RhoTable.trivial(table)
     with pytest.raises(ValueError):
         descend(curve, 5, rho, trivialize(emb, eps, rho))
+
+
+def test_descend_builds_curve_data_once(field, monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("torsion_table", "compute_miller_table", "compute_epsilon"):
+        counted(descent_funcs, name)
+    counted(geometry, "g_eval")
+    curve = Curve(field, 0, -432)  # a fresh curve object: nothing built yet
+    data = CurveData.of(curve, 3)
+    assert CurveData.of(curve, 3) is data
+    rho = RhoTable.trivial(data.table)
+    emb = compute_embedding(data.table, data.eps, data.millers, seed=0)
+    triv = trivialize(emb, data.eps, rho)
+    samples = 0
+    for seed in (7, 8):
+        out = descend(curve, 3, rho, triv, seed=seed)
+        samples += out["report"]["samples"]
+    # one covering evaluation per sampled image, none inside lambda_eval
+    assert calls == {"torsion_table": 1, "compute_miller_table": 1,
+                     "compute_epsilon": 1, "g_eval": samples}
+
+
+def test_descend_aux_point_rho_gamma_mode(aux_curve, aux_field, tmp_path):
+    # the only path where gamma extends the tower: the samples and the
+    # Segre step run over Q(zeta3, sqrt2, g1, g2) and its extensions
+    data = CurveData.of(aux_curve, 3)
+    q = Point(aux_curve, aux_field.from_fraction(7), aux_field.from_fraction(17))
+    rho = rho_from_point(data.table, q)
+    emb = compute_embedding(data.table, data.eps, data.millers, seed=0)
+    triv = trivialize(emb, data.eps, rho, mode="gamma")
+    out = descend(aux_curve, 3, rho, triv, seed=3)
+    rep = out["report"]
+    assert rep["gamma_levels"] == 3
+    assert rep["held_out"] == 5 and rep["held_out_pass"]
+    assert out["plane_curve"].field == aux_field
+    curve_path, out_path = tmp_path / "aux.json", tmp_path / "descent.json"
+    ser.save(curve_path, ser.curve_to_json(aux_curve))
+    ser.save(out_path, ser.descent_to_json(out, aux_curve))
+    assert main(["verify", "--curve", str(curve_path), str(out_path)]) == 0

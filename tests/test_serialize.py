@@ -180,7 +180,7 @@ def test_descent_roundtrip(curve, table, eps, emb, gbasis, field):
     triv = trivialize(emb, eps, rho)
     out = descend(curve, 3, rho, triv, seed=0, gbasis=gbasis)
     j = ser.descent_to_json(out, curve)
-    back = ser.descent_from_json(j, curve)
+    back = ser.descent_from_json(j, table)
     assert back["plane_curve"] == out["plane_curve"]
     assert back["quadrics"] == out["quadrics"]
     assert back["report"] == out["report"]
