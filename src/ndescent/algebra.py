@@ -11,7 +11,7 @@ a coboundary the algebra is trivialized by delta_T -> gamma(T) M_T.
 
 from fractions import Fraction
 
-from .fields import poly_x, roots_in_field, tower_extend
+from .fields import nonresidue_witness, poly_x, roots_in_field, tower_extend
 from .linalg import ExactMatrix
 from .curve import r_eval, PoleAtP
 
@@ -239,14 +239,13 @@ def build_csa(table, eps, rho):
     if center_dim != 1:
         raise CertificationFailed(("center", center_dim),
                                   "center has dimension %d" % center_dim)
-    # trace form on the regular representation
-    gram = []
-    for a in idx:
-        row = []
-        da = A.delta(a)
-        for b in idx:
-            row.append(A.left_mult_matrix(A.mult(da, A.delta(b))).trace())
-        gram.append(row)
+    # trace form on the regular representation: delta_a delta_b is
+    # c(a,b) delta_{a+b}, and left multiplication by delta_s permutes the
+    # basis lines with no fixed line unless s = O, where (the unit check
+    # having passed) it is the identity; so its trace is n^2 c(a,b) when
+    # a + b = O and 0 otherwise
+    gram = [[A.c(a, b) * (n * n) if table.add_index(a, b) == (0, 0) else zero
+             for b in idx] for a in idx]
     rank = ExactMatrix(gram, K).rank()
     if rank != n * n:
         raise CertificationFailed(("trace-form", rank),
@@ -256,12 +255,13 @@ def build_csa(table, eps, rho):
 
 def _nth_root(field, a, n, name):
     """An n-th root of a, in the field when possible, else by extending
-    the tower by x^n - a (irreducible for prime n once no root exists,
-    given the n-th roots of unity in the base).  Returns (root, field)."""
-    x = poly_x(field)
-    rr = roots_in_field(x ** n - a, field)
-    if rr:
-        return rr[0], field
+    the tower by x^n - a (irreducible for prime n once no root exists).
+    A non-residue witness proves there is no root without factoring.
+    Returns (root, field)."""
+    if nonresidue_witness(a, n) is None:
+        rr = roots_in_field(poly_x(field) ** n - a, field)
+        if rr:
+            return rr[0], field
     coeffs = [field.zero()] * n + [field.one()]
     coeffs[0] = -a
     ext = tower_extend(field, coeffs, name=name)

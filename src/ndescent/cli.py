@@ -142,7 +142,8 @@ def _verify_file(path, j, data, emit):
         rho = ser.quadrics_rho_from_json(j, data.table)
         want = data.n ** 2 * (data.n ** 2 - 3) // 2
         emit(path, "quadric count", len(qs) == want, len(qs))
-        emit(path, "quadric rank", qs.rank() == want, qs.rank())
+        rank = qs.rank()
+        emit(path, "quadric rank", rank == want, rank)
         rebuilt = quadrics_for_C(curve, data.table, rho)
         emit(path, "quadrics match recomputation", qs == rebuilt)
     elif kind == "descent":

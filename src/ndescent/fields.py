@@ -15,6 +15,16 @@ the multiplication of the level below.  Inverses run the extended
 Euclidean algorithm against the top minimal polynomial.  Polynomials
 are Poly objects with FieldElement coefficients; factoring uses sympy
 over Q and Trager's norm method up each level.
+
+A new level is certified irreducible when it is built.  A binomial
+x^p - a with p prime is irreducible as soon as a is not a p-th power
+(Lang, Algebra, VI Thm 9.1), and nonresidue_witness proves that
+cheaply: it looks for a prime l = 1 mod p at which the tower embeds
+into Q_l (each level's minimal polynomial has a simple root mod l, so
+Hensel lifts it) and a reduces to a unit that is not a p-th power mod
+l.  When no prime in a fixed list witnesses, the level is factored as
+above; the witness never declares a polynomial reducible, so every
+ReducibleExtension and the factor it carries come from factoring.
 """
 
 from fractions import Fraction
@@ -60,6 +70,7 @@ class FieldTower:
 
     def __init__(self, levels=()):
         levels = tuple(levels)
+        self._modl = {}  # prime l -> _images_mod(l), filled lazily
         if not levels:
             self.levels, self.degrees, self.degree, self._sig = (), (), 1, ()
             self._base = self._minpoly = None
@@ -74,9 +85,10 @@ class FieldTower:
         minpoly = Poly(mp, base)
         if minpoly.degree < 1 or minpoly.degree != len(mp) - 1 or not minpoly.is_monic():
             raise ValueError("minimal polynomial must be monic and nonconstant")
-        factors = factor_poly(minpoly)
-        if len(factors) != 1 or factors[0][1] != 1:
-            raise ReducibleExtension(list(factors[0][0].coeffs))
+        if _kummer_witness(minpoly) is None:
+            factors = factor_poly(minpoly)
+            if len(factors) != 1 or factors[0][1] != 1:
+                raise ReducibleExtension(list(factors[0][0].coeffs))
         self._base, self._minpoly = base, minpoly
         self.levels = base.levels + ((name, minpoly.coeffs),)
         self.degrees = base.degrees + (minpoly.degree,)
@@ -135,6 +147,80 @@ class FieldTower:
         if not self.levels:
             return "FieldTower(Q)"
         return "FieldTower(Q(%s), degree %d)" % (", ".join(n for n, _ in self.levels), self.degree)
+
+    def _images_mod(self, l):
+        """The images mod l of the basis monomials under t_i -> r_i, where
+        each r_i is the least simple root mod l of the level's minimal
+        polynomial (its coefficients mapped by the earlier roots), or None
+        when some level has no such root or a coefficient is not
+        l-integral.  By Hensel's lemma t_i -> r_i is then the reduction of
+        an embedding of the field into Q_l.  Cached per prime."""
+        if self._base is None:
+            return (1,)
+        if l in self._modl:
+            return self._modl[l]
+        out, below = None, self._base._images_mod(l)
+        f = None if below is None else [_image_mod(c, below, l) for c in self._minpoly.coeffs]
+        if f is not None and None not in f:
+            df = [i * c for i, c in enumerate(f)][1:]
+            r = next((r for r in range(l)
+                      if _horner_mod(f, r, l) == 0 and _horner_mod(df, r, l) != 0), None)
+            if r is not None:
+                out = tuple(m * pow(r, e, l) % l for e in range(len(f) - 1) for m in below)
+        self._modl[l] = out
+        return out
+
+
+def _image_mod(a, images, l):
+    """The image mod l of an element, given the images of the basis
+    monomials of its tower; None if its denominator is divisible by l."""
+    if a._den % l == 0:
+        return None
+    return sum(x * m for x, m in zip(a._num, images)) * pow(a._den, -1, l) % l
+
+
+def _horner_mod(f, r, l):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * r + c) % l
+    return acc
+
+
+# The odd primes nonresidue_witness tries, in increasing order.  Those
+# that split in the tower and are 1 mod p have positive density among
+# all primes, so a non-p-th power is almost always caught by a few.
+_WITNESS_PRIMES = tuple(int(l) for l in sympy.primerange(3, 400))
+
+
+def nonresidue_witness(a, p):
+    """A prime l proving that a is not a p-th power in its field, or None.
+
+    l is odd with l = 1 mod p, the field embeds into Q_l with basis
+    images _images_mod(l), and the image v of a mod l is a unit with
+    v^((l-1)/p) != 1 mod l: then the image of a in Q_l is no p-th power,
+    so neither is a.  None proves nothing.  Integers and pow only."""
+    tw = a.tower
+    for l in _WITNESS_PRIMES:
+        if l % p != 1:
+            continue
+        images = tw._images_mod(l)
+        if images is None:
+            continue
+        v = _image_mod(a, images, l)
+        if v and pow(v, (l - 1) // p, l) != 1:
+            return l
+    return None
+
+
+def _kummer_witness(f):
+    """For a binomial f = x^p - a with p prime, nonresidue_witness(a, p):
+    a prime that certifies f irreducible, since x^p - a is irreducible
+    whenever a is not a p-th power (Lang, Algebra, VI Thm 9.1).  None
+    for other polynomials or when no prime witnesses."""
+    p = f.degree
+    if not sympy.isprime(p) or any(not c.is_zero() for c in f.coeffs[1:-1]):
+        return None
+    return nonresidue_witness(-f.coeffs[0], p)
 
 
 def _structure_constants(base, m):

@@ -27,7 +27,7 @@ def _common_tower(entries):
 
 def _lift_entry(e, tower):
     if isinstance(e, FieldElement):
-        return e.lift_to(tower)
+        return e if e.tower is tower else e.lift_to(tower)
     return tower.from_fraction(Fraction(e) if isinstance(e, int) else e)
 
 

@@ -252,6 +252,21 @@ def test_reducible_tower_in_curve_file_exit_1(work, tmp_path, capsys):
     assert "reducible" in err and "Traceback" not in err
 
 
+def test_reducible_kummer_level_in_curve_file_exit_1(tmp_path, capsys):
+    # x^2 + 3 is irreducible over Q but splits over Q(zeta3), since -3 is
+    # a square there; no non-residue witness exists, so Trager rejects it
+    body = {"field": [{"name": "zeta3", "minpoly": ["1", "1", "1"]},
+                      {"name": "s", "minpoly": [["3", "0"], ["0", "0"], ["1", "0"]]}],
+            "a": ["0", "0", "0", "0"], "b": ["-432", "0", "0", "0"]}
+    digest = hashlib.sha256(ser.dumps_canonical(body).encode()).hexdigest()[:16]
+    bad = tmp_path / "reducible.json"
+    ser.save(bad, {"kind": "curve", "hash": digest, **body})
+    rc = main(["verify", "--curve", str(bad), str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "reducible" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage,message", [
     ("zero", "one nonzero value per torsion point"),
     ("missing", "one nonzero value per torsion point"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ndescent import fields
 from ndescent.fields import tower_extend
 from ndescent.curve import Point, r_eval
 from ndescent.funcfield import FunctionFieldElement
@@ -178,3 +179,19 @@ def test_affine_sample(curve):
     q = affine_sample(p.curve, 3, rng, "s1", used)
     assert q.curve.field.nlevels == curve.field.nlevels + 2
     assert len(used) == 2
+
+
+def test_affine_sample_witnessed_without_factoring(curve, monkeypatch):
+    # every sample of this seed needs a quadratic extension, and each is
+    # certified by a non-residue witness, so nothing is factored
+    calls = []
+    factor = fields.factor_poly
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+    monkeypatch.setattr(fields, "factor_poly", counted)
+    rng, used = random.Random(0), set()
+    points = [affine_sample(curve, 3, rng, "w%d" % k, used) for k in range(15)]
+    assert all(p.curve.field.nlevels == curve.field.nlevels + 1 for p in points)
+    assert calls == []

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ndescent
 from ndescent.fields import (FieldTower, FieldElement, Poly, ReducibleExtension,
-                             factor_poly, poly_gcd, poly_x, roots_in_field,
-                             tower_extend)
+                             factor_poly, nonresidue_witness, poly_gcd, poly_x,
+                             roots_in_field, tower_extend)
 
 
 def test_rationals():
@@ -90,6 +90,18 @@ def test_reducible_extension_rejected(field):
         tower_extend(field, [1, 1, 1], name="again")
     fac = ei.value.factor
     assert len(fac) == 2  # a linear factor is the witness
+
+
+def test_rational_non_square_that_is_a_square_in_K(field):
+    # -3 is not a square in Q but is (2 zeta + 1)^2 in Q(zeta3): no prime
+    # may witness it, and Trager finds the split
+    minus3 = field.from_fraction(-3)
+    assert nonresidue_witness(FieldTower.rationals().from_fraction(-3), 2) is not None
+    assert nonresidue_witness(minus3, 2) is None
+    with pytest.raises(ReducibleExtension) as ei:
+        tower_extend(field, [3, 0, 1], name="s")
+    root = -ei.value.factor[0]
+    assert root * root == minus3
 
 
 def test_roots_in_field(field):
@@ -257,6 +269,23 @@ def test_factor_poly_multiplies_back(args):
         back = back * f ** m
     assert back == p.monic()
     assert sum(f.degree * m for f, m in fs) == p.degree
+
+
+_binomials = st.sampled_from(_TOWERS).flatmap(
+    lambda K: st.tuples(st.sampled_from([2, 3]),
+                        _elements(K).filter(lambda a: not a.is_zero())))
+
+
+@PROFILE
+@given(_binomials)
+def test_nonresidue_witness_agrees_with_factoring(args):
+    # a witness proves x^p - a irreducible, so it never fires on a p-th
+    # power, and whenever it fires Trager finds one simple factor
+    p, a = args
+    assert nonresidue_witness(a ** p, p) is None
+    if nonresidue_witness(a, p) is not None:
+        fs = factor_poly(poly_x(a.tower) ** p - a)
+        assert len(fs) == 1 and fs[0][1] == 1
 
 
 _UNDER_O = r"""
