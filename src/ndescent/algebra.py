@@ -388,7 +388,8 @@ def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):
             mats[ij] = lifted.scale(gamma[ij])
         triv = Trivialisation(table, rho, L, mats, mode, gamma)
     elif mode == "user":
-        assert matrices is not None, "user mode needs matrices"
+        if matrices is None:
+            raise ValueError("user mode needs matrices")
         L = matrices[(0, 0)].tower
         triv = Trivialisation(table, rho, L, dict(matrices), mode, gamma)
     else:

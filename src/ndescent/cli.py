@@ -11,8 +11,7 @@ import sys
 from . import serialize as ser
 from .fields import ReducibleExtension
 from .curve import TorsionNotRational
-from .descent_funcs import (CurveData, compute_embedding, DegenerateSample,
-                            EigenspaceDimensionError)
+from .descent_funcs import CurveData, EigenspaceDimensionError
 from .algebra import (RhoTable, validate_rho, rho_from_point, build_csa,
                       check_coboundary, trivialize, certify_trivialisation,
                       CertificationFailed, BadBasePoint)
@@ -80,14 +79,13 @@ def cmd_trivialize(args):
     data = _load_curve(args)
     table, eps = data.table, data.eps
     rho = _load_rho(args.rho, table)
-    emb = compute_embedding(table, eps, data.millers, seed=args.seed)
     matrices = gamma = None
     if args.mode == "user":
         if not args.triv:
             raise ser.ParseError("user mode needs --triv with the matrices")
         user = ser.triv_from_json(ser.load(args.triv), table)
         matrices, gamma = user.matrices, user.gamma
-    triv = trivialize(emb, eps, rho, mode=args.mode, matrices=matrices, gamma=gamma)
+    triv = trivialize(data.emb, eps, rho, mode=args.mode, matrices=matrices, gamma=gamma)
     ser.save(args.out, ser.triv_to_json(triv))
     print("certified %s trivialisation -> %s" % (args.mode, args.out))
     return 0
@@ -266,8 +264,8 @@ def main(argv=None):
     except (OSError, ser.ParseError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (TorsionNotRational, BadBasePoint, DegenerateSample,
-            ReducibleExtension, ValueError) as e:
+    except (TorsionNotRational, BadBasePoint, ReducibleExtension,
+            ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (CertificationFailed, RankNotOne, KernelEmpty, KernelTooBig,

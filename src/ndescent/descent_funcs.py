@@ -7,16 +7,22 @@ Builds, for a curve with fully rational n-torsion:
   - G_T with divisor [n]*(T) - [n]*(O) and residue 1/n at O in t = x/y,
     as joint eigenvectors of translation operators on L(n^2(O));
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
-    scaled so F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P));
+    scaled so F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
+    Up to that scale, M_T is the transpose of h -> (h o tau_T) F_{-T}
+    on L(n(O)), read off in the function field by the helper that also
+    gives the G-basis its operators h -> (h o tau_S) psi_n/(psi_n o tau_S)
+    on L(n^2(O));
   - the standard trivialisation alpha -> sum alpha(T) M_T.
+
+CurveData.of(curve, n) holds the per-curve part of this: the table, the
+Miller functions, epsilon, the G-basis and the embedding.
 """
 
-import random
 from fractions import Fraction
 from functools import cached_property
 
-from .fields import ReducibleExtension, tower_extend
-from .linalg import ExactMatrix, split_row
+from .fields import Poly, ReducibleExtension, tower_extend
+from .linalg import ExactMatrix
 from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, miller_function
 from .algebra import CertificationFailed
@@ -24,10 +30,6 @@ from .algebra import CertificationFailed
 
 class EigenspaceDimensionError(Exception):
     """A joint translation eigenspace did not have dimension one."""
-
-
-class DegenerateSample(Exception):
-    """Sampling kept producing degenerate linear systems."""
 
 
 def _exponents(d):
@@ -42,39 +44,35 @@ def _monomials(x, y, d):
     return [x ** i * y if j else x ** i for i, j in _exponents(d)]
 
 
-def monomial_exponents(n):
-    """Exponents (i, j) with x^i y^j in L(n^2(O))."""
-    return _exponents(n * n)
-
-
-def v_basis(curve, n):
-    """The monomial basis of L(n^2(O)) as function field elements."""
-    return _monomials(FunctionFieldElement.coordinate_x(curve),
-                      FunctionFieldElement.coordinate_y(curve), n * n)
-
-
-def _v_coords(ffe, n):
-    """Coordinates of a function lying in L(n^2(O)) over the monomial basis."""
-    assert ffe.w.degree == 0, "function has affine poles, not in L(n^2(O))"
-    K = ffe.curve.field
-    exps = monomial_exponents(n)
+def _coords(ffe, d, ij):
+    """Coordinates of a function over the monomial basis of L(d(O)).
+    Raises CertificationFailed(("translation", ij)) if it is not in
+    that space."""
+    exps = _exponents(d)
     nx = sum(1 for _, j in exps if j == 0)
-    coords = []
-    assert ffe.u.degree < nx and ffe.v.degree < len(exps) - nx
-    for k in range(nx):
-        coords.append(ffe.u.coeff(k))
-    for k in range(len(exps) - nx):
-        coords.append(ffe.v.coeff(k))
-    return [c.lift_to(K) for c in coords]
+    if ffe.w.degree != 0 or ffe.u.degree >= nx or ffe.v.degree >= len(exps) - nx:
+        raise CertificationFailed(("translation", ij),
+                                  "a translated function is not in L(%d(O))" % d)
+    K = ffe.curve.field
+    return ([ffe.u.coeff(k).lift_to(K) for k in range(nx)]
+            + [ffe.v.coeff(k).lift_to(K) for k in range(len(exps) - nx)])
 
 
-def _from_v_coords(curve, n, coords):
-    basis = v_basis(curve, n)
-    out = FunctionFieldElement.const(curve, 0)
-    for c, h in zip(coords, basis):
-        if not c.is_zero():
-            out = out + c * h
-    return out
+def _translated_coords(table, ij, d, factor):
+    """For each monomial h of L(d(O)), the coordinates of
+    (h o tau_S) * factor(x o tau_S) over that basis, S the table point ij."""
+    curve, s = table.curve, table.point(*ij)
+    fx = FunctionFieldElement.coordinate_x(curve)
+    fy = FunctionFieldElement.coordinate_y(curve)
+    # addition formulas for P + S as functions of P = (x, y)
+    lam = (fy - s.y) / (fx - s.x)
+    xs = lam * lam - fx - s.x
+    ys = lam * (s.x - xs) - s.y
+    f = factor(xs)
+    xpow = [FunctionFieldElement.const(curve, 1)]
+    for _ in range(d // 2):
+        xpow.append(xpow[-1] * xs)
+    return [_coords((xpow[i] * ys if j else xpow[i]) * f, d, ij) for i, j in _exponents(d)]
 
 
 def translation_operator(table, s):
@@ -82,25 +80,10 @@ def translation_operator(table, s):
     columns indexed by the monomial basis."""
     curve, n = table.curve, table.n
     assert not s.is_infinity
-    K = curve.field
-    fx = FunctionFieldElement.coordinate_x(curve)
-    fy = FunctionFieldElement.coordinate_y(curve)
-    # addition formulas for P + S as functions of P = (x, y)
-    lam = (fy - s.y) / (fx - s.x)
-    xs = lam * lam - fx - s.x
-    ys = lam * (s.x - xs) - s.y
     psi = division_polynomial(curve, n)
-    ratio = FunctionFieldElement(curve, psi, 0, 1) / psi(xs)
-    cols = []
-    xpow = [FunctionFieldElement.const(curve, 1)]
-    for _ in range(n * n // 2):
-        xpow.append(xpow[-1] * xs)
-    for i, j in monomial_exponents(n):
-        h = xpow[i]
-        if j:
-            h = h * ys
-        cols.append(_v_coords(h * ratio, n))
-    return ExactMatrix([[cols[j][i] for j in range(n * n)] for i in range(n * n)], K)
+    psi_ffe = FunctionFieldElement(curve, psi, 0, 1)
+    cols = _translated_coords(table, table.index(s), n * n, lambda xs: psi_ffe / psi(xs))
+    return ExactMatrix(cols, curve.field).transpose()
 
 
 def compute_miller_table(table):
@@ -192,7 +175,7 @@ def compute_G_basis(table, eps):
     curve, n = table.curve, table.n
     K = curve.field
     psi = division_polynomial(curve, n)
-    psi_ffe = FunctionFieldElement(curve, psi, 0, 1)
+    nx = n * n // 2 + 1  # how many coordinates are those of u in (u + v y)/psi_n
     L1 = translation_operator(table, table.t1)
     L2 = translation_operator(table, table.t2)
     ident = ExactMatrix.identity(n * n, K)
@@ -209,7 +192,8 @@ def compute_G_basis(table, eps):
         if len(kern) != 1:
             raise EigenspaceDimensionError(
                 "joint eigenspace for %s has dimension %d" % ((ij,), len(kern)))
-        g = _from_v_coords(curve, n, kern[0]) / psi_ffe
+        c = kern[0]
+        g = FunctionFieldElement(curve, Poly(c[:nx], K), Poly(c[nx:], K), psi)
         ordv, lead = g.laurent(2).leading()
         assert ordv == -1, "G_T should have a simple pole at O"
         funcs[ij] = g * (lead.inverse() * Fraction(1, n))
@@ -218,8 +202,8 @@ def compute_G_basis(table, eps):
 
 class CurveData:
     """The per-(curve, n) data of the pipeline, each computed on first
-    use: the torsion table, the Miller functions, epsilon and the
-    G-basis.  Get it with CurveData.of(curve, n)."""
+    use: the torsion table, the Miller functions, epsilon, the G-basis
+    and the embedding.  Get it with CurveData.of(curve, n)."""
 
     def __init__(self, curve, n):
         self.curve = curve
@@ -245,6 +229,10 @@ class CurveData:
     @cached_property
     def gbasis(self):
         return compute_G_basis(self.table, self.eps)
+
+    @cached_property
+    def emb(self):
+        return compute_embedding(self.table, self.eps, self.millers)
 
 
 def dual_vector_at_O(curve, n):
@@ -305,24 +293,6 @@ def affine_sample(curve, n, rng, name, used_x):
         return Point(curve.base_change(ext), xe.lift_to(ext), ext.gen())
 
 
-def _cross_rows(fq, fp):
-    """Linear constraints (rows over the point's field) saying that the
-    vector f(Q) is parallel to M f(P); unknowns are the n^2 entries of M
-    in row-major order."""
-    n = len(fq)
-    zero = fq[0].tower.zero()
-    rows = []
-    for b in range(n):
-        for c in range(b + 1, n):
-            # fq[b] (M f(P))[c] - fq[c] (M f(P))[b] = 0
-            row = [zero] * (n * n)
-            for k in range(n):
-                row[c * n + k] = row[c * n + k] + fq[b] * fp[k]
-                row[b * n + k] = row[b * n + k] - fq[c] * fp[k]
-            rows.append(row)
-    return rows
-
-
 class Embedding:
     """The degree-n embedding data: dual vector at O and the matrices M_T."""
 
@@ -341,46 +311,21 @@ def compute_embedding(table, eps, millers, seed=0):
     """The matrices M_T with f(P+T) proportional to M_T f(P), scaled so
     that F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
 
-    M_O is the identity.  Certifies M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2}
-    on all pairs and the vanishing traces.  Raises DegenerateSample if
-    random sampling keeps giving underdetermined systems."""
+    F_{-T} has divisor n(-T) - n(O), so (h o tau_T) F_{-T} lies in
+    L(n(O)) for each basis function h of L(n(O)); its coordinates are
+    the row of h in a multiple of M_T.  M_O is the identity.  Certifies
+    M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2} on all pairs and the vanishing
+    traces.  seed has no effect; it is accepted for older callers."""
     curve, n = table.curve, table.n
     K = curve.field
     dual_O = dual_vector_at_O(curve, n)
-    rng = random.Random(seed)
-    used_x = set()
-    samples = []
     matrices = {(0, 0): ExactMatrix.identity(n, K)}
     for k, t in enumerate(table):
         ij = divmod(k, n)
         if t.is_infinity:
             continue
-        rows = []
-        nsamples = 0
-        mtilde = None
-        while True:
-            while len(samples) <= nsamples:
-                samples.append(affine_sample(curve, n, rng, "s%d" % len(samples), used_x))
-            p = samples[nsamples]
-            nsamples += 1
-            tq = t if p.curve.field == K else t.base_change(p.curve.field)
-            q = p + tq
-            if q.is_infinity:
-                continue
-            fp = embedding_values(p.curve, n, p)
-            fq = embedding_values(p.curve, n, q)
-            for row in _cross_rows(fq, fp):
-                rows.extend(split_row(row, K))
-            if nsamples < n + 2:
-                continue
-            kern = ExactMatrix(rows, K).kernel_basis()
-            if len(kern) == 1:
-                mtilde = ExactMatrix([kern[0][r * n:(r + 1) * n] for r in range(n)], K)
-                break
-            assert kern, "translation matrix constraints are inconsistent"
-            if nsamples >= n + 7:
-                raise DegenerateSample(
-                    "M_T system still has a %d-dimensional kernel" % len(kern))
+        f_neg = millers[table.neg_index(ij)]
+        mtilde = ExactMatrix(_translated_coords(table, ij, n, lambda xs: f_neg), K)
         # scale by Prop (fdual_O . M^{-1} f(P)) / (fdual_O . f(P)) = F_T(P)
         minv = mtilde.inverse()
         ft = millers[ij]
@@ -458,7 +403,8 @@ def tau_1(emb, alpha):
 def dual_row(emb, p):
     """The osculating hyperplane of the embedding at an affine point
     (the tangent line for n = 3), as a coefficient vector."""
-    assert emb.n == 3, "osculating rows only implemented for n = 3"
+    if emb.n != 3:
+        raise ValueError("osculating rows only implemented for n = 3")
     curve = emb.curve
     fp = embedding_values(curve, emb.n, p)
     if p.y.is_zero():

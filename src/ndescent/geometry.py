@@ -304,10 +304,12 @@ def interpolate_plane_curve(points, field):
     split into base-field conditions coordinatewise.  The kernel of the
     monomial-evaluation matrix must be exactly a line."""
     mono = plane_monomials(3)
-    assert len(points) >= len(mono), "need at least %d points" % len(mono)
+    if len(points) < len(mono):
+        raise ValueError("need at least %d points" % len(mono))
     rows = []
     for pt in points:
-        assert len(pt) == 3
+        if len(pt) != 3:
+            raise ValueError("a point of P^2 has 3 coordinates, not %d" % len(pt))
         vals = [pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] for e in mono]
         rows.extend(split_row(vals, field))
     kern = ExactMatrix(rows, field).kernel_basis()

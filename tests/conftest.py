@@ -8,7 +8,7 @@ import pytest
 
 from ndescent.fields import FieldTower, tower_extend
 from ndescent.curve import Curve
-from ndescent.descent_funcs import CurveData, compute_embedding
+from ndescent.descent_funcs import CurveData
 
 
 @pytest.fixture(scope="session")
@@ -42,8 +42,8 @@ def gbasis(curve):
 
 
 @pytest.fixture(scope="session")
-def emb(table, eps, millers):
-    return compute_embedding(table, eps, millers, seed=0)
+def emb(curve):
+    return CurveData.of(curve, 3).emb
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,9 @@ from ndescent import fields
 from ndescent.fields import tower_extend
 from ndescent.curve import Point, r_eval
 from ndescent.funcfield import FunctionFieldElement
-from ndescent.descent_funcs import (affine_sample, compute_embedding,
-                                    dual_row, dual_vector_at_O,
-                                    embedding_values, tau_1)
+from ndescent.linalg import ExactMatrix
+from ndescent.descent_funcs import (CurveData, affine_sample, dual_row,
+                                    dual_vector_at_O, embedding_values, tau_1)
 from weil_oracle import aux_pair, weil_pairing_oracle
 
 
@@ -119,7 +119,6 @@ def test_g_r_identity(gbasis, table):
 
 
 def test_embedding_matrices(emb, eps, table, field):
-    from ndescent.linalg import ExactMatrix
     assert emb.M((0, 0)) == ExactMatrix.identity(3, field)
     for i in range(3):
         for j in range(3):
@@ -131,6 +130,33 @@ def test_embedding_matrices(emb, eps, table, field):
     for a, b in [((1, 0), (0, 1)), ((2, 1), (1, 2)), ((1, 1), (1, 1))]:
         ab = table.add_index(a, b)
         assert emb.M(a) * emb.M(b) == emb.M(ab).scale(eps.eps(a, b))
+
+
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_translation_matrices_at_fresh_points(which, curve, aux_curve):
+    # M_T is read off in the function field; its defining properties
+    # must hold at points over quadratic extensions it never saw
+    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    emb = data.emb
+    dual = ExactMatrix([emb.dual_O])
+    rng, used = random.Random(11), set()
+    for k in range(3):
+        p = affine_sample(data.curve, 3, rng, "m%d" % k, used)
+        assert p.curve.field.nlevels == data.curve.field.nlevels + 1
+        fp = embedding_values(p.curve, 3, p)
+        at_o = dual.mat_vec(fp)[0]
+        for ij in emb.matrices:
+            m = emb.M(ij)
+            t = data.table.point(*ij).base_change(p.curve.field)
+            fq = embedding_values(p.curve, 3, p + t)
+            mf = m.mat_vec(fp)
+            # f(P+T) is parallel to M_T f(P): every 2x2 minor vanishes
+            for b in range(3):
+                for c in range(b + 1, 3):
+                    assert fq[b] * mf[c] == fq[c] * mf[b]
+            # F_T(P) (dual_O . f(P)) = dual_O . M_T^{-1} f(P)
+            assert (data.millers[ij].evaluate(p) * at_o
+                    == dual.mat_vec(m.inverse().mat_vec(fp))[0])
 
 
 def test_dual_vector_at_O(curve, field):

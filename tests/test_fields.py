@@ -297,9 +297,9 @@ from ndescent.curve import Curve, Point, slope
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
 from ndescent.descent_funcs import (CurveData, Embedding, _certify_embedding,
-                                    compute_embedding)
-from ndescent.algebra import CertificationFailed, RhoTable
-from ndescent.geometry import quadrics_for_C
+                                    compute_embedding, dual_row)
+from ndescent.algebra import CertificationFailed, RhoTable, trivialize
+from ndescent.geometry import interpolate_plane_curve, quadrics_for_C
 
 if not sys.flags.optimize:
     sys.exit("run under python -O")
@@ -315,6 +315,12 @@ zeros = Embedding(table, None, {ij: identities.M(ij) if ij == (0, 0)
 # F_T times y: no longer the scale of M_T at a second torsion point
 wrong_f = dict(millers)
 wrong_f[(0, 1)] = millers[(0, 1)] * FunctionFieldElement.coordinate_y(data.curve)
+# F_{-T} for T = (0, 1) times y: (h o tau_T) F_{-T} y leaves L(3(O))
+pole_f = dict(millers)
+pole_f[(0, 2)] = millers[(0, 2)] * FunctionFieldElement.coordinate_y(data.curve)
+quintic = Embedding(table, None, {})
+quintic.n = 5  # what an embedding of degree 5 would report
+ones = [K.one()] * 3
 cases = [
     (ValueError, lambda: Point(data.curve, 1, 1)),
     (ValueError, lambda: slope(table.t1, -table.t1)),
@@ -322,6 +328,11 @@ cases = [
     (CertificationFailed, lambda: _certify_embedding(identities, eps)),
     (CertificationFailed, lambda: _certify_embedding(zeros, eps)),
     (CertificationFailed, lambda: compute_embedding(table, eps, wrong_f)),
+    (CertificationFailed, lambda: compute_embedding(table, eps, pole_f)),
+    (ValueError, lambda: trivialize(identities, eps, RhoTable.trivial(table), mode="user")),
+    (ValueError, lambda: interpolate_plane_curve([ones] * 9, K)),
+    (ValueError, lambda: interpolate_plane_curve([ones] * 9 + [ones[:2]], K)),
+    (ValueError, lambda: dual_row(quintic, table.t1)),
     (ValueError, lambda: K.element([Fraction(1)])),
     (ValueError, lambda: K.gen().as_fraction()),
     (ValueError, lambda: K.gen(3)),

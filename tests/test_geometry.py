@@ -13,7 +13,7 @@ from ndescent import serialize as ser
 from ndescent.algebra import (BadBasePoint, RhoTable, partial, rho_from_point,
                               solve_gamma, trivialize, validate_rho)
 from ndescent.cli import main
-from ndescent.descent_funcs import CurveData, affine_sample, compute_embedding
+from ndescent.descent_funcs import CurveData, affine_sample
 from ndescent.geometry import (KernelEmpty, KernelTooBig, PlaneCurveEquation,
                                RankNotOne, descend, extract_point, g_eval,
                                interpolate_plane_curve, lambda_eval,
@@ -242,8 +242,7 @@ def test_descend_builds_curve_data_once(field, monkeypatch):
     data = CurveData.of(curve, 3)
     assert CurveData.of(curve, 3) is data
     rho = RhoTable.trivial(data.table)
-    emb = compute_embedding(data.table, data.eps, data.millers, seed=0)
-    triv = trivialize(emb, data.eps, rho)
+    triv = trivialize(data.emb, data.eps, rho)
     samples = 0
     for seed in (7, 8):
         out = descend(curve, 3, rho, triv, seed=seed)
@@ -259,8 +258,7 @@ def test_descend_aux_point_rho_gamma_mode(aux_curve, aux_field, tmp_path):
     data = CurveData.of(aux_curve, 3)
     q = Point(aux_curve, aux_field.from_fraction(7), aux_field.from_fraction(17))
     rho = rho_from_point(data.table, q)
-    emb = compute_embedding(data.table, data.eps, data.millers, seed=0)
-    triv = trivialize(emb, data.eps, rho, mode="gamma")
+    triv = trivialize(data.emb, data.eps, rho, mode="gamma")
     out = descend(aux_curve, 3, rho, triv, seed=3)
     rep = out["report"]
     assert rep["gamma_levels"] == 3
