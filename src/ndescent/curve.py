@@ -38,14 +38,18 @@ class Curve:
             raise ValueError("singular curve: discriminant is zero")
         self.disc = disc
         self._divpoly = {}
+        self._rhs_poly = None
         self._data = {}  # n -> descent_funcs.CurveData
 
     def rhs(self, x):
         return x ** 3 + self.a * x + self.b
 
     def rhs_poly(self):
-        x = poly_x(self.field)
-        return x ** 3 + self.a * x + self.b
+        """x^3 + a x + b as a Poly, built on first use."""
+        if self._rhs_poly is None:
+            x = poly_x(self.field)
+            self._rhs_poly = x ** 3 + self.a * x + self.b
+        return self._rhs_poly
 
     def contains(self, x, y):
         return (y * y - self.rhs(x)).is_zero()

@@ -8,10 +8,12 @@ Builds, for a curve with fully rational n-torsion:
     as joint eigenvectors of translation operators on L(n^2(O));
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
     scaled so F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
-    Up to that scale, M_T is the transpose of h -> (h o tau_T) F_{-T}
-    on L(n(O)), read off in the function field by the helper that also
-    gives the G-basis its operators h -> (h o tau_S) psi_n/(psi_n o tau_S)
-    on L(n^2(O));
+    M_T = eps(T, -T) Mtilde_T, where Mtilde_T is the transpose of
+    h -> (h o tau_T) F_{-T} on L(n(O)), read off in the function field
+    by the helper that also gives the G-basis its operators
+    h -> (h o tau_S) psi_n/(psi_n o tau_S) on L(n^2(O)).  fdual_O is
+    e_1, since only the constants of L(n(O)) have no pole at O, and the
+    product check M_T M_{-T} = eps(T, -T) certifies the scale;
   - the standard trivialisation alpha -> sum alpha(T) M_T.
 
 CurveData.of(curve, n) holds the per-curve part of this: the table, the
@@ -36,12 +38,6 @@ def _exponents(d):
     """Exponents (i, j) with x^i y^j in L(d(O)): j <= 1, 2i + 3j <= d."""
     return ([(i, 0) for i in range(d // 2 + 1)]
             + [(i, 1) for i in range((d - 3) // 2 + 1)])
-
-
-def _monomials(x, y, d):
-    """The monomial basis of L(d(O)) at x, y: coordinate functions or a
-    point's coordinates."""
-    return [x ** i * y if j else x ** i for i, j in _exponents(d)]
 
 
 def _coords(ffe, d, ij):
@@ -149,7 +145,9 @@ def compute_epsilon(table, millers):
                     continue
                 val = a / (b * c)
                 break
-            assert val is not None, "no usable evaluation point for epsilon"
+            if val is None:
+                raise CertificationFailed(("epsilon", ij, kl),
+                                          "no usable evaluation point for epsilon")
             values[(ij, kl)] = val
     return EpsilonTable(table, values)
 
@@ -235,36 +233,10 @@ class CurveData:
         return compute_embedding(self.table, self.eps, self.millers)
 
 
-def dual_vector_at_O(curve, n):
-    """Coefficients of the hyperplane osculating the degree-n embedding
-    at the image of O, over the basis of L(n(O)).
-
-    Computed as the kernel of the matrix of polar-part coefficients of
-    the basis expansions at O."""
-    basis = embedding_basis(curve, n)
-    K = curve.field
-    series = [h.laurent(0) for h in basis]
-    rows = []
-    for order in range(-n, 0):
-        rows.append([s.coeff(order) for s in series])
-    kern = ExactMatrix(rows, K).kernel_basis()
-    assert len(kern) == 1, "osculating hyperplane at O is not unique"
-    v = kern[0]
-    lead = next(c for c in v if not c.is_zero())
-    return [c / lead for c in v]
-
-
-def embedding_basis(curve, n):
-    """The basis of L(n(O)) giving the degree-n embedding: x^i y^j with
-    j <= 1 and 2i + 3j <= n."""
-    return _monomials(FunctionFieldElement.coordinate_x(curve),
-                      FunctionFieldElement.coordinate_y(curve), n)
-
-
 def embedding_values(curve, n, p):
     """The affine coordinate vector of the embedding at an affine point."""
     assert not p.is_infinity, "the embedding vector at O is a limit, not a value"
-    return _monomials(p.x, p.y, n)
+    return [p.x ** i * p.y if j else p.x ** i for i, j in _exponents(n)]
 
 
 def affine_sample(curve, n, rng, name, used_x):
@@ -294,13 +266,12 @@ def affine_sample(curve, n, rng, name, used_x):
 
 
 class Embedding:
-    """The degree-n embedding data: dual vector at O and the matrices M_T."""
+    """The degree-n embedding data: the matrices M_T."""
 
-    def __init__(self, table, dual_O, matrices):
+    def __init__(self, table, matrices):
         self.table = table
         self.curve = table.curve
         self.n = table.n
-        self.dual_O = dual_O
         self.matrices = matrices  # dict ij -> ExactMatrix over the base field
 
     def M(self, ij):
@@ -313,60 +284,28 @@ def compute_embedding(table, eps, millers, seed=0):
 
     F_{-T} has divisor n(-T) - n(O), so (h o tau_T) F_{-T} lies in
     L(n(O)) for each basis function h of L(n(O)); its coordinates are
-    the row of h in a multiple of M_T.  M_O is the identity.  Certifies
-    M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2} on all pairs and the vanishing
-    traces.  seed has no effect; it is accepted for older callers."""
-    curve, n = table.curve, table.n
-    K = curve.field
-    dual_O = dual_vector_at_O(curve, n)
+    the row of h in Mtilde_T, and Mtilde_T f(P) = F_{-T}(P) f(P+T).
+    Only the constants of L(n(O)) have no pole at O, so fdual_O is e_1,
+    and the first coordinate of Mtilde_T^{-1} f(P) = f(P-T)/F_{-T}(P-T)
+    is 1/F_{-T}(P-T).  The scale is therefore
+    1/(F_T(P) F_{-T}(P-T)) = eps(T, -T), and M_T = eps(T, -T) Mtilde_T.
+    M_O is the identity.  Certifies M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2}
+    on all pairs, which on (T, -T) checks the scale against the exact
+    scalar Mtilde_T Mtilde_{-T}, and the vanishing traces.  seed has no
+    effect; it is accepted for older callers."""
+    n, K = table.n, table.curve.field
     matrices = {(0, 0): ExactMatrix.identity(n, K)}
     for k, t in enumerate(table):
         ij = divmod(k, n)
         if t.is_infinity:
             continue
-        f_neg = millers[table.neg_index(ij)]
+        neg = table.neg_index(ij)
+        f_neg = millers[neg]
         mtilde = ExactMatrix(_translated_coords(table, ij, n, lambda xs: f_neg), K)
-        # scale by Prop (fdual_O . M^{-1} f(P)) / (fdual_O . f(P)) = F_T(P)
-        minv = mtilde.inverse()
-        ft = millers[ij]
-        scaled = None
-        for p in table:
-            if p.is_infinity or p == t:
-                continue
-            try:
-                fval = ft.evaluate(p)
-            except PoleAtP:
-                continue
-            fp = embedding_values(curve, n, p)
-            num = _dot(dual_O, minv.mat_vec(fp))
-            den = _dot(dual_O, fp)
-            if den.is_zero():
-                continue
-            if scaled is None:
-                assert not num.is_zero(), "osculating numerator vanished at a good point"
-                # mtilde = kappa M with num/den = kappa^{-1} F_T(p)
-                kappa = fval * den / num
-                scaled = mtilde.scale(kappa.inverse())
-                minv_scaled = scaled.inverse()
-            else:
-                lhs = _dot(dual_O, minv_scaled.mat_vec(fp))
-                if not (lhs == fval * den):
-                    raise CertificationFailed(("scaling", ij))
-                break
-        else:
-            raise CertificationFailed(("scaling", ij, "too few points"))
-        matrices[ij] = scaled
-    emb = Embedding(table, dual_O, matrices)
+        matrices[ij] = mtilde.scale(eps.eps(ij, neg))
+    emb = Embedding(table, matrices)
     _certify_embedding(emb, eps)
     return emb
-
-
-def _dot(u, v):
-    s = None
-    for a, b in zip(u, v):
-        t = a * b
-        s = t if s is None else s + t
-    return s
 
 
 def _certify_embedding(emb, eps):

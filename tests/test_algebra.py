@@ -120,6 +120,15 @@ def test_csa_trivial(table, eps, field):
         assert csa.mult(d, one) == d
 
 
+def test_csa_commutative_center(table, eps):
+    # rho = 1/eps makes every structure constant 1: the group algebra of
+    # E[3], commutative, so its center is all nine delta lines
+    rho = RhoTable(table, {(a, b): 1 / eps.eps(a, b) for a in _idx() for b in _idx()})
+    with pytest.raises(CertificationFailed) as ei:
+        build_csa(table, eps, rho)
+    assert ei.value.witness == ("center", 9)
+
+
 def test_csa_left_mult_matrix(table, eps, field):
     csa = build_csa(table, eps, RhoTable.trivial(table))
     rng = random.Random(4)

@@ -1,15 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from ndescent import fields
+from ndescent import serialize as ser
 from ndescent.fields import tower_extend
 from ndescent.curve import Point, r_eval
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
 from ndescent.descent_funcs import (CurveData, affine_sample, dual_row,
-                                    dual_vector_at_O, embedding_values, tau_1)
+                                    embedding_values, tau_1)
 from weil_oracle import aux_pair, weil_pairing_oracle
 
 
@@ -138,13 +140,11 @@ def test_translation_matrices_at_fresh_points(which, curve, aux_curve):
     # must hold at points over quadratic extensions it never saw
     data = CurveData.of(curve if which == "reference" else aux_curve, 3)
     emb = data.emb
-    dual = ExactMatrix([emb.dual_O])
     rng, used = random.Random(11), set()
     for k in range(3):
         p = affine_sample(data.curve, 3, rng, "m%d" % k, used)
         assert p.curve.field.nlevels == data.curve.field.nlevels + 1
         fp = embedding_values(p.curve, 3, p)
-        at_o = dual.mat_vec(fp)[0]
         for ij in emb.matrices:
             m = emb.M(ij)
             t = data.table.point(*ij).base_change(p.curve.field)
@@ -154,14 +154,19 @@ def test_translation_matrices_at_fresh_points(which, curve, aux_curve):
             for b in range(3):
                 for c in range(b + 1, 3):
                     assert fq[b] * mf[c] == fq[c] * mf[b]
-            # F_T(P) (dual_O . f(P)) = dual_O . M_T^{-1} f(P)
-            assert (data.millers[ij].evaluate(p) * at_o
-                    == dual.mat_vec(m.inverse().mat_vec(fp))[0])
+            # F_T(P) (fdual_O . f(P)) = fdual_O . M_T^{-1} f(P), where
+            # fdual_O = e_1 picks the constant coordinate
+            assert (data.millers[ij].evaluate(p) * fp[0]
+                    == m.inverse().mat_vec(fp)[0])
 
 
-def test_dual_vector_at_O(curve, field):
-    v = dual_vector_at_O(curve, 3)
-    assert v == [field.one(), field.zero(), field.zero()]
+def test_aux_embedding_matrices_pinned(aux_curve):
+    # the golden artifact pins the reference curve's M_T; this pins the
+    # aux curve's, over the degree-4 field
+    m = CurveData.of(aux_curve, 3).emb.matrices
+    body = ser.dumps_canonical({"%d,%d" % ij: ser.matrix_to_json(m[ij]) for ij in m})
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "be76266816a208ba9e10d75df241265672d30b769fc4dcaab97a8a071372d7e7")
 
 
 def test_embedding_values(curve, field, table):

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -297,7 +298,7 @@ from ndescent.curve import Curve, Point, slope
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
 from ndescent.descent_funcs import (CurveData, Embedding, _certify_embedding,
-                                    compute_embedding, dual_row)
+                                    compute_embedding, compute_epsilon, dual_row)
 from ndescent.algebra import CertificationFailed, RhoTable, trivialize
 from ndescent.geometry import interpolate_plane_curve, quadrics_for_C
 
@@ -309,16 +310,23 @@ data = CurveData.of(Curve(K, 0, -432), 3)
 table, eps, millers = data.table, data.eps, data.millers
 zero_rho = RhoTable(table, {k: K.zero() for k in RhoTable.trivial(table).values})
 idx = [divmod(k, 3) for k in range(9)]
-identities = Embedding(table, None, {ij: ExactMatrix.identity(3, K) for ij in idx})
-zeros = Embedding(table, None, {ij: identities.M(ij) if ij == (0, 0)
-                                else ExactMatrix.zero(3, 3, K) for ij in idx})
-# F_T times y: no longer the scale of M_T at a second torsion point
+identities = Embedding(table, {ij: ExactMatrix.identity(3, K) for ij in idx})
+zeros = Embedding(table, {ij: identities.M(ij) if ij == (0, 0)
+                          else ExactMatrix.zero(3, 3, K) for ij in idx})
+# F_T for T = (0, 1) times y: F_T is F_{-T} for T = (0, 2), so
+# (h o tau_T) F_T y leaves L(3(O)) and ("translation", (0, 2)) fails
 wrong_f = dict(millers)
 wrong_f[(0, 1)] = millers[(0, 1)] * FunctionFieldElement.coordinate_y(data.curve)
 # F_{-T} for T = (0, 1) times y: (h o tau_T) F_{-T} y leaves L(3(O))
 pole_f = dict(millers)
 pole_f[(0, 2)] = millers[(0, 2)] * FunctionFieldElement.coordinate_y(data.curve)
-quintic = Embedding(table, None, {})
+# F_{-T} for T = (0, 1) replaced by zero: M_T is singular
+zero_f = dict(millers)
+zero_f[(0, 2)] = FunctionFieldElement.const(data.curve, 0)
+# F_T for T = (0, 1) replaced by zero: eps(O, T) has no usable point
+zero_t = dict(millers)
+zero_t[(0, 1)] = FunctionFieldElement.const(data.curve, 0)
+quintic = Embedding(table, {})
 quintic.n = 5  # what an embedding of degree 5 would report
 ones = [K.one()] * 3
 cases = [
@@ -329,6 +337,8 @@ cases = [
     (CertificationFailed, lambda: _certify_embedding(zeros, eps)),
     (CertificationFailed, lambda: compute_embedding(table, eps, wrong_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, pole_f)),
+    (CertificationFailed, lambda: compute_embedding(table, eps, zero_f)),
+    (CertificationFailed, lambda: compute_epsilon(table, zero_t)),
     (ValueError, lambda: trivialize(identities, eps, RhoTable.trivial(table), mode="user")),
     (ValueError, lambda: interpolate_plane_curve([ones] * 9, K)),
     (ValueError, lambda: interpolate_plane_curve([ones] * 9 + [ones[:2]], K)),
@@ -364,3 +374,16 @@ def test_caller_errors_raise_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout.strip() == "ok"
+
+
+def test_library_assert_count_does_not_grow():
+    # asserts vanish under python -O; caller errors raise named
+    # exceptions instead, and the remaining asserts may only go down
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    count = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
+    assert count <= 53, "%d asserts in ndescent" % count
