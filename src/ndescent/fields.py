@@ -594,7 +594,7 @@ class Poly:
 
     def __call__(self, x):
         """Horner evaluation at a field element, a rational, or any
-        ring-like argument (series, functions, polys)."""
+        ring-like argument (functions, polys)."""
         if isinstance(x, (int, Fraction)):
             x = self.tower.from_fraction(x)
         if isinstance(x, FieldElement):

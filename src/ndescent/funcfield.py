@@ -1,163 +1,18 @@
-"""The function field of an elliptic curve, and Laurent expansions at O.
+"""The function field of an elliptic curve, and leading terms at O.
 
 Elements are (u(x) + v(x) y)/w(x) with y^2 reduced to x^3 + a x + b.
-The local parameter at O is t = x/y; expansions are exact truncated
-Laurent series used to normalize leading coefficients and residues.
+The local parameter at O is t = x/y.  There x = t^-2 (1 + O(t^4)) and
+y = t^-3 (1 + O(t^4)) (Silverman, AEC IV.1), so u(x) leads at order
+-2 deg u and v(x) y at order -3 - 2 deg v, each with the leading
+coefficient of its polynomial.  The two orders differ in parity, so
+they never cancel, and the leading term at O (all the pipeline
+normalises by) is read off the degrees with no series expansion.
 """
 
 from fractions import Fraction
 
 from .fields import FieldElement, Poly, poly_gcd, poly_x
 from .curve import PoleAtP
-
-
-class LaurentSeries:
-    """sum_{i=val}^{prec-1} coeffs[i-val] t^i + O(t^prec), exact coeffs."""
-
-    __slots__ = ("tower", "val", "coeffs", "prec")
-
-    def __init__(self, tower, val, coeffs, prec):
-        assert prec - val == len(coeffs)
-        self.tower = tower
-        self.val = val
-        self.coeffs = list(coeffs)
-        self.prec = prec
-
-    @staticmethod
-    def scalar(tower, c, prec):
-        if isinstance(c, (int, Fraction)):
-            c = tower.from_fraction(c)
-        coeffs = [c.lift_to(tower)] + [tower.zero()] * (prec - 1)
-        return LaurentSeries(tower, 0, coeffs, prec)
-
-    @staticmethod
-    def parameter(tower, prec):
-        coeffs = [tower.zero()] * (prec - 1)
-        coeffs[0] = tower.one()
-        return LaurentSeries(tower, 1, coeffs, prec)
-
-    def coeff(self, i):
-        assert i < self.prec, "coefficient beyond known precision"
-        if i < self.val:
-            return self.tower.zero()
-        return self.coeffs[i - self.val]
-
-    def normalized(self):
-        """Trim leading zero coefficients (raises the valuation)."""
-        k = 0
-        while k < len(self.coeffs) and self.coeffs[k].is_zero():
-            k += 1
-        return LaurentSeries(self.tower, self.val + k, self.coeffs[k:], self.prec)
-
-    def leading(self):
-        """(order, coefficient) of the lowest nonzero term."""
-        s = self.normalized()
-        assert s.coeffs, "series is zero to its precision"
-        return s.val, s.coeffs[0]
-
-    def is_zero_to_precision(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def truncate(self, prec):
-        assert prec <= self.prec
-        if prec <= self.val:
-            return LaurentSeries(self.tower, prec, [], prec)
-        return LaurentSeries(self.tower, self.val, self.coeffs[: prec - self.val], prec)
-
-    def __neg__(self):
-        return LaurentSeries(self.tower, self.val, [-c for c in self.coeffs], self.prec)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = LaurentSeries.scalar(self.tower, other, max(self.prec, 1))
-        prec = min(self.prec, other.prec)
-        val = min(self.val, other.val)
-        coeffs = [self.coeff(i) + other.coeff(i) for i in range(val, prec)]
-        return LaurentSeries(self.tower, val, coeffs, prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = LaurentSeries.scalar(self.tower, other, max(self.prec, 1))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            if isinstance(other, (int, Fraction)):
-                other = self.tower.from_fraction(other)
-            return LaurentSeries(self.tower, self.val,
-                                 [other * c for c in self.coeffs], self.prec)
-        prec = min(self.prec + other.val, other.prec + self.val)
-        val = self.val + other.val
-        n = prec - val
-        zero = self.tower.zero()
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            jmax = min(len(other.coeffs), n - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return LaurentSeries(self.tower, val, out, prec)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        s = self.normalized()
-        assert s.coeffs and not s.coeffs[0].is_zero(), "cannot invert zero series"
-        n = s.prec - s.val
-        lead = s.coeffs[0].inverse()
-        unit = [c * lead for c in s.coeffs]  # 1 + c1 t + ...
-        inv = [s.tower.zero()] * n
-        inv[0] = s.tower.one()
-        for i in range(1, n):
-            acc = s.tower.zero()
-            for j in range(1, i + 1):
-                acc = acc + unit[j] * inv[i - j]
-            inv[i] = -acc
-        inv = [c * lead for c in inv]
-        return LaurentSeries(s.tower, -s.val, inv, n - s.val)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __repr__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs[:6]):
-            if not c.is_zero():
-                parts.append("(%r) t^%d" % (c, self.val + i))
-        return "LaurentSeries(%s + O(t^%d))" % (" + ".join(parts) or "0", self.prec)
-
-
-def curve_series(curve, prec):
-    """Expansions of (x, y) in the local parameter t = x/y at O.
-
-    Returns (x_series, y_series) exact to O(t^prec).  Uses the fixed
-    point s = t^3 + a t s^2 + b s^3 for s = 1/y.
-    """
-    cached = getattr(curve, "_series_cache", None)
-    if cached is None or cached[0] < prec:
-        K = curve.field
-        W = prec + 8
-        t = LaurentSeries.parameter(K, W)
-        a, b = curve.a, curve.b
-        t3 = t * t * t
-        s = t3
-        # each pass refines s by at least four t-orders
-        for _ in range(W // 4 + 2):
-            s = (t3 + a * (t * (s * s)) + b * (s * s * s)).truncate(W)
-        y = s.inverse()
-        x = t * y
-        curve._series_cache = (min(x.prec, y.prec), x, y)
-        cached = curve._series_cache
-    return cached[1].truncate(prec), cached[2].truncate(prec)
 
 
 class FunctionFieldElement:
@@ -257,7 +112,8 @@ class FunctionFieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        assert not self.is_zero(), "inverse of zero function"
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of the zero function")
         rhs = self.curve.rhs_poly()
         # 1/(u + vy) = (u - vy)/(u^2 - v^2 rhs)
         den = self.u * self.u - rhs * (self.v * self.v)
@@ -309,36 +165,20 @@ class FunctionFieldElement:
         vterm = FunctionFieldElement(c, 0, half * (self.v * rhs.derivative()), rhs * self.w)
         return main + vterm
 
-    def laurent(self, prec):
-        """Expansion at O in t = x/y, exact to O(t^prec)."""
-        d = max(self.u.degree, self.v.degree, self.w.degree, 1)
-        W = prec + 3 * (d + 2)
-        while True:
-            xs, ys = curve_series(self.curve, W)
-            un = _poly_series(self.u, xs, self.curve.field, W)
-            vn = _poly_series(self.v, xs, self.curve.field, W)
-            wn = _poly_series(self.w, xs, self.curve.field, W)
-            if wn.is_zero_to_precision():
-                W += 8
-                continue
-            num = un + vn * ys
-            res = num * wn.inverse()
-            if res.prec >= prec:
-                return res.truncate(prec)
-            W += prec - res.prec + 4
-        # unreachable
+    def laurent(self):
+        """The leading term (order, coefficient) of the expansion at O in
+        t = x/y, exact.  w is monic, so the order is the larger pole of
+        u and v y (module docstring) plus 2 deg w, and the coefficient is
+        that of u or of v.  Raises ValueError on the zero function."""
+        u, v = self.u, self.v
+        if v.is_zero() or (not u.is_zero() and u.degree > v.degree + 1):
+            order, lead = -2 * u.degree, u.lc()
+        else:
+            order, lead = -2 * v.degree - 3, v.lc()
+        return order + 2 * self.w.degree, lead
 
     def __repr__(self):
         return "FunctionFieldElement((%r) + (%r) y, / %r)" % (self.u, self.v, self.w)
-
-
-def _poly_series(p, xs, tower, prec):
-    if p.is_zero():
-        return LaurentSeries.scalar(tower, 0, prec)
-    acc = None
-    for c in reversed(list(p.coeffs)):
-        acc = LaurentSeries.scalar(tower, c, prec) if acc is None else acc * xs + c
-    return acc
 
 
 def line_through(p1, p2):
@@ -371,10 +211,11 @@ def miller_function(t, n):
 
     Built by the double-and-add chain f_{m+1} = f_m l_{mT,T} / v_{(m+1)T}."""
     curve = t.curve
-    assert not t.is_infinity, "no function for the zero point"
-    assert (n * t).is_infinity, "point is not n-torsion"
-    one = FunctionFieldElement.const(curve, 1)
-    f = one
+    if t.is_infinity:
+        raise ValueError("no function for the zero point")
+    if not (n * t).is_infinity:
+        raise ValueError("point is not n-torsion")
+    f = FunctionFieldElement.const(curve, 1)
     acc = t
     for m in range(1, n):
         # multiply by the function with divisor (acc) + (t) - (acc+t) - (O)
@@ -384,7 +225,7 @@ def miller_function(t, n):
         else:
             f = f * (line_through(acc, t) / vertical_through(nxt))
         acc = nxt
-    assert acc.is_infinity
-    ordv, lead = f.laurent(-n + 3).leading()
-    assert ordv == -n, "miller chain has wrong pole order at O"
+    ordv, lead = f.laurent()
+    if ordv != -n:
+        raise ArithmeticError("miller chain has pole order %d at O, not %d" % (-ordv, n))
     return f * lead.inverse()

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ndescent
 from ndescent.cli import main
 from ndescent.fields import FieldTower
 from ndescent.curve import Curve, Point
@@ -110,11 +114,23 @@ def test_torsion_not_rational_exit_2(work, tmp_path, capsys):
     assert "found 3 of 9" in capsys.readouterr().err
 
 
-def test_garbage_file_exit_1(work, tmp_path, capsys):
-    _, paths, _ = work
+def _garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
-    rc = main(["verify", "--curve", paths["curve"], str(bad)])
+    return str(bad)
+
+
+def _tampered_rho(paths, tmp_path):
+    j = json.loads(open(paths["rho"]).read())
+    j["values"]["1,0|0,1"] = ["19", "0"]
+    bad = tmp_path / "badrho.json"
+    bad.write_text(json.dumps(j))
+    return str(bad)
+
+
+def test_garbage_file_exit_1(work, tmp_path, capsys):
+    _, paths, _ = work
+    rc = main(["verify", "--curve", paths["curve"], _garbage(tmp_path)])
     assert rc == 1
 
 
@@ -127,11 +143,7 @@ def test_cross_curve_artifact_exit_1(work, capsys):
 
 def test_tampered_rho_exit_3(work, tmp_path, capsys):
     _, paths, _ = work
-    j = json.loads(open(paths["rho"]).read())
-    j["values"]["1,0|0,1"] = ["19", "0"]
-    bad = tmp_path / "badrho.json"
-    bad.write_text(json.dumps(j))
-    rc = main(["verify", "--curve", paths["curve"], str(bad)])
+    rc = main(["verify", "--curve", paths["curve"], _tampered_rho(paths, tmp_path)])
     out = capsys.readouterr().out
     assert rc == 3
     assert "FAIL" in out and "symmetry" in out
@@ -209,6 +221,31 @@ def test_unsupported_n_exit_2(work, tmp_path, command, capsys):
                "--out", str(tmp_path / "o.json")])
     assert rc == 2
     assert "only odd n" in capsys.readouterr().err
+
+
+_NEGATIVE_PATHS = {
+    "garbage": (1, lambda paths, tmp: ["verify", "--curve", paths["curve"], _garbage(tmp)]),
+    "torsion-not-rational": (2, lambda paths, tmp: [
+        "torsion", "--curve", paths["curveq"], "--out", str(tmp / "t.json")]),
+    "n4": (2, lambda paths, tmp: [
+        "torsion", "--curve", paths["curve"], "--n", "4", "--out", str(tmp / "t.json")]),
+    "tampered-rho": (3, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _tampered_rho(paths, tmp)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEGATIVE_PATHS))
+def test_negative_paths_under_python_O(work, tmp_path, case):
+    # the exit codes come from named exceptions, not from asserts, so
+    # they hold when python -O strips every assert
+    _, paths, _ = work
+    code, argv = _NEGATIVE_PATHS[case]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndescent.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-m", "ndescent.cli"] + argv(paths, tmp_path),
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == code, run.stdout + run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_rho_without_values_exit_1(work, tmp_path, capsys):

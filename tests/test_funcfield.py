@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ndescent.fields import Poly
-from ndescent.curve import Point, PoleAtP
+from ndescent.curve import Curve, Point, PoleAtP
 from ndescent.funcfield import (FunctionFieldElement, line_through,
                                 miller_function, vertical_through)
+from test_fields import PROFILE, _AUX, _ZETA3, _elements
 
 
 def test_coordinate_relation(curve):
@@ -19,13 +21,13 @@ def test_coordinate_relation(curve):
 def test_laurent_orders(curve, field):
     x = FunctionFieldElement.coordinate_x(curve)
     y = FunctionFieldElement.coordinate_y(curve)
-    assert x.laurent(3).leading() == (-2, field.one())
-    assert y.laurent(3).leading() == (-3, field.one())
+    assert x.laurent() == (-2, field.one())
+    assert y.laurent() == (-3, field.one())
     # x^3 / y^2 = 1 + O(t) at O
     u = x ** 3 / (y * y)
-    assert u.laurent(4).leading() == (0, field.one())
+    assert u.laurent() == (0, field.one())
     # t = x/y is the local parameter itself
-    assert (x / y).laurent(4).leading() == (1, field.one())
+    assert (x / y).laurent() == (1, field.one())
 
 
 def test_evaluate(curve, field, table):
@@ -66,7 +68,7 @@ def test_miller_function_divisor(table, field):
     t = table.t1
     f = miller_function(t, 3)
     # normalized leading coefficient at O
-    assert f.laurent(0).leading() == (-3, field.one())
+    assert f.laurent() == (-3, field.one())
     assert f.evaluate(t).is_zero()
     # no other zeros among the table points
     for p in table:
@@ -79,3 +81,67 @@ def test_miller_frozen_values(millers, table, field):
     z = field.gen()
     assert millers[(1, 0)].evaluate(table.point(0, 1)) == -48 - 24 * z
     assert millers[(1, 1)].evaluate(table.point(2, 1)) == -72 - 72 * z
+
+
+# ---------------------------------------------------------------------------
+# the leading term at O on random nonzero (u + v y)/w: multiplicative,
+# ultrametric, and fixed on constants, x and y, which pins it down on K(E)*
+# ---------------------------------------------------------------------------
+
+_CURVES = [Curve(_ZETA3, 0, -432), Curve(_AUX, 0, -54)]
+
+
+def _polys(K, maxdeg):
+    return st.lists(_elements(K), max_size=maxdeg + 1).map(lambda cs: Poly(cs, K))
+
+
+def _functions(curve):
+    K = curve.field
+    return st.builds(lambda u, v, w: FunctionFieldElement(curve, u, v, w),
+                     _polys(K, 3), _polys(K, 2),
+                     _polys(K, 2).filter(lambda w: not w.is_zero())
+                     ).filter(lambda f: not f.is_zero())
+
+
+_two_functions = st.sampled_from(_CURVES).flatmap(
+    lambda E: st.tuples(_functions(E), _functions(E)))
+
+
+@PROFILE
+@given(_two_functions)
+def test_leading_term_of_product(fg):
+    f, g = fg
+    (of, cf), (og, cg) = f.laurent(), g.laurent()
+    assert (f * g).laurent() == (of + og, cf * cg)
+
+
+@PROFILE
+@given(_two_functions)
+def test_leading_term_of_inverse(fg):
+    f, _ = fg
+    order, lead = f.laurent()
+    assert (1 / f).laurent() == (-order, lead.inverse())
+
+
+@PROFILE
+@given(_two_functions)
+def test_leading_term_of_sum(fg):
+    f, g = sorted(fg, key=lambda h: h.laurent()[0])
+    assume(f.laurent()[0] < g.laurent()[0])
+    assert (f + g).laurent() == f.laurent()
+
+
+@PROFILE
+@given(st.sampled_from(_CURVES).flatmap(
+    lambda E: st.tuples(st.just(E), _elements(E.field).filter(lambda c: not c.is_zero()))))
+def test_leading_term_of_constant(args):
+    curve, c = args
+    assert FunctionFieldElement.const(curve, c).laurent() == (0, c)
+
+
+@PROFILE
+@given(st.sampled_from(_CURVES), st.integers(-3, 3), st.integers(-3, 3))
+def test_leading_term_of_monomial(curve, i, j):
+    x = FunctionFieldElement.coordinate_x(curve)
+    y = FunctionFieldElement.coordinate_y(curve)
+    assert (x ** i * y ** j).laurent() == (-2 * i - 3 * j, curve.field.one())
