@@ -216,7 +216,6 @@ def main(argv=None):
     def common(p, out=True):
         p.add_argument("--curve", required=True, help="curve artifact file")
         p.add_argument("--n", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
         if out:
             p.add_argument("--out", required=True, help="output artifact file")
 
@@ -251,6 +250,7 @@ def main(argv=None):
     common(p)
     p.add_argument("--rho", required=True)
     p.add_argument("--triv", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_descend)
 
     p = sub.add_parser("verify", help="re-run all checks on artifact files")

@@ -37,7 +37,7 @@ class Curve:
         if disc.is_zero():
             raise ValueError("singular curve: discriminant is zero")
         self.disc = disc
-        self._divpoly = {}
+        self._divpoly = {}  # m -> f_m, see _divpoly
         self._rhs_poly = None
         self._data = {}  # n -> descent_funcs.CurveData
 
@@ -200,72 +200,45 @@ def r_eval(t1, t2, p):
     return (p.y + s.y) / (p.x - s.x) - slope(t1, t2)
 
 
-def _divpoly_pair(curve, m):
-    """psi_m as (poly in x, y-parity), cached on the curve."""
+def _divpoly(curve, m):
+    """f_m = psi_m for odd m and psi_m/(2y) for even m, a polynomial in x
+    either way, cached on the curve.  With (2y)^4 = 16 rhs^2 the usual
+    recursions (Washington, Elliptic Curves, 3.2) stay in x alone:
+
+        f_{2k}   = f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2),
+        f_{2k+1} = f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3,
+
+    the odd one with its term of even-index factors times 16 rhs^2."""
     cache = curve._divpoly
-    if m in cache:
-        return cache[m]
-    K = curve.field
-    x = poly_x(K)
-    a, b = curve.a, curve.b
-    if m <= 4:
-        seeds = {
-            0: (Poly([], K), 0),
-            1: (Poly([1], K), 0),
-            2: (Poly([2], K), 1),
-            3: (3 * x ** 4 + 6 * a * x ** 2 + 12 * b * x - a * a * Poly([1], K), 0),
-            4: (4 * (x ** 6 + 5 * a * x ** 4 + 20 * b * x ** 3
-                     - 5 * a * a * x ** 2 - 4 * a * b * x
-                     - Poly([8 * b * b + a ** 3], K)), 1),
-        }
-        cache[m] = seeds[m]
-        return cache[m]
-    rhs = curve.rhs_poly()
-
-    def mul(p1, p2):
-        (f1, e1), (f2, e2) = p1, p2
-        f = f1 * f2
-        e = e1 + e2
-        if e >= 2:
-            f = f * rhs ** (e // 2)
-            e = e % 2
-        return (f, e)
-
-    def sub(p1, p2):
-        (f1, e1), (f2, e2) = p1, p2
-        assert e1 == e2, "mixed y-parity in subtraction"
-        return (f1 - f2, e1)
-
-    k, r = divmod(m, 2)
-    if r == 1:
-        # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3
-        t1 = mul(_divpoly_pair(curve, k + 2), mul(_divpoly_pair(curve, k),
-                 mul(_divpoly_pair(curve, k), _divpoly_pair(curve, k))))
-        t2 = mul(_divpoly_pair(curve, k - 1), mul(_divpoly_pair(curve, k + 1),
-                 mul(_divpoly_pair(curve, k + 1), _divpoly_pair(curve, k + 1))))
-        out = sub(t1, t2)
-    else:
-        # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / (2y)
-        t1 = mul(_divpoly_pair(curve, k + 2), mul(_divpoly_pair(curve, k - 1),
-                 _divpoly_pair(curve, k - 1)))
-        t2 = mul(_divpoly_pair(curve, k - 2), mul(_divpoly_pair(curve, k + 1),
-                 _divpoly_pair(curve, k + 1)))
-        f, e = mul(_divpoly_pair(curve, k), sub(t1, t2))
-        # dividing an x-polynomial by 2y: pull out a factor y^2 = rhs
-        assert e == 0, "unexpected y-parity in even division polynomial"
-        q, rem = divmod(f, rhs)
-        assert rem.is_zero(), "even division polynomial not divisible by y^2"
-        out = (Fraction(1, 2) * q, 1)
-    cache[m] = out
-    return out
+    if not cache:
+        K, a, b = curve.field, curve.a, curve.b
+        x, one = poly_x(K), Poly([1], K)
+        cache.update(enumerate([
+            Poly([], K), one, one,
+            3 * x ** 4 + 6 * a * x ** 2 + 12 * b * x - a * a * one,
+            2 * (x ** 6 + 5 * a * x ** 4 + 20 * b * x ** 3 - 5 * a * a * x ** 2
+                 - 4 * a * b * x - Poly([8 * b * b + a ** 3], K))]))
+    if m not in cache:
+        def f(i):
+            return _divpoly(curve, i)
+        k = m // 2
+        if m % 2 == 0:
+            cache[m] = f(k) * (f(k + 2) * f(k - 1) * f(k - 1) - f(k - 2) * f(k + 1) * f(k + 1))
+        else:
+            t1 = f(k + 2) * f(k) * f(k) * f(k)
+            t2 = f(k - 1) * f(k + 1) * f(k + 1) * f(k + 1)
+            rhs = curve.rhs_poly()
+            y4 = 16 * rhs * rhs
+            cache[m] = y4 * t1 - t2 if k % 2 == 0 else t1 - y4 * t2
+    return cache[m]
 
 
 def division_polynomial(curve, m):
-    """The division polynomial psi_m as a polynomial in x (odd m only)."""
-    assert m % 2 == 1, "only odd division polynomials are pure x-polynomials"
-    f, e = _divpoly_pair(curve, m)
-    assert e == 0
-    return f
+    """The division polynomial psi_m as a polynomial in x, for odd m >= 1.
+    Raises ValueError for other m (for even m, psi_m has a factor y)."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError("division_polynomial takes an odd m >= 1, not %d" % m)
+    return _divpoly(curve, m)
 
 
 class TorsionTable:

@@ -2,8 +2,9 @@
 
 Builds, for a curve with fully rational n-torsion:
   - F_T with divisor n(T) - n(O), leading Laurent coefficient 1;
-  - the epsilon table eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1))
-    and the Weil pairing e_n(T1,T2) = eps(T1,T2)/eps(T2,T1);
+  - the epsilon table eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1)),
+    which is 1/F_{T2}(-T1) (let P -> O) unless T1 + T2 = O, and the
+    Weil pairing e_n(T1,T2) = eps(T1,T2)/eps(T2,T1);
   - G_T with divisor [n]*(T) - [n]*(O) and residue 1/n at O in t = x/y,
     as joint eigenvectors of translation operators on L(n^2(O));
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
@@ -115,40 +116,28 @@ def compute_epsilon(table, millers):
     """The table of eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1)),
     from the Miller functions of compute_miller_table.
 
-    The value does not depend on P outside {O, T1, T1+T2}; P runs over
-    the torsion table in order and the first usable point is taken."""
-    n = table.n
+    The value does not depend on P.  Every F_T leads at O with t^-n and
+    coefficient 1, so P -> O gives eps(T1,T2) = 1/F_{T2}(-T1), unless
+    T1 = O (eps = 1) or T1 + T2 = O (P = -T1 gives
+    1/(F_{T1}(-T1) F_{-T1}(-2T1))).  A zero or a pole among these values
+    raises CertificationFailed(("epsilon", ij, kl))."""
+    n, one = table.n, table.curve.field.one()
     values = {}
     for k1, t1 in enumerate(table):
         ij = divmod(k1, n)
-        for k2, t2 in enumerate(table):
+        for k2 in range(n * n):
             kl = divmod(k2, n)
-            tsum = t1 + t2
-            fsum = millers[table.index(tsum)]
-            f1 = millers[ij]
-            f2 = millers[kl]
-            one = table.curve.field.one()
-            val = None
-            for p in table:
-                if p.is_infinity or p == t1 or p == tsum:
-                    continue
-                q = p - t1
-                if q.is_infinity:
-                    continue
-                try:
-                    a = one if tsum.is_infinity else fsum.evaluate(p)
-                    b = one if t1.is_infinity else f1.evaluate(p)
-                    c = one if t2.is_infinity else f2.evaluate(q)
-                except PoleAtP:
-                    continue
-                if b.is_zero() or c.is_zero():
-                    continue
-                val = a / (b * c)
-                break
-            if val is None:
+            try:
+                if t1.is_infinity:
+                    den = one
+                elif table.add_index(ij, kl) == (0, 0):
+                    den = millers[ij].evaluate(-t1) * millers[kl].evaluate(-(t1 + t1))
+                else:
+                    den = millers[kl].evaluate(-t1)
+                values[(ij, kl)] = den.inverse()
+            except (PoleAtP, ZeroDivisionError):
                 raise CertificationFailed(("epsilon", ij, kl),
-                                          "no usable evaluation point for epsilon")
-            values[(ij, kl)] = val
+                                          "a Miller value in epsilon is zero or a pole")
     return EpsilonTable(table, values)
 
 

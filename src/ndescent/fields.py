@@ -29,9 +29,7 @@ ReducibleExtension and the factor it carries come from factoring.
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm, prod
-
-import sympy
+from math import gcd, isqrt, lcm, prod
 
 
 class ReducibleExtension(Exception):
@@ -189,7 +187,12 @@ def _horner_mod(f, r, l):
 # The odd primes nonresidue_witness tries, in increasing order.  Those
 # that split in the tower and are 1 mod p have positive density among
 # all primes, so a non-p-th power is almost always caught by a few.
-_WITNESS_PRIMES = tuple(int(l) for l in sympy.primerange(3, 400))
+def _is_prime(k):
+    """Trial division; k is at most a few hundred here."""
+    return k > 1 and all(k % d for d in range(2, isqrt(k) + 1))
+
+
+_WITNESS_PRIMES = tuple(l for l in range(3, 400) if _is_prime(l))
 
 
 def nonresidue_witness(a, p):
@@ -218,7 +221,7 @@ def _kummer_witness(f):
     whenever a is not a p-th power (Lang, Algebra, VI Thm 9.1).  None
     for other polynomials or when no prime witnesses."""
     p = f.degree
-    if not sympy.isprime(p) or any(not c.is_zero() for c in f.coeffs[1:-1]):
+    if not _is_prime(p) or any(not c.is_zero() for c in f.coeffs[1:-1]):
         return None
     return nonresidue_witness(-f.coeffs[0], p)
 
@@ -647,15 +650,15 @@ def poly_x(tower):
 # factorization: sympy over Q, Trager's norm method up each tower level
 # ---------------------------------------------------------------------------
 
-_X = sympy.Symbol("x")
-
 
 def _factor_rational(f):
     """Factor a nonzero Poly over Q into monic irreducibles; returns a
-    list of (Poly, multiplicity)."""
+    list of (Poly, multiplicity).  sympy is imported here, on the first
+    factorisation, since importing it takes seconds."""
+    import sympy
     cs = [c.as_fraction() for c in reversed(f.coeffs)]
     spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in cs],
-                       _X, domain="QQ")
+                       sympy.Symbol("x"), domain="QQ")
     _, factors = spoly.factor_list()
     return [(Poly([Fraction(c.numerator, c.denominator) for c in reversed(g.all_coeffs())],
                   f.tower).monic(), mult)

@@ -191,8 +191,9 @@ def lambda_eval(triv, z):
 
         sum_T z_T tau(delta_T)  -  (Tr/n) 1.
 
-    The result has trace zero; rank 1 is what a valid trivialisation
-    guarantees, anything else raises RankNotOne."""
+    The result has trace zero by construction; rank 1 is what a valid
+    trivialisation guarantees, and extract_point raises RankNotOne for
+    anything else."""
     n = triv.n
     out = None
     for k in range(n * n):
@@ -200,10 +201,7 @@ def lambda_eval(triv, z):
         out = term if out is None else out + term
     tr = out.trace()
     proj = out - ExactMatrix.identity(n, out.tower).scale(tr * Fraction(1, n))
-    assert proj.trace().is_zero()
-    rank = proj.rank() if not proj.is_zero() else 0
-    if rank != 1:
-        raise RankNotOne("Segre image has rank %d" % rank)
+    extract_point(proj)
     return proj
 
 
@@ -253,7 +251,9 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed, prefix):
             if not val.is_zero():
                 raise CertificationFailed(("quadric", i),
                                           "quadric %d does not vanish at a sample" % i)
-        col, _ = extract_point(lambda_eval(triv, z))
+        # lambda_eval has certified the image; extract_point's column is its first nonzero one
+        proj = lambda_eval(triv, z)
+        col = next(c for c in map(proj.col, range(proj.ncols)) if any(not e.is_zero() for e in c))
         unit = next(e for e in col if not e.is_zero()).inverse()
         yield [unit * e for e in col]
 

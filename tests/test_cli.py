@@ -223,6 +223,25 @@ def test_unsupported_n_exit_2(work, tmp_path, command, capsys):
     assert "only odd n" in capsys.readouterr().err
 
 
+def test_seed_only_on_descend(work, tmp_path):
+    # only descend draws points; the other commands take no --seed
+    _, paths, _ = work
+    with pytest.raises(SystemExit) as exc:
+        main(["trivialize", "--curve", paths["curve"], "--rho", paths["rho"],
+              "--seed", "5", "--out", str(tmp_path / "t.json")])
+    assert exc.value.code == 2
+
+
+def test_import_does_not_load_sympy():
+    # sympy takes seconds to import and only factoring over Q needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndescent.__file__)))
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, ndescent.cli; print('sympy' in sys.modules)"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert run.stdout.strip() == "False", run.stdout + run.stderr
+
+
 _NEGATIVE_PATHS = {
     "garbage": (1, lambda paths, tmp: ["verify", "--curve", paths["curve"], _garbage(tmp)]),
     "torsion-not-rational": (2, lambda paths, tmp: [

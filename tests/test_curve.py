@@ -1,10 +1,13 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from ndescent.fields import FieldTower, Poly, tower_extend
-from ndescent.curve import (Curve, Point, PoleAtP, TorsionNotRational,
+from ndescent.curve import (Curve, Point, PoleAtP, TorsionNotRational, _divpoly,
                             division_polynomial, r_eval, slope, torsion_table)
+from ndescent.descent_funcs import affine_sample
 
 
 def F(x):
@@ -39,6 +42,39 @@ def test_division_polynomial_small(curve, field):
     assert psi9.degree == 40
     assert psi9(field.from_fraction(12)).is_zero()
     assert not psi9(field.from_fraction(5)).is_zero()
+
+
+_PSI_3_TO_9 = {
+    "reference": "eee9af4fcebbd2a879859760b76db3d8d7555bfef93c436804179b65b52bbd2c",
+    "aux": "4d1b1f7b35eacf3b4cb71abbc99f189ba17e5ad59d7aea2f392820e48bcf0dcc"}
+
+
+@pytest.mark.parametrize("which", sorted(_PSI_3_TO_9))
+def test_division_polynomials_pinned(which, curve, aux_curve):
+    # psi_3 .. psi_9, coefficient by coefficient: the torsion table rests
+    # on psi_3 and the samples on psi_9
+    c = curve if which == "reference" else aux_curve
+    keys = [[e.key() for e in division_polynomial(c, m).coeffs] for m in (3, 5, 7, 9)]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == _PSI_3_TO_9[which]
+
+
+@pytest.mark.parametrize("which", ["reference", "aux", "a != 0"])
+def test_division_polynomials_give_x_of_multiples(which, curve, aux_curve, field):
+    # x(mP) = x - psi_{m-1} psi_{m+1} / psi_m^2 with psi_m = f_m for odd m
+    # and 2y f_m for even m, so the even f_m are checked too
+    c = {"reference": curve, "aux": aux_curve,
+         "a != 0": Curve(field, 2, field.gen() - 3)}[which]
+    rng, used = random.Random(5), set()
+    for k in range(2):
+        p = affine_sample(c, 3, rng, "x%d" % k, used)
+        x, rhs = p.x, p.curve.rhs(p.x)
+        f = [_divpoly(c, m)(x) for m in range(11)]
+        for m in range(2, 10):
+            if m % 2:
+                want = x - 4 * rhs * f[m - 1] * f[m + 1] / (f[m] * f[m])
+            else:
+                want = x - f[m - 1] * f[m + 1] / (4 * rhs * f[m] * f[m])
+            assert (m * p).x == want
 
 
 def test_torsion_table_frozen(table, field):

@@ -32,6 +32,26 @@ def test_epsilon_frozen_values(eps, field):
         assert eps.eps(ij, (0, 0)) == field.one()
 
 
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_epsilon_against_definition(which, curve, aux_curve):
+    # eps is read off one Miller value per pair; the definition
+    # F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P - T1)) must give the same value
+    # at points over quadratic extensions
+    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    table, millers = data.table, data.millers
+    rng, used = random.Random(17), set()
+    for k in range(3):
+        p = affine_sample(data.curve, 3, rng, "e%d" % k, used)
+        L = p.curve.field
+        for k1, t1 in enumerate(table):
+            q = p - t1.base_change(L)
+            for k2 in range(9):
+                ij, kl = divmod(k1, 3), divmod(k2, 3)
+                want = (millers[table.add_index(ij, kl)].evaluate(p)
+                        / (millers[ij].evaluate(p) * millers[kl].evaluate(q)))
+                assert data.eps.eps(ij, kl).lift_to(L) == want
+
+
 def test_weil_from_epsilon_quotient(eps, field):
     # the commutator of epsilon is the pairing
     for i1 in range(3):
