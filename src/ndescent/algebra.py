@@ -11,7 +11,7 @@ a coboundary the algebra is trivialized by delta_T -> gamma(T) M_T.
 
 from fractions import Fraction
 
-from .fields import nonresidue_witness, poly_x, roots_in_field, tower_extend
+from .fields import root_or_extend
 from .linalg import ExactMatrix
 from .curve import r_eval, PoleAtP
 
@@ -243,21 +243,6 @@ def build_csa(table, eps, rho):
     return A
 
 
-def _nth_root(field, a, n, name):
-    """An n-th root of a, in the field when possible, else by extending
-    the tower by x^n - a (irreducible for prime n once no root exists).
-    A non-residue witness proves there is no root without factoring.
-    Returns (root, field)."""
-    if nonresidue_witness(a, n) is None:
-        rr = roots_in_field(poly_x(field) ** n - a, field)
-        if rr:
-            return rr[0], field
-    coeffs = [field.zero()] * n + [field.one()]
-    coeffs[0] = -a
-    ext = tower_extend(field, coeffs, name=name)
-    return ext.gen(), ext
-
-
 def solve_gamma(table, rho):
     """gamma: E[n] -> Kbar with d(gamma) = rho, possibly over an extension.
 
@@ -278,10 +263,8 @@ def solve_gamma(table, rho):
     for i in range(2, n + 1):
         c1.append(c1[-1] * rho.value((1, 0), ((i - 1) % n, 0)))
         c2.append(c2[-1] * rho.value((0, 1), (0, (i - 1) % n)))
-    a1 = c1[n]
-    a2 = c2[n]
-    alpha, L = _nth_root(K, a1, n, "g1")
-    beta, L = _nth_root(L, a2.lift_to(L), n, "g2")
+    alpha, L = root_or_extend(c1[n], n, "g1")  # c_1(n) = A_1
+    beta, L = root_or_extend(c2[n].lift_to(L), n, "g2")
     gamma = {}
     apow = [L.one()]
     bpow = [L.one()]

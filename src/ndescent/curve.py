@@ -242,7 +242,8 @@ def division_polynomial(curve, m):
 
 
 class TorsionTable:
-    """The rational n-torsion arranged as i*T1 + j*T2, (i, j) in lex order."""
+    """The rational n-torsion arranged as i*T1 + j*T2, (i, j) in lex order;
+    ValueError unless the n^2 points are distinct."""
 
     def __init__(self, curve, n, t1, t2):
         self.curve = curve
@@ -257,7 +258,8 @@ class TorsionTable:
         self._index = {}
         for k, p in enumerate(self.points):
             key = p.key()
-            assert key not in self._index, "torsion basis is not independent"
+            if key in self._index:
+                raise ValueError("torsion basis is not independent")
             self._index[key] = divmod(k, n)
 
     def point(self, i, j):
@@ -294,23 +296,16 @@ def torsion_table(curve, n):
     if n < 3 or n % 2 == 0:
         raise ValueError("n = %d: only odd n >= 3 is supported" % n)
     psi = division_polynomial(curve, n)
+    # the points are distinct: psi_n is squarefree on a nonsingular curve,
+    # and y^2 = rhs(x0) is nonzero since odd n has no 2-torsion
     pts = [Point.at_infinity(curve)]
+    x = poly_x(curve.field)
     for x0 in roots_in_field(psi, curve.field):
-        ysq = curve.rhs(x0)
-        x = poly_x(curve.field)
-        for y0 in roots_in_field(x * x - ysq, curve.field):
+        for y0 in roots_in_field(x * x - curve.rhs(x0), curve.field):
             pts.append(Point(curve, x0, y0))
-    # distinct roots, but a double root of psi or y^2 would duplicate
-    seen = set()
-    unique = []
-    for p in pts:
-        if p.key() not in seen:
-            seen.add(p.key())
-            unique.append(p)
-    if len(unique) < n * n:
-        raise TorsionNotRational(len(unique))
-    assert len(unique) == n * n, "too many n-torsion points"
-    affine = sorted(unique[1:], key=lambda p: p.key())
+    if len(pts) < n * n:
+        raise TorsionNotRational(len(pts))
+    affine = sorted(pts[1:], key=lambda p: p.key())
     t1 = None
     for p in affine:
         if p.order(bound=n) == n:

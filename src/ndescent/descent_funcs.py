@@ -24,7 +24,7 @@ Miller functions, epsilon, the G-basis and the embedding.
 from fractions import Fraction
 from functools import cached_property
 
-from .fields import Poly, ReducibleExtension, tower_extend
+from .fields import Poly, root_or_extend
 from .linalg import ExactMatrix
 from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, miller_function
@@ -246,13 +246,10 @@ def affine_sample(curve, n, rng, name, used_x):
         if ysq.is_zero():
             continue
         used_x.add(x0)
-        try:
-            ext = tower_extend(K, [-ysq, K.zero(), K.one()], name=name)
-        except ReducibleExtension as e:
-            # z - y0 divides z^2 - ysq; the root of smaller key is the sample
-            y0 = -e.factor[0]
-            return Point(curve, xe, min(y0, -y0, key=lambda y: y.key()))
-        return Point(curve.base_change(ext), xe.lift_to(ext), ext.gen())
+        y, L = root_or_extend(ysq, 2, name)
+        if L != K:
+            curve, xe = curve.base_change(L), xe.lift_to(L)
+        return Point(curve, xe, y)
 
 
 class Embedding:

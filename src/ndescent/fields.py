@@ -11,10 +11,11 @@ so equal elements have equal data and every comparison is exact.
 
 Each tower multiplies with a sparse table of structure constants
 b_i b_j = sum_k c_ijk b_k, built once from its minimal polynomial and
-the multiplication of the level below.  Inverses run the extended
-Euclidean algorithm against the top minimal polynomial.  Polynomials
-are Poly objects with FieldElement coefficients; factoring uses sympy
-over Q and Trager's norm method up each level.
+the multiplication of the level below.  The same table gives the
+matrix of multiplication by an element, and an inverse solves a y = 1
+with it over the integers.  Polynomials are Poly objects with
+FieldElement coefficients; factoring uses sympy over Q and Trager's
+norm method up each level.
 
 A new level is certified irreducible when it is built.  A binomial
 x^p - a with p prime is irreducible as soon as a is not a p-th power
@@ -24,7 +25,9 @@ into Q_l (each level's minimal polynomial has a simple root mod l, so
 Hensel lifts it) and a reduces to a unit that is not a p-th power mod
 l.  When no prime in a fixed list witnesses, the level is factored as
 above; the witness never declares a polynomial reducible, so every
-ReducibleExtension and the factor it carries come from factoring.
+ReducibleExtension comes from factoring.  root_or_extend is the one way
+to take a p-th root: the witness first, then the roots in the field,
+else a new level x^p - a.
 """
 
 from fractions import Fraction
@@ -33,16 +36,7 @@ from math import gcd, isqrt, lcm, prod
 
 
 class ReducibleExtension(Exception):
-    """Raised by tower_extend when the proposed minimal polynomial factors.
-
-    Carries .factor, a monic irreducible factor (list of coefficients over
-    the base tower, ascending) that the caller may extend by instead.
-    """
-
-    def __init__(self, factor):
-        self.factor = factor
-        deg = len(factor) - 1
-        super().__init__("minimal polynomial is reducible; a degree-%d factor is available" % deg)
+    """Raised by tower_extend when the proposed minimal polynomial factors."""
 
 
 def _fr(x):
@@ -86,7 +80,7 @@ class FieldTower:
         if _kummer_witness(minpoly) is None:
             factors = factor_poly(minpoly)
             if len(factors) != 1 or factors[0][1] != 1:
-                raise ReducibleExtension(list(factors[0][0].coeffs))
+                raise ReducibleExtension("minimal polynomial is reducible over its base")
         self._base, self._minpoly = base, minpoly
         self.levels = base.levels + ((name, minpoly.coeffs),)
         self.degrees = base.degrees + (minpoly.degree,)
@@ -271,20 +265,36 @@ def _mul(a, b):
 
 
 def _inv(a):
-    """Invert by extended Euclid against the top minimal polynomial."""
+    """Invert by solving a y = 1 on the regular representation (Cohen,
+    GTM 138, 4.2): column j of a's multiplication matrix M is a b_j, read
+    off the structure constants, and Gauss-Jordan elimination on the
+    integer system M y = e_0 keeps each row primitive."""
     tw = a.tower
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero")
-    if not any(a._num[1:]):  # rational, as is every element of Q
-        return FieldElement(tw, (a._den,) + a._num[1:], a._num[0])
-    base = tw._base
-    g, s = _xgcd_first(Poly._of(base, a.coords_over(base)), tw._minpoly)
-    if g.degree != 0:
-        raise ValueError("minimal polynomial is reducible over its base")
-    coords = (s * _inv(g.coeffs[0])).coeffs
-    den = lcm(*(c._den for c in coords))
-    num = [x * (den // c._den) for c in coords for x in c._num]
-    return FieldElement(tw, num + [0] * (tw.degree - len(num)), den)
+    d, table = tw.degree, tw._table
+    # the rows of [M | e_0], where a b_j = sum_k M[k][j] b_k / (a._den tw._tden)
+    rows = [[0] * d + [int(k == 0)] for k in range(d)]
+    for i, x in enumerate(a._num):
+        if x:
+            for j, entries in enumerate(table[i]):
+                for k, c in entries:
+                    rows[k][j] += x * c
+    for col in range(d):
+        piv = next((r for r in range(col, d) if rows[r][col]), None)
+        if piv is None:
+            raise ValueError("minimal polynomial is reducible over its base")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col]
+        for r, row in enumerate(rows):
+            if r != col and (f := row[col]):
+                row = [p[col] * u - f * v for u, v in zip(row, p)]
+                g = gcd(*row) or 1
+                rows[r] = [u // g for u in row]
+    # rows[k][k] y_k = rows[k][d], and a^-1 = a._den tw._tden y
+    den = lcm(*(r[k] for k, r in enumerate(rows)))
+    scale = a._den * tw._tden
+    return FieldElement(tw, [r[d] * (den // r[k]) * scale for k, r in enumerate(rows)], den)
 
 
 class FieldElement:
@@ -631,17 +641,6 @@ def poly_gcd(p, q):
     return a.monic()
 
 
-def _xgcd_first(p, q):
-    """(g, s) with s*p = g mod q, g a gcd of p and q (not normalized)."""
-    r0, r1 = q, p
-    s0, s1 = Poly._of(p.tower, []), Poly._of(p.tower, [p.tower.one()])
-    while not r1.is_zero():
-        quo, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quo * s1
-    return r0, s0
-
-
 def poly_x(tower):
     return Poly([tower.zero(), tower.one()], tower)
 
@@ -804,7 +803,7 @@ def tower_extend(base, minpoly, name=None):
 
     minpoly: Poly over base (or list of coefficients).  Raises
     ValueError unless it is monic and nonconstant, and
-    ReducibleExtension carrying an irreducible factor if it splits.
+    ReducibleExtension if it factors.
     """
     if not isinstance(minpoly, Poly):
         minpoly = Poly(minpoly, base)
@@ -813,3 +812,17 @@ def tower_extend(base, minpoly, name=None):
     if name is None:
         name = "t%d" % (base.nlevels + 1)
     return FieldTower(base.levels + ((name, minpoly.coeffs),))
+
+
+def root_or_extend(a, p, name):
+    """A p-th root of a, for p prime: (r, K) with r the root of least
+    key() in a's field K when one exists, else (t, L) with L = K[t]/(t^p - a)
+    and t its generator.  A non-residue witness proves there is no root
+    without factoring; otherwise the roots are found by factoring."""
+    K = a.tower
+    if nonresidue_witness(a, p) is None:
+        roots = roots_in_field(poly_x(K) ** p - a)
+        if roots:
+            return roots[0], K
+    ext = tower_extend(K, [-a] + [K.zero()] * (p - 1) + [K.one()], name=name)
+    return ext.gen(), ext

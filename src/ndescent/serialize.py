@@ -197,7 +197,10 @@ def torsion_from_json(j, curve):
         raise ParseError("torsion file needs n^2 points starting at O")
     t1 = point_from_json(pts[n], curve)
     t2 = point_from_json(pts[1], curve)
-    table = TorsionTable(curve, n, t1, t2)
+    try:
+        table = TorsionTable(curve, n, t1, t2)
+    except ValueError as e:
+        raise ParseError("torsion file: %s" % e)
     for k, pj in enumerate(pts):
         p = table.points[k]
         q = Point.at_infinity(curve) if pj is None else point_from_json(pj, curve)
@@ -265,9 +268,10 @@ def matrix_to_json(m):
     return [[elem_to_json(e) for e in row] for row in m.rows]
 
 
-def matrix_from_json(tower, j):
-    if not isinstance(j, list) or not all(isinstance(row, list) for row in j):
-        raise ParseError("a matrix is a list of rows")
+def matrix_from_json(tower, j, n):
+    if not isinstance(j, list) or len(j) != n \
+            or not all(isinstance(row, list) and len(row) == n for row in j):
+        raise ParseError("a matrix is a list of rows, %d rows of %d entries" % (n, n))
     return ExactMatrix([[elem_from_json(tower, e) for e in row] for row in j], tower)
 
 
@@ -291,7 +295,8 @@ def triv_from_json(j, table):
     K = table.curve.field
     L = tower_from_json(_req(j, "field"))
     rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho")))
-    matrices = _indexed_from_json(_req(j, "matrices"), lambda m: matrix_from_json(L, m))
+    matrices = _indexed_from_json(_req(j, "matrices"),
+                                  lambda m: matrix_from_json(L, m, table.n))
     gamma = j.get("gamma")
     if gamma is not None:
         gamma = _indexed_from_json(gamma, lambda g: elem_from_json(L, g))
@@ -306,13 +311,19 @@ def quadrics_to_json_forms(qs):
 
 
 def quadrics_from_json_forms(field, n, forms):
+    if type(n) is not int or not isinstance(forms, list) \
+            or not all(isinstance(f, list) for f in forms):
+        raise ParseError("quadrics are a list of forms for an integer n")
     out = []
     for f in forms:
         d = {}
         for term in f:
-            if len(term) != 3:
+            if not isinstance(term, list) or len(term) != 3:
                 raise ParseError("quadric terms are [i, j, coeff]")
             a, b, c = term
+            if type(a) is not int or type(b) is not int or not 0 <= a <= b < n * n:
+                raise ParseError("quadric term indices %r, %r are not 0 <= i <= j < %d"
+                                 % (a, b, n * n))
             d[(a, b)] = elem_from_json(field, c)
         out.append(d)
     return QuadricSystem(field, n, out)

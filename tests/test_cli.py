@@ -250,6 +250,14 @@ _NEGATIVE_PATHS = {
         "torsion", "--curve", paths["curve"], "--n", "4", "--out", str(tmp / "t.json")]),
     "tampered-rho": (3, lambda paths, tmp: [
         "verify", "--curve", paths["curve"], _tampered_rho(paths, tmp)]),
+    "empty-matrix": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _damaged(paths, tmp, "triv", "empty-matrix")]),
+    "ragged-matrix": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _damaged(paths, tmp, "triv", "ragged-matrix")]),
+    "quadric-index-99": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _damaged(paths, tmp, "out", "quadric-99")]),
+    "dependent-torsion": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _damaged(paths, tmp, "torsion", "dependent-basis")]),
 }
 
 
@@ -345,26 +353,46 @@ def test_bad_gamma_value_exit_1(work, tmp_path, damage, message, capsys):
     assert message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key,damage,message", [
-    ("triv", "matrices", "an object keyed by 'i,j'"),
-    ("triv", "gamma", "an object keyed by 'i,j'"),
-    ("triv", "matrix", "a list of rows"),
-    ("torsion", "points", "n^2 points"),
-    ("out", "coeffs", "one coefficient per monomial")])
-def test_malformed_artifact_exit_1(work, tmp_path, key, damage, message, capsys):
-    _, paths, _ = work
+def _damaged(paths, tmp_path, key, damage):
+    """A copy of the artifact paths[key] with one kind of damage."""
     j = json.loads(open(paths[key]).read())
     if damage in ("matrices", "gamma"):
         j[damage] = list(j[damage].values())
     elif damage == "matrix":
         j["matrices"]["1,0"] = 5
+    elif damage == "empty-matrix":
+        j["matrices"]["1,0"] = []
+    elif damage == "ragged-matrix":
+        j["matrices"]["1,0"][1].pop()
     elif damage == "points":
         j["points"] = 9
+    elif damage == "dependent-basis":  # T1 = T2
+        j["points"][3] = j["points"][1]
+    elif damage == "quadric-99":
+        j["quadrics"][0][0][0] = 99
+    elif damage == "quadric-a":
+        j["forms"][0][0][0] = "a"
     else:
         j["plane_curve"]["coeffs"].pop()
-    bad = tmp_path / "bad.json"
+    bad = tmp_path / ("%s-%s.json" % (key, damage))
     bad.write_text(json.dumps(j))
-    rc = main(["verify", "--curve", paths["curve"], str(bad)])
+    return str(bad)
+
+
+@pytest.mark.parametrize("key,damage,message", [
+    ("triv", "matrices", "an object keyed by 'i,j'"),
+    ("triv", "gamma", "an object keyed by 'i,j'"),
+    ("triv", "matrix", "a list of rows"),
+    ("triv", "empty-matrix", "3 rows of 3 entries"),
+    ("triv", "ragged-matrix", "3 rows of 3 entries"),
+    ("torsion", "points", "n^2 points"),
+    ("torsion", "dependent-basis", "not independent"),
+    ("out", "quadric-99", "0 <= i <= j < 9"),
+    ("quadC", "quadric-a", "0 <= i <= j < 9"),
+    ("out", "coeffs", "one coefficient per monomial")])
+def test_malformed_artifact_exit_1(work, tmp_path, key, damage, message, capsys):
+    _, paths, _ = work
+    rc = main(["verify", "--curve", paths["curve"], _damaged(paths, tmp_path, key, damage)])
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and "Traceback" not in err
