@@ -46,17 +46,39 @@ class RhoTable:
 
     @staticmethod
     def trivial(table):
-        one = table.curve.field.one()
-        n = table.n
-        values = {}
-        for a in range(n * n):
-            for b in range(n * n):
-                values[(divmod(a, n), divmod(b, n))] = one
-        return RhoTable(table, values)
+        one, idx = table.curve.field.one(), _indices(table.n)
+        return RhoTable(table, {(a, b): one for a in idx for b in idx})
 
 
 def _indices(n):
     return [divmod(k, n) for k in range(n * n)]
+
+
+def _cocycle_failure(table, c):
+    """The first (a, b, d) in table order at which c(a,b) c(a+b,d) =
+    c(a,b+d) c(b,d) fails, or None.  For a weighting this is the cocycle
+    identity; for structure constants, associativity of the algebra."""
+    idx = _indices(table.n)
+    for a in idx:
+        for b in idx:
+            ab = table.add_index(a, b)
+            for d in idx:
+                bd = table.add_index(b, d)
+                if not (c[(a, b)] * c[(ab, d)] == c[(a, bd)] * c[(b, d)]):
+                    return a, b, d
+    return None
+
+
+def _product_failure(table, matrices, c):
+    """The first pair (a, b) in table order at which the matrices fail
+    M_a M_b = c(a,b) M_{a+b}, or None."""
+    idx = _indices(table.n)
+    for a in idx:
+        ma = matrices[a]
+        for b in idx:
+            if not (ma * matrices[b] == matrices[table.add_index(a, b)].scale(c(a, b))):
+                return a, b
+    return None
 
 
 def validate_rho(table, values):
@@ -83,16 +105,9 @@ def validate_rho(table, values):
             if not (vals[(a, b)] == vals[(b, a)]):
                 raise CertificationFailed(("symmetry", a, b),
                                           "rho is not symmetric at %r" % ((a, b),))
-    for a in idx:
-        for b in idx:
-            ab = table.add_index(a, b)
-            for c in idx:
-                bc = table.add_index(b, c)
-                lhs = vals[(a, b)] * vals[(ab, c)]
-                rhs = vals[(a, bc)] * vals[(b, c)]
-                if not (lhs == rhs):
-                    raise CertificationFailed(("cocycle", a, b, c),
-                                              "cocycle identity fails at %r" % ((a, b, c),))
+    bad = _cocycle_failure(table, vals)
+    if bad is not None:
+        raise CertificationFailed(("cocycle",) + bad, "cocycle identity fails at %r" % (bad,))
     c0 = vals[((0, 0), (0, 0))]
     if not (c0 == 1):
         inv = c0.inverse()
@@ -114,11 +129,8 @@ def partial(table, alpha):
             v = K.from_fraction(v)
         assert not v.is_zero(), "alpha must be nonvanishing"
         a[k] = v
-    values = {}
-    for u in idx:
-        for v in idx:
-            values[(u, v)] = a[u] * a[v] / a[table.add_index(u, v)]
-    return RhoTable(table, values)
+    return RhoTable(table, {(u, v): a[u] * a[v] / a[table.add_index(u, v)]
+                            for u in idx for v in idx})
 
 
 def rho_from_point(table, q):
@@ -206,23 +218,16 @@ def build_csa(table, eps, rho):
     center's dimension and the form's rank are exact counts."""
     n = table.n
     idx = _indices(n)
-    structure = {}
-    for a in idx:
-        for b in idx:
-            structure[(a, b)] = eps.eps(a, b) * rho.value(a, b)
+    structure = {(a, b): eps.eps(a, b) * rho.value(a, b) for a in idx for b in idx}
     A = CSA(table, rho, structure)
     # unit
     for a in idx:
         if not (A.c((0, 0), a) == 1 and A.c(a, (0, 0)) == 1):
             raise CertificationFailed(("unit", a), "delta_O is not a unit")
     # associativity via the structure constants
-    for a in idx:
-        for b in idx:
-            ab = table.add_index(a, b)
-            for c in idx:
-                bc = table.add_index(b, c)
-                if not (A.c(a, b) * A.c(ab, c) == A.c(a, bc) * A.c(b, c)):
-                    raise CertificationFailed(("associativity", a, b, c))
+    bad = _cocycle_failure(table, structure)
+    if bad is not None:
+        raise CertificationFailed(("associativity",) + bad)
     # center: x commutes with every delta_U iff x_V (c(V,U) - c(U,V)) = 0
     # for every pair (U,V) separately (the products land on distinct
     # basis vectors), so the center is spanned by the delta_V with
@@ -284,12 +289,13 @@ def check_coboundary(table, gamma, rho):
     the field of gamma.  Raises CertificationFailed(("coboundary", a, b))
     at the first pair where it fails."""
     L = next(iter(gamma.values())).tower
-    for a in _indices(table.n):
-        for b in _indices(table.n):
-            lhs = gamma[a] * gamma[b] / gamma[table.add_index(a, b)]
-            if not (lhs == rho.value(a, b).lift_to(L)):
-                raise CertificationFailed(("coboundary", a, b),
-                                          "gamma does not satisfy d(gamma) = rho")
+    for (a, b), v in partial(table, gamma).values.items():
+        if not (v == rho.value(a, b).lift_to(L)):
+            raise CertificationFailed(("coboundary", a, b),
+                                      "gamma does not satisfy d(gamma) = rho")
+
+
+MODES = ("standard", "gamma", "user")
 
 
 class Trivialisation:
@@ -317,14 +323,11 @@ def certify_trivialisation(triv, eps):
     ident = ExactMatrix.identity(n, L)
     if not (triv.matrices[(0, 0)] == ident):
         raise CertificationFailed(("unit",), "trivialisation does not send delta_O to 1")
-    for a in _indices(n):
-        ma = triv.matrices[a]
-        for b in _indices(n):
-            c = (eps.eps(a, b) * triv.rho.value(a, b)).lift_to(L)
-            target = triv.matrices[table.add_index(a, b)].scale(c)
-            if not (ma * triv.matrices[b] == target):
-                raise CertificationFailed(("multiplicative", a, b),
-                                          "trivialisation is not multiplicative at %r" % ((a, b),))
+    bad = _product_failure(table, triv.matrices,
+                           lambda a, b: (eps.eps(a, b) * triv.rho.value(a, b)).lift_to(L))
+    if bad is not None:
+        raise CertificationFailed(("multiplicative",) + bad,
+                                  "trivialisation is not multiplicative at %r" % (bad,))
     rows = []
     for a in _indices(n):
         m = triv.matrices[a]

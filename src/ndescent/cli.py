@@ -12,11 +12,11 @@ from . import serialize as ser
 from .fields import ReducibleExtension
 from .curve import TorsionNotRational
 from .descent_funcs import CurveData, EigenspaceDimensionError
-from .algebra import (RhoTable, validate_rho, rho_from_point, build_csa,
+from .algebra import (MODES, RhoTable, validate_rho, rho_from_point, build_csa,
                       check_coboundary, trivialize, certify_trivialisation,
                       CertificationFailed, BadBasePoint)
-from .geometry import (quadrics_for_C, descend, sample_images, RankNotOne,
-                       KernelEmpty, KernelTooBig)
+from .geometry import (quadrics_for_C, descend, descent_report, sample_images,
+                       RankNotOne, KernelEmpty, KernelTooBig)
 
 
 def _load_curve(args):
@@ -109,9 +109,53 @@ def _certified(run):
         return None, e.witness
 
 
+def _check_quadrics(path, qs, rho, data, emit):
+    want = data.n ** 2 * (data.n ** 2 - 3) // 2
+    rebuilt = quadrics_for_C(data.curve, data.table, rho)
+    same = qs == rebuilt
+    emit(path, "quadric count", len(qs) == want, len(qs))
+    # quadrics_for_C has certified the rank of the forms it built
+    rank = len(rebuilt) if same else qs.rank()
+    emit(path, "quadric rank", rank == want, rank)
+    emit(path, "quadrics match recomputation", same)
+
+
+def _check_algebra(path, csa, rho, data, emit):
+    rebuilt, w = _certified(lambda: build_csa(data.table, data.eps, rho))
+    emit(path, "structure constants certify and match",
+         w is None and rebuilt.structure == csa.structure and csa.rho.values == rho.values, w)
+
+
+def _check_trivialisation(path, triv, rho, data, emit):
+    """Certify the trivialisation, and its gamma when it carries one;
+    True when every check passed."""
+    _, w = _certified(lambda: certify_trivialisation(triv, data.eps))
+    ok = emit(path, "trivialisation certifies", w is None and triv.rho.values == rho.values, w)
+    if ok and triv.gamma is not None:
+        _, w = _certified(lambda: check_coboundary(data.table, triv.gamma, rho))
+        ok = emit(path, "trivialisation gamma is a coboundary for rho", w is None, w)
+    return ok
+
+
+def _check_parts(path, values, data, emit, qs=None, csa=None, triv=None):
+    """Validate a file's rho table, then check each part given against
+    the validated rho.  Returns that rho, or None when it or the
+    trivialisation fails."""
+    rho, w = _certified(lambda: validate_rho(data.table, values))
+    if not emit(path, "rho is a symmetric cocycle", w is None, w):
+        return None
+    if qs is not None:
+        _check_quadrics(path, qs, rho, data, emit)
+    if csa is not None:
+        _check_algebra(path, csa, rho, data, emit)
+    if triv is not None and not _check_trivialisation(path, triv, rho, data, emit):
+        return None
+    return rho
+
+
 def _verify_file(path, j, data, emit):
     kind = j.get("kind")
-    curve = data.curve
+    curve, table = data.curve, data.table
     if kind == "curve":
         ser.curve_from_json(j)
         emit(path, "curve parses and matches its hash", True)
@@ -119,31 +163,20 @@ def _verify_file(path, j, data, emit):
         ser.point_file_from_json(j, curve)
         emit(path, "point lies on the curve", True)
     elif kind == "torsion":
-        table = ser.torsion_from_json(j, curve)
-        ok = (data.n * table.t1).is_infinity and (data.n * table.t2).is_infinity
+        torsion = ser.torsion_from_json(j, curve)
+        ok = (data.n * torsion.t1).is_infinity and (data.n * torsion.t2).is_infinity
         emit(path, "basis points are n-torsion", ok)
     elif kind == "rho":
-        values = ser.rho_from_json(j, data.table).values
-        _, w = _certified(lambda: validate_rho(data.table, values))
-        emit(path, "rho is a symmetric cocycle", w is None, w)
+        _check_parts(path, ser.rho_from_json(j, table).values, data, emit)
     elif kind == "csa":
-        csa = ser.csa_from_json(j, data.table)
-        rebuilt, w = _certified(lambda: build_csa(data.table, data.eps, csa.rho))
-        emit(path, "structure constants certify and match",
-             w is None and rebuilt.structure == csa.structure, w)
+        csa = ser.csa_from_json(j, table)
+        _check_parts(path, csa.rho.values, data, emit, csa=csa)
     elif kind == "trivialisation":
-        triv = ser.triv_from_json(j, data.table)
-        _, w = _certified(lambda: certify_trivialisation(triv, data.eps))
-        emit(path, "trivialisation certifies", w is None, w)
+        triv = ser.triv_from_json(j, table)
+        _check_parts(path, triv.rho.values, data, emit, triv=triv)
     elif kind == "quadrics":
         qs = ser.quadrics_from_json(j, curve)
-        rho = ser.quadrics_rho_from_json(j, data.table)
-        want = data.n ** 2 * (data.n ** 2 - 3) // 2
-        emit(path, "quadric count", len(qs) == want, len(qs))
-        rank = qs.rank()
-        emit(path, "quadric rank", rank == want, rank)
-        rebuilt = quadrics_for_C(curve, data.table, rho)
-        emit(path, "quadrics match recomputation", qs == rebuilt)
+        _check_parts(path, ser.quadrics_rho_from_json(j, table).values, data, emit, qs=qs)
     elif kind == "descent":
         _verify_descent(path, j, data, emit)
     else:
@@ -151,34 +184,26 @@ def _verify_file(path, j, data, emit):
 
 
 def _verify_descent(path, j, data, emit):
+    """The part checks on the quadrics, algebra and trivialisation of a
+    descent file, against the rho of its trivialisation, then the checks
+    of the descent itself: gamma, the cubic, the report and fresh samples."""
     out = ser.descent_from_json(j, data.table)
-    n, curve, table = data.n, data.curve, data.table
-    qs, csa, triv, gamma = (out["quadrics"], out["csa"],
-                            out["trivialisation"], out["gamma"])
-    cubic = out["plane_curve"]
-    rho, w = _certified(lambda: validate_rho(table, triv.rho.values))
-    emit(path, "rho is a symmetric cocycle", w is None, w)
-    if w is not None:
+    qs, triv, gamma, cubic = (out["quadrics"], out["trivialisation"], out["gamma"],
+                              out["plane_curve"])
+    rho = _check_parts(path, triv.rho.values, data, emit, qs, out["csa"], triv)
+    if rho is None:
         return
-    want = n ** 2 * (n ** 2 - 3) // 2
-    emit(path, "quadric count and rank", len(qs) == want and qs.rank() == want)
-    emit(path, "quadrics match recomputation",
-         qs == quadrics_for_C(curve, table, rho))
-    rebuilt, w = _certified(lambda: build_csa(table, data.eps, rho))
-    emit(path, "algebra certifies and matches",
-         w is None and rebuilt.structure == csa.structure, w)
-    _, w = _certified(lambda: certify_trivialisation(triv, data.eps))
-    emit(path, "trivialisation certifies", w is None, w)
-    if w is not None:
-        return
-    _, w = _certified(lambda: check_coboundary(table, gamma, rho))
+    _, w = _certified(lambda: check_coboundary(data.table, gamma, rho))
     emit(path, "gamma is a coboundary for rho", w is None, w)
     lead = next((c for c in cubic.coeffs if not c.is_zero()), None)
     emit(path, "plane cubic is nonzero and normalized",
          lead is not None and lead == 1)
+    levels = len(next(iter(gamma.values())).tower.levels)
+    emit(path, "report matches the descent",
+         out["report"] == descent_report(data.n, out["seed"], len(qs), levels))
     # fresh samples: the stored gamma and trivialisation must keep
     # producing points of the stored cubic
-    images = sample_images(curve, data.gbasis, gamma, qs, triv, out["seed"] + 1, "v")
+    images = sample_images(data.curve, data.gbasis, gamma, qs, triv, out["seed"] + 1, "v")
     try:
         fresh = all(cubic.evaluate(next(images)).is_zero() for _ in range(3))
     except (CertificationFailed, RankNotOne):
@@ -196,6 +221,7 @@ def cmd_verify(args):
         print("%s %s: %s%s" % (tag, path, name, extra))
         if not ok:
             failures.append((path, name))
+        return ok
 
     for path in args.files:
         _verify_file(path, ser.load(path), data, emit)
@@ -241,8 +267,7 @@ def main(argv=None):
     p = sub.add_parser("trivialize", help="build and certify a trivialisation")
     common(p)
     p.add_argument("--rho", required=True)
-    p.add_argument("--mode", default="standard",
-                   choices=["standard", "gamma", "user"])
+    p.add_argument("--mode", default="standard", choices=MODES)
     p.add_argument("--triv", help="matrices file for user mode")
     p.set_defaults(func=cmd_trivialize)
 

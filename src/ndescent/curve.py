@@ -4,9 +4,10 @@ Points, chord-tangent arithmetic, division polynomials, the rational
 n-torsion table, and the two-torsion-argument function r.
 """
 
+import operator
 from fractions import Fraction
 
-from .fields import FieldElement, Poly, poly_x, roots_in_field
+from .fields import FieldElement, Poly, _ladder, poly_x, roots_in_field
 
 
 class TorsionNotRational(Exception):
@@ -123,12 +124,9 @@ class Point:
             return other
         if other.is_infinity:
             return self
-        if self.x == other.x:
-            if self.y == -other.y:
-                return Point.at_infinity(self.curve)
-            lam = (3 * self.x ** 2 + self.curve.a) / (2 * self.y)
-        else:
-            lam = (other.y - self.y) / (other.x - self.x)
+        if self.x == other.x and self.y == -other.y:
+            return Point.at_infinity(self.curve)
+        lam = slope(self, other)
         x3 = lam * lam - self.x - other.x
         y3 = lam * (self.x - x3) - self.y
         return Point(self.curve, x3, y3)
@@ -137,17 +135,9 @@ class Point:
         return self + (-other)
 
     def __rmul__(self, m):
-        assert isinstance(m, int)
         if m < 0:
             return (-m) * (-self)
-        out = Point.at_infinity(self.curve)
-        base = self
-        while m:
-            if m & 1:
-                out = out + base
-            base = base + base
-            m >>= 1
-        return out
+        return _ladder(self, m, Point.at_infinity(self.curve), operator.add)
 
     def order(self, bound=100):
         """Order of the point, if at most bound."""

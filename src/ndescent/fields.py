@@ -30,6 +30,7 @@ to take a p-th root: the witness first, then the roots in the field,
 else a new level x^p - a.
 """
 
+import operator
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm, prod
@@ -264,6 +265,18 @@ def _mul(a, b):
     return FieldElement(tw, acc, a._den * b._den * tw._tden)
 
 
+def _ladder(x, k, one, op):
+    """x combined k >= 0 times under the associative op, from one:
+    square-and-multiply (double-and-add when op adds)."""
+    out = one
+    while k:
+        if k & 1:
+            out = op(out, x)
+        x = op(x, x)
+        k >>= 1
+    return out
+
+
 def _inv(a):
     """Invert by solving a y = 1 on the regular representation (Cohen,
     GTM 138, 4.2): column j of a's multiplication matrix M is a b_j, read
@@ -387,14 +400,8 @@ class FieldElement:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        out, base = self.tower.one(), self if k >= 0 else _inv(self)
-        k = abs(k)
-        while k:
-            if k & 1:
-                out = _mul(out, base)
-            base = _mul(base, base)
-            k >>= 1
-        return out
+        base = self if k >= 0 else _inv(self)
+        return _ladder(base, abs(k), self.tower.one(), _mul)
 
     # -- predicates ---------------------------------------------------------
 
@@ -577,14 +584,7 @@ class Poly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take an integer exponent >= 0")
-        out = Poly([1], self.tower)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _ladder(self, k, Poly([1], self.tower), operator.mul)
 
     def __eq__(self, other):
         a, b = self._pair(other)

@@ -9,10 +9,11 @@ they never cancel, and the leading term at O (all the pipeline
 normalises by) is read off the degrees with no series expansion.
 """
 
+import operator
 from fractions import Fraction
 
-from .fields import FieldElement, Poly, poly_gcd, poly_x
-from .curve import PoleAtP
+from .fields import FieldElement, Poly, _ladder, poly_gcd, poly_x
+from .curve import PoleAtP, slope
 
 
 class FunctionFieldElement:
@@ -130,17 +131,9 @@ class FunctionFieldElement:
         return self.inverse() * other
 
     def __pow__(self, k):
-        assert isinstance(k, int)
         if k < 0:
             return self.inverse() ** (-k)
-        out = FunctionFieldElement.const(self.curve, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _ladder(self, k, FunctionFieldElement.const(self.curve, 1), operator.mul)
 
     def evaluate(self, p):
         """Value at an affine point (over any extension of the base field).
@@ -187,15 +180,12 @@ def line_through(p1, p2):
     div = (p1) + (p2) + (-(p1+p2)) - 3(O), or (p1) + (-p1) - 2(O) if vertical."""
     curve = p1.curve
     assert not (p1.is_infinity or p2.is_infinity), "lines need affine points"
-    x = poly_x(curve.field)
     if p1.x == p2.x and p1.y == -p2.y:
-        return FunctionFieldElement(curve, x - p1.x, 0, 1)
-    if p1 == p2:
-        lam = (3 * p1.x ** 2 + curve.a) / (2 * p1.y)
-    else:
-        lam = (p2.y - p1.y) / (p2.x - p1.x)
+        return vertical_through(p1)
+    lam = slope(p1, p2)
     nu = p1.y - lam * p1.x
-    return FunctionFieldElement(curve, -(lam * x) - nu, Poly([1], curve.field), 1)
+    return FunctionFieldElement(curve, -(lam * poly_x(curve.field)) - nu,
+                                Poly([1], curve.field), 1)
 
 
 def vertical_through(p):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .fields import FieldTower, ReducibleExtension, tower_extend
 from .curve import Curve, Point, TorsionTable
 from .linalg import ExactMatrix
-from .algebra import RhoTable, CSA, Trivialisation
+from .algebra import MODES, RhoTable, CSA, Trivialisation
 from .geometry import QuadricSystem, PlaneCurveEquation, plane_monomials
 
 
@@ -113,38 +113,46 @@ def _ij_key(ij):
     return "%d,%d" % ij
 
 
-def _ij_unkey(s):
-    try:
-        i, j = s.split(",")
-        return (int(i), int(j))
-    except ValueError:
-        raise ParseError("bad index key %r" % s)
+def _pair_key(a, b):
+    return _ij_key(a) + "|" + _ij_key(b)
 
 
-def _pair_unkey(s):
-    parts = s.split("|")
-    if len(parts) != 2:
-        raise ParseError("bad pair key %r" % s)
-    return (_ij_unkey(parts[0]), _ij_unkey(parts[1]))
-
-
-def _indexed_from_json(j, decode):
-    """A table keyed by torsion indices, {"i,j": value}, decoded."""
+def _indexed_from_json(j, n, decode, what):
+    """A table keyed by torsion indices, {"i,j": value}, decoded: exactly
+    the n^2 keys with 0 <= i, j < n."""
     if not isinstance(j, dict):
         raise ParseError("expected an object keyed by 'i,j'")
-    return {_ij_unkey(k): decode(v) for k, v in j.items()}
+    idx = [divmod(k, n) for k in range(n * n)]
+    if set(j) != {_ij_key(ij) for ij in idx}:
+        raise ParseError("expected one %s per torsion point, keyed 'i,j' with 0 <= i, j < %d"
+                         % (what, n))
+    return {ij: decode(j[_ij_key(ij)]) for ij in idx}
 
 
 def _pairs_to_json(values):
     """A table keyed by pairs of torsion indices, as {"i,j|k,l": element}."""
-    return {_ij_key(a) + "|" + _ij_key(b): elem_to_json(v)
-            for (a, b), v in values.items()}
+    return {_pair_key(a, b): elem_to_json(v) for (a, b), v in values.items()}
 
 
-def _pairs_from_json(field, j):
+def _pairs_from_json(field, j, n):
+    """The inverse of _pairs_to_json: exactly the n^4 keys "i,j|k,l" with
+    0 <= i, j, k, l < n."""
     if not isinstance(j, dict):
         raise ParseError("pair tables are objects keyed by 'i,j|k,l'")
-    return {_pair_unkey(k): elem_from_json(field, v) for k, v in j.items()}
+    idx = [divmod(k, n) for k in range(n * n)]
+    keys = {(a, b): _pair_key(a, b) for a in idx for b in idx}
+    if set(j) != set(keys.values()):
+        raise ParseError("pair tables need one value per pair of torsion points, "
+                         "keyed 'i,j|k,l' with 0 <= i, j, k, l < %d" % n)
+    return {ab: elem_from_json(field, j[key]) for ab, key in keys.items()}
+
+
+def _gamma_from_json(field, j, n):
+    """gamma as {"i,j": element}: one nonzero value per torsion point."""
+    gamma = _indexed_from_json(j, n, lambda g: elem_from_json(field, g), "nonzero value")
+    if any(g.is_zero() for g in gamma.values()):
+        raise ParseError("gamma needs one nonzero value per torsion point")
+    return gamma
 
 
 def curve_to_json(curve):
@@ -172,7 +180,10 @@ def curve_from_json(j):
     return curve
 
 
-def _check_hash(j, curve):
+def _check_kind(j, kind, curve):
+    """j is an artifact of this kind that belongs to this curve."""
+    if not isinstance(j, dict) or j.get("kind") != kind:
+        raise ParseError("not a %s file" % kind)
     if j.get("hash") != curve_hash(curve):
         raise ParseError("artifact belongs to a different curve")
 
@@ -187,9 +198,7 @@ def torsion_to_json(table):
 
 
 def torsion_from_json(j, curve):
-    if j.get("kind") != "torsion":
-        raise ParseError("not a torsion file")
-    _check_hash(j, curve)
+    _check_kind(j, "torsion", curve)
     n = _req(j, "n")
     pts = _req(j, "points")
     if not isinstance(n, int) or not isinstance(pts, list) \
@@ -225,9 +234,7 @@ def point_from_json(j, curve):
 
 
 def point_file_from_json(j, curve):
-    if j.get("kind") != "point":
-        raise ParseError("not a point file")
-    _check_hash(j, curve)
+    _check_kind(j, "point", curve)
     return point_from_json(j, curve)
 
 
@@ -238,13 +245,8 @@ def rho_to_json(rho):
 
 
 def rho_from_json(j, table):
-    if j.get("kind") != "rho":
-        raise ParseError("not a rho file")
-    _check_hash(j, table.curve)
-    values = _pairs_from_json(table.curve.field, _req(j, "values"))
-    if len(values) != len(table) ** 2:
-        raise ParseError("rho file needs one value per pair of torsion points")
-    return RhoTable(table, values)
+    _check_kind(j, "rho", table.curve)
+    return RhoTable(table, _pairs_from_json(table.curve.field, _req(j, "values"), table.n))
 
 
 def csa_to_json(csa):
@@ -255,12 +257,10 @@ def csa_to_json(csa):
 
 
 def csa_from_json(j, table):
-    if j.get("kind") != "csa":
-        raise ParseError("not a csa file")
-    _check_hash(j, table.curve)
+    _check_kind(j, "csa", table.curve)
     K = table.curve.field
-    rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho")))
-    structure = _pairs_from_json(K, _req(j, "structure"))
+    rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho"), table.n))
+    structure = _pairs_from_json(K, _req(j, "structure"), table.n)
     return CSA(table, rho, structure)
 
 
@@ -289,18 +289,19 @@ def triv_to_json(triv):
 
 
 def triv_from_json(j, table):
-    if j.get("kind") != "trivialisation":
-        raise ParseError("not a trivialisation file")
-    _check_hash(j, table.curve)
+    _check_kind(j, "trivialisation", table.curve)
     K = table.curve.field
     L = tower_from_json(_req(j, "field"))
-    rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho")))
-    matrices = _indexed_from_json(_req(j, "matrices"),
-                                  lambda m: matrix_from_json(L, m, table.n))
+    rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho"), table.n))
+    matrices = _indexed_from_json(_req(j, "matrices"), table.n,
+                                  lambda m: matrix_from_json(L, m, table.n), "matrix")
     gamma = j.get("gamma")
     if gamma is not None:
-        gamma = _indexed_from_json(gamma, lambda g: elem_from_json(L, g))
-    return Trivialisation(table, rho, L, matrices, _req(j, "mode"), gamma)
+        gamma = _gamma_from_json(L, gamma, table.n)
+    mode = _req(j, "mode")
+    if mode not in MODES:
+        raise ParseError("trivialisation mode %r is not one of %s" % (mode, ", ".join(MODES)))
+    return Trivialisation(table, rho, L, matrices, mode, gamma)
 
 
 def quadrics_to_json_forms(qs):
@@ -336,14 +337,12 @@ def quadrics_to_json(qs, curve, rho):
 
 
 def quadrics_from_json(j, curve):
-    if j.get("kind") != "quadrics":
-        raise ParseError("not a quadrics file")
-    _check_hash(j, curve)
+    _check_kind(j, "quadrics", curve)
     return quadrics_from_json_forms(curve.field, _req(j, "n"), _req(j, "forms"))
 
 
 def quadrics_rho_from_json(j, table):
-    return RhoTable(table, _pairs_from_json(table.curve.field, _req(j, "rho")))
+    return RhoTable(table, _pairs_from_json(table.curve.field, _req(j, "rho"), table.n))
 
 
 def plane_to_json(cub):
@@ -378,22 +377,20 @@ def descent_to_json(out, curve):
 
 
 def descent_from_json(j, table):
-    if j.get("kind") != "descent":
-        raise ParseError("not a descent output file")
     curve, n = table.curve, table.n
-    _check_hash(j, curve)
+    _check_kind(j, "descent", curve)
     if _req(j, "n") != n:
         raise ParseError("descent file is for n = %r, not %d" % (j["n"], n))
     K = curve.field
     gj = _req(j, "gamma")
     gfield = tower_from_json(_req(gj, "field"))
-    gamma = _indexed_from_json(_req(gj, "values"), lambda g: elem_from_json(gfield, g))
-    if set(gamma) != {divmod(k, n) for k in range(len(table))} \
-            or any(g.is_zero() for g in gamma.values()):
-        raise ParseError("gamma needs one nonzero value per torsion point")
+    gamma = _gamma_from_json(gfield, _req(gj, "values"), n)
+    seed = _req(j, "seed")
+    if type(seed) is not int:
+        raise ParseError("descent seed %r is not an integer" % (seed,))
     return {"quadrics": quadrics_from_json_forms(K, n, _req(j, "quadrics")),
             "csa": csa_from_json(_req(j, "csa"), table),
             "trivialisation": triv_from_json(_req(j, "trivialisation"), table),
             "gamma": gamma,
             "plane_curve": plane_from_json(_req(j, "plane_curve"), K, n),
-            "report": _req(j, "report"), "seed": _req(j, "seed")}
+            "report": _req(j, "report"), "seed": seed}

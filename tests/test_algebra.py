@@ -129,6 +129,20 @@ def test_csa_commutative_center(table, eps):
     assert ei.value.witness == ("center", 9)
 
 
+def test_csa_rejects_non_associative(table, eps, field):
+    # the same broken weighting that validate_rho rejects: build_csa does
+    # not validate rho, so its associativity check fails at the same triple
+    rho = RhoTable.trivial(table)
+    rho.values[((1, 0), (0, 1))] = field.from_fraction(2)
+    rho.values[((0, 1), (1, 0))] = field.from_fraction(2)
+    with pytest.raises(CertificationFailed) as ei:
+        build_csa(table, eps, rho)
+    assert ei.value.witness == ("associativity", (0, 1), (0, 1), (1, 0))
+    with pytest.raises(CertificationFailed) as ei:
+        validate_rho(table, rho.values)
+    assert ei.value.witness == ("cocycle", (0, 1), (0, 1), (1, 0))
+
+
 def test_csa_left_mult_matrix(table, eps, field):
     csa = build_csa(table, eps, RhoTable.trivial(table))
     rng = random.Random(4)

@@ -242,6 +242,58 @@ def test_import_does_not_load_sympy():
     assert run.stdout.strip() == "False", run.stdout + run.stderr
 
 
+def _other_gamma(j):
+    old = j["gamma"]["1,0"]
+    j["gamma"]["1,0"] = ["7"] + ["0"] * (len(old) - 1)
+    assert j["gamma"]["1,0"] != old
+
+
+# one-field mutations of CLI-written artifacts: (artifact, mutation, exit
+# code).  Loaders reject a wrong key set, mode or seed type (exit 1); the
+# checks behind verify reject a well-formed file that does not certify
+# (exit 3).  The trivialisation is in gamma mode.
+_MUTATIONS = {
+    "csa-rho-missing-pair": ("csa", lambda j: j["rho"].pop("1,0|0,1"), 1),
+    "triv-rho-missing-pair": ("triv", lambda j: j["rho"].pop("1,0|0,1"), 1),
+    "triv-missing-matrix": ("triv", lambda j: j["matrices"].pop("1,0"), 1),
+    "triv-extra-matrix": (
+        "triv", lambda j: j["matrices"].update({"7,7": j["matrices"]["1,0"]}), 1),
+    "triv-bogus-mode": ("triv", lambda j: j.update(mode="bogus"), 1),
+    "triv-gamma-missing": ("triv", lambda j: j["gamma"].pop("1,0"), 1),
+    "triv-gamma-other": ("triv", _other_gamma, 3),
+    "quadrics-rho-missing-pair": ("quadC", lambda j: j["rho"].pop("1,0|0,1"), 1),
+    "descent-seed-str": ("out", lambda j: j.update(seed="x"), 1),
+    "descent-triv-missing-matrix": (
+        "out", lambda j: j["trivialisation"]["matrices"].pop("1,0"), 1),
+    "descent-triv-rho-missing-pair": (
+        "out", lambda j: j["trivialisation"]["rho"].pop("1,0|0,1"), 1),
+    "descent-csa-rho-missing-pair": ("out", lambda j: j["csa"]["rho"].pop("1,0|0,1"), 1),
+    # the trivial twist's rho, with the structure constants of the stored one
+    "descent-csa-other-rho": (
+        "out", lambda j: j["csa"].update(rho={k: ["1", "0"] for k in j["csa"]["rho"]}), 3),
+    "descent-report-summary": ("out", lambda j: j["report"].update(summary="bogus"), 3),
+}
+
+
+def _mutated(paths, tmp_path, name):
+    """A copy of an artifact with the mutation _MUTATIONS[name]."""
+    key, mutate, _ = _MUTATIONS[name]
+    j = json.loads(open(paths[key]).read())
+    mutate(j)
+    bad = tmp_path / ("%s.json" % name)
+    bad.write_text(json.dumps(j))
+    return str(bad)
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_verify_rejects_mutation(work, tmp_path, name, capsys):
+    _, paths, _ = work
+    rc = main(["verify", "--curve", paths["curve"], _mutated(paths, tmp_path, name)])
+    out, err = capsys.readouterr()
+    assert rc == _MUTATIONS[name][2], out + err
+    assert "Traceback" not in out + err
+
+
 _NEGATIVE_PATHS = {
     "garbage": (1, lambda paths, tmp: ["verify", "--curve", paths["curve"], _garbage(tmp)]),
     "torsion-not-rational": (2, lambda paths, tmp: [
@@ -258,6 +310,12 @@ _NEGATIVE_PATHS = {
         "verify", "--curve", paths["curve"], _damaged(paths, tmp, "out", "quadric-99")]),
     "dependent-torsion": (1, lambda paths, tmp: [
         "verify", "--curve", paths["curve"], _damaged(paths, tmp, "torsion", "dependent-basis")]),
+    "missing-matrix": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _mutated(paths, tmp, "triv-missing-matrix")]),
+    "bogus-mode": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _mutated(paths, tmp, "triv-bogus-mode")]),
+    "seed-str": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _mutated(paths, tmp, "descent-seed-str")]),
 }
 
 

@@ -264,6 +264,10 @@ def test_descend_aux_point_rho_gamma_mode(aux_curve, aux_field, tmp_path):
     assert rep["gamma_levels"] == 3
     assert rep["held_out"] == 5 and rep["held_out_pass"]
     assert out["plane_curve"].field == aux_field
+    # the cubic of this twist, which is not a coboundary over K
+    cubic = ser.dumps_canonical(ser.plane_to_json(out["plane_curve"])).encode()
+    assert hashlib.sha256(cubic).hexdigest() == \
+        "ed8bd2ab0aeddf382fd6c0b5d1aae4aba999b0ac7bf26881b0c242d522ceb8d2"
     curve_path, out_path = tmp_path / "aux.json", tmp_path / "descent.json"
     ser.save(curve_path, ser.curve_to_json(aux_curve))
     ser.save(out_path, ser.descent_to_json(out, aux_curve))
