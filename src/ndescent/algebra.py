@@ -69,18 +69,6 @@ def _cocycle_failure(table, c):
     return None
 
 
-def _product_failure(table, matrices, c):
-    """The first pair (a, b) in table order at which the matrices fail
-    M_a M_b = c(a,b) M_{a+b}, or None."""
-    idx = _indices(table.n)
-    for a in idx:
-        ma = matrices[a]
-        for b in idx:
-            if not (ma * matrices[b] == matrices[table.add_index(a, b)].scale(c(a, b))):
-                return a, b
-    return None
-
-
 def validate_rho(table, values):
     """Check the split-torsion criterion for a weighting: all values
     nonzero, symmetric, and satisfying the cocycle identity
@@ -112,8 +100,7 @@ def validate_rho(table, values):
     if not (c0 == 1):
         inv = c0.inverse()
         vals = {k: v * inv for k, v in vals.items()}
-    for a in idx:
-        assert vals[((0, 0), a)] == 1, "normalized cocycle should have rho(O,.) = 1"
+    # the cocycle identity at (O, O, a) gives rho(O, a) = rho(O, O) = 1
     return RhoTable(table, vals)
 
 
@@ -127,7 +114,8 @@ def partial(table, alpha):
         v = alpha[k]
         if isinstance(v, (int, Fraction)):
             v = K.from_fraction(v)
-        assert not v.is_zero(), "alpha must be nonvanishing"
+        if v.is_zero():
+            raise ZeroDivisionError("alpha vanishes at %r" % (k,))
         a[k] = v
     return RhoTable(table, {(u, v): a[u] * a[v] / a[table.add_index(u, v)]
                             for u in idx for v in idx})
@@ -261,7 +249,8 @@ def solve_gamma(table, rho):
     exactly on every pair of torsion points."""
     n = table.n
     K = table.curve.field
-    assert rho.value((0, 0), (0, 0)) == 1, "rho must be normalized"
+    if not (rho.value((0, 0), (0, 0)) == 1):
+        raise ValueError("rho must be normalized to rho(O, O) = 1")
     # c_m(i) = prod_{k=1}^{i-1} rho(T_m, k T_m); the empty products are 1
     c1 = [K.one(), K.one()]
     c2 = [K.one(), K.one()]
@@ -300,7 +289,9 @@ MODES = ("standard", "gamma", "user")
 
 class Trivialisation:
     """An isomorphism of the twisted algebra with the n x n matrices,
-    given by its values on the delta basis."""
+    given by its values M(ij) = tau(delta_ij) on the delta basis.  The
+    embedding's matrices M_T are the standard one of the untwisted
+    algebra."""
 
     def __init__(self, table, rho, field, matrices, mode, gamma=None):
         self.table = table
@@ -311,31 +302,46 @@ class Trivialisation:
         self.gamma = gamma
         self.n = table.n
 
-    def of_basis(self, ij):
+    def M(self, ij):
         return self.matrices[ij]
 
 
 def certify_trivialisation(triv, eps):
     """tau(delta_O) = 1, tau(delta_a) tau(delta_b) = c(a,b) tau(delta_{a+b})
-    on all pairs, and the images span the matrix algebra."""
-    table, n = triv.table, triv.n
-    L = triv.field
-    ident = ExactMatrix.identity(n, L)
-    if not (triv.matrices[(0, 0)] == ident):
+    on all pairs, where c = eps rho, and the images span the matrix algebra.
+
+    The span is read off the traces: every c(a, -a) is nonzero and
+    tr tau(delta_a) = 0 for a != O.  Suppose sum_a x_a tau(delta_a) = 0.
+    Multiplying on the left by tau(delta_{-b}) gives
+    sum_a x_a c(-b, a) tau(delta_{a-b}) = 0, and on taking the trace only
+    a = b survives, leaving n c(-b, b) x_b = 0, so x_b = 0.  Conversely,
+    when no c(a, b) vanishes and the images span, the algebra is M_n and
+    so central: each tau(delta_a) is a unit, and for a != O some
+    tau(delta_u) conjugates it to c(u,a)/c(a,u) != 1 times itself, so its
+    trace is zero.
+
+    Raises CertificationFailed with witness ("unit",),
+    ("multiplicative", a, b) or ("span", a) at the first failure."""
+    table, n, L = triv.table, triv.n, triv.field
+    mats = triv.matrices
+    if not (mats[(0, 0)] == ExactMatrix.identity(n, L)):
         raise CertificationFailed(("unit",), "trivialisation does not send delta_O to 1")
-    bad = _product_failure(table, triv.matrices,
-                           lambda a, b: (eps.eps(a, b) * triv.rho.value(a, b)).lift_to(L))
-    if bad is not None:
-        raise CertificationFailed(("multiplicative",) + bad,
-                                  "trivialisation is not multiplicative at %r" % (bad,))
-    rows = []
-    for a in _indices(n):
-        m = triv.matrices[a]
-        rows.append([m[i, j] for i in range(n) for j in range(n)])
-    rank = ExactMatrix(rows, L).rank()
-    if rank != n * n:
-        raise CertificationFailed(("span", rank),
-                                  "images only span a %d-dimensional space" % rank)
+
+    def c(a, b):
+        return (eps.eps(a, b) * triv.rho.value(a, b)).lift_to(L)
+
+    idx = _indices(n)
+    for a in idx:
+        for b in idx:
+            if not (mats[a] * mats[b] == mats[table.add_index(a, b)].scale(c(a, b))):
+                raise CertificationFailed(("multiplicative", a, b),
+                                          "trivialisation is not multiplicative at %r"
+                                          % ((a, b),))
+    for a in idx:
+        if c(a, table.neg_index(a)).is_zero() or (a != (0, 0) and not mats[a].trace().is_zero()):
+            raise CertificationFailed(("span", a),
+                                      "span test fails at %r: c(a, -a) = 0 or a nonzero trace"
+                                      % (a,))
 
 
 def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):

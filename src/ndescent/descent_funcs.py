@@ -15,7 +15,8 @@ Builds, for a curve with fully rational n-torsion:
     h -> (h o tau_S) psi_n/(psi_n o tau_S) on L(n^2(O)).  fdual_O is
     e_1, since only the constants of L(n(O)) have no pole at O, and the
     product check M_T M_{-T} = eps(T, -T) certifies the scale;
-  - the standard trivialisation alpha -> sum alpha(T) M_T.
+  - the embedding: the M_T as the standard trivialisation of the
+    untwisted algebra, alpha -> sum alpha(T) M_T.
 
 CurveData.of(curve, n) holds the per-curve part of this: the table, the
 Miller functions, epsilon, the G-basis and the embedding.
@@ -28,7 +29,8 @@ from .fields import Poly, root_or_extend
 from .linalg import ExactMatrix
 from .curve import Point, division_polynomial, slope, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, miller_function
-from .algebra import CertificationFailed, _product_failure
+from .algebra import (CertificationFailed, RhoTable, Trivialisation,
+                      certify_trivialisation)
 
 
 class EigenspaceDimensionError(Exception):
@@ -252,19 +254,6 @@ def affine_sample(curve, n, rng, name, used_x):
         return Point(curve, xe, y)
 
 
-class Embedding:
-    """The degree-n embedding data: the matrices M_T."""
-
-    def __init__(self, table, matrices):
-        self.table = table
-        self.curve = table.curve
-        self.n = table.n
-        self.matrices = matrices  # dict ij -> ExactMatrix over the base field
-
-    def M(self, ij):
-        return self.matrices[ij]
-
-
 def compute_embedding(table, eps, millers, seed=0):
     """The matrices M_T with f(P+T) proportional to M_T f(P), scaled so
     that F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
@@ -276,10 +265,12 @@ def compute_embedding(table, eps, millers, seed=0):
     and the first coordinate of Mtilde_T^{-1} f(P) = f(P-T)/F_{-T}(P-T)
     is 1/F_{-T}(P-T).  The scale is therefore
     1/(F_T(P) F_{-T}(P-T)) = eps(T, -T), and M_T = eps(T, -T) Mtilde_T.
-    M_O is the identity.  Certifies M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2}
-    on all pairs, which on (T, -T) checks the scale against the exact
-    scalar Mtilde_T Mtilde_{-T}, and the vanishing traces.  seed has no
-    effect; it is accepted for older callers."""
+    M_O is the identity.  Returns the standard trivialisation of the
+    untwisted algebra, certified by certify_trivialisation: on all pairs
+    M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2}, which on (T, -T) checks the
+    scale against the exact scalar Mtilde_T Mtilde_{-T}, and the traces
+    that prove the span.  seed has no effect; it is accepted for older
+    callers."""
     n, K = table.n, table.curve.field
     matrices = {(0, 0): ExactMatrix.identity(n, K)}
     for k, t in enumerate(table):
@@ -290,30 +281,22 @@ def compute_embedding(table, eps, millers, seed=0):
         f_neg = millers[neg]
         mtilde = ExactMatrix(_translated_coords(table, ij, n, lambda xs: f_neg), K)
         matrices[ij] = mtilde.scale(eps.eps(ij, neg))
-    emb = Embedding(table, matrices)
-    _certify_embedding(emb, eps)
+    emb = Trivialisation(table, RhoTable.trivial(table), K, matrices, "standard")
+    certify_trivialisation(emb, eps)
     return emb
 
 
-def _certify_embedding(emb, eps):
-    n = emb.n
-    for k in range(1, n * n):
-        if not emb.matrices[divmod(k, n)].trace().is_zero():
-            raise CertificationFailed(("trace", divmod(k, n)))
-    bad = _product_failure(emb.table, emb.matrices, eps.eps)
-    if bad is not None:
-        raise CertificationFailed(("product",) + bad)
-
-
-def tau_1(emb, alpha):
-    """The standard trivialisation: alpha -> sum_T alpha(T) M_T.
+def tau_1(triv, alpha):
+    """A trivialisation applied to an algebra element:
+    alpha -> sum_T alpha(T) tau(delta_T), for the embedding the standard
+    alpha -> sum_T alpha(T) M_T.
 
     alpha: dict ij -> FieldElement (or a length-n^2 list in table order)."""
-    n = emb.n
+    n = triv.n
     if not isinstance(alpha, dict):
         alpha = {divmod(k, n): v for k, v in enumerate(alpha)}
     out = None
-    for ij, m in emb.matrices.items():
+    for ij, m in triv.matrices.items():
         term = m.scale(alpha[ij])
         out = term if out is None else out + term
     return out
@@ -324,7 +307,7 @@ def dual_row(emb, p):
     (the tangent line for n = 3), as a coefficient vector."""
     if emb.n != 3:
         raise ValueError("osculating rows only implemented for n = 3")
-    curve = emb.curve
+    curve = emb.table.curve
     fp = embedding_values(curve, emb.n, p)
     if p.y.is_zero():
         # vertical tangent at a two-torsion point

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .linalg import ExactMatrix, split_row
 from .curve import slope, division_polynomial, PoleAtP
-from .descent_funcs import CurveData, affine_sample
+from .descent_funcs import CurveData, affine_sample, tau_1
 from .algebra import (RhoTable, BadBasePoint, validate_rho, build_csa,
                       solve_gamma, certify_trivialisation, CertificationFailed)
 
@@ -195,10 +195,7 @@ def lambda_eval(triv, z):
     trivialisation guarantees, and extract_point raises RankNotOne for
     anything else."""
     n = triv.n
-    out = None
-    for k in range(n * n):
-        term = triv.matrices[divmod(k, n)].scale(z[k])
-        out = term if out is None else out + term
+    out = tau_1(triv, z)
     tr = out.trace()
     proj = out - ExactMatrix.identity(n, out.tower).scale(tr * Fraction(1, n))
     extract_point(proj)

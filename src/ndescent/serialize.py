@@ -351,10 +351,15 @@ def plane_to_json(cub):
 
 
 def plane_from_json(j, field, n):
-    mono = [tuple(m) for m in _req(j, "monomials")]
+    mono, coeffs = _req(j, "monomials"), _req(j, "coeffs")
+    if not (isinstance(mono, list) and isinstance(coeffs, list)
+            and all(isinstance(m, list) and len(m) == 3
+                    and all(type(e) is int for e in m) for m in mono)):
+        raise ParseError("a plane curve is a list of [i, j, k] monomials and a list of coeffs")
+    mono = [tuple(m) for m in mono]
     if mono != plane_monomials(n):
         raise ParseError("monomial list is not the graded lex basis")
-    coeffs = [elem_from_json(field, c) for c in _req(j, "coeffs")]
+    coeffs = [elem_from_json(field, c) for c in coeffs]
     if len(coeffs) != len(mono):
         raise ParseError("plane curve needs one coefficient per monomial")
     return PlaneCurveEquation(field, n, mono, coeffs)
@@ -384,6 +389,8 @@ def descent_from_json(j, table):
     K = curve.field
     gj = _req(j, "gamma")
     gfield = tower_from_json(_req(gj, "field"))
+    if not K.is_prefix_of(gfield):
+        raise ParseError("gamma's field does not extend the curve's")
     gamma = _gamma_from_json(gfield, _req(gj, "values"), n)
     seed = _req(j, "seed")
     if type(seed) is not int:

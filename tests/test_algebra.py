@@ -6,8 +6,8 @@ import pytest
 from ndescent.curve import Point
 from ndescent.linalg import ExactMatrix
 from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable,
-                              build_csa, certify_trivialisation, partial,
-                              rho_from_point, solve_gamma, trivialize,
+                              Trivialisation, build_csa, certify_trivialisation,
+                              partial, rho_from_point, solve_gamma, trivialize,
                               validate_rho)
 
 
@@ -190,7 +190,7 @@ def test_trivialize_standard(emb, eps, table):
     assert triv.mode == "standard"
     assert triv.field == table.curve.field
     for ij in _idx():
-        assert triv.of_basis(ij) == emb.M(ij)
+        assert triv.M(ij) == emb.M(ij)
 
 
 def test_trivialize_gamma_mode(emb, eps, table, field):
@@ -201,7 +201,7 @@ def test_trivialize_gamma_mode(emb, eps, table, field):
     certify_trivialisation(triv, eps)
     # tau(delta_a) = gamma(a) M_a
     for ij in _idx():
-        assert triv.of_basis(ij) == emb.M(ij).scale(triv.gamma[ij])
+        assert triv.M(ij) == emb.M(ij).scale(triv.gamma[ij])
 
 
 def test_trivialize_user_mode(emb, eps, table, field):
@@ -225,7 +225,32 @@ def test_certify_rejects_tampering(emb, eps, table):
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     mats = dict(triv.matrices)
     mats[(1, 0)] = mats[(1, 0)].scale(table.curve.field.from_fraction(2))
-    from ndescent.algebra import Trivialisation
     bad = Trivialisation(table, triv.rho, triv.field, mats, "user")
     with pytest.raises(CertificationFailed):
         certify_trivialisation(bad, eps)
+
+
+def _commutative(table, eps, K):
+    # rho = 1/eps makes every structure constant 1: the group algebra,
+    # which the identity matrices represent without spanning
+    rho = RhoTable(table, {k: v.inverse() for k, v in eps.values.items()})
+    return rho, {ij: ExactMatrix.identity(3, K) for ij in _idx()}
+
+
+def _unit_only(table, eps, K):
+    # rho vanishes off the pairs that contain O, so every product of two
+    # nonunit deltas is 0, as is every nonunit image
+    rho = RhoTable(table, {(a, b): K.one() if (0, 0) in (a, b) else K.zero()
+                           for a in _idx() for b in _idx()})
+    return rho, {ij: ExactMatrix.identity(3, K) if ij == (0, 0) else ExactMatrix.zero(3, 3, K)
+                 for ij in _idx()}
+
+
+@pytest.mark.parametrize("build", [_commutative, _unit_only], ids=["trace", "c-of-a-minus-a"])
+def test_certify_rejects_multiplicative_map_that_does_not_span(build, eps, table, field):
+    # unit and products hold; only the span certificate fails, the
+    # commutative case on a nonzero trace and the other on c(a, -a) = 0
+    rho, mats = build(table, eps, field)
+    with pytest.raises(CertificationFailed) as ei:
+        certify_trivialisation(Trivialisation(table, rho, field, mats, "user"), eps)
+    assert ei.value.witness == ("span", (0, 1))

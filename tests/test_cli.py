@@ -272,6 +272,13 @@ _MUTATIONS = {
     "descent-csa-other-rho": (
         "out", lambda j: j["csa"].update(rho={k: ["1", "0"] for k in j["csa"]["rho"]}), 3),
     "descent-report-summary": ("out", lambda j: j["report"].update(summary="bogus"), 3),
+    "descent-plane-monomials-int": ("out", lambda j: j["plane_curve"].update(monomials=5), 1),
+    "descent-plane-coeffs-int": ("out", lambda j: j["plane_curve"].update(coeffs=5), 1),
+    "descent-plane-monomial-int": (
+        "out", lambda j: j["plane_curve"]["monomials"].__setitem__(0, 5), 1),
+    # Q(i) has the degree of the curve's field, so gamma's values parse
+    "descent-gamma-field-not-over-curve": (
+        "out", lambda j: j["gamma"].update(field=[{"name": "i", "minpoly": ["1", "0", "1"]}]), 1),
 }
 
 
@@ -316,6 +323,9 @@ _NEGATIVE_PATHS = {
         "verify", "--curve", paths["curve"], _mutated(paths, tmp, "triv-bogus-mode")]),
     "seed-str": (1, lambda paths, tmp: [
         "verify", "--curve", paths["curve"], _mutated(paths, tmp, "descent-seed-str")]),
+    "gamma-field-not-over-curve": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"],
+        _mutated(paths, tmp, "descent-gamma-field-not-over-curve")]),
 }
 
 

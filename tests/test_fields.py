@@ -308,9 +308,10 @@ from ndescent.fields import (FieldTower, Poly, ReducibleExtension, factor_poly,
 from ndescent.curve import Curve, Point, TorsionTable, division_polynomial, slope
 from ndescent.funcfield import FunctionFieldElement, miller_function
 from ndescent.linalg import ExactMatrix
-from ndescent.descent_funcs import (CurveData, Embedding, _certify_embedding,
-                                    compute_embedding, compute_epsilon, dual_row)
-from ndescent.algebra import CertificationFailed, RhoTable, trivialize
+from ndescent.descent_funcs import (CurveData, compute_embedding, compute_epsilon,
+                                    dual_row)
+from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
+                              certify_trivialisation, partial, solve_gamma, trivialize)
 from ndescent.geometry import interpolate_plane_curve, quadrics_for_C
 
 if not sys.flags.optimize:
@@ -319,11 +320,14 @@ Q = FieldTower.rationals()
 K = tower_extend(Q, [1, 1, 1], name="zeta3")
 data = CurveData.of(Curve(K, 0, -432), 3)
 table, eps, millers = data.table, data.eps, data.millers
-zero_rho = RhoTable(table, {k: K.zero() for k in RhoTable.trivial(table).values})
+one_rho = RhoTable.trivial(table)
+zero_rho = RhoTable(table, {k: K.zero() for k in one_rho.values})
 idx = [divmod(k, 3) for k in range(9)]
-identities = Embedding(table, {ij: ExactMatrix.identity(3, K) for ij in idx})
-zeros = Embedding(table, {ij: identities.M(ij) if ij == (0, 0)
-                          else ExactMatrix.zero(3, 3, K) for ij in idx})
+identities = Trivialisation(table, one_rho, K, {ij: ExactMatrix.identity(3, K) for ij in idx},
+                            "standard")
+zeros = Trivialisation(table, one_rho, K, {ij: identities.M(ij) if ij == (0, 0)
+                                           else ExactMatrix.zero(3, 3, K) for ij in idx},
+                       "standard")
 # F_T for T = (0, 1) times y: F_T is F_{-T} for T = (0, 2), so
 # (h o tau_T) F_T y leaves L(3(O)) and ("translation", (0, 2)) fails
 wrong_f = dict(millers)
@@ -337,7 +341,7 @@ zero_f[(0, 2)] = FunctionFieldElement.const(data.curve, 0)
 # F_T for T = (0, 1) replaced by zero: eps(T1, T) = 1/F_T(-T1) divides by zero
 zero_t = dict(millers)
 zero_t[(0, 1)] = FunctionFieldElement.const(data.curve, 0)
-quintic = Embedding(table, {})
+quintic = Trivialisation(table, one_rho, K, {}, "standard")
 quintic.n = 5  # what an embedding of degree 5 would report
 ones = [K.one()] * 3
 zero_fn = FunctionFieldElement.const(data.curve, 0)
@@ -345,15 +349,18 @@ cases = [
     (ValueError, lambda: Point(data.curve, 1, 1)),
     (ValueError, lambda: slope(table.t1, -table.t1)),
     (CertificationFailed, lambda: quadrics_for_C(data.curve, table, zero_rho)),
-    (CertificationFailed, lambda: _certify_embedding(identities, eps)),
-    (CertificationFailed, lambda: _certify_embedding(zeros, eps)),
+    (CertificationFailed, lambda: certify_trivialisation(identities, eps)),
+    (CertificationFailed, lambda: certify_trivialisation(zeros, eps)),
     (CertificationFailed, lambda: compute_embedding(table, eps, wrong_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, pole_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, zero_f)),
     (CertificationFailed, lambda: compute_epsilon(table, zero_t)),
     (ValueError, lambda: division_polynomial(data.curve, 4)),
     (ValueError, lambda: TorsionTable(data.curve, 3, table.t1, table.t1)),
-    (ValueError, lambda: trivialize(identities, eps, RhoTable.trivial(table), mode="user")),
+    (ValueError, lambda: trivialize(identities, eps, one_rho, mode="user")),
+    (ZeroDivisionError, lambda: partial(table, {ij: K.zero() for ij in idx})),
+    (ValueError, lambda: solve_gamma(table, RhoTable(table, {k: K.from_fraction(2)
+                                                             for k in one_rho.values}))),
     (ValueError, lambda: interpolate_plane_curve([ones] * 9, K)),
     (ValueError, lambda: interpolate_plane_curve([ones] * 9 + [ones[:2]], K)),
     (ValueError, lambda: dual_row(quintic, table.t1)),
@@ -404,4 +411,4 @@ def test_library_assert_count_does_not_grow():
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read())
             count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 32, "%d asserts in ndescent" % count
+    assert count <= 29, "%d asserts in ndescent" % count

@@ -24,7 +24,9 @@ def test_tracer_installs_on_ndescent():
     try:
         tracer.install(modules)
         for name in ("geometry.quadrics_for_E", "descent_funcs.compute_miller_table",
-                     "cli.cmd_verify", "geometry.QuadricSystem.evaluate_all"):
+                     "cli.cmd_verify", "geometry.QuadricSystem.evaluate_all",
+                     "algebra.certify_trivialisation", "descent_funcs.compute_embedding",
+                     "descent_funcs.tau_1"):
             assert name in tracer.names
     finally:
         tracer.uninstall()

@@ -157,7 +157,7 @@ def test_triv_roundtrip_all_modes(table, eps, emb, field):
         assert back.mode == t.mode
         assert back.field == t.field
         for ij in _idx():
-            assert back.of_basis(ij) == t.of_basis(ij)
+            assert back.M(ij) == t.M(ij)
         if t.gamma is None:
             assert back.gamma is None
         else:
