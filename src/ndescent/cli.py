@@ -137,11 +137,15 @@ def _check_trivialisation(path, triv, rho, data, emit):
     return ok
 
 
-def _check_parts(path, values, data, emit, qs=None, csa=None, triv=None):
+def _check_parts(path, values, data, emit, rhos, qs=None, csa=None, triv=None):
     """Validate a file's rho table, then check each part given against
-    the validated rho.  Returns that rho, or None when it or the
-    trivialisation fails."""
-    rho, w = _certified(lambda: validate_rho(data.table, values))
+    the validated rho.  rhos keeps the outcome of validate_rho, keyed by
+    the values, for the other files of the same verify call.  Returns
+    that rho, or None when it or the trivialisation fails."""
+    key = tuple(sorted(values.items()))
+    if key not in rhos:
+        rhos[key] = _certified(lambda: validate_rho(data.table, values))
+    rho, w = rhos[key]
     if not emit(path, "rho is a symmetric cocycle", w is None, w):
         return None
     if qs is not None:
@@ -153,7 +157,7 @@ def _check_parts(path, values, data, emit, qs=None, csa=None, triv=None):
     return rho
 
 
-def _verify_file(path, j, data, emit):
+def _verify_file(path, j, data, emit, rhos):
     kind = j.get("kind")
     curve, table = data.curve, data.table
     if kind == "curve":
@@ -167,30 +171,31 @@ def _verify_file(path, j, data, emit):
         ok = (data.n * torsion.t1).is_infinity and (data.n * torsion.t2).is_infinity
         emit(path, "basis points are n-torsion", ok)
     elif kind == "rho":
-        _check_parts(path, ser.rho_from_json(j, table).values, data, emit)
+        _check_parts(path, ser.rho_from_json(j, table).values, data, emit, rhos)
     elif kind == "csa":
         csa = ser.csa_from_json(j, table)
-        _check_parts(path, csa.rho.values, data, emit, csa=csa)
+        _check_parts(path, csa.rho.values, data, emit, rhos, csa=csa)
     elif kind == "trivialisation":
         triv = ser.triv_from_json(j, table)
-        _check_parts(path, triv.rho.values, data, emit, triv=triv)
+        _check_parts(path, triv.rho.values, data, emit, rhos, triv=triv)
     elif kind == "quadrics":
         qs = ser.quadrics_from_json(j, curve)
-        _check_parts(path, ser.quadrics_rho_from_json(j, table).values, data, emit, qs=qs)
+        _check_parts(path, ser.quadrics_rho_from_json(j, table).values, data, emit, rhos,
+                     qs=qs)
     elif kind == "descent":
-        _verify_descent(path, j, data, emit)
+        _verify_descent(path, j, data, emit, rhos)
     else:
         raise ser.ParseError("unknown artifact kind %r" % kind)
 
 
-def _verify_descent(path, j, data, emit):
+def _verify_descent(path, j, data, emit, rhos):
     """The part checks on the quadrics, algebra and trivialisation of a
     descent file, against the rho of its trivialisation, then the checks
     of the descent itself: gamma, the cubic, the report and fresh samples."""
     out = ser.descent_from_json(j, data.table)
     qs, triv, gamma, cubic = (out["quadrics"], out["trivialisation"], out["gamma"],
                               out["plane_curve"])
-    rho = _check_parts(path, triv.rho.values, data, emit, qs, out["csa"], triv)
+    rho = _check_parts(path, triv.rho.values, data, emit, rhos, qs, out["csa"], triv)
     if rho is None:
         return
     _, w = _certified(lambda: check_coboundary(data.table, gamma, rho))
@@ -201,11 +206,11 @@ def _verify_descent(path, j, data, emit):
     levels = len(next(iter(gamma.values())).tower.levels)
     emit(path, "report matches the descent",
          out["report"] == descent_report(data.n, out["seed"], len(qs), levels))
-    # fresh samples: the stored gamma and trivialisation must keep
-    # producing points of the stored cubic
+    # fresh samples: the orbit of one fresh base point under the stored
+    # gamma and trivialisation must land on the stored cubic
     images = sample_images(data.curve, data.gbasis, gamma, qs, triv, out["seed"] + 1, "v")
     try:
-        fresh = all(cubic.evaluate(next(images)).is_zero() for _ in range(3))
+        fresh = all(cubic.evaluate(next(images)).is_zero() for _ in range(data.n ** 2))
     except (CertificationFailed, RankNotOne):
         fresh = False
     emit(path, "fresh samples land on the stored cubic", fresh)
@@ -214,6 +219,7 @@ def _verify_descent(path, j, data, emit):
 def cmd_verify(args):
     data = _load_curve(args)
     failures = []
+    rhos = {}  # validate_rho's outcome per rho table, shared by the files
 
     def emit(path, name, ok, detail=None):
         tag = "PASS" if ok else "FAIL"
@@ -224,7 +230,7 @@ def cmd_verify(args):
         return ok
 
     for path in args.files:
-        _verify_file(path, ser.load(path), data, emit)
+        _verify_file(path, ser.load(path), data, emit, rhos)
     if failures:
         print("%d check(s) failed" % len(failures))
         return 3

@@ -96,7 +96,8 @@ def quadrics_for_C(curve, table, rho):
     with lambda the slope of the line through the decomposition."""
     n = table.n
     K = curve.field
-    assert n % 2 == 1, "even n needs the doubled-orbit variants"
+    if n % 2 == 0:
+        raise ValueError("n = %d: even n needs the doubled-orbit variants" % n)
     zero = K.zero()
 
     def flat(ij):
@@ -226,33 +227,63 @@ def extract_point(m):
     return col, row
 
 
-def sample_images(curve, gbasis, gamma, qs, triv, seed, prefix):
-    """Images in P^{n-1} of affine points P drawn, from the given seed,
-    on the curve over the field of gamma: each the column factor of the
-    Segre image of P, scaled so its first nonzero entry is 1.  The
-    quadratic extension of the k-th point, if it needs one, is named
-    prefix + k.  One g_eval per point serves the quadric check and the
-    Segre step.
+def _x_key(x):
+    """An x-coordinate as a Fraction when it is rational, else as it is:
+    sample points over different quadratic extensions compare by it."""
+    try:
+        return x.as_fraction()
+    except ValueError:
+        return x
 
-    Raises CertificationFailed if a quadric of qs does not vanish at the
-    covering coordinates of P, and RankNotOne if the Segre image is not
-    a column times a row."""
+
+def sample_images(curve, gbasis, gamma, qs, triv, seed, prefix):
+    """Images in P^{n-1} of the E[n] orbits of affine base points P drawn,
+    from the given seed, on the curve over the field of gamma.  The
+    quadratic extension of the k-th draw, if it needs one, is named
+    prefix + k.  Each base point P runs g_eval, lambda_eval and
+    extract_point once, which gives u, the column factor of its Segre
+    image; then, for S in table order (S = O first), the image of P + S
+    is tau(delta_S) u, scaled so its first nonzero entry is 1.  A draw
+    that shares an x-coordinate with a point of an earlier orbit is
+    skipped, so no image repeats.
+
+    Two identities give the orbit.  compute_G_basis certifies
+    G_T o tau_S = e_n(S, T) G_T, so the covering coordinates of P + S
+    are D_S z(P), with D_S = diag(e_n(S, T))_T; the twist by gamma(T)^{-1}
+    commutes with D_S.  And rho is symmetric, so tau(delta_S)
+    conjugates tau(delta_T) by c(S, T)/c(T, S) = e_n(S, T); the Segre
+    image of P + S is therefore tau(delta_S) lambda(P) tau(delta_S)^{-1},
+    whose column factor is tau(delta_S) u.
+
+    Raises RankNotOne if the Segre image of a base point is not a column
+    times a row, and CertificationFailed if a quadric of qs does not
+    vanish at D_S z(P), checked before the image of P + S is yielded."""
+    table = gbasis.table
+    n = table.n
+    idx = [divmod(k, n) for k in range(n * n)]
+    weil = CurveData.of(curve, n).eps.weil
+    scalings = [[weil(s, t) for t in idx] for s in idx]  # D_S, S in table order
     L = next(iter(gamma.values())).tower
     cx = curve if L == curve.field else curve.base_change(L)
     rng = random.Random(seed)
-    used_x = set()
+    used_x, orbit_x = set(), []
     for k in itertools.count():
-        p = affine_sample(cx, gbasis.table.n, rng, "%s%d" % (prefix, k), used_x)
+        p = affine_sample(cx, n, rng, "%s%d" % (prefix, k), used_x)
+        if _x_key(p.x) in orbit_x:
+            continue
+        orbit_x.extend(_x_key((p + table.point(*s)).x) for s in idx)
         z = g_eval(curve, gbasis, gamma, p)
-        for i, val in enumerate(qs.evaluate_all(z)):
-            if not val.is_zero():
-                raise CertificationFailed(("quadric", i),
-                                          "quadric %d does not vanish at a sample" % i)
         # lambda_eval has certified the image; extract_point's column is its first nonzero one
         proj = lambda_eval(triv, z)
-        col = next(c for c in map(proj.col, range(proj.ncols)) if any(not e.is_zero() for e in c))
-        unit = next(e for e in col if not e.is_zero()).inverse()
-        yield [unit * e for e in col]
+        u = next(c for c in map(proj.col, range(proj.ncols)) if any(not e.is_zero() for e in c))
+        for s, d in zip(idx, scalings):
+            for i, val in enumerate(qs.evaluate_all([e * v for e, v in zip(d, z)])):
+                if not val.is_zero():
+                    raise CertificationFailed(("quadric", i),
+                                              "quadric %d does not vanish at a sample" % i)
+            image = triv.M(s).mat_vec(u)
+            unit = next(e for e in image if not e.is_zero()).inverse()
+            yield [unit * e for e in image]
 
 
 class PlaneCurveEquation:
@@ -273,7 +304,8 @@ class PlaneCurveEquation:
                 and self.monomials == other.monomials and self.coeffs == other.coeffs)
 
     def evaluate(self, point):
-        assert len(point) == 3
+        if len(point) != 3:
+            raise ValueError("a point of P^2 has 3 coordinates, not %d" % len(point))
         tot = None
         for e, c in zip(self.monomials, self.coeffs):
             t = c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
@@ -326,6 +358,13 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     """The full pipeline: quadrics for the twisted covering, certified
     algebra, gamma, sampling, Segre images, and the plane cubic.
 
+    The 10 interpolation images and the 5 held-out images come from the
+    E[n] orbits of two base points (see sample_images): z(P + S) =
+    D_S z(P) and the image of P + S is tau(delta_S) u.  The held-out
+    images are the first base image, computed in full, and four of its
+    translates; the cubic goes through the other four translates and
+    the first six images of the second orbit.
+
     The supplied trivialisation is re-certified and must twist the same
     rho.  Returns a dict with the quadric system, the algebra, the
     cubic, gamma, and a report of every check run."""
@@ -350,11 +389,11 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
         gbasis = data.gbasis
 
     # 10 distinct points of the irreducible cubic C lie on no other cubic
-    # (Bezout), so the interpolation kernel is a line
+    # (O_C(3H - D) has negative degree), so the interpolation kernel is a line
     images = sample_images(curve, gbasis, gamma, qs, triv, seed, "w")
     points = [next(images) for _ in range(len(plane_monomials(n)) + _HELD_OUT)]
-    cubic = interpolate_plane_curve(points[:-_HELD_OUT], curve.field)
-    for k, pt in enumerate(points[-_HELD_OUT:]):
+    cubic = interpolate_plane_curve(points[_HELD_OUT:], curve.field)
+    for k, pt in enumerate(points[:_HELD_OUT]):
         if not cubic.evaluate(pt).is_zero():
             raise CertificationFailed(("held-out", k),
                                       "held-out image point misses the cubic")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import ndescent
+from ndescent import cli
 from ndescent.cli import main
 from ndescent.fields import FieldTower
 from ndescent.curve import Curve, Point
@@ -87,6 +88,24 @@ def test_verify_everything_passes(work, capsys):
     assert "all checks pass" in out
     assert "FAIL" not in out
     assert out.count("PASS") >= 12
+
+
+def test_verify_validates_each_rho_once(work, tmp_path, capsys, monkeypatch):
+    # five files carry one rho, and a tampered rho comes twice: each table
+    # is validated once, and every file still prints its own rho line
+    _, paths, _ = work
+    calls = []
+    real = cli.validate_rho
+    monkeypatch.setattr(cli, "validate_rho", lambda *a: calls.append(a) or real(*a))
+    bad = _tampered_rho(paths, tmp_path)
+    rc = main(["verify", "--curve", paths["curve"], paths["rho"], paths["quadC"],
+               paths["csa"], paths["triv"], paths["out"], bad, bad])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert len(calls) == 2
+    assert out.count("PASS %s: rho is a symmetric cocycle" % paths["out"]) == 1
+    assert out.count("rho is a symmetric cocycle") == 7
+    assert out.count("FAIL %s: rho is a symmetric cocycle (('symmetry'" % bad) == 2
 
 
 def test_verify_aux_artifacts(work, capsys):

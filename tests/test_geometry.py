@@ -238,18 +238,106 @@ def test_descend_builds_curve_data_once(field, monkeypatch):
     for name in ("torsion_table", "compute_miller_table", "compute_epsilon"):
         counted(descent_funcs, name)
     counted(geometry, "g_eval")
+    counted(geometry, "affine_sample")
+    counted(geometry.QuadricSystem, "evaluate_all")
     curve = Curve(field, 0, -432)  # a fresh curve object: nothing built yet
     data = CurveData.of(curve, 3)
     assert CurveData.of(curve, 3) is data
     rho = RhoTable.trivial(data.table)
     triv = trivialize(data.emb, data.eps, rho)
-    samples = 0
     for seed in (7, 8):
         out = descend(curve, 3, rho, triv, seed=seed)
-        samples += out["report"]["samples"]
-    # one covering evaluation per sampled image, none inside lambda_eval
+        assert out["report"]["samples"] == 15
+    # one draw and one covering evaluation per base point, two base points
+    # per descend, and none inside lambda_eval; the quadric check per image
     assert calls == {"torsion_table": 1, "compute_miller_table": 1,
-                     "compute_epsilon": 1, "g_eval": samples}
+                     "compute_epsilon": 1, "g_eval": 4, "affine_sample": 4,
+                     "evaluate_all": 30}
+
+
+def _normalized(v):
+    unit = next(e for e in v if not e.is_zero()).inverse()
+    return [unit * e for e in v]
+
+
+def _ref_user_twist(curve, field):
+    # a coboundary twist in user mode: the gamma-mode matrices conjugated
+    # by a fixed invertible A, so the images are A times the gamma-mode ones
+    data = CurveData.of(curve, 3)
+    z = _z_values(field, 36)
+    rho = validate_rho(data.table, partial(data.table, z).values)
+    a = ExactMatrix([[field.from_fraction(x) for x in row]
+                     for row in ([1, 1, 0], [0, 1, 2], [1, 0, 1])], field)
+    a_inv = a.inverse()
+    mats = {ij: a * m * a_inv
+            for ij, m in trivialize(data.emb, data.eps, rho, mode="gamma").matrices.items()}
+    triv = trivialize(data.emb, data.eps, rho, mode="user", matrices=mats)
+    gamma, _ = solve_gamma(data.table, rho)
+    return data, rho, triv, gamma
+
+
+def _aux_point_twist(curve, field):
+    # the twist by the point (7, 17), not a coboundary over K, in gamma mode
+    data = CurveData.of(curve, 3)
+    q = Point(curve, field.from_fraction(7), field.from_fraction(17))
+    rho = rho_from_point(data.table, q)
+    triv = trivialize(data.emb, data.eps, rho, mode="gamma")
+    return data, rho, triv, triv.gamma
+
+
+@pytest.mark.parametrize("case, sample_degree", [("ref", 4), ("aux", 24)])
+def test_orbit_images_match_full_computation(case, sample_degree, curve, field,
+                                             aux_curve, aux_field, monkeypatch):
+    # z(P + S) = D_S z(P) and the image of P + S is tau(delta_S) u, checked
+    # with == against g_eval and lambda_eval at P + S for every S
+    if case == "ref":
+        data, rho, triv, gamma = _ref_user_twist(curve, field)
+    else:
+        data, rho, triv, gamma = _aux_point_twist(aux_curve, aux_field)
+    drawn = []
+    real = geometry.affine_sample
+    monkeypatch.setattr(geometry, "affine_sample",
+                        lambda *a: drawn.append(real(*a)) or drawn[-1])
+    qs = quadrics_for_C(data.curve, data.table, rho)
+    checked = []  # the covering coordinates the quadric check ran at, D_S z(P)
+    evaluate_all = qs.evaluate_all
+    qs.evaluate_all = lambda z: checked.append(z) or evaluate_all(z)
+    images = geometry.sample_images(data.curve, data.gbasis, gamma, qs, triv, 2, "o")
+    orbit = [next(images) for _ in range(9)]
+    p, = drawn
+    assert p.x.tower.degree == sample_degree
+    for k, s in enumerate(_idx()):
+        q = p + data.table.point(*s)
+        z = g_eval(data.curve, data.gbasis, gamma, q)
+        assert z == checked[k]
+        proj = lambda_eval(triv, z)
+        col = next(c for c in map(proj.col, range(3)) if any(not e.is_zero() for e in c))
+        assert orbit[k] == _normalized(col)
+    assert len(set(map(tuple, orbit))) == 9
+
+
+def test_descend_skips_a_base_point_in_an_earlier_orbit(curve, table, eps, emb, field,
+                                                        monkeypatch):
+    # the second draw is P1 + T1, whose images would repeat those of P1:
+    # it is skipped before g_eval, and a third draw takes its place
+    drawn, evaluated = [], []
+    real_sample, real_g_eval = geometry.affine_sample, geometry.g_eval
+
+    def sample(*args):
+        drawn.append(drawn[0] + table.t1 if len(drawn) == 1 else real_sample(*args))
+        return drawn[-1]
+
+    def g_eval_at(curve, gbasis, gamma, p):
+        evaluated.append(p)
+        return real_g_eval(curve, gbasis, gamma, p)
+    monkeypatch.setattr(geometry, "affine_sample", sample)
+    monkeypatch.setattr(geometry, "g_eval", g_eval_at)
+    rho = RhoTable.trivial(table)
+    out = descend(curve, 3, rho, trivialize(emb, eps, rho), seed=7)
+    assert out["plane_curve"] == _oracle_cubic(field)
+    assert out["report"]["held_out_pass"]
+    assert len(drawn) == 3
+    assert evaluated == [drawn[0], drawn[2]]
 
 
 def test_descend_aux_point_rho_gamma_mode(aux_curve, aux_field, tmp_path):
