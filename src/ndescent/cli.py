@@ -208,7 +208,7 @@ def _verify_descent(path, j, data, emit, rhos):
          out["report"] == descent_report(data.n, out["seed"], len(qs), levels))
     # fresh samples: the orbit of one fresh base point under the stored
     # gamma and trivialisation must land on the stored cubic
-    images = sample_images(data.curve, data.gbasis, gamma, qs, triv, out["seed"] + 1, "v")
+    images = sample_images(data.curve, data.gbasis, gamma, qs, triv, out["seed"] + 1)
     try:
         fresh = all(cubic.evaluate(next(images)).is_zero() for _ in range(data.n ** 2))
     except (CertificationFailed, RankNotOne):

@@ -55,28 +55,22 @@ def _fr(x):
 class FieldTower:
     """A number field presented as a tower of monogenic extensions of Q.
 
+    FieldTower() is Q, and FieldTower(base, name, minpoly) the level
+    base[name]/(minpoly), minpoly a Poly over the certified tower base.
     levels: tuple of (generator name, minimal polynomial) where the
     minimal polynomial is a monic tuple of coefficients (ascending),
     elements of the tower one level down.  Irreducibility is certified
     at construction: a reducible level raises ReducibleExtension.
     """
 
-    def __init__(self, levels=()):
-        levels = tuple(levels)
+    def __init__(self, base=None, name=None, minpoly=None):
         self._modl = {}  # prime l -> _images_mod(l), filled lazily
-        if not levels:
+        if base is None:
             self.levels, self.degrees, self.degree, self._sig = (), (), 1, ()
             self._base = self._minpoly = None
             self._table, self._tden = [[((0, 1),)]], 1
             return
-        name, mp = levels[-1]
-        lead = mp[-1] if mp else None
-        if isinstance(lead, FieldElement) and lead.tower.levels == levels[:-1]:
-            base = lead.tower  # already certified at its construction
-        else:
-            base = FieldTower(levels[:-1])
-        minpoly = Poly(mp, base)
-        if minpoly.degree < 1 or minpoly.degree != len(mp) - 1 or not minpoly.is_monic():
+        if minpoly.degree < 1 or not minpoly.is_monic():
             raise ValueError("minimal polynomial must be monic and nonconstant")
         if _kummer_witness(minpoly) is None:
             factors = factor_poly(minpoly)
@@ -91,7 +85,7 @@ class FieldTower:
 
     @staticmethod
     def rationals():
-        return FieldTower(())
+        return FieldTower()
 
     @property
     def nlevels(self):
@@ -811,7 +805,7 @@ def tower_extend(base, minpoly, name=None):
         minpoly = minpoly.lift_to(base)
     if name is None:
         name = "t%d" % (base.nlevels + 1)
-    return FieldTower(base.levels + ((name, minpoly.coeffs),))
+    return FieldTower(base, name, minpoly)
 
 
 def root_or_extend(a, p, name):

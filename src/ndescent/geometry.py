@@ -56,14 +56,11 @@ class QuadricSystem:
                 out.append((a, b))
         return out
 
-    def coefficient_matrix(self):
-        zero = self.field.zero()
-        mono = self.monomials()
-        return ExactMatrix([[f.get(m, zero) for m in mono] for f in self.forms],
-                           self.field)
-
     def rank(self):
-        return self.coefficient_matrix().rank()
+        """The rank of the coefficient matrix, forms by monomials."""
+        zero = self.field.zero()
+        return ExactMatrix([[f.get(m, zero) for m in self.monomials()] for f in self.forms],
+                           self.field).rank()
 
     def evaluate(self, form, z):
         """The form at a coordinate vector (entries may live upstairs)."""
@@ -93,7 +90,13 @@ def quadrics_for_C(curve, table, rho):
       (lambda(ref) - lambda(D)) z_O z_T - rho(D1,D2) z_D1 z_D2
                                         + rho(ref1,ref2) z_ref1 z_ref2
 
-    with lambda the slope of the line through the decomposition."""
+    with lambda the slope of the line through the decomposition.
+
+    Each form owns a monomial no other form has: z_T z_{-T} for its
+    orbit (no group 2 form has weight O), z_D1 z_D2 for its
+    decomposition.  The owned columns are a diagonal minor, so the forms
+    have full row rank once every owned coefficient is nonzero; a zero
+    one raises CertificationFailed(("quadric-rank",))."""
     n = table.n
     K = curve.field
     if n % 2 == 0:
@@ -107,35 +110,24 @@ def quadrics_for_C(curve, table, rho):
         return (k1, k2) if k1 <= k2 else (k2, k1)
 
     forms = []
-    orbits = []
-    seen = set()
-    for k in range(1, n * n):
-        ij = divmod(k, n)
-        if ij in seen:
-            continue
-        seen.add(ij)
-        seen.add(table.neg_index(ij))
-        orbits.append(ij)
+    owned = []  # the coefficient of each form's owned monomial
+    idx = [divmod(k, n) for k in range(1, n * n)]
+    orbits = [ij for ij in idx if flat(ij) < flat(table.neg_index(ij))]
     ref = orbits[0]
     refm = mono(flat(ref), flat(table.neg_index(ref)))
     refc = rho.value(ref, table.neg_index(ref))
     refx = table.point(*ref).x
     for ij in orbits[1:]:
         form = {(0, 0): table.point(*ij).x - refx}
-        form[mono(flat(ij), flat(table.neg_index(ij)))] = rho.value(ij, table.neg_index(ij))
+        owned.append(rho.value(ij, table.neg_index(ij)))
+        form[mono(flat(ij), flat(table.neg_index(ij)))] = owned[-1]
         form[refm] = form.get(refm, zero) - refc
         forms.append(form)
-    assert len(forms) == (n * n - 3) // 2
 
-    for kt in range(1, n * n):
-        tij = divmod(kt, n)
-        decomps = []
-        for kd in range(1, n * n):
-            d1 = divmod(kd, n)
-            d2 = ((tij[0] - d1[0]) % n, (tij[1] - d1[1]) % n)
-            if d2 == (0, 0) or flat(d1) > flat(d2):
-                continue
-            decomps.append((d1, d2))
+    for tij in idx:
+        kt = flat(tij)
+        decomps = [(d1, ((tij[0] - d1[0]) % n, (tij[1] - d1[1]) % n)) for d1 in idx]
+        decomps = [(d1, d2) for d1, d2 in decomps if d2 != (0, 0) and flat(d1) <= flat(d2)]
         dref = decomps[0]
         lam_ref = slope(table.point(*dref[0]), table.point(*dref[1]))
         refm = mono(flat(dref[0]), flat(dref[1]))
@@ -143,15 +135,14 @@ def quadrics_for_C(curve, table, rho):
         for d1, d2 in decomps[1:]:
             lam = slope(table.point(*d1), table.point(*d2))
             form = {mono(0, kt): lam_ref - lam}
-            form[mono(flat(d1), flat(d2))] = -rho.value(d1, d2)
+            owned.append(-rho.value(d1, d2))
+            form[mono(flat(d1), flat(d2))] = owned[-1]
             form[refm] = form.get(refm, zero) + refc
             forms.append(form)
 
-    assert len(forms) == n * n * (n * n - 3) // 2
-    out = QuadricSystem(K, n, forms)
-    if out.rank() != len(forms):
+    if any(c.is_zero() for c in owned):
         raise CertificationFailed(("quadric-rank",))
-    return out
+    return QuadricSystem(K, n, forms)
 
 
 def quadrics_for_E(curve, table):
@@ -236,39 +227,45 @@ def _x_key(x):
         return x
 
 
-def sample_images(curve, gbasis, gamma, qs, triv, seed, prefix):
+def sample_images(curve, gbasis, gamma, qs, triv, seed):
     """Images in P^{n-1} of the E[n] orbits of affine base points P drawn,
-    from the given seed, on the curve over the field of gamma.  The
-    quadratic extension of the k-th draw, if it needs one, is named
-    prefix + k.  Each base point P runs g_eval, lambda_eval and
-    extract_point once, which gives u, the column factor of its Segre
-    image; then, for S in table order (S = O first), the image of P + S
-    is tau(delta_S) u, scaled so its first nonzero entry is 1.  A draw
-    that shares an x-coordinate with a point of an earlier orbit is
-    skipped, so no image repeats.
+    from the given seed, on the curve over the field of gamma.  Each base
+    point P runs g_eval, lambda_eval, extract_point and the quadric check
+    once, which gives u, the column factor of its Segre image; then, for
+    S in table order (S = O first), the image of P + S is tau(delta_S) u,
+    scaled so its first nonzero entry is 1.  A draw that shares an
+    x-coordinate with a point of an earlier orbit is skipped, so no image
+    repeats.
 
-    Two identities give the orbit.  compute_G_basis certifies
+    Three identities give the orbit.  compute_G_basis certifies
     G_T o tau_S = e_n(S, T) G_T, so the covering coordinates of P + S
     are D_S z(P), with D_S = diag(e_n(S, T))_T; the twist by gamma(T)^{-1}
-    commutes with D_S.  And rho is symmetric, so tau(delta_S)
+    commutes with D_S.  Each form q of qs is checked to have one weight
+    w_q, the sum a + b in E[n] of all its monomials z_a z_b; e_n(S, .) is
+    a character, so q(D_S z) = e_n(S, w_q) q(z), and q vanishes on the
+    orbit once it vanishes at z(P).  And rho is symmetric, so tau(delta_S)
     conjugates tau(delta_T) by c(S, T)/c(T, S) = e_n(S, T); the Segre
     image of P + S is therefore tau(delta_S) lambda(P) tau(delta_S)^{-1},
     whose column factor is tau(delta_S) u.
 
-    Raises RankNotOne if the Segre image of a base point is not a column
-    times a row, and CertificationFailed if a quadric of qs does not
-    vanish at D_S z(P), checked before the image of P + S is yielded."""
+    Raises CertificationFailed(("quadric-weight", i)) if form i mixes
+    weights, RankNotOne if the Segre image of a base point is not a
+    column times a row, and CertificationFailed(("quadric", i)) if form i
+    does not vanish at z(P), before any image of P is yielded."""
     table = gbasis.table
     n = table.n
     idx = [divmod(k, n) for k in range(n * n)]
-    weil = CurveData.of(curve, n).eps.weil
-    scalings = [[weil(s, t) for t in idx] for s in idx]  # D_S, S in table order
+    for i, form in enumerate(qs.forms):
+        weights = {((a // n + b // n) % n, (a + b) % n) for a, b in form}
+        if len(weights) != 1:
+            raise CertificationFailed(("quadric-weight", i),
+                                      "quadric %d mixes E[n]-weights" % i)
     L = next(iter(gamma.values())).tower
     cx = curve if L == curve.field else curve.base_change(L)
     rng = random.Random(seed)
     used_x, orbit_x = set(), []
     for k in itertools.count():
-        p = affine_sample(cx, n, rng, "%s%d" % (prefix, k), used_x)
+        p = affine_sample(cx, n, rng, "w%d" % k, used_x)
         if _x_key(p.x) in orbit_x:
             continue
         orbit_x.extend(_x_key((p + table.point(*s)).x) for s in idx)
@@ -276,11 +273,11 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed, prefix):
         # lambda_eval has certified the image; extract_point's column is its first nonzero one
         proj = lambda_eval(triv, z)
         u = next(c for c in map(proj.col, range(proj.ncols)) if any(not e.is_zero() for e in c))
-        for s, d in zip(idx, scalings):
-            for i, val in enumerate(qs.evaluate_all([e * v for e, v in zip(d, z)])):
-                if not val.is_zero():
-                    raise CertificationFailed(("quadric", i),
-                                              "quadric %d does not vanish at a sample" % i)
+        for i, val in enumerate(qs.evaluate_all(z)):
+            if not val.is_zero():
+                raise CertificationFailed(("quadric", i),
+                                          "quadric %d does not vanish at a sample" % i)
+        for s in idx:
             image = triv.M(s).mat_vec(u)
             unit = next(e for e in image if not e.is_zero()).inverse()
             yield [unit * e for e in image]
@@ -390,7 +387,7 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
 
     # 10 distinct points of the irreducible cubic C lie on no other cubic
     # (O_C(3H - D) has negative degree), so the interpolation kernel is a line
-    images = sample_images(curve, gbasis, gamma, qs, triv, seed, "w")
+    images = sample_images(curve, gbasis, gamma, qs, triv, seed)
     points = [next(images) for _ in range(len(plane_monomials(n)) + _HELD_OUT)]
     cubic = interpolate_plane_curve(points[_HELD_OUT:], curve.field)
     for k, pt in enumerate(points[:_HELD_OUT]):

@@ -292,6 +292,8 @@ def triv_from_json(j, table):
     _check_kind(j, "trivialisation", table.curve)
     K = table.curve.field
     L = tower_from_json(_req(j, "field"))
+    if not K.is_prefix_of(L):
+        raise ParseError("the trivialisation's field does not extend the curve's")
     rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho"), table.n))
     matrices = _indexed_from_json(_req(j, "matrices"), table.n,
                                   lambda m: matrix_from_json(L, m, table.n), "matrix")
@@ -312,9 +314,9 @@ def quadrics_to_json_forms(qs):
 
 
 def quadrics_from_json_forms(field, n, forms):
-    if type(n) is not int or not isinstance(forms, list) \
-            or not all(isinstance(f, list) for f in forms):
-        raise ParseError("quadrics are a list of forms for an integer n")
+    if type(n) is not int or not isinstance(forms, list) or not forms \
+            or not all(isinstance(f, list) and f for f in forms):
+        raise ParseError("quadrics are a nonempty list of nonempty forms for an integer n")
     out = []
     for f in forms:
         d = {}
@@ -395,9 +397,13 @@ def descent_from_json(j, table):
     seed = _req(j, "seed")
     if type(seed) is not int:
         raise ParseError("descent seed %r is not an integer" % (seed,))
-    return {"quadrics": quadrics_from_json_forms(K, n, _req(j, "quadrics")),
-            "csa": csa_from_json(_req(j, "csa"), table),
-            "trivialisation": triv_from_json(_req(j, "trivialisation"), table),
-            "gamma": gamma,
-            "plane_curve": plane_from_json(_req(j, "plane_curve"), K, n),
-            "report": _req(j, "report"), "seed": seed}
+    out = {"quadrics": quadrics_from_json_forms(K, n, _req(j, "quadrics")),
+           "csa": csa_from_json(_req(j, "csa"), table),
+           "trivialisation": triv_from_json(_req(j, "trivialisation"), table),
+           "gamma": gamma,
+           "plane_curve": plane_from_json(_req(j, "plane_curve"), K, n),
+           "report": _req(j, "report"), "seed": seed}
+    tfield = out["trivialisation"].field
+    if not (tfield.is_prefix_of(gfield) or gfield.is_prefix_of(tfield)):
+        raise ParseError("the trivialisation's field and gamma's field are not one tower")
+    return out

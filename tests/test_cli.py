@@ -267,6 +267,24 @@ def _other_gamma(j):
     assert j["gamma"]["1,0"] != old
 
 
+def _incompatible_fields(j):
+    # the trivialisation over K(sqrt5) and gamma over K(cbrt7), with their
+    # K-valued entries padded to the new degrees: each part parses alone
+    def level(name, root, degree):
+        return {"name": name, "minpoly": [[root, "0"]] + [["0", "0"]] * (degree - 1)
+                + [["1", "0"]]}
+
+    def pad(v, degree):
+        return v + ["0"] * (2 * degree - len(v))
+    triv = j["trivialisation"]
+    triv["field"].append(level("s5", "-5", 2))
+    triv["matrices"] = {k: [[pad(e, 2) for e in row] for row in m]
+                        for k, m in triv["matrices"].items()}
+    triv["gamma"] = {k: pad(g, 2) for k, g in triv["gamma"].items()}
+    j["gamma"]["field"].append(level("c7", "-7", 3))
+    j["gamma"]["values"] = {k: pad(g, 3) for k, g in j["gamma"]["values"].items()}
+
+
 # one-field mutations of CLI-written artifacts: (artifact, mutation, exit
 # code).  Loaders reject a wrong key set, mode or seed type (exit 1); the
 # checks behind verify reject a well-formed file that does not certify
@@ -280,7 +298,14 @@ _MUTATIONS = {
     "triv-bogus-mode": ("triv", lambda j: j.update(mode="bogus"), 1),
     "triv-gamma-missing": ("triv", lambda j: j["gamma"].pop("1,0"), 1),
     "triv-gamma-other": ("triv", _other_gamma, 3),
+    # Q(i) has the degree of the curve's field, so the matrices parse
+    "triv-field-not-over-curve": (
+        "triv", lambda j: j.update(field=[{"name": "i", "minpoly": ["1", "0", "1"]}]), 1),
     "quadrics-rho-missing-pair": ("quadC", lambda j: j["rho"].pop("1,0|0,1"), 1),
+    "quadrics-forms-empty": ("quadC", lambda j: j.update(forms=[]), 1),
+    "descent-quadrics-empty": ("out", lambda j: j.update(quadrics=[]), 1),
+    "descent-quadric-form-empty": ("out", lambda j: j["quadrics"].__setitem__(0, []), 1),
+    "descent-fields-incompatible": ("out", _incompatible_fields, 1),
     "descent-seed-str": ("out", lambda j: j.update(seed="x"), 1),
     "descent-triv-missing-matrix": (
         "out", lambda j: j["trivialisation"]["matrices"].pop("1,0"), 1),
@@ -346,6 +371,10 @@ _NEGATIVE_PATHS = {
         "verify", "--curve", paths["curve"],
         _mutated(paths, tmp, "descent-gamma-field-not-over-curve")]),
 }
+_NEGATIVE_PATHS.update({name: (1, lambda paths, tmp, name=name: [
+    "verify", "--curve", paths["curve"], _mutated(paths, tmp, name)])
+    for name in ("quadrics-forms-empty", "descent-quadrics-empty",
+                 "descent-quadric-form-empty", "descent-fields-incompatible")})
 
 
 @pytest.mark.parametrize("case", sorted(_NEGATIVE_PATHS))

@@ -415,4 +415,4 @@ def test_library_assert_count_does_not_grow():
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read())
             count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 27, "%d asserts in ndescent" % count
+    assert count <= 25, "%d asserts in ndescent" % count

@@ -10,8 +10,8 @@ from ndescent.fields import tower_extend
 from ndescent.curve import Curve, Point
 from ndescent.linalg import ExactMatrix
 from ndescent import serialize as ser
-from ndescent.algebra import (BadBasePoint, RhoTable, partial, rho_from_point,
-                              solve_gamma, trivialize, validate_rho)
+from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable, partial,
+                              rho_from_point, solve_gamma, trivialize, validate_rho)
 from ndescent.cli import main
 from ndescent.descent_funcs import CurveData, affine_sample
 from ndescent.geometry import (KernelEmpty, KernelTooBig, PlaneCurveEquation,
@@ -240,6 +240,7 @@ def test_descend_builds_curve_data_once(field, monkeypatch):
     counted(geometry, "g_eval")
     counted(geometry, "affine_sample")
     counted(geometry.QuadricSystem, "evaluate_all")
+    counted(ExactMatrix, "rank")
     curve = Curve(field, 0, -432)  # a fresh curve object: nothing built yet
     data = CurveData.of(curve, 3)
     assert CurveData.of(curve, 3) is data
@@ -248,11 +249,12 @@ def test_descend_builds_curve_data_once(field, monkeypatch):
     for seed in (7, 8):
         out = descend(curve, 3, rho, triv, seed=seed)
         assert out["report"]["samples"] == 15
-    # one draw and one covering evaluation per base point, two base points
-    # per descend, and none inside lambda_eval; the quadric check per image
+    # one draw, one covering evaluation and one quadric check per base
+    # point, two base points per descend, and none inside lambda_eval; the
+    # quadric rank is certified without a rank computation
     assert calls == {"torsion_table": 1, "compute_miller_table": 1,
                      "compute_epsilon": 1, "g_eval": 4, "affine_sample": 4,
-                     "evaluate_all": 30}
+                     "evaluate_all": 4}
 
 
 def _normalized(v):
@@ -288,8 +290,9 @@ def _aux_point_twist(curve, field):
 @pytest.mark.parametrize("case, sample_degree", [("ref", 4), ("aux", 24)])
 def test_orbit_images_match_full_computation(case, sample_degree, curve, field,
                                              aux_curve, aux_field, monkeypatch):
-    # z(P + S) = D_S z(P) and the image of P + S is tau(delta_S) u, checked
-    # with == against g_eval and lambda_eval at P + S for every S
+    # z(P + S) = D_S z(P) and the image of P + S is tau(delta_S) u: D_S z(P),
+    # computed here from the Weil pairing, is == g_eval at P + S, the
+    # quadrics vanish there, and the image is == lambda_eval's at P + S
     if case == "ref":
         data, rho, triv, gamma = _ref_user_twist(curve, field)
     else:
@@ -299,21 +302,72 @@ def test_orbit_images_match_full_computation(case, sample_degree, curve, field,
     monkeypatch.setattr(geometry, "affine_sample",
                         lambda *a: drawn.append(real(*a)) or drawn[-1])
     qs = quadrics_for_C(data.curve, data.table, rho)
-    checked = []  # the covering coordinates the quadric check ran at, D_S z(P)
-    evaluate_all = qs.evaluate_all
-    qs.evaluate_all = lambda z: checked.append(z) or evaluate_all(z)
-    images = geometry.sample_images(data.curve, data.gbasis, gamma, qs, triv, 2, "o")
+    images = geometry.sample_images(data.curve, data.gbasis, gamma, qs, triv, 2)
     orbit = [next(images) for _ in range(9)]
     p, = drawn
     assert p.x.tower.degree == sample_degree
+    zp = g_eval(data.curve, data.gbasis, gamma, p)
     for k, s in enumerate(_idx()):
-        q = p + data.table.point(*s)
-        z = g_eval(data.curve, data.gbasis, gamma, q)
-        assert z == checked[k]
+        dz = [data.eps.weil(s, t) * v for t, v in zip(_idx(), zp)]
+        z = g_eval(data.curve, data.gbasis, gamma, p + data.table.point(*s))
+        assert dz == z
+        assert all(v.is_zero() for v in qs.evaluate_all(dz))
         proj = lambda_eval(triv, z)
         col = next(c for c in map(proj.col, range(3)) if any(not e.is_zero() for e in c))
         assert orbit[k] == _normalized(col)
     assert len(set(map(tuple, orbit))) == 9
+
+
+def _trivial_sampling(table, eps, emb):
+    rho = RhoTable.trivial(table)
+    gamma, _ = solve_gamma(table, rho)
+    return rho, gamma, trivialize(emb, eps, rho)
+
+
+def _first_witness(curve, gbasis, gamma, qs, triv):
+    with pytest.raises(CertificationFailed) as exc:
+        next(geometry.sample_images(curve, gbasis, gamma, qs, triv, 0))
+    return exc.value.witness
+
+
+def test_each_quadric_owns_a_private_monomial(curve, table, field, aux_curve, aux_field):
+    # the rank certificate of quadrics_for_C: every form has a monomial
+    # that no other form has, with a nonzero coefficient
+    data, rho, _, _ = _aux_point_twist(aux_curve, aux_field)
+    z = _z_values(field, 37)
+    for qs in (quadrics_for_C(curve, table, validate_rho(table, partial(table, z).values)),
+               quadrics_for_C(aux_curve, data.table, rho)):
+        seen = Counter(m for f in qs.forms for m in f)
+        assert all(any(seen[m] == 1 and not c.is_zero() for m, c in f.items())
+                   for f in qs.forms)
+
+
+@pytest.mark.parametrize("pair", [((1, 0), (2, 0)), ((1, 0), (2, 1))])
+def test_quadric_rank_rejects_a_zero_owned_coefficient(curve, table, field, pair):
+    # a raw rho with rho(T, -T) = 0 on a non-reference orbit (group 1) or
+    # rho(D1, D2) = 0 on a non-reference decomposition of T = (0, 1) (group 2)
+    values = dict(RhoTable.trivial(table).values)
+    values[pair] = values[pair[::-1]] = field.zero()
+    with pytest.raises(CertificationFailed) as exc:
+        quadrics_for_C(curve, table, RhoTable(table, values))
+    assert exc.value.witness == ("quadric-rank",)
+
+
+def test_sample_images_rejects_a_mixed_weight_form(curve, table, eps, emb, gbasis, field):
+    # z_O z_(0,1) has weight (0,1), and form 0, of group 1, has weight O
+    rho, gamma, triv = _trivial_sampling(table, eps, emb)
+    qs = quadrics_for_C(curve, table, rho)
+    qs.forms[0][(0, 1)] = field.one()
+    assert _first_witness(curve, gbasis, gamma, qs, triv) == ("quadric-weight", 0)
+
+
+def test_sample_images_rejects_a_form_that_misses_the_sample(curve, table, eps, emb,
+                                                             gbasis, field):
+    # z_O^2 has one weight, and z_O = G_O(P) is nonzero
+    rho, gamma, triv = _trivial_sampling(table, eps, emb)
+    qs = quadrics_for_C(curve, table, rho)
+    qs.forms[5] = {(0, 0): field.one()}
+    assert _first_witness(curve, gbasis, gamma, qs, triv) == ("quadric", 5)
 
 
 def test_descend_skips_a_base_point_in_an_earlier_orbit(curve, table, eps, emb, field,
