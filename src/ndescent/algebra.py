@@ -10,6 +10,7 @@ a coboundary the algebra is trivialized by delta_T -> gamma(T) M_T.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .fields import root_or_extend
 from .linalg import ExactMatrix
@@ -32,14 +33,23 @@ class BadBasePoint(Exception):
 
 class RhoTable:
     """A symmetric normalized 2-cocycle on the torsion table, as a dict
-    of values keyed by pairs of table indices."""
+    of values keyed by pairs of table indices.  Rational values are taken
+    into the curve's field."""
 
     def __init__(self, table, values):
+        K = table.curve.field
         self.table = table
-        self.values = values
+        self.values = {k: K.from_fraction(v) if isinstance(v, (int, Fraction)) else v
+                       for k, v in values.items()}
 
     def value(self, ij, kl):
         return self.values[(ij, kl)]
+
+    @cached_property
+    def gamma(self):
+        """(gamma, field) = solve_gamma(table, self), computed on first use:
+        a gamma-mode trivialize and a descend on the same rho solve once."""
+        return solve_gamma(self.table, self)
 
     def is_trivial(self):
         return all(v == 1 for v in self.values.values())
@@ -309,6 +319,8 @@ class Trivialisation:
 def certify_trivialisation(triv, eps):
     """tau(delta_O) = 1, tau(delta_a) tau(delta_b) = c(a,b) tau(delta_{a+b})
     on all pairs, where c = eps rho, and the images span the matrix algebra.
+    Returns c, the structure constants over the base field, as a dict
+    keyed by pairs of table indices.
 
     The span is read off the traces: every c(a, -a) is nonzero and
     tr tau(delta_a) = 0 for a != O.  Suppose sum_a x_a tau(delta_a) = 0.
@@ -320,6 +332,11 @@ def certify_trivialisation(triv, eps):
     tau(delta_u) conjugates it to c(u,a)/c(a,u) != 1 times itself, so its
     trace is zero.
 
+    A trivialisation that passes is an algebra isomorphism A (x) L = M_n(L),
+    so it certifies what build_csa checks on c: delta_O is the unit
+    (c(O, a) = c(a, O) = 1), A is associative, its center is one
+    dimensional, and every tau(delta_a) is a unit, so no c(a, b) is zero.
+
     Raises CertificationFailed with witness ("unit",),
     ("multiplicative", a, b) or ("span", a) at the first failure."""
     table, n, L = triv.table, triv.n, triv.field
@@ -327,48 +344,50 @@ def certify_trivialisation(triv, eps):
     if not (mats[(0, 0)] == ExactMatrix.identity(n, L)):
         raise CertificationFailed(("unit",), "trivialisation does not send delta_O to 1")
 
-    def c(a, b):
-        return (eps.eps(a, b) * triv.rho.value(a, b)).lift_to(L)
-
     idx = _indices(n)
+    structure = {(a, b): eps.eps(a, b) * triv.rho.value(a, b) for a in idx for b in idx}
+    c = {ab: v.lift_to(L) for ab, v in structure.items()}
     for a in idx:
         for b in idx:
-            if not (mats[a] * mats[b] == mats[table.add_index(a, b)].scale(c(a, b))):
+            if not (mats[a] * mats[b] == mats[table.add_index(a, b)].scale(c[(a, b)])):
                 raise CertificationFailed(("multiplicative", a, b),
                                           "trivialisation is not multiplicative at %r"
                                           % ((a, b),))
     for a in idx:
-        if c(a, table.neg_index(a)).is_zero() or (a != (0, 0) and not mats[a].trace().is_zero()):
+        if c[(a, table.neg_index(a))].is_zero() or (a != (0, 0)
+                                                    and not mats[a].trace().is_zero()):
             raise CertificationFailed(("span", a),
                                       "span test fails at %r: c(a, -a) = 0 or a nonzero trace"
                                       % (a,))
+    return structure
 
 
 def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):
     """Build and certify a trivialisation of the algebra twisted by rho.
 
-    mode "standard": delta_T -> M_T (needs rho trivial).
-    mode "gamma": delta_T -> gamma(T) M_T with d(gamma) = rho, solving
-    for gamma (and extending the field) when not supplied.
-    mode "user": take the given matrices as they are.
+    mode "standard": delta_T -> M_T (needs rho trivial); gamma is ignored.
+    mode "gamma": delta_T -> gamma(T) M_T with d(gamma) = rho; without a
+    gamma, it is rho.gamma (solve_gamma, extending the field if need be).
+    mode "user": take the given matrices as they are, and carry gamma.
 
-    Every mode ends with full certification; a bad combination raises
-    CertificationFailed."""
+    Every mode ends with full certification of the matrices; a bad
+    combination raises CertificationFailed.  Each stored gamma is
+    certified once: rho.gamma by the check_coboundary in solve_gamma, a
+    gamma-mode gamma by the certification itself (gamma(a) gamma(b)
+    eps(a,b) M_{a+b} = c(a,b) gamma(a+b) M_{a+b} is d(gamma) = rho), and
+    the gamma a user-mode trivialisation carries by check_coboundary."""
     table = emb.table
     K = table.curve.field
     if mode == "standard":
         mats = dict(emb.matrices)
         triv = Trivialisation(table, rho, K, mats, mode)
     elif mode == "gamma":
-        if gamma is None:
-            gamma, L = solve_gamma(table, rho)
-        else:
-            L = next(iter(gamma.values())).tower
+        g, L = rho.gamma if gamma is None else (gamma, next(iter(gamma.values())).tower)
         mats = {}
         for ij, m in emb.matrices.items():
             lifted = ExactMatrix([[e.lift_to(L) for e in row] for row in m.rows], L)
-            mats[ij] = lifted.scale(gamma[ij])
-        triv = Trivialisation(table, rho, L, mats, mode, gamma)
+            mats[ij] = lifted.scale(g[ij])
+        triv = Trivialisation(table, rho, L, mats, mode, g)
     elif mode == "user":
         if matrices is None:
             raise ValueError("user mode needs matrices")
@@ -377,4 +396,6 @@ def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):
     else:
         raise ValueError("unknown trivialisation mode %r" % mode)
     certify_trivialisation(triv, eps)
+    if mode == "user" and gamma is not None:
+        check_coboundary(table, gamma, rho)
     return triv

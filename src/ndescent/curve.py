@@ -56,7 +56,8 @@ class Curve:
         return (y * y - self.rhs(x)).is_zero()
 
     def base_change(self, field):
-        assert self.field.is_prefix_of(field)
+        """The same equation over an extension field; lift_to raises
+        ValueError for a field that does not extend this one."""
         return Curve(field, self.a.lift_to(field), self.b.lift_to(field))
 
     def __eq__(self, other):

@@ -78,7 +78,8 @@ def translation_operator(table, s):
     """Matrix of h -> (h o tau_S) * psi_n / (psi_n o tau_S) on L(n^2(O)),
     columns indexed by the monomial basis."""
     curve, n = table.curve, table.n
-    assert not s.is_infinity
+    if s.is_infinity:
+        raise ValueError("the translation operator needs an affine torsion point, not O")
     psi = division_polynomial(curve, n)
     psi_ffe = FunctionFieldElement(curve, psi, 0, 1)
     cols = _translated_coords(table, table.index(s), n * n, lambda xs: psi_ffe / psi(xs))
@@ -227,7 +228,8 @@ class CurveData:
 
 def embedding_values(curve, n, p):
     """The affine coordinate vector of the embedding at an affine point."""
-    assert not p.is_infinity, "the embedding vector at O is a limit, not a value"
+    if p.is_infinity:
+        raise ValueError("the embedding vector at O is a limit, not a value")
     return [p.x ** i * p.y if j else p.x ** i for i, j in _exponents(n)]
 
 

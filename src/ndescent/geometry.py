@@ -14,8 +14,8 @@ from fractions import Fraction
 from .linalg import ExactMatrix, split_row
 from .curve import slope, division_polynomial, PoleAtP
 from .descent_funcs import CurveData, affine_sample, tau_1
-from .algebra import (RhoTable, BadBasePoint, validate_rho, build_csa,
-                      solve_gamma, certify_trivialisation, CertificationFailed)
+from .algebra import (CSA, RhoTable, BadBasePoint, certify_trivialisation,
+                      CertificationFailed)
 
 
 class RankNotOne(Exception):
@@ -352,8 +352,21 @@ _HELD_OUT = 5  # image points drawn past the interpolation set, each checked on 
 
 
 def descend(curve, n, rho, triv, seed=0, gbasis=None):
-    """The full pipeline: quadrics for the twisted covering, certified
-    algebra, gamma, sampling, Segre images, and the plane cubic.
+    """The full pipeline: certified algebra, gamma, quadrics for the
+    twisted covering, sampling, Segre images, and the plane cubic.
+
+    Each fact is certified once.  The supplied trivialisation must twist
+    the same rho (else ValueError), and certify_trivialisation re-checks
+    it; gamma is rho.gamma, whose solve_gamma ran check_coboundary.
+    Those two certificates imply everything validate_rho and build_csa
+    check, so neither runs here:
+    - rho = d(gamma), so rho is nonzero, symmetric and a cocycle;
+    - tau(delta_O) = 1 and tau(delta_O)^2 = c(O,O) tau(delta_O) force
+      c(O,O) = eps(O,O) rho(O,O) = 1, so rho(O,O) = 1;
+    - a certified trivialisation makes A (x) L = M_n(L), which gives the
+      unit, associativity, a one-dimensional center and c(a,-a) != 0.
+    The algebra saved is CSA(table, rho, c), with c = eps rho the
+    structure constants the trivialisation was certified against.
 
     The 10 interpolation images and the 5 held-out images come from the
     E[n] orbits of two base points (see sample_images): z(P + S) =
@@ -362,26 +375,23 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     translates; the cubic goes through the other four translates and
     the first six images of the second orbit.
 
-    The supplied trivialisation is re-certified and must twist the same
-    rho.  Returns a dict with the quadric system, the algebra, the
+    Returns a dict with the quadric system, the algebra, the
     cubic, gamma, and a report of every check run."""
     if n != 3:
         raise ValueError("n = %d: only cubic descent is wired end to end" % n)
     data = CurveData.of(curve, n)
     table, eps = data.table, data.eps
 
-    rho = validate_rho(table, rho.values)
     if not (triv.rho.values == rho.values):
         raise ValueError("trivialisation twists a different rho")
-    qs = quadrics_for_C(curve, table, rho)
-    csa = build_csa(table, eps, rho)
-    gamma, field = solve_gamma(table, rho)
+    csa = CSA(table, rho, certify_trivialisation(triv, eps))
+    gamma, field = rho.gamma
     if field.is_prefix_of(triv.field):
         field = triv.field
         gamma = {ij: g.lift_to(field) for ij, g in gamma.items()}
     elif not triv.field.is_prefix_of(field):
         raise ValueError("trivialisation field is incompatible with the gamma extension")
-    certify_trivialisation(triv, eps)
+    qs = quadrics_for_C(curve, table, rho)
     if gbasis is None:
         gbasis = data.gbasis
 
@@ -401,7 +411,10 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
 
 def descent_report(n, seed, quadric_count, gamma_levels):
     """The report of a descend run, every check of which has passed;
-    verify rebuilds it from the parts of a descent file."""
+    verify rebuilds it from the parts of a descent file.  The flags name
+    the facts, not the functions: "rho_validated" and "csa_certified"
+    hold by the trivialisation and coboundary certificates (see descend),
+    "quadric_rank" by the owned monomials of quadrics_for_C."""
     return {
         "n": n,
         "seed": seed,

@@ -219,7 +219,8 @@ def torsion_from_json(j, curve):
 
 
 def point_to_json(p):
-    assert not p.is_infinity
+    if p.is_infinity:
+        raise ValueError("a point file holds an affine point, not O")
     return {"kind": "point", "hash": curve_hash(p.curve),
             "x": elem_to_json(p.x), "y": elem_to_json(p.y)}
 

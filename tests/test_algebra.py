@@ -34,6 +34,13 @@ def test_validate_trivial(table):
     assert got.value((1, 2), (2, 2)) == 1
 
 
+def test_rho_table_takes_rational_values(table):
+    # descend certifies a rho table as it is given, so ints must be field elements
+    rho = RhoTable(table, {k: 1 for k in RhoTable.trivial(table).values})
+    assert rho.values == RhoTable.trivial(table).values
+    assert all(v.tower == table.curve.field for v in rho.values.values())
+
+
 def test_validate_rejects_zero(table):
     rho = RhoTable.trivial(table)
     vals = dict(rho.values)
@@ -198,10 +205,39 @@ def test_trivialize_gamma_mode(emb, eps, table, field):
     rho = validate_rho(table, partial(table, z).values)
     triv = trivialize(emb, eps, rho, mode="gamma")
     assert triv.mode == "gamma"
-    certify_trivialisation(triv, eps)
+    # gamma is rho's own, solved once and kept on the table
+    assert rho.gamma is rho.gamma and triv.gamma is rho.gamma[0]
+    # certify_trivialisation returns the structure constants it checked
+    assert certify_trivialisation(triv, eps) == build_csa(table, eps, rho).structure
     # tau(delta_a) = gamma(a) M_a
     for ij in _idx():
         assert triv.M(ij) == emb.M(ij).scale(triv.gamma[ij])
+
+
+def _off_by_two_gamma(table):
+    # gamma = 1 except gamma(T1) = 2: d(gamma) is not the trivial rho
+    K = table.curve.field
+    gamma = {ij: K.one() for ij in _idx()}
+    gamma[(1, 0)] = K.from_fraction(2)
+    return gamma
+
+
+def test_trivialize_checks_a_carried_gamma(emb, eps, table):
+    # the matrices certify for the trivial rho, but the gamma carried
+    # along with them is not a coboundary for it
+    rho = RhoTable.trivial(table)
+    with pytest.raises(CertificationFailed) as ei:
+        trivialize(emb, eps, rho, mode="user", matrices=dict(emb.matrices),
+                   gamma=_off_by_two_gamma(table))
+    assert ei.value.witness == ("coboundary", (0, 1), (1, 0))
+    # in gamma mode the matrices gamma(T) M_T carry it, and certifying
+    # them is the coboundary check
+    with pytest.raises(CertificationFailed) as ei:
+        trivialize(emb, eps, rho, mode="gamma", gamma=_off_by_two_gamma(table))
+    assert ei.value.witness == ("multiplicative", (0, 1), (1, 0))
+    good = {ij: table.curve.field.one() for ij in _idx()}
+    triv = trivialize(emb, eps, rho, mode="user", matrices=dict(emb.matrices), gamma=good)
+    assert triv.gamma is good
 
 
 def test_trivialize_user_mode(emb, eps, table, field):

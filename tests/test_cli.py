@@ -13,7 +13,7 @@ from ndescent import cli
 from ndescent.cli import main
 from ndescent.fields import FieldTower
 from ndescent.curve import Curve, Point
-from ndescent.algebra import partial, validate_rho
+from ndescent.algebra import RhoTable, Trivialisation, partial, validate_rho
 from ndescent import serialize as ser
 
 
@@ -221,6 +221,25 @@ def test_trivialize_user_mode_round_trip(work, tmp_path):
     assert j["mode"] == "user"
 
 
+def test_trivialize_user_mode_rejects_a_bad_gamma_exit_3(work, tmp_path, table, emb, capsys):
+    # the embedding's matrices certify for the trivial rho, but the gamma
+    # the file carries along, 1 except gamma(T1) = 2, is no coboundary for it
+    _, paths, _ = work
+    K = table.curve.field
+    rho = RhoTable.trivial(table)
+    gamma = {ij: K.one() for ij in _idx()}
+    gamma[(1, 0)] = K.from_fraction(2)
+    user = Trivialisation(table, rho, K, dict(emb.matrices), "user", gamma)
+    rhopath, userpath = tmp_path / "trivial.json", tmp_path / "user.json"
+    ser.save(rhopath, ser.rho_to_json(rho))
+    ser.save(userpath, ser.triv_to_json(user))
+    rc = main(["trivialize", "--curve", paths["curve"], "--rho", str(rhopath),
+               "--mode", "user", "--triv", str(userpath), "--out", str(tmp_path / "u.json")])
+    assert rc == 3
+    assert "d(gamma) = rho" in capsys.readouterr().err
+    assert not (tmp_path / "u.json").exists()
+
+
 def test_point_not_on_curve_exit_1(work, tmp_path, capsys):
     _, paths, _ = work
     j = json.loads(open(paths["point2"]).read())
@@ -370,6 +389,9 @@ _NEGATIVE_PATHS = {
     "gamma-field-not-over-curve": (1, lambda paths, tmp: [
         "verify", "--curve", paths["curve"],
         _mutated(paths, tmp, "descent-gamma-field-not-over-curve")]),
+    "trivialize-user-gamma-other": (3, lambda paths, tmp: [
+        "trivialize", "--curve", paths["curve"], "--rho", paths["rho"], "--mode", "user",
+        "--triv", _mutated(paths, tmp, "triv-gamma-other"), "--out", str(tmp / "u.json")]),
 }
 _NEGATIVE_PATHS.update({name: (1, lambda paths, tmp, name=name: [
     "verify", "--curve", paths["curve"], _mutated(paths, tmp, name)])

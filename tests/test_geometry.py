@@ -1,23 +1,28 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ndescent import descent_funcs, geometry
+import ndescent
+from ndescent import algebra, descent_funcs, geometry
 from ndescent.fields import tower_extend
 from ndescent.curve import Curve, Point
 from ndescent.linalg import ExactMatrix
 from ndescent import serialize as ser
-from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable, partial,
-                              rho_from_point, solve_gamma, trivialize, validate_rho)
+from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable, build_csa,
+                              partial, rho_from_point, solve_gamma, trivialize, validate_rho)
 from ndescent.cli import main
 from ndescent.descent_funcs import CurveData, affine_sample
 from ndescent.geometry import (KernelEmpty, KernelTooBig, PlaneCurveEquation,
                                RankNotOne, descend, extract_point, g_eval,
                                interpolate_plane_curve, lambda_eval,
                                plane_monomials, quadrics_for_C, quadrics_for_E)
+from descend_mutants import WITNESSES, descend_mutants
 
 
 def _idx():
@@ -194,6 +199,9 @@ def test_descend_coboundary_rho(curve, table, eps, emb, gbasis, field):
     assert out["plane_curve"] == _oracle_cubic(field)
     assert out["report"]["summary"] == "all checks pass"
     assert out["seed"] == 1
+    # the structure constants the trivialisation certified are build_csa's
+    assert out["csa"].structure == build_csa(table, eps, rho).structure
+    assert out["csa"].rho is rho
 
 
 def test_descend_rejects_mismatched_rho(curve, table, eps, emb, gbasis, field):
@@ -241,6 +249,8 @@ def test_descend_builds_curve_data_once(field, monkeypatch):
     counted(geometry, "affine_sample")
     counted(geometry.QuadricSystem, "evaluate_all")
     counted(ExactMatrix, "rank")
+    for name in ("validate_rho", "build_csa", "solve_gamma"):
+        counted(algebra, name)
     curve = Curve(field, 0, -432)  # a fresh curve object: nothing built yet
     data = CurveData.of(curve, 3)
     assert CurveData.of(curve, 3) is data
@@ -251,10 +261,65 @@ def test_descend_builds_curve_data_once(field, monkeypatch):
         assert out["report"]["samples"] == 15
     # one draw, one covering evaluation and one quadric check per base
     # point, two base points per descend, and none inside lambda_eval; the
-    # quadric rank is certified without a rank computation
+    # quadric rank is certified without a rank computation, rho and the
+    # algebra by the trivialisation and the coboundary, and gamma is
+    # solved once for the rho of both runs
     assert calls == {"torsion_table": 1, "compute_miller_table": 1,
                      "compute_epsilon": 1, "g_eval": 4, "affine_sample": 4,
-                     "evaluate_all": 4}
+                     "evaluate_all": 4, "solve_gamma": 1}
+    # a gamma-mode trivialize and a descend on the same rho solve gamma once
+    z = _z_values(field, 36)
+    twisted = validate_rho(data.table, partial(data.table, z).values)
+    calls.clear()
+    out = descend(curve, 3, twisted, trivialize(data.emb, data.eps, twisted, mode="gamma"),
+                  seed=9)
+    assert out["gamma"] == twisted.gamma[0]
+    assert calls["solve_gamma"] == 1
+    assert calls["validate_rho"] == calls["build_csa"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_descend_certifies_rho_without_validate_rho(curve, name):
+    # each mutant breaks a fact validate_rho or build_csa would catch;
+    # the trivialisation and coboundary certificates must catch it instead
+    rho, triv = descend_mutants(CurveData.of(curve, 3))[name]
+    with pytest.raises(CertificationFailed) as exc:
+        descend(curve, 3, rho, triv)
+    assert exc.value.witness == WITNESSES[name]
+
+
+_MUTANTS_UNDER_O = r"""
+import sys
+from ndescent.algebra import CertificationFailed
+from ndescent.curve import Curve
+from ndescent.descent_funcs import CurveData
+from ndescent.fields import FieldTower, tower_extend
+from ndescent.geometry import descend
+from descend_mutants import WITNESSES, descend_mutants
+
+if not sys.flags.optimize:
+    sys.exit("run under python -O")
+K = tower_extend(FieldTower.rationals(), [1, 1, 1], name="zeta3")
+curve = Curve(K, 0, -432)
+for name, (rho, triv) in sorted(descend_mutants(CurveData.of(curve, 3)).items()):
+    try:
+        descend(curve, 3, rho, triv)
+    except CertificationFailed as e:
+        if e.witness == WITNESSES[name]:
+            continue
+    sys.exit("%s: descend did not raise CertificationFailed%r" % (name, WITNESSES[name]))
+print("ok")
+"""
+
+
+def test_descend_mutants_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndescent.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    run = subprocess.run([sys.executable, "-O", "-c", _MUTANTS_UNDER_O],
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "ok"
 
 
 def _normalized(v):
