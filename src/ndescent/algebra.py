@@ -51,9 +51,6 @@ class RhoTable:
         a gamma-mode trivialize and a descend on the same rho solve once."""
         return solve_gamma(self.table, self)
 
-    def is_trivial(self):
-        return all(v == 1 for v in self.values.values())
-
     @staticmethod
     def trivial(table):
         one, idx = table.curve.field.one(), _indices(table.n)
@@ -159,53 +156,9 @@ class CSA:
         self.table = table
         self.rho = rho
         self.structure = structure  # dict (ij, kl) -> FieldElement
-        self.n = table.n
-        self.field = table.curve.field
 
     def c(self, a, b):
         return self.structure[(a, b)]
-
-    def delta(self, ij):
-        out = {k: self.field.zero() for k in _indices(self.n)}
-        out[ij] = self.field.one()
-        return out
-
-    def one(self):
-        return self.delta((0, 0))
-
-    def mult(self, x, y):
-        out = {k: None for k in _indices(self.n)}
-        for a, xa in x.items():
-            if xa.is_zero():
-                continue
-            for b, yb in y.items():
-                if yb.is_zero():
-                    continue
-                t = self.table.add_index(a, b)
-                term = self.c(a, b) * xa * yb
-                out[t] = term if out[t] is None else out[t] + term
-        zero = self.field.zero()
-        return {k: (v if v is not None else zero) for k, v in out.items()}
-
-    def left_mult_matrix(self, x):
-        """Matrix of y -> x * y on coordinate vectors in table order."""
-        n = self.n
-        idx = _indices(n)
-        rows = [[None] * (n * n) for _ in range(n * n)]
-        zero = self.field.zero()
-        for bcol, b in enumerate(idx):
-            for a, xa in x.items():
-                t = self.table.add_index(a, b)
-                trow = t[0] * n + t[1]
-                term = self.c(a, b) * xa
-                cur = rows[trow][bcol]
-                rows[trow][bcol] = term if cur is None else cur + term
-        rows = [[e if e is not None else zero for e in r] for r in rows]
-        return ExactMatrix(rows, self.field)
-
-    def trd(self, x):
-        """Reduced trace: trace of left multiplication divided by n."""
-        return self.left_mult_matrix(x).trace() * Fraction(1, self.n)
 
 
 def build_csa(table, eps, rho):

@@ -179,7 +179,7 @@ def _verify_file(path, j, data, emit, rhos):
         triv = ser.triv_from_json(j, table)
         _check_parts(path, triv.rho.values, data, emit, rhos, triv=triv)
     elif kind == "quadrics":
-        qs = ser.quadrics_from_json(j, curve)
+        qs = ser.quadrics_from_json(j, table)
         _check_parts(path, ser.quadrics_rho_from_json(j, table).values, data, emit, rhos,
                      qs=qs)
     elif kind == "descent":

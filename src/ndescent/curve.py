@@ -120,7 +120,8 @@ class Point:
         return Point(self.curve, self.x, -self.y)
 
     def __add__(self, other):
-        assert isinstance(other, Point)
+        if not isinstance(other, Point):
+            return NotImplemented
         if self.is_infinity:
             return other
         if other.is_infinity:
@@ -163,7 +164,8 @@ class Point:
 def slope(t1, t2):
     """The slope of the line through t1 and t2 (tangent if equal).
     Both points affine, t1 + t2 != O."""
-    assert not (t1.is_infinity or t2.is_infinity)
+    if t1.is_infinity or t2.is_infinity:
+        raise ValueError("a slope needs affine points")
     if t1.x == t2.x:
         if not (t1.y == t2.y) or t1.y.is_zero():
             raise ValueError("vertical line has no slope")
@@ -259,9 +261,6 @@ class TorsionTable:
     def index(self, p):
         return self._index[p.key()]
 
-    def zero(self):
-        return self.points[0]
-
     def __iter__(self):
         return iter(self.points)
 
@@ -291,8 +290,8 @@ def torsion_table(curve, n):
     # and y^2 = rhs(x0) is nonzero since odd n has no 2-torsion
     pts = [Point.at_infinity(curve)]
     x = poly_x(curve.field)
-    for x0 in roots_in_field(psi, curve.field):
-        for y0 in roots_in_field(x * x - curve.rhs(x0), curve.field):
+    for x0 in roots_in_field(psi):
+        for y0 in roots_in_field(x * x - curve.rhs(x0)):
             pts.append(Point(curve, x0, y0))
     if len(pts) < n * n:
         raise TorsionNotRational(len(pts))
@@ -302,6 +301,7 @@ def torsion_table(curve, n):
         if p.order(bound=n) == n:
             t1 = p
             break
+    # cannot fire: the n^2 points are all of E[n] = (Z/n)^2, which has points of order n
     assert t1 is not None, "no point of exact order n"
     cycle = set()
     acc = Point.at_infinity(curve)
@@ -313,5 +313,7 @@ def torsion_table(curve, n):
         if p.key() not in cycle:
             t2 = p
             break
+    # cannot fire for prime n, where every point outside the cycle of T1
+    # has order n (composite n would need another choice of T2)
     assert t2 is not None and t2.order(bound=n) == n
     return TorsionTable(curve, n, t1, t2)

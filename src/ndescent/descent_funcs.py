@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .fields import Poly, root_or_extend
 from .linalg import ExactMatrix
-from .curve import Point, division_polynomial, slope, torsion_table, PoleAtP
+from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, miller_function
 from .algebra import (CertificationFailed, RhoTable, Trivialisation,
                       certify_trivialisation)
@@ -101,8 +101,7 @@ def compute_miller_table(table):
 class EpsilonTable:
     """eps(T1,T2) for all pairs of table points, and the Weil pairing."""
 
-    def __init__(self, table, values):
-        self.table = table
+    def __init__(self, values):
         self.values = values  # dict (ij, kl) -> FieldElement
 
     def eps(self, ij, kl):
@@ -110,9 +109,6 @@ class EpsilonTable:
 
     def weil(self, ij, kl):
         return self.values[(ij, kl)] / self.values[(kl, ij)]
-
-    def weil_points(self, p, q):
-        return self.weil(self.table.index(p), self.table.index(q))
 
 
 def compute_epsilon(table, millers):
@@ -141,7 +137,7 @@ def compute_epsilon(table, millers):
             except (PoleAtP, ZeroDivisionError):
                 raise CertificationFailed(("epsilon", ij, kl),
                                           "a Miller value in epsilon is zero or a pole")
-    return EpsilonTable(table, values)
+    return EpsilonTable(values)
 
 
 class GBasis:
@@ -226,13 +222,6 @@ class CurveData:
         return compute_embedding(self.table, self.eps, self.millers)
 
 
-def embedding_values(curve, n, p):
-    """The affine coordinate vector of the embedding at an affine point."""
-    if p.is_infinity:
-        raise ValueError("the embedding vector at O is a limit, not a value")
-    return [p.x ** i * p.y if j else p.x ** i for i, j in _exponents(n)]
-
-
 def affine_sample(curve, n, rng, name, used_x):
     """A deterministic-random affine non-torsion point, over the base field
     when the cubic is a square there, else over a quadratic extension."""
@@ -303,19 +292,3 @@ def tau_1(triv, alpha):
         out = term if out is None else out + term
     return out
 
-
-def dual_row(emb, p):
-    """The osculating hyperplane of the embedding at an affine point
-    (the tangent line for n = 3), as a coefficient vector."""
-    if emb.n != 3:
-        raise ValueError("osculating rows only implemented for n = 3")
-    curve = emb.table.curve
-    fp = embedding_values(curve, emb.n, p)
-    if p.y.is_zero():
-        # vertical tangent at a two-torsion point
-        drow = [curve.field.zero(), curve.field.zero(), curve.field.one()]
-    else:
-        drow = [curve.field.zero(), curve.field.one(), slope(p, p)]
-    kern = ExactMatrix([fp, drow]).kernel_basis()
-    assert len(kern) == 1
-    return kern[0]

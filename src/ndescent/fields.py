@@ -33,7 +33,7 @@ else a new level x^p - a.
 import operator
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 
 class ReducibleExtension(Exception):
@@ -101,14 +101,12 @@ class FieldTower:
         q = _fr(q)
         return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
-    def gen(self, i=-1):
-        """The generator of level i (default: the top level)."""
-        if i < 0:
-            i += self.nlevels
-        if not 0 <= i < self.nlevels:
-            raise ValueError("no such level")
+    def gen(self):
+        """The generator of the top level."""
+        if not self.levels:
+            raise ValueError("Q has no generator")
         num = [0] * self.degree
-        num[prod(self.degrees[:i])] = 1
+        num[self.degree // self.degrees[-1]] = 1
         return FieldElement(self, num, 1)
 
     def element(self, flat):
@@ -586,9 +584,6 @@ class Poly:
             return NotImplemented
         return a.coeffs == b.coeffs
 
-    def __hash__(self):
-        return hash(tuple(c.key() for c in self.coeffs))
-
     def monic(self):
         if self.is_zero():
             return self
@@ -767,14 +762,12 @@ def _factor_data(f):
     return out
 
 
-def factor_poly(poly, field=None):
-    """Factor a Poly over a tower into monic irreducibles.
+def factor_poly(poly):
+    """Factor a Poly over its tower into monic irreducibles.
 
     Returns a list of (Poly, multiplicity), sorted deterministically
     (degree first, then coefficient key).  The leading unit is dropped.
     """
-    if field is not None and poly.tower != field:
-        poly = poly.lift_to(field)
     if poly.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     out = _factor_data(poly)
@@ -782,10 +775,10 @@ def factor_poly(poly, field=None):
     return out
 
 
-def roots_in_field(poly, field=None):
-    """All roots of poly lying in the field, with multiplicity, sorted."""
+def roots_in_field(poly):
+    """All roots of poly in its own field, with multiplicity, sorted."""
     roots = []
-    for f, mult in factor_poly(poly, field):
+    for f, mult in factor_poly(poly):
         if f.degree == 1:
             roots.extend([-f.coeff(0)] * mult)
     roots.sort(key=lambda r: r.key())

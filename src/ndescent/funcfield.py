@@ -33,7 +33,8 @@ class FunctionFieldElement:
         u = u.lift_to(K) if u.tower != K else u
         v = v.lift_to(K) if v.tower != K else v
         w = w.lift_to(K) if w.tower != K else w
-        assert not w.is_zero(), "zero denominator"
+        if w.is_zero():
+            raise ZeroDivisionError("zero denominator")
         g = poly_gcd(poly_gcd(u, v), w)
         if g.degree > 0:
             u, v, w = u // g, v // g, w // g
@@ -78,7 +79,8 @@ class FunctionFieldElement:
         if isinstance(other, (int, Fraction, FieldElement)):
             return FunctionFieldElement.const(self.curve, other)
         if isinstance(other, FunctionFieldElement):
-            assert other.curve == self.curve, "elements on different curves"
+            if not (other.curve == self.curve):
+                raise ValueError("elements on different curves")
             return other
         return None
 
@@ -118,6 +120,8 @@ class FunctionFieldElement:
         rhs = self.curve.rhs_poly()
         # 1/(u + vy) = (u - vy)/(u^2 - v^2 rhs)
         den = self.u * self.u - rhs * (self.v * self.v)
+        # cannot fire: u + v y != 0, and u^2 = v^2 (x^3 + a x + b) with v != 0
+        # would make a polynomial of odd degree a square in K(x)
         assert not den.is_zero(), "u^2 = v^2 (x^3+ax+b) is impossible for u+vy != 0"
         return self._raw(self.w * self.u, -(self.w * self.v), den)
 
@@ -146,18 +150,6 @@ class FunctionFieldElement:
             raise PoleAtP("denominator vanishes at the point")
         return (self.u(p.x) + self.v(p.x) * p.y) / wx
 
-    def derivative(self):
-        """d/dx along the curve, using y' = (3x^2 + a)/(2y)."""
-        c = self.curve
-        du, dv, dw = self.u.derivative(), self.v.derivative(), self.w.derivative()
-        w2 = self.w * self.w
-        main = self._raw(du * self.w - self.u * dw, dv * self.w - self.v * dw, w2)
-        # v * y' = v * rhs' / (2y) = (v rhs' / 2) * y / rhs
-        rhs = c.rhs_poly()
-        half = Fraction(1, 2)
-        vterm = FunctionFieldElement(c, 0, half * (self.v * rhs.derivative()), rhs * self.w)
-        return main + vterm
-
     def laurent(self):
         """The leading term (order, coefficient) of the expansion at O in
         t = x/y, exact.  w is monic, so the order is the larger pole of
@@ -179,7 +171,8 @@ def line_through(p1, p2):
     (tangent if p1 = p2, vertical x - x0 if p1 + p2 = O).
     div = (p1) + (p2) + (-(p1+p2)) - 3(O), or (p1) + (-p1) - 2(O) if vertical."""
     curve = p1.curve
-    assert not (p1.is_infinity or p2.is_infinity), "lines need affine points"
+    if p1.is_infinity or p2.is_infinity:
+        raise ValueError("lines need affine points")
     if p1.x == p2.x and p1.y == -p2.y:
         return vertical_through(p1)
     lam = slope(p1, p2)
@@ -190,7 +183,8 @@ def line_through(p1, p2):
 
 def vertical_through(p):
     curve = p.curve
-    assert not p.is_infinity
+    if p.is_infinity:
+        raise ValueError("no vertical line through O")
     x = poly_x(curve.field)
     return FunctionFieldElement(curve, x - p.x, 0, 1)
 

@@ -152,7 +152,7 @@ def quadrics_for_E(curve, table):
 
 def g_eval(curve, gbasis, gamma, p):
     """Coordinates (gamma(T)^{-1} G_T(P))_T of the covering map, in
-    table order; gamma = None means the untwisted map on E itself.
+    table order; the unit cochain gamma = 1 gives the map on E itself.
 
     P must stay away from the n^2-torsion, where the G_T share zeros
     and poles."""
@@ -170,9 +170,7 @@ def g_eval(curve, gbasis, gamma, p):
             val = gbasis[ij].evaluate(p)
         except PoleAtP:
             raise BadBasePoint("covering coordinate has a pole at the point")
-        if gamma is not None:
-            val = gamma[ij].inverse() * val
-        out.append(val)
+        out.append(gamma[ij].inverse() * val)
     return out
 
 

@@ -13,6 +13,12 @@ class NoSolution(Exception):
     pass
 
 
+def _require(ok, message):
+    """A caller's shape or tower error is a ValueError, under python -O too."""
+    if not ok:
+        raise ValueError(message)
+
+
 def _common_tower(entries):
     tower = None
     for e in entries:
@@ -21,7 +27,7 @@ def _common_tower(entries):
         if tower is None or tower.is_prefix_of(e.tower):
             tower = e.tower
         else:
-            assert e.tower.is_prefix_of(tower), "entries from incompatible towers"
+            _require(e.tower.is_prefix_of(tower), "entries from incompatible towers")
     return tower if tower is not None else FieldTower.rationals()
 
 
@@ -37,9 +43,9 @@ class ExactMatrix:
 
     def __init__(self, rows, tower=None):
         rows = [list(r) for r in rows]
-        assert rows and rows[0], "matrix needs at least one row and column"
+        _require(rows and rows[0], "matrix needs at least one row and column")
         ncols = len(rows[0])
-        assert all(len(r) == ncols for r in rows), "ragged rows"
+        _require(all(len(r) == ncols for r in rows), "ragged rows")
         if tower is None:
             tower = _common_tower(e for r in rows for e in r)
         self.tower = tower
@@ -51,11 +57,6 @@ class ExactMatrix:
     def identity(n, tower):
         one, zero = tower.one(), tower.zero()
         return ExactMatrix([[one if i == j else zero for j in range(n)] for i in range(n)], tower)
-
-    @staticmethod
-    def zero(nrows, ncols, tower):
-        z = tower.zero()
-        return ExactMatrix([[z] * ncols for _ in range(nrows)], tower)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -76,12 +77,12 @@ class ExactMatrix:
                    for i in range(self.nrows) for j in range(self.ncols))
 
     def __add__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
+        _require((self.nrows, self.ncols) == (other.nrows, other.ncols), "shapes differ")
         return ExactMatrix([[a + b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
+        _require((self.nrows, self.ncols) == (other.nrows, other.ncols), "shapes differ")
         return ExactMatrix([[a - b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.rows, other.rows)])
 
@@ -93,7 +94,7 @@ class ExactMatrix:
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
-            assert self.ncols == other.nrows, "dimension mismatch"
+            _require(self.ncols == other.nrows, "dimension mismatch")
             out = []
             for i in range(self.nrows):
                 row = []
@@ -108,7 +109,7 @@ class ExactMatrix:
         return NotImplemented
 
     def mat_vec(self, v):
-        assert len(v) == self.ncols
+        _require(len(v) == self.ncols, "vector length is not the column count")
         out = []
         for i in range(self.nrows):
             s = None
@@ -123,14 +124,11 @@ class ExactMatrix:
                             for j in range(self.ncols)], self.tower)
 
     def trace(self):
-        assert self.nrows == self.ncols
+        _require(self.nrows == self.ncols, "only square matrices have a trace")
         s = self.tower.zero()
         for i in range(self.nrows):
             s = s + self.rows[i][i]
         return s
-
-    def is_zero(self):
-        return all(e.is_zero() for r in self.rows for e in r)
 
     def copy_rows(self):
         return [list(r) for r in self.rows]
@@ -184,7 +182,7 @@ class ExactMatrix:
 
     def solve(self, b):
         """One solution of A x = b (free variables zero); NoSolution if none."""
-        assert len(b) == self.nrows
+        _require(len(b) == self.nrows, "right-hand side length is not the row count")
         b = [_lift_entry(e, self.tower) for e in b]
         aug = ExactMatrix([self.rows[i] + [b[i]] for i in range(self.nrows)], self.tower)
         rows, pivots = aug._rref()
@@ -196,7 +194,7 @@ class ExactMatrix:
         return x
 
     def inverse(self):
-        assert self.nrows == self.ncols, "only square matrices invert"
+        _require(self.nrows == self.ncols, "only square matrices invert")
         n = self.nrows
         ident = ExactMatrix.identity(n, self.tower)
         aug = ExactMatrix([self.rows[i] + ident.rows[i] for i in range(n)], self.tower)
@@ -206,7 +204,7 @@ class ExactMatrix:
         return ExactMatrix([r[n:] for r in rows[:n]], self.tower)
 
     def det(self):
-        assert self.nrows == self.ncols
+        _require(self.nrows == self.ncols, "only square matrices have a determinant")
         rows = self.copy_rows()
         n = self.nrows
         det = self.tower.one()

@@ -53,9 +53,11 @@ def load(path):
 
 
 def _rational(s):
+    if not isinstance(s, str):  # a JSON float is not the value it was written as
+        raise ParseError("bad rational %r: rationals are stored as strings" % (s,))
     try:
         return Fraction(s)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise ParseError("bad rational %r" % (s,))
 
 
@@ -188,6 +190,13 @@ def _check_kind(j, kind, curve):
         raise ParseError("artifact belongs to a different curve")
 
 
+def _check_table_kind(j, kind, table):
+    """j is an artifact of this kind that belongs to this curve and n."""
+    _check_kind(j, kind, table.curve)
+    if type(_req(j, "n")) is not int or j["n"] != table.n:
+        raise ParseError("%s file is for n = %r, not %d" % (kind, j["n"], table.n))
+
+
 def torsion_to_json(table):
     h = curve_hash(table.curve)
     pts = []
@@ -246,7 +255,7 @@ def rho_to_json(rho):
 
 
 def rho_from_json(j, table):
-    _check_kind(j, "rho", table.curve)
+    _check_table_kind(j, "rho", table)
     return RhoTable(table, _pairs_from_json(table.curve.field, _req(j, "values"), table.n))
 
 
@@ -258,7 +267,7 @@ def csa_to_json(csa):
 
 
 def csa_from_json(j, table):
-    _check_kind(j, "csa", table.curve)
+    _check_table_kind(j, "csa", table)
     K = table.curve.field
     rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho"), table.n))
     structure = _pairs_from_json(K, _req(j, "structure"), table.n)
@@ -290,7 +299,7 @@ def triv_to_json(triv):
 
 
 def triv_from_json(j, table):
-    _check_kind(j, "trivialisation", table.curve)
+    _check_table_kind(j, "trivialisation", table)
     K = table.curve.field
     L = tower_from_json(_req(j, "field"))
     if not K.is_prefix_of(L):
@@ -339,9 +348,9 @@ def quadrics_to_json(qs, curve, rho):
             "forms": quadrics_to_json_forms(qs)}
 
 
-def quadrics_from_json(j, curve):
-    _check_kind(j, "quadrics", curve)
-    return quadrics_from_json_forms(curve.field, _req(j, "n"), _req(j, "forms"))
+def quadrics_from_json(j, table):
+    _check_table_kind(j, "quadrics", table)
+    return quadrics_from_json_forms(table.curve.field, table.n, _req(j, "forms"))
 
 
 def quadrics_rho_from_json(j, table):
@@ -386,9 +395,7 @@ def descent_to_json(out, curve):
 
 def descent_from_json(j, table):
     curve, n = table.curve, table.n
-    _check_kind(j, "descent", curve)
-    if _req(j, "n") != n:
-        raise ParseError("descent file is for n = %r, not %d" % (j["n"], n))
+    _check_table_kind(j, "descent", table)
     K = curve.field
     gj = _req(j, "gamma")
     gfield = tower_from_json(_req(gj, "field"))

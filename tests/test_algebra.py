@@ -9,6 +9,7 @@ from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable,
                               Trivialisation, build_csa, certify_trivialisation,
                               partial, rho_from_point, solve_gamma, trivialize,
                               validate_rho)
+from oracles import delta, left_mult_matrix, mult, one, trd, zero_matrix
 
 
 def _idx():
@@ -30,7 +31,7 @@ def _z_values(field, seed):
 def test_validate_trivial(table):
     rho = RhoTable.trivial(table)
     got = validate_rho(table, rho.values)
-    assert got.is_trivial()
+    assert all(v == 1 for v in got.values.values())
     assert got.value((1, 2), (2, 2)) == 1
 
 
@@ -74,7 +75,7 @@ def test_validate_normalizes(table, field):
     vals = {k: field.from_fraction(5) for k in rho.values}
     got = validate_rho(table, vals)
     assert got.value((0, 0), (0, 0)) == 1
-    assert got.is_trivial()
+    assert all(v == 1 for v in got.values.values())
 
 
 def test_partial_is_coboundary(table, field):
@@ -117,14 +118,14 @@ def test_csa_trivial(table, eps, field):
     for a in _idx():
         for b in _idx():
             assert csa.c(a, b) == eps.eps(a, b)
-    one = csa.one()
-    assert csa.trd(one) == field.from_fraction(3)
+    unit = one(csa)
+    assert trd(csa, unit) == field.from_fraction(3)
     for ij in _idx():
-        d = csa.delta(ij)
+        d = delta(csa, ij)
         if ij != (0, 0):
-            assert csa.trd(d).is_zero()
-        assert csa.mult(one, d) == d
-        assert csa.mult(d, one) == d
+            assert trd(csa, d).is_zero()
+        assert mult(csa, unit, d) == d
+        assert mult(csa, d, unit) == d
 
 
 def test_csa_commutative_center(table, eps):
@@ -155,9 +156,9 @@ def test_csa_left_mult_matrix(table, eps, field):
     rng = random.Random(4)
     x = {ij: field.from_fraction(rng.randint(-3, 3)) for ij in _idx()}
     y = {ij: field.from_fraction(rng.randint(-3, 3)) for ij in _idx()}
-    m = csa.left_mult_matrix(x)
+    m = left_mult_matrix(csa, x)
     got = m.mat_vec([y[ij] for ij in _idx()])
-    want = csa.mult(x, y)
+    want = mult(csa, x, y)
     assert got == [want[ij] for ij in _idx()]
 
 
@@ -278,7 +279,7 @@ def _unit_only(table, eps, K):
     # nonunit deltas is 0, as is every nonunit image
     rho = RhoTable(table, {(a, b): K.one() if (0, 0) in (a, b) else K.zero()
                            for a in _idx() for b in _idx()})
-    return rho, {ij: ExactMatrix.identity(3, K) if ij == (0, 0) else ExactMatrix.zero(3, 3, K)
+    return rho, {ij: ExactMatrix.identity(3, K) if ij == (0, 0) else zero_matrix(3, 3, K)
                  for ij in _idx()}
 
 

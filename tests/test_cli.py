@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -534,3 +535,174 @@ def test_malformed_artifact_exit_1(work, tmp_path, key, damage, message, capsys)
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [0.5, True, 3], ids=["float", "bool", "int"])
+def test_rational_that_is_not_a_string_exit_1(work, tmp_path, value, capsys):
+    # rationals are stored as "p/q" strings: a JSON number or bool is a
+    # parse error, not a value (0.5 would be read as a binary float and
+    # true as 1)
+    _, paths, _ = work
+    j = json.loads(open(paths["rho"]).read())
+    j["values"]["1,0|0,1"][0] = value
+    bad = tmp_path / "rho.json"
+    bad.write_text(json.dumps(j))
+    rc = main(["verify", "--curve", paths["curve"], str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "stored as strings" in err and "Traceback" not in err
+
+
+# -- loader fuzz: every artifact kind, mutated deterministically -----------
+
+_INDEX_KEY = re.compile(r"\d+,\d+(\|\d+,\d+)?")
+
+
+def _fuzz_paths(j, path=()):
+    """The key paths of the nodes the fuzz mutates: the root, every value
+    of an object with named keys, the first value of an object keyed by
+    torsion indices, and the first non-null entry of a list."""
+    yield path
+    if isinstance(j, dict):
+        keys = sorted(j)
+        if keys and all(_INDEX_KEY.fullmatch(k) for k in keys):
+            keys = keys[:1]
+        for k in keys:
+            yield from _fuzz_paths(j[k], path + (k,))
+    elif isinstance(j, list):
+        for k, v in enumerate(j):
+            if v is not None:
+                yield from _fuzz_paths(v, path + (k,))
+                break
+
+
+def _replaced(j, path, value):
+    """A copy of j with the node at path replaced by value."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(j))
+    node = out
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return out
+
+
+def _fuzz_mutations(j):
+    """(name, mutated copy, whether a coordinate got a wrong type) for
+    each fuzz path: a deleted key, a wrong JSON type, an index out of
+    range and a ragged list, wherever they apply.  A coordinate is a
+    string in a list; it is replaced by a number and by a bool."""
+    for path in _fuzz_paths(j):
+        node = j
+        for k in path:
+            node = node[k]
+        name = "/".join(map(str, path)) or "root"
+        coordinate = isinstance(node, str) and bool(path) and isinstance(path[-1], int)
+        if coordinate:
+            yield name + ":number", _replaced(j, path, 5), True
+            yield name + ":bool", _replaced(j, path, True), True
+        else:
+            yield name + ":type", _replaced(j, path, 5 if isinstance(node, str) else "x"), False
+        if isinstance(node, dict) and node:
+            first = sorted(node)[0]
+            yield (name + ":delete",
+                   _replaced(j, path, {k: v for k, v in node.items() if k != first}), False)
+            if _INDEX_KEY.fullmatch(first):
+                renamed = {("9" + k[1:] if k == first else k): v for k, v in node.items()}
+                yield name + ":range", _replaced(j, path, renamed), False
+        elif isinstance(node, list) and node:
+            yield name + ":ragged", _replaced(j, path, node[:-1]), False
+        elif type(node) is int:
+            yield name + ":range", _replaced(j, path, 99), False
+
+
+# artifact of the work fixture -> the curve file it belongs to, for all
+# eight kinds; the trivialisation is in gamma mode
+_FUZZED = {"curve": "curve", "point2": "aux", "torsion": "curve", "rho": "curve",
+           "csa": "curve", "triv": "curve", "quadC": "curve", "out": "curve"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_cases(work):
+    """(name, argv, whether it must exit 1) for every fuzz mutation: each
+    mutated file goes through verify, and a mutated point file also
+    through rho-from-point."""
+    d, paths, _ = work
+    fuzz = d / "fuzz"
+    fuzz.mkdir()
+    cases = []
+    for key, curve_key in _FUZZED.items():
+        with open(paths[key]) as fh:
+            original = json.load(fh)
+        for k, (name, mutated, coordinate) in enumerate(_fuzz_mutations(original)):
+            path = str(fuzz / ("%s-%d.json" % (key, k)))
+            with open(path, "w") as fh:
+                json.dump(mutated, fh)
+            curve = path if key == "curve" else paths[curve_key]
+            cases.append(("%s %s" % (key, name), ["verify", "--curve", curve, path],
+                          coordinate))
+            if key == "point2":
+                cases.append(("%s %s rho-from-point" % (key, name),
+                              ["rho-from-point", "--curve", curve, "--point", path,
+                               "--out", str(fuzz / "rho.json")], coordinate))
+    return cases
+
+
+def _cache_curves(cli_module):
+    """Load each distinct curve file once: the fuzz mutates artifacts,
+    and recomputing the torsion and G-basis per case would dominate."""
+    real, cache = cli_module._load_curve, {}
+
+    def load(args):
+        with open(args.curve, "rb") as fh:
+            key = (fh.read(), args.n)
+        if key not in cache:
+            cache[key] = real(args)
+        return cache[key]
+    return load
+
+
+def test_loader_fuzz_every_artifact_kind(fuzz_cases, monkeypatch, capsys):
+    kinds = {name.split()[0] for name, _, _ in fuzz_cases}
+    assert kinds == set(_FUZZED) and 200 <= len(fuzz_cases) <= 500
+    monkeypatch.setattr(cli, "_load_curve", _cache_curves(cli))
+    wrong = []
+    for name, argv, coordinate in fuzz_cases:
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if rc not in ((1,) if coordinate else (1, 2, 3)) or "Traceback" in out + err:
+            wrong.append((name, rc))
+    assert wrong == []
+
+
+_FUZZ_UNDER_O = r"""
+import json, sys, traceback
+from ndescent import cli
+from test_cli import _cache_curves
+
+if not sys.flags.optimize:
+    sys.exit("run under python -O")
+cli._load_curve = _cache_curves(cli)
+wrong = []
+for name, argv, coordinate in json.load(open(sys.argv[1])):
+    try:
+        rc = cli.main(argv)
+    except Exception:
+        rc = traceback.format_exc()
+    if rc not in ((1,) if coordinate else (1, 2, 3)):
+        wrong.append((name, rc))
+print(json.dumps(wrong))
+"""
+
+
+def test_loader_fuzz_under_python_O(fuzz_cases, tmp_path):
+    listing = tmp_path / "cases.json"
+    listing.write_text(json.dumps(fuzz_cases))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndescent.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-c", _FUZZ_UNDER_O, str(listing)],
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []

@@ -137,7 +137,7 @@ def test_r_eval(table, field):
     # r(t1, -t1) is x - x(t1)
     w = r_eval(t1, -t1, p)
     assert w == p.x - t1.x.lift_to(K1)
-    assert r_eval(table.zero(), t1, p) == K1.one()
+    assert r_eval(table.point(0, 0), t1, p) == K1.one()
     with pytest.raises(PoleAtP):
         r_eval(t1, t2, Point.at_infinity(E1))
     with pytest.raises(PoleAtP):

@@ -130,13 +130,13 @@ def test_factor_poly(field):
     z = field.gen()
     p = Poly([1, 1, 1])  # x^2 + x + 1 over Q: irreducible
     assert len(factor_poly(p)) == 1
-    fs = factor_poly(p, field)
+    fs = factor_poly(p.lift_to(field))
     assert [f.degree for f, _ in fs] == [1, 1]
     assert set(tuple((-f.coeff(0)).flatten()) for f, _ in fs) == \
         set(tuple(v.flatten()) for v in [z, z * z])
     # multiplicity
     q = Poly([1, 1, 1]) * Poly([1, 1, 1]) * Poly([-2, 1])
-    fs = factor_poly(q, field)
+    fs = factor_poly(q.lift_to(field))
     assert sorted(m for _, m in fs) == [1, 2, 2]
 
 
@@ -231,7 +231,7 @@ def _monomials_over(sub, K):
     generator fastest (the order of coords_over)."""
     monos = [K.one()]
     for lvl in range(sub.nlevels, K.nlevels):
-        g = K.gen(lvl)
+        g = _TOWERS[lvl + 1].gen().lift_to(K)
         monos = [m * g ** i for i in range(K.degrees[lvl]) for m in monos]
     return monos
 
@@ -306,10 +306,11 @@ from fractions import Fraction
 from ndescent.fields import (FieldTower, Poly, ReducibleExtension, factor_poly,
                              poly_x, tower_extend)
 from ndescent.curve import Curve, Point, TorsionTable, division_polynomial, slope
-from ndescent.funcfield import FunctionFieldElement, miller_function
+from ndescent.funcfield import (FunctionFieldElement, line_through, miller_function,
+                                vertical_through)
 from ndescent.linalg import ExactMatrix
 from ndescent.descent_funcs import (CurveData, compute_embedding, compute_epsilon,
-                                    dual_row, embedding_values, translation_operator)
+                                    translation_operator)
 from ndescent.serialize import point_to_json
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               certify_trivialisation, partial, solve_gamma, trivialize)
@@ -327,7 +328,8 @@ idx = [divmod(k, 3) for k in range(9)]
 identities = Trivialisation(table, one_rho, K, {ij: ExactMatrix.identity(3, K) for ij in idx},
                             "standard")
 zeros = Trivialisation(table, one_rho, K, {ij: identities.M(ij) if ij == (0, 0)
-                                           else ExactMatrix.zero(3, 3, K) for ij in idx},
+                                           else ExactMatrix([[K.zero()] * 3] * 3, K)
+                                           for ij in idx},
                        "standard")
 # F_T for T = (0, 1) times y: F_T is F_{-T} for T = (0, 2), so
 # (h o tau_T) F_T y leaves L(3(O)) and ("translation", (0, 2)) fails
@@ -342,12 +344,15 @@ zero_f[(0, 2)] = FunctionFieldElement.const(data.curve, 0)
 # F_T for T = (0, 1) replaced by zero: eps(T1, T) = 1/F_T(-T1) divides by zero
 zero_t = dict(millers)
 zero_t[(0, 1)] = FunctionFieldElement.const(data.curve, 0)
-quintic = Trivialisation(table, one_rho, K, {}, "standard")
-quintic.n = 5  # what an embedding of degree 5 would report
 even = TorsionTable.__new__(TorsionTable)
 even.n = 2  # what a 2-torsion table would report
 ones = [K.one()] * 3
 zero_fn = FunctionFieldElement.const(data.curve, 0)
+O = table.point(0, 0)
+i2, i3 = ExactMatrix.identity(2, K), ExactMatrix.identity(3, K)
+wide = ExactMatrix([ones[:2], ones[:2], ones[:2]], K).transpose()  # 2 x 3
+Qi = tower_extend(Q, [1, 0, 1], name="i")  # neither Qi nor K extends the other
+x_other = FunctionFieldElement.coordinate_x(Curve(K, 0, -54))
 cases = [
     (ValueError, lambda: Point(data.curve, 1, 1)),
     (ValueError, lambda: slope(table.t1, -table.t1)),
@@ -368,10 +373,9 @@ cases = [
     (ValueError, lambda: interpolate_plane_curve([ones] * 9 + [ones[:2]], K)),
     (ValueError, lambda: quadrics_for_C(data.curve, even, one_rho)),
     (ValueError, lambda: PlaneCurveEquation(K, 3, [], []).evaluate(ones[:2])),
-    (ValueError, lambda: dual_row(quintic, table.t1)),
     (ValueError, lambda: K.element([Fraction(1)])),
     (ValueError, lambda: K.gen().as_fraction()),
-    (ValueError, lambda: K.gen(3)),
+    (ValueError, lambda: Q.gen()),
     (ValueError, lambda: K.gen().lift_to(Q)),
     (ValueError, lambda: tower_extend(K, [1, 0, 2])),
     (ValueError, lambda: tower_extend(K, [3])),
@@ -386,9 +390,26 @@ cases = [
     (ValueError, lambda: miller_function(table.point(0, 0), 3)),
     (ValueError, lambda: miller_function(table.t1, 2)),
     (ValueError, lambda: translation_operator(table, table.point(0, 0))),
-    (ValueError, lambda: embedding_values(data.curve, 3, table.point(0, 0))),
     (ValueError, lambda: point_to_json(table.point(0, 0))),
     (ValueError, lambda: data.curve.base_change(Q)),
+    # checks that were asserts
+    (ValueError, lambda: ExactMatrix([])),
+    (ValueError, lambda: ExactMatrix([ones, ones[:2]])),
+    (ValueError, lambda: ExactMatrix([[K.one(), Qi.one()]])),
+    (ValueError, lambda: i2 + i3),
+    (ValueError, lambda: i2 - i3),
+    (ValueError, lambda: i2 * i3),
+    (ValueError, lambda: i3.mat_vec(ones + ones)),
+    (ValueError, lambda: wide.trace()),
+    (ValueError, lambda: i3.solve(ones[:2])),
+    (ValueError, lambda: wide.inverse()),
+    (ValueError, lambda: wide.det()),
+    (ZeroDivisionError, lambda: FunctionFieldElement(data.curve, 1, 0, 0)),
+    (ValueError, lambda: FunctionFieldElement.coordinate_x(data.curve) + x_other),
+    (ValueError, lambda: line_through(O, table.t1)),
+    (ValueError, lambda: vertical_through(O)),
+    (TypeError, lambda: table.t1 + 1),
+    (ValueError, lambda: slope(O, table.t1)),
 ]
 for k, (exc, run) in enumerate(cases):
     try:
@@ -420,4 +441,52 @@ def test_library_assert_count_does_not_grow():
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read())
             count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 21, "%d asserts in ndescent" % count
+    assert count <= 3, "%d asserts in ndescent" % count
+
+
+def _surface(path):
+    """The public module-level functions defined in a file, and every
+    (identifier or string constant, enclosing module-level def or None)
+    it holds: names, attributes, imports and strings."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    defs, mentions = [], []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        if owner is not None and not owner.startswith("_"):
+            defs.append(owner)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                mentions.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                mentions.append((node.attr, owner))
+            elif isinstance(node, ast.alias):
+                mentions.append((node.name, owner))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                mentions.append((node.value, owner))
+    return defs, mentions
+
+
+def test_library_surface_has_non_test_callers():
+    # every public module-level function of ndescent is named in
+    # src/ndescent or perfbench/ outside its own def: by a call, an
+    # import, or a "module.function" string, as perfbench/spans.py names
+    # what it wraps.  Code that only tests reach belongs in a test module
+    # such as tests/oracles.py.  Methods are not covered: their names
+    # collide across classes (evaluate, inverse, ...), so a name search
+    # cannot tell whose caller it found.  serialize.point_to_json stays
+    # without one: it writes the point file that rho-from-point reads.
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    bench = os.path.join(os.path.dirname(os.path.dirname(pkg)), "perfbench")
+    surface = {os.path.join(d, f): _surface(os.path.join(d, f))
+               for d in (pkg, bench) for f in sorted(os.listdir(d)) if f.endswith(".py")}
+    uncalled = []
+    for path, (defs, _) in surface.items():
+        module = os.path.basename(path)[:-3]
+        for name in defs if os.path.dirname(path) == pkg else ():
+            named = {name, "%s.%s" % (module, name)}
+            if not any(m in named and not (other == path and owner == name)
+                       for other, (_, mentions) in surface.items()
+                       for m, owner in mentions):
+                uncalled.append("%s.%s" % (module, name))
+    assert uncalled == ["serialize.point_to_json"]

@@ -169,7 +169,7 @@ def test_quadrics_roundtrip(curve, table, field):
     rho = validate_rho(table, partial(table, z).values)
     qs = quadrics_for_C(curve, table, rho)
     j = ser.quadrics_to_json(qs, curve, rho)
-    back = ser.quadrics_from_json(j, curve)
+    back = ser.quadrics_from_json(j, table)
     assert back == qs
     rback = ser.quadrics_rho_from_json(j, table)
     assert rback.values == rho.values
