@@ -53,19 +53,15 @@ class RhoTable:
 
     @staticmethod
     def trivial(table):
-        one, idx = table.curve.field.one(), _indices(table.n)
+        one, idx = table.curve.field.one(), table.indices
         return RhoTable(table, {(a, b): one for a in idx for b in idx})
-
-
-def _indices(n):
-    return [divmod(k, n) for k in range(n * n)]
 
 
 def _cocycle_failure(table, c):
     """The first (a, b, d) in table order at which c(a,b) c(a+b,d) =
     c(a,b+d) c(b,d) fails, or None.  For a weighting this is the cocycle
     identity; for structure constants, associativity of the algebra."""
-    idx = _indices(table.n)
+    idx = table.indices
     for a in idx:
         for b in idx:
             ab = table.add_index(a, b)
@@ -83,8 +79,7 @@ def validate_rho(table, values):
     normalized so that rho(O,O) = 1.
 
     Raises CertificationFailed with a witness on the first violation."""
-    n = table.n
-    idx = _indices(n)
+    idx = table.indices
     K = table.curve.field
     vals = {}
     for a in idx:
@@ -113,8 +108,7 @@ def validate_rho(table, values):
 
 def partial(table, alpha):
     """The coboundary d(alpha)(T1,T2) = alpha(T1) alpha(T2) / alpha(T1+T2)."""
-    n = table.n
-    idx = _indices(n)
+    idx = table.indices
     K = table.curve.field
     a = {}
     for k in idx:
@@ -137,10 +131,8 @@ def rho_from_point(table, q):
     if (n * q).is_infinity:
         raise BadBasePoint("base point must not be n-torsion")
     values = {}
-    for a in _indices(n):
-        t1 = table.point(*a)
-        for b in _indices(n):
-            t2 = table.point(*b)
+    for a, t1 in zip(table.indices, table):
+        for b, t2 in zip(table.indices, table):
             try:
                 values[(a, b)] = r_eval(t1, t2, q)
             except PoleAtP:
@@ -167,8 +159,7 @@ def build_csa(table, eps, rho):
     and nondegenerate trace form.  Both the center condition and the Gram
     matrix of the trace form are monomial in the delta basis, so the
     center's dimension and the form's rank are exact counts."""
-    n = table.n
-    idx = _indices(n)
+    n, idx = table.n, table.indices
     structure = {(a, b): eps.eps(a, b) * rho.value(a, b) for a in idx for b in idx}
     A = CSA(table, rho, structure)
     # unit
@@ -218,8 +209,8 @@ def solve_gamma(table, rho):
     c1 = [K.one(), K.one()]
     c2 = [K.one(), K.one()]
     for i in range(2, n + 1):
-        c1.append(c1[-1] * rho.value((1, 0), ((i - 1) % n, 0)))
-        c2.append(c2[-1] * rho.value((0, 1), (0, (i - 1) % n)))
+        c1.append(c1[-1] * rho.value((1, 0), (i - 1, 0)))
+        c2.append(c2[-1] * rho.value((0, 1), (0, i - 1)))
     alpha, L = root_or_extend(c1[n], n, "g1")  # c_1(n) = A_1
     beta, L = root_or_extend(c2[n].lift_to(L), n, "g2")
     gamma = {}
@@ -228,10 +219,9 @@ def solve_gamma(table, rho):
     for _ in range(n - 1):
         apow.append(apow[-1] * alpha.lift_to(L))
         bpow.append(bpow[-1] * beta)
-    for i in range(n):
-        for j in range(n):
-            den = (c1[i] * c2[j] * rho.value((i, 0), (0, j))).lift_to(L)
-            gamma[(i, j)] = apow[i] * bpow[j] / den
+    for i, j in table.indices:
+        den = (c1[i] * c2[j] * rho.value((i, 0), (0, j))).lift_to(L)
+        gamma[(i, j)] = apow[i] * bpow[j] / den
     check_coboundary(table, gamma, rho)
     return gamma, L
 
@@ -297,7 +287,7 @@ def certify_trivialisation(triv, eps):
     if not (mats[(0, 0)] == ExactMatrix.identity(n, L)):
         raise CertificationFailed(("unit",), "trivialisation does not send delta_O to 1")
 
-    idx = _indices(n)
+    idx = table.indices
     structure = {(a, b): eps.eps(a, b) * triv.rho.value(a, b) for a in idx for b in idx}
     c = {ab: v.lift_to(L) for ab, v in structure.items()}
     for a in idx:
@@ -319,23 +309,22 @@ def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):
     """Build and certify a trivialisation of the algebra twisted by rho.
 
     mode "standard": delta_T -> M_T (needs rho trivial); gamma is ignored.
-    mode "gamma": delta_T -> gamma(T) M_T with d(gamma) = rho; without a
-    gamma, it is rho.gamma (solve_gamma, extending the field if need be).
+    mode "gamma": delta_T -> gamma(T) M_T with (gamma, L) = rho.gamma
+    (solve_gamma, extending the field if need be); gamma is ignored.
     mode "user": take the given matrices as they are, and carry gamma.
 
     Every mode ends with full certification of the matrices; a bad
     combination raises CertificationFailed.  Each stored gamma is
-    certified once: rho.gamma by the check_coboundary in solve_gamma, a
-    gamma-mode gamma by the certification itself (gamma(a) gamma(b)
-    eps(a,b) M_{a+b} = c(a,b) gamma(a+b) M_{a+b} is d(gamma) = rho), and
-    the gamma a user-mode trivialisation carries by check_coboundary."""
+    certified once: the gamma-mode rho.gamma by the check_coboundary in
+    solve_gamma, and the gamma a user-mode trivialisation carries by
+    check_coboundary."""
     table = emb.table
     K = table.curve.field
     if mode == "standard":
         mats = dict(emb.matrices)
         triv = Trivialisation(table, rho, K, mats, mode)
     elif mode == "gamma":
-        g, L = rho.gamma if gamma is None else (gamma, next(iter(gamma.values())).tower)
+        g, L = rho.gamma
         mats = {}
         for ij, m in emb.matrices.items():
             lifted = ExactMatrix([[e.lift_to(L) for e in row] for row in m.rows], L)

@@ -235,7 +235,9 @@ def division_polynomial(curve, m):
 
 
 class TorsionTable:
-    """The rational n-torsion arranged as i*T1 + j*T2, (i, j) in lex order;
+    """The rational n-torsion arranged as i*T1 + j*T2, with indices (i, j)
+    in lex order: the one map between E[n], its index pairs and their
+    flat positions k = i*n + j, and the group law on indices.
     ValueError unless the n^2 points are distinct."""
 
     def __init__(self, curve, n, t1, t2):
@@ -243,20 +245,19 @@ class TorsionTable:
         self.n = n
         self.t1 = t1
         self.t2 = t2
-        self.points = []
-        for i in range(n):
-            base = i * t1
-            for j in range(n):
-                self.points.append(base + j * t2)
-        self._index = {}
-        for k, p in enumerate(self.points):
-            key = p.key()
-            if key in self._index:
-                raise ValueError("torsion basis is not independent")
-            self._index[key] = divmod(k, n)
+        self.indices = tuple((i, j) for i in range(n) for j in range(n))
+        m1, m2 = [i * t1 for i in range(n)], [j * t2 for j in range(n)]
+        self.points = [m1[i] + m2[j] for i, j in self.indices]
+        self._index = {p.key(): ij for ij, p in zip(self.indices, self.points)}
+        if len(self._index) != n * n:
+            raise ValueError("torsion basis is not independent")
 
     def point(self, i, j):
-        return self.points[(i % self.n) * self.n + (j % self.n)]
+        return self.points[self.flat((i, j))]
+
+    def flat(self, ij):
+        """The position of index ij in table order, reduced mod n."""
+        return (ij[0] % self.n) * self.n + (ij[1] % self.n)
 
     def index(self, p):
         return self._index[p.key()]
@@ -281,7 +282,9 @@ def torsion_table(curve, n):
     Raises TorsionNotRational(count) if fewer than n^2 points are rational
     (count includes O), and ValueError unless n is odd and at least 3.
     Basis: T1 is the first point of exact order n in the coordinate sort
-    order, T2 the first outside the cycle of T1.
+    order, T2 the first for which (T1, T2) is independent.  Then
+    (i, j) -> i T1 + j T2 is a homomorphism (Z/n)^2 -> E[n] with n^2
+    distinct images, so a bijection, for every n.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n = %d: only odd n >= 3 is supported" % n)
@@ -303,17 +306,10 @@ def torsion_table(curve, n):
             break
     # cannot fire: the n^2 points are all of E[n] = (Z/n)^2, which has points of order n
     assert t1 is not None, "no point of exact order n"
-    cycle = set()
-    acc = Point.at_infinity(curve)
-    for _ in range(n):
-        cycle.add(acc.key())
-        acc = acc + t1
-    t2 = None
-    for p in affine:
-        if p.key() not in cycle:
-            t2 = p
-            break
-    # cannot fire for prime n, where every point outside the cycle of T1
-    # has order n (composite n would need another choice of T2)
-    assert t2 is not None and t2.order(bound=n) == n
-    return TorsionTable(curve, n, t1, t2)
+    for t2 in affine:
+        try:
+            return TorsionTable(curve, n, t1, t2)
+        except ValueError:
+            continue
+    # cannot be reached: T1 has order n in E[n] = (Z/n)^2, so it is part of a basis
+    raise ArithmeticError("no point of E[n] is independent of T1")

@@ -89,8 +89,7 @@ def translation_operator(table, s):
 def compute_miller_table(table):
     """F_T for every table point; F_O = 1."""
     out = {}
-    for k, t in enumerate(table):
-        ij = divmod(k, table.n)
+    for ij, t in zip(table.indices, table):
         if t.is_infinity:
             out[ij] = FunctionFieldElement.const(table.curve, 1)
         else:
@@ -120,12 +119,10 @@ def compute_epsilon(table, millers):
     T1 = O (eps = 1) or T1 + T2 = O (P = -T1 gives
     1/(F_{T1}(-T1) F_{-T1}(-2T1))).  A zero or a pole among these values
     raises CertificationFailed(("epsilon", ij, kl))."""
-    n, one = table.n, table.curve.field.one()
+    one = table.curve.field.one()
     values = {}
-    for k1, t1 in enumerate(table):
-        ij = divmod(k1, n)
-        for k2 in range(n * n):
-            kl = divmod(k2, n)
+    for ij, t1 in zip(table.indices, table):
+        for kl in table.indices:
             try:
                 if t1.is_infinity:
                     den = one
@@ -166,8 +163,7 @@ def compute_G_basis(table, eps):
     L2 = translation_operator(table, table.t2)
     ident = ExactMatrix.identity(n * n, K)
     funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
-    for k, t in enumerate(table):
-        ij = divmod(k, n)
+    for ij, t in zip(table.indices, table):
         if t.is_infinity:
             continue
         ev1 = eps.weil(table.index(table.t1), ij)
@@ -264,8 +260,7 @@ def compute_embedding(table, eps, millers, seed=0):
     callers."""
     n, K = table.n, table.curve.field
     matrices = {(0, 0): ExactMatrix.identity(n, K)}
-    for k, t in enumerate(table):
-        ij = divmod(k, n)
+    for ij, t in zip(table.indices, table):
         if t.is_infinity:
             continue
         neg = table.neg_index(ij)
@@ -283,9 +278,8 @@ def tau_1(triv, alpha):
     alpha -> sum_T alpha(T) M_T.
 
     alpha: dict ij -> FieldElement (or a length-n^2 list in table order)."""
-    n = triv.n
     if not isinstance(alpha, dict):
-        alpha = {divmod(k, n): v for k, v in enumerate(alpha)}
+        alpha = dict(zip(triv.table.indices, alpha))
     out = None
     for ij, m in triv.matrices.items():
         term = m.scale(alpha[ij])

@@ -785,20 +785,13 @@ def roots_in_field(poly):
     return roots
 
 
-def tower_extend(base, minpoly, name=None):
-    """Extend a tower by a monic irreducible polynomial.
-
-    minpoly: Poly over base (or list of coefficients).  Raises
-    ValueError unless it is monic and nonconstant, and
+def tower_extend(base, coeffs, name):
+    """Extend a tower by a monic irreducible polynomial, given by its
+    coefficients over base (constant first), with generator name.
+    Raises ValueError unless it is monic and nonconstant, and
     ReducibleExtension if it factors.
     """
-    if not isinstance(minpoly, Poly):
-        minpoly = Poly(minpoly, base)
-    elif minpoly.tower != base:
-        minpoly = minpoly.lift_to(base)
-    if name is None:
-        name = "t%d" % (base.nlevels + 1)
-    return FieldTower(base, name, minpoly)
+    return FieldTower(base, name, Poly(coeffs, base))
 
 
 def root_or_extend(a, p, name):

@@ -102,16 +102,14 @@ def quadrics_for_C(curve, table, rho):
     if n % 2 == 0:
         raise ValueError("n = %d: even n needs the doubled-orbit variants" % n)
     zero = K.zero()
-
-    def flat(ij):
-        return ij[0] * n + ij[1]
+    flat = table.flat
 
     def mono(k1, k2):
         return (k1, k2) if k1 <= k2 else (k2, k1)
 
     forms = []
     owned = []  # the coefficient of each form's owned monomial
-    idx = [divmod(k, n) for k in range(1, n * n)]
+    idx = table.indices[1:]
     orbits = [ij for ij in idx if flat(ij) < flat(table.neg_index(ij))]
     ref = orbits[0]
     refm = mono(flat(ref), flat(table.neg_index(ref)))
@@ -126,7 +124,7 @@ def quadrics_for_C(curve, table, rho):
 
     for tij in idx:
         kt = flat(tij)
-        decomps = [(d1, ((tij[0] - d1[0]) % n, (tij[1] - d1[1]) % n)) for d1 in idx]
+        decomps = [(d1, table.add_index(tij, table.neg_index(d1))) for d1 in idx]
         decomps = [(d1, d2) for d1, d2 in decomps if d2 != (0, 0) and flat(d1) <= flat(d2)]
         dref = decomps[0]
         lam_ref = slope(table.point(*dref[0]), table.point(*dref[1]))
@@ -164,8 +162,7 @@ def g_eval(curve, gbasis, gamma, p):
     if psi(p.x).is_zero():
         raise BadBasePoint("point lies over the n^2-torsion")
     out = []
-    for k in range(n * n):
-        ij = divmod(k, n)
+    for ij in table.indices:
         try:
             val = gbasis[ij].evaluate(p)
         except PoleAtP:
@@ -251,10 +248,9 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
     column times a row, and CertificationFailed(("quadric", i)) if form i
     does not vanish at z(P), before any image of P is yielded."""
     table = gbasis.table
-    n = table.n
-    idx = [divmod(k, n) for k in range(n * n)]
+    n, idx = table.n, table.indices
     for i, form in enumerate(qs.forms):
-        weights = {((a // n + b // n) % n, (a + b) % n) for a, b in form}
+        weights = {table.add_index(idx[a], idx[b]) for a, b in form}
         if len(weights) != 1:
             raise CertificationFailed(("quadric-weight", i),
                                       "quadric %d mixes E[n]-weights" % i)

@@ -119,16 +119,15 @@ def _pair_key(a, b):
     return _ij_key(a) + "|" + _ij_key(b)
 
 
-def _indexed_from_json(j, n, decode, what):
+def _indexed_from_json(j, table, decode, what):
     """A table keyed by torsion indices, {"i,j": value}, decoded: exactly
-    the n^2 keys with 0 <= i, j < n."""
+    the keys of the table's indices."""
     if not isinstance(j, dict):
         raise ParseError("expected an object keyed by 'i,j'")
-    idx = [divmod(k, n) for k in range(n * n)]
-    if set(j) != {_ij_key(ij) for ij in idx}:
+    if set(j) != {_ij_key(ij) for ij in table.indices}:
         raise ParseError("expected one %s per torsion point, keyed 'i,j' with 0 <= i, j < %d"
-                         % (what, n))
-    return {ij: decode(j[_ij_key(ij)]) for ij in idx}
+                         % (what, table.n))
+    return {ij: decode(j[_ij_key(ij)]) for ij in table.indices}
 
 
 def _pairs_to_json(values):
@@ -136,22 +135,22 @@ def _pairs_to_json(values):
     return {_pair_key(a, b): elem_to_json(v) for (a, b), v in values.items()}
 
 
-def _pairs_from_json(field, j, n):
-    """The inverse of _pairs_to_json: exactly the n^4 keys "i,j|k,l" with
-    0 <= i, j, k, l < n."""
+def _pairs_from_json(j, table):
+    """The inverse of _pairs_to_json over the curve's field: exactly the
+    keys "i,j|k,l" of pairs of the table's indices."""
     if not isinstance(j, dict):
         raise ParseError("pair tables are objects keyed by 'i,j|k,l'")
-    idx = [divmod(k, n) for k in range(n * n)]
+    idx = table.indices
     keys = {(a, b): _pair_key(a, b) for a in idx for b in idx}
     if set(j) != set(keys.values()):
         raise ParseError("pair tables need one value per pair of torsion points, "
-                         "keyed 'i,j|k,l' with 0 <= i, j, k, l < %d" % n)
-    return {ab: elem_from_json(field, j[key]) for ab, key in keys.items()}
+                         "keyed 'i,j|k,l' with 0 <= i, j, k, l < %d" % table.n)
+    return {ab: elem_from_json(table.curve.field, j[key]) for ab, key in keys.items()}
 
 
-def _gamma_from_json(field, j, n):
+def _gamma_from_json(field, j, table):
     """gamma as {"i,j": element}: one nonzero value per torsion point."""
-    gamma = _indexed_from_json(j, n, lambda g: elem_from_json(field, g), "nonzero value")
+    gamma = _indexed_from_json(j, table, lambda g: elem_from_json(field, g), "nonzero value")
     if any(g.is_zero() for g in gamma.values()):
         raise ParseError("gamma needs one nonzero value per torsion point")
     return gamma
@@ -210,8 +209,9 @@ def torsion_from_json(j, curve):
     _check_kind(j, "torsion", curve)
     n = _req(j, "n")
     pts = _req(j, "points")
-    if not isinstance(n, int) or not isinstance(pts, list) \
-            or len(pts) != n * n or pts[0] is not None:
+    if type(n) is not int or n < 3 or n % 2 == 0:
+        raise ParseError("torsion file is for n = %r, not an odd integer n >= 3" % (n,))
+    if not isinstance(pts, list) or len(pts) != n * n or pts[0] is not None:
         raise ParseError("torsion file needs n^2 points starting at O")
     t1 = point_from_json(pts[n], curve)
     t2 = point_from_json(pts[1], curve)
@@ -219,8 +219,7 @@ def torsion_from_json(j, curve):
         table = TorsionTable(curve, n, t1, t2)
     except ValueError as e:
         raise ParseError("torsion file: %s" % e)
-    for k, pj in enumerate(pts):
-        p = table.points[k]
+    for p, pj in zip(table, pts):
         q = Point.at_infinity(curve) if pj is None else point_from_json(pj, curve)
         if not (p == q):
             raise ParseError("torsion file is not a basis table")
@@ -256,7 +255,7 @@ def rho_to_json(rho):
 
 def rho_from_json(j, table):
     _check_table_kind(j, "rho", table)
-    return RhoTable(table, _pairs_from_json(table.curve.field, _req(j, "values"), table.n))
+    return RhoTable(table, _pairs_from_json(_req(j, "values"), table))
 
 
 def csa_to_json(csa):
@@ -268,9 +267,8 @@ def csa_to_json(csa):
 
 def csa_from_json(j, table):
     _check_table_kind(j, "csa", table)
-    K = table.curve.field
-    rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho"), table.n))
-    structure = _pairs_from_json(K, _req(j, "structure"), table.n)
+    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table))
+    structure = _pairs_from_json(_req(j, "structure"), table)
     return CSA(table, rho, structure)
 
 
@@ -304,12 +302,12 @@ def triv_from_json(j, table):
     L = tower_from_json(_req(j, "field"))
     if not K.is_prefix_of(L):
         raise ParseError("the trivialisation's field does not extend the curve's")
-    rho = RhoTable(table, _pairs_from_json(K, _req(j, "rho"), table.n))
-    matrices = _indexed_from_json(_req(j, "matrices"), table.n,
+    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table))
+    matrices = _indexed_from_json(_req(j, "matrices"), table,
                                   lambda m: matrix_from_json(L, m, table.n), "matrix")
     gamma = j.get("gamma")
     if gamma is not None:
-        gamma = _gamma_from_json(L, gamma, table.n)
+        gamma = _gamma_from_json(L, gamma, table)
     mode = _req(j, "mode")
     if mode not in MODES:
         raise ParseError("trivialisation mode %r is not one of %s" % (mode, ", ".join(MODES)))
@@ -354,7 +352,7 @@ def quadrics_from_json(j, table):
 
 
 def quadrics_rho_from_json(j, table):
-    return RhoTable(table, _pairs_from_json(table.curve.field, _req(j, "rho"), table.n))
+    return RhoTable(table, _pairs_from_json(_req(j, "rho"), table))
 
 
 def plane_to_json(cub):
@@ -401,7 +399,7 @@ def descent_from_json(j, table):
     gfield = tower_from_json(_req(gj, "field"))
     if not K.is_prefix_of(gfield):
         raise ParseError("gamma's field does not extend the curve's")
-    gamma = _gamma_from_json(gfield, _req(gj, "values"), n)
+    gamma = _gamma_from_json(gfield, _req(gj, "values"), table)
     seed = _req(j, "seed")
     if type(seed) is not int:
         raise ParseError("descent seed %r is not an integer" % (seed,))

@@ -21,13 +21,9 @@ from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
 
 
-def _indices(n):
-    return [divmod(k, n) for k in range(n * n)]
-
-
 def delta(csa, ij):
     K = csa.table.curve.field
-    out = {k: K.zero() for k in _indices(csa.table.n)}
+    out = {k: K.zero() for k in csa.table.indices}
     out[ij] = K.one()
     return out
 
@@ -37,7 +33,7 @@ def one(csa):
 
 
 def mult(csa, x, y):
-    out = {k: None for k in _indices(csa.table.n)}
+    out = {k: None for k in csa.table.indices}
     for a, xa in x.items():
         if xa.is_zero():
             continue
@@ -53,14 +49,13 @@ def mult(csa, x, y):
 
 def left_mult_matrix(csa, x):
     """Matrix of y -> x * y on coordinate vectors in table order."""
-    n = csa.table.n
-    idx = _indices(n)
-    rows = [[None] * (n * n) for _ in range(n * n)]
-    zero = csa.table.curve.field.zero()
-    for bcol, b in enumerate(idx):
+    table = csa.table
+    rows = [[None] * len(table) for _ in table]
+    zero = table.curve.field.zero()
+    for bcol, b in enumerate(table.indices):
         for a, xa in x.items():
-            t = csa.table.add_index(a, b)
-            trow = t[0] * n + t[1]
+            t = table.add_index(a, b)
+            trow = table.flat(t)
             term = csa.c(a, b) * xa
             cur = rows[trow][bcol]
             rows[trow][bcol] = term if cur is None else cur + term
@@ -111,4 +106,4 @@ def zero_matrix(nrows, ncols, tower):
 
 
 def unit_cochain(table):
-    return {ij: table.curve.field.one() for ij in _indices(table.n)}
+    return {ij: table.curve.field.one() for ij in table.indices}

@@ -310,6 +310,10 @@ def _incompatible_fields(j):
 # checks behind verify reject a well-formed file that does not certify
 # (exit 3).  The trivialisation is in gamma mode.
 _MUTATIONS = {
+    # torsion_table accepts only an odd int n >= 3
+    "torsion-n-1": ("torsion", lambda j: j.update(n=1, points=[None]), 1),
+    "torsion-n-true": ("torsion", lambda j: j.update(n=True, points=[None]), 1),
+    "torsion-n-0": ("torsion", lambda j: j.update(n=0, points=[]), 1),
     "csa-rho-missing-pair": ("csa", lambda j: j["rho"].pop("1,0|0,1"), 1),
     "triv-rho-missing-pair": ("triv", lambda j: j["rho"].pop("1,0|0,1"), 1),
     "triv-missing-matrix": ("triv", lambda j: j["matrices"].pop("1,0"), 1),
@@ -397,7 +401,8 @@ _NEGATIVE_PATHS = {
 _NEGATIVE_PATHS.update({name: (1, lambda paths, tmp, name=name: [
     "verify", "--curve", paths["curve"], _mutated(paths, tmp, name)])
     for name in ("quadrics-forms-empty", "descent-quadrics-empty",
-                 "descent-quadric-form-empty", "descent-fields-incompatible")})
+                 "descent-quadric-form-empty", "descent-fields-incompatible",
+                 "torsion-n-1", "torsion-n-true", "torsion-n-0")})
 
 
 @pytest.mark.parametrize("case", sorted(_NEGATIVE_PATHS))

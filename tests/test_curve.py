@@ -1,9 +1,12 @@
+import ast
 import hashlib
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import ndescent
 from ndescent.fields import FieldTower, Poly, tower_extend
 from ndescent.curve import (Curve, Point, PoleAtP, TorsionNotRational, _divpoly,
                             division_polynomial, r_eval, slope, torsion_table)
@@ -157,3 +160,42 @@ def test_torsion_table_rejects_unsupported_n(curve):
     for n in (1, 2, 4):
         with pytest.raises(ValueError):
             torsion_table(curve, n)
+
+
+def test_table_indices_and_flat(table):
+    # indices are the table order, flat is its inverse, and each index
+    # names the point at its position
+    assert table.indices == tuple((i, j) for i in range(3) for j in range(3))
+    for k, (ij, p) in enumerate(zip(table.indices, table)):
+        assert table.flat(ij) == k and table.index(p) == ij and table.point(*ij) == p
+
+
+def _index_derivations(tree):
+    """(line, what) for each divmod call and each x % n or x % <name>.n,
+    leaving out string formatting ("..." % n)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "divmod":
+            out.append((node.lineno, "divmod"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) \
+                and not (isinstance(node.left, ast.Constant) and isinstance(node.left.value, str)):
+            r = node.right
+            if (isinstance(r, ast.Name) and r.id == "n") or (
+                    isinstance(r, ast.Attribute) and r.attr == "n"
+                    and isinstance(r.value, ast.Name)):
+                out.append((node.lineno, "%% %s" % ast.unparse(r)))
+    return out
+
+
+def test_torsion_indices_have_one_owner():
+    # curve.TorsionTable is the one owner of E[n] indexing: its indices,
+    # flat, add_index and neg_index.  No other module that works with
+    # torsion indices derives one from a flat position or reduces mod n
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    found = []
+    for name in ("algebra", "descent_funcs", "geometry", "serialize", "cli"):
+        with open(os.path.join(pkg, name + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        found += [(name,) + hit for hit in _index_derivations(tree)]
+    assert found == []

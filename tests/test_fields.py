@@ -377,11 +377,11 @@ cases = [
     (ValueError, lambda: K.gen().as_fraction()),
     (ValueError, lambda: Q.gen()),
     (ValueError, lambda: K.gen().lift_to(Q)),
-    (ValueError, lambda: tower_extend(K, [1, 0, 2])),
-    (ValueError, lambda: tower_extend(K, [3])),
+    (ValueError, lambda: tower_extend(K, [1, 0, 2], name="s")),
+    (ValueError, lambda: tower_extend(K, [3], name="s")),
     (ValueError, lambda: factor_poly(Poly([], K))),
     (ValueError, lambda: Poly([], K).lc()),
-    (ReducibleExtension, lambda: tower_extend(K, [1, 1, 1])),
+    (ReducibleExtension, lambda: tower_extend(K, [1, 1, 1], name="s")),
     (ZeroDivisionError, lambda: K.zero().inverse()),
     (ZeroDivisionError, lambda: K.one() / 0),
     (ZeroDivisionError, lambda: divmod(poly_x(K), Poly([], K))),
@@ -441,7 +441,7 @@ def test_library_assert_count_does_not_grow():
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read())
             count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 3, "%d asserts in ndescent" % count
+    assert count <= 2, "%d asserts in ndescent" % count
 
 
 def _surface(path):
