@@ -16,7 +16,7 @@ from .algebra import (MODES, RhoTable, validate_rho, rho_from_point, build_csa,
                       check_coboundary, trivialize, certify_trivialisation,
                       CertificationFailed, BadBasePoint)
 from .geometry import (quadrics_for_C, descend, descent_report, sample_images,
-                       RankNotOne, KernelEmpty, KernelTooBig)
+                       sampling_field, RankNotOne, KernelEmpty, KernelTooBig)
 
 
 def _load_curve(args):
@@ -203,12 +203,14 @@ def _verify_descent(path, j, data, emit, rhos):
     lead = next((c for c in cubic.coeffs if not c.is_zero()), None)
     emit(path, "plane cubic is nonzero and normalized",
          lead is not None and lead == 1)
-    levels = len(next(iter(gamma.values())).tower.levels)
+    gfield = next(iter(gamma.values())).tower
     emit(path, "report matches the descent",
-         out["report"] == descent_report(data.n, out["seed"], len(qs), levels))
+         out["report"] == descent_report(data.n, out["seed"], len(qs), len(gfield.levels)))
     # fresh samples: the orbit of one fresh base point under the stored
-    # gamma and trivialisation must land on the stored cubic
-    images = sample_images(data.curve, data.gbasis, gamma, qs, triv, out["seed"] + 1)
+    # gamma and trivialisation must land on the stored cubic; they are
+    # drawn on the field descend samples on
+    sample_gamma, _ = sampling_field(gamma, gfield, triv)
+    images = sample_images(data.curve, data.gbasis, sample_gamma, qs, triv, out["seed"] + 1)
     try:
         fresh = all(cubic.evaluate(next(images)).is_zero() for _ in range(data.n ** 2))
     except (CertificationFailed, RankNotOne):

@@ -133,27 +133,10 @@ class Point:
         y3 = lam * (self.x - x3) - self.y
         return Point(self.curve, x3, y3)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rmul__(self, m):
         if m < 0:
             return (-m) * (-self)
         return _ladder(self, m, Point.at_infinity(self.curve), operator.add)
-
-    def order(self, bound=100):
-        """Order of the point, if at most bound."""
-        acc = self
-        for k in range(1, bound + 1):
-            if acc.is_infinity:
-                return k
-            acc = acc + self
-        raise ValueError("order exceeds bound")
-
-    def base_change(self, field):
-        if self.is_infinity:
-            return Point.at_infinity(self.curve.base_change(field))
-        return Point(self.curve.base_change(field), self.x.lift_to(field), self.y.lift_to(field))
 
     def __repr__(self):
         if self.is_infinity:
@@ -281,10 +264,12 @@ def torsion_table(curve, n):
 
     Raises TorsionNotRational(count) if fewer than n^2 points are rational
     (count includes O), and ValueError unless n is odd and at least 3.
-    Basis: T1 is the first point of exact order n in the coordinate sort
-    order, T2 the first for which (T1, T2) is independent.  Then
-    (i, j) -> i T1 + j T2 is a homomorphism (Z/n)^2 -> E[n] with n^2
-    distinct images, so a bijection, for every n.
+    Basis: the first pair (T1, T2) of affine points, in the coordinate
+    sort order, for which TorsionTable finds the n^2 points i T1 + j T2
+    distinct.  Then (i, j) -> i T1 + j T2 is a homomorphism
+    (Z/n)^2 -> E[n] with n^2 distinct images, so a bijection, for every
+    n.  A point extends to a basis of (Z/n)^2 exactly when it has order
+    n, so T1 is the first point of order n.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n = %d: only odd n >= 3 is supported" % n)
@@ -299,17 +284,11 @@ def torsion_table(curve, n):
     if len(pts) < n * n:
         raise TorsionNotRational(len(pts))
     affine = sorted(pts[1:], key=lambda p: p.key())
-    t1 = None
-    for p in affine:
-        if p.order(bound=n) == n:
-            t1 = p
-            break
-    # cannot fire: the n^2 points are all of E[n] = (Z/n)^2, which has points of order n
-    assert t1 is not None, "no point of exact order n"
-    for t2 in affine:
-        try:
-            return TorsionTable(curve, n, t1, t2)
-        except ValueError:
-            continue
-    # cannot be reached: T1 has order n in E[n] = (Z/n)^2, so it is part of a basis
-    raise ArithmeticError("no point of E[n] is independent of T1")
+    for t1 in affine:
+        for t2 in affine:
+            try:
+                return TorsionTable(curve, n, t1, t2)
+            except ValueError:
+                continue
+    # cannot be reached: E[n] = (Z/n)^2 has a basis, and both its points are affine
+    raise ArithmeticError("no two points of E[n] form a basis")

@@ -218,23 +218,20 @@ class CurveData:
         return compute_embedding(self.table, self.eps, self.millers)
 
 
-def affine_sample(curve, n, rng, name, used_x):
-    """A deterministic-random affine non-torsion point, over the base field
-    when the cubic is a square there, else over a quadratic extension."""
-    psi_n = division_polynomial(curve, n)
+def affine_sample(curve, n, rng, name):
+    """A deterministic-random affine point off E[n^2], over the base field
+    when the cubic is a square there, else over a quadratic extension.
+    psi_n divides psi_{n^2}, so the one psi_{n^2} check also rejects
+    E[n]; callers that need distinct points skip repeated x themselves."""
     psi_nn = division_polynomial(curve, n * n)
     K = curve.field
     while True:
-        x0 = Fraction(rng.randint(-40, 40), rng.randint(1, 8))
-        if x0 in used_x:
-            continue
-        xe = K.from_fraction(x0)
-        if psi_n(xe).is_zero() or psi_nn(xe).is_zero():
+        xe = K.from_fraction(Fraction(rng.randint(-40, 40), rng.randint(1, 8)))
+        if psi_nn(xe).is_zero():
             continue
         ysq = curve.rhs(xe)
         if ysq.is_zero():
             continue
-        used_x.add(x0)
         y, L = root_or_extend(ysq, 2, name)
         if L != K:
             curve, xe = curve.base_change(L), xe.lift_to(L)
@@ -277,12 +274,13 @@ def tau_1(triv, alpha):
     alpha -> sum_T alpha(T) tau(delta_T), for the embedding the standard
     alpha -> sum_T alpha(T) M_T.
 
-    alpha: dict ij -> FieldElement (or a length-n^2 list in table order)."""
+    alpha: dict ij -> FieldElement, an index it leaves out counting as
+    zero (or a length-n^2 list in table order)."""
     if not isinstance(alpha, dict):
         alpha = dict(zip(triv.table.indices, alpha))
     out = None
-    for ij, m in triv.matrices.items():
-        term = m.scale(alpha[ij])
+    for ij, a in alpha.items():
+        term = triv.M(ij).scale(a)
         out = term if out is None else out + term
     return out
 

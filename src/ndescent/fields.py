@@ -380,12 +380,6 @@ class FieldElement:
             return NotImplemented
         return _mul(a, _inv(b))
 
-    def __rtruediv__(self, other):
-        a, b = self._pair(other)
-        if b is None:
-            return NotImplemented
-        return _mul(b, _inv(a))
-
     def inverse(self):
         return _inv(self)
 
@@ -527,9 +521,6 @@ class Poly:
             return NotImplemented
         z = a.tower.zero()
         return Poly._of(a.tower, [x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=z)])
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return Poly._of(self.tower, [-c for c in self.coeffs])

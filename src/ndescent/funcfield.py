@@ -9,10 +9,9 @@ they never cancel, and the leading term at O (all the pipeline
 normalises by) is read off the degrees with no series expansion.
 """
 
-import operator
 from fractions import Fraction
 
-from .fields import FieldElement, Poly, _ladder, poly_gcd, poly_x
+from .fields import FieldElement, Poly, poly_gcd, poly_x
 from .curve import PoleAtP, slope
 
 
@@ -130,14 +129,6 @@ class FunctionFieldElement:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _ladder(self, k, FunctionFieldElement.const(self.curve, 1), operator.mul)
 
     def evaluate(self, p):
         """Value at an affine point (over any extension of the base field).

@@ -9,7 +9,6 @@ interpolate to a degree-n curve in P^{n-1}.
 
 import itertools
 import random
-from fractions import Fraction
 
 from .linalg import ExactMatrix, split_row
 from .curve import slope, division_polynomial, PoleAtP
@@ -173,18 +172,18 @@ def g_eval(curve, gbasis, gamma, p):
 
 def lambda_eval(triv, z):
     """The Segre image of a point P from its covering coordinates
-    z = g_eval(curve, gbasis, gamma, P): apply the trivialisation and
-    project onto trace zero,
+    z = g_eval(curve, gbasis, gamma, P):
 
-        sum_T z_T tau(delta_T)  -  (Tr/n) 1.
+        sum_{T != O} z_T tau(delta_T).
 
-    The result has trace zero by construction; rank 1 is what a valid
+    This is sum_T z_T tau(delta_T) projected onto trace zero, once
+    certify_trivialisation has proved tau(delta_O) = 1 and
+    tr tau(delta_T) = 0 for T != O: the trace of the full sum is then
+    n z_O, so the projection only removes z_O.  descend and verify reach
+    this only after that certificate has passed.  Rank 1 is what a valid
     trivialisation guarantees, and extract_point raises RankNotOne for
     anything else."""
-    n = triv.n
-    out = tau_1(triv, z)
-    tr = out.trace()
-    proj = out - ExactMatrix.identity(n, out.tower).scale(tr * Fraction(1, n))
+    proj = tau_1(triv, dict(zip(triv.table.indices[1:], z[1:])))
     extract_point(proj)
     return proj
 
@@ -222,15 +221,27 @@ def _x_key(x):
         return x
 
 
+def sampling_field(gamma, field, triv):
+    """gamma and the field sample_images draws on, for descend and verify
+    alike: the trivialisation's field, with gamma lifted to it, when that
+    extends gamma's field, else gamma's own.  Raises ValueError when
+    neither field extends the other."""
+    if field.is_prefix_of(triv.field):
+        return {ij: g.lift_to(triv.field) for ij, g in gamma.items()}, triv.field
+    if not triv.field.is_prefix_of(field):
+        raise ValueError("trivialisation field is incompatible with the gamma extension")
+    return gamma, field
+
+
 def sample_images(curve, gbasis, gamma, qs, triv, seed):
     """Images in P^{n-1} of the E[n] orbits of affine base points P drawn,
     from the given seed, on the curve over the field of gamma.  Each base
     point P runs g_eval, lambda_eval, extract_point and the quadric check
     once, which gives u, the column factor of its Segre image; then, for
     S in table order (S = O first), the image of P + S is tau(delta_S) u,
-    scaled so its first nonzero entry is 1.  A draw that shares an
-    x-coordinate with a point of an earlier orbit is skipped, so no image
-    repeats.
+    scaled so its first nonzero entry is 1.  The one draw filter: a draw
+    that shares an x-coordinate with a point of an earlier orbit (its
+    base point included) is skipped, so no image repeats.
 
     Three identities give the orbit.  compute_G_basis certifies
     G_T o tau_S = e_n(S, T) G_T, so the covering coordinates of P + S
@@ -257,9 +268,9 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
     L = next(iter(gamma.values())).tower
     cx = curve if L == curve.field else curve.base_change(L)
     rng = random.Random(seed)
-    used_x, orbit_x = set(), []
+    orbit_x = []
     for k in itertools.count():
-        p = affine_sample(cx, n, rng, "w%d" % k, used_x)
+        p = affine_sample(cx, n, rng, "w%d" % k)
         if _x_key(p.x) in orbit_x:
             continue
         orbit_x.extend(_x_key((p + table.point(*s)).x) for s in idx)
@@ -351,9 +362,9 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
 
     Each fact is certified once.  The supplied trivialisation must twist
     the same rho (else ValueError), and certify_trivialisation re-checks
-    it; gamma is rho.gamma, whose solve_gamma ran check_coboundary.
-    Those two certificates imply everything validate_rho and build_csa
-    check, so neither runs here:
+    it; gamma is rho.gamma, whose solve_gamma ran check_coboundary,
+    over the field sampling_field picks.  Those two certificates imply
+    everything validate_rho and build_csa check, so neither runs here:
     - rho = d(gamma), so rho is nonzero, symmetric and a cocycle;
     - tau(delta_O) = 1 and tau(delta_O)^2 = c(O,O) tau(delta_O) force
       c(O,O) = eps(O,O) rho(O,O) = 1, so rho(O,O) = 1;
@@ -379,12 +390,7 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     if not (triv.rho.values == rho.values):
         raise ValueError("trivialisation twists a different rho")
     csa = CSA(table, rho, certify_trivialisation(triv, eps))
-    gamma, field = rho.gamma
-    if field.is_prefix_of(triv.field):
-        field = triv.field
-        gamma = {ij: g.lift_to(field) for ij, g in gamma.items()}
-    elif not triv.field.is_prefix_of(field):
-        raise ValueError("trivialisation field is incompatible with the gamma extension")
+    gamma, field = sampling_field(*rho.gamma, triv)
     qs = quadrics_for_C(curve, table, rho)
     if gbasis is None:
         gbasis = data.gbasis

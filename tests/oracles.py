@@ -11,12 +11,15 @@ library's certificates against them:
     osculating rows;
   - d/dx of a function along the curve;
   - the zero matrix, and the unit cochain gamma = 1, with which g_eval
-    is the covering map of E itself.
+    is the covering map of E itself;
+  - a point over an extension field, and affine samples with distinct x
+    (the pipeline's one draw filter lives in sample_images).
 """
 
 from fractions import Fraction
 
-from ndescent.curve import slope
+from ndescent.curve import Point, slope
+from ndescent.descent_funcs import affine_sample
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
 
@@ -107,3 +110,26 @@ def zero_matrix(nrows, ncols, tower):
 
 def unit_cochain(table):
     return {ij: table.curve.field.one() for ij in table.indices}
+
+
+def base_change(p, field):
+    """The point p of a curve as a point of the curve over an extension
+    field."""
+    c = p.curve.base_change(field)
+    if p.is_infinity:
+        return Point.at_infinity(c)
+    return Point(c, p.x.lift_to(field), p.y.lift_to(field))
+
+
+def distinct_samples(curve, n, rng, prefix, count):
+    """count points of affine_sample with distinct x, the k-th over a
+    level named prefix + str(k); a draw that repeats an earlier x is
+    dropped and drawn again."""
+    points, seen = [], set()
+    while len(points) < count:
+        p = affine_sample(curve, n, rng, "%s%d" % (prefix, len(points)))
+        x = p.x.as_fraction()
+        if x not in seen:
+            seen.add(x)
+            points.append(p)
+    return points

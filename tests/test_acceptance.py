@@ -12,8 +12,7 @@ import pytest
 from ndescent.fields import FieldTower, tower_extend
 from ndescent.curve import Curve, Point, r_eval, torsion_table
 from ndescent.linalg import ExactMatrix
-from ndescent.descent_funcs import (affine_sample, compute_epsilon,
-                                    compute_miller_table)
+from ndescent.descent_funcs import compute_epsilon, compute_miller_table
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               build_csa, certify_trivialisation, partial,
                               rho_from_point, solve_gamma, trivialize,
@@ -24,7 +23,7 @@ from ndescent.geometry import (RankNotOne, descend, extract_point, g_eval,
 from ndescent import serialize as ser
 from ndescent.cli import main
 from weil_oracle import aux_pair, weil_pairing_oracle
-from oracles import delta, dual_row, mult, one, trd, unit_cochain
+from oracles import delta, distinct_samples, dual_row, mult, one, trd, unit_cochain
 
 
 def _idx():
@@ -32,9 +31,7 @@ def _idx():
 
 
 def _samples(curve, count, seed):
-    rng = random.Random(seed)
-    used = set()
-    return [affine_sample(curve, 3, rng, "a%d" % k, used) for k in range(count)]
+    return distinct_samples(curve, 3, random.Random(seed), "a", count)
 
 
 def _unit_z(field, seed):

@@ -131,7 +131,7 @@ def test_csa_trivial(table, eps, field):
 def test_csa_commutative_center(table, eps):
     # rho = 1/eps makes every structure constant 1: the group algebra of
     # E[3], commutative, so its center is all nine delta lines
-    rho = RhoTable(table, {(a, b): 1 / eps.eps(a, b) for a in _idx() for b in _idx()})
+    rho = RhoTable(table, {(a, b): eps.eps(a, b).inverse() for a in _idx() for b in _idx()})
     with pytest.raises(CertificationFailed) as ei:
         build_csa(table, eps, rho)
     assert ei.value.witness == ("center", 9)

@@ -14,7 +14,8 @@ from ndescent import cli
 from ndescent.cli import main
 from ndescent.fields import FieldTower
 from ndescent.curve import Curve, Point
-from ndescent.algebra import RhoTable, Trivialisation, partial, validate_rho
+from ndescent.algebra import RhoTable, Trivialisation, partial, trivialize, validate_rho
+from ndescent.geometry import descend
 from ndescent import serialize as ser
 
 
@@ -444,6 +445,29 @@ def test_tampered_gamma_exit_3(work, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 3
     assert "FAIL %s: gamma is a coboundary for rho" % bad in out
+
+
+def test_verify_samples_on_the_trivialisation_field_exit_0(work, tmp_path, curve, table,
+                                                           eps, emb, capsys):
+    # the golden descent with its trivialisation stored over Q(zeta3, i)
+    # and gamma over Q(zeta3): the loader accepts the pair, and verify
+    # lifts gamma to the trivialisation's field before its fresh samples,
+    # as descend does
+    _, paths, _ = work
+    rho = RhoTable.trivial(table)
+    j = ser.descent_to_json(descend(curve, 3, rho, trivialize(emb, eps, rho), seed=7), curve)
+    triv = j["trivialisation"]
+    triv["field"].append({"name": "i", "minpoly": [["1", "0"], ["0", "0"], ["1", "0"]]})
+    for m in triv["matrices"].values():
+        for row in m:
+            for e in row:
+                e.extend(["0", "0"])
+    lifted = tmp_path / "lifted.json"
+    lifted.write_text(json.dumps(j))
+    rc = main(["verify", "--curve", paths["curve"], str(lifted)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "PASS %s: fresh samples land on the stored cubic" % lifted in out
 
 
 def test_reducible_tower_in_curve_file_exit_1(work, tmp_path, capsys):

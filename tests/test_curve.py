@@ -10,7 +10,7 @@ import ndescent
 from ndescent.fields import FieldTower, Poly, tower_extend
 from ndescent.curve import (Curve, Point, PoleAtP, TorsionNotRational, _divpoly,
                             division_polynomial, r_eval, slope, torsion_table)
-from ndescent.descent_funcs import affine_sample
+from oracles import base_change, distinct_samples
 
 
 def F(x):
@@ -21,11 +21,9 @@ def test_point_arithmetic(curve, field):
     p = Point(curve, field.from_fraction(12), field.from_fraction(36))
     o = Point.at_infinity(curve)
     assert (p + o) == p
-    assert (p - p) == o
+    assert (p + (-p)) == o
     assert 3 * p == o          # (12, 36) is 3-torsion
     assert 2 * p == -p
-    assert p.order() == 3
-    assert o.order() == 1
 
 
 def test_point_must_lie_on_curve(curve, field):
@@ -67,9 +65,7 @@ def test_division_polynomials_give_x_of_multiples(which, curve, aux_curve, field
     # and 2y f_m for even m, so the even f_m are checked too
     c = {"reference": curve, "aux": aux_curve,
          "a != 0": Curve(field, 2, field.gen() - 3)}[which]
-    rng, used = random.Random(5), set()
-    for k in range(2):
-        p = affine_sample(c, 3, rng, "x%d" % k, used)
+    for p in distinct_samples(c, 3, random.Random(5), "x", 2):
         x, rhs = p.x, p.curve.rhs(p.x)
         f = [_divpoly(c, m)(x) for m in range(11)]
         for m in range(2, 10):
@@ -100,6 +96,16 @@ def test_torsion_table_frozen(table, field):
             assert p.is_infinity
         else:
             assert p.x == xy[0] and p.y == xy[1]
+
+
+def test_aux_torsion_basis_frozen(aux_table):
+    # the basis is the first independent pair in key order; on the aux
+    # curve over Q(zeta3, sqrt2), coordinates in flatten() order
+    t1, t2 = aux_table.t1, aux_table.t2
+    assert [p.x.flatten() for p in (t1, t2)] == [[-6, -6, 0, 0], [0, 0, 0, 0]]
+    assert [p.y.flatten() for p in (t1, t2)] == [[0, 0, -9, 0], [0, 0, -3, -6]]
+    # an affine point of E[3] has order 3, so T1 extends to a basis
+    assert (3 * t1).is_infinity and len(aux_table) == 9
 
 
 def test_table_group_structure(table):
@@ -151,7 +157,7 @@ def test_base_change(curve, field, table):
     L = tower_extend(field, [-2, 0, 1], name="sqrt2")
     cl = curve.base_change(L)
     assert cl.field == L
-    p = table.t1.base_change(L)
+    p = base_change(table.t1, L)
     assert cl.contains(p.x, p.y)
     assert 3 * p == Point.at_infinity(cl)
 

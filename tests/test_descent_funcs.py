@@ -12,7 +12,7 @@ from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
 from ndescent.descent_funcs import CurveData, affine_sample, tau_1
 from weil_oracle import aux_pair, weil_pairing_oracle
-from oracles import derivative, dual_row, embedding_values
+from oracles import base_change, derivative, distinct_samples, dual_row, embedding_values
 
 
 def _sample_point(curve):
@@ -39,12 +39,10 @@ def test_epsilon_against_definition(which, curve, aux_curve):
     # at points over quadratic extensions
     data = CurveData.of(curve if which == "reference" else aux_curve, 3)
     table, millers = data.table, data.millers
-    rng, used = random.Random(17), set()
-    for k in range(3):
-        p = affine_sample(data.curve, 3, rng, "e%d" % k, used)
+    for p in distinct_samples(data.curve, 3, random.Random(17), "e", 3):
         L = p.curve.field
         for k1, t1 in enumerate(table):
-            q = p - t1.base_change(L)
+            q = p + (-base_change(t1, L))
             for k2 in range(9):
                 ij, kl = divmod(k1, 3), divmod(k2, 3)
                 want = (millers[table.add_index(ij, kl)].evaluate(p)
@@ -116,7 +114,7 @@ def test_g_basis_eigenproperty(gbasis, eps, table):
             base = g.evaluate(p)
             for si in range(3):
                 for sj in range(3):
-                    s = table.point(si, sj).base_change(p.curve.field)
+                    s = base_change(table.point(si, sj), p.curve.field)
                     w = eps.weil((si, sj), (i, j))
                     assert g.evaluate(p + s) == w * base
 
@@ -155,14 +153,12 @@ def test_translation_matrices_at_fresh_points(which, curve, aux_curve):
     # must hold at points over quadratic extensions it never saw
     data = CurveData.of(curve if which == "reference" else aux_curve, 3)
     emb = data.emb
-    rng, used = random.Random(11), set()
-    for k in range(3):
-        p = affine_sample(data.curve, 3, rng, "m%d" % k, used)
+    for p in distinct_samples(data.curve, 3, random.Random(11), "m", 3):
         assert p.curve.field.nlevels == data.curve.field.nlevels + 1
         fp = embedding_values(p.curve, 3, p)
         for ij in emb.matrices:
             m = emb.M(ij)
-            t = data.table.point(*ij).base_change(p.curve.field)
+            t = base_change(data.table.point(*ij), p.curve.field)
             fq = embedding_values(p.curve, 3, p + t)
             mf = m.mat_vec(fp)
             # f(P+T) is parallel to M_T f(P): every 2x2 minor vanishes
@@ -217,14 +213,12 @@ def test_dual_row_osculates(emb, table):
 
 def test_affine_sample(curve):
     rng = random.Random(3)
-    used = set()
-    p = affine_sample(curve, 3, rng, "s0", used)
+    p = affine_sample(curve, 3, rng, "s0")
     assert not p.is_infinity
     assert p.curve.field.nlevels == curve.field.nlevels + 1
-    assert not (3 * p).is_infinity  # not 3-torsion
-    q = affine_sample(p.curve, 3, rng, "s1", used)
+    assert not (9 * p).is_infinity  # off E[9], so off E[3] too
+    q = affine_sample(p.curve, 3, rng, "s1")
     assert q.curve.field.nlevels == curve.field.nlevels + 2
-    assert len(used) == 2
 
 
 def test_affine_sample_witnessed_without_factoring(curve, monkeypatch):
@@ -237,7 +231,6 @@ def test_affine_sample_witnessed_without_factoring(curve, monkeypatch):
         calls.append(args)
         return factor(*args, **kwargs)
     monkeypatch.setattr(fields, "factor_poly", counted)
-    rng, used = random.Random(0), set()
-    points = [affine_sample(curve, 3, rng, "w%d" % k, used) for k in range(15)]
+    points = distinct_samples(curve, 3, random.Random(0), "w", 15)
     assert all(p.curve.field.nlevels == curve.field.nlevels + 1 for p in points)
     assert calls == []

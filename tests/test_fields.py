@@ -36,7 +36,7 @@ def test_cyclotomic_arithmetic(field):
     s = 2 * z + 1
     assert s * s == field.from_fraction(-3)
     assert z.inverse() == z * z
-    assert (1 / z) * z == field.one()
+    assert z.inverse() * z == field.one()
 
 
 def test_element_flatten_roundtrip(field):
@@ -385,7 +385,7 @@ cases = [
     (ZeroDivisionError, lambda: K.zero().inverse()),
     (ZeroDivisionError, lambda: K.one() / 0),
     (ZeroDivisionError, lambda: divmod(poly_x(K), Poly([], K))),
-    (ZeroDivisionError, lambda: 1 / zero_fn),
+    (ZeroDivisionError, lambda: zero_fn.inverse()),
     (ValueError, lambda: zero_fn.laurent()),
     (ValueError, lambda: miller_function(table.point(0, 0), 3)),
     (ValueError, lambda: miller_function(table.t1, 2)),
@@ -441,7 +441,7 @@ def test_library_assert_count_does_not_grow():
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read())
             count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 2, "%d asserts in ndescent" % count
+    assert count <= 1, "%d asserts in ndescent" % count
 
 
 def _surface(path):

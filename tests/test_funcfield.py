@@ -14,7 +14,7 @@ from oracles import derivative
 def test_coordinate_relation(curve):
     x = FunctionFieldElement.coordinate_x(curve)
     y = FunctionFieldElement.coordinate_y(curve)
-    assert y * y == x ** 3 - 432
+    assert y * y == x * x * x - 432
     assert (y / x) * x == y
     assert (x / y) * (y / x) == FunctionFieldElement.const(curve, 1)
 
@@ -25,7 +25,7 @@ def test_laurent_orders(curve, field):
     assert x.laurent() == (-2, field.one())
     assert y.laurent() == (-3, field.one())
     # x^3 / y^2 = 1 + O(t) at O
-    u = x ** 3 / (y * y)
+    u = x * x * x / (y * y)
     assert u.laurent() == (0, field.one())
     # t = x/y is the local parameter itself
     assert (x / y).laurent() == (1, field.one())
@@ -40,7 +40,7 @@ def test_evaluate(curve, field, table):
     with pytest.raises(PoleAtP):
         h.evaluate(Point.at_infinity(curve))
     with pytest.raises(PoleAtP):
-        (1 / (x - 12)).evaluate(p)
+        (x - 12).inverse().evaluate(p)
 
 
 def test_derivative(curve):
@@ -121,7 +121,7 @@ def test_leading_term_of_product(fg):
 def test_leading_term_of_inverse(fg):
     f, _ = fg
     order, lead = f.laurent()
-    assert (1 / f).laurent() == (-order, lead.inverse())
+    assert f.inverse().laurent() == (-order, lead.inverse())
 
 
 @PROFILE
@@ -140,9 +140,18 @@ def test_leading_term_of_constant(args):
     assert FunctionFieldElement.const(curve, c).laurent() == (0, c)
 
 
+def _power(f, k):
+    """f^k by repeated products; a negative k inverts f first."""
+    base = f if k >= 0 else f.inverse()
+    out = FunctionFieldElement.const(f.curve, 1)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
 @PROFILE
 @given(st.sampled_from(_CURVES), st.integers(-3, 3), st.integers(-3, 3))
 def test_leading_term_of_monomial(curve, i, j):
     x = FunctionFieldElement.coordinate_x(curve)
     y = FunctionFieldElement.coordinate_y(curve)
-    assert (x ** i * y ** j).laurent() == (-2 * i - 3 * j, curve.field.one())
+    assert (_power(x, i) * _power(y, j)).laurent() == (-2 * i - 3 * j, curve.field.one())

@@ -17,13 +17,13 @@ from ndescent import serialize as ser
 from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable, build_csa,
                               partial, rho_from_point, solve_gamma, trivialize, validate_rho)
 from ndescent.cli import main
-from ndescent.descent_funcs import CurveData, affine_sample
+from ndescent.descent_funcs import CurveData
 from ndescent.geometry import (KernelEmpty, KernelTooBig, PlaneCurveEquation,
                                RankNotOne, descend, extract_point, g_eval,
                                interpolate_plane_curve, lambda_eval,
                                plane_monomials, quadrics_for_C, quadrics_for_E)
 from descend_mutants import WITNESSES, descend_mutants
-from oracles import unit_cochain, zero_matrix
+from oracles import distinct_samples, unit_cochain, zero_matrix
 
 
 def _idx():
@@ -44,9 +44,7 @@ def _z_values(field, seed):
 
 def _samples(curve, count, seed=0):
     # independent points, each over its own single quadratic extension
-    rng = random.Random(seed)
-    used = set()
-    return [affine_sample(curve, 3, rng, "q%d" % k, used) for k in range(count)]
+    return distinct_samples(curve, 3, random.Random(seed), "q", count)
 
 
 def _oracle_cubic(field):

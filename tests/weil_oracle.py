@@ -10,6 +10,7 @@ function field or pairing code is used.
 
 from ndescent.curve import Point
 from ndescent.fields import tower_extend
+from oracles import base_change
 
 
 def _chord_slope(a, b):
@@ -72,8 +73,7 @@ def weil_pairing_oracle(s, t, n, r1, r2):
     field = r1.curve.field
     if s.is_infinity or t.is_infinity:
         return field.one()
-    sx = s.base_change(field)
-    tx = t.base_change(field)
+    sx, tx = base_change(s, field), base_change(t, field)
     num = _shifted_miller(sx, n, r2, tx + r1, r1)
     den = _shifted_miller(tx, n, r1, sx + r2, r2)
     return num / den
