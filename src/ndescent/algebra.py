@@ -80,16 +80,12 @@ def validate_rho(table, values):
 
     Raises CertificationFailed with a witness on the first violation."""
     idx = table.indices
-    K = table.curve.field
-    vals = {}
+    rho = RhoTable(table, {(a, b): values[(a, b)] for a in idx for b in idx})
+    vals = rho.values
     for a in idx:
         for b in idx:
-            v = values[(a, b)]
-            if isinstance(v, (int, Fraction)):
-                v = K.from_fraction(v)
-            if v.is_zero():
+            if vals[(a, b)].is_zero():
                 raise CertificationFailed(("nonzero", a, b), "rho vanishes at %r" % ((a, b),))
-            vals[(a, b)] = v
     for a in idx:
         for b in idx:
             if not (vals[(a, b)] == vals[(b, a)]):
@@ -101,24 +97,19 @@ def validate_rho(table, values):
     c0 = vals[((0, 0), (0, 0))]
     if not (c0 == 1):
         inv = c0.inverse()
-        vals = {k: v * inv for k, v in vals.items()}
+        rho = RhoTable(table, {k: v * inv for k, v in vals.items()})
     # the cocycle identity at (O, O, a) gives rho(O, a) = rho(O, O) = 1
-    return RhoTable(table, vals)
+    return rho
 
 
 def partial(table, alpha):
-    """The coboundary d(alpha)(T1,T2) = alpha(T1) alpha(T2) / alpha(T1+T2)."""
+    """The coboundary d(alpha)(T1,T2) = alpha(T1) alpha(T2) / alpha(T1+T2),
+    alpha a dict from table indices to FieldElements."""
     idx = table.indices
-    K = table.curve.field
-    a = {}
     for k in idx:
-        v = alpha[k]
-        if isinstance(v, (int, Fraction)):
-            v = K.from_fraction(v)
-        if v.is_zero():
+        if alpha[k].is_zero():
             raise ZeroDivisionError("alpha vanishes at %r" % (k,))
-        a[k] = v
-    return RhoTable(table, {(u, v): a[u] * a[v] / a[table.add_index(u, v)]
+    return RhoTable(table, {(u, v): alpha[u] * alpha[v] / alpha[table.add_index(u, v)]
                             for u in idx for v in idx})
 
 

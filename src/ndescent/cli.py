@@ -3,6 +3,9 @@
 Commands: torsion, quadrics, algebra, rho-from-point, trivialize,
 descend, verify.  Exit codes: 1 for I/O and parse problems, 2 for
 failed mathematical preconditions, 3 for certification failures.
+fields.NoCertificate, the refusal of the l-adic root rule, is a
+ValueError: 1 when it rejects a tower level read from a file, 2 when
+no prime certifies a root list the pipeline needs.
 """
 
 import argparse

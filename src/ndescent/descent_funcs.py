@@ -275,9 +275,7 @@ def tau_1(triv, alpha):
     alpha -> sum_T alpha(T) M_T.
 
     alpha: dict ij -> FieldElement, an index it leaves out counting as
-    zero (or a length-n^2 list in table order)."""
-    if not isinstance(alpha, dict):
-        alpha = dict(zip(triv.table.indices, alpha))
+    zero."""
     out = None
     for ij, a in alpha.items():
         term = triv.M(ij).scale(a)

@@ -14,20 +14,16 @@ b_i b_j = sum_k c_ijk b_k, built once from its minimal polynomial and
 the multiplication of the level below.  The same table gives the
 matrix of multiplication by an element, and an inverse solves a y = 1
 with it over the integers.  Polynomials are Poly objects with
-FieldElement coefficients; factoring uses sympy over Q and Trager's
-norm method up each level.
+FieldElement coefficients.
 
-A new level is certified irreducible when it is built.  A binomial
-x^p - a with p prime is irreducible as soon as a is not a p-th power
-(Lang, Algebra, VI Thm 9.1), and nonresidue_witness proves that
-cheaply: it looks for a prime l = 1 mod p at which the tower embeds
-into Q_l (each level's minimal polynomial has a simple root mod l, so
-Hensel lifts it) and a reduces to a unit that is not a p-th power mod
-l.  When no prime in a fixed list witnesses, the level is factored as
-above; the witness never declares a polynomial reducible, so every
-ReducibleExtension comes from factoring.  root_or_extend is the one way
-to take a p-th root: the witness first, then the roots in the field,
-else a new level x^p - a.
+Roots in K are found by one l-adic rule, roots_in_field, at the
+degree-1 primes lambda of the tower: a prime where f has no root mod
+lambda proves it has none in K; otherwise each simple residue is
+Hensel-lifted and its root recovered by lattice reduction, kept only if
+f(r) == 0 exactly.  The same rule certifies every new level
+irreducible, and root_or_extend takes a p-th root with it: the root of
+least key in K when there is one, else a new level x^p - a.  The runtime
+uses the standard library only.
 """
 
 import operator
@@ -37,7 +33,19 @@ from math import gcd, isqrt, lcm
 
 
 class ReducibleExtension(Exception):
-    """Raised by tower_extend when the proposed minimal polynomial factors."""
+    """Raised by tower_extend when the proposed minimal polynomial has a
+    root in its base; roots holds them all, sorted by key()."""
+
+    def __init__(self, msg, roots):
+        super().__init__(msg)
+        self.roots = roots
+
+
+class NoCertificate(ValueError):
+    """Raised when the l-adic rule of roots_in_field finds no certificate:
+    no prime proves a root list complete, or a proposed level is neither
+    of degree <= 3 nor x^p - a with p prime.  A ValueError, so the CLI
+    exits 1 when it comes from a tower in a file and 2 otherwise."""
 
 
 def _fr(x):
@@ -60,7 +68,11 @@ class FieldTower:
     levels: tuple of (generator name, minimal polynomial) where the
     minimal polynomial is a monic tuple of coefficients (ascending),
     elements of the tower one level down.  Irreducibility is certified
-    at construction: a reducible level raises ReducibleExtension.
+    at construction.  A level has degree >= 2 (ValueError otherwise).
+    One of degree 2 or 3, or x^p - a with p prime (Lang, Algebra, VI
+    Thm 9.1), is irreducible exactly when it has no root in its base:
+    roots_in_field decides, and a root raises ReducibleExtension.  Any
+    other level raises NoCertificate.
     """
 
     def __init__(self, base=None, name=None, minpoly=None):
@@ -70,12 +82,15 @@ class FieldTower:
             self._base = self._minpoly = None
             self._table, self._tden = [[((0, 1),)]], 1
             return
-        if minpoly.degree < 1 or not minpoly.is_monic():
-            raise ValueError("minimal polynomial must be monic and nonconstant")
-        if _kummer_witness(minpoly) is None:
-            factors = factor_poly(minpoly)
-            if len(factors) != 1 or factors[0][1] != 1:
-                raise ReducibleExtension("minimal polynomial is reducible over its base")
+        if minpoly.degree < 2 or not minpoly.is_monic():
+            raise ValueError("minimal polynomial must be monic of degree >= 2: "
+                             "a level of degree 1 would add nothing")
+        p = minpoly.degree
+        if p > 3 and not (_is_prime(p) and all(c.is_zero() for c in minpoly.coeffs[1:-1])):
+            raise NoCertificate("a level of degree %d must be x^p - a with p prime" % p)
+        if roots := roots_in_field(minpoly):
+            raise ReducibleExtension("minimal polynomial is reducible: it has a root in its base",
+                                     roots)
         self._base, self._minpoly = base, minpoly
         self.levels = base.levels + ((name, minpoly.coeffs),)
         self.degrees = base.degrees + (minpoly.degree,)
@@ -135,23 +150,21 @@ class FieldTower:
 
     def _images_mod(self, l):
         """The images mod l of the basis monomials under t_i -> r_i, where
-        each r_i is the least simple root mod l of the level's minimal
-        polynomial (its coefficients mapped by the earlier roots), or None
-        when some level has no such root or a coefficient is not
-        l-integral.  By Hensel's lemma t_i -> r_i is then the reduction of
-        an embedding of the field into Q_l.  Cached per prime."""
+        each r_i is the least root mod l of the level's minimal polynomial
+        (its coefficients mapped by the earlier roots), or None when some
+        level has no root mod l, a multiple one, or a coefficient that is
+        not l-integral.  By Hensel's lemma t_i -> r_i is then the reduction
+        of an embedding of the field into Q_l: a degree-1 prime lambda
+        above l.  Cached per prime."""
         if self._base is None:
             return (1,)
         if l in self._modl:
             return self._modl[l]
-        out, below = None, self._base._images_mod(l)
-        f = None if below is None else [_image_mod(c, below, l) for c in self._minpoly.coeffs]
-        if f is not None and None not in f:
-            df = [i * c for i, c in enumerate(f)][1:]
-            r = next((r for r in range(l)
-                      if _horner_mod(f, r, l) == 0 and _horner_mod(df, r, l) != 0), None)
-            if r is not None:
-                out = tuple(m * pow(r, e, l) % l for e in range(len(f) - 1) for m in below)
+        below = self._base._images_mod(l)
+        res = _residues(self._minpoly.coeffs, below, l)
+        out = None
+        if res:
+            out = tuple(m * pow(res[0], e, l) % l for e in range(self._minpoly.degree) for m in below)
         self._modl[l] = out
         return out
 
@@ -171,46 +184,19 @@ def _horner_mod(f, r, l):
     return acc
 
 
-# The odd primes nonresidue_witness tries, in increasing order.  Those
-# that split in the tower and are 1 mod p have positive density among
-# all primes, so a non-p-th power is almost always caught by a few.
 def _is_prime(k):
-    """Trial division; k is at most a few hundred here."""
+    """Trial division; k is below _PRIME_CAP here."""
     return k > 1 and all(k % d for d in range(2, isqrt(k) + 1))
 
 
-_WITNESS_PRIMES = tuple(l for l in range(3, 400) if _is_prime(l))
-
-
-def nonresidue_witness(a, p):
-    """A prime l proving that a is not a p-th power in its field, or None.
-
-    l is odd with l = 1 mod p, the field embeds into Q_l with basis
-    images _images_mod(l), and the image v of a mod l is a unit with
-    v^((l-1)/p) != 1 mod l: then the image of a in Q_l is no p-th power,
-    so neither is a.  None proves nothing.  Integers and pow only."""
-    tw = a.tower
-    for l in _WITNESS_PRIMES:
-        if l % p != 1:
-            continue
-        images = tw._images_mod(l)
-        if images is None:
-            continue
-        v = _image_mod(a, images, l)
-        if v and pow(v, (l - 1) // p, l) != 1:
-            return l
-    return None
-
-
-def _kummer_witness(f):
-    """For a binomial f = x^p - a with p prime, nonresidue_witness(a, p):
-    a prime that certifies f irreducible, since x^p - a is irreducible
-    whenever a is not a p-th power (Lang, Algebra, VI Thm 9.1).  None
-    for other polynomials or when no prime witnesses."""
-    p = f.degree
-    if not _is_prime(p) or any(not c.is_zero() for c in f.coeffs[1:-1]):
-        return None
-    return nonresidue_witness(-f.coeffs[0], p)
+# roots_in_field walks the primes below _PRIME_CAP.  For an irreducible f
+# of degree >= 2 over K some element of its Galois group fixes no root
+# (Jordan's theorem), so by Chebotarev the degree-1 primes of K at which
+# f has no residue have positive density: the walk proves a level
+# irreducible at one of the first few primes that decide.  In the
+# degree-12 field of gamma on the aux curve 5 primes below 400 decide,
+# and 43 below _PRIME_CAP.
+_PRIME_CAP = 1 << 12
 
 
 def _structure_constants(base, m):
@@ -581,10 +567,6 @@ class Poly:
         inv = _inv(self.lc())
         return Poly._of(self.tower, [_mul(c, inv) for c in self.coeffs])
 
-    def derivative(self):
-        tw = self.tower
-        return Poly._of(tw, [_mul(c, tw.from_fraction(i)) for i, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x):
         """Horner evaluation at a field element, a rational, or any
         ring-like argument (functions, polys)."""
@@ -626,161 +608,185 @@ def poly_x(tower):
 
 
 # ---------------------------------------------------------------------------
-# factorization: sympy over Q, Trager's norm method up each tower level
+# roots in K: one l-adic rule
 # ---------------------------------------------------------------------------
 
 
-def _factor_rational(f):
-    """Factor a nonzero Poly over Q into monic irreducibles; returns a
-    list of (Poly, multiplicity).  sympy is imported here, on the first
-    factorisation, since importing it takes seconds."""
-    import sympy
-    cs = [c.as_fraction() for c in reversed(f.coeffs)]
-    spoly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in cs],
-                       sympy.Symbol("x"), domain="QQ")
-    _, factors = spoly.factor_list()
-    return [(Poly([Fraction(c.numerator, c.denominator) for c in reversed(g.all_coeffs())],
-                  f.tower).monic(), mult)
-            for g, mult in factors]
+def _residues(coeffs, images, l):
+    """The roots mod l of the polynomial with these coefficients
+    (ascending, elements of a tower) mapped by the images mod l of the
+    tower's basis.  None when images is None, a coefficient is not
+    l-integral, or a root is multiple."""
+    f = None if images is None else [_image_mod(c, images, l) for c in coeffs]
+    if f is None or None in f:
+        return None
+    vals = [0] * l
+    for c in reversed(f):
+        vals = [(v * r + c) % l for r, v in enumerate(vals)]
+    roots = [r for r, v in enumerate(vals) if v == 0]
+    df = [i * c for i, c in enumerate(f)][1:]
+    if any(_horner_mod(df, r, l) == 0 for r in roots):
+        return None
+    return roots
 
 
-def _resultant(a, b):
-    """Resultant of two Polys over one tower, via the Euclidean recursion.
-    With a monic this is the product of b over the roots of a."""
-    res = a.tower.one()
-    while True:
-        if a.is_zero():
-            return a.tower.zero()
-        if a.degree == 0:
-            return _mul(res, a.coeffs[0] ** max(b.degree, 0))
-        if b.is_zero():
-            return a.tower.zero()
-        if b.degree == 0:
-            return _mul(res, b.coeffs[0] ** a.degree)
-        r = b % a
-        # res(a,b) = lc(a)^(deg b - deg r) * (-1)^(deg a * deg r) * res(r, a)
-        res = _mul(res, a.lc() ** (b.degree - r.degree))
-        if (a.degree * max(r.degree, 0)) % 2 == 1:
-            res = -res
-        a, b = r, a
+def _newton(f, r, q):
+    """The root mod q = l^k of an integer polynomial f that reduces to r,
+    a simple root of f mod l (Hensel's lemma): each Newton step doubles
+    the l-adic precision."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    while v := _horner_mod(f, r, q):
+        r = (r - v * pow(_horner_mod(df, r, q), -1, q)) % q
+    return r
 
 
-def _norm_poly(g):
-    """Norm of a monic Poly g over a tower down to the tower one level
-    below, computed by evaluation at rational points and Lagrange
-    interpolation."""
-    tw = g.tower
-    base, m = tw._base, tw._minpoly
-    xs = []
-    v = 0
-    while len(xs) < g.degree * m.degree + 1:
-        xs.append(Fraction(v))
-        v = -v if v > 0 else -v + 1
-    # g(c) is a polynomial in the level generator over the base
-    vals = [_resultant(m, Poly._of(base, g(c).coords_over(base))) for c in xs]
-    out = Poly._of(base, [])
-    for i, (xi, yi) in enumerate(zip(xs, vals)):
-        num = Poly([1], base)
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if i != j:
-                num = num * Poly([-xj, 1], base)
-                den *= xi - xj
-        out = out + num * _mul(yi, base.from_fraction(1 / den))
-    return out
+def _lifted_images(tower, l, q):
+    """The images mod q = l^k of the basis monomials under the embedding
+    into Q_l that _images_mod(l) reduces: each level's root is lifted from
+    its residue by _newton."""
+    if tower._base is None:
+        return (1,)
+    below = _lifted_images(tower._base, l, q)
+    f = [_image_mod(c, below, q) for c in tower._minpoly.coeffs]
+    r = _newton(f, tower._images_mod(l)[len(below)], q)
+    return tuple(m * pow(r, e, q) % q for e in range(len(f) - 1) for m in below)
 
 
-def _sqfree_parts(f):
-    """Yun's squarefree decomposition of a monic Poly: [(part, mult)]."""
-    fp = f.derivative()
-    a = poly_gcd(f, fp)
-    if a.degree == 0:
-        return [(f, 1)]
-    b = f // a
-    d = fp // a - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        p = poly_gcd(b, d)
-        if p.degree > 0:
-            out.append((p, i))
-        b = b // p
-        d = d // p - b.derivative()
-        i += 1
-    return out
+def _lll(rows):
+    """LLL-reduce linearly independent integer rows with delta = 3/4, in
+    integers only (Cohen, GTM 138, Algorithm 2.6.7): d[i] is the Gram
+    determinant of the first i rows and lam[k][j] = d[j+1] mu_kj.  The
+    first row returned is at most 2^((n-1)/2) times as long as the
+    shortest nonzero vector of the lattice."""
+    b = [list(v) for v in rows]
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, j):
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            c = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+            b[k] = [x - c * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= c * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= c * lam[j][i]
+
+    d[1] = sum(x * x for x in b[0])
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            m = lam[k][k - 1]
+            big = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (big * t + m * lam[i][k]) // d[k + 1]
+            d[k] = big
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return b
 
 
-def _shift_by_gen(f, s):
-    """Substitute x -> x + s*theta into f (degree >= 1), theta the top
-    generator of its tower."""
-    tw = f.tower
-    return f(Poly([_mul(tw.gen(), tw.from_fraction(s)), tw.one()], tw))
+# The lifting precision stays below 2^_MAX_BITS: in the degree-12 field of
+# gamma on the aux curve, enough for roots whose coordinates over their
+# common denominator have about 110 bits.
+_MAX_BITS = 2048
 
 
-def _factor_data(f):
-    """Factor a nonzero Poly into monic irreducibles: [(Poly, mult)]."""
-    f = f.monic()
-    if f.degree == 0:
-        return []
-    tw = f.tower
-    if tw._base is None:
-        return _factor_rational(f)
-    out = []
-    for part, mult in _sqfree_parts(f):
-        if part.degree == 1:
-            out.append((part, mult))
-            continue
-        s = 0
-        while True:
-            norm = _norm_poly(_shift_by_gen(part, -s))
-            if poly_gcd(norm, norm.derivative()).degree == 0:
-                break
-            s = -s if s > 0 else -s + 1
-        subfactors = _factor_data(norm)
-        if len(subfactors) == 1 and subfactors[0][1] == 1:
-            out.append((part, mult))
-            continue
-        remaining = part
-        for q, _m in subfactors:
-            h = poly_gcd(remaining, _shift_by_gen(q.lift_to(tw), s))
-            if h.degree >= 1:
-                out.append((h, mult))
-                remaining, rem = divmod(remaining, h)
-                if not rem.is_zero():
-                    raise ArithmeticError("a norm factor does not divide its part")
-        if remaining.degree != 0:
-            raise ArithmeticError("norm factorization did not recombine")
-    return out
-
-
-def factor_poly(poly):
-    """Factor a Poly over its tower into monic irreducibles.
-
-    Returns a list of (Poly, multiplicity), sorted deterministically
-    (degree first, then coefficient key).  The leading unit is dropped.
-    """
-    if poly.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    out = _factor_data(poly)
-    out.sort(key=lambda fm: (fm[0].degree, [c.key() for c in fm[0].coeffs]))
-    return out
+def _lift(f, l, k, residues):
+    """(roots, rest): the roots in K of a monic f found at precision
+    q = l^k from its simple residues at the degree-1 prime above l, and
+    the residues that gave none.  With w the images mod q of the basis
+    and a the lift of a residue, the vectors (c_0, ..., c_{d-1}, den) with
+    sum c_j w_j = den a mod q form a lattice of determinant q holding a
+    root's coordinates over its denominator, which LLL finds once q is
+    large enough.  A candidate is kept only if den is prime to l (so it
+    reduces to the residue) and f(x) == 0."""
+    K, d, q = f.tower, f.tower.degree, l ** k
+    w = _lifted_images(K, l, q)
+    fq = [_image_mod(c, w, q) for c in f.coeffs]
+    rows = [[q] + [0] * d]
+    rows += [[-w[j]] + [int(i == j) for i in range(1, d)] + [0] for j in range(1, d)]
+    roots, rest = [], []
+    for r in residues:
+        v = _lll(rows + [[_newton(fq, r, q)] + [0] * (d - 1) + [1]])[0]
+        x = FieldElement(K, v[:-1], v[-1]) if v[-1] % l else None
+        if x is not None and f(x).is_zero():
+            roots.append(x)
+        else:
+            rest.append(r)
+    return roots, rest
 
 
 def roots_in_field(poly):
-    """All roots of poly in its own field, with multiplicity, sorted."""
-    roots = []
-    for f, mult in factor_poly(poly):
-        if f.degree == 1:
-            roots.extend([-f.coeff(0)] * mult)
-    roots.sort(key=lambda r: r.key())
-    return roots
+    """The roots of poly in its own field K, sorted by key().
+
+    One l-adic rule (as PARI's nfroots: Belabas, J. Symbolic Comput. 37,
+    2004) on f = poly.monic(), walking the primes l < _PRIME_CAP.  l
+    decides when K has a degree-1 prime lambda above it (_images_mod), f
+    is lambda-integral, and every root of f mod lambda is simple; the
+    roots of f in K then reduce to distinct residues.  So the roots found
+    are all of them once a prime that decides has as many residues (no
+    residue: no root), or once every residue at the first prime that
+    decides has lifted to an exact root (_lift).  Each further prime that
+    decides doubles the lifting precision.
+
+    Raises ValueError for the zero polynomial, and NoCertificate when the
+    walk ends without a certificate (always so when f has a repeated
+    root in K)."""
+    if poly.is_zero():
+        raise ValueError("the zero polynomial has no finite root list")
+    f = poly.monic()
+    K = f.tower
+    found, rest, k = [], None, 4
+    for l in filter(_is_prime, range(2, _PRIME_CAP)):
+        res = _residues(f.coeffs, K._images_mod(l), l)
+        if res is None:
+            continue
+        if len(res) == len(found):
+            return sorted(found, key=lambda r: r.key())
+        if rest is None:
+            l0, rest = l, res
+        if l0 ** k < 1 << _MAX_BITS:
+            roots, rest = _lift(f, l0, k, rest)
+            found += roots
+            k *= 2
+            if not rest:
+                return sorted(found, key=lambda r: r.key())
+    raise NoCertificate("no prime below %d certifies the roots of a degree-%d polynomial"
+                        % (_PRIME_CAP, f.degree))
+
+
+def factor_poly(poly):
+    """The monic linear factors x - r of poly over its field, one for each
+    r in roots_in_field(poly).  No library code calls it; it stays because
+    perfbench/spans.py wraps fields.factor_poly by name."""
+    return [(poly_x(poly.tower) - r, 1) for r in roots_in_field(poly)]
 
 
 def tower_extend(base, coeffs, name):
     """Extend a tower by a monic irreducible polynomial, given by its
     coefficients over base (constant first), with generator name.
-    Raises ValueError unless it is monic and nonconstant, and
-    ReducibleExtension if it factors.
+    Raises ValueError unless it is monic of degree >= 2,
+    ReducibleExtension if it has a root in base, and NoCertificate
+    (a ValueError) for a level FieldTower cannot certify.
     """
     return FieldTower(base, name, Poly(coeffs, base))
 
@@ -788,12 +794,11 @@ def tower_extend(base, coeffs, name):
 def root_or_extend(a, p, name):
     """A p-th root of a, for p prime: (r, K) with r the root of least
     key() in a's field K when one exists, else (t, L) with L = K[t]/(t^p - a)
-    and t its generator.  A non-residue witness proves there is no root
-    without factoring; otherwise the roots are found by factoring."""
+    and t its generator.  The one roots_in_field call that certifies the
+    level also finds the roots."""
     K = a.tower
-    if nonresidue_witness(a, p) is None:
-        roots = roots_in_field(poly_x(K) ** p - a)
-        if roots:
-            return roots[0], K
-    ext = tower_extend(K, [-a] + [K.zero()] * (p - 1) + [K.one()], name=name)
+    try:
+        ext = FieldTower(K, name, poly_x(K) ** p - a)
+    except ReducibleExtension as e:
+        return e.roots[0], K
     return ext.gen(), ext

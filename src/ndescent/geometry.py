@@ -182,10 +182,10 @@ def lambda_eval(triv, z):
     n z_O, so the projection only removes z_O.  descend and verify reach
     this only after that certificate has passed.  Rank 1 is what a valid
     trivialisation guarantees, and extract_point raises RankNotOne for
-    anything else."""
+    anything else.  Returns (image, u), u the column factor extract_point
+    certified."""
     proj = tau_1(triv, dict(zip(triv.table.indices[1:], z[1:])))
-    extract_point(proj)
-    return proj
+    return proj, extract_point(proj)[0]
 
 
 def extract_point(m):
@@ -275,9 +275,7 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
             continue
         orbit_x.extend(_x_key((p + table.point(*s)).x) for s in idx)
         z = g_eval(curve, gbasis, gamma, p)
-        # lambda_eval has certified the image; extract_point's column is its first nonzero one
-        proj = lambda_eval(triv, z)
-        u = next(c for c in map(proj.col, range(proj.ncols)) if any(not e.is_zero() for e in c))
+        _, u = lambda_eval(triv, z)
         for i, val in enumerate(qs.evaluate_all(z)):
             if not val.is_zero():
                 raise CertificationFailed(("quadric", i),

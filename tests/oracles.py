@@ -9,7 +9,7 @@ library's certificates against them:
     mult, left_mult_matrix and the reduced trace trd;
   - the affine coordinates (1, x, y, ...) of the embedding and its
     osculating rows;
-  - d/dx of a function along the curve;
+  - d/dx of a polynomial, and of a function along the curve;
   - the zero matrix, and the unit cochain gamma = 1, with which g_eval
     is the covering map of E itself;
   - a point over an extension field, and affine samples with distinct x
@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from ndescent.curve import Point, slope
 from ndescent.descent_funcs import affine_sample
+from ndescent.fields import Poly
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
 
@@ -92,14 +93,18 @@ def dual_row(emb, p):
     return kern[0]
 
 
+def poly_derivative(p):
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:], p.tower)
+
+
 def derivative(f):
     """d/dx along the curve, using y' = (3x^2 + a)/(2y)."""
     c = f.curve
-    du, dv, dw = f.u.derivative(), f.v.derivative(), f.w.derivative()
+    du, dv, dw = poly_derivative(f.u), poly_derivative(f.v), poly_derivative(f.w)
     main = FunctionFieldElement(c, du * f.w - f.u * dw, dv * f.w - f.v * dw, f.w * f.w)
     # v * y' = v * rhs' / (2y) = (v rhs' / 2) * y / rhs
     rhs = c.rhs_poly()
-    vterm = FunctionFieldElement(c, 0, Fraction(1, 2) * (f.v * rhs.derivative()), rhs * f.w)
+    vterm = FunctionFieldElement(c, 0, Fraction(1, 2) * (f.v * poly_derivative(rhs)), rhs * f.w)
     return main + vterm
 
 

@@ -164,7 +164,7 @@ def test_criterion_05_tau1_and_algebra(emb, eps, table, field):
 def test_criterion_06_segre_factorisation(emb, eps, table, gbasis, curve):
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     for p in _samples(curve, 3, seed=601):
-        m = lambda_eval(triv, g_eval(curve, gbasis, unit_cochain(table), p))
+        m, _ = lambda_eval(triv, g_eval(curve, gbasis, unit_cochain(table), p))
         assert m.trace().is_zero()
         assert m.rank() == 1
         # m equals lambda_E(P) = sum_{T != O} G_T(P) M_T

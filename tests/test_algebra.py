@@ -71,11 +71,12 @@ def test_validate_rejects_cocycle_failure(table, field):
 
 
 def test_validate_normalizes(table, field):
-    rho = RhoTable.trivial(table)
-    vals = {k: field.from_fraction(5) for k in rho.values}
-    got = validate_rho(table, vals)
-    assert got.value((0, 0), (0, 0)) == 1
-    assert all(v == 1 for v in got.values.values())
+    # ints and Fractions are taken into the field, as RhoTable does
+    for five in (field.from_fraction(5), 5, Fraction(5)):
+        vals = {k: five for k in RhoTable.trivial(table).values}
+        got = validate_rho(table, vals)
+        assert got.value((0, 0), (0, 0)) == 1
+        assert all(v == 1 and v.tower == field for v in got.values.values())
 
 
 def test_partial_is_coboundary(table, field):

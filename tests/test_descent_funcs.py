@@ -186,17 +186,18 @@ def test_embedding_values(curve, field, table):
 
 
 def test_tau_1_on_delta_basis(emb, field):
-    for i in range(3):
-        for j in range(3):
-            alpha = [field.zero()] * 9
-            alpha[3 * i + j] = field.one()
-            assert tau_1(emb, alpha) == emb.M((i, j))
+    idx = [divmod(k, 3) for k in range(9)]
+    for ij in idx:
+        alpha = {kl: field.zero() for kl in idx}
+        alpha[ij] = field.one()
+        assert tau_1(emb, alpha) == emb.M(ij)
+        assert tau_1(emb, {ij: field.one()}) == emb.M(ij)
     # linearity on a combination
-    alpha = [field.from_fraction(k + 1) for k in range(9)]
+    alpha = {ij: field.from_fraction(k + 1) for k, ij in enumerate(idx)}
     got = tau_1(emb, alpha)
     want = None
-    for k in range(9):
-        term = emb.M(divmod(k, 3)).scale(alpha[k])
+    for ij in idx:
+        term = emb.M(ij).scale(alpha[ij])
         want = term if want is None else want + term
     assert got == want
 
@@ -222,15 +223,20 @@ def test_affine_sample(curve):
 
 
 def test_affine_sample_witnessed_without_factoring(curve, monkeypatch):
-    # every sample of this seed needs a quadratic extension, and each is
-    # certified by a non-residue witness, so nothing is factored
-    calls = []
-    factor = fields.factor_poly
+    # every sample of this seed needs a quadratic extension, and each new
+    # level y^2 - rhs(x) was seen by roots_in_field to have no residue at
+    # some prime that decides
+    empty = set()
+    residues = fields._residues
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return factor(*args, **kwargs)
-    monkeypatch.setattr(fields, "factor_poly", counted)
+    def recorded(coeffs, images, l):
+        out = residues(coeffs, images, l)
+        if out == []:
+            empty.add(coeffs)
+        return out
+    monkeypatch.setattr(fields, "_residues", recorded)
     points = distinct_samples(curve, 3, random.Random(0), "w", 15)
-    assert all(p.curve.field.nlevels == curve.field.nlevels + 1 for p in points)
-    assert calls == []
+    for p in points:
+        L = p.curve.field
+        assert L.nlevels == curve.field.nlevels + 1
+        assert L.levels[-1][1] in empty

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import random
 import subprocess
@@ -9,9 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ndescent
-from ndescent.fields import (FieldTower, FieldElement, Poly, ReducibleExtension,
-                             factor_poly, nonresidue_witness, poly_gcd, poly_x,
-                             root_or_extend, roots_in_field, tower_extend)
+from ndescent import fields
+from ndescent.fields import (FieldTower, FieldElement, NoCertificate, Poly, ReducibleExtension,
+                             factor_poly, poly_gcd, poly_x, root_or_extend, roots_in_field,
+                             tower_extend)
+from ndescent.curve import Point, division_polynomial
+from ndescent.algebra import rho_from_point, solve_gamma
+from oracles import poly_derivative
 
 
 def test_rationals():
@@ -86,18 +91,35 @@ def test_coords_over(field):
 
 
 def test_reducible_extension_rejected(field):
-    # x^2 + x + 1 splits over Q(zeta3) into linear factors
+    # x^2 + x + 1 has no root mod 2, so it is a level over Q, and it
+    # splits over Q(zeta3) with roots zeta and zeta^2
+    z = field.gen()
+    assert roots_in_field(Poly([1, 1, 1])) == []
+    assert roots_in_field(Poly([1, 1, 1], field)) == sorted([z, z * z], key=lambda r: r.key())
     with pytest.raises(ReducibleExtension):
         tower_extend(field, [1, 1, 1], name="again")
-    assert [f.degree for f, _ in factor_poly(Poly([1, 1, 1], field))] == [1, 1]
+
+
+def _residue_counts(f, below=400):
+    """{l: number of roots of f mod lambda} over the primes l < below at
+    which the rule of roots_in_field decides for the monic f."""
+    out = {}
+    for l in range(2, below):
+        if fields._is_prime(l):
+            res = fields._residues(f.coeffs, f.tower._images_mod(l), l)
+            if res is not None:
+                out[l] = len(res)
+    return out
 
 
 def test_rational_non_square_that_is_a_square_in_K(field):
-    # -3 is not a square in Q but is (2 zeta + 1)^2 in Q(zeta3): no prime
-    # may witness it, and Trager finds the split
+    # -3 is not a square in Q (none mod 5) but is (2 zeta + 1)^2 in
+    # Q(zeta3): there every prime that decides has both residues, and
+    # both lift
+    assert _residue_counts(Poly([3, 0, 1]))[5] == 0
+    assert roots_in_field(Poly([3, 0, 1])) == []
+    assert set(_residue_counts(Poly([3, 0, 1], field)).values()) == {2}
     minus3 = field.from_fraction(-3)
-    assert nonresidue_witness(FieldTower.rationals().from_fraction(-3), 2) is not None
-    assert nonresidue_witness(minus3, 2) is None
     with pytest.raises(ReducibleExtension):
         tower_extend(field, [3, 0, 1], name="s")
     root, K = root_or_extend(minus3, 2, "s")
@@ -126,18 +148,88 @@ def test_roots_in_field(field):
     assert len(roots_in_field(Poly([-1728, 0, 0, 1]))) == 1
 
 
+def _keys_sha256(keys):
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+# sha256 of the root keys, recorded with the Trager factoring this rule
+# replaced: psi_3's roots x0, each with the roots of y^2 = rhs(x0), on
+# the reference and the aux curve; and the values of gamma, in table
+# order, for rho from the point (7, 17) on the aux curve
+_TORSION_ROOTS_SHA256 = {
+    "curve": "4137c68334f4a12792ce7d29e677474564062e915011c5ad1317e3563fe025e0",
+    "aux_curve": "939fd633df54519cad5b30620c9498a96d5fb38d6980b996d0345b5d6cf16574",
+}
+_AUX_GAMMA_SHA256 = "5e79de813d7b296b840e5d3f93eda9b1b2c9539b4aa4d159b94fe0c4c1a59693"
+
+
+@pytest.mark.parametrize("name", sorted(_TORSION_ROOTS_SHA256))
+def test_torsion_roots_are_pinned(request, name):
+    E = request.getfixturevalue(name)
+    x = poly_x(E.field)
+    keys = [(x0.key(), [y.key() for y in roots_in_field(x * x - E.rhs(x0))])
+            for x0 in roots_in_field(division_polynomial(E, 3))]
+    assert _keys_sha256(keys) == _TORSION_ROOTS_SHA256[name]
+
+
+def test_aux_gamma_is_pinned(aux_curve, aux_table):
+    K = aux_curve.field
+    rho = rho_from_point(aux_table, Point(aux_curve, K.from_fraction(7), K.from_fraction(17)))
+    gamma, L = solve_gamma(aux_table, rho)
+    assert L.degrees == (2, 2, 3)
+    assert _keys_sha256([gamma[ij].key() for ij in aux_table.indices]) == _AUX_GAMMA_SHA256
+
+
 def test_factor_poly(field):
-    z = field.gen()
-    p = Poly([1, 1, 1])  # x^2 + x + 1 over Q: irreducible
-    assert len(factor_poly(p)) == 1
-    fs = factor_poly(p.lift_to(field))
-    assert [f.degree for f, _ in fs] == [1, 1]
-    assert set(tuple((-f.coeff(0)).flatten()) for f, _ in fs) == \
-        set(tuple(v.flatten()) for v in [z, z * z])
-    # multiplicity
-    q = Poly([1, 1, 1]) * Poly([1, 1, 1]) * Poly([-2, 1])
-    fs = factor_poly(q.lift_to(field))
-    assert sorted(m for _, m in fs) == [1, 2, 2]
+    # only the linear factors, from roots_in_field: x^2 + x + 1 has none
+    # over Q and splits over Q(zeta3)
+    z, x = field.gen(), poly_x(field)
+    assert factor_poly(Poly([1, 1, 1])) == []
+    assert factor_poly(Poly([1, 1, 1], field)) == [(x - r, 1) for r in
+                                                   sorted([z, z * z], key=lambda r: r.key())]
+
+
+def test_roots_in_field_refuses_what_it_cannot_certify(field):
+    x = poly_x(field)
+    # x^8 - 16 has a root mod every prime but none in Q(zeta3): no prime
+    # proves the empty list, and the residues do not lift
+    assert min(_residue_counts(x ** 8 - 16, fields._PRIME_CAP).values()) > 0
+    with pytest.raises(NoCertificate):
+        roots_in_field(x ** 8 - 16)
+    # a repeated root is a multiple root mod every prime
+    with pytest.raises(NoCertificate):
+        roots_in_field((x - 1) ** 2 * (x + 2))
+    with pytest.raises(ValueError):
+        roots_in_field(Poly([], field))
+    # a level that is neither of degree <= 3 nor a prime binomial
+    with pytest.raises(NoCertificate):
+        tower_extend(field, [1, 0, 0, 0, 1], name="s")
+    with pytest.raises(NoCertificate):
+        tower_extend(field, [-2, 0, 0, 0, 1], name="s")
+    assert tower_extend(field, [-2, 0, 0, 0, 0, 1], name="s").degrees == (2, 5)
+
+
+def test_degree_one_level_is_refused(field):
+    # x - 3 is irreducible, but a level of degree 1 would be K itself:
+    # a plain ValueError, not ReducibleExtension
+    with pytest.raises(ValueError) as info:
+        tower_extend(field, [-3, 1], name="t")
+    assert not isinstance(info.value, ReducibleExtension)
+    assert "degree >= 2" in str(info.value)
+
+
+def test_no_root_proved_beyond_the_first_primes():
+    # y^2 = rhs(x0) on the aux curve over the degree-12 field of gamma:
+    # for these draws of affine_sample every prime below 400 that decides
+    # has both residues, so the walk must go further for its proof
+    x = poly_x(_GAMMA12)
+    for x0 in (Fraction(-13), Fraction(-35, 4), Fraction(-9, 5), Fraction(13, 7),
+               Fraction(25, 2)):
+        f = x * x - (x0 ** 3 - 54)
+        assert 0 not in _residue_counts(f).values()
+        assert roots_in_field(f) == []
+        root, L = root_or_extend(_GAMMA12.from_fraction(x0 ** 3 - 54), 2, "w")
+        assert L.degrees == (2, 2, 3, 2) and root * root == x0 ** 3 - 54
 
 
 def test_poly_arithmetic(field):
@@ -150,7 +242,7 @@ def test_poly_arithmetic(field):
     g = poly_gcd(p * q, q)
     assert g == q.monic()
     assert p(field.from_fraction(2)) == field.from_fraction(11)
-    assert p.derivative() == 4 * x ** 3 - 3
+    assert poly_derivative(p) == 4 * x ** 3 - 3
 
 
 def test_element_key_orders_deterministically(field):
@@ -253,34 +345,28 @@ def test_coords_over_recombines(args):
         assert total == a
 
 
-def _factor_inputs(K):
-    """Monic products of a few small factors over K, so that factoring has
-    something to find: linear factors, a repeated factor, and a quadratic."""
-    small = st.lists(st.integers(-3, 3), min_size=K.degree, max_size=K.degree).map(
-        lambda v: K.element([Fraction(c) for c in v]))
-    linear = small.map(lambda r: Poly([-r, 1], K))
-    quad = st.tuples(small, small).map(lambda ab: Poly([ab[0], ab[1], 1], K))
-    return st.tuples(st.lists(linear, min_size=0, max_size=2),
-                     st.lists(quad, min_size=0, max_size=1),
-                     st.integers(1, 2)).filter(lambda t: t[0] or t[1])
+_small = st.integers(-3, 3)
 
 
-@settings(PROFILE, max_examples=12)
+@settings(PROFILE, max_examples=20)
 @given(st.sampled_from(_TOWERS).flatmap(
-    lambda K: st.tuples(st.just(K), _factor_inputs(K))))
-def test_factor_poly_multiplies_back(args):
-    K, (linears, quads, power) = args
-    p = Poly([1], K)
-    for f in linears + quads:
-        p = p * f
-    p = p ** power if p.degree <= 2 else p
-    fs = factor_poly(p)
-    back = Poly([1], K)
-    for f, m in fs:
-        assert f.is_monic() and f.degree >= 1
-        back = back * f ** m
-    assert back == p.monic()
-    assert sum(f.degree * m for f, m in fs) == p.degree
+    lambda K: st.tuples(st.just(K),
+                        st.lists(st.lists(_small, min_size=K.degree, max_size=K.degree),
+                                 max_size=3, unique_by=tuple),
+                        st.integers(2, 40))))
+def test_roots_in_field_returns_exactly_the_known_roots(args):
+    # distinct known roots times x^2 - a, with a shown a non-square in K
+    # by a prime where x^2 - a has no root: the list is exactly the roots
+    K, coords, a = args
+    sq = Poly([-a, 0, 1], K)
+    if 0 not in _residue_counts(sq).values():
+        return
+    known = sorted((K.element(v) for v in coords), key=lambda r: r.key())
+    p = sq
+    for r in known:
+        p = p * Poly([-r, 1], K)
+    assert roots_in_field(p) == known
+    assert roots_in_field(sq) == []
 
 
 _binomials = st.sampled_from(_TOWERS).flatmap(
@@ -290,21 +376,25 @@ _binomials = st.sampled_from(_TOWERS).flatmap(
 
 @PROFILE
 @given(_binomials)
-def test_nonresidue_witness_agrees_with_factoring(args):
-    # a witness proves x^p - a irreducible, so it never fires on a p-th
-    # power, and whenever it fires Trager finds one simple factor
+def test_root_or_extend_agrees_on_pth_powers(args):
+    # a p-th power has a root in its field, and whatever root_or_extend
+    # returns is a p-th root; a new level comes with a prime proving the
+    # binomial has no root in the base
     p, a = args
-    assert nonresidue_witness(a ** p, p) is None
-    if nonresidue_witness(a, p) is not None:
-        fs = factor_poly(poly_x(a.tower) ** p - a)
-        assert len(fs) == 1 and fs[0][1] == 1
+    K = a.tower
+    root, L = root_or_extend(a ** p, p, "r")
+    assert L == K and root ** p == a ** p
+    root, L = root_or_extend(a, p, "r")
+    assert root ** p == a
+    if L != K:
+        assert 0 in _residue_counts(poly_x(K) ** p - a).values()
 
 
 _UNDER_O = r"""
 import sys
 from fractions import Fraction
-from ndescent.fields import (FieldTower, Poly, ReducibleExtension, factor_poly,
-                             poly_x, tower_extend)
+from ndescent.fields import (FieldTower, NoCertificate, Poly, ReducibleExtension,
+                             poly_x, roots_in_field, tower_extend)
 from ndescent.curve import Curve, Point, TorsionTable, division_polynomial, slope
 from ndescent.funcfield import (FunctionFieldElement, line_through, miller_function,
                                 vertical_through)
@@ -379,7 +469,10 @@ cases = [
     (ValueError, lambda: K.gen().lift_to(Q)),
     (ValueError, lambda: tower_extend(K, [1, 0, 2], name="s")),
     (ValueError, lambda: tower_extend(K, [3], name="s")),
-    (ValueError, lambda: factor_poly(Poly([], K))),
+    (ValueError, lambda: tower_extend(K, [-3, 1], name="s")),
+    (ValueError, lambda: roots_in_field(Poly([], K))),
+    (NoCertificate, lambda: roots_in_field(poly_x(K) ** 8 - 16)),
+    (NoCertificate, lambda: tower_extend(K, [1, 0, 0, 0, 1], name="s")),
     (ValueError, lambda: Poly([], K).lc()),
     (ReducibleExtension, lambda: tower_extend(K, [1, 1, 1], name="s")),
     (ZeroDivisionError, lambda: K.zero().inverse()),
