@@ -57,19 +57,52 @@ class RhoTable:
         return RhoTable(table, {(a, b): one for a in idx for b in idx})
 
 
-def _cocycle_failure(table, c):
-    """The first (a, b, d) in table order at which c(a,b) c(a+b,d) =
-    c(a,b+d) c(b,d) fails, or None.  For a weighting this is the cocycle
-    identity; for structure constants, associativity of the algebra."""
+def _zero_failure(table, c):
+    """The first pair (a, b) in table order with c(a, b) = 0, or None."""
     idx = table.indices
-    for a in idx:
+    return next(((a, b) for a in idx for b in idx if c[(a, b)].is_zero()), None)
+
+
+def _cocycle_failure(table, c):
+    """The first (g, b, d), g a generator of the table and b, d in table
+    order, at which c(g,b) c(g+b,d) = c(g,b+d) c(b,d) fails, or None.
+    For a weighting this is the cocycle identity; for structure
+    constants, associativity of the algebra.  c must be nowhere zero.
+
+    These 2 n^4 triples imply the identity on all n^6.  In the twisted
+    group algebra with delta_a delta_b = c(a,b) delta_{a+b}, the identity
+    at (a, b, d) says (delta_a delta_b) delta_d = delta_a (delta_b delta_d).
+    The left nucleus {x : (xy)z = x(yz) for all y, z} is a subspace, and
+    it is closed under products: for x, x' in it,
+    ((x x')y)z = (x(x'y))z = x((x'y)z) = x(x'(yz)) = (x x')(yz).  The
+    triples checked put delta_T1 and delta_T2 in it.  As c is nowhere
+    zero, delta_{iT1+jT2} is a nonzero multiple of delta_T1^i delta_T2^j
+    (delta_O of delta_T1^n), so every delta_a is in the nucleus, which is
+    the identity on every triple."""
+    idx = table.indices
+    for g in table.generators:
         for b in idx:
-            ab = table.add_index(a, b)
+            gb = table.add_index(g, b)
             for d in idx:
                 bd = table.add_index(b, d)
-                if not (c[(a, b)] * c[(ab, d)] == c[(a, bd)] * c[(b, d)]):
-                    return a, b, d
+                if not (c[(g, b)] * c[(gb, d)] == c[(g, bd)] * c[(b, d)]):
+                    return g, b, d
     return None
+
+
+def _check_associative(table, c):
+    """Certify structure constants c nowhere zero and associative.
+    Raises CertificationFailed(("nonzero", a, b)) at the first zero, else
+    ("associativity", g, b, d) at the first failing triple of
+    _cocycle_failure."""
+    bad = _zero_failure(table, c)
+    if bad is not None:
+        raise CertificationFailed(("nonzero",) + bad,
+                                  "structure constant vanishes at %r" % (bad,))
+    bad = _cocycle_failure(table, c)
+    if bad is not None:
+        raise CertificationFailed(("associativity",) + bad,
+                                  "structure constants are not associative at %r" % (bad,))
 
 
 def validate_rho(table, values):
@@ -82,10 +115,9 @@ def validate_rho(table, values):
     idx = table.indices
     rho = RhoTable(table, {(a, b): values[(a, b)] for a in idx for b in idx})
     vals = rho.values
-    for a in idx:
-        for b in idx:
-            if vals[(a, b)].is_zero():
-                raise CertificationFailed(("nonzero", a, b), "rho vanishes at %r" % ((a, b),))
+    bad = _zero_failure(table, vals)
+    if bad is not None:
+        raise CertificationFailed(("nonzero",) + bad, "rho vanishes at %r" % (bad,))
     for a in idx:
         for b in idx:
             if not (vals[(a, b)] == vals[(b, a)]):
@@ -104,12 +136,14 @@ def validate_rho(table, values):
 
 def partial(table, alpha):
     """The coboundary d(alpha)(T1,T2) = alpha(T1) alpha(T2) / alpha(T1+T2),
-    alpha a dict from table indices to FieldElements."""
+    alpha a dict from table indices to FieldElements, each inverted once."""
     idx = table.indices
+    inv = {}
     for k in idx:
         if alpha[k].is_zero():
             raise ZeroDivisionError("alpha vanishes at %r" % (k,))
-    return RhoTable(table, {(u, v): alpha[u] * alpha[v] / alpha[table.add_index(u, v)]
+        inv[k] = alpha[k].inverse()
+    return RhoTable(table, {(u, v): alpha[u] * alpha[v] * inv[table.add_index(u, v)]
                             for u in idx for v in idx})
 
 
@@ -146,21 +180,26 @@ class CSA:
 
 def build_csa(table, eps, rho):
     """Assemble the twisted algebra and certify it is central simple:
-    unit, associativity on all index triples, center of dimension one,
-    and nondegenerate trace form.  Both the center condition and the Gram
-    matrix of the trace form are monomial in the delta basis, so the
-    center's dimension and the form's rank are exact counts."""
-    n, idx = table.n, table.indices
+    unit, structure constants nowhere zero, associativity, center of
+    dimension one, and so a nondegenerate trace form.  The center
+    condition is monomial in the delta basis, so the center's dimension
+    is an exact count.  Associativity is checked on the generator
+    triples of _cocycle_failure, which needs c nowhere zero.
+
+    The trace form on the regular representation: delta_a delta_b is
+    c(a,b) delta_{a+b}, and left multiplication by delta_s permutes the
+    basis lines with no fixed line unless s = O, where (the unit check
+    having passed) it is the identity; so its trace is n^2 c(a,b) when
+    b = -a and 0 otherwise, one entry per row of the Gram matrix, and c
+    nowhere zero makes the form nondegenerate."""
+    idx = table.indices
     structure = {(a, b): eps.eps(a, b) * rho.value(a, b) for a in idx for b in idx}
     A = CSA(table, rho, structure)
     # unit
     for a in idx:
         if not (A.c((0, 0), a) == 1 and A.c(a, (0, 0)) == 1):
             raise CertificationFailed(("unit", a), "delta_O is not a unit")
-    # associativity via the structure constants
-    bad = _cocycle_failure(table, structure)
-    if bad is not None:
-        raise CertificationFailed(("associativity",) + bad)
+    _check_associative(table, structure)
     # center: x commutes with every delta_U iff x_V (c(V,U) - c(U,V)) = 0
     # for every pair (U,V) separately (the products land on distinct
     # basis vectors), so the center is spanned by the delta_V with
@@ -169,15 +208,6 @@ def build_csa(table, eps, rho):
     if center_dim != 1:
         raise CertificationFailed(("center", center_dim),
                                   "center has dimension %d" % center_dim)
-    # trace form on the regular representation: delta_a delta_b is
-    # c(a,b) delta_{a+b}, and left multiplication by delta_s permutes the
-    # basis lines with no fixed line unless s = O, where (the unit check
-    # having passed) it is the identity; so its trace is n^2 c(a,b) when
-    # b = -a and 0 otherwise, one entry per row of the Gram matrix
-    rank = sum(1 for a in idx if not A.c(a, table.neg_index(a)).is_zero())
-    if rank != n * n:
-        raise CertificationFailed(("trace-form", rank),
-                                  "trace form has rank %d" % rank)
     return A
 
 
@@ -251,28 +281,49 @@ class Trivialisation:
 
 
 def certify_trivialisation(triv, eps):
-    """tau(delta_O) = 1, tau(delta_a) tau(delta_b) = c(a,b) tau(delta_{a+b})
-    on all pairs, where c = eps rho, and the images span the matrix algebra.
+    """Certify that the trivialisation is an algebra isomorphism onto the
+    matrices: with c = eps rho, check
+      - tau(delta_O) = 1;
+      - c nowhere zero;
+      - c(g,b) c(g+b,d) = c(g,b+d) c(b,d) for g in {T1, T2} and all b, d;
+      - tau(delta_g) tau(delta_b) = c(g,b) tau(delta_{g+b}) for g in
+        {T1, T2} and all b, which is 2 n^2 products;
+      - tr tau(delta_a) = 0 for a != O.
     Returns c, the structure constants over the base field, as a dict
     keyed by pairs of table indices.
 
-    The span is read off the traces: every c(a, -a) is nonzero and
-    tr tau(delta_a) = 0 for a != O.  Suppose sum_a x_a tau(delta_a) = 0.
-    Multiplying on the left by tau(delta_{-b}) gives
-    sum_a x_a c(-b, a) tau(delta_{a-b}) = 0, and on taking the trace only
-    a = b survives, leaving n c(-b, b) x_b = 0, so x_b = 0.  Conversely,
-    when no c(a, b) vanishes and the images span, the algebra is M_n and
-    so central: each tau(delta_a) is a unit, and for a != O some
-    tau(delta_u) conjugates it to c(u,a)/c(a,u) != 1 times itself, so its
-    trace is zero.
+    Multiplicativity on all pairs follows.  By _cocycle_failure, the
+    cocycle identity then holds on all triples; at (O, O, b) and
+    (a, O, O) it makes c(O, b) = c(a, O) = c(O, O) =: k for all a, b.
+    The product at (g, O) is tau(delta_g) = k tau(delta_g).  If k != 1,
+    both tau(delta_g) are zero, and the products at (g, b) give
+    c(g,b) tau(delta_{g+b}) = 0, so every tau(delta_a) is zero, against
+    tau(delta_O) = 1; hence k = 1, and multiplicativity holds for a = O
+    and every b.  If it holds for a and every b, then
+    tau(delta_{g+a}) = c(g,a)^{-1} tau(delta_g) tau(delta_a), so
+    tau(delta_{g+a}) tau(delta_b) = c(g,a)^{-1} c(a,b) c(g,a+b)
+    tau(delta_{g+a+b}), and the cocycle identity at (g, a, b) turns the
+    scalar into c(g+a, b).  By induction along a = i T1 + j T2 it holds
+    on all pairs.  A tampered tau(delta_a) is still caught, as a is
+    g + b for b = a - g.
+
+    The span is read off the traces, as c(-b, b) is nonzero.  Suppose
+    sum_a x_a tau(delta_a) = 0.  Multiplying on the left by
+    tau(delta_{-b}) gives sum_a x_a c(-b, a) tau(delta_{a-b}) = 0, and on
+    taking the trace only a = b survives, leaving n c(-b, b) x_b = 0, so
+    x_b = 0.  Conversely, when no c(a, b) vanishes and the images span,
+    the algebra is M_n and so central: each tau(delta_a) is a unit, and
+    for a != O some tau(delta_u) conjugates it to c(u,a)/c(a,u) != 1
+    times itself, so its trace is zero.
 
     A trivialisation that passes is an algebra isomorphism A (x) L = M_n(L),
     so it certifies what build_csa checks on c: delta_O is the unit
     (c(O, a) = c(a, O) = 1), A is associative, its center is one
-    dimensional, and every tau(delta_a) is a unit, so no c(a, b) is zero.
+    dimensional, and no c(a, b) is zero.
 
-    Raises CertificationFailed with witness ("unit",),
-    ("multiplicative", a, b) or ("span", a) at the first failure."""
+    Raises CertificationFailed with witness ("unit",), ("nonzero", a, b),
+    ("associativity", g, b, d), ("multiplicative", g, b) or ("span", a)
+    at the first failure, in that order."""
     table, n, L = triv.table, triv.n, triv.field
     mats = triv.matrices
     if not (mats[(0, 0)] == ExactMatrix.identity(n, L)):
@@ -280,19 +331,18 @@ def certify_trivialisation(triv, eps):
 
     idx = table.indices
     structure = {(a, b): eps.eps(a, b) * triv.rho.value(a, b) for a in idx for b in idx}
-    c = {ab: v.lift_to(L) for ab, v in structure.items()}
-    for a in idx:
+    _check_associative(table, structure)
+    for g in table.generators:
         for b in idx:
-            if not (mats[a] * mats[b] == mats[table.add_index(a, b)].scale(c[(a, b)])):
-                raise CertificationFailed(("multiplicative", a, b),
+            cgb = structure[(g, b)].lift_to(L)
+            if not (mats[g] * mats[b] == mats[table.add_index(g, b)].scale(cgb)):
+                raise CertificationFailed(("multiplicative", g, b),
                                           "trivialisation is not multiplicative at %r"
-                                          % ((a, b),))
+                                          % ((g, b),))
     for a in idx:
-        if c[(a, table.neg_index(a))].is_zero() or (a != (0, 0)
-                                                    and not mats[a].trace().is_zero()):
+        if a != (0, 0) and not mats[a].trace().is_zero():
             raise CertificationFailed(("span", a),
-                                      "span test fails at %r: c(a, -a) = 0 or a nonzero trace"
-                                      % (a,))
+                                      "span test fails at %r: a nonzero trace" % (a,))
     return structure
 
 

@@ -221,6 +221,7 @@ class TorsionTable:
     """The rational n-torsion arranged as i*T1 + j*T2, with indices (i, j)
     in lex order: the one map between E[n], its index pairs and their
     flat positions k = i*n + j, and the group law on indices.
+    generators holds the indices (1, 0) and (0, 1) of T1 and T2.
     ValueError unless the n^2 points are distinct."""
 
     def __init__(self, curve, n, t1, t2):
@@ -229,6 +230,7 @@ class TorsionTable:
         self.t1 = t1
         self.t2 = t2
         self.indices = tuple((i, j) for i in range(n) for j in range(n))
+        self.generators = ((1, 0), (0, 1))
         m1, m2 = [i * t1 for i in range(n)], [j * t2 for j in range(n)]
         self.points = [m1[i] + m2[j] for i, j in self.indices]
         self._index = {p.key(): ij for ij, p in zip(self.indices, self.points)}

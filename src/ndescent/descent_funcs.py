@@ -6,15 +6,17 @@ Builds, for a curve with fully rational n-torsion:
     which is 1/F_{T2}(-T1) (let P -> O) unless T1 + T2 = O, and the
     Weil pairing e_n(T1,T2) = eps(T1,T2)/eps(T2,T1);
   - G_T with divisor [n]*(T) - [n]*(O) and residue 1/n at O in t = x/y,
-    as joint eigenvectors of translation operators on L(n^2(O));
+    as joint eigenvectors of translation operators on L(n^2(O)), found
+    by projection onto each character of E[n];
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
     scaled so F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
     M_T = eps(T, -T) Mtilde_T, where Mtilde_T is the transpose of
     h -> (h o tau_T) F_{-T} on L(n(O)), read off in the function field
     by the helper that also gives the G-basis its operators
     h -> (h o tau_S) psi_n/(psi_n o tau_S) on L(n^2(O)).  fdual_O is
-    e_1, since only the constants of L(n(O)) have no pole at O, and the
-    product check M_T M_{-T} = eps(T, -T) certifies the scale;
+    e_1, since only the constants of L(n(O)) have no pole at O; the
+    embedding's certificate, products on the generators of E[n], implies
+    M_T M_{-T} = eps(T, -T), which certifies the scale;
   - the embedding: the M_T as the standard trivialisation of the
     untwisted algebra, alpha -> sum alpha(T) M_T.
 
@@ -148,34 +150,81 @@ class GBasis:
         return self.funcs[ij]
 
 
+def _orbit(L1, L2, n, w):
+    """L1^i L2^j e_w for (i, j) in table order, L1 and L2 of size n^2."""
+    K = L1.tower
+    e = [K.zero()] * (n * n)
+    e[w] = K.one()
+    row = [e]
+    for _ in range(n - 1):
+        row.append(L2.mat_vec(row[-1]))
+    rows = [row]
+    for _ in range(n - 1):
+        rows.append([L1.mat_vec(u) for u in rows[-1]])
+    return [u for r in rows for u in r]
+
+
 def compute_G_basis(table, eps):
     """G_T with divisor [n]*(T) - [n]*(O), coefficient of t^{-1} equal 1/n.
 
-    G_T psi_n lies in L(n^2(O)) and is a joint eigenvector of the
-    translation operators for the table basis, with eigenvalues given by
-    the Weil pairing.  Raises EigenspaceDimensionError if any joint
-    eigenspace is not a line."""
+    G_T psi_n lies in L(n^2(O)), of dimension n^2, and is a joint
+    eigenvector of the translation operators L1, L2 of T1, T2 with the
+    character chi_T(S) = e_n(S, T) as eigenvalues: L1 v = chi_T(T1) v and
+    L2 v = chi_T(T2) v.  The eigenvector is found by projection (Serre,
+    Linear Representations of Finite Groups, 2.6): S -> L_S is a
+    representation of E[n], exactly and with no scalars, and
+    L_S = L1^i L2^j for S = i T1 + j T2, so
+    v = sum_S chi_T(S)^{-1} L1^i L2^j w lies in the eigenspace of chi_T
+    for every w; w runs through e_1, e_2, ... until v != 0.  Each v is
+    then certified exactly by the two eigenvalue equations, and psi_n,
+    that is G_O psi_n, by those of chi_O.  The n^2 characters are checked
+    to be distinct, so the n^2 certified eigenvectors are linearly
+    independent and fill L(n^2(O)): every joint eigenspace is a line,
+    and v is G_T psi_n up to the scalar the residue fixes.
+
+    Raises EigenspaceDimensionError if two characters coincide, or if no
+    w gives a certified eigenvector of chi_T: if chi_T is a character of
+    E[n], the projection is onto its eigenspace, which is then 0, and if
+    it is not, no eigenvalue of L1 or L2 (each of order n) matches."""
     curve, n = table.curve, table.n
     K = curve.field
     psi = division_polynomial(curve, n)
     nx = n * n // 2 + 1  # how many coordinates are those of u in (u + v y)/psi_n
     L1 = translation_operator(table, table.t1)
     L2 = translation_operator(table, table.t2)
-    ident = ExactMatrix.identity(n * n, K)
-    funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
-    for ij, t in zip(table.indices, table):
-        if t.is_infinity:
-            continue
-        ev1 = eps.weil(table.index(table.t1), ij)
-        ev2 = eps.weil(table.index(table.t2), ij)
-        stacked = ExactMatrix(
-            (L1 - ident.scale(ev1)).rows + (L2 - ident.scale(ev2)).rows, K)
-        kern = stacked.kernel_basis()
-        if len(kern) != 1:
+    chars = {ij: tuple(eps.weil(g, ij) for g in table.generators) for ij in table.indices}
+    if len(set(chars.values())) != n * n:
+        raise EigenspaceDimensionError("two translation characters coincide")
+
+    orbits = []  # orbits[w]: L1^i L2^j e_w for (i, j) in table order
+
+    def projection(ev1, ev2):
+        """sum_S chi(S)^{-1} L1^i L2^j e_w for the first w that gives a
+        nonzero vector, or None."""
+        inv1, inv2 = ev1.inverse(), ev2.inverse()
+        weights = [inv1 ** i * inv2 ** j for i, j in table.indices]
+        for w in range(n * n):
+            if w == len(orbits):
+                orbits.append(_orbit(L1, L2, n, w))
+            v = [sum((c * u[k] for c, u in zip(weights, orbits[w])), K.zero())
+                 for k in range(n * n)]
+            if any(not e.is_zero() for e in v):
+                return v
+        return None
+
+    def certify(ij, v):
+        ev1, ev2 = chars[ij]
+        if v is None or not (L1.mat_vec(v) == [ev1 * e for e in v]
+                             and L2.mat_vec(v) == [ev2 * e for e in v]):
             raise EigenspaceDimensionError(
-                "joint eigenspace for %s has dimension %d" % ((ij,), len(kern)))
-        c = kern[0]
-        g = FunctionFieldElement(curve, Poly(c[:nx], K), Poly(c[nx:], K), psi)
+                "joint eigenspace for %s has dimension 0" % (ij,))
+        return v
+
+    certify((0, 0), [psi.coeff(k) for k in range(nx)] + [K.zero()] * (n * n - nx))
+    funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
+    for ij in table.indices[1:]:
+        v = certify(ij, projection(*chars[ij]))
+        g = FunctionFieldElement(curve, Poly(v[:nx], K), Poly(v[nx:], K), psi)
         ordv, lead = g.laurent()
         if ordv != -1:
             raise ArithmeticError("G_T for %s has pole order %d at O, not 1" % ((ij,), -ordv))
@@ -250,11 +299,12 @@ def compute_embedding(table, eps, millers, seed=0):
     is 1/F_{-T}(P-T).  The scale is therefore
     1/(F_T(P) F_{-T}(P-T)) = eps(T, -T), and M_T = eps(T, -T) Mtilde_T.
     M_O is the identity.  Returns the standard trivialisation of the
-    untwisted algebra, certified by certify_trivialisation: on all pairs
-    M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2}, which on (T, -T) checks the
-    scale against the exact scalar Mtilde_T Mtilde_{-T}, and the traces
-    that prove the span.  seed has no effect; it is accepted for older
-    callers."""
+    untwisted algebra, certified by certify_trivialisation: its products
+    M_g M_T = eps(g,T) M_{g+T} for g in {T1, T2} imply
+    M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2} on all pairs, which on (T, -T)
+    checks the scale against the exact scalar Mtilde_T Mtilde_{-T}, and
+    the traces prove the span.  seed has no effect; it is accepted for
+    older callers."""
     n, K = table.n, table.curve.field
     matrices = {(0, 0): ExactMatrix.identity(n, K)}
     for ij, t in zip(table.indices, table):

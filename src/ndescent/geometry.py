@@ -367,7 +367,8 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     - tau(delta_O) = 1 and tau(delta_O)^2 = c(O,O) tau(delta_O) force
       c(O,O) = eps(O,O) rho(O,O) = 1, so rho(O,O) = 1;
     - a certified trivialisation makes A (x) L = M_n(L), which gives the
-      unit, associativity, a one-dimensional center and c(a,-a) != 0.
+      unit, associativity and a one-dimensional center, and it checks
+      that no c(a, b) is zero.
     The algebra saved is CSA(table, rho, c), with c = eps rho the
     structure constants the trivialisation was certified against.
 

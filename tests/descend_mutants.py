@@ -7,8 +7,8 @@ from ndescent.algebra import RhoTable, Trivialisation
 
 # the first identity each mutant breaks, as descend reports it
 WITNESSES = {"swap": ("coboundary", (0, 1), (1, 0)),
-             "zero": ("multiplicative", (1, 0), (0, 1)),
-             "unnormalised": ("multiplicative", (0, 0), (0, 0))}
+             "zero": ("nonzero", (1, 0), (0, 1)),
+             "unnormalised": ("multiplicative", (1, 0), (0, 0))}
 
 
 def descend_mutants(data):

@@ -13,13 +13,19 @@ library's certificates against them:
   - the zero matrix, and the unit cochain gamma = 1, with which g_eval
     is the covering map of E itself;
   - a point over an extension field, and affine samples with distinct x
-    (the pipeline's one draw filter lives in sample_images).
+    (the pipeline's one draw filter lives in sample_images);
+  - the all-pairs certificates that the generator certificates replace:
+    the cocycle identity on all n^6 triples, multiplicativity of a
+    trivialisation on all n^4 pairs, and the G-basis as the kernels of
+    the stacked translation eigen-equations.
 """
 
 from fractions import Fraction
 
-from ndescent.curve import Point, slope
-from ndescent.descent_funcs import affine_sample
+from ndescent.algebra import CertificationFailed
+from ndescent.curve import Point, division_polynomial, slope
+from ndescent.descent_funcs import (EigenspaceDimensionError, GBasis, affine_sample,
+                                    translation_operator)
 from ndescent.fields import Poly
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
@@ -138,3 +144,65 @@ def distinct_samples(curve, n, rng, prefix, count):
             seen.add(x)
             points.append(p)
     return points
+
+
+def cocycle_failure_all_pairs(table, c):
+    """The first (a, b, d) in table order at which c(a,b) c(a+b,d) =
+    c(a,b+d) c(b,d) fails, or None: all n^6 triples."""
+    idx = table.indices
+    for a in idx:
+        for b in idx:
+            ab = table.add_index(a, b)
+            for d in idx:
+                bd = table.add_index(b, d)
+                if not (c[(a, b)] * c[(ab, d)] == c[(a, bd)] * c[(b, d)]):
+                    return a, b, d
+    return None
+
+
+def certify_trivialisation_all_pairs(triv, eps):
+    """tau(delta_O) = 1, tau(delta_a) tau(delta_b) = c(a,b) tau(delta_{a+b})
+    on all n^4 pairs, c(a, -a) != 0 and tr tau(delta_a) = 0 for a != O.
+    Returns c over the base field; raises CertificationFailed with
+    witness ("unit",), ("multiplicative", a, b) or ("span", a)."""
+    table, n, L = triv.table, triv.n, triv.field
+    mats = triv.matrices
+    if not (mats[(0, 0)] == ExactMatrix.identity(n, L)):
+        raise CertificationFailed(("unit",))
+    idx = table.indices
+    structure = {(a, b): eps.eps(a, b) * triv.rho.value(a, b) for a in idx for b in idx}
+    for a in idx:
+        for b in idx:
+            cab = structure[(a, b)].lift_to(L)
+            if not (mats[a] * mats[b] == mats[table.add_index(a, b)].scale(cab)):
+                raise CertificationFailed(("multiplicative", a, b))
+    for a in idx:
+        if structure[(a, table.neg_index(a))].is_zero() or (
+                a != (0, 0) and not mats[a].trace().is_zero()):
+            raise CertificationFailed(("span", a))
+    return structure
+
+
+def kernel_G_basis(table, eps):
+    """The G-basis with each G_T psi_n read off the kernel of the stacked
+    (L1 - chi_T(T1)) and (L2 - chi_T(T2)); raises EigenspaceDimensionError
+    unless every kernel is a line."""
+    curve, n = table.curve, table.n
+    K = curve.field
+    psi = division_polynomial(curve, n)
+    nx = n * n // 2 + 1
+    L1 = translation_operator(table, table.t1)
+    L2 = translation_operator(table, table.t2)
+    ident = ExactMatrix.identity(n * n, K)
+    funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
+    for ij in table.indices[1:]:
+        ev1, ev2 = (eps.weil(g, ij) for g in table.generators)
+        stacked = ExactMatrix((L1 - ident.scale(ev1)).rows + (L2 - ident.scale(ev2)).rows, K)
+        kern = stacked.kernel_basis()
+        if len(kern) != 1:
+            raise EigenspaceDimensionError("joint eigenspace for %s has dimension %d"
+                                           % ((ij,), len(kern)))
+        g = FunctionFieldElement(curve, Poly(kern[0][:nx], K), Poly(kern[0][nx:], K), psi)
+        _, lead = g.laurent()
+        funcs[ij] = g * (lead.inverse() * Fraction(1, n))
+    return GBasis(table, funcs)

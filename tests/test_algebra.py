@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ndescent import algebra
 from ndescent.curve import Point
 from ndescent.linalg import ExactMatrix
 from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable,
                               Trivialisation, build_csa, certify_trivialisation,
                               partial, rho_from_point, solve_gamma, trivialize,
                               validate_rho)
-from oracles import delta, left_mult_matrix, mult, one, trd, zero_matrix
+from oracles import (certify_trivialisation_all_pairs, cocycle_failure_all_pairs, delta,
+                     left_mult_matrix, mult, one, trd, zero_matrix)
+from test_fields import PROFILE
 
 
 def _idx():
@@ -140,16 +144,38 @@ def test_csa_commutative_center(table, eps):
 
 def test_csa_rejects_non_associative(table, eps, field):
     # the same broken weighting that validate_rho rejects: build_csa does
-    # not validate rho, so its associativity check fails at the same triple
+    # not validate rho, so its associativity check fails at the same
+    # generator triple
     rho = RhoTable.trivial(table)
     rho.values[((1, 0), (0, 1))] = field.from_fraction(2)
     rho.values[((0, 1), (1, 0))] = field.from_fraction(2)
     with pytest.raises(CertificationFailed) as ei:
         build_csa(table, eps, rho)
-    assert ei.value.witness == ("associativity", (0, 1), (0, 1), (1, 0))
+    assert ei.value.witness == ("associativity", (1, 0), (0, 1), (0, 1))
     with pytest.raises(CertificationFailed) as ei:
         validate_rho(table, rho.values)
-    assert ei.value.witness == ("cocycle", (0, 1), (0, 1), (1, 0))
+    assert ei.value.witness == ("cocycle", (1, 0), (0, 1), (0, 1))
+
+
+def test_csa_rejects_a_zero_structure_constant(table, eps, field):
+    # associativity is checked on generator triples only, which needs c
+    # nowhere zero
+    rho = RhoTable.trivial(table)
+    rho.values[((1, 1), (2, 1))] = field.zero()
+    with pytest.raises(CertificationFailed) as ei:
+        build_csa(table, eps, rho)
+    assert ei.value.witness == ("nonzero", (1, 1), (2, 1))
+
+
+def test_cocycle_check_needs_both_generators(table, field):
+    # rho = 2 where both points have T2-coordinate 1: rho(T1, .) = 1, so
+    # every identity on T1's rows holds, and only T2's rows fail
+    rho = RhoTable(table, {(a, b): 2 if a[1] == b[1] == 1 else 1
+                           for a in _idx() for b in _idx()})
+    with pytest.raises(CertificationFailed) as ei:
+        validate_rho(table, rho.values)
+    assert ei.value.witness[:2] == ("cocycle", (0, 1))
+    assert cocycle_failure_all_pairs(table, rho.values) is not None
 
 
 def test_csa_left_mult_matrix(table, eps, field):
@@ -279,11 +305,62 @@ def _unit_only(table, eps, K):
                  for ij in _idx()}
 
 
-@pytest.mark.parametrize("build", [_commutative, _unit_only], ids=["trace", "c-of-a-minus-a"])
-def test_certify_rejects_multiplicative_map_that_does_not_span(build, eps, table, field):
-    # unit and products hold; only the span certificate fails, the
-    # commutative case on a nonzero trace and the other on c(a, -a) = 0
+@pytest.mark.parametrize("build, witness", [(_commutative, ("span", (0, 1))),
+                                            (_unit_only, ("nonzero", (0, 1), (0, 1)))],
+                         ids=["trace", "c-of-a-minus-a"])
+def test_certify_rejects_multiplicative_map_that_does_not_span(build, witness, eps, table,
+                                                               field):
+    # unit and products hold, but the images do not span: the commutative
+    # case fails on a nonzero trace, and the other on c(a, -a) = 0, which
+    # the nowhere-zero check on c finds first
     rho, mats = build(table, eps, field)
     with pytest.raises(CertificationFailed) as ei:
         certify_trivialisation(Trivialisation(table, rho, field, mats, "user"), eps)
-    assert ei.value.witness == ("span", (0, 1))
+    assert ei.value.witness == witness
+
+
+def _accepts(certify, *args):
+    try:
+        certify(*args)
+    except CertificationFailed:
+        return False
+    return True
+
+
+@settings(PROFILE, max_examples=16)
+@given(st.integers(0, 2 ** 16), st.sampled_from(["none", "matrix", "rho", "zero"]),
+       st.integers(0, 80))
+def test_generator_certificates_agree_with_all_pairs(emb, eps, table, field, seed, kind, pos):
+    # a unit twist z: rho = d(z), normalised, and tau(delta_a) = z(a)/z(O) M_a;
+    # then at most one entry is tampered with: one matrix scaled, one rho
+    # value off the generator rows changed, or one c(a, b) set to zero
+    z = _z_values(field, seed)
+    rho = validate_rho(table, partial(table, z).values)
+    mats = {ij: emb.M(ij).scale(z[ij] / z[(0, 0)]) for ij in _idx()}
+    a, b = _idx()[pos // 9], _idx()[pos % 9]
+    if kind == "matrix":
+        mats[b] = mats[b].scale(field.from_fraction(2))
+    elif kind == "rho":
+        off = [(u, v) for u in _idx() if u not in table.generators for v in _idx()]
+        rho.values[off[pos % len(off)]] *= 2
+    elif kind == "zero":
+        rho.values[(a, b)] = field.zero()
+    triv = Trivialisation(table, rho, field, mats, "user")
+    ok = _accepts(certify_trivialisation, triv, eps)
+    assert ok == _accepts(certify_trivialisation_all_pairs, triv, eps) == (kind == "none")
+    c = {k: eps.eps(*k) * v for k, v in rho.values.items()}
+    on_generators = (algebra._zero_failure(table, c) is None
+                     and algebra._cocycle_failure(table, c) is None)
+    assert on_generators == (cocycle_failure_all_pairs(table, c) is None) == (kind != "zero"
+                                                                           and kind != "rho")
+
+
+def test_certify_rejects_a_map_multiplicative_along_T1_only(emb, eps, table, field):
+    # tau(delta_{iT1 + jT2}) = 2^j M_{iT1 + jT2} keeps every product with
+    # delta_T1, so only the products with delta_T2 can reject it
+    mats = {(i, j): emb.M((i, j)).scale(field.from_fraction(2 ** j)) for i, j in _idx()}
+    triv = Trivialisation(table, RhoTable.trivial(table), field, mats, "user")
+    with pytest.raises(CertificationFailed) as ei:
+        certify_trivialisation(triv, eps)
+    assert ei.value.witness == ("multiplicative", (0, 1), (0, 2))
+    assert not _accepts(certify_trivialisation_all_pairs, triv, eps)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,12 @@ from ndescent.fields import tower_extend
 from ndescent.curve import Point, r_eval
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
-from ndescent.descent_funcs import CurveData, affine_sample, tau_1
+from ndescent.algebra import certify_trivialisation
+from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, EpsilonTable,
+                                    affine_sample, compute_G_basis, tau_1)
 from weil_oracle import aux_pair, weil_pairing_oracle
-from oracles import base_change, derivative, distinct_samples, dual_row, embedding_values
+from oracles import (base_change, derivative, distinct_samples, dual_row, embedding_values,
+                     kernel_G_basis)
 
 
 def _sample_point(curve):
@@ -117,6 +121,47 @@ def test_g_basis_eigenproperty(gbasis, eps, table):
                     s = base_change(table.point(si, sj), p.curve.field)
                     w = eps.weil((si, sj), (i, j))
                     assert g.evaluate(p + s) == w * base
+
+
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_g_basis_equals_kernel_oracle(which, curve, aux_curve):
+    # the projected eigenvectors, normalised, are the kernel vectors
+    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    want = kernel_G_basis(data.table, data.eps)
+    for ij in data.table.indices:
+        assert data.gbasis[ij] == want[ij]
+
+
+def test_g_basis_rejects_a_weil_value_that_is_no_eigenvalue(table, eps):
+    # eps(T1, T2) doubled makes e_n(T1, T2) twice a cube root of unity,
+    # which no eigenvalue of L1 (of order 3) matches
+    values = dict(eps.values)
+    values[((1, 0), (0, 1))] = values[((1, 0), (0, 1))] * 2
+    bad = EpsilonTable(values)
+    with pytest.raises(EigenspaceDimensionError):
+        compute_G_basis(table, bad)
+    with pytest.raises(EigenspaceDimensionError):
+        kernel_G_basis(table, bad)
+
+
+def test_certificates_run_on_generators(curve, monkeypatch):
+    # one certify_trivialisation makes 2 n^2 matrix products, and the
+    # G-basis is projected, with no kernel computed
+    data = CurveData.of(curve, 3)
+    emb = data.emb  # built, and so certified once, before counting
+    calls = Counter()
+    for name in ("__mul__", "kernel_basis"):
+        fn = getattr(ExactMatrix, name)
+
+        def wrapper(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ExactMatrix, name, wrapper)
+    certify_trivialisation(emb, data.eps)
+    assert calls == {"__mul__": 2 * 3 ** 2}
+    calls.clear()
+    compute_G_basis(data.table, data.eps)
+    assert calls["kernel_basis"] == 0
 
 
 def test_g_r_identity(gbasis, table):

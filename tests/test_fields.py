@@ -399,7 +399,8 @@ from ndescent.curve import Curve, Point, TorsionTable, division_polynomial, slop
 from ndescent.funcfield import (FunctionFieldElement, line_through, miller_function,
                                 vertical_through)
 from ndescent.linalg import ExactMatrix
-from ndescent.descent_funcs import (CurveData, compute_embedding, compute_epsilon,
+from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, EpsilonTable,
+                                    compute_G_basis, compute_embedding, compute_epsilon,
                                     translation_operator)
 from ndescent.serialize import point_to_json
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
@@ -434,6 +435,9 @@ zero_f[(0, 2)] = FunctionFieldElement.const(data.curve, 0)
 # F_T for T = (0, 1) replaced by zero: eps(T1, T) = 1/F_T(-T1) divides by zero
 zero_t = dict(millers)
 zero_t[(0, 1)] = FunctionFieldElement.const(data.curve, 0)
+# eps(T1, T2) doubled: e_n(T1, T2) is then no eigenvalue of L1
+doubled = dict(eps.values)
+doubled[((1, 0), (0, 1))] = doubled[((1, 0), (0, 1))] * 2
 even = TorsionTable.__new__(TorsionTable)
 even.n = 2  # what a 2-torsion table would report
 ones = [K.one()] * 3
@@ -453,6 +457,7 @@ cases = [
     (CertificationFailed, lambda: compute_embedding(table, eps, pole_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, zero_f)),
     (CertificationFailed, lambda: compute_epsilon(table, zero_t)),
+    (EigenspaceDimensionError, lambda: compute_G_basis(table, EpsilonTable(doubled))),
     (ValueError, lambda: division_polynomial(data.curve, 4)),
     (ValueError, lambda: TorsionTable(data.curve, 3, table.t1, table.t1)),
     (ValueError, lambda: trivialize(identities, eps, one_rho, mode="user")),
