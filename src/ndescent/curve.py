@@ -233,8 +233,7 @@ class TorsionTable:
         self.generators = ((1, 0), (0, 1))
         m1, m2 = [i * t1 for i in range(n)], [j * t2 for j in range(n)]
         self.points = [m1[i] + m2[j] for i, j in self.indices]
-        self._index = {p.key(): ij for ij, p in zip(self.indices, self.points)}
-        if len(self._index) != n * n:
+        if len({p.key() for p in self.points}) != n * n:
             raise ValueError("torsion basis is not independent")
 
     def point(self, i, j):
@@ -243,9 +242,6 @@ class TorsionTable:
     def flat(self, ij):
         """The position of index ij in table order, reduced mod n."""
         return (ij[0] % self.n) * self.n + (ij[1] % self.n)
-
-    def index(self, p):
-        return self._index[p.key()]
 
     def __iter__(self):
         return iter(self.points)

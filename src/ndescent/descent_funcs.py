@@ -12,11 +12,11 @@ Builds, for a curve with fully rational n-torsion:
     scaled so F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
     M_T = eps(T, -T) Mtilde_T, where Mtilde_T is the transpose of
     h -> (h o tau_T) F_{-T} on L(n(O)), read off in the function field
-    by the helper that also gives the G-basis its operators
-    h -> (h o tau_S) psi_n/(psi_n o tau_S) on L(n^2(O)).  fdual_O is
-    e_1, since only the constants of L(n(O)) have no pole at O; the
-    embedding's certificate, products on the generators of E[n], implies
-    M_T M_{-T} = eps(T, -T), which certifies the scale;
+    for T1 and T2 only, by the helper that also gives the G-basis its
+    operators on L(n^2(O)); every other M_T is a product of those.
+    fdual_O is e_1, since only the constants of L(n(O)) have no pole at
+    O, so row 0 of M_T is eps(T, -T) F_{-T}: checked against the Miller
+    table, it certifies the scale;
   - the embedding: the M_T as the standard trivialisation of the
     untwisted algebra, alpha -> sum alpha(T) M_T.
 
@@ -26,6 +26,7 @@ Miller functions, epsilon, the G-basis and the embedding.
 
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .fields import Poly, root_or_extend
 from .linalg import ExactMatrix
@@ -59,9 +60,9 @@ def _coords(ffe, d, ij):
             + [ffe.v.coeff(k).lift_to(K) for k in range(len(exps) - nx)])
 
 
-def _translated_coords(table, ij, d, factor):
-    """For each monomial h of L(d(O)), the coordinates of
-    (h o tau_S) * factor(x o tau_S) over that basis, S the table point ij."""
+def _translated_coords(table, ij, d, f):
+    """For each monomial h of L(d(O)), the coordinates of (h o tau_S) f
+    over that basis, S the table point ij and f a function."""
     curve, s = table.curve, table.point(*ij)
     fx = FunctionFieldElement.coordinate_x(curve)
     fy = FunctionFieldElement.coordinate_y(curve)
@@ -69,23 +70,10 @@ def _translated_coords(table, ij, d, factor):
     lam = (fy - s.y) / (fx - s.x)
     xs = lam * lam - fx - s.x
     ys = lam * (s.x - xs) - s.y
-    f = factor(xs)
     xpow = [FunctionFieldElement.const(curve, 1)]
     for _ in range(d // 2):
         xpow.append(xpow[-1] * xs)
     return [_coords((xpow[i] * ys if j else xpow[i]) * f, d, ij) for i, j in _exponents(d)]
-
-
-def translation_operator(table, s):
-    """Matrix of h -> (h o tau_S) * psi_n / (psi_n o tau_S) on L(n^2(O)),
-    columns indexed by the monomial basis."""
-    curve, n = table.curve, table.n
-    if s.is_infinity:
-        raise ValueError("the translation operator needs an affine torsion point, not O")
-    psi = division_polynomial(curve, n)
-    psi_ffe = FunctionFieldElement(curve, psi, 0, 1)
-    cols = _translated_coords(table, table.index(s), n * n, lambda xs: psi_ffe / psi(xs))
-    return ExactMatrix(cols, curve.field).transpose()
 
 
 def compute_miller_table(table):
@@ -170,8 +158,12 @@ def compute_G_basis(table, eps):
     G_T psi_n lies in L(n^2(O)), of dimension n^2, and is a joint
     eigenvector of the translation operators L1, L2 of T1, T2 with the
     character chi_T(S) = e_n(S, T) as eigenvalues: L1 v = chi_T(T1) v and
-    L2 v = chi_T(T2) v.  The eigenvector is found by projection (Serre,
-    Linear Representations of Finite Groups, 2.6): S -> L_S is a
+    L2 v = chi_T(T2) v.  L_g is h -> (h o tau_g) psi_n/(psi_n o tau_g),
+    that is c_g [h -> (h o tau_g) F_{-g}^n], as both factors have divisor
+    n^2(-g) - n^2(O).  L_g psi_n = psi_n, whose coordinate (n^2-1)/2 is
+    psi_n's leading coefficient, fixes c_g; the chi_O certificate below
+    checks the other coordinates.  The eigenvector is found by projection
+    (Serre, Linear Representations of Finite Groups, 2.6): S -> L_S is a
     representation of E[n], exactly and with no scalars, and
     L_S = L1^i L2^j for S = i T1 + j T2, so
     v = sum_S chi_T(S)^{-1} L1^i L2^j w lies in the eigenspace of chi_T
@@ -190,8 +182,13 @@ def compute_G_basis(table, eps):
     K = curve.field
     psi = division_polynomial(curve, n)
     nx = n * n // 2 + 1  # how many coordinates are those of u in (u + v y)/psi_n
-    L1 = translation_operator(table, table.t1)
-    L2 = translation_operator(table, table.t2)
+    psi_v = [psi.coeff(k) for k in range(nx)] + [K.zero()] * (n * n - nx)
+
+    def translation(g):  # L_g, columns indexed by the monomials of L(n^2(O))
+        f_neg = miller_function(table.point(*table.neg_index(g)), n)
+        op = ExactMatrix(_translated_coords(table, g, n * n, prod([f_neg] * n)), K).transpose()
+        return op.scale(psi.lc() / op.mat_vec(psi_v)[nx - 1])
+    L1, L2 = (translation(g) for g in table.generators)
     chars = {ij: tuple(eps.weil(g, ij) for g in table.generators) for ij in table.indices}
     if len(set(chars.values())) != n * n:
         raise EigenspaceDimensionError("two translation characters coincide")
@@ -220,7 +217,7 @@ def compute_G_basis(table, eps):
                 "joint eigenspace for %s has dimension 0" % (ij,))
         return v
 
-    certify((0, 0), [psi.coeff(k) for k in range(nx)] + [K.zero()] * (n * n - nx))
+    certify((0, 0), psi_v)
     funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
     for ij in table.indices[1:]:
         v = certify(ij, projection(*chars[ij]))
@@ -298,22 +295,28 @@ def compute_embedding(table, eps, millers, seed=0):
     and the first coordinate of Mtilde_T^{-1} f(P) = f(P-T)/F_{-T}(P-T)
     is 1/F_{-T}(P-T).  The scale is therefore
     1/(F_T(P) F_{-T}(P-T)) = eps(T, -T), and M_T = eps(T, -T) Mtilde_T.
-    M_O is the identity.  Returns the standard trivialisation of the
-    untwisted algebra, certified by certify_trivialisation: its products
-    M_g M_T = eps(g,T) M_{g+T} for g in {T1, T2} imply
-    M_{T1} M_{T2} = eps(T1,T2) M_{T1+T2} on all pairs, which on (T, -T)
-    checks the scale against the exact scalar Mtilde_T Mtilde_{-T}, and
-    the traces prove the span.  seed has no effect; it is accepted for
-    older callers."""
+    Mtilde_g is read off for g = T1, T2 only; in table order every other M_T
+    is eps(g, b)^{-1} M_g M_b, T = g + b, so a scalar times eps(T, -T)
+    Mtilde_T.  Row 0 of Mtilde_T holds the coordinates of F_{-T}, and
+    checking row 0 of every M_T against the Miller table certifies that
+    scalar to be 1, or raises CertificationFailed(("embedding", T)); the
+    products alone pass a character twist {chi(T) M_T}.  M_O is the
+    identity.  Returns the standard trivialisation of the untwisted algebra,
+    certified by certify_trivialisation.  seed has no effect; it is accepted
+    for older callers."""
     n, K = table.n, table.curve.field
     matrices = {(0, 0): ExactMatrix.identity(n, K)}
-    for ij, t in zip(table.indices, table):
-        if t.is_infinity:
-            continue
+    for ij in table.indices[1:]:
         neg = table.neg_index(ij)
-        f_neg = millers[neg]
-        mtilde = ExactMatrix(_translated_coords(table, ij, n, lambda xs: f_neg), K)
-        matrices[ij] = mtilde.scale(eps.eps(ij, neg))
+        scale = eps.eps(ij, neg)
+        if ij in table.generators:
+            m = ExactMatrix(_translated_coords(table, ij, n, millers[neg]), K).scale(scale)
+        else:
+            g, b = ((0, 1), (ij[0], ij[1] - 1)) if ij[1] else ((1, 0), (ij[0] - 1, 0))
+            m = (matrices[g] * matrices[b]).scale(eps.eps(g, b).inverse())
+        if not (m.rows[0] == [scale * c for c in _coords(millers[neg], n, ij)]):
+            raise CertificationFailed(("embedding", ij), "row 0 of M_T is not eps(T,-T) F_{-T}")
+        matrices[ij] = m
     emb = Trivialisation(table, RhoTable.trivial(table), K, matrices, "standard")
     certify_trivialisation(emb, eps)
     return emb

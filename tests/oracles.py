@@ -17,15 +17,18 @@ library's certificates against them:
   - the all-pairs certificates that the generator certificates replace:
     the cocycle identity on all n^6 triples, multiplicativity of a
     trivialisation on all n^4 pairs, and the G-basis as the kernels of
-    the stacked translation eigen-equations.
+    the stacked translation eigen-equations;
+  - the translation operator on L(n^2(O)) with the factor
+    psi_n/(psi_n o tau_S), which compute_G_basis replaces by
+    c_g F_{-g}^n.
 """
 
 from fractions import Fraction
 
 from ndescent.algebra import CertificationFailed
 from ndescent.curve import Point, division_polynomial, slope
-from ndescent.descent_funcs import (EigenspaceDimensionError, GBasis, affine_sample,
-                                    translation_operator)
+from ndescent.descent_funcs import (EigenspaceDimensionError, GBasis, _translated_coords,
+                                    affine_sample)
 from ndescent.fields import Poly
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
@@ -181,6 +184,23 @@ def certify_trivialisation_all_pairs(triv, eps):
                 a != (0, 0) and not mats[a].trace().is_zero()):
             raise CertificationFailed(("span", a))
     return structure
+
+
+def translation_operator(table, s):
+    """Matrix of h -> (h o tau_S) * psi_n / (psi_n o tau_S) on L(n^2(O)),
+    columns indexed by the monomial basis."""
+    curve, n = table.curve, table.n
+    if s.is_infinity:
+        raise ValueError("the translation operator needs an affine torsion point, not O")
+    psi = division_polynomial(curve, n)
+    psi_ffe = FunctionFieldElement(curve, psi, 0, 1)
+    fx = FunctionFieldElement.coordinate_x(curve)
+    fy = FunctionFieldElement.coordinate_y(curve)
+    lam = (fy - s.y) / (fx - s.x)
+    xs = lam * lam - fx - s.x  # x o tau_S
+    ij = table.indices[table.points.index(s)]
+    cols = _translated_coords(table, ij, n * n, psi_ffe / psi(xs))
+    return ExactMatrix(cols, curve.field).transpose()
 
 
 def kernel_G_basis(table, eps):

@@ -117,7 +117,6 @@ def test_table_group_structure(table):
                     b = table.point(i2, j2)
                     assert a + b == table.point(*table.add_index((i1, j1), (i2, j2)))
             assert -a == table.point(*table.neg_index((i1, j1)))
-            assert table.index(a) == (i1, j1)
 
 
 def test_torsion_not_rational_over_q():
@@ -173,7 +172,7 @@ def test_table_indices_and_flat(table):
     # names the point at its position
     assert table.indices == tuple((i, j) for i in range(3) for j in range(3))
     for k, (ij, p) in enumerate(zip(table.indices, table)):
-        assert table.flat(ij) == k and table.index(p) == ij and table.point(*ij) == p
+        assert table.flat(ij) == k and table.point(*ij) == p
 
 
 def _index_derivations(tree):

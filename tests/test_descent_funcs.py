@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from ndescent import fields
+from ndescent import descent_funcs, fields
 from ndescent import serialize as ser
 from ndescent.fields import tower_extend
 from ndescent.curve import Point, r_eval
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
-from ndescent.algebra import certify_trivialisation
+from ndescent.algebra import CertificationFailed, Trivialisation, certify_trivialisation
 from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, EpsilonTable,
-                                    affine_sample, compute_G_basis, tau_1)
+                                    affine_sample, compute_G_basis, compute_embedding, tau_1)
 from weil_oracle import aux_pair, weil_pairing_oracle
 from oracles import (base_change, derivative, distinct_samples, dual_row, embedding_values,
                      kernel_G_basis)
@@ -164,6 +164,55 @@ def test_certificates_run_on_generators(curve, monkeypatch):
     assert calls["kernel_basis"] == 0
 
 
+def test_translations_run_on_generators(curve, monkeypatch):
+    # a fresh CurveData translates in the function field twice on L(n(O))
+    # for the embedding and twice on L(n^2(O)) for the G-basis, each time
+    # with a power of a Miller function as the factor, never psi_n
+    # divided by its translate
+    assert not hasattr(descent_funcs, "translation_operator")
+    translate = descent_funcs._translated_coords
+    calls = []
+
+    def counted(table, ij, d, f):
+        calls.append((ij, d, f))
+        return translate(table, ij, d, f)
+    monkeypatch.setattr(descent_funcs, "_translated_coords", counted)
+    data = CurveData(curve, 3)
+    data.gbasis, data.emb  # build both, the G-basis first
+    assert Counter(d for _, d, _ in calls) == {3: 2, 9: 2}
+    for ij, d, f in calls:
+        assert ij in data.table.generators
+        f_neg = data.millers[data.table.neg_index(ij)]
+        assert f == (f_neg if d == 3 else f_neg * f_neg * f_neg)
+
+
+def test_certificates_miss_a_character_twist(emb, eps, table, field):
+    # chi(i T1 + j T2) = zeta3^i is a character of E[n]; the twisted
+    # family {chi(T) M_T} has the same products, so the generator
+    # certificate passes it, and only compute_embedding's row-0 check
+    # against the Miller table tells it from the embedding
+    zeta = field.gen()
+    twisted = Trivialisation(table, emb.rho, field,
+                             {ij: emb.M(ij).scale(zeta ** ij[0]) for ij in table.indices},
+                             "standard")
+    certify_trivialisation(twisted, eps)
+
+
+def test_embedding_rejects_a_twisted_generator(table, eps, millers, field, monkeypatch):
+    # the T1 translation scaled by zeta3 twists every M_T by a character;
+    # the products are certified as before, and row 0 of M_{T1} fails
+    zeta = field.gen()
+    translate = descent_funcs._translated_coords
+
+    def twisted(table, ij, d, f):
+        rows = translate(table, ij, d, f)
+        return [[zeta * c for c in r] for r in rows] if ij == (1, 0) else rows
+    monkeypatch.setattr(descent_funcs, "_translated_coords", twisted)
+    with pytest.raises(CertificationFailed) as err:
+        compute_embedding(table, eps, millers)
+    assert err.value.witness == ("embedding", (1, 0))
+
+
 def test_g_r_identity(gbasis, table):
     # G_{T1} G_{T2} = G_{T1+T2} (r_{(T1,T2)} o [3])
     p = _sample_point(table.curve)
@@ -194,8 +243,10 @@ def test_embedding_matrices(emb, eps, table, field):
 
 @pytest.mark.parametrize("which", ["reference", "aux"])
 def test_translation_matrices_at_fresh_points(which, curve, aux_curve):
-    # M_T is read off in the function field; its defining properties
-    # must hold at points over quadratic extensions it never saw
+    # M_T is read off in the function field for T1 and T2 and built as
+    # a product of those for every other T, with its scale certified by
+    # row 0 against the Miller table; its defining properties must hold
+    # at points over quadratic extensions it never saw
     data = CurveData.of(curve if which == "reference" else aux_curve, 3)
     emb = data.emb
     for p in distinct_samples(data.curve, 3, random.Random(11), "m", 3):

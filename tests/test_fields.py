@@ -400,8 +400,7 @@ from ndescent.funcfield import (FunctionFieldElement, line_through, miller_funct
                                 vertical_through)
 from ndescent.linalg import ExactMatrix
 from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, EpsilonTable,
-                                    compute_G_basis, compute_embedding, compute_epsilon,
-                                    translation_operator)
+                                    compute_G_basis, compute_embedding, compute_epsilon)
 from ndescent.serialize import point_to_json
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               certify_trivialisation, partial, solve_gamma, trivialize)
@@ -422,16 +421,23 @@ zeros = Trivialisation(table, one_rho, K, {ij: identities.M(ij) if ij == (0, 0)
                                            else ExactMatrix([[K.zero()] * 3] * 3, K)
                                            for ij in idx},
                        "standard")
-# F_T for T = (0, 1) times y: F_T is F_{-T} for T = (0, 2), so
-# (h o tau_T) F_T y leaves L(3(O)) and ("translation", (0, 2)) fails
+# F_T for T = (0, 1) times y: F_T is F_{-T} for T = (0, 2), which is
+# not a generator, so M_{(0, 2)} is a product and the row-0 check's
+# _coords call fails with ("translation", (0, 2)): F_{-T} y is not in L(3(O))
 wrong_f = dict(millers)
 wrong_f[(0, 1)] = millers[(0, 1)] * FunctionFieldElement.coordinate_y(data.curve)
 # F_{-T} for T = (0, 1) times y: (h o tau_T) F_{-T} y leaves L(3(O))
 pole_f = dict(millers)
 pole_f[(0, 2)] = millers[(0, 2)] * FunctionFieldElement.coordinate_y(data.curve)
-# F_{-T} for T = (0, 1) replaced by zero: M_T is singular
+# F_{-T} for T = (0, 1) replaced by zero: M_T is zero, and so is the
+# product M_{(0, 2)}, whose row 0 fails against F_{(0, 1)}
 zero_f = dict(millers)
 zero_f[(0, 2)] = FunctionFieldElement.const(data.curve, 0)
+# F_{-T} for T = T1 times zeta3: M_{T1}, and with it every M_T, is twisted
+# by a character, and row 0 of M_{(1, 1)}, the first product with M_{T1},
+# no longer matches F_{(2, 2)}: ("embedding", (1, 1))
+twist_f = dict(millers)
+twist_f[(2, 0)] = millers[(2, 0)] * K.gen()
 # F_T for T = (0, 1) replaced by zero: eps(T1, T) = 1/F_T(-T1) divides by zero
 zero_t = dict(millers)
 zero_t[(0, 1)] = FunctionFieldElement.const(data.curve, 0)
@@ -456,6 +462,7 @@ cases = [
     (CertificationFailed, lambda: compute_embedding(table, eps, wrong_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, pole_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, zero_f)),
+    (CertificationFailed, lambda: compute_embedding(table, eps, twist_f)),
     (CertificationFailed, lambda: compute_epsilon(table, zero_t)),
     (EigenspaceDimensionError, lambda: compute_G_basis(table, EpsilonTable(doubled))),
     (ValueError, lambda: division_polynomial(data.curve, 4)),
@@ -487,7 +494,6 @@ cases = [
     (ValueError, lambda: zero_fn.laurent()),
     (ValueError, lambda: miller_function(table.point(0, 0), 3)),
     (ValueError, lambda: miller_function(table.t1, 2)),
-    (ValueError, lambda: translation_operator(table, table.point(0, 0))),
     (ValueError, lambda: point_to_json(table.point(0, 0))),
     (ValueError, lambda: data.curve.base_change(Q)),
     # checks that were asserts
