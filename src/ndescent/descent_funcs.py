@@ -11,9 +11,10 @@ Builds, for a curve with fully rational n-torsion:
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
     scaled so F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
     M_T = eps(T, -T) Mtilde_T, where Mtilde_T is the transpose of
-    h -> (h o tau_T) F_{-T} on L(n(O)), read off in the function field
-    for T1 and T2 only, by the helper that also gives the G-basis its
-    operators on L(n^2(O)); every other M_T is a product of those.
+    h -> (h o tau_T) F_{-T} on L(n(O)), read off for T1 and T2 only, by
+    the helper that also gives the G-basis its operators on L(n^2(O));
+    every other M_T is a product of those.  The helper builds (h o tau_T) f
+    in the coordinate ring, where a zero remainder certifies membership;
     fdual_O is e_1, since only the constants of L(n(O)) have no pole at
     O, so row 0 of M_T is eps(T, -T) F_{-T}: checked against the Miller
     table, it certifies the scale;
@@ -28,10 +29,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .fields import Poly, root_or_extend
+from .fields import Poly, poly_x, root_or_extend
 from .linalg import ExactMatrix
 from .curve import Point, division_polynomial, torsion_table, PoleAtP
-from .funcfield import FunctionFieldElement, miller_function
+from .funcfield import FunctionFieldElement, _exact_div, _ring_mul, miller_function
 from .algebra import (CertificationFailed, RhoTable, Trivialisation,
                       certify_trivialisation)
 
@@ -50,30 +51,44 @@ def _coords(ffe, d, ij):
     """Coordinates of a function over the monomial basis of L(d(O)).
     Raises CertificationFailed(("translation", ij)) if it is not in
     that space."""
-    exps = _exponents(d)
-    nx = sum(1 for _, j in exps if j == 0)
-    if ffe.w.degree != 0 or ffe.u.degree >= nx or ffe.v.degree >= len(exps) - nx:
+    nx, ny = d // 2 + 1, (d - 1) // 2  # the x^i and the x^i y of _exponents(d)
+    if ffe.w.degree != 0 or ffe.u.degree >= nx or ffe.v.degree >= ny:
         raise CertificationFailed(("translation", ij),
                                   "a translated function is not in L(%d(O))" % d)
     K = ffe.curve.field
     return ([ffe.u.coeff(k).lift_to(K) for k in range(nx)]
-            + [ffe.v.coeff(k).lift_to(K) for k in range(len(exps) - nx)])
+            + [ffe.v.coeff(k).lift_to(K) for k in range(ny)])
 
 
 def _translated_coords(table, ij, d, f):
     """For each monomial h of L(d(O)), the coordinates of (h o tau_S) f
-    over that basis, S the table point ij and f a function."""
+    over that basis, S the table point ij and f regular off O.  P + S is
+    (X/(x - s_x)^2, Y/(x - s_x)^3) with X, Y in the coordinate ring, so
+    (x o tau_S)^i f is built one factor X at a time, each product divided
+    exactly by (x - s_x)^2, and a y-column product by (x - s_x)^3.  If f
+    vanishes to order d at -S, as F_{-S} (d = n) and F_{-S}^n (d = n^2)
+    do, all is regular; else a remainder raises ("translation", ij)."""
     curve, s = table.curve, table.point(*ij)
-    fx = FunctionFieldElement.coordinate_x(curve)
-    fy = FunctionFieldElement.coordinate_y(curve)
-    # addition formulas for P + S as functions of P = (x, y)
-    lam = (fy - s.y) / (fx - s.x)
-    xs = lam * lam - fx - s.x
-    ys = lam * (s.x - xs) - s.y
-    xpow = [FunctionFieldElement.const(curve, 1)]
-    for _ in range(d // 2):
-        xpow.append(xpow[-1] * xs)
-    return [_coords((xpow[i] * ys if j else xpow[i]) * f, d, ij) for i, j in _exponents(d)]
+    K, rhs = curve.field, curve.rhs_poly()
+    lin = poly_x(K) - s.x
+    sq = lin * lin
+    # lambda = (y - s_y)/(x - s_x), x o tau_S = lambda^2 - x - s_x and
+    # y o tau_S = lambda (s_x - x o tau_S) - s_y, over common denominators
+    dy = (Poly([-s.y], K), Poly([1], K))
+    u, v = _ring_mul(rhs, dy, dy)
+    X = (u - (lin + 2 * s.x) * sq, v)
+    u, v = _ring_mul(rhs, dy, (sq * s.x - X[0], -X[1]))
+    Y = (u - sq * lin * s.y, v)
+    try:
+        xpow = [_exact_div((f.u, f.v), f.w)]
+        for _ in range(d // 2):
+            xpow.append(_exact_div(_ring_mul(rhs, X, xpow[-1]), sq))
+        cols = [_exact_div(_ring_mul(rhs, Y, xpow[i]), sq * lin) if j else xpow[i]
+                for i, j in _exponents(d)]
+    except ArithmeticError:
+        raise CertificationFailed(("translation", ij),
+                                  "a translated function is not regular off O")
+    return [_coords(FunctionFieldElement(curve, u, v, 1), d, ij) for u, v in cols]
 
 
 def compute_miller_table(table):

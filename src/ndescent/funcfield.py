@@ -7,6 +7,12 @@ y = t^-3 (1 + O(t^4)) (Silverman, AEC IV.1), so u(x) leads at order
 coefficient of its polynomial.  The two orders differ in parity, so
 they never cancel, and the leading term at O (all the pipeline
 normalises by) is read off the degrees with no series expansion.
+
+A function regular off O is (u + v y)/1, in the coordinate ring
+K[x, y]/(y^2 - x^3 - a x - b).  Miller functions here and translated
+functions in descent_funcs are built there, on pairs (u, v), by ring
+products and exact division by polynomials in x, with no gcd: a zero
+remainder certifies membership in the ring (Hess, JSC 33 (2002)).
 """
 
 from fractions import Fraction
@@ -17,46 +23,30 @@ from .curve import PoleAtP, slope
 
 class FunctionFieldElement:
     """(u + v*y)/w on y^2 = x^3 + a x + b, with u, v, w in K[x], w monic,
-    gcd(u, v, w) = 1.  This form is unique, so == is structural."""
+    gcd(u, v, w) = 1.  This form is unique, so == is structural.  A
+    constant w leaves gcd(u, v, w) a unit, so no gcd is taken then."""
 
     __slots__ = ("curve", "u", "v", "w")
 
     def __init__(self, curve, u, v, w):
         K = curve.field
-        if not isinstance(u, Poly):
-            u = Poly([u], K)
-        if not isinstance(v, Poly):
-            v = Poly([v], K)
-        if not isinstance(w, Poly):
-            w = Poly([w], K)
-        u = u.lift_to(K) if u.tower != K else u
-        v = v.lift_to(K) if v.tower != K else v
-        w = w.lift_to(K) if w.tower != K else w
+        u, v, w = (Poly([p], K) if not isinstance(p, Poly) else p if p.tower == K
+                   else p.lift_to(K) for p in (u, v, w))
         if w.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(poly_gcd(u, v), w)
-        if g.degree > 0:
-            u, v, w = u // g, v // g, w // g
+        if w.degree > 0:
+            g = poly_gcd(poly_gcd(u, v), w)
+            if g.degree > 0:
+                u, v, w = u // g, v // g, w // g
         lc = w.lc()
         if not (lc == 1):
             inv = lc.inverse()
             u, v, w = inv * u, inv * v, inv * w
-        self.curve = curve
-        self.u = u
-        self.v = v
-        self.w = w
+        self.curve, self.u, self.v, self.w = curve, u, v, w
 
     @staticmethod
     def const(curve, c):
         return FunctionFieldElement(curve, Poly([c], curve.field), 0, 1)
-
-    @staticmethod
-    def coordinate_x(curve):
-        return FunctionFieldElement(curve, poly_x(curve.field), 0, 1)
-
-    @staticmethod
-    def coordinate_y(curve):
-        return FunctionFieldElement(curve, 0, Poly([1], curve.field), 1)
 
     def is_zero(self):
         return self.u.is_zero() and self.v.is_zero()
@@ -69,10 +59,7 @@ class FunctionFieldElement:
         return self.u == other.u and self.v == other.v and self.w == other.w
 
     def __neg__(self):
-        return self._raw(-self.u, -self.v, self.w)
-
-    def _raw(self, u, v, w):
-        return FunctionFieldElement(self.curve, u, v, w)
+        return FunctionFieldElement(self.curve, -self.u, -self.v, self.w)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -89,7 +76,7 @@ class FunctionFieldElement:
             return NotImplemented
         u = self.u * o.w + o.u * self.w
         v = self.v * o.w + o.v * self.w
-        return self._raw(u, v, self.w * o.w)
+        return FunctionFieldElement(self.curve, u, v, self.w * o.w)
 
     __radd__ = __add__
 
@@ -106,10 +93,8 @@ class FunctionFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        rhs = self.curve.rhs_poly()
-        u = self.u * o.u + rhs * (self.v * o.v)
-        v = self.u * o.v + self.v * o.u
-        return self._raw(u, v, self.w * o.w)
+        u, v = _ring_mul(self.curve.rhs_poly(), (self.u, self.v), (o.u, o.v))
+        return FunctionFieldElement(self.curve, u, v, self.w * o.w)
 
     __rmul__ = __mul__
 
@@ -122,7 +107,7 @@ class FunctionFieldElement:
         # cannot fire: u + v y != 0, and u^2 = v^2 (x^3 + a x + b) with v != 0
         # would make a polynomial of odd degree a square in K(x)
         assert not den.is_zero(), "u^2 = v^2 (x^3+ax+b) is impossible for u+vy != 0"
-        return self._raw(self.w * self.u, -(self.w * self.v), den)
+        return FunctionFieldElement(self.curve, self.w * self.u, -(self.w * self.v), den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -157,49 +142,49 @@ class FunctionFieldElement:
         return "FunctionFieldElement((%r) + (%r) y, / %r)" % (self.u, self.v, self.w)
 
 
-def line_through(p1, p2):
-    """The function cutting the line through p1 and p2 on the curve
-    (tangent if p1 = p2, vertical x - x0 if p1 + p2 = O).
-    div = (p1) + (p2) + (-(p1+p2)) - 3(O), or (p1) + (-p1) - 2(O) if vertical."""
-    curve = p1.curve
-    if p1.is_infinity or p2.is_infinity:
-        raise ValueError("lines need affine points")
-    if p1.x == p2.x and p1.y == -p2.y:
-        return vertical_through(p1)
-    lam = slope(p1, p2)
-    nu = p1.y - lam * p1.x
-    return FunctionFieldElement(curve, -(lam * poly_x(curve.field)) - nu,
-                                Poly([1], curve.field), 1)
+def _ring_mul(rhs, a, b):
+    """The product of u1 + v1 y and u2 + v2 y, as pairs (u, v) of
+    polynomials in x, with y^2 = rhs."""
+    (u1, v1), (u2, v2) = a, b
+    return u1 * u2 + rhs * (v1 * v2), u1 * v2 + v1 * u2
 
 
-def vertical_through(p):
-    curve = p.curve
-    if p.is_infinity:
-        raise ValueError("no vertical line through O")
-    x = poly_x(curve.field)
-    return FunctionFieldElement(curve, x - p.x, 0, 1)
+def _exact_div(a, w):
+    """(u + v y)/w for a = (u, v) and a nonzero polynomial w.  Raises
+    ArithmeticError unless w divides u and v, that is unless the
+    quotient lies in the coordinate ring."""
+    (qu, ru), (qv, rv) = divmod(a[0], w), divmod(a[1], w)
+    if not (ru.is_zero() and rv.is_zero()):
+        raise ArithmeticError("(u + v y)/w is not in the coordinate ring")
+    return qu, qv
 
 
 def miller_function(t, n):
     """A function with divisor n(t) - n(O) for an n-torsion point t,
     normalized so its Laurent expansion at O is t^{-n}(1 + O(t)).
 
-    Built by the double-and-add chain f_{m+1} = f_m l_{mT,T} / v_{(m+1)T}."""
+    Built by the chain f_{m+1} = f_m l_{mT,T} / v_{(m+1)T} in the
+    coordinate ring: the lines multiply into one numerator, divided
+    exactly by the product of the verticals at the end; a remainder
+    raises ArithmeticError."""
     curve = t.curve
     if t.is_infinity:
         raise ValueError("no function for the zero point")
     if not (n * t).is_infinity:
         raise ValueError("point is not n-torsion")
-    f = FunctionFieldElement.const(curve, 1)
-    acc = t
-    for m in range(1, n):
-        # multiply by the function with divisor (acc) + (t) - (acc+t) - (O)
+    K, rhs = curve.field, curve.rhs_poly()
+    x, one, zero = poly_x(K), Poly([1], K), Poly([], K)
+    num, den, acc = (one, zero), one, t
+    for _ in range(1, n):
         nxt = acc + t
-        if nxt.is_infinity:
-            f = f * vertical_through(acc)
-        else:
-            f = f * (line_through(acc, t) / vertical_through(nxt))
+        if nxt.is_infinity:  # t = -acc: the vertical x - x(acc)
+            num = _ring_mul(rhs, num, (x - acc.x, zero))
+        else:  # y - lam x - nu through acc and t, over x - x(acc + t)
+            lam = slope(acc, t)
+            num = _ring_mul(rhs, num, (-(lam * x) - (acc.y - lam * acc.x), one))
+            den = den * (x - nxt.x)
         acc = nxt
+    f = FunctionFieldElement(curve, *_exact_div(num, den), 1)
     ordv, lead = f.laurent()
     if ordv != -n:
         raise ArithmeticError("miller chain has pole order %d at O, not %d" % (-ordv, n))

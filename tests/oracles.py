@@ -20,18 +20,32 @@ library's certificates against them:
     the stacked translation eigen-equations;
   - the translation operator on L(n^2(O)) with the factor
     psi_n/(psi_n o tau_S), which compute_G_basis replaces by
-    c_g F_{-g}^n.
+    c_g F_{-g}^n;
+  - the coordinate functions x and y;
+  - the function-field forms that the coordinate ring replaces, with a
+    gcd normalisation after every product: the Miller chain over line
+    and vertical functions, and the translated coordinates built from
+    the addition formulas as functions of P; and that normalisation
+    itself, taken whatever the denominator.
 """
 
 from fractions import Fraction
 
 from ndescent.algebra import CertificationFailed
 from ndescent.curve import Point, division_polynomial, slope
-from ndescent.descent_funcs import (EigenspaceDimensionError, GBasis, _translated_coords,
+from ndescent.descent_funcs import (EigenspaceDimensionError, GBasis, _coords, _exponents,
                                     affine_sample)
-from ndescent.fields import Poly
+from ndescent.fields import Poly, poly_gcd, poly_x
 from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
+
+
+def coordinate_x(curve):
+    return FunctionFieldElement(curve, poly_x(curve.field), 0, 1)
+
+
+def coordinate_y(curve):
+    return FunctionFieldElement(curve, 0, Poly([1], curve.field), 1)
 
 
 def delta(csa, ij):
@@ -186,21 +200,24 @@ def certify_trivialisation_all_pairs(triv, eps):
     return structure
 
 
+def psi_ratio(table, s):
+    """psi_n / (psi_n o tau_S), with divisor n^2(-S) - n^2(O)."""
+    curve = table.curve
+    psi = division_polynomial(curve, table.n)
+    fx = coordinate_x(curve)
+    lam = (coordinate_y(curve) - s.y) / (fx - s.x)
+    xs = lam * lam - fx - s.x  # x o tau_S
+    return FunctionFieldElement(curve, psi, 0, 1) / psi(xs)
+
+
 def translation_operator(table, s):
     """Matrix of h -> (h o tau_S) * psi_n / (psi_n o tau_S) on L(n^2(O)),
     columns indexed by the monomial basis."""
-    curve, n = table.curve, table.n
     if s.is_infinity:
         raise ValueError("the translation operator needs an affine torsion point, not O")
-    psi = division_polynomial(curve, n)
-    psi_ffe = FunctionFieldElement(curve, psi, 0, 1)
-    fx = FunctionFieldElement.coordinate_x(curve)
-    fy = FunctionFieldElement.coordinate_y(curve)
-    lam = (fy - s.y) / (fx - s.x)
-    xs = lam * lam - fx - s.x  # x o tau_S
     ij = table.indices[table.points.index(s)]
-    cols = _translated_coords(table, ij, n * n, psi_ffe / psi(xs))
-    return ExactMatrix(cols, curve.field).transpose()
+    cols = translated_coords(table, ij, table.n ** 2, psi_ratio(table, s))
+    return ExactMatrix(cols, table.curve.field).transpose()
 
 
 def kernel_G_basis(table, eps):
@@ -226,3 +243,69 @@ def kernel_G_basis(table, eps):
         _, lead = g.laurent()
         funcs[ij] = g * (lead.inverse() * Fraction(1, n))
     return GBasis(table, funcs)
+
+
+def line_through(p1, p2):
+    """The function cutting the line through p1 and p2 on the curve
+    (tangent if p1 = p2, vertical x - x0 if p1 + p2 = O).
+    div = (p1) + (p2) + (-(p1+p2)) - 3(O), or (p1) + (-p1) - 2(O) if vertical."""
+    curve = p1.curve
+    if p1.is_infinity or p2.is_infinity:
+        raise ValueError("lines need affine points")
+    if p1.x == p2.x and p1.y == -p2.y:
+        return vertical_through(p1)
+    lam = slope(p1, p2)
+    nu = p1.y - lam * p1.x
+    return FunctionFieldElement(curve, -(lam * poly_x(curve.field)) - nu,
+                                Poly([1], curve.field), 1)
+
+
+def vertical_through(p):
+    curve = p.curve
+    if p.is_infinity:
+        raise ValueError("no vertical line through O")
+    x = poly_x(curve.field)
+    return FunctionFieldElement(curve, x - p.x, 0, 1)
+
+
+def miller_chain(t, n):
+    """miller_function in the function field: the double-and-add chain
+    f_{m+1} = f_m l_{mT,T} / v_{(m+1)T}, normalised after every step."""
+    curve = t.curve
+    f = FunctionFieldElement.const(curve, 1)
+    acc = t
+    for _ in range(1, n):
+        nxt = acc + t
+        if nxt.is_infinity:
+            f = f * vertical_through(acc)
+        else:
+            f = f * (line_through(acc, t) / vertical_through(nxt))
+        acc = nxt
+    _, lead = f.laurent()
+    return f * lead.inverse()
+
+
+def translated_coords(table, ij, d, f):
+    """_translated_coords in the function field: x o tau_S and y o tau_S
+    from the addition formulas as functions of P, and each (h o tau_S) f
+    normalised by a gcd."""
+    curve, s = table.curve, table.point(*ij)
+    fx = coordinate_x(curve)
+    fy = coordinate_y(curve)
+    lam = (fy - s.y) / (fx - s.x)
+    xs = lam * lam - fx - s.x
+    ys = lam * (s.x - xs) - s.y
+    xpow = [FunctionFieldElement.const(curve, 1)]
+    for _ in range(d // 2):
+        xpow.append(xpow[-1] * xs)
+    return [_coords((xpow[i] * ys if j else xpow[i]) * f, d, ij) for i, j in _exponents(d)]
+
+
+def gcd_normalised(u, v, w):
+    """(u + v y)/w as (u, v, w) divided by gcd(u, v, w), w made monic:
+    the stored form of FunctionFieldElement, with the gcd taken even
+    for a constant w."""
+    g = poly_gcd(poly_gcd(u, v), w)
+    u, v, w = u // g, v // g, w // g
+    c = w.lc().inverse()
+    return c * u, c * v, c * w

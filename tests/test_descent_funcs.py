@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ndescent import descent_funcs, fields
+from ndescent import descent_funcs, fields, funcfield
 from ndescent import serialize as ser
 from ndescent.fields import tower_extend
 from ndescent.curve import Point, r_eval
@@ -15,8 +15,9 @@ from ndescent.algebra import CertificationFailed, Trivialisation, certify_trivia
 from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, EpsilonTable,
                                     affine_sample, compute_G_basis, compute_embedding, tau_1)
 from weil_oracle import aux_pair, weil_pairing_oracle
-from oracles import (base_change, derivative, distinct_samples, dual_row, embedding_values,
-                     kernel_G_basis)
+from oracles import (base_change, coordinate_x, coordinate_y, derivative, distinct_samples,
+                     dual_row, embedding_values, kernel_G_basis, miller_chain, psi_ratio,
+                     translated_coords)
 
 
 def _sample_point(curve):
@@ -186,6 +187,69 @@ def test_translations_run_on_generators(curve, monkeypatch):
         assert f == (f_neg if d == 3 else f_neg * f_neg * f_neg)
 
 
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_coordinate_ring_equals_function_field_oracles(which, curve, aux_curve):
+    # Miller functions, translated coordinates on L(n(O)) and L(n^2(O)),
+    # every M_T and eps are == to the gcd-normalising function-field
+    # chains, for every T != O; on L(n^2(O)) with F_{-T}^n and with the
+    # factor psi_n/(psi_n o tau_T) of the translation operator oracle
+    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    table, millers, eps = data.table, data.millers, data.eps
+    n, K = table.n, data.curve.field
+    oracle_millers = {(0, 0): millers[(0, 0)]}
+    for ij, t in zip(table.indices[1:], list(table)[1:]):
+        oracle_millers[ij] = miller_chain(t, n)
+        assert millers[ij] == oracle_millers[ij]
+        neg = table.neg_index(ij)
+        f = millers[neg]
+        for d, g in ((n, f), (n * n, f * f * f), (n * n, psi_ratio(table, t))):
+            assert descent_funcs._translated_coords(table, ij, d, g) == translated_coords(
+                table, ij, d, g)
+        mtilde = ExactMatrix(translated_coords(table, ij, n, f), K)
+        assert data.emb.M(ij) == mtilde.scale(eps.eps(ij, neg))
+    assert descent_funcs.compute_epsilon(table, oracle_millers).values == eps.values
+
+
+@pytest.mark.parametrize("d, pole", [(3, True), (9, False)])
+def test_translation_remainder_certifies_the_ring(table, millers, d, pole):
+    # F_{-T1} over x - x(T1) has a pole at T1, so it is not in the
+    # coordinate ring; F_{-T1} alone vanishes to order 3 < 9 at -T1, so
+    # (x o tau_{T1})^4 F_{-T1} is not either.  Each leaves a remainder
+    f = millers[(2, 0)]
+    if pole:
+        f = f / (coordinate_x(table.curve) - table.t1.x)
+    with pytest.raises(CertificationFailed) as err:
+        descent_funcs._translated_coords(table, (1, 0), d, f)
+    assert err.value.witness == ("translation", (1, 0))
+
+
+def test_translations_and_millers_take_no_gcd(curve, monkeypatch):
+    # a fresh CurveData builds translations and Miller functions in the
+    # coordinate ring: no poly_gcd runs inside them, while the G-basis
+    # still reduces its (u + v y)/psi_n outside them
+    inside, calls = [0], []
+
+    def scoped(fn):
+        def run(*args):
+            inside[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+        return run
+    for name in ("_translated_coords", "miller_function"):
+        monkeypatch.setattr(descent_funcs, name, scoped(getattr(descent_funcs, name)))
+    gcd = funcfield.poly_gcd
+
+    def counted(p, q):
+        calls.append(inside[0])
+        return gcd(p, q)
+    monkeypatch.setattr(funcfield, "poly_gcd", counted)
+    data = CurveData(curve, 3)
+    data.gbasis, data.emb
+    assert calls and calls.count(0) == len(calls)
+
+
 def test_certificates_miss_a_character_twist(emb, eps, table, field):
     # chi(i T1 + j T2) = zeta3^i is a character of E[n]; the twisted
     # family {chi(T) M_T} has the same products, so the generator
@@ -300,8 +364,8 @@ def test_tau_1_on_delta_basis(emb, field):
 
 def test_dual_row_osculates(emb, table):
     p = _sample_point(table.curve)
-    x = FunctionFieldElement.coordinate_x(p.curve)
-    y = FunctionFieldElement.coordinate_y(p.curve)
+    x = coordinate_x(p.curve)
+    y = coordinate_y(p.curve)
     h = dual_row(emb, p)
     form = h[0] + x * h[1] + y * h[2]
     assert form.evaluate(p).is_zero()

@@ -396,15 +396,16 @@ from fractions import Fraction
 from ndescent.fields import (FieldTower, NoCertificate, Poly, ReducibleExtension,
                              poly_x, roots_in_field, tower_extend)
 from ndescent.curve import Curve, Point, TorsionTable, division_polynomial, slope
-from ndescent.funcfield import (FunctionFieldElement, line_through, miller_function,
-                                vertical_through)
+from ndescent.funcfield import FunctionFieldElement, miller_function
 from ndescent.linalg import ExactMatrix
 from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, EpsilonTable,
-                                    compute_G_basis, compute_embedding, compute_epsilon)
+                                    _translated_coords, compute_G_basis, compute_embedding,
+                                    compute_epsilon)
 from ndescent.serialize import point_to_json
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               certify_trivialisation, partial, solve_gamma, trivialize)
 from ndescent.geometry import PlaneCurveEquation, interpolate_plane_curve, quadrics_for_C
+from oracles import coordinate_x, coordinate_y, line_through, vertical_through
 
 if not sys.flags.optimize:
     sys.exit("run under python -O")
@@ -425,10 +426,10 @@ zeros = Trivialisation(table, one_rho, K, {ij: identities.M(ij) if ij == (0, 0)
 # not a generator, so M_{(0, 2)} is a product and the row-0 check's
 # _coords call fails with ("translation", (0, 2)): F_{-T} y is not in L(3(O))
 wrong_f = dict(millers)
-wrong_f[(0, 1)] = millers[(0, 1)] * FunctionFieldElement.coordinate_y(data.curve)
+wrong_f[(0, 1)] = millers[(0, 1)] * coordinate_y(data.curve)
 # F_{-T} for T = (0, 1) times y: (h o tau_T) F_{-T} y leaves L(3(O))
 pole_f = dict(millers)
-pole_f[(0, 2)] = millers[(0, 2)] * FunctionFieldElement.coordinate_y(data.curve)
+pole_f[(0, 2)] = millers[(0, 2)] * coordinate_y(data.curve)
 # F_{-T} for T = (0, 1) replaced by zero: M_T is zero, and so is the
 # product M_{(0, 2)}, whose row 0 fails against F_{(0, 1)}
 zero_f = dict(millers)
@@ -438,6 +439,10 @@ zero_f[(0, 2)] = FunctionFieldElement.const(data.curve, 0)
 # no longer matches F_{(2, 2)}: ("embedding", (1, 1))
 twist_f = dict(millers)
 twist_f[(2, 0)] = millers[(2, 0)] * K.gen()
+# F_{-T1} over x - x(T1) has a pole at T1: the exact division that
+# puts it in the coordinate ring leaves a remainder
+x_T1 = coordinate_x(data.curve) - table.t1.x
+affine_pole = millers[(2, 0)] / x_T1
 # F_T for T = (0, 1) replaced by zero: eps(T1, T) = 1/F_T(-T1) divides by zero
 zero_t = dict(millers)
 zero_t[(0, 1)] = FunctionFieldElement.const(data.curve, 0)
@@ -452,7 +457,7 @@ O = table.point(0, 0)
 i2, i3 = ExactMatrix.identity(2, K), ExactMatrix.identity(3, K)
 wide = ExactMatrix([ones[:2], ones[:2], ones[:2]], K).transpose()  # 2 x 3
 Qi = tower_extend(Q, [1, 0, 1], name="i")  # neither Qi nor K extends the other
-x_other = FunctionFieldElement.coordinate_x(Curve(K, 0, -54))
+x_other = coordinate_x(Curve(K, 0, -54))
 cases = [
     (ValueError, lambda: Point(data.curve, 1, 1)),
     (ValueError, lambda: slope(table.t1, -table.t1)),
@@ -464,6 +469,7 @@ cases = [
     (CertificationFailed, lambda: compute_embedding(table, eps, zero_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, twist_f)),
     (CertificationFailed, lambda: compute_epsilon(table, zero_t)),
+    (CertificationFailed, lambda: _translated_coords(table, (1, 0), 3, affine_pole)),
     (EigenspaceDimensionError, lambda: compute_G_basis(table, EpsilonTable(doubled))),
     (ValueError, lambda: division_polynomial(data.curve, 4)),
     (ValueError, lambda: TorsionTable(data.curve, 3, table.t1, table.t1)),
@@ -509,7 +515,7 @@ cases = [
     (ValueError, lambda: wide.inverse()),
     (ValueError, lambda: wide.det()),
     (ZeroDivisionError, lambda: FunctionFieldElement(data.curve, 1, 0, 0)),
-    (ValueError, lambda: FunctionFieldElement.coordinate_x(data.curve) + x_other),
+    (ValueError, lambda: coordinate_x(data.curve) + x_other),
     (ValueError, lambda: line_through(O, table.t1)),
     (ValueError, lambda: vertical_through(O)),
     (TypeError, lambda: table.t1 + 1),
@@ -528,7 +534,8 @@ print("ok")
 
 def test_caller_errors_raise_under_python_O():
     src = os.path.dirname(os.path.dirname(os.path.abspath(ndescent.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    tests = os.path.dirname(os.path.abspath(__file__))  # for oracles.py
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     run = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr

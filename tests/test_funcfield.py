@@ -5,23 +5,23 @@ from hypothesis import assume, given, strategies as st
 
 from ndescent.fields import Poly
 from ndescent.curve import Curve, Point, PoleAtP
-from ndescent.funcfield import (FunctionFieldElement, line_through,
-                                miller_function, vertical_through)
+from ndescent.funcfield import FunctionFieldElement, miller_function
 from test_fields import PROFILE, _AUX, _ZETA3, _elements
-from oracles import derivative
+from oracles import (coordinate_x, coordinate_y, derivative, gcd_normalised, line_through,
+                     vertical_through)
 
 
 def test_coordinate_relation(curve):
-    x = FunctionFieldElement.coordinate_x(curve)
-    y = FunctionFieldElement.coordinate_y(curve)
+    x = coordinate_x(curve)
+    y = coordinate_y(curve)
     assert y * y == x * x * x - 432
     assert (y / x) * x == y
     assert (x / y) * (y / x) == FunctionFieldElement.const(curve, 1)
 
 
 def test_laurent_orders(curve, field):
-    x = FunctionFieldElement.coordinate_x(curve)
-    y = FunctionFieldElement.coordinate_y(curve)
+    x = coordinate_x(curve)
+    y = coordinate_y(curve)
     assert x.laurent() == (-2, field.one())
     assert y.laurent() == (-3, field.one())
     # x^3 / y^2 = 1 + O(t) at O
@@ -32,8 +32,8 @@ def test_laurent_orders(curve, field):
 
 
 def test_evaluate(curve, field, table):
-    x = FunctionFieldElement.coordinate_x(curve)
-    y = FunctionFieldElement.coordinate_y(curve)
+    x = coordinate_x(curve)
+    y = coordinate_y(curve)
     p = table.point(2, 1)  # (12, 36)
     h = (x * x + y) / (x - 3)
     assert h.evaluate(p) == field.from_fraction(20)
@@ -44,8 +44,8 @@ def test_evaluate(curve, field, table):
 
 
 def test_derivative(curve):
-    x = FunctionFieldElement.coordinate_x(curve)
-    y = FunctionFieldElement.coordinate_y(curve)
+    x = coordinate_x(curve)
+    y = coordinate_y(curve)
     assert derivative(x) == FunctionFieldElement.const(curve, 1)
     # 2 y y' = rhs'(x) = 3x^2
     assert derivative(y) * y * 2 == x * x * 3
@@ -96,16 +96,35 @@ def _polys(K, maxdeg):
     return st.lists(_elements(K), max_size=maxdeg + 1).map(lambda cs: Poly(cs, K))
 
 
-def _functions(curve):
+def _triples(curve):
     K = curve.field
-    return st.builds(lambda u, v, w: FunctionFieldElement(curve, u, v, w),
-                     _polys(K, 3), _polys(K, 2),
-                     _polys(K, 2).filter(lambda w: not w.is_zero())
-                     ).filter(lambda f: not f.is_zero())
+    return st.tuples(_polys(K, 3), _polys(K, 2), _polys(K, 2).filter(lambda w: not w.is_zero()))
+
+
+def _functions(curve):
+    return _triples(curve).map(lambda uvw: FunctionFieldElement(curve, *uvw)
+                               ).filter(lambda f: not f.is_zero())
 
 
 _two_functions = st.sampled_from(_CURVES).flatmap(
     lambda E: st.tuples(_functions(E), _functions(E)))
+
+
+@PROFILE
+@given(st.sampled_from(_CURVES).flatmap(
+    lambda E: st.tuples(st.just(E), _triples(E), _functions(E), _functions(E))))
+def test_stored_form_is_gcd_normalised(args):
+    # a constant denominator skips the gcd; the stored form must still be
+    # the reduced one, for raw triples and for products, whose
+    # denominator is constant when both factors are polynomials in x, y
+    curve, uvw, f, g = args
+    h = FunctionFieldElement(curve, *uvw)
+    assert (h.u, h.v, h.w) == gcd_normalised(*uvw)
+    for k in (f, g, f * g, f + g):
+        assert (k.u, k.v, k.w) == gcd_normalised(k.u, k.v, k.w)
+    ring = FunctionFieldElement(curve, f.u, f.v, 1) * FunctionFieldElement(curve, g.u, g.v, 1)
+    assert ring.w == 1
+    assert (ring.u, ring.v, ring.w) == gcd_normalised(ring.u, ring.v, ring.w)
 
 
 @PROFILE
@@ -152,6 +171,6 @@ def _power(f, k):
 @PROFILE
 @given(st.sampled_from(_CURVES), st.integers(-3, 3), st.integers(-3, 3))
 def test_leading_term_of_monomial(curve, i, j):
-    x = FunctionFieldElement.coordinate_x(curve)
-    y = FunctionFieldElement.coordinate_y(curve)
+    x = coordinate_x(curve)
+    y = coordinate_y(curve)
     assert (_power(x, i) * _power(y, j)).laurent() == (-2 * i - 3 * j, curve.field.one())
