@@ -161,29 +161,29 @@ def _check_parts(path, values, data, emit, rhos, qs=None, csa=None, triv=None):
 
 
 def _verify_file(path, j, data, emit, rhos):
+    """Check one artifact, reading E[n] only for the kinds that use it."""
     kind = j.get("kind")
-    curve, table = data.curve, data.table
     if kind == "curve":
         ser.curve_from_json(j)
         emit(path, "curve parses and matches its hash", True)
     elif kind == "point":
-        ser.point_file_from_json(j, curve)
+        ser.point_file_from_json(j, data.curve)
         emit(path, "point lies on the curve", True)
     elif kind == "torsion":
-        torsion = ser.torsion_from_json(j, curve)
+        torsion = ser.torsion_from_json(j, data.curve)
         ok = (data.n * torsion.t1).is_infinity and (data.n * torsion.t2).is_infinity
         emit(path, "basis points are n-torsion", ok)
     elif kind == "rho":
-        _check_parts(path, ser.rho_from_json(j, table).values, data, emit, rhos)
+        _check_parts(path, ser.rho_from_json(j, data.table).values, data, emit, rhos)
     elif kind == "csa":
-        csa = ser.csa_from_json(j, table)
+        csa = ser.csa_from_json(j, data.table)
         _check_parts(path, csa.rho.values, data, emit, rhos, csa=csa)
     elif kind == "trivialisation":
-        triv = ser.triv_from_json(j, table)
+        triv = ser.triv_from_json(j, data.table)
         _check_parts(path, triv.rho.values, data, emit, rhos, triv=triv)
     elif kind == "quadrics":
-        qs = ser.quadrics_from_json(j, table)
-        _check_parts(path, ser.quadrics_rho_from_json(j, table).values, data, emit, rhos,
+        qs = ser.quadrics_from_json(j, data.table)
+        _check_parts(path, ser.quadrics_rho_from_json(j, data.table).values, data, emit, rhos,
                      qs=qs)
     elif kind == "descent":
         _verify_descent(path, j, data, emit, rhos)

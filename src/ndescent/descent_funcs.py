@@ -27,7 +27,6 @@ Miller functions, epsilon, the G-basis and the embedding.
 
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 from .fields import Poly, poly_x, root_or_extend
 from .linalg import ExactMatrix
@@ -47,22 +46,21 @@ def _exponents(d):
             + [(i, 1) for i in range((d - 3) // 2 + 1)])
 
 
-def _coords(ffe, d, ij):
-    """Coordinates of a function over the monomial basis of L(d(O)).
-    Raises CertificationFailed(("translation", ij)) if it is not in
-    that space."""
-    nx, ny = d // 2 + 1, (d - 1) // 2  # the x^i and the x^i y of _exponents(d)
-    if ffe.w.degree != 0 or ffe.u.degree >= nx or ffe.v.degree >= ny:
+def _coords(f, d, ij):
+    """Coordinates of u + v y, for the pair f = (u, v), over the monomial
+    basis of L(d(O)).  Raises CertificationFailed(("translation", ij))
+    if it is not in that space."""
+    (u, v), nx, ny = f, d // 2 + 1, (d - 1) // 2  # the x^i and x^i y of _exponents(d)
+    if u.degree >= nx or v.degree >= ny:
         raise CertificationFailed(("translation", ij),
                                   "a translated function is not in L(%d(O))" % d)
-    K = ffe.curve.field
-    return ([ffe.u.coeff(k).lift_to(K) for k in range(nx)]
-            + [ffe.v.coeff(k).lift_to(K) for k in range(ny)])
+    return [u.coeff(k) for k in range(nx)] + [v.coeff(k) for k in range(ny)]
 
 
 def _translated_coords(table, ij, d, f):
     """For each monomial h of L(d(O)), the coordinates of (h o tau_S) f
-    over that basis, S the table point ij and f regular off O.  P + S is
+    over that basis, S the table point ij and f = (u, v) the function
+    u + v y of the coordinate ring.  P + S is
     (X/(x - s_x)^2, Y/(x - s_x)^3) with X, Y in the coordinate ring, so
     (x o tau_S)^i f is built one factor X at a time, each product divided
     exactly by (x - s_x)^2, and a y-column product by (x - s_x)^3.  If f
@@ -80,7 +78,7 @@ def _translated_coords(table, ij, d, f):
     u, v = _ring_mul(rhs, dy, (sq * s.x - X[0], -X[1]))
     Y = (u - sq * lin * s.y, v)
     try:
-        xpow = [_exact_div((f.u, f.v), f.w)]
+        xpow = [f]
         for _ in range(d // 2):
             xpow.append(_exact_div(_ring_mul(rhs, X, xpow[-1]), sq))
         cols = [_exact_div(_ring_mul(rhs, Y, xpow[i]), sq * lin) if j else xpow[i]
@@ -88,7 +86,7 @@ def _translated_coords(table, ij, d, f):
     except ArithmeticError:
         raise CertificationFailed(("translation", ij),
                                   "a translated function is not regular off O")
-    return [_coords(FunctionFieldElement(curve, u, v, 1), d, ij) for u, v in cols]
+    return [_coords(c, d, ij) for c in cols]
 
 
 def compute_miller_table(table):
@@ -189,19 +187,30 @@ def compute_G_basis(table, eps):
     independent and fill L(n^2(O)): every joint eigenspace is a line,
     and v is G_T psi_n up to the scalar the residue fixes.
 
+    G_T is stored as (u + v y)/den: den is psi_n made monic, and (u, v)
+    is the certified eigenvector scaled by (n lead)^{-1}, lead its
+    leading coefficient at O, so the residue is 1/n.  This form is
+    reduced with no gcd taken.  For T != O, u + v y = G_T psi_n has
+    divisor [n]*(T) - n^2(O), so it vanishes at no S != O in E[n].  The
+    roots of den are the x(S) of those S, and a common root x(S) of u
+    and v would make u + v y vanish at S; so gcd(u, v, den) = 1.
+
     Raises EigenspaceDimensionError if two characters coincide, or if no
     w gives a certified eigenvector of chi_T: if chi_T is a character of
     E[n], the projection is onto its eigenspace, which is then 0, and if
     it is not, no eigenvalue of L1 or L2 (each of order n) matches."""
     curve, n = table.curve, table.n
     K = curve.field
-    psi = division_polynomial(curve, n)
+    psi, rhs = division_polynomial(curve, n), curve.rhs_poly()
     nx = n * n // 2 + 1  # how many coordinates are those of u in (u + v y)/psi_n
     psi_v = [psi.coeff(k) for k in range(nx)] + [K.zero()] * (n * n - nx)
 
     def translation(g):  # L_g, columns indexed by the monomials of L(n^2(O))
         f_neg = miller_function(table.point(*table.neg_index(g)), n)
-        op = ExactMatrix(_translated_coords(table, g, n * n, prod([f_neg] * n)), K).transpose()
+        f = power = (f_neg.u, f_neg.v)
+        for _ in range(n - 1):
+            power = _ring_mul(rhs, power, f)
+        op = ExactMatrix(_translated_coords(table, g, n * n, power), K).transpose()
         return op.scale(psi.lc() / op.mat_vec(psi_v)[nx - 1])
     L1, L2 = (translation(g) for g in table.generators)
     chars = {ij: tuple(eps.weil(g, ij) for g in table.generators) for ij in table.indices}
@@ -234,13 +243,14 @@ def compute_G_basis(table, eps):
 
     certify((0, 0), psi_v)
     funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
+    den = psi.monic()
     for ij in table.indices[1:]:
         v = certify(ij, projection(*chars[ij]))
-        g = FunctionFieldElement(curve, Poly(v[:nx], K), Poly(v[nx:], K), psi)
+        g = FunctionFieldElement(curve, Poly(v[:nx], K), Poly(v[nx:], K), den)
         ordv, lead = g.laurent()
         if ordv != -1:
             raise ArithmeticError("G_T for %s has pole order %d at O, not 1" % ((ij,), -ordv))
-        funcs[ij] = g * (lead.inverse() * Fraction(1, n))
+        funcs[ij] = g.scale((lead * n).inverse())
     return GBasis(table, funcs)
 
 
@@ -315,21 +325,26 @@ def compute_embedding(table, eps, millers, seed=0):
     Mtilde_T.  Row 0 of Mtilde_T holds the coordinates of F_{-T}, and
     checking row 0 of every M_T against the Miller table certifies that
     scalar to be 1, or raises CertificationFailed(("embedding", T)); the
-    products alone pass a character twist {chi(T) M_T}.  M_O is the
-    identity.  Returns the standard trivialisation of the untwisted algebra,
-    certified by certify_trivialisation.  seed has no effect; it is accepted
-    for older callers."""
+    products alone pass a character twist {chi(T) M_T}.  A Miller function
+    with w != 1 is not in the coordinate ring and raises
+    CertificationFailed(("translation", T)).  M_O is the identity.
+    Returns the standard trivialisation of the untwisted algebra,
+    certified by certify_trivialisation.  seed has no effect; it is
+    accepted for older callers."""
     n, K = table.n, table.curve.field
     matrices = {(0, 0): ExactMatrix.identity(n, K)}
     for ij in table.indices[1:]:
         neg = table.neg_index(ij)
-        scale = eps.eps(ij, neg)
+        f = millers[neg]
+        if not (f.w == 1):
+            raise CertificationFailed(("translation", ij), "F_{-T} is not in the coordinate ring")
+        scale, f_neg = eps.eps(ij, neg), (f.u, f.v)
         if ij in table.generators:
-            m = ExactMatrix(_translated_coords(table, ij, n, millers[neg]), K).scale(scale)
+            m = ExactMatrix(_translated_coords(table, ij, n, f_neg), K).scale(scale)
         else:
             g, b = ((0, 1), (ij[0], ij[1] - 1)) if ij[1] else ((1, 0), (ij[0] - 1, 0))
             m = (matrices[g] * matrices[b]).scale(eps.eps(g, b).inverse())
-        if not (m.rows[0] == [scale * c for c in _coords(millers[neg], n, ij)]):
+        if not (m.rows[0] == [scale * c for c in _coords(f_neg, n, ij)]):
             raise CertificationFailed(("embedding", ij), "row 0 of M_T is not eps(T,-T) F_{-T}")
         matrices[ij] = m
     emb = Trivialisation(table, RhoTable.trivial(table), K, matrices, "standard")

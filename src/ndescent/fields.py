@@ -544,9 +544,6 @@ class Poly:
                     rem[k + j] = rem[k + j] - _mul(c, y)
         return Poly._of(tw, quot), Poly._of(tw, rem[:n - 1])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -594,13 +591,6 @@ class Poly:
             mono = "1" if i == 0 else ("x" if i == 1 else "x^%d" % i)
             parts.append("(%r)*%s" % (c, mono))
         return "Poly(%s)" % " + ".join(parts)
-
-
-def poly_gcd(p, q):
-    a, b = p._pair(q)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
 
 
 def poly_x(tower):

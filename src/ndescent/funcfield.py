@@ -8,112 +8,38 @@ coefficient of its polynomial.  The two orders differ in parity, so
 they never cancel, and the leading term at O (all the pipeline
 normalises by) is read off the degrees with no series expansion.
 
-A function regular off O is (u + v y)/1, in the coordinate ring
-K[x, y]/(y^2 - x^3 - a x - b).  Miller functions here and translated
-functions in descent_funcs are built there, on pairs (u, v), by ring
-products and exact division by polynomials in x, with no gcd: a zero
-remainder certifies membership in the ring (Hess, JSC 33 (2002)).
+A function is stored as (u + v y)/w with a monic w that its builder
+fixes, and no gcd is taken: w = 1 for a function regular off O, which
+lies in the coordinate ring K[x, y]/(y^2 - x^3 - a x - b), and psi_n
+made monic for a G_T (compute_G_basis in descent_funcs says why that
+form is reduced).  Miller functions here and translated functions in
+descent_funcs are built in the ring, on pairs (u, v), by ring products
+and exact division by polynomials in x: a zero remainder certifies
+membership in the ring (Hess, JSC 33 (2002)).  A stored function is
+only scaled, evaluated and expanded at O, so it has no field arithmetic.
 """
 
-from fractions import Fraction
-
-from .fields import FieldElement, Poly, poly_gcd, poly_x
+from .fields import Poly, poly_x
 from .curve import PoleAtP, slope
 
 
 class FunctionFieldElement:
-    """(u + v*y)/w on y^2 = x^3 + a x + b, with u, v, w in K[x], w monic,
-    gcd(u, v, w) = 1.  This form is unique, so == is structural.  A
-    constant w leaves gcd(u, v, w) a unit, so no gcd is taken then."""
+    """(u + v*y)/w on y^2 = x^3 + a x + b: u, v, w in K[x], w monic and
+    gcd(u, v, w) = 1, stored as the builder gives it (module docstring)."""
 
     __slots__ = ("curve", "u", "v", "w")
 
     def __init__(self, curve, u, v, w):
-        K = curve.field
-        u, v, w = (Poly([p], K) if not isinstance(p, Poly) else p if p.tower == K
-                   else p.lift_to(K) for p in (u, v, w))
-        if w.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if w.degree > 0:
-            g = poly_gcd(poly_gcd(u, v), w)
-            if g.degree > 0:
-                u, v, w = u // g, v // g, w // g
-        lc = w.lc()
-        if not (lc == 1):
-            inv = lc.inverse()
-            u, v, w = inv * u, inv * v, inv * w
         self.curve, self.u, self.v, self.w = curve, u, v, w
 
-    @staticmethod
-    def const(curve, c):
-        return FunctionFieldElement(curve, Poly([c], curve.field), 0, 1)
+    @classmethod
+    def const(cls, curve, c):
+        K = curve.field
+        return cls(curve, Poly([c], K), Poly([], K), Poly([1], K))
 
-    def is_zero(self):
-        return self.u.is_zero() and self.v.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = FunctionFieldElement.const(self.curve, other)
-        if not isinstance(other, FunctionFieldElement):
-            return NotImplemented
-        return self.u == other.u and self.v == other.v and self.w == other.w
-
-    def __neg__(self):
-        return FunctionFieldElement(self.curve, -self.u, -self.v, self.w)
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return FunctionFieldElement.const(self.curve, other)
-        if isinstance(other, FunctionFieldElement):
-            if not (other.curve == self.curve):
-                raise ValueError("elements on different curves")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        u = self.u * o.w + o.u * self.w
-        v = self.v * o.w + o.v * self.w
-        return FunctionFieldElement(self.curve, u, v, self.w * o.w)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        u, v = _ring_mul(self.curve.rhs_poly(), (self.u, self.v), (o.u, o.v))
-        return FunctionFieldElement(self.curve, u, v, self.w * o.w)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero function")
-        rhs = self.curve.rhs_poly()
-        # 1/(u + vy) = (u - vy)/(u^2 - v^2 rhs)
-        den = self.u * self.u - rhs * (self.v * self.v)
-        # cannot fire: u + v y != 0, and u^2 = v^2 (x^3 + a x + b) with v != 0
-        # would make a polynomial of odd degree a square in K(x)
-        assert not den.is_zero(), "u^2 = v^2 (x^3+ax+b) is impossible for u+vy != 0"
-        return FunctionFieldElement(self.curve, self.w * self.u, -(self.w * self.v), den)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+    def scale(self, c):
+        """c times the function, for a constant c."""
+        return FunctionFieldElement(self.curve, c * self.u, c * self.v, self.w)
 
     def evaluate(self, p):
         """Value at an affine point (over any extension of the base field).
@@ -184,8 +110,8 @@ def miller_function(t, n):
             num = _ring_mul(rhs, num, (-(lam * x) - (acc.y - lam * acc.x), one))
             den = den * (x - nxt.x)
         acc = nxt
-    f = FunctionFieldElement(curve, *_exact_div(num, den), 1)
+    f = FunctionFieldElement(curve, *_exact_div(num, den), one)
     ordv, lead = f.laurent()
     if ordv != -n:
         raise ArithmeticError("miller chain has pole order %d at O, not %d" % (-ordv, n))
-    return f * lead.inverse()
+    return f.scale(lead.inverse())

@@ -22,6 +22,10 @@ library's certificates against them:
     psi_n/(psi_n o tau_S), which compute_G_basis replaces by
     c_g F_{-g}^n;
   - the coordinate functions x and y;
+  - the general function field that the library's one stored form
+    replaces: GeneralFunction, a FunctionFieldElement whose constructor
+    coerces scalars and divides by gcd(u, v, w), with +, -, *, /,
+    inverse, == and is_zero, and the polynomial gcd poly_gcd;
   - the function-field forms that the coordinate ring replaces, with a
     gcd normalisation after every product: the Miller chain over line
     and vertical functions, and the translated coordinates built from
@@ -35,17 +39,121 @@ from ndescent.algebra import CertificationFailed
 from ndescent.curve import Point, division_polynomial, slope
 from ndescent.descent_funcs import (EigenspaceDimensionError, GBasis, _coords, _exponents,
                                     affine_sample)
-from ndescent.fields import Poly, poly_gcd, poly_x
-from ndescent.funcfield import FunctionFieldElement
+from ndescent.fields import FieldElement, Poly, poly_x
+from ndescent.funcfield import FunctionFieldElement, _ring_mul
 from ndescent.linalg import ExactMatrix
 
 
+def poly_gcd(p, q):
+    a, b = p._pair(q)
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+class GeneralFunction(FunctionFieldElement):
+    """(u + v*y)/w on y^2 = x^3 + a x + b, with u, v, w in K[x], w monic,
+    gcd(u, v, w) = 1.  This form is unique, so == is structural, and it
+    compares any FunctionFieldElement by its stored (u, v, w).  A
+    constant w leaves gcd(u, v, w) a unit, so no gcd is taken then."""
+
+    __slots__ = ()
+
+    def __init__(self, curve, u, v, w):
+        K = curve.field
+        u, v, w = (Poly([p], K) if not isinstance(p, Poly) else p if p.tower == K
+                   else p.lift_to(K) for p in (u, v, w))
+        if w.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if w.degree > 0:
+            g = poly_gcd(poly_gcd(u, v), w)
+            if g.degree > 0:
+                u, v, w = (divmod(p, g)[0] for p in (u, v, w))
+        lc = w.lc()
+        if not (lc == 1):
+            inv = lc.inverse()
+            u, v, w = inv * u, inv * v, inv * w
+        super().__init__(curve, u, v, w)
+
+    def is_zero(self):
+        return self.u.is_zero() and self.v.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, FieldElement)):
+            other = GeneralFunction.const(self.curve, other)
+        if not isinstance(other, FunctionFieldElement):
+            return NotImplemented
+        return self.u == other.u and self.v == other.v and self.w == other.w
+
+    def __neg__(self):
+        return GeneralFunction(self.curve, -self.u, -self.v, self.w)
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction, FieldElement)):
+            return GeneralFunction.const(self.curve, other)
+        if isinstance(other, FunctionFieldElement):
+            if not (other.curve == self.curve):
+                raise ValueError("elements on different curves")
+            return other
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        u = self.u * o.w + o.u * self.w
+        v = self.v * o.w + o.v * self.w
+        return GeneralFunction(self.curve, u, v, self.w * o.w)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        u, v = _ring_mul(self.curve.rhs_poly(), (self.u, self.v), (o.u, o.v))
+        return GeneralFunction(self.curve, u, v, self.w * o.w)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of the zero function")
+        rhs = self.curve.rhs_poly()
+        # 1/(u + vy) = (u - vy)/(u^2 - v^2 rhs)
+        den = self.u * self.u - rhs * (self.v * self.v)
+        # cannot fire: u + v y != 0, and u^2 = v^2 (x^3 + a x + b) with v != 0
+        # would make a polynomial of odd degree a square in K(x)
+        assert not den.is_zero(), "u^2 = v^2 (x^3+ax+b) is impossible for u+vy != 0"
+        return GeneralFunction(self.curve, self.w * self.u, -(self.w * self.v), den)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * general(o).inverse()
+
+
+def general(f):
+    """A FunctionFieldElement as a GeneralFunction, for its arithmetic."""
+    return GeneralFunction(f.curve, f.u, f.v, f.w)
+
+
 def coordinate_x(curve):
-    return FunctionFieldElement(curve, poly_x(curve.field), 0, 1)
+    return GeneralFunction(curve, poly_x(curve.field), 0, 1)
 
 
 def coordinate_y(curve):
-    return FunctionFieldElement(curve, 0, Poly([1], curve.field), 1)
+    return GeneralFunction(curve, 0, Poly([1], curve.field), 1)
 
 
 def delta(csa, ij):
@@ -124,10 +232,10 @@ def derivative(f):
     """d/dx along the curve, using y' = (3x^2 + a)/(2y)."""
     c = f.curve
     du, dv, dw = poly_derivative(f.u), poly_derivative(f.v), poly_derivative(f.w)
-    main = FunctionFieldElement(c, du * f.w - f.u * dw, dv * f.w - f.v * dw, f.w * f.w)
+    main = GeneralFunction(c, du * f.w - f.u * dw, dv * f.w - f.v * dw, f.w * f.w)
     # v * y' = v * rhs' / (2y) = (v rhs' / 2) * y / rhs
     rhs = c.rhs_poly()
-    vterm = FunctionFieldElement(c, 0, Fraction(1, 2) * (f.v * poly_derivative(rhs)), rhs * f.w)
+    vterm = GeneralFunction(c, 0, Fraction(1, 2) * (f.v * poly_derivative(rhs)), rhs * f.w)
     return main + vterm
 
 
@@ -207,7 +315,7 @@ def psi_ratio(table, s):
     fx = coordinate_x(curve)
     lam = (coordinate_y(curve) - s.y) / (fx - s.x)
     xs = lam * lam - fx - s.x  # x o tau_S
-    return FunctionFieldElement(curve, psi, 0, 1) / psi(xs)
+    return GeneralFunction(curve, psi, 0, 1) / psi(xs)
 
 
 def translation_operator(table, s):
@@ -231,7 +339,7 @@ def kernel_G_basis(table, eps):
     L1 = translation_operator(table, table.t1)
     L2 = translation_operator(table, table.t2)
     ident = ExactMatrix.identity(n * n, K)
-    funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
+    funcs = {(0, 0): GeneralFunction.const(curve, 1)}
     for ij in table.indices[1:]:
         ev1, ev2 = (eps.weil(g, ij) for g in table.generators)
         stacked = ExactMatrix((L1 - ident.scale(ev1)).rows + (L2 - ident.scale(ev2)).rows, K)
@@ -239,7 +347,7 @@ def kernel_G_basis(table, eps):
         if len(kern) != 1:
             raise EigenspaceDimensionError("joint eigenspace for %s has dimension %d"
                                            % ((ij,), len(kern)))
-        g = FunctionFieldElement(curve, Poly(kern[0][:nx], K), Poly(kern[0][nx:], K), psi)
+        g = GeneralFunction(curve, Poly(kern[0][:nx], K), Poly(kern[0][nx:], K), psi)
         _, lead = g.laurent()
         funcs[ij] = g * (lead.inverse() * Fraction(1, n))
     return GBasis(table, funcs)
@@ -256,8 +364,8 @@ def line_through(p1, p2):
         return vertical_through(p1)
     lam = slope(p1, p2)
     nu = p1.y - lam * p1.x
-    return FunctionFieldElement(curve, -(lam * poly_x(curve.field)) - nu,
-                                Poly([1], curve.field), 1)
+    return GeneralFunction(curve, -(lam * poly_x(curve.field)) - nu,
+                           Poly([1], curve.field), 1)
 
 
 def vertical_through(p):
@@ -265,14 +373,14 @@ def vertical_through(p):
     if p.is_infinity:
         raise ValueError("no vertical line through O")
     x = poly_x(curve.field)
-    return FunctionFieldElement(curve, x - p.x, 0, 1)
+    return GeneralFunction(curve, x - p.x, 0, 1)
 
 
 def miller_chain(t, n):
     """miller_function in the function field: the double-and-add chain
     f_{m+1} = f_m l_{mT,T} / v_{(m+1)T}, normalised after every step."""
     curve = t.curve
-    f = FunctionFieldElement.const(curve, 1)
+    f = GeneralFunction.const(curve, 1)
     acc = t
     for _ in range(1, n):
         nxt = acc + t
@@ -288,24 +396,28 @@ def miller_chain(t, n):
 def translated_coords(table, ij, d, f):
     """_translated_coords in the function field: x o tau_S and y o tau_S
     from the addition formulas as functions of P, and each (h o tau_S) f
-    normalised by a gcd."""
+    normalised by a gcd; a column with a pole off O raises
+    ("translation", ij), as one outside L(d(O)) does."""
     curve, s = table.curve, table.point(*ij)
     fx = coordinate_x(curve)
     fy = coordinate_y(curve)
     lam = (fy - s.y) / (fx - s.x)
     xs = lam * lam - fx - s.x
     ys = lam * (s.x - xs) - s.y
-    xpow = [FunctionFieldElement.const(curve, 1)]
+    xpow = [GeneralFunction.const(curve, 1)]
     for _ in range(d // 2):
         xpow.append(xpow[-1] * xs)
-    return [_coords((xpow[i] * ys if j else xpow[i]) * f, d, ij) for i, j in _exponents(d)]
+    cols = [(xpow[i] * ys if j else xpow[i]) * f for i, j in _exponents(d)]
+    if any(c.w.degree != 0 for c in cols):
+        raise CertificationFailed(("translation", ij), "a translated function has a pole off O")
+    return [_coords((c.u, c.v), d, ij) for c in cols]
 
 
 def gcd_normalised(u, v, w):
     """(u + v y)/w as (u, v, w) divided by gcd(u, v, w), w made monic:
-    the stored form of FunctionFieldElement, with the gcd taken even
-    for a constant w."""
+    the stored form of GeneralFunction, with the gcd taken even for a
+    constant w."""
     g = poly_gcd(poly_gcd(u, v), w)
-    u, v, w = u // g, v // g, w // g
+    u, v, w = (divmod(p, g)[0] for p in (u, v, w))
     c = w.lc().inverse()
     return c * u, c * v, c * w

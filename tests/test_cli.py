@@ -111,6 +111,22 @@ def test_verify_validates_each_rho_once(work, tmp_path, capsys, monkeypatch):
     assert out.count("FAIL %s: rho is a symmetric cocycle (('symmetry'" % bad) == 2
 
 
+def test_verify_reads_e_n_only_for_kinds_that_need_it(work, tmp_path, capsys):
+    # a curve file and a point file need no E[n]: over Q, where only 3 of
+    # the 9 points of E[3] are rational, both pass; a rho file needs the
+    # torsion table and keeps its exit 2
+    _, paths, _ = work
+    point = str(tmp_path / "pointq.json")
+    curveq = ser.curve_from_json(ser.load(paths["curveq"]))
+    ser.save(point, ser.point_to_json(Point(curveq, 12, 36)))
+    rc = main(["verify", "--curve", paths["curveq"], paths["curveq"], point])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count("PASS") == 2
+    assert main(["verify", "--curve", paths["curveq"], paths["rho"]]) == 2
+    assert "rational n-torsion" in capsys.readouterr().err
+
+
 def test_verify_aux_artifacts(work, capsys):
     _, paths, _ = work
     rc = main(["verify", "--curve", paths["aux"], paths["aux"], paths["point2"],

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,16 +9,16 @@ import pytest
 from ndescent import descent_funcs, fields, funcfield
 from ndescent import serialize as ser
 from ndescent.fields import tower_extend
-from ndescent.curve import Point, r_eval
-from ndescent.funcfield import FunctionFieldElement
+from ndescent.curve import Point, division_polynomial, r_eval
 from ndescent.linalg import ExactMatrix
 from ndescent.algebra import CertificationFailed, Trivialisation, certify_trivialisation
 from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, EpsilonTable,
                                     affine_sample, compute_G_basis, compute_embedding, tau_1)
 from weil_oracle import aux_pair, weil_pairing_oracle
-from oracles import (base_change, coordinate_x, coordinate_y, derivative, distinct_samples,
-                     dual_row, embedding_values, kernel_G_basis, miller_chain, psi_ratio,
-                     translated_coords)
+from oracles import (GeneralFunction, base_change, coordinate_x, coordinate_y, derivative,
+                     distinct_samples, dual_row, embedding_values, gcd_normalised, general,
+                     kernel_G_basis, miller_chain, psi_ratio, translated_coords)
+from test_funcfield import traced_calls
 
 
 def _sample_point(curve):
@@ -100,7 +101,7 @@ def test_weil_against_miller_oracle(eps, table, curve):
 
 def test_g_basis_residue(gbasis, table, field):
     third = field.from_fraction(Fraction(1, 3))
-    one = FunctionFieldElement.const(table.curve, 1)
+    one = GeneralFunction.const(table.curve, 1)
     assert gbasis[(0, 0)] == one
     for i in range(3):
         for j in range(3):
@@ -131,6 +132,19 @@ def test_g_basis_equals_kernel_oracle(which, curve, aux_curve):
     want = kernel_G_basis(data.table, data.eps)
     for ij in data.table.indices:
         assert data.gbasis[ij] == want[ij]
+
+
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_g_basis_stored_form_is_reduced(which, curve, aux_curve):
+    # each G_T is stored as built, with no gcd: w is psi_n made monic,
+    # and (u, v, w) is already the gcd-normalised form, for the reason
+    # compute_G_basis gives
+    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    den = division_polynomial(data.curve, 3).monic()
+    for ij in data.table.indices[1:]:
+        g = data.gbasis[ij]
+        assert g.w == den
+        assert (g.u, g.v, g.w) == gcd_normalised(g.u, g.v, g.w)
 
 
 def test_g_basis_rejects_a_weil_value_that_is_no_eigenvalue(table, eps):
@@ -183,8 +197,9 @@ def test_translations_run_on_generators(curve, monkeypatch):
     assert Counter(d for _, d, _ in calls) == {3: 2, 9: 2}
     for ij, d, f in calls:
         assert ij in data.table.generators
-        f_neg = data.millers[data.table.neg_index(ij)]
-        assert f == (f_neg if d == 3 else f_neg * f_neg * f_neg)
+        f_neg = general(data.millers[data.table.neg_index(ij)])
+        want = f_neg if d == 3 else f_neg * f_neg * f_neg
+        assert want.w == 1 and f == (want.u, want.v)
 
 
 @pytest.mark.parametrize("which", ["reference", "aux"])
@@ -201,10 +216,11 @@ def test_coordinate_ring_equals_function_field_oracles(which, curve, aux_curve):
         oracle_millers[ij] = miller_chain(t, n)
         assert millers[ij] == oracle_millers[ij]
         neg = table.neg_index(ij)
-        f = millers[neg]
+        f = general(millers[neg])
         for d, g in ((n, f), (n * n, f * f * f), (n * n, psi_ratio(table, t))):
-            assert descent_funcs._translated_coords(table, ij, d, g) == translated_coords(
-                table, ij, d, g)
+            assert g.w == 1
+            assert descent_funcs._translated_coords(table, ij, d, (g.u, g.v)) == (
+                translated_coords(table, ij, d, g))
         mtilde = ExactMatrix(translated_coords(table, ij, n, f), K)
         assert data.emb.M(ij) == mtilde.scale(eps.eps(ij, neg))
     assert descent_funcs.compute_epsilon(table, oracle_millers).values == eps.values
@@ -212,42 +228,29 @@ def test_coordinate_ring_equals_function_field_oracles(which, curve, aux_curve):
 
 @pytest.mark.parametrize("d, pole", [(3, True), (9, False)])
 def test_translation_remainder_certifies_the_ring(table, millers, d, pole):
-    # F_{-T1} over x - x(T1) has a pole at T1, so it is not in the
-    # coordinate ring; F_{-T1} alone vanishes to order 3 < 9 at -T1, so
-    # (x o tau_{T1})^4 F_{-T1} is not either.  Each leaves a remainder
-    f = millers[(2, 0)]
-    if pole:
-        f = f / (coordinate_x(table.curve) - table.t1.x)
+    # x o tau_{T1} has a double pole at -T1.  With pole, the factor is
+    # F_{-T2}, which does not vanish there, so (x o tau_{T1}) F_{-T2} is
+    # not in the coordinate ring; F_{-T1} vanishes to order 3 < 9 at -T1,
+    # so (x o tau_{T1})^4 F_{-T1} is not either.  Each leaves a remainder
+    f = millers[(0, 2) if pole else (2, 0)]
     with pytest.raises(CertificationFailed) as err:
-        descent_funcs._translated_coords(table, (1, 0), d, f)
+        descent_funcs._translated_coords(table, (1, 0), d, (f.u, f.v))
     assert err.value.witness == ("translation", (1, 0))
 
 
-def test_translations_and_millers_take_no_gcd(curve, monkeypatch):
-    # a fresh CurveData builds translations and Miller functions in the
-    # coordinate ring: no poly_gcd runs inside them, while the G-basis
-    # still reduces its (u + v y)/psi_n outside them
-    inside, calls = [0], []
-
-    def scoped(fn):
-        def run(*args):
-            inside[0] += 1
-            try:
-                return fn(*args)
-            finally:
-                inside[0] -= 1
-        return run
-    for name in ("_translated_coords", "miller_function"):
-        monkeypatch.setattr(descent_funcs, name, scoped(getattr(descent_funcs, name)))
-    gcd = funcfield.poly_gcd
-
-    def counted(p, q):
-        calls.append(inside[0])
-        return gcd(p, q)
-    monkeypatch.setattr(funcfield, "poly_gcd", counted)
-    data = CurveData(curve, 3)
-    data.gbasis, data.emb
-    assert calls and calls.count(0) == len(calls)
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_curve_data_takes_no_gcd(which, curve, aux_curve):
+    # every function a fresh CurveData builds is stored in the form its
+    # builder fixes: no polynomial gcd runs, and neither the modules that
+    # build the functions nor fields binds one
+    for module in (fields, funcfield, descent_funcs):
+        assert not hasattr(module, "poly_gcd")
+    data = CurveData(curve if which == "reference" else aux_curve, 3)
+    pkg = os.path.dirname(os.path.abspath(funcfield.__file__))
+    called = {name for path, name in traced_calls(lambda: (data.gbasis, data.emb))
+              if os.path.dirname(path) == pkg}
+    assert "miller_function" in called
+    assert not [name for name in called if "gcd" in name.lower()]
 
 
 def test_certificates_miss_a_character_twist(emb, eps, table, field):

@@ -1,14 +1,36 @@
-from fractions import Fraction
+import ast
+import os
+import random
+import sys
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from ndescent import funcfield
 from ndescent.fields import Poly
 from ndescent.curve import Curve, Point, PoleAtP
+from ndescent.descent_funcs import CurveData, affine_sample
 from ndescent.funcfield import FunctionFieldElement, miller_function
+from ndescent.geometry import g_eval
 from test_fields import PROFILE, _AUX, _ZETA3, _elements
-from oracles import (coordinate_x, coordinate_y, derivative, gcd_normalised, line_through,
-                     vertical_through)
+from oracles import (GeneralFunction, coordinate_x, coordinate_y, derivative, gcd_normalised,
+                     line_through, unit_cochain, vertical_through)
+
+
+def traced_calls(run):
+    """(file path, qualified name) of every Python function that run()
+    calls, recorded with sys.settrace."""
+    called = set()
+
+    def tracer(frame, event, arg):
+        called.add((os.path.abspath(frame.f_code.co_filename), frame.f_code.co_qualname))
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return called
 
 
 def test_coordinate_relation(curve):
@@ -78,6 +100,32 @@ def test_miller_function_divisor(table, field):
         assert not f.evaluate(p).is_zero()
 
 
+def test_every_funcfield_function_is_reached(curve):
+    # a fresh CurveData build and one covering evaluation reach every
+    # function and method that funcfield.py defines, __repr__ aside, so
+    # the class cannot regrow arithmetic that only tests call
+    with open(funcfield.__file__) as fh:
+        tree = ast.parse(fh.read())
+    defined = set()
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            defined.add(top.name)
+        elif isinstance(top, ast.ClassDef):
+            defined.update("%s.%s" % (top.name, node.name) for node in top.body
+                           if isinstance(node, ast.FunctionDef))
+    defined.discard("FunctionFieldElement.__repr__")
+    data = CurveData(curve, 3)
+
+    def run():
+        p = affine_sample(curve, 3, random.Random(0), "g")
+        g_eval(p.curve, data.gbasis, unit_cochain(data.table), p)
+        data.emb
+    here = os.path.abspath(funcfield.__file__)
+    reached = {name for path, name in traced_calls(run) if path == here}
+    assert "FunctionFieldElement.scale" in defined
+    assert defined - reached == set()
+
+
 def test_miller_frozen_values(millers, table, field):
     z = field.gen()
     assert millers[(1, 0)].evaluate(table.point(0, 1)) == -48 - 24 * z
@@ -102,7 +150,7 @@ def _triples(curve):
 
 
 def _functions(curve):
-    return _triples(curve).map(lambda uvw: FunctionFieldElement(curve, *uvw)
+    return _triples(curve).map(lambda uvw: GeneralFunction(curve, *uvw)
                                ).filter(lambda f: not f.is_zero())
 
 
@@ -114,15 +162,16 @@ _two_functions = st.sampled_from(_CURVES).flatmap(
 @given(st.sampled_from(_CURVES).flatmap(
     lambda E: st.tuples(st.just(E), _triples(E), _functions(E), _functions(E))))
 def test_stored_form_is_gcd_normalised(args):
-    # a constant denominator skips the gcd; the stored form must still be
-    # the reduced one, for raw triples and for products, whose
-    # denominator is constant when both factors are polynomials in x, y
+    # the oracle's constructor skips the gcd for a constant denominator;
+    # the stored form must still be the reduced one, for raw triples and
+    # for products, whose denominator is constant when both factors are
+    # polynomials in x, y
     curve, uvw, f, g = args
-    h = FunctionFieldElement(curve, *uvw)
+    h = GeneralFunction(curve, *uvw)
     assert (h.u, h.v, h.w) == gcd_normalised(*uvw)
     for k in (f, g, f * g, f + g):
         assert (k.u, k.v, k.w) == gcd_normalised(k.u, k.v, k.w)
-    ring = FunctionFieldElement(curve, f.u, f.v, 1) * FunctionFieldElement(curve, g.u, g.v, 1)
+    ring = GeneralFunction(curve, f.u, f.v, 1) * GeneralFunction(curve, g.u, g.v, 1)
     assert ring.w == 1
     assert (ring.u, ring.v, ring.w) == gcd_normalised(ring.u, ring.v, ring.w)
 
@@ -133,6 +182,18 @@ def test_leading_term_of_product(fg):
     f, g = fg
     (of, cf), (og, cg) = f.laurent(), g.laurent()
     assert (f * g).laurent() == (of + og, cf * cg)
+
+
+@PROFILE
+@given(st.sampled_from(_CURVES).flatmap(
+    lambda E: st.tuples(_functions(E), _elements(E.field).filter(lambda c: not c.is_zero()))))
+def test_scale_is_the_product_by_a_constant(args):
+    # scale, the library's one operation on stored functions, keeps w and
+    # gives the reduced form of f * c
+    f, c = args
+    order, lead = f.laurent()
+    assert f.scale(c).laurent() == (order, c * lead)
+    assert f * c == f.scale(c)
 
 
 @PROFILE
@@ -162,7 +223,7 @@ def test_leading_term_of_constant(args):
 def _power(f, k):
     """f^k by repeated products; a negative k inverts f first."""
     base = f if k >= 0 else f.inverse()
-    out = FunctionFieldElement.const(f.curve, 1)
+    out = GeneralFunction.const(f.curve, 1)
     for _ in range(abs(k)):
         out = out * base
     return out
