@@ -257,11 +257,13 @@ def compute_G_basis(table, eps):
 class CurveData:
     """The per-(curve, n) data of the pipeline, each computed on first
     use: the torsion table, the Miller functions, epsilon, the G-basis
-    and the embedding.  Get it with CurveData.of(curve, n)."""
+    and the embedding, and descend's pencils of cubics.  Get it with
+    CurveData.of(curve, n)."""
 
     def __init__(self, curve, n):
         self.curve = curve
         self.n = n
+        self.pencils = {}  # geometry._pencil's key -> basis of the pencil
 
     @classmethod
     def of(cls, curve, n):

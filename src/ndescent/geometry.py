@@ -3,8 +3,10 @@ final plane equations.
 
 Coordinates on P(R) are z_T in torsion-table order.  Quadrics cut out
 the image of the covering; a trivialisation of the twisted algebra turns
-sampled covering points into rank-1 matrices whose column factors
-interpolate to a degree-n curve in P^{n-1}.
+sampled covering points into rank-1 matrices whose column factors are
+points of a degree-n curve in P^{n-1}.  For n = 3 that curve is the
+member through one such point of the pencil of cubics the
+trivialisation's generators fix up to their determinant.
 """
 
 import itertools
@@ -29,6 +31,10 @@ class KernelEmpty(Exception):
     """No curve of the right degree through the sampled points."""
 
 
+class PencilBasePoint(BadBasePoint):
+    """The image that should pin the cubic lies on every cubic of the pencil."""
+
+
 class QuadricSystem:
     """Quadratic forms in the z_T, each a dict {(a, b): coeff} with
     a <= b flat torsion indices.  Coefficients live in the base field."""
@@ -49,11 +55,7 @@ class QuadricSystem:
                 and self.forms == other.forms)
 
     def monomials(self):
-        out = []
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                out.append((a, b))
-        return out
+        return [(a, b) for a in range(self.dim) for b in range(a, self.dim)]
 
     def rank(self):
         """The rank of the coefficient matrix, forms by monomials."""
@@ -63,12 +65,8 @@ class QuadricSystem:
 
     def evaluate(self, form, z):
         """The form at a coordinate vector (entries may live upstairs)."""
-        tot = None
-        for ab in sorted(form):
-            a, b = ab
-            t = form[ab] * z[a] * z[b]
-            tot = t if tot is None else tot + t
-        return tot
+        terms = [form[a, b] * z[a] * z[b] for a, b in sorted(form)]
+        return sum(terms[1:], terms[0])
 
     def evaluate_all(self, z):
         return [self.evaluate(f, z) for f in self.forms]
@@ -194,12 +192,7 @@ def extract_point(m):
     Returns (column, row): the first nonzero column, and the row scaled
     so that col . row reassembles the matrix exactly."""
     ncols = m.ncols
-    col = None
-    for j in range(ncols):
-        c = m.col(j)
-        if any(not e.is_zero() for e in c):
-            col = c
-            break
+    col = next((c for c in map(m.col, range(ncols)) if any(not e.is_zero() for e in c)), None)
     if col is None:
         raise RankNotOne("zero matrix has no column factor")
     i0 = next(i for i, e in enumerate(col) if not e.is_zero())
@@ -287,9 +280,9 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
 
 
 class PlaneCurveEquation:
-    """A degree-n form in three variables over the base field, scaled so
-    the first nonzero coefficient in graded lex order (x1 > x2 > x3)
-    equals 1."""
+    """A degree-n form in three variables.  descend's is over the base
+    field, scaled so the first nonzero coefficient in graded lex order
+    (x1 > x2 > x3) equals 1."""
 
     def __init__(self, field, n, monomials, coeffs):
         self.field = field
@@ -306,10 +299,15 @@ class PlaneCurveEquation:
     def evaluate(self, point):
         if len(point) != 3:
             raise ValueError("a point of P^2 has 3 coordinates, not %d" % len(point))
-        tot = None
+        # powers[i][k] = point[i]^k for 1 <= k <= n
+        powers = [[None, *itertools.accumulate([x] * self.n, lambda p, y: p * y)] for x in point]
+        tot = self.field.zero()
         for e, c in zip(self.monomials, self.coeffs):
-            t = c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
-            tot = t if tot is None else tot + t
+            if not c.is_zero():
+                for p, k in zip(powers, e):
+                    if k:
+                        c = c * p[k]
+                tot = tot + c
         return tot
 
     def is_zero(self):
@@ -351,7 +349,63 @@ def interpolate_plane_curve(points, field):
     return PlaneCurveEquation(field, 3, mono, [lead * c for c in v])
 
 
-_HELD_OUT = 5  # image points drawn past the interpolation set, each checked on the cubic
+_HELD_OUT = 5  # the report's held-out count: 15 images are drawn, 1 pins the cubic
+
+
+def _symmetric_cube(a):
+    """The 10 x 10 matrix of F -> F o a on ternary cubics, in
+    plane_monomials(3) order: column m holds the coefficients of
+    l_1^m1 l_2^m2 l_3^m3, l_i = sum_j a[i, j] x_j the form of row i."""
+    def mul(f, g):  # forms as dicts exponent -> coefficient
+        out = {}
+        for (i, j, k), c in f.items():
+            for (p, q, r), d in g.items():
+                e, t = (i + p, j + q, k + r), c * d
+                out[e] = out[e] + t if e in out else t
+        return out
+    mono, zero, powers = plane_monomials(3), a.tower.zero(), []  # powers[i][k] = l_i^k
+    for row in a.rows:
+        lin = {e: c for e, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), row) if not c.is_zero()}
+        powers.append([{(0, 0, 0): a.tower.one()}, lin, mul(lin, lin)])
+        powers[-1].append(mul(powers[-1][2], lin))
+    cols = [mul(mul(powers[0][i], powers[1][j]), powers[2][k]) for i, j, k in mono]
+    return ExactMatrix([[f.get(e, zero) for e in mono] for f in cols], a.tower).transpose()
+
+
+def _pencil(data, triv):
+    """A basis F1, F2 of the cubics F with F o A = det(A) F for A =
+    tau(delta_T1), tau(delta_T2), kept on data per tower and exact entries
+    of the two A scaled to a leading 1; F o (cA) = c^3 F o A and det(cA) =
+    c^3 det(A), so every twist with tau(delta_g) proportional to M_g shares
+    it.  The kernel of the stacked Sym^3(A) - det(A) I must have dimension
+    exactly 2, else CertificationFailed(("pencil", dim))."""
+    mats = [a.scale(next(e for r in a.rows for e in r if not e.is_zero()).inverse())
+            for a in map(triv.M, data.table.generators)]
+    key = (mats[0].tower, tuple(e.key() for a in mats for r in a.rows for e in r))
+    if key not in data.pencils:
+        rows = [r for a in mats for r in
+                (_symmetric_cube(a) - ExactMatrix.identity(10, a.tower).scale(a.det())).rows]
+        kern = ExactMatrix(rows, mats[0].tower).kernel_basis()
+        if len(kern) != 2:
+            raise CertificationFailed(("pencil", len(kern)), "the pencil has the wrong dimension")
+        data.pencils[key] = [PlaneCurveEquation(key[0], 3, plane_monomials(3), v) for v in kern]
+    return data.pencils[key]
+
+
+def _pin_cubic(pencil, u, field):
+    """F2(u) F1 - F1(u) F2, the member of the pencil through u, scaled to
+    a leading 1.  Raises PencilBasePoint if F1(u) = F2(u) = 0, and
+    CertificationFailed(("cubic-field", k)) if coefficient k is not in field."""
+    f1, f2 = (f.evaluate(u) for f in pencil)
+    if f1.is_zero() and f2.is_zero():
+        raise PencilBasePoint("the image that pins the cubic is a base point of the pencil")
+    coeffs = [f2 * a - f1 * b for a, b in zip(pencil[0].coeffs, pencil[1].coeffs)]
+    lead = next(c for c in coeffs if not c.is_zero()).inverse()
+    down = [(lead * c).coords_over(field) for c in coeffs]
+    for k, c in enumerate(down):
+        if any(not e.is_zero() for e in c[1:]):
+            raise CertificationFailed(("cubic-field", k), "a cubic coefficient is not in K")
+    return PlaneCurveEquation(field, 3, pencil[0].monomials, [c[0] for c in down])
 
 
 def descend(curve, n, rho, triv, seed=0, gbasis=None):
@@ -372,12 +426,18 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     The algebra saved is CSA(table, rho, c), with c = eps rho the
     structure constants the trivialisation was certified against.
 
-    The 10 interpolation images and the 5 held-out images come from the
-    E[n] orbits of two base points (see sample_images): z(P + S) =
-    D_S z(P) and the image of P + S is tau(delta_S) u.  The held-out
-    images are the first base image, computed in full, and four of its
-    translates; the cubic goes through the other four translates and
-    the first six images of the second orbit.
+    The cubic F_C of the image C lies in the pencil of F with
+    F o tau(delta_g) = det(tau(delta_g)) F, g = T1, T2 (Artebani and
+    Dolgachev, Enseign. Math. 55 (2009); Fisher, Proc. LMS 97 (2008)).
+    For S != O, A = tau(delta_S) maps C to itself, as the image of P + S
+    is A u (sample_images); so F_C o A = lambda_S F_C.  A has trace 0
+    (certified) and a scalar cube (3S = O), so its eigenvalues are mu,
+    mu zeta, mu zeta^2 and F_C(A v) = mu^3 F_C(v) = det(A) F_C(v) at its
+    three fixed points v.  Translation by S != O has no fixed point on C,
+    so some F_C(v) != 0 and lambda_S = det A.  The pencil is certified
+    to have dimension 2, so F_C is its member through u, the first of 15
+    images from the E[n] orbits of two base points; the other 14 are
+    checked on it.
 
     Returns a dict with the quadric system, the algebra, the
     cubic, gamma, and a report of every check run."""
@@ -391,18 +451,13 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     csa = CSA(table, rho, certify_trivialisation(triv, eps))
     gamma, field = sampling_field(*rho.gamma, triv)
     qs = quadrics_for_C(curve, table, rho)
-    if gbasis is None:
-        gbasis = data.gbasis
 
-    # 10 distinct points of the irreducible cubic C lie on no other cubic
-    # (O_C(3H - D) has negative degree), so the interpolation kernel is a line
-    images = sample_images(curve, gbasis, gamma, qs, triv, seed)
+    images = sample_images(curve, gbasis or data.gbasis, gamma, qs, triv, seed)
     points = [next(images) for _ in range(len(plane_monomials(n)) + _HELD_OUT)]
-    cubic = interpolate_plane_curve(points[_HELD_OUT:], curve.field)
-    for k, pt in enumerate(points[:_HELD_OUT]):
+    cubic = _pin_cubic(_pencil(data, triv), points[0], curve.field)
+    for k, pt in enumerate(points[1:], 1):
         if not cubic.evaluate(pt).is_zero():
-            raise CertificationFailed(("held-out", k),
-                                      "held-out image point misses the cubic")
+            raise CertificationFailed(("held-out", k), "an image point misses the cubic")
     report = descent_report(n, seed, len(qs), len(field.levels))
     return {"quadrics": qs, "csa": csa, "trivialisation": triv, "gamma": gamma,
             "plane_curve": cubic, "report": report, "seed": seed}

@@ -91,6 +91,8 @@ def test_verify_everything_passes(work, capsys):
     assert "all checks pass" in out
     assert "FAIL" not in out
     assert out.count("PASS") >= 12
+    assert "PASS %s: plane cubic is fixed by the generators up to their determinant" \
+        % paths["out"] in out
 
 
 def test_verify_validates_each_rho_once(work, tmp_path, capsys, monkeypatch):
@@ -208,7 +210,8 @@ def test_tampered_cubic_exit_3(work, tmp_path, capsys):
     rc = main(["verify", "--curve", paths["curve"], str(bad)])
     out = capsys.readouterr().out
     assert rc == 3
-    assert "FAIL" in out
+    # the pencil identities need no sample, and catch the change on their own line
+    assert "FAIL %s: plane cubic is fixed by the generators up to their determinant" % bad in out
 
 
 def test_descend_mismatched_rho_exit_2(work, tmp_path, field, table, capsys):

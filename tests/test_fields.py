@@ -403,7 +403,8 @@ from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, Epsilon
 from ndescent.serialize import point_to_json
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               certify_trivialisation, partial, solve_gamma, trivialize)
-from ndescent.geometry import PlaneCurveEquation, interpolate_plane_curve, quadrics_for_C
+from ndescent.geometry import (PencilBasePoint, PlaneCurveEquation, _pencil, _pin_cubic,
+                               interpolate_plane_curve, quadrics_for_C)
 from oracles import GeneralFunction, coordinate_x, coordinate_y, line_through, vertical_through
 
 if not sys.flags.optimize:
@@ -463,6 +464,7 @@ i2, i3 = ExactMatrix.identity(2, K), ExactMatrix.identity(3, K)
 wide = ExactMatrix([ones[:2], ones[:2], ones[:2]], K).transpose()  # 2 x 3
 Qi = tower_extend(Q, [1, 0, 1], name="i")  # neither Qi nor K extends the other
 x_other = coordinate_x(Curve(K, 0, -54))
+pencil = _pencil(data, data.emb)
 cases = [
     (ValueError, lambda: Point(data.curve, 1, 1)),
     (ValueError, lambda: slope(table.t1, -table.t1)),
@@ -487,6 +489,12 @@ cases = [
     (ValueError, lambda: interpolate_plane_curve([ones] * 9 + [ones[:2]], K)),
     (ValueError, lambda: quadrics_for_C(data.curve, even, one_rho)),
     (ValueError, lambda: PlaneCurveEquation(K, 3, [], []).evaluate(ones[:2])),
+    # identity generators fix every cubic: the kernel has dimension 10, not 2
+    (CertificationFailed, lambda: _pencil(data, identities)),
+    # O's image (0 : 0 : 1) lies on every cubic of the pencil
+    (PencilBasePoint, lambda: _pin_cubic(pencil, [K.zero(), K.zero(), K.one()], K)),
+    # the member through (1 : zeta3 : 0) has a coefficient outside Q
+    (CertificationFailed, lambda: _pin_cubic(pencil, [K.one(), K.gen(), K.zero()], Q)),
     (ValueError, lambda: K.element([Fraction(1)])),
     (ValueError, lambda: K.gen().as_fraction()),
     (ValueError, lambda: Q.gen()),

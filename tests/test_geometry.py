@@ -477,3 +477,128 @@ def test_descend_aux_point_rho_gamma_mode(aux_curve, aux_field, tmp_path):
     ser.save(curve_path, ser.curve_to_json(aux_curve))
     ser.save(out_path, ser.descent_to_json(out, aux_curve))
     assert main(["verify", "--curve", str(curve_path), str(out_path)]) == 0
+
+
+def _user_coboundary_twist(curve, field, seed):
+    # a coboundary twist rho = dz in user mode, tau(delta_T) = z(T) M_T
+    data = CurveData.of(curve, 3)
+    z = _z_values(field, seed)
+    z[(0, 0)] = field.one()
+    rho = validate_rho(data.table, partial(data.table, z).values)
+    mats = {ij: data.emb.M(ij).scale(z[ij]) for ij in _idx()}
+    return data, rho, trivialize(data.emb, data.eps, rho, mode="user", matrices=mats)
+
+
+def _golden_twist(curve, field):
+    data = CurveData.of(curve, 3)
+    rho = RhoTable.trivial(data.table)
+    return data, rho, trivialize(data.emb, data.eps, rho)
+
+
+_PENCIL_CASES = {
+    "golden": lambda c, f, ac, af: _golden_twist(c, f) + (7,),
+    "user-coboundary": lambda c, f, ac, af: _user_coboundary_twist(c, f, 38) + (2,),
+    "conjugated": lambda c, f, ac, af: _ref_user_twist(c, f)[:3] + (4,),
+    "aux-gamma": lambda c, f, ac, af: _aux_point_twist(ac, af)[:3] + (3,),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PENCIL_CASES))
+def test_pencil_cubic_equals_interpolation(case, curve, field, aux_curve, aux_field):
+    # the cubic pinned in the pencil is == to the one interpolated through
+    # 10 images, the 10 that descend interpolated through before
+    data, rho, triv, seed = _PENCIL_CASES[case](curve, field, aux_curve, aux_field)
+    out = descend(data.curve, 3, rho, triv, seed=seed)
+    images = geometry.sample_images(data.curve, data.gbasis, out["gamma"], out["quadrics"],
+                                    triv, seed)
+    points = [next(images) for _ in range(15)]
+    want = interpolate_plane_curve(points[5:], data.curve.field)
+    assert out["plane_curve"] == want
+    assert all(c.tower == data.curve.field for c in out["plane_curve"].coeffs)
+
+
+def test_pencil_is_built_once_per_pair_of_generator_classes(field, monkeypatch):
+    # tau(delta_g) is a scalar times M_g for the golden task and the
+    # coboundary twists, so they share one pencil; the conjugated twist
+    # has other generator classes and builds a second one
+    kernels = Counter()
+    real = ExactMatrix.kernel_basis
+    monkeypatch.setattr(ExactMatrix, "kernel_basis",
+                        lambda m: kernels.update([m.nrows]) or real(m))
+    curve = Curve(field, 0, -432)  # a fresh curve object: no pencil kept yet
+    data, rho, triv = _golden_twist(curve, field)
+    descend(curve, 3, rho, triv, seed=7)
+    for seed in (40, 41, 42):
+        _, rho, triv = _user_coboundary_twist(curve, field, seed)
+        descend(curve, 3, rho, triv, seed=seed)
+    assert kernels == {20: 1} and len(data.pencils) == 1
+    _, rho, triv, _ = _ref_user_twist(curve, field)
+    descend(curve, 3, rho, triv, seed=4)
+    assert kernels == {20: 2} and len(data.pencils) == 2
+
+
+@pytest.mark.parametrize("which", ["ref", "aux"])
+def test_pencil_has_dimension_two(which, curve, aux_curve):
+    # the generators of the embedding fix a pencil of cubics up to their
+    # determinants, and each basis cubic satisfies F o A = det(A) F
+    data = CurveData.of(curve if which == "ref" else aux_curve, 3)
+    mats = [data.emb.M(g) for g in data.table.generators]
+    rows = [r for a in mats for r in
+            (geometry._symmetric_cube(a) - ExactMatrix.identity(10, a.tower).scale(a.det())).rows]
+    assert len(ExactMatrix(rows).kernel_basis()) == 2
+    pencil = geometry._pencil(data, data.emb)
+    assert len(pencil) == 2
+    for f in pencil:
+        for a in mats:
+            assert geometry._symmetric_cube(a).mat_vec(f.coeffs) == [a.det() * c
+                                                                     for c in f.coeffs]
+
+
+def test_symmetric_cube_is_substitution(curve, field):
+    # (Sym^3(A) c)(x) = F(A x) for F with coefficients c, at a few points x
+    a = _ref_user_twist(curve, field)[2].M((1, 1))
+    f = _oracle_cubic(field)
+    g = PlaneCurveEquation(field, 3, plane_monomials(3), geometry._symmetric_cube(a).mat_vec(
+        f.coeffs))
+    rng = random.Random(11)
+    for _ in range(4):
+        x = [field.from_fraction(rng.randint(-9, 9)) for _ in range(3)]
+        assert g.evaluate(x) == f.evaluate(a.mat_vec(x))
+
+
+def test_pin_cubic_refuses_a_base_point_of_the_pencil(curve, field, table):
+    # every cubic of the pencil passes through the images of E[3], O's
+    # (0 : 0 : 1) and T1's (1 : x(T1) : y(T1)) among them
+    data = CurveData.of(curve, 3)
+    pencil = geometry._pencil(data, data.emb)
+    for u in ([field.zero(), field.zero(), field.one()], [field.one(), table.t1.x, table.t1.y]):
+        with pytest.raises(geometry.PencilBasePoint):
+            geometry._pin_cubic(pencil, u, field)
+
+
+def test_plane_curve_evaluate_matches_the_monomial_sum(curve, field):
+    # the evaluation that skips zero coefficients and shares powers is
+    # == to the plain sum of c x1^e1 x2^e2 x3^e3, over an extension too
+    f = _oracle_cubic(field)
+    dense = PlaneCurveEquation(field, 3, f.monomials,
+                               [field.from_fraction(k - 4) * field.gen() for k in range(10)])
+    for p in _samples(curve, 2, seed=12):
+        pt = [p.curve.field.one() + p.x, p.x * p.y, p.y]
+        for cub in (f, dense):
+            want = sum((c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
+                        for e, c in zip(cub.monomials, cub.coeffs)), field.zero())
+            assert cub.evaluate(pt) == want
+
+
+def test_descend_checks_every_image_past_the_pinning_one(curve, table, eps, emb, monkeypatch):
+    # the last of the 15 images, moved off C, fails its own check
+    real = geometry.sample_images
+
+    def moved(*args):
+        for k, pt in enumerate(real(*args)):
+            yield [pt[0], pt[1] + 1, pt[2]] if k == 14 else pt
+    monkeypatch.setattr(geometry, "sample_images", moved)
+    rho = RhoTable.trivial(table)
+    with pytest.raises(CertificationFailed) as exc:
+        descend(curve, 3, rho, trivialize(emb, eps, rho), seed=7)
+    assert exc.value.witness == ("held-out", 14)
