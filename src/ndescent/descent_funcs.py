@@ -217,7 +217,7 @@ def compute_G_basis(table, eps):
     if len(set(chars.values())) != n * n:
         raise EigenspaceDimensionError("two translation characters coincide")
 
-    orbits = []  # orbits[w]: L1^i L2^j e_w for (i, j) in table order
+    orbits = []  # orbits[w]: the columns L1^i L2^j e_w, (i, j) in table order
 
     def projection(ev1, ev2):
         """sum_S chi(S)^{-1} L1^i L2^j e_w for the first w that gives a
@@ -226,9 +226,8 @@ def compute_G_basis(table, eps):
         weights = [inv1 ** i * inv2 ** j for i, j in table.indices]
         for w in range(n * n):
             if w == len(orbits):
-                orbits.append(_orbit(L1, L2, n, w))
-            v = [sum((c * u[k] for c, u in zip(weights, orbits[w])), K.zero())
-                 for k in range(n * n)]
+                orbits.append(ExactMatrix(_orbit(L1, L2, n, w), K).transpose())
+            v = orbits[w].mat_vec(weights)
             if any(not e.is_zero() for e in v):
                 return v
         return None
@@ -359,11 +358,12 @@ def tau_1(triv, alpha):
     alpha -> sum_T alpha(T) tau(delta_T), for the embedding the standard
     alpha -> sum_T alpha(T) M_T.
 
-    alpha: dict ij -> FieldElement, an index it leaves out counting as
-    zero."""
-    out = None
-    for ij, a in alpha.items():
-        term = triv.M(ij).scale(a)
-        out = term if out is None else out + term
-    return out
+    alpha: a nonempty dict ij -> FieldElement, an index it leaves out
+    counting as zero.  Entry (r, c) of the sum is row n r + c of the
+    matrix of all M_T entries applied to alpha, so one sum each."""
+    n, ijs = triv.table.n, list(alpha)
+    stacked = ExactMatrix([[triv.M(ij).rows[r][c] for ij in ijs]
+                           for r in range(n) for c in range(n)])
+    flat = stacked.mat_vec([alpha[ij] for ij in ijs])
+    return ExactMatrix([flat[r * n:r * n + n] for r in range(n)])
 

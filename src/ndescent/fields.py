@@ -13,8 +13,10 @@ Each tower multiplies with a sparse table of structure constants
 b_i b_j = sum_k c_ijk b_k, built once from its minimal polynomial and
 the multiplication of the level below.  The same table gives the
 matrix of multiplication by an element, and an inverse solves a y = 1
-with it over the integers.  Polynomials are Poly objects with
-FieldElement coefficients.
+with it over the integers.  A sum of products, such as a coefficient
+of a product of polynomials, is one pass of _dot: the products
+accumulate as integer numerators over a common denominator, reduced
+once.  Polynomials are Poly objects with FieldElement coefficients.
 
 Roots in K are found by one l-adic rule, roots_in_field, at the
 degree-1 primes lambda of the tower: a prime where f has no root mod
@@ -223,9 +225,10 @@ def _structure_constants(base, m):
     return table, den
 
 
-# The two kernels below take elements of one tower (equal towers, not
+# The three kernels below take elements of one tower (equal towers, not
 # merely prefix-related).  The operators coerce and then call them, and
-# every computation inside this module calls them directly.
+# every computation inside this module calls them directly; the sums of
+# products elsewhere lift their operands to one tower and call _dot.
 
 def _mul(a, b):
     """Multiply with the structure-constant table of the tower."""
@@ -241,6 +244,31 @@ def _mul(a, b):
                 for k, c in row[j]:
                     acc[k] += xy * c
     return FieldElement(tw, acc, a._den * b._den * tw._tden)
+
+
+def _dot(xs, ys):
+    """sum x_k y_k for a nonempty xs, with _mul's table, over one running
+    common denominator (Cohen, GTM 138, 4.2): zero operands are skipped,
+    and one FieldElement is built, so the sum is reduced once."""
+    tw = xs[0].tower
+    acc, den, table = [0] * tw.degree, 1, tw._table
+    for a, b in zip(xs, ys):
+        bnz = [(j, y) for j, y in enumerate(b._num) if y]
+        if not bnz or not any(a._num):
+            continue
+        d = a._den * b._den
+        if den % d:
+            m = lcm(den, d)
+            acc, den = [c * (m // den) for c in acc], m
+        f = den // d
+        for i, x in enumerate(a._num):
+            if x:
+                row, x = table[i], x * f
+                for j, y in bnz:
+                    xy = x * y
+                    for k, c in row[j]:
+                        acc[k] += xy * c
+    return FieldElement(tw, acc, den * tw._tden)
 
 
 def _ladder(x, k, one, op):
@@ -518,12 +546,11 @@ class Poly:
         tw = a.tower
         if a.is_zero() or b.is_zero():
             return Poly._of(tw, [])
-        out = [tw.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x.is_zero():
-                for j, y in enumerate(b.coeffs):
-                    out[i + j] = out[i + j] + _mul(x, y)
-        return Poly._of(tw, out)
+        xs, ys = a.coeffs, b.coeffs[::-1]
+        la, lb = len(xs), len(ys)
+        # coefficient k pairs xs[i] with ys[lb - 1 - k + i], i + j = k
+        return Poly._of(tw, [_dot(xs[max(0, k - lb + 1):k + 1], ys[max(0, lb - 1 - k):])
+                             for k in range(la + lb - 1)])
 
     __rmul__ = __mul__
 

@@ -12,7 +12,8 @@ trivialisation's generators fix up to their determinant.
 import itertools
 import random
 
-from .linalg import ExactMatrix, split_row
+from .fields import _dot
+from .linalg import ExactMatrix, _common_tower, _lift_entry, split_row
 from .curve import slope, division_polynomial, PoleAtP
 from .descent_funcs import CurveData, affine_sample, tau_1
 from .algebra import (CSA, RhoTable, BadBasePoint, certify_trivialisation,
@@ -63,13 +64,19 @@ class QuadricSystem:
         return ExactMatrix([[f.get(m, zero) for m in self.monomials()] for f in self.forms],
                            self.field).rank()
 
-    def evaluate(self, form, z):
-        """The form at a coordinate vector (entries may live upstairs)."""
-        terms = [form[a, b] * z[a] * z[b] for a, b in sorted(form)]
-        return sum(terms[1:], terms[0])
-
     def evaluate_all(self, z):
-        return [self.evaluate(f, z) for f in self.forms]
+        """Every form at a coordinate vector (entries may live upstairs):
+        each z_a z_b is taken once, and each form is one sum of products."""
+        tower = _common_tower(z, self.field)
+        z = [_lift_entry(e, tower) for e in z]
+        prods, out = {}, []
+        for form in self.forms:
+            for a, b in form:
+                if (a, b) not in prods:
+                    prods[a, b] = z[a] * z[b]
+            out.append(_dot([_lift_entry(c, tower) for c in form.values()],
+                            [prods[m] for m in form]))
+        return out
 
 
 def quadrics_for_C(curve, table, rho):

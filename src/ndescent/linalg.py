@@ -1,12 +1,14 @@
 """Exact linear algebra over field towers.
 
 Matrices hold FieldElement entries, all lifted to one common tower at
-construction.  Everything runs Gauss-Jordan with exact division.
+construction.  Everything runs Gauss-Jordan with exact division.  A
+matrix product or matrix-vector product lifts its operands to one tower
+once and takes each entry as one fields._dot, reduced once.
 """
 
 from fractions import Fraction
 
-from .fields import FieldTower, FieldElement
+from .fields import FieldTower, FieldElement, _dot
 
 
 class NoSolution(Exception):
@@ -19,15 +21,21 @@ def _require(ok, message):
         raise ValueError(message)
 
 
-def _common_tower(entries):
-    tower = None
+def _larger(tower, other):
+    """The larger of two towers, one a prefix of the other; tower when
+    they are equal."""
+    if tower is None or tower is other:
+        return other
+    if other.is_prefix_of(tower):
+        return tower
+    _require(tower.is_prefix_of(other), "entries from incompatible towers")
+    return other
+
+
+def _common_tower(entries, tower=None):
     for e in entries:
-        if not isinstance(e, FieldElement):
-            continue
-        if tower is None or tower.is_prefix_of(e.tower):
-            tower = e.tower
-        else:
-            _require(e.tower.is_prefix_of(tower), "entries from incompatible towers")
+        if isinstance(e, FieldElement):
+            tower = _larger(tower, e.tower)
     return tower if tower is not None else FieldTower.rationals()
 
 
@@ -92,32 +100,24 @@ class ExactMatrix:
     def scale(self, c):
         return ExactMatrix([[c * a for a in r] for r in self.rows])
 
+    def _rows_over(self, tower):
+        return self.rows if tower is self.tower else [[_lift_entry(e, tower) for e in r]
+                                                      for r in self.rows]
+
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             _require(self.ncols == other.nrows, "dimension mismatch")
-            out = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    s = None
-                    for k in range(self.ncols):
-                        t = self.rows[i][k] * other.rows[k][j]
-                        s = t if s is None else s + t
-                    row.append(s)
-                out.append(row)
-            return ExactMatrix(out)
+            tower = _larger(self.tower, other.tower)
+            cols = list(zip(*other._rows_over(tower)))
+            return ExactMatrix([[_dot(r, c) for c in cols] for r in self._rows_over(tower)],
+                               tower)
         return NotImplemented
 
     def mat_vec(self, v):
         _require(len(v) == self.ncols, "vector length is not the column count")
-        out = []
-        for i in range(self.nrows):
-            s = None
-            for k in range(self.ncols):
-                t = self.rows[i][k] * v[k]
-                s = t if s is None else s + t
-            out.append(s)
-        return out
+        tower = _common_tower(v, self.tower)
+        v = [_lift_entry(e, tower) for e in v]
+        return [_dot(r, v) for r in self._rows_over(tower)]
 
     def transpose(self):
         return ExactMatrix([[self.rows[i][j] for i in range(self.nrows)]

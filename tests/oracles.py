@@ -30,7 +30,10 @@ library's certificates against them:
     gcd normalisation after every product: the Miller chain over line
     and vertical functions, and the translated coordinates built from
     the addition formulas as functions of P; and that normalisation
-    itself, taken whatever the denominator.
+    itself, taken whatever the denominator;
+  - the sums of products that fields._dot takes in one pass, as left
+    folds of the operators * and +: a dot product, a matrix times a
+    vector, a matrix product and a polynomial product.
 """
 
 from fractions import Fraction
@@ -421,3 +424,28 @@ def gcd_normalised(u, v, w):
     u, v, w = (divmod(p, g)[0] for p in (u, v, w))
     c = w.lc().inverse()
     return c * u, c * v, c * w
+
+
+def naive_dot(xs, ys):
+    """x_0 y_0 + x_1 y_1 + ..., folded from the left, each product and
+    partial sum a reduced element; the operators lift across towers."""
+    out = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        out = out + x * y
+    return out
+
+
+def naive_mat_vec(m, v):
+    return [naive_dot(r, v) for r in m.rows]
+
+
+def naive_mat_mul(a, b):
+    return [[naive_dot(r, c) for c in zip(*b.rows)] for r in a.rows]
+
+
+def naive_poly_mul(p, q):
+    """The coefficients of p q, each a left fold over i + j = k; [] when
+    either is zero, as the zero Poly has no coefficients."""
+    a, b = p.coeffs, q.coeffs
+    return [naive_dot(*zip(*[(a[i], b[k - i]) for i in range(len(a)) if 0 <= k - i < len(b)]))
+            for k in range(len(a) + len(b) - 1)] if a and b else []

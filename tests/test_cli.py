@@ -113,6 +113,41 @@ def test_verify_validates_each_rho_once(work, tmp_path, capsys, monkeypatch):
     assert out.count("FAIL %s: rho is a symmetric cocycle (('symmetry'" % bad) == 2
 
 
+def test_verify_rebuilds_each_part_once(work, capsys, monkeypatch):
+    # the quadrics, algebra and trivialisation files and the descent file
+    # carry one rho: its quadrics and algebra are rebuilt once, and the
+    # trivialisation the descent embeds is the one of triv.json, so it is
+    # certified once; every file still prints its own lines
+    _, paths, _ = work
+    calls = []
+    for name in ("build_csa", "certify_trivialisation", "quadrics_for_C"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, real=getattr(cli, name):
+                            calls.append(name) or real(*a))
+    files = [paths["quadC"], paths["csa"], paths["triv"], paths["out"]]
+    assert main(["verify", "--curve", paths["curve"]] + files) == 0
+    out = capsys.readouterr().out
+    assert sorted(calls) == ["build_csa", "certify_trivialisation", "quadrics_for_C"]
+    assert out.count(": quadrics match recomputation") == 2
+    assert out.count(": structure constants certify and match") == 2
+    assert out.count(": trivialisation certifies") == 2
+
+
+def test_verify_certifies_an_embedded_trivialisation_that_differs(work, tmp_path, capsys):
+    # a descent file whose trivialisation differs from triv.json in one
+    # entry: the verdict of triv.json is not reused for it
+    _, paths, _ = work
+    j = json.loads(open(paths["out"]).read())
+    e = j["trivialisation"]["matrices"]["1,0"][0][1]
+    e[0] = str(Fraction(e[0]) + 1)
+    bad = tmp_path / "badembedded.json"
+    bad.write_text(json.dumps(j))
+    rc = main(["verify", "--curve", paths["curve"], paths["triv"], str(bad)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "PASS %s: trivialisation certifies" % paths["triv"] in out
+    assert "FAIL %s: trivialisation certifies (('multiplicative'" % bad in out
+
+
 def test_verify_reads_e_n_only_for_kinds_that_need_it(work, tmp_path, capsys):
     # a curve file and a point file need no E[n]: over Q, where only 3 of
     # the 9 points of E[3] are rational, both pass; a rho file needs the

@@ -15,7 +15,7 @@ from ndescent.fields import (FieldTower, FieldElement, NoCertificate, Poly, Redu
                              factor_poly, poly_x, root_or_extend, roots_in_field, tower_extend)
 from ndescent.curve import Point, division_polynomial
 from ndescent.algebra import rho_from_point, solve_gamma
-from oracles import poly_derivative, poly_gcd
+from oracles import naive_dot, naive_poly_mul, poly_derivative, poly_gcd
 
 
 def test_rationals():
@@ -303,6 +303,42 @@ def test_inverse_is_two_sided(args):
     assert a * a.inverse() == 1
     assert a.inverse() * a == K.one()
     assert a / a == 1
+
+
+def sparse_elements(tower):
+    """Elements with many zero coordinates and unequal denominators, the
+    zero element among them."""
+    coord = st.one_of(st.just(Fraction(0)), _rationals)
+    nonzero = st.lists(coord, min_size=tower.degree, max_size=tower.degree).map(tower.element)
+    return st.one_of(nonzero, st.just(tower.zero()), nonzero)
+
+
+def same(a, b):
+    """Equal towers and equal stored data, not only equal values."""
+    return a.tower == b.tower and (a._num, a._den) == (b._num, b._den)
+
+
+@PROFILE
+@given(st.sampled_from(_TOWERS + [_GAMMA12]).flatmap(
+    lambda K: st.lists(st.tuples(sparse_elements(K), sparse_elements(K)),
+                       min_size=1, max_size=6)))
+def test_dot_is_the_fold_of_products_and_sums(pairs):
+    xs, ys = zip(*pairs)
+    assert same(fields._dot(xs, ys), naive_dot(xs, ys))
+
+
+@PROFILE
+@given(st.tuples(st.sampled_from(_TOWERS + [_GAMMA12]), st.sampled_from(_TOWERS)).flatmap(
+    lambda kl: st.tuples(*(st.tuples(st.lists(sparse_elements(K), min_size=1, max_size=4),
+                                     _elements(K)).map(lambda c, K=K: Poly(c[0] + [c[1]], K))
+                           for K in kl))))
+def test_poly_mul_is_the_naive_product(pq):
+    # p and q lie over two towers of the chain Q < Q(zeta3) <
+    # Q(zeta3, sqrt2) < the gamma field, so the product lifts one of them
+    p, q = pq
+    for a, b in (p, q), (q, p):
+        got, want = (a * b).coeffs, naive_poly_mul(a, b)
+        assert len(got) == len(want) and all(same(x, y) for x, y in zip(got, want))
 
 
 @PROFILE

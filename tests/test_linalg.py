@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ndescent.linalg import ExactMatrix, NoSolution
-from oracles import zero_matrix
+from oracles import naive_mat_mul, naive_mat_vec, zero_matrix
+from test_fields import _AUX, _Q, _ZETA3, PROFILE, same, sparse_elements
 
 
 def _mat(field, rows):
@@ -74,3 +76,39 @@ def test_identity_and_zero(field):
     assert (i3 - i3) == z
     assert all(e.is_zero() for r in z.rows for e in r)
     assert i3.trace() == field.from_fraction(3)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass sums of products against left folds of * and +
+# ---------------------------------------------------------------------------
+
+# (matrix tower, operand tower): the same, an extension, a prefix
+_PAIRS = [(_ZETA3, _ZETA3), (_ZETA3, _AUX), (_AUX, _ZETA3), (_Q, _AUX)]
+_SHAPES = st.tuples(st.sampled_from(_PAIRS), st.integers(1, 4), st.integers(1, 4),
+                    st.integers(1, 4))
+
+
+def _matrices(tower, nrows, ncols):
+    return st.lists(st.lists(sparse_elements(tower), min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(lambda rows: ExactMatrix(rows, tower))
+
+
+@PROFILE
+@given(_SHAPES.flatmap(lambda a: st.tuples(
+    _matrices(a[0][0], a[1], a[2]),
+    st.lists(sparse_elements(a[0][1]), min_size=a[2], max_size=a[2]))))
+def test_mat_vec_is_the_naive_product(mv):
+    m, v = mv
+    got, want = m.mat_vec(v), naive_mat_vec(m, v)
+    assert len(got) == m.nrows and all(same(a, b) for a, b in zip(got, want))
+
+
+@PROFILE
+@given(_SHAPES.flatmap(lambda a: st.tuples(
+    _matrices(a[0][0], a[1], a[2]), _matrices(a[0][1], a[2], a[3]))))
+def test_matrix_product_is_the_naive_product(ab):
+    a, b = ab
+    prod, want = a * b, naive_mat_mul(a, b)
+    assert prod.tower == (b.tower if a.tower.is_prefix_of(b.tower) else a.tower)
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    assert all(same(x, y) for r, w in zip(prod.rows, want) for x, y in zip(r, w))
