@@ -10,7 +10,6 @@ a coboundary the algebra is trivialized by delta_T -> gamma(T) M_T.
 """
 
 from fractions import Fraction
-from functools import cached_property
 
 from .fields import root_or_extend
 from .linalg import ExactMatrix
@@ -45,16 +44,23 @@ class RhoTable:
     def value(self, ij, kl):
         return self.values[(ij, kl)]
 
-    @cached_property
+    @property
     def gamma(self):
-        """(gamma, field) = solve_gamma(table, self), computed on first use:
-        a gamma-mode trivialize and a descend on the same rho solve once."""
-        return solve_gamma(self.table, self)
+        """(gamma, field) = solve_gamma(table, self), solved once per ==
+        values on the curve (CurveData.once)."""
+        return _owner(self.table).once(lambda: solve_gamma(self.table, self),
+                                       "gamma", self.values)
 
     @staticmethod
     def trivial(table):
         one, idx = table.curve.field.one(), table.indices
         return RhoTable(table, {(a, b): one for a in idx for b in idx})
+
+
+def _owner(table):
+    """The CurveData that keeps the verdicts of the table's curve and n."""
+    from .descent_funcs import CurveData  # that module imports this one
+    return CurveData.of(table.curve, table.n)
 
 
 def _zero_failure(table, c):
@@ -90,6 +96,13 @@ def _cocycle_failure(table, c):
     return None
 
 
+def _cocycle_once(table, c):
+    """_cocycle_failure(table, c), run once per == c on the curve.  Its
+    callers reach it only on a c with no zero, so a passing ("cocycle", c)
+    verdict says c is nowhere zero and a cocycle."""
+    return _owner(table).once(lambda: _cocycle_failure(table, c), "cocycle", c)
+
+
 def _check_associative(table, c):
     """Certify structure constants c nowhere zero and associative.
     Raises CertificationFailed(("nonzero", a, b)) at the first zero, else
@@ -99,37 +112,43 @@ def _check_associative(table, c):
     if bad is not None:
         raise CertificationFailed(("nonzero",) + bad,
                                   "structure constant vanishes at %r" % (bad,))
-    bad = _cocycle_failure(table, c)
+    bad = _cocycle_once(table, c)
     if bad is not None:
         raise CertificationFailed(("associativity",) + bad,
                                   "structure constants are not associative at %r" % (bad,))
+
+
+def _check_rho(table, vals):
+    """validate_rho's checks on a table of values, in its order."""
+    bad = _zero_failure(table, vals)
+    if bad is not None:
+        raise CertificationFailed(("nonzero",) + bad, "rho vanishes at %r" % (bad,))
+    for a in table.indices:
+        for b in table.indices:
+            if not (vals[(a, b)] == vals[(b, a)]):
+                raise CertificationFailed(("symmetry", a, b),
+                                          "rho is not symmetric at %r" % ((a, b),))
+    bad = _cocycle_once(table, vals)
+    if bad is not None:
+        raise CertificationFailed(("cocycle",) + bad, "cocycle identity fails at %r" % (bad,))
 
 
 def validate_rho(table, values):
     """Check the split-torsion criterion for a weighting: all values
     nonzero, symmetric, and satisfying the cocycle identity
     rho(U,V) rho(U+V,W) = rho(U,V+W) rho(V,W).  Returns the table
-    normalized so that rho(O,O) = 1.
+    normalized so that rho(O,O) = 1.  The checks run on it once per ==
+    table on the curve (CurveData.once): the scale moves no zero and keeps
+    symmetry and the cocycle identity, both sides of which have degree 2.
 
     Raises CertificationFailed with a witness on the first violation."""
     idx = table.indices
     rho = RhoTable(table, {(a, b): values[(a, b)] for a in idx for b in idx})
-    vals = rho.values
-    bad = _zero_failure(table, vals)
-    if bad is not None:
-        raise CertificationFailed(("nonzero",) + bad, "rho vanishes at %r" % (bad,))
-    for a in idx:
-        for b in idx:
-            if not (vals[(a, b)] == vals[(b, a)]):
-                raise CertificationFailed(("symmetry", a, b),
-                                          "rho is not symmetric at %r" % ((a, b),))
-    bad = _cocycle_failure(table, vals)
-    if bad is not None:
-        raise CertificationFailed(("cocycle",) + bad, "cocycle identity fails at %r" % (bad,))
-    c0 = vals[((0, 0), (0, 0))]
-    if not (c0 == 1):
+    c0 = rho.value((0, 0), (0, 0))
+    if not (c0 == 1 or c0.is_zero()):
         inv = c0.inverse()
-        rho = RhoTable(table, {k: v * inv for k, v in vals.items()})
+        rho = RhoTable(table, {k: v * inv for k, v in rho.values.items()})
+    _owner(table).once(lambda: _check_rho(table, rho.values), "rho", rho.values)
     # the cocycle identity at (O, O, a) gives rho(O, a) = rho(O, O) = 1
     return rho
 
@@ -321,6 +340,12 @@ def certify_trivialisation(triv, eps):
     (c(O, a) = c(a, O) = 1), A is associative, its center is one
     dimensional, and no c(a, b) is zero.
 
+    The check on c is skipped when rho and eps hold passing cocycle
+    verdicts (_cocycle_once), as a validated rho and the embedding's eps
+    do: both are nowhere zero, so c is, and at each triple checked the
+    product of the identities for eps and rho is the identity for c.
+    certify_once keeps the verdict of the whole, reused only on == data.
+
     Raises CertificationFailed with witness ("unit",), ("nonzero", a, b),
     ("associativity", g, b, d), ("multiplicative", g, b) or ("span", a)
     at the first failure, in that order."""
@@ -331,7 +356,9 @@ def certify_trivialisation(triv, eps):
 
     idx = table.indices
     structure = {(a, b): eps.eps(a, b) * triv.rho.value(a, b) for a in idx for b in idx}
-    _check_associative(table, structure)
+    owner = _owner(table)
+    if not (owner.passed("cocycle", triv.rho.values) and owner.passed("cocycle", eps.values)):
+        _check_associative(table, structure)
     for g in table.generators:
         for b in idx:
             cgb = structure[(g, b)].lift_to(L)
@@ -346,6 +373,14 @@ def certify_trivialisation(triv, eps):
     return structure
 
 
+def certify_once(triv, eps):
+    """certify_trivialisation(triv, eps) once per == field, matrices, rho
+    and eps on the curve (CurveData.once): a copy of its result."""
+    return dict(_owner(triv.table).once(lambda: certify_trivialisation(triv, eps),
+                                        "trivialisation", triv.field, triv.matrices,
+                                        triv.rho.values, eps.values))
+
+
 def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):
     """Build and certify a trivialisation of the algebra twisted by rho.
 
@@ -354,11 +389,11 @@ def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):
     (solve_gamma, extending the field if need be); gamma is ignored.
     mode "user": take the given matrices as they are, and carry gamma.
 
-    Every mode ends with full certification of the matrices; a bad
-    combination raises CertificationFailed.  Each stored gamma is
-    certified once: the gamma-mode rho.gamma by the check_coboundary in
-    solve_gamma, and the gamma a user-mode trivialisation carries by
-    check_coboundary."""
+    Every mode ends with full certification of the matrices
+    (certify_once); a bad combination raises CertificationFailed.  Each
+    stored gamma is certified once: the gamma-mode rho.gamma by the
+    check_coboundary in solve_gamma, and the gamma a user-mode
+    trivialisation carries by check_coboundary."""
     table = emb.table
     K = table.curve.field
     if mode == "standard":
@@ -378,7 +413,7 @@ def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):
         triv = Trivialisation(table, rho, L, dict(matrices), mode, gamma)
     else:
         raise ValueError("unknown trivialisation mode %r" % mode)
-    certify_trivialisation(triv, eps)
+    certify_once(triv, eps)
     if mode == "user" and gamma is not None:
         check_coboundary(table, gamma, rho)
     return triv

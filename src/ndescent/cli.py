@@ -16,7 +16,7 @@ from .fields import ReducibleExtension
 from .curve import TorsionNotRational
 from .descent_funcs import CurveData, EigenspaceDimensionError
 from .algebra import (MODES, RhoTable, validate_rho, rho_from_point, build_csa,
-                      check_coboundary, trivialize, certify_trivialisation,
+                      check_coboundary, trivialize, certify_once,
                       CertificationFailed, BadBasePoint)
 from .geometry import (quadrics_for_C, descend, descent_report, sample_images,
                        sampling_field, RankNotOne, _symmetric_cube)
@@ -80,15 +80,14 @@ def cmd_rho_from_point(args):
 
 def cmd_trivialize(args):
     data = _load_curve(args)
-    table, eps = data.table, data.eps
-    rho = _load_rho(args.rho, table)
+    rho = _load_rho(args.rho, data.table)
     matrices = gamma = None
     if args.mode == "user":
         if not args.triv:
             raise ser.ParseError("user mode needs --triv with the matrices")
-        user = ser.triv_from_json(ser.load(args.triv), table)
+        user = ser.triv_from_json(ser.load(args.triv), data.table)
         matrices, gamma = user.matrices, user.gamma
-    triv = trivialize(data.emb, eps, rho, mode=args.mode, matrices=matrices, gamma=gamma)
+    triv = trivialize(data.emb, data.eps, rho, mode=args.mode, matrices=matrices, gamma=gamma)
     ser.save(args.out, ser.triv_to_json(triv))
     print("certified %s trivialisation -> %s" % (args.mode, args.out))
     return 0
@@ -112,68 +111,42 @@ def _certified(run):
         return None, e.witness
 
 
-def _check_quadrics(path, qs, rho, data, emit, entry):
-    want = data.n ** 2 * (data.n ** 2 - 3) // 2
-    if "quadrics" not in entry:
-        entry["quadrics"] = quadrics_for_C(data.curve, data.table, rho)
-    rebuilt = entry["quadrics"]
-    same = qs == rebuilt
-    emit(path, "quadric count", len(qs) == want, len(qs))
-    # quadrics_for_C has certified the rank of the forms it built
-    rank = len(rebuilt) if same else qs.rank()
-    emit(path, "quadric rank", rank == want, rank)
-    emit(path, "quadrics match recomputation", same)
-
-
-def _check_algebra(path, csa, rho, data, emit, entry):
-    if "csa" not in entry:
-        entry["csa"] = _certified(lambda: build_csa(data.table, data.eps, rho))
-    rebuilt, w = entry["csa"]
-    emit(path, "structure constants certify and match",
-         w is None and rebuilt.structure == csa.structure and csa.rho.values == rho.values, w)
-
-
-def _check_trivialisation(path, triv, rho, data, emit, entry):
-    """Certify the trivialisation, and its gamma when it carries one;
-    True when every check passed.  A verdict is reused for a
-    trivialisation with the same rho, field and matrices."""
-    trivs = entry.setdefault("trivs", [])  # (trivialisation, witness) pairs
-    for t, w in trivs:
-        if t.field == triv.field and t.matrices == triv.matrices:
-            break
-    else:
-        _, w = _certified(lambda: certify_trivialisation(triv, data.eps))
-        trivs.append((triv, w))
-    ok = emit(path, "trivialisation certifies", w is None and triv.rho.values == rho.values, w)
-    if ok and triv.gamma is not None:
-        _, w = _certified(lambda: check_coboundary(data.table, triv.gamma, rho))
-        ok = emit(path, "trivialisation gamma is a coboundary for rho", w is None, w)
-    return ok
-
-
-def _check_parts(path, values, data, emit, rhos, qs=None, csa=None, triv=None):
-    """Validate a file's rho table, then check each part given against
-    the validated rho.  rhos keeps, per rho table, the outcome of
-    validate_rho and what is rebuilt from that rho (the quadrics, the
-    algebra, the trivialisation verdicts), so each runs once per verify
-    call.  Returns that rho, or None when it or the trivialisation fails."""
-    key = tuple(sorted(values.items()))
-    if key not in rhos:
-        rhos[key] = {"rho": _certified(lambda: validate_rho(data.table, values))}
-    entry = rhos[key]
-    rho, w = entry["rho"]
+def _check_parts(path, values, data, emit, qs=None, csa=None, triv=None):
+    """Validate a file's rho table, then check each part given, and a
+    trivialisation's gamma, against it; each check and rebuild runs once
+    per == data in a verify call (CurveData.once).  Returns the validated
+    rho, or None when it or the trivialisation fails."""
+    rho, w = _certified(lambda: validate_rho(data.table, values))
     if not emit(path, "rho is a symmetric cocycle", w is None, w):
         return None
     if qs is not None:
-        _check_quadrics(path, qs, rho, data, emit, entry)
+        want = data.n ** 2 * (data.n ** 2 - 3) // 2
+        rebuilt = data.once(lambda: quadrics_for_C(data.curve, data.table, rho), "quadrics",
+                            rho.values)
+        same = qs == rebuilt
+        emit(path, "quadric count", len(qs) == want, len(qs))
+        # quadrics_for_C has certified the rank of the forms it built
+        rank = len(rebuilt) if same else qs.rank()
+        emit(path, "quadric rank", rank == want, rank)
+        emit(path, "quadrics match recomputation", same)
     if csa is not None:
-        _check_algebra(path, csa, rho, data, emit, entry)
-    if triv is not None and not _check_trivialisation(path, triv, rho, data, emit, entry):
-        return None
+        rebuilt, w = _certified(lambda: data.once(lambda: build_csa(data.table, data.eps, rho),
+                                                  "csa", rho.values))
+        emit(path, "structure constants certify and match",
+             w is None and rebuilt.structure == csa.structure and csa.rho.values == rho.values, w)
+    if triv is not None:
+        _, w = _certified(lambda: certify_once(triv, data.eps))
+        if not emit(path, "trivialisation certifies",
+                    w is None and triv.rho.values == rho.values, w):
+            return None
+        if triv.gamma is not None:
+            _, w = _certified(lambda: check_coboundary(data.table, triv.gamma, rho))
+            if not emit(path, "trivialisation gamma is a coboundary for rho", w is None, w):
+                return None
     return rho
 
 
-def _verify_file(path, j, data, emit, rhos):
+def _verify_file(path, j, data, emit):
     """Check one artifact, reading E[n] only for the kinds that use it."""
     kind = j.get("kind")
     if kind == "curve":
@@ -187,24 +160,23 @@ def _verify_file(path, j, data, emit, rhos):
         ok = (data.n * torsion.t1).is_infinity and (data.n * torsion.t2).is_infinity
         emit(path, "basis points are n-torsion", ok)
     elif kind == "rho":
-        _check_parts(path, ser.rho_from_json(j, data.table).values, data, emit, rhos)
+        _check_parts(path, ser.rho_from_json(j, data.table).values, data, emit)
     elif kind == "csa":
         csa = ser.csa_from_json(j, data.table)
-        _check_parts(path, csa.rho.values, data, emit, rhos, csa=csa)
+        _check_parts(path, csa.rho.values, data, emit, csa=csa)
     elif kind == "trivialisation":
         triv = ser.triv_from_json(j, data.table)
-        _check_parts(path, triv.rho.values, data, emit, rhos, triv=triv)
+        _check_parts(path, triv.rho.values, data, emit, triv=triv)
     elif kind == "quadrics":
         qs = ser.quadrics_from_json(j, data.table)
-        _check_parts(path, ser.quadrics_rho_from_json(j, data.table).values, data, emit, rhos,
-                     qs=qs)
+        _check_parts(path, ser.quadrics_rho_from_json(j, data.table).values, data, emit, qs=qs)
     elif kind == "descent":
-        _verify_descent(path, j, data, emit, rhos)
+        _verify_descent(path, j, data, emit)
     else:
         raise ser.ParseError("unknown artifact kind %r" % kind)
 
 
-def _verify_descent(path, j, data, emit, rhos):
+def _verify_descent(path, j, data, emit):
     """The part checks on the quadrics, algebra and trivialisation of a
     descent file, against the rho of its trivialisation, then the checks
     of the descent itself: gamma, the cubic and its pencil identities
@@ -219,7 +191,7 @@ def _verify_descent(path, j, data, emit, rhos):
     out = ser.descent_from_json(j, data.table)
     qs, triv, gamma, cubic = (out["quadrics"], out["trivialisation"], out["gamma"],
                               out["plane_curve"])
-    rho = _check_parts(path, triv.rho.values, data, emit, rhos, qs, out["csa"], triv)
+    rho = _check_parts(path, triv.rho.values, data, emit, qs, out["csa"], triv)
     if rho is None:
         return
     _, w = _certified(lambda: check_coboundary(data.table, gamma, rho))
@@ -248,7 +220,6 @@ def _verify_descent(path, j, data, emit, rhos):
 def cmd_verify(args):
     data = _load_curve(args)
     failures = []
-    rhos = {}  # per rho table: validate_rho's outcome and the rebuilds (_check_parts)
 
     def emit(path, name, ok, detail=None):
         tag = "PASS" if ok else "FAIL"
@@ -259,7 +230,8 @@ def cmd_verify(args):
         return ok
 
     for path in args.files:
-        _verify_file(path, ser.load(path), data, emit, rhos)
+        _verify_file(path, ser.load(path), data, emit)
+    data.kept.clear()  # the curve is in a reference cycle, which only a full gc frees
     if failures:
         print("%d check(s) failed" % len(failures))
         return 3
@@ -273,48 +245,40 @@ def main(argv=None):
         description="Exact descent pipeline: torsion, coverings, "
                     "obstruction algebras, and plane equations.")
     sub = ap.add_subparsers(dest="command", required=True)
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--curve", required=True, help="curve artifact file")
+    curve.add_argument("--n", type=int, default=3)
+    out = argparse.ArgumentParser(add_help=False, parents=[curve])
+    out.add_argument("--out", required=True, help="output artifact file")
 
-    def common(p, out=True):
-        p.add_argument("--curve", required=True, help="curve artifact file")
-        p.add_argument("--n", type=int, default=3)
-        if out:
-            p.add_argument("--out", required=True, help="output artifact file")
-
-    p = sub.add_parser("torsion", help="enumerate the rational n-torsion")
-    common(p)
+    p = sub.add_parser("torsion", parents=[out], help="enumerate the rational n-torsion")
     p.set_defaults(func=cmd_torsion)
 
-    p = sub.add_parser("quadrics", help="quadrics for the (twisted) covering")
-    common(p)
+    p = sub.add_parser("quadrics", parents=[out], help="quadrics for the (twisted) covering")
     p.add_argument("--rho", help="rho or algebra file; omitted means trivial")
     p.set_defaults(func=cmd_quadrics)
 
-    p = sub.add_parser("algebra", help="structure constants of the twisted algebra")
-    common(p)
+    p = sub.add_parser("algebra", parents=[out], help="structure constants of the twisted algebra")
     p.add_argument("--rho", required=True)
     p.set_defaults(func=cmd_algebra)
 
-    p = sub.add_parser("rho-from-point", help="the twist attached to a base point")
-    common(p)
+    p = sub.add_parser("rho-from-point", parents=[out], help="the twist attached to a base point")
     p.add_argument("--point", required=True, help="point artifact file")
     p.set_defaults(func=cmd_rho_from_point)
 
-    p = sub.add_parser("trivialize", help="build and certify a trivialisation")
-    common(p)
+    p = sub.add_parser("trivialize", parents=[out], help="build and certify a trivialisation")
     p.add_argument("--rho", required=True)
     p.add_argument("--mode", default="standard", choices=MODES)
     p.add_argument("--triv", help="matrices file for user mode")
     p.set_defaults(func=cmd_trivialize)
 
-    p = sub.add_parser("descend", help="full pipeline to a plane curve")
-    common(p)
+    p = sub.add_parser("descend", parents=[out], help="full pipeline to a plane curve")
     p.add_argument("--rho", required=True)
     p.add_argument("--triv", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_descend)
 
-    p = sub.add_parser("verify", help="re-run all checks on artifact files")
-    common(p, out=False)
+    p = sub.add_parser("verify", parents=[curve], help="re-run all checks on artifact files")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_verify)
 

@@ -30,10 +30,8 @@ class Curve:
 
     def __init__(self, field, a, b):
         self.field = field
-        self.a = a if isinstance(a, FieldElement) else field.from_fraction(a)
-        self.b = b if isinstance(b, FieldElement) else field.from_fraction(b)
-        self.a = self.a.lift_to(field)
-        self.b = self.b.lift_to(field)
+        self.a, self.b = (c.lift_to(field) if isinstance(c, FieldElement)
+                          else field.from_fraction(c) for c in (a, b))
         disc = -16 * (4 * self.a ** 3 + 27 * self.b ** 2)
         if disc.is_zero():
             raise ValueError("singular curve: discriminant is zero")
@@ -76,12 +74,8 @@ class Point:
 
     def __init__(self, curve, x, y):
         self.curve = curve
-        if isinstance(x, (int, Fraction)):
-            x = curve.field.from_fraction(x)
-        if isinstance(y, (int, Fraction)):
-            y = curve.field.from_fraction(y)
-        x = x.lift_to(curve.field)
-        y = y.lift_to(curve.field)
+        x, y = (curve.field.from_fraction(c) if isinstance(c, (int, Fraction))
+                else c.lift_to(curve.field) for c in (x, y))
         if not curve.contains(x, y):
             raise ValueError("point is not on the curve")
         self.x = x

@@ -9,20 +9,15 @@ Builds, for a curve with fully rational n-torsion:
     as joint eigenvectors of translation operators on L(n^2(O)), found
     by projection onto each character of E[n];
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
-    scaled so F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
-    M_T = eps(T, -T) Mtilde_T, where Mtilde_T is the transpose of
-    h -> (h o tau_T) F_{-T} on L(n(O)), read off for T1 and T2 only, by
-    the helper that also gives the G-basis its operators on L(n^2(O));
-    every other M_T is a product of those.  The helper builds (h o tau_T) f
-    in the coordinate ring, where a zero remainder certifies membership;
-    fdual_O is e_1, since only the constants of L(n(O)) have no pole at
-    O, so row 0 of M_T is eps(T, -T) F_{-T}: checked against the Miller
-    table, it certifies the scale;
+    read off for T1 and T2 in the coordinate ring by the helper that also
+    gives the G-basis its operators on L(n^2(O)), every other M_T a
+    product of those, and row 0 certifying the scale (compute_embedding);
   - the embedding: the M_T as the standard trivialisation of the
     untwisted algebra, alpha -> sum alpha(T) M_T.
 
 CurveData.of(curve, n) holds the per-curve part of this: the table, the
-Miller functions, epsilon, the G-basis and the embedding.
+Miller functions, epsilon, the G-basis and the embedding, and the one
+store of verdicts, CurveData.once.
 """
 
 from fractions import Fraction
@@ -32,8 +27,7 @@ from .fields import Poly, poly_x, root_or_extend
 from .linalg import ExactMatrix
 from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, _exact_div, _ring_mul, miller_function
-from .algebra import (CertificationFailed, RhoTable, Trivialisation,
-                      certify_trivialisation)
+from .algebra import CertificationFailed, RhoTable, Trivialisation, certify_once
 
 
 class EigenspaceDimensionError(Exception):
@@ -253,21 +247,47 @@ def compute_G_basis(table, eps):
     return GBasis(table, funcs)
 
 
+def _frozen(x):
+    """x in a once key: a dict as its keys and frozen values, a matrix as row tuples."""
+    if isinstance(x, dict):
+        return tuple(x), tuple(map(_frozen, x.values()))
+    return tuple(map(tuple, x.rows)) if isinstance(x, ExactMatrix) else x
+
+
 class CurveData:
     """The per-(curve, n) data of the pipeline, each computed on first
-    use: the torsion table, the Miller functions, epsilon, the G-basis
-    and the embedding, and descend's pencils of cubics.  Get it with
-    CurveData.of(curve, n)."""
+    use: the torsion table, the Miller functions, epsilon, the G-basis and
+    the embedding; and what once keeps.  Get it with CurveData.of."""
 
     def __init__(self, curve, n):
         self.curve = curve
         self.n = n
-        self.pencils = {}  # geometry._pencil's key -> basis of the pencil
+        self.kept = {}  # once's key -> (value, failure)
 
     @classmethod
     def of(cls, curve, n):
         """The one CurveData of this curve object and n, kept on the curve."""
         return curve._data.setdefault(n, cls(curve, n))
+
+    def once(self, check, *data):
+        """check() once per == data on this curve: its value, or the
+        CertificationFailed it raised, raised again.  data names the check
+        and holds all it reads beyond this CurveData, copied by _frozen, so
+        data changed in place is checked again."""
+        key = tuple(map(_frozen, data))
+        if key not in self.kept:
+            try:
+                self.kept[key] = check(), None
+            except CertificationFailed as e:
+                self.kept[key] = None, (e.witness, str(e))
+        value, failure = self.kept[key]
+        if failure:
+            raise CertificationFailed(*failure)
+        return value
+
+    def passed(self, *data):
+        """Whether once has run a check on == data, and it returned None."""
+        return self.kept.get(tuple(map(_frozen, data))) == (None, None)
 
     @cached_property
     def table(self):
@@ -330,7 +350,7 @@ def compute_embedding(table, eps, millers, seed=0):
     with w != 1 is not in the coordinate ring and raises
     CertificationFailed(("translation", T)).  M_O is the identity.
     Returns the standard trivialisation of the untwisted algebra,
-    certified by certify_trivialisation.  seed has no effect; it is
+    certified by certify_once.  seed has no effect; it is
     accepted for older callers."""
     n, K = table.n, table.curve.field
     matrices = {(0, 0): ExactMatrix.identity(n, K)}
@@ -349,7 +369,7 @@ def compute_embedding(table, eps, millers, seed=0):
             raise CertificationFailed(("embedding", ij), "row 0 of M_T is not eps(T,-T) F_{-T}")
         matrices[ij] = m
     emb = Trivialisation(table, RhoTable.trivial(table), K, matrices, "standard")
-    certify_trivialisation(emb, eps)
+    certify_once(emb, eps)
     return emb
 
 

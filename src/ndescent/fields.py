@@ -418,10 +418,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        flat = self.flatten()
-        while flat and flat[-1] == 0:
-            flat.pop()
-        return hash(tuple(flat))
+        return hash((self._num[0], self._den))  # a lift keeps both
 
     def flatten(self):
         """Coordinate vector over Q, outermost generator most significant."""

@@ -16,8 +16,7 @@ from .fields import _dot
 from .linalg import ExactMatrix, _common_tower, _lift_entry, split_row
 from .curve import slope, division_polynomial, PoleAtP
 from .descent_funcs import CurveData, affine_sample, tau_1
-from .algebra import (CSA, RhoTable, BadBasePoint, certify_trivialisation,
-                      CertificationFailed)
+from .algebra import CSA, RhoTable, BadBasePoint, certify_once, CertificationFailed
 
 
 class RankNotOne(Exception):
@@ -381,22 +380,23 @@ def _symmetric_cube(a):
 
 def _pencil(data, triv):
     """A basis F1, F2 of the cubics F with F o A = det(A) F for A =
-    tau(delta_T1), tau(delta_T2), kept on data per tower and exact entries
-    of the two A scaled to a leading 1; F o (cA) = c^3 F o A and det(cA) =
+    tau(delta_T1), tau(delta_T2), kept on data per tower and == entries of
+    the two A scaled to a leading 1; F o (cA) = c^3 F o A and det(cA) =
     c^3 det(A), so every twist with tau(delta_g) proportional to M_g shares
     it.  The kernel of the stacked Sym^3(A) - det(A) I must have dimension
     exactly 2, else CertificationFailed(("pencil", dim))."""
     mats = [a.scale(next(e for r in a.rows for e in r if not e.is_zero()).inverse())
             for a in map(triv.M, data.table.generators)]
-    key = (mats[0].tower, tuple(e.key() for a in mats for r in a.rows for e in r))
-    if key not in data.pencils:
+    tower = mats[0].tower
+
+    def build():
         rows = [r for a in mats for r in
                 (_symmetric_cube(a) - ExactMatrix.identity(10, a.tower).scale(a.det())).rows]
-        kern = ExactMatrix(rows, mats[0].tower).kernel_basis()
+        kern = ExactMatrix(rows, tower).kernel_basis()
         if len(kern) != 2:
             raise CertificationFailed(("pencil", len(kern)), "the pencil has the wrong dimension")
-        data.pencils[key] = [PlaneCurveEquation(key[0], 3, plane_monomials(3), v) for v in kern]
-    return data.pencils[key]
+        return [PlaneCurveEquation(tower, 3, plane_monomials(3), v) for v in kern]
+    return data.once(build, "pencil", tower, *mats)
 
 
 def _pin_cubic(pencil, u, field):
@@ -420,16 +420,16 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     twisted covering, sampling, Segre images, and the plane cubic.
 
     Each fact is certified once.  The supplied trivialisation must twist
-    the same rho (else ValueError), and certify_trivialisation re-checks
-    it; gamma is rho.gamma, whose solve_gamma ran check_coboundary,
-    over the field sampling_field picks.  Those two certificates imply
-    everything validate_rho and build_csa check, so neither runs here:
+    the same rho (else ValueError); certify_once certifies it, reusing a
+    verdict only on == data, such as trivialize's; gamma is rho.gamma,
+    whose solve_gamma ran check_coboundary, over the field sampling_field
+    picks.  Those two certificates imply everything validate_rho and
+    build_csa check, so neither runs here:
     - rho = d(gamma), so rho is nonzero, symmetric and a cocycle;
     - tau(delta_O) = 1 and tau(delta_O)^2 = c(O,O) tau(delta_O) force
       c(O,O) = eps(O,O) rho(O,O) = 1, so rho(O,O) = 1;
-    - a certified trivialisation makes A (x) L = M_n(L), which gives the
-      unit, associativity and a one-dimensional center, and it checks
-      that no c(a, b) is zero.
+    - a certified trivialisation certifies what build_csa checks on c
+      (certify_trivialisation).
     The algebra saved is CSA(table, rho, c), with c = eps rho the
     structure constants the trivialisation was certified against.
 
@@ -455,7 +455,7 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
 
     if not (triv.rho.values == rho.values):
         raise ValueError("trivialisation twists a different rho")
-    csa = CSA(table, rho, certify_trivialisation(triv, eps))
+    csa = CSA(table, rho, certify_once(triv, eps))
     gamma, field = sampling_field(*rho.gamma, triv)
     qs = quadrics_for_C(curve, table, rho)
 

@@ -79,10 +79,7 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(self.rows[i][j] == other.rows[i][j]
-                   for i in range(self.nrows) for j in range(self.ncols))
+        return self.rows == other.rows  # entry by entry, shapes included
 
     def __add__(self, other):
         _require((self.nrows, self.ncols) == (other.nrows, other.ncols), "shapes differ")
@@ -130,13 +127,12 @@ class ExactMatrix:
             s = s + self.rows[i][i]
         return s
 
-    def copy_rows(self):
-        return [list(r) for r in self.rows]
-
     def _rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        rows = self.copy_rows()
-        pivots = []
+        """Reduced row echelon form; returns (rows, pivot column list, pivot
+        values), each value negated when its row was swapped in, so that
+        their product is the determinant of a square matrix of full rank."""
+        rows = [list(r) for r in self.rows]
+        pivots, values = [], []
         r = 0
         for c in range(self.ncols):
             pr = None
@@ -147,6 +143,7 @@ class ExactMatrix:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
+            values.append(rows[r][c] if pr == r else -rows[r][c])
             inv = rows[r][c].inverse()
             rows[r] = [inv * e for e in rows[r]]
             for i in range(self.nrows):
@@ -158,7 +155,7 @@ class ExactMatrix:
             r += 1
             if r == self.nrows:
                 break
-        return rows, pivots
+        return rows, pivots, values
 
     def rank(self):
         return len(self._rref()[1])
@@ -166,7 +163,7 @@ class ExactMatrix:
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column, in
         ascending free-column order."""
-        rows, pivots = self._rref()
+        rows, pivots, _ = self._rref()
         pivot_set = set(pivots)
         zero, one = self.tower.zero(), self.tower.one()
         basis = []
@@ -185,7 +182,7 @@ class ExactMatrix:
         _require(len(b) == self.nrows, "right-hand side length is not the row count")
         b = [_lift_entry(e, self.tower) for e in b]
         aug = ExactMatrix([self.rows[i] + [b[i]] for i in range(self.nrows)], self.tower)
-        rows, pivots = aug._rref()
+        rows, pivots, _ = aug._rref()
         if pivots and pivots[-1] == self.ncols:
             raise NoSolution("inconsistent linear system")
         x = [self.tower.zero()] * self.ncols
@@ -198,35 +195,19 @@ class ExactMatrix:
         n = self.nrows
         ident = ExactMatrix.identity(n, self.tower)
         aug = ExactMatrix([self.rows[i] + ident.rows[i] for i in range(n)], self.tower)
-        rows, pivots = aug._rref()
+        rows, pivots, _ = aug._rref()
         if pivots[:n] != list(range(n)):
             raise NoSolution("matrix is singular")
         return ExactMatrix([r[n:] for r in rows[:n]], self.tower)
 
     def det(self):
+        """The product of the pivot values of _rref, 0 below full rank."""
         _require(self.nrows == self.ncols, "only square matrices have a determinant")
-        rows = self.copy_rows()
-        n = self.nrows
-        det = self.tower.one()
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if not rows[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                return self.tower.zero()
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inverse()
-            for i in range(c + 1, n):
-                if rows[i][c].is_zero():
-                    continue
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+        _, pivots, values = self._rref()
+        d = self.tower.one() if len(pivots) == self.nrows else self.tower.zero()
+        for v in values:
+            d = d * v
+        return d
 
     def __repr__(self):
         return "ExactMatrix(%d x %d over %r)" % (self.nrows, self.ncols, self.tower)

@@ -41,10 +41,18 @@ def _req(j, key):
         raise ParseError("artifact has no %r field" % key)
 
 
+def _object(pairs):
+    """A JSON object as a dict; json alone keeps a repeated key's last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ParseError("a JSON object repeats a key")
+    return obj
+
+
 def load(path):
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_object)
         except json.JSONDecodeError as e:
             raise ParseError("not valid JSON: %s" % e)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -284,16 +292,12 @@ def matrix_from_json(tower, j, n):
 
 
 def triv_to_json(triv):
-    out = {"kind": "trivialisation", "hash": curve_hash(triv.table.curve),
-           "n": triv.n, "mode": triv.mode, "field": tower_to_json(triv.field),
-           "rho": _pairs_to_json(triv.rho.values),
-           "matrices": {_ij_key(ij): matrix_to_json(m)
-                        for ij, m in triv.matrices.items()}}
-    if triv.gamma is not None:
-        out["gamma"] = {_ij_key(ij): elem_to_json(g) for ij, g in triv.gamma.items()}
-    else:
-        out["gamma"] = None
-    return out
+    return {"kind": "trivialisation", "hash": curve_hash(triv.table.curve),
+            "n": triv.n, "mode": triv.mode, "field": tower_to_json(triv.field),
+            "rho": _pairs_to_json(triv.rho.values),
+            "matrices": {_ij_key(ij): matrix_to_json(m) for ij, m in triv.matrices.items()},
+            "gamma": None if triv.gamma is None else {_ij_key(ij): elem_to_json(g)
+                                                      for ij, g in triv.gamma.items()}}
 
 
 def triv_from_json(j, table):
@@ -335,6 +339,8 @@ def quadrics_from_json_forms(field, n, forms):
             if type(a) is not int or type(b) is not int or not 0 <= a <= b < n * n:
                 raise ParseError("quadric term indices %r, %r are not 0 <= i <= j < %d"
                                  % (a, b, n * n))
+            if (a, b) in d:
+                raise ParseError("a quadric repeats the term z_%d z_%d" % (a, b))
             d[(a, b)] = elem_from_json(field, c)
         out.append(d)
     return QuadricSystem(field, n, out)

@@ -3,7 +3,8 @@ longer runs validate_rho or build_csa: each breaks one fact that only the
 trivialisation and coboundary certificates still check.  Shared by the
 in-process tests and the python -O run in tests/test_geometry.py."""
 
-from ndescent.algebra import RhoTable, Trivialisation
+from ndescent.algebra import RhoTable, Trivialisation, trivialize
+from ndescent.linalg import ExactMatrix
 
 # the first identity each mutant breaks, as descend reports it
 WITNESSES = {"swap": ("coboundary", (0, 1), (1, 0)),
@@ -38,3 +39,16 @@ def descend_mutants(data):
     for name, rho in (("zero", zero), ("unnormalised", doubled)):
         out[name] = (rho, Trivialisation(table, rho, K, dict(emb.matrices), "user"))
     return out
+
+
+def changed_in_place(data):
+    """(rho, trivialisation): the trivial rho and a user-mode copy of the
+    embedding's matrices, certified by trivialize, then one entry of
+    tau(delta_T1) changed in place.  descend must certify it again, and
+    the product tau(delta_T1) tau(delta_T2) fails."""
+    rho = RhoTable.trivial(data.table)
+    mats = {ij: ExactMatrix(m.rows, m.tower) for ij, m in data.emb.matrices.items()}
+    triv = trivialize(data.emb, data.eps, rho, mode="user", matrices=mats)
+    row = triv.M((1, 0)).rows[0]
+    row[1] = row[1] + 1
+    return rho, triv

@@ -33,9 +33,12 @@ library's certificates against them:
     itself, taken whatever the denominator;
   - the sums of products that fields._dot takes in one pass, as left
     folds of the operators * and +: a dot product, a matrix times a
-    vector, a matrix product and a polynomial product.
+    vector, a matrix product and a polynomial product;
+  - the determinant as the Leibniz sum over permutations, which
+    ExactMatrix.det takes from its one Gauss-Jordan pass.
 """
 
+import itertools
 from fractions import Fraction
 
 from ndescent.algebra import CertificationFailed
@@ -441,6 +444,19 @@ def naive_mat_vec(m, v):
 
 def naive_mat_mul(a, b):
     return [[naive_dot(r, c) for c in zip(*b.rows)] for r in a.rows]
+
+
+def leibniz_det(m):
+    """The determinant as the signed sum over permutations, with no
+    elimination: sum_s sign(s) prod_i m[i, s(i)]."""
+    n, total = m.nrows, m.tower.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = m.tower.one()
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def naive_poly_mul(p, q):

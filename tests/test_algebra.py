@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ndescent import algebra
 from ndescent.curve import Point
+from ndescent.descent_funcs import EpsilonTable
 from ndescent.linalg import ExactMatrix
 from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable,
                               Trivialisation, build_csa, certify_trivialisation,
@@ -287,6 +288,43 @@ def test_certify_rejects_tampering(emb, eps, table):
     bad = Trivialisation(table, triv.rho, triv.field, mats, "user")
     with pytest.raises(CertificationFailed):
         certify_trivialisation(bad, eps)
+
+
+def test_validate_rho_runs_again_on_a_changed_value(table, field, monkeypatch):
+    # == values reuse the verdict; one value changed in place is new data
+    calls = []
+    real = algebra._check_rho
+    monkeypatch.setattr(algebra, "_check_rho", lambda *a: calls.append(a) or real(*a))
+    values = partial(table, _z_values(field, 64)).values
+    rho = validate_rho(table, values)
+    assert validate_rho(table, dict(values)).values == rho.values
+    assert len(calls) == 1
+    rho.values[((1, 0), (0, 1))] = rho.values[((1, 0), (0, 1))] * 2
+    with pytest.raises(CertificationFailed) as ei:
+        validate_rho(table, rho.values)
+    assert ei.value.witness == ("symmetry", (0, 1), (1, 0))
+    assert len(calls) == 2
+
+
+def test_a_different_eps_gets_no_reuse(emb, eps, table, field, monkeypatch):
+    # the embedding's eps holds a passing cocycle verdict and the standard
+    # trivialisation a passing verdict; eps with eps(T1, T2) doubled is
+    # other data, so the trivialisation is certified again against it and
+    # the cocycle identity of c = eps rho is checked, not inherited
+    rho = RhoTable.trivial(table)
+    trivialize(emb, eps, rho)
+    calls = []
+    real = algebra.certify_trivialisation
+    monkeypatch.setattr(algebra, "certify_trivialisation",
+                        lambda *a: calls.append(a) or real(*a))
+    trivialize(emb, eps, rho)
+    assert calls == []
+    other = EpsilonTable(dict(eps.values))
+    other.values[((1, 0), (0, 1))] = other.values[((1, 0), (0, 1))] * 2
+    with pytest.raises(CertificationFailed) as ei:
+        trivialize(emb, other, rho)
+    assert ei.value.witness[0] == "associativity"
+    assert len(calls) == 1
 
 
 def _commutative(table, eps, K):

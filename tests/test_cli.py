@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import ndescent
-from ndescent import cli
+from ndescent import algebra, cli
 from ndescent.cli import main
 from ndescent.fields import FieldTower
 from ndescent.curve import Curve, Point
@@ -100,8 +100,8 @@ def test_verify_validates_each_rho_once(work, tmp_path, capsys, monkeypatch):
     # is validated once, and every file still prints its own rho line
     _, paths, _ = work
     calls = []
-    real = cli.validate_rho
-    monkeypatch.setattr(cli, "validate_rho", lambda *a: calls.append(a) or real(*a))
+    real = algebra._check_rho
+    monkeypatch.setattr(algebra, "_check_rho", lambda *a: calls.append(a) or real(*a))
     bad = _tampered_rho(paths, tmp_path)
     rc = main(["verify", "--curve", paths["curve"], paths["rho"], paths["quadC"],
                paths["csa"], paths["triv"], paths["out"], bad, bad])
@@ -120,8 +120,9 @@ def test_verify_rebuilds_each_part_once(work, capsys, monkeypatch):
     # certified once; every file still prints its own lines
     _, paths, _ = work
     calls = []
-    for name in ("build_csa", "certify_trivialisation", "quadrics_for_C"):
-        monkeypatch.setattr(cli, name, lambda *a, name=name, real=getattr(cli, name):
+    for module, name in ((cli, "build_csa"), (algebra, "certify_trivialisation"),
+                         (cli, "quadrics_for_C")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=getattr(module, name):
                             calls.append(name) or real(*a))
     files = [paths["quadC"], paths["csa"], paths["triv"], paths["out"]]
     assert main(["verify", "--curve", paths["curve"]] + files) == 0
@@ -200,6 +201,15 @@ def _tampered_rho(paths, tmp_path):
     j["values"]["1,0|0,1"] = ["19", "0"]
     bad = tmp_path / "badrho.json"
     bad.write_text(json.dumps(j))
+    return str(bad)
+
+
+def _repeated_key(paths, tmp_path):
+    # the text of rho.json with the key "1,0|0,1" twice, a wrong value
+    # first: json.load alone keeps the last, the true one
+    key = '"1,0|0,1":'
+    bad = tmp_path / "repeatedkey.json"
+    bad.write_text(open(paths["rho"]).read().replace(key, key + '["23","0"],' + key, 1))
     return str(bad)
 
 
@@ -348,6 +358,61 @@ def test_library_imports_only_the_standard_library():
     assert outside == []
 
 
+# the checks whose verdicts CurveData.once keeps, by the names they are
+# reached through; the first two are the raw checks behind certify_once
+_RAW_CHECKS = ("certify_trivialisation", "_cocycle_failure")
+_KEPT_CHECKS = _RAW_CHECKS + ("validate_rho", "certify_once", "trivialize", "_cocycle_once",
+                              "_check_rho", "build_csa", "quadrics_for_C", "solve_gamma")
+
+
+def _called_name(node):
+    """The name a call is made through (f or obj.f), else None."""
+    f = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+    return getattr(f, "id", None) or getattr(f, "attr", None)
+
+
+def _verdict_bypasses(tree):
+    """(line, what) for each import or call of a raw check, and each
+    verdict kept in a container of the module's own: a value stored by
+    subscript, or by .append, .add, .setdefault, .update or .insert, or
+    held in a dict, list or set display, that calls a kept check."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, "imports " + a.name) for a in node.names
+                    if a.name in _RAW_CHECKS]
+        if _called_name(node) in _RAW_CHECKS:
+            out.append((node.lineno, "calls " + _called_name(node)))
+        stored = []
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Subscript) for t in targets):
+                stored = [node.value]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("append", "add", "setdefault", "update", "insert"):
+            stored = node.args + [k.value for k in node.keywords]
+        elif isinstance(node, ast.Dict):
+            stored = node.values
+        elif isinstance(node, (ast.List, ast.Set)):
+            stored = node.elts
+        out += [(node.lineno, "keeps a verdict of " + _called_name(n))
+                for v in stored for n in ast.walk(v) if _called_name(n) in _KEPT_CHECKS]
+    return out
+
+
+def test_certification_verdicts_have_one_owner():
+    # CurveData.once is the one keeper of certification verdicts: cli and
+    # geometry reach the checks through validate_rho, certify_once and
+    # trivialize, never call the raw checks behind them, and keep no
+    # verdict in a container of their own
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    found = []
+    for name in ("cli", "geometry"):
+        with open(os.path.join(pkg, name + ".py")) as fh:
+            found += [(name,) + hit for hit in _verdict_bypasses(ast.parse(fh.read()))]
+    assert found == []
+
+
 _NO_SYMPY = r"""
 import json, sys
 from ndescent.cli import main
@@ -441,6 +506,10 @@ _MUTATIONS = {
         "triv", lambda j: j.update(field=[{"name": "i", "minpoly": ["1", "0", "1"]}]), 1),
     "quadrics-rho-missing-pair": ("quadC", lambda j: j["rho"].pop("1,0|0,1"), 1),
     "quadrics-forms-empty": ("quadC", lambda j: j.update(forms=[]), 1),
+    # z_0^2 twice in form 0, a wrong coefficient first
+    "quadrics-repeated-term": ("quadC", lambda j: j["forms"][0].insert(0, [0, 0, ["5", "0"]]), 1),
+    "descent-quadric-repeated-term": (
+        "out", lambda j: j["quadrics"][0].insert(0, [0, 0, ["5", "0"]]), 1),
     "descent-quadrics-empty": ("out", lambda j: j.update(quadrics=[]), 1),
     "descent-quadric-form-empty": ("out", lambda j: j["quadrics"].__setitem__(0, []), 1),
     "descent-fields-incompatible": ("out", _incompatible_fields, 1),
@@ -491,6 +560,8 @@ _NEGATIVE_PATHS = {
         "torsion", "--curve", paths["curve"], "--n", "4", "--out", str(tmp / "t.json")]),
     "tampered-rho": (3, lambda paths, tmp: [
         "verify", "--curve", paths["curve"], _tampered_rho(paths, tmp)]),
+    "repeated-json-key": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _repeated_key(paths, tmp)]),
     "empty-matrix": (1, lambda paths, tmp: [
         "verify", "--curve", paths["curve"], _damaged(paths, tmp, "triv", "empty-matrix")]),
     "ragged-matrix": (1, lambda paths, tmp: [

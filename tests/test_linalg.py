@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ndescent.linalg import ExactMatrix, NoSolution
-from oracles import naive_mat_mul, naive_mat_vec, zero_matrix
+from oracles import leibniz_det, naive_mat_mul, naive_mat_vec, zero_matrix
 from test_fields import _AUX, _Q, _ZETA3, PROFILE, same, sparse_elements
 
 
@@ -112,3 +112,13 @@ def test_matrix_product_is_the_naive_product(ab):
     assert prod.tower == (b.tower if a.tower.is_prefix_of(b.tower) else a.tower)
     assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
     assert all(same(x, y) for r, w in zip(prod.rows, want) for x, y in zip(r, w))
+
+
+@PROFILE
+@given(st.sampled_from([_Q, _ZETA3, _AUX]).flatmap(
+    lambda t: st.integers(1, 4).flatmap(lambda n: _matrices(t, n, n))))
+def test_det_is_the_leibniz_sum(m):
+    # the determinant comes from the pivots of the one Gauss-Jordan pass,
+    # negated for each row swap; sparse entries make swaps and singular
+    # matrices common
+    assert same(m.det(), leibniz_det(m))
