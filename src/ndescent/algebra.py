@@ -257,11 +257,10 @@ def solve_gamma(table, rho):
     apow = [L.one()]
     bpow = [L.one()]
     for _ in range(n - 1):
-        apow.append(apow[-1] * alpha.lift_to(L))
+        apow.append(apow[-1] * alpha)
         bpow.append(bpow[-1] * beta)
     for i, j in table.indices:
-        den = (c1[i] * c2[j] * rho.value((i, 0), (0, j))).lift_to(L)
-        gamma[(i, j)] = apow[i] * bpow[j] / den
+        gamma[(i, j)] = apow[i] * bpow[j] / (c1[i] * c2[j] * rho.value((i, 0), (0, j)))
     check_coboundary(table, gamma, rho)
     return gamma, L
 
@@ -270,9 +269,8 @@ def check_coboundary(table, gamma, rho):
     """Check d(gamma) = rho exactly on every pair of torsion points, in
     the field of gamma.  Raises CertificationFailed(("coboundary", a, b))
     at the first pair where it fails."""
-    L = next(iter(gamma.values())).tower
     for (a, b), v in partial(table, gamma).values.items():
-        if not (v == rho.value(a, b).lift_to(L)):
+        if not (v == rho.value(a, b)):
             raise CertificationFailed(("coboundary", a, b),
                                       "gamma does not satisfy d(gamma) = rho")
 
@@ -361,8 +359,7 @@ def certify_trivialisation(triv, eps):
         _check_associative(table, structure)
     for g in table.generators:
         for b in idx:
-            cgb = structure[(g, b)].lift_to(L)
-            if not (mats[g] * mats[b] == mats[table.add_index(g, b)].scale(cgb)):
+            if not (mats[g] * mats[b] == mats[table.add_index(g, b)].scale(structure[(g, b)])):
                 raise CertificationFailed(("multiplicative", g, b),
                                           "trivialisation is not multiplicative at %r"
                                           % ((g, b),))
@@ -401,10 +398,7 @@ def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):
         triv = Trivialisation(table, rho, K, mats, mode)
     elif mode == "gamma":
         g, L = rho.gamma
-        mats = {}
-        for ij, m in emb.matrices.items():
-            lifted = ExactMatrix([[e.lift_to(L) for e in row] for row in m.rows], L)
-            mats[ij] = lifted.scale(g[ij])
+        mats = {ij: m.scale(g[ij]) for ij, m in emb.matrices.items()}
         triv = Trivialisation(table, rho, L, mats, mode, g)
     elif mode == "user":
         if matrices is None:

@@ -5,9 +5,8 @@ n-torsion table, and the two-torsion-argument function r.
 """
 
 import operator
-from fractions import Fraction
 
-from .fields import FieldElement, Poly, _ladder, poly_x, roots_in_field
+from .fields import Poly, _into, _ladder, poly_x, roots_in_field
 
 
 class TorsionNotRational(Exception):
@@ -30,8 +29,7 @@ class Curve:
 
     def __init__(self, field, a, b):
         self.field = field
-        self.a, self.b = (c.lift_to(field) if isinstance(c, FieldElement)
-                          else field.from_fraction(c) for c in (a, b))
+        self.a, self.b = _into(a, field), _into(b, field)
         disc = -16 * (4 * self.a ** 3 + 27 * self.b ** 2)
         if disc.is_zero():
             raise ValueError("singular curve: discriminant is zero")
@@ -54,9 +52,9 @@ class Curve:
         return (y * y - self.rhs(x)).is_zero()
 
     def base_change(self, field):
-        """The same equation over an extension field; lift_to raises
-        ValueError for a field that does not extend this one."""
-        return Curve(field, self.a.lift_to(field), self.b.lift_to(field))
+        """The same equation over an extension field; ValueError for a
+        field that does not extend this one."""
+        return Curve(field, self.a, self.b)
 
     def __eq__(self, other):
         if not isinstance(other, Curve):
@@ -74,8 +72,7 @@ class Point:
 
     def __init__(self, curve, x, y):
         self.curve = curve
-        x, y = (curve.field.from_fraction(c) if isinstance(c, (int, Fraction))
-                else c.lift_to(curve.field) for c in (x, y))
+        x, y = _into(x, curve.field), _into(y, curve.field)
         if not curve.contains(x, y):
             raise ValueError("point is not on the curve")
         self.x = x
@@ -102,11 +99,6 @@ class Point:
         if self.is_infinity or other.is_infinity:
             return self.is_infinity and other.is_infinity
         return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        if self.is_infinity:
-            return hash("O")
-        return hash((self.x, self.y))
 
     def __neg__(self):
         if self.is_infinity:

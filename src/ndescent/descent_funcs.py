@@ -326,7 +326,7 @@ def affine_sample(curve, n, rng, name):
             continue
         y, L = root_or_extend(ysq, 2, name)
         if L != K:
-            curve, xe = curve.base_change(L), xe.lift_to(L)
+            curve = curve.base_change(L)
         return Point(curve, xe, y)
 
 

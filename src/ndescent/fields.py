@@ -225,10 +225,49 @@ def _structure_constants(base, m):
     return table, den
 
 
+# ---------------------------------------------------------------------------
+# the one rule for mixing towers
+# ---------------------------------------------------------------------------
+
+# Values from two towers meet in the larger one when one tower is a
+# prefix of the other, and nowhere otherwise.  Every operator, matrix,
+# polynomial and curve that takes values from more than one tower
+# coerces them by _larger and _into.
+
+def _larger(t, u):
+    """The larger of two towers, one a prefix of the other; t when they
+    are equal.  Raises ValueError when neither extends the other."""
+    if t is u or u.is_prefix_of(t):
+        return t
+    if t.is_prefix_of(u):
+        return u
+    raise ValueError("values from incompatible towers")
+
+
+def _common_tower(values, tower=None):
+    """The _larger of tower and the towers of the FieldElements among
+    values; Q when there are none."""
+    for e in values:
+        if isinstance(e, FieldElement):
+            tower = e.tower if tower is None else _larger(tower, e.tower)
+    return tower if tower is not None else FieldTower.rationals()
+
+
+def _into(e, tower):
+    """An int, a Fraction or an element of a prefix of tower, as an
+    element of tower; an element of an equal tower passes as it is."""
+    if not isinstance(e, FieldElement):
+        return tower.from_fraction(e)
+    if e.tower is tower or e.tower._sig == tower._sig:
+        return e
+    return e.lift_to(tower)
+
+
 # The three kernels below take elements of one tower (equal towers, not
 # merely prefix-related).  The operators coerce and then call them, and
 # every computation inside this module calls them directly; the sums of
-# products elsewhere lift their operands to one tower and call _dot.
+# products elsewhere bring their operands into one tower by _into and
+# call _dot.
 
 def _mul(a, b):
     """Multiply with the structure-constant table of the tower."""
@@ -334,14 +373,10 @@ class FieldElement:
 
     def _pair(self, other):
         if isinstance(other, FieldElement):
-            st, ot = self.tower, other.tower
-            if st is ot or st._sig == ot._sig:
+            if other.tower is self.tower:
                 return self, other
-            if st.is_prefix_of(ot):
-                return self.lift_to(ot), other
-            if ot.is_prefix_of(st):
-                return self, other.lift_to(st)
-            raise ValueError("elements of incompatible towers")
+            tower = _larger(self.tower, other.tower)
+            return _into(self, tower), _into(other, tower)
         if isinstance(other, (int, Fraction)):
             return self, self.tower.from_fraction(other)
         return self, None
@@ -458,18 +493,10 @@ class Poly:
     __slots__ = ("tower", "coeffs")
 
     def __init__(self, coeffs, tower=None):
-        elems = [c if isinstance(c, FieldElement) else _fr(c) for c in coeffs]
+        coeffs = list(coeffs)
         if tower is None:
-            tower = FieldTower.rationals()
-            for c in elems:
-                if isinstance(c, FieldElement):
-                    if tower.is_prefix_of(c.tower):
-                        tower = c.tower
-                    elif not c.tower.is_prefix_of(tower):
-                        raise ValueError("coefficients from incompatible towers")
-        final = [c.lift_to(tower) if isinstance(c, FieldElement) else tower.from_fraction(c)
-                 for c in elems]
-        self.tower, self.coeffs = tower, Poly._of(tower, final).coeffs
+            tower = _common_tower(coeffs)
+        self.tower, self.coeffs = tower, Poly._of(tower, [_into(c, tower) for c in coeffs]).coeffs
 
     @staticmethod
     def _of(tower, coeffs):
@@ -503,18 +530,17 @@ class Poly:
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            other = Poly([other], None if isinstance(other, (int, Fraction)) else other.tower)
+            other = Poly([other], other.tower if isinstance(other, FieldElement) else self.tower)
         if not isinstance(other, Poly):
             return None, None
-        if self.tower is other.tower or self.tower == other.tower:
-            return self, other
-        if self.tower.is_prefix_of(other.tower):
-            return self.lift_to(other.tower), other
-        if other.tower.is_prefix_of(self.tower):
-            return self, other.lift_to(self.tower)
-        raise ValueError("polynomials over incompatible towers")
+        tower = _larger(self.tower, other.tower)
+        return self.lift_to(tower), other.lift_to(tower)
 
     def lift_to(self, tower):
+        """This polynomial over tower, which has its own as a prefix; itself
+        when the towers are equal."""
+        if self.tower is tower or self.tower._sig == tower._sig:
+            return self
         return Poly._of(tower, [c.lift_to(tower) for c in self.coeffs])
 
     def __add__(self, other):
@@ -591,11 +617,9 @@ class Poly:
     def __call__(self, x):
         """Horner evaluation at a field element, a rational, or any
         ring-like argument (functions, polys)."""
-        if isinstance(x, (int, Fraction)):
-            x = self.tower.from_fraction(x)
-        if isinstance(x, FieldElement):
-            acc, x = self.tower.zero()._pair(x)  # both in the larger tower
-            p = self if acc.tower is self.tower else self.lift_to(acc.tower)
+        if isinstance(x, (int, Fraction, FieldElement)):
+            tower = _common_tower([x], self.tower)
+            acc, x, p = tower.zero(), _into(x, tower), self.lift_to(tower)
             for c in reversed(p.coeffs):
                 acc = _mul(acc, x) + c
             return acc

@@ -12,8 +12,8 @@ trivialisation's generators fix up to their determinant.
 import itertools
 import random
 
-from .fields import _dot
-from .linalg import ExactMatrix, _common_tower, _lift_entry, split_row
+from .fields import _common_tower, _dot, _into, _larger
+from .linalg import ExactMatrix, split_row
 from .curve import slope, division_polynomial, PoleAtP
 from .descent_funcs import CurveData, affine_sample, tau_1
 from .algebra import CSA, RhoTable, BadBasePoint, certify_once, CertificationFailed
@@ -67,13 +67,13 @@ class QuadricSystem:
         """Every form at a coordinate vector (entries may live upstairs):
         each z_a z_b is taken once, and each form is one sum of products."""
         tower = _common_tower(z, self.field)
-        z = [_lift_entry(e, tower) for e in z]
+        z = [_into(e, tower) for e in z]
         prods, out = {}, []
         for form in self.forms:
             for a, b in form:
                 if (a, b) not in prods:
                     prods[a, b] = z[a] * z[b]
-            out.append(_dot([_lift_entry(c, tower) for c in form.values()],
+            out.append(_dot([_into(c, tower) for c in form.values()],
                             [prods[m] for m in form]))
         return out
 
@@ -222,14 +222,11 @@ def _x_key(x):
 
 def sampling_field(gamma, field, triv):
     """gamma and the field sample_images draws on, for descend and verify
-    alike: the trivialisation's field, with gamma lifted to it, when that
-    extends gamma's field, else gamma's own.  Raises ValueError when
-    neither field extends the other."""
-    if field.is_prefix_of(triv.field):
-        return {ij: g.lift_to(triv.field) for ij, g in gamma.items()}, triv.field
-    if not triv.field.is_prefix_of(field):
-        raise ValueError("trivialisation field is incompatible with the gamma extension")
-    return gamma, field
+    alike: the larger of the trivialisation's field and gamma's field,
+    with gamma brought into it.  Raises ValueError when neither field
+    extends the other."""
+    tower = _larger(triv.field, field)
+    return {ij: _into(g, tower) for ij, g in gamma.items()}, tower
 
 
 def sample_images(curve, gbasis, gamma, qs, triv, seed):

@@ -1,14 +1,13 @@
 """Exact linear algebra over field towers.
 
-Matrices hold FieldElement entries, all lifted to one common tower at
-construction.  Everything runs Gauss-Jordan with exact division.  A
-matrix product or matrix-vector product lifts its operands to one tower
-once and takes each entry as one fields._dot, reduced once.
+Matrices hold FieldElement entries in one tower, which construction
+finds and brings every entry into by the tower rule of ndescent.fields.
+Everything runs Gauss-Jordan with exact division.  A matrix product or
+matrix-vector product brings its operands into one tower once and takes
+each entry as one fields._dot, reduced once.
 """
 
-from fractions import Fraction
-
-from .fields import FieldTower, FieldElement, _dot
+from .fields import _common_tower, _dot, _into, _larger
 
 
 class NoSolution(Exception):
@@ -19,30 +18,6 @@ def _require(ok, message):
     """A caller's shape or tower error is a ValueError, under python -O too."""
     if not ok:
         raise ValueError(message)
-
-
-def _larger(tower, other):
-    """The larger of two towers, one a prefix of the other; tower when
-    they are equal."""
-    if tower is None or tower is other:
-        return other
-    if other.is_prefix_of(tower):
-        return tower
-    _require(tower.is_prefix_of(other), "entries from incompatible towers")
-    return other
-
-
-def _common_tower(entries, tower=None):
-    for e in entries:
-        if isinstance(e, FieldElement):
-            tower = _larger(tower, e.tower)
-    return tower if tower is not None else FieldTower.rationals()
-
-
-def _lift_entry(e, tower):
-    if isinstance(e, FieldElement):
-        return e if e.tower is tower else e.lift_to(tower)
-    return tower.from_fraction(Fraction(e) if isinstance(e, int) else e)
 
 
 class ExactMatrix:
@@ -59,7 +34,7 @@ class ExactMatrix:
         self.tower = tower
         self.nrows = len(rows)
         self.ncols = ncols
-        self.rows = [[_lift_entry(e, tower) for e in r] for r in rows]
+        self.rows = [[_into(e, tower) for e in r] for r in rows]
 
     @staticmethod
     def identity(n, tower):
@@ -98,7 +73,7 @@ class ExactMatrix:
         return ExactMatrix([[c * a for a in r] for r in self.rows])
 
     def _rows_over(self, tower):
-        return self.rows if tower is self.tower else [[_lift_entry(e, tower) for e in r]
+        return self.rows if tower is self.tower else [[_into(e, tower) for e in r]
                                                       for r in self.rows]
 
     def __mul__(self, other):
@@ -113,7 +88,7 @@ class ExactMatrix:
     def mat_vec(self, v):
         _require(len(v) == self.ncols, "vector length is not the column count")
         tower = _common_tower(v, self.tower)
-        v = [_lift_entry(e, tower) for e in v]
+        v = [_into(e, tower) for e in v]
         return [_dot(r, v) for r in self._rows_over(tower)]
 
     def transpose(self):
@@ -180,7 +155,7 @@ class ExactMatrix:
     def solve(self, b):
         """One solution of A x = b (free variables zero); NoSolution if none."""
         _require(len(b) == self.nrows, "right-hand side length is not the row count")
-        b = [_lift_entry(e, self.tower) for e in b]
+        b = [_into(e, self.tower) for e in b]
         aug = ExactMatrix([self.rows[i] + [b[i]] for i in range(self.nrows)], self.tower)
         rows, pivots, _ = aug._rref()
         if pivots and pivots[-1] == self.ncols:

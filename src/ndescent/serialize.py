@@ -50,10 +50,15 @@ def _object(pairs):
 
 
 def load(path):
-    with open(path) as fh:
+    """The artifact object in a file.  ParseError when the file cannot be
+    decoded: bytes that are not UTF-8, text that is not JSON, nesting
+    past the recursion limit, or an integer past Python's digit limit."""
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh, object_pairs_hook=_object)
-        except json.JSONDecodeError as e:
+        except ParseError:
+            raise
+        except (ValueError, RecursionError) as e:
             raise ParseError("not valid JSON: %s" % e)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("artifact files are objects with a 'kind' field")

@@ -190,9 +190,9 @@ def test_torsion_not_rational_exit_2(work, tmp_path, capsys):
     assert "found 3 of 9" in capsys.readouterr().err
 
 
-def _garbage(tmp_path):
+def _garbage(tmp_path, data=b"{oops"):
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops")
+    bad.write_bytes(data)
     return str(bad)
 
 
@@ -554,6 +554,13 @@ def test_verify_rejects_mutation(work, tmp_path, name, capsys):
 
 _NEGATIVE_PATHS = {
     "garbage": (1, lambda paths, tmp: ["verify", "--curve", paths["curve"], _garbage(tmp)]),
+    # past the recursion limit, not UTF-8, past Python's 4,300-digit limit
+    "deep-nesting": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _garbage(tmp, b"[" * 200000)]),
+    "not-utf8": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _garbage(tmp, b'{"kind": "\xff\xfe"}')]),
+    "long-int": (1, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], _garbage(tmp, b'{"kind": ' + b"9" * 5000 + b"}")]),
     "torsion-not-rational": (2, lambda paths, tmp: [
         "torsion", "--curve", paths["curveq"], "--out", str(tmp / "t.json")]),
     "n4": (2, lambda paths, tmp: [

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,8 +14,11 @@ import ndescent
 from ndescent import fields
 from ndescent.fields import (FieldTower, FieldElement, NoCertificate, Poly, ReducibleExtension,
                              factor_poly, poly_x, root_or_extend, roots_in_field, tower_extend)
-from ndescent.curve import Point, division_polynomial
+from ndescent.curve import Curve, Point, division_polynomial
 from ndescent.algebra import rho_from_point, solve_gamma
+from ndescent.geometry import QuadricSystem, sampling_field
+from ndescent.linalg import ExactMatrix
+from ndescent.serialize import tower_from_json, tower_to_json
 from oracles import naive_dot, naive_poly_mul, poly_derivative, poly_gcd
 
 
@@ -341,6 +345,80 @@ def test_poly_mul_is_the_naive_product(pq):
         assert len(got) == len(want) and all(same(x, y) for x, y in zip(got, want))
 
 
+# ---------------------------------------------------------------------------
+# the tower rule: values from two towers of the chain meet in the larger,
+# with the data that lifting both first gives; a tower re-read from JSON
+# has an equal signature but is another object
+# ---------------------------------------------------------------------------
+
+_CHAIN = _TOWERS + [tower_from_json(tower_to_json(K)) for K in _TOWERS]
+_SQRT2 = tower_extend(_Q, [-2, 0, 1], name="sqrt2")  # neither it nor Q(zeta3) extends the other
+_two_towers = st.tuples(st.sampled_from(_CHAIN), st.sampled_from(_CHAIN))
+
+
+def larger_of(*towers):
+    """The tower of the chain with the most levels, the first among equals."""
+    return max(towers, key=lambda t: t.nlevels)
+
+
+def lifted_first(values, tower):
+    """Each value brought into tower by lift_to, before any operator runs."""
+    return [v.lift_to(tower) for v in values]
+
+
+def data(values):
+    return [(v._num, v._den) for v in values]
+
+
+@PROFILE
+@given(_two_towers.flatmap(lambda kl: st.tuples(*map(sparse_elements, kl))))
+def test_mixed_operands_give_the_data_of_lifting_first(ab):
+    a, b = ab
+    L = larger_of(a.tower, b.tower)
+    x, y = lifted_first([a, b], L)
+    for got, want in ((a + b, x + y), (a - b, x - y), (b - a, y - x), (a * b, x * y),
+                      (b * a, y * x)):
+        assert got.tower == L and data([got]) == data([want])
+    assert a == x and b == y and (a == b) == (data([x]) == data([y]))
+
+
+@PROFILE
+@given(_two_towers.flatmap(lambda kl: st.tuples(*(
+    st.lists(sparse_elements(K), min_size=1, max_size=4).map(lambda c, K=K: Poly(c, K))
+    for K in kl))))
+def test_mixed_poly_product_gives_the_data_of_lifting_first(pq):
+    p, q = pq
+    L = larger_of(p.tower, q.tower)
+    want = Poly(lifted_first(p.coeffs, L), L) * Poly(lifted_first(q.coeffs, L), L)
+    for got in p * q, q * p:
+        assert data(got.coeffs) == data(want.coeffs)
+
+
+def test_incompatible_towers_raise_from_every_entry_point():
+    z, s = _ZETA3.gen(), _SQRT2.gen()
+    curve = Curve(_ZETA3, 0, 1)
+    entry_points = [
+        lambda: z + s, lambda: s + z, lambda: z - s, lambda: z * s, lambda: z / s,
+        lambda: Poly([z, s]), lambda: Poly([s], _ZETA3), lambda: Poly([z]) + Poly([s]),
+        lambda: Poly([z]) * s, lambda: Poly([z]) == Poly([s]), lambda: Poly([z, 1])(s),
+        lambda: ExactMatrix([[z, s]]), lambda: ExactMatrix([[z]]) * ExactMatrix([[s]]),
+        lambda: ExactMatrix([[z]]).mat_vec([s]), lambda: ExactMatrix([[z]]).solve([s]),
+        lambda: QuadricSystem(_ZETA3, 1, [{(0, 0): z}]).evaluate_all([s]),
+        lambda: Curve(_ZETA3, s, 1), lambda: curve.base_change(_SQRT2),
+        lambda: Point(curve, s, 1),
+        lambda: sampling_field({(0, 0): z}, _ZETA3, SimpleNamespace(field=_SQRT2)),
+    ]
+    for k, run in enumerate(entry_points):
+        try:
+            run()
+        except ValueError as e:
+            assert "tower" in str(e), (k, e)
+            continue
+        pytest.fail("entry point %d mixed Q(zeta3) with Q(sqrt2)" % k)
+    # == answers False instead: elements of unrelated fields are unequal
+    assert not (z == s) and not (s.tower.one() == z)
+
+
 @PROFILE
 @given(st.sampled_from(_TOWERS).flatmap(
     lambda K: st.tuples(st.just(K), st.lists(_rationals, min_size=K.degree,
@@ -603,6 +681,29 @@ def test_library_assert_count_does_not_grow():
                 tree = ast.parse(fh.read())
             count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
     assert count == 0, "%d asserts in ndescent" % count
+
+
+def test_tower_rule_lives_in_fields():
+    # values from two towers meet by fields._larger and fields._into
+    # alone: outside fields.py, is_prefix_of only checks a file's towers
+    # in the serialize loaders, and lift_to only brings A_2 into gamma's
+    # field for root_or_extend in solve_gamma
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    calls = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "fields.py":
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in ("is_prefix_of", "lift_to")):
+                        calls.append((name[:-3], getattr(top, "name", None), node.func.attr))
+    assert calls == [("algebra", "solve_gamma", "lift_to"),
+                     ("serialize", "triv_from_json", "is_prefix_of"),
+                     ("serialize", "descent_from_json", "is_prefix_of"),
+                     ("serialize", "descent_from_json", "is_prefix_of"),
+                     ("serialize", "descent_from_json", "is_prefix_of")]
 
 
 def _surface(path):

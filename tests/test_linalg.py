@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ndescent.geometry import QuadricSystem
 from ndescent.linalg import ExactMatrix, NoSolution
 from oracles import leibniz_det, naive_mat_mul, naive_mat_vec, zero_matrix
-from test_fields import _AUX, _Q, _ZETA3, PROFILE, same, sparse_elements
+from test_fields import (_AUX, _Q, _ZETA3, PROFILE, _two_towers, data, larger_of, lifted_first,
+                         same, sparse_elements)
 
 
 def _mat(field, rows):
@@ -122,3 +124,44 @@ def test_det_is_the_leibniz_sum(m):
     # negated for each row swap; sparse entries make swaps and singular
     # matrices common
     assert same(m.det(), leibniz_det(m))
+
+
+# ---------------------------------------------------------------------------
+# the tower rule in products: towers of the chain Q < Q(zeta3) <
+# Q(zeta3, sqrt2), re-read ones among them, give the data of lifting first
+# ---------------------------------------------------------------------------
+
+def _lifted_matrix(m, tower):
+    return ExactMatrix([lifted_first(r, tower) for r in m.rows], tower)
+
+
+@PROFILE
+@given(st.tuples(_two_towers, st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda a: st.tuples(_matrices(a[0][0], a[1], a[2]), _matrices(a[0][1], a[2], a[1]),
+                        st.lists(sparse_elements(a[0][1]), min_size=a[2], max_size=a[2]))))
+def test_mixed_products_give_the_data_of_lifting_first(mbv):
+    m, b, v = mbv
+    L = larger_of(m.tower, b.tower)
+    ml, bl = _lifted_matrix(m, L), _lifted_matrix(b, L)
+    assert data(m.mat_vec(v)) == data(ml.mat_vec(lifted_first(v, L)))
+    for got, want in (m * b, ml * bl), (b * m, bl * ml):
+        assert got.tower == L and [data(r) for r in got.rows] == [data(r) for r in want.rows]
+
+
+_MONOMIALS = [(a, b) for a in range(4) for b in range(a, 4)]  # n = 2: four coordinates
+
+
+def _forms(tower):
+    return st.lists(st.dictionaries(st.sampled_from(_MONOMIALS), sparse_elements(tower),
+                                    min_size=1, max_size=4), min_size=1, max_size=3)
+
+
+@PROFILE
+@given(_two_towers.flatmap(lambda kl: st.tuples(
+    st.just(kl[0]), _forms(kl[0]), st.lists(sparse_elements(kl[1]), min_size=4, max_size=4))))
+def test_mixed_quadric_evaluation_gives_the_data_of_lifting_first(kfz):
+    K, forms, z = kfz
+    L = larger_of(K, z[0].tower)
+    lifted = [dict(zip(f, lifted_first(f.values(), L))) for f in forms]
+    want = QuadricSystem(L, 2, lifted).evaluate_all(lifted_first(z, L))
+    assert data(QuadricSystem(K, 2, forms).evaluate_all(z)) == data(want)
