@@ -229,9 +229,11 @@ def cmd_verify(args):
             failures.append((path, name))
         return ok
 
-    for path in args.files:
-        _verify_file(path, ser.load(path), data, emit)
-    data.kept.clear()  # the curve is in a reference cycle, which only a full gc frees
+    try:
+        for path in args.files:
+            _verify_file(path, ser.load(path), data, emit)
+    finally:  # curve._data and data.curve form a cycle: unlinked, refcounting frees both
+        data.curve._data.pop(data.n, None)
     if failures:
         print("%d check(s) failed" % len(failures))
         return 3

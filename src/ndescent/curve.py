@@ -142,24 +142,33 @@ def slope(t1, t2):
     return (t2.y - t1.y) / (t2.x - t1.x)
 
 
+def r_constant(t1, t2):
+    """The constant of r_{(t1,t2)} for affine t1, t2: x(t1) when
+    t1 + t2 = O, else slope(t1, t2).  r_eval is a function of t1 + t2
+    alone minus this, and geometry.quadrics_for_C takes r's constants
+    from here."""
+    if t1.x == t2.x and t1.y == -t2.y:
+        return t1.x
+    return slope(t1, t2)
+
+
 def r_eval(t1, t2, p):
     """The function r_{(t1,t2)} with divisor (t1)+(t2)-(O)-(t1+t2),
-    normalized as: 1 if either argument is O; x - x(t1) if t1+t2 = O;
-    (y + y(t1+t2))/(x - x(t1+t2)) - slope(t1,t2) otherwise.
+    normalized as: 1 if either argument is O; else h - r_constant(t1, t2),
+    with h = x if W = t1+t2 is O and h = (y + y(W))/(x - x(W)) otherwise.
     Raises PoleAtP when the formula cannot be evaluated at p."""
-    field = t1.curve.field
     if t1.is_infinity or t2.is_infinity:
-        return field.one()
-    s = t1 + t2
-    if s.is_infinity:
-        if p.is_infinity:
-            raise PoleAtP("r has a pole at O")
-        return p.x - t1.x
+        return t1.curve.field.one()
     if p.is_infinity:
         raise PoleAtP("r has a pole at O")
-    if p.x == s.x:
+    w = t1 + t2
+    if w.is_infinity:
+        h = p.x
+    elif p.x == w.x:
         raise PoleAtP("formula for r degenerates at +-(t1+t2)")
-    return (p.y + s.y) / (p.x - s.x) - slope(t1, t2)
+    else:
+        h = (p.y + w.y) / (p.x - w.x)
+    return h - r_constant(t1, t2)
 
 
 def _divpoly(curve, m):

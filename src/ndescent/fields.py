@@ -615,18 +615,15 @@ class Poly:
         return Poly._of(self.tower, [_mul(c, inv) for c in self.coeffs])
 
     def __call__(self, x):
-        """Horner evaluation at a field element, a rational, or any
-        ring-like argument (functions, polys)."""
-        if isinstance(x, (int, Fraction, FieldElement)):
-            tower = _common_tower([x], self.tower)
-            acc, x, p = tower.zero(), _into(x, tower), self.lift_to(tower)
-            for c in reversed(p.coeffs):
-                acc = _mul(acc, x) + c
-            return acc
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return self.tower.zero() if acc is None else acc
+        """Horner evaluation at an int, a Fraction or a field element."""
+        if not isinstance(x, (int, Fraction, FieldElement)):
+            raise TypeError("a Poly is evaluated at an int, a Fraction or a FieldElement, "
+                            "not %s" % type(x).__name__)
+        tower = _common_tower([x], self.tower)
+        acc, x, p = tower.zero(), _into(x, tower), self.lift_to(tower)
+        for c in reversed(p.coeffs):
+            acc = _mul(acc, x) + c
+        return acc
 
     def __repr__(self):
         if self.is_zero():

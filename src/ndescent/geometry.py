@@ -14,7 +14,7 @@ import random
 
 from .fields import _common_tower, _dot, _into, _larger
 from .linalg import ExactMatrix, split_row
-from .curve import slope, division_polynomial, PoleAtP
+from .curve import r_constant, division_polynomial, PoleAtP
 from .descent_funcs import CurveData, affine_sample, tau_1
 from .algebra import CSA, RhoTable, BadBasePoint, certify_once, CertificationFailed
 
@@ -80,70 +80,44 @@ class QuadricSystem:
 
 def quadrics_for_C(curve, table, rho):
     """The n^2 (n^2 - 3)/2 independent quadrics vanishing on the image
-    of the rho-twisted covering in P(R).
+    of the rho-twisted covering in P(R), by E[n]-weight.
 
-    Group 1 chains each +-orbit {T, -T} against a reference orbit:
+    One rule: for each weight W in table order, the decompositions
+    W = D1 + D2 with D1, D2 != O and flat(D1) <= flat(D2) are chained
+    to the first, ref:
 
-      (x(T) - x(Tref)) z_O^2 + rho(T,-T) z_T z_{-T}
-                             - rho(Tref,-Tref) z_Tref z_{-Tref}.
+      (c(a) - c(b)) z_O z_W + rho(a) z_a - rho(b) z_b,
 
-    Group 2, per target T != O, chains the unordered decompositions
-    T = D1 + D2 with D1, D2 != O against a reference decomposition:
+    with z_D = z_D1 z_D2, c = curve.r_constant, and (a, b) = (D, ref) at
+    W = O, (ref, D) elsewhere (this order fixes each form's sign, which
+    saved artifacts pin).  At the image of P, rho(D) z_D =
+    r_D(nP) z_O z_W, with r_D = r_{(D1,D2)} as curve.r_eval normalises
+    it: r_D = h_W - c(D), and h_W (x at W = O, (y + y(W))/(x - x(W))
+    elsewhere) depends on W alone.  So two decompositions of one weight
+    differ by r's constants.
 
-      (lambda(ref) - lambda(D)) z_O z_T - rho(D1,D2) z_D1 z_D2
-                                        + rho(ref1,ref2) z_ref1 z_ref2
-
-    with lambda the slope of the line through the decomposition.
-
-    Each form owns a monomial no other form has: z_T z_{-T} for its
-    orbit (no group 2 form has weight O), z_D1 z_D2 for its
-    decomposition.  The owned columns are a diagonal minor, so the forms
-    have full row rank once every owned coefficient is nonzero; a zero
-    one raises CertificationFailed(("quadric-rank",))."""
+    Each form owns a monomial no other form has: z_D for its
+    decomposition, which is neither z_O z_W (D1, D2 != O) nor z_ref.
+    The owned columns are a diagonal minor, so the forms have full row
+    rank once every owned coefficient rho(D) is nonzero; a zero one
+    raises CertificationFailed(("quadric-rank",))."""
     n = table.n
-    K = curve.field
     if n % 2 == 0:
         raise ValueError("n = %d: even n needs the doubled-orbit variants" % n)
-    zero = K.zero()
-    flat = table.flat
-
-    def mono(k1, k2):
-        return (k1, k2) if k1 <= k2 else (k2, k1)
-
+    flat, idx = table.flat, table.indices
     forms = []
-    owned = []  # the coefficient of each form's owned monomial
-    idx = table.indices[1:]
-    orbits = [ij for ij in idx if flat(ij) < flat(table.neg_index(ij))]
-    ref = orbits[0]
-    refm = mono(flat(ref), flat(table.neg_index(ref)))
-    refc = rho.value(ref, table.neg_index(ref))
-    refx = table.point(*ref).x
-    for ij in orbits[1:]:
-        form = {(0, 0): table.point(*ij).x - refx}
-        owned.append(rho.value(ij, table.neg_index(ij)))
-        form[mono(flat(ij), flat(table.neg_index(ij)))] = owned[-1]
-        form[refm] = form.get(refm, zero) - refc
-        forms.append(form)
-
-    for tij in idx:
-        kt = flat(tij)
-        decomps = [(d1, table.add_index(tij, table.neg_index(d1))) for d1 in idx]
-        decomps = [(d1, d2) for d1, d2 in decomps if d2 != (0, 0) and flat(d1) <= flat(d2)]
-        dref = decomps[0]
-        lam_ref = slope(table.point(*dref[0]), table.point(*dref[1]))
-        refm = mono(flat(dref[0]), flat(dref[1]))
-        refc = rho.value(dref[0], dref[1])
-        for d1, d2 in decomps[1:]:
-            lam = slope(table.point(*d1), table.point(*d2))
-            form = {mono(0, kt): lam_ref - lam}
-            owned.append(-rho.value(d1, d2))
-            form[mono(flat(d1), flat(d2))] = owned[-1]
-            form[refm] = form.get(refm, zero) + refc
-            forms.append(form)
-
-    if any(c.is_zero() for c in owned):
-        raise CertificationFailed(("quadric-rank",))
-    return QuadricSystem(K, n, forms)
+    for w in idx:
+        decomps = [(d1, table.add_index(w, table.neg_index(d1))) for d1 in idx[1:]]
+        # (c(D), rho(D), z_D) per decomposition D = (D1, D2)
+        terms = [(r_constant(table.point(*d1), table.point(*d2)), rho.value(d1, d2),
+                  (flat(d1), flat(d2)))
+                 for d1, d2 in decomps if d2 != (0, 0) and flat(d1) <= flat(d2)]
+        for t in terms[1:]:
+            if t[1].is_zero():
+                raise CertificationFailed(("quadric-rank",))
+            (ca, ra, za), (cb, rb, zb) = (t, terms[0]) if w == (0, 0) else (terms[0], t)
+            forms.append({(0, flat(w)): ca - cb, za: ra, zb: -rb})
+    return QuadricSystem(curve.field, n, forms)
 
 
 def quadrics_for_E(curve, table):
@@ -283,21 +257,21 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
 
 
 class PlaneCurveEquation:
-    """A degree-n form in three variables.  descend's is over the base
-    field, scaled so the first nonzero coefficient in graded lex order
-    (x1 > x2 > x3) equals 1."""
+    """A degree-n form in three variables, its coefficients listed on
+    plane_monomials(n).  descend's is over the base field, scaled so the
+    first nonzero coefficient in graded lex order (x1 > x2 > x3) equals 1."""
 
-    def __init__(self, field, n, monomials, coeffs):
+    def __init__(self, field, n, coeffs):
         self.field = field
         self.n = n
-        self.monomials = list(monomials)
+        self.monomials = plane_monomials(n)
         self.coeffs = list(coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneCurveEquation):
             return NotImplemented
         return (self.field == other.field and self.n == other.n
-                and self.monomials == other.monomials and self.coeffs == other.coeffs)
+                and self.coeffs == other.coeffs)
 
     def evaluate(self, point):
         if len(point) != 3:
@@ -349,7 +323,7 @@ def interpolate_plane_curve(points, field):
         raise KernelTooBig("kernel has dimension %d" % len(kern))
     v = kern[0]
     lead = next(c for c in v if not c.is_zero()).inverse()
-    return PlaneCurveEquation(field, 3, mono, [lead * c for c in v])
+    return PlaneCurveEquation(field, 3, [lead * c for c in v])
 
 
 _HELD_OUT = 5  # the report's held-out count: 15 images are drawn, 1 pins the cubic
@@ -392,7 +366,7 @@ def _pencil(data, triv):
         kern = ExactMatrix(rows, tower).kernel_basis()
         if len(kern) != 2:
             raise CertificationFailed(("pencil", len(kern)), "the pencil has the wrong dimension")
-        return [PlaneCurveEquation(tower, 3, plane_monomials(3), v) for v in kern]
+        return [PlaneCurveEquation(tower, 3, v) for v in kern]
     return data.once(build, "pencil", tower, *mats)
 
 
@@ -409,7 +383,7 @@ def _pin_cubic(pencil, u, field):
     for k, c in enumerate(down):
         if any(not e.is_zero() for e in c[1:]):
             raise CertificationFailed(("cubic-field", k), "a cubic coefficient is not in K")
-    return PlaneCurveEquation(field, 3, pencil[0].monomials, [c[0] for c in down])
+    return PlaneCurveEquation(field, 3, [c[0] for c in down])
 
 
 def descend(curve, n, rho, triv, seed=0, gbasis=None):

@@ -383,7 +383,7 @@ def plane_from_json(j, field, n):
     coeffs = [elem_from_json(field, c) for c in coeffs]
     if len(coeffs) != len(mono):
         raise ParseError("plane curve needs one coefficient per monomial")
-    return PlaneCurveEquation(field, n, mono, coeffs)
+    return PlaneCurveEquation(field, n, coeffs)
 
 
 def descent_to_json(out, curve):

@@ -20,7 +20,8 @@ library's certificates against them:
     the stacked translation eigen-equations;
   - the translation operator on L(n^2(O)) with the factor
     psi_n/(psi_n o tau_S), which compute_G_basis replaces by
-    c_g F_{-g}^n;
+    c_g F_{-g}^n, and the composition p o f of a polynomial with a
+    function that builds it (a Poly is evaluated only at scalars);
   - the coordinate functions x and y;
   - the general function field that the library's one stored form
     replaces: GeneralFunction, a FunctionFieldElement whose constructor
@@ -321,7 +322,15 @@ def psi_ratio(table, s):
     fx = coordinate_x(curve)
     lam = (coordinate_y(curve) - s.y) / (fx - s.x)
     xs = lam * lam - fx - s.x  # x o tau_S
-    return GeneralFunction(curve, psi, 0, 1) / psi(xs)
+    return GeneralFunction(curve, psi, 0, 1) / compose(psi, xs)
+
+
+def compose(p, f):
+    """p o f for a polynomial p and a function f, by Horner's rule."""
+    acc = GeneralFunction.const(f.curve, 0)
+    for c in reversed(p.coeffs):
+        acc = acc * f + c
+    return acc
 
 
 def translation_operator(table, s):

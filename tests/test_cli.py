@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,26 @@ def test_verify_everything_passes(work, capsys):
     assert out.count("PASS") >= 12
     assert "PASS %s: plane cubic is fixed by the generators up to their determinant" \
         % paths["out"] in out
+
+
+def test_verify_frees_its_curve_without_gc(work, capsys, monkeypatch):
+    # curve._data and CurveData.curve form a cycle; verify unlinks it when
+    # it returns, so refcounting alone frees the curve it loaded
+    _, paths, _ = work
+    loaded, real = [], cli._load_curve
+
+    def load(args):
+        data = real(args)
+        loaded.append(weakref.ref(data.curve))
+        return data
+    monkeypatch.setattr(cli, "_load_curve", load)
+    gc.disable()
+    try:
+        assert main(["verify", "--curve", paths["curve"], paths["rho"], paths["triv"],
+                     paths["out"]]) == 0
+        assert len(loaded) == 1 and loaded[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_verify_validates_each_rho_once(work, tmp_path, capsys, monkeypatch):
@@ -879,7 +901,9 @@ def _cache_curves(cli_module):
             key = (fh.read(), args.n)
         if key not in cache:
             cache[key] = real(args)
-        return cache[key]
+        data = cache[key]
+        data.curve._data[args.n] = data  # verify unlinks it when it returns
+        return data
     return load
 
 

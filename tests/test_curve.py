@@ -9,7 +9,7 @@ import pytest
 import ndescent
 from ndescent.fields import FieldTower, Poly, tower_extend
 from ndescent.curve import (Curve, Point, PoleAtP, TorsionNotRational, _divpoly,
-                            division_polynomial, r_eval, slope, torsion_table)
+                            division_polynomial, r_constant, r_eval, slope, torsion_table)
 from oracles import base_change, distinct_samples
 
 
@@ -145,6 +145,9 @@ def test_r_eval(table, field):
     # r(t1, -t1) is x - x(t1)
     w = r_eval(t1, -t1, p)
     assert w == p.x - t1.x.lift_to(K1)
+    # its constant: x(t1) on a vertical line, else the chord's or tangent's slope
+    assert r_constant(t1, -t1) == t1.x
+    assert r_constant(t1, t2) == slope(t1, t2) and r_constant(t1, t1) == slope(t1, t1)
     assert r_eval(table.point(0, 0), t1, p) == K1.one()
     with pytest.raises(PoleAtP):
         r_eval(t1, t2, Point.at_infinity(E1))
@@ -204,3 +207,24 @@ def test_torsion_indices_have_one_owner():
             tree = ast.parse(fh.read())
         found += [(name,) + hit for hit in _index_derivations(tree)]
     assert found == []
+
+
+def test_r_constants_have_one_owner():
+    # curve.r_constant holds r's constants, x(T1) or slope(T1, T2), for
+    # r_eval and the quadrics alike: outside curve.py a slope is taken
+    # only for Miller's lines, and quadrics_for_C reads r_constant
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    calls = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "curve.py":
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        f = node.func
+                        called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                        if called in ("slope", "r_constant"):
+                            calls.append((name[:-3], getattr(top, "name", None), called))
+    assert calls == [("funcfield", "miller_function", "slope"),
+                     ("geometry", "quadrics_for_C", "r_constant")]

@@ -602,7 +602,7 @@ cases = [
     (ValueError, lambda: interpolate_plane_curve([ones] * 9, K)),
     (ValueError, lambda: interpolate_plane_curve([ones] * 9 + [ones[:2]], K)),
     (ValueError, lambda: quadrics_for_C(data.curve, even, one_rho)),
-    (ValueError, lambda: PlaneCurveEquation(K, 3, [], []).evaluate(ones[:2])),
+    (ValueError, lambda: PlaneCurveEquation(K, 3, []).evaluate(ones[:2])),
     # identity generators fix every cubic: the kernel has dimension 10, not 2
     (CertificationFailed, lambda: _pencil(data, identities)),
     # O's image (0 : 0 : 1) lies on every cubic of the pencil
@@ -620,6 +620,7 @@ cases = [
     (NoCertificate, lambda: roots_in_field(poly_x(K) ** 8 - 16)),
     (NoCertificate, lambda: tower_extend(K, [1, 0, 0, 0, 1], name="s")),
     (ValueError, lambda: Poly([], K).lc()),
+    (TypeError, lambda: poly_x(K)(x_other)),
     (ReducibleExtension, lambda: tower_extend(K, [1, 1, 1], name="s")),
     (ZeroDivisionError, lambda: K.zero().inverse()),
     (ZeroDivisionError, lambda: K.one() / 0),

@@ -11,14 +11,14 @@ import pytest
 import ndescent
 from ndescent import algebra, descent_funcs, geometry
 from ndescent.fields import tower_extend
-from ndescent.curve import Curve, Point, torsion_table
+from ndescent.curve import Curve, Point, r_eval, torsion_table
 from ndescent.linalg import ExactMatrix
 from ndescent import serialize as ser
 from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable, build_csa,
                               check_coboundary, partial, rho_from_point, solve_gamma, trivialize,
                               validate_rho)
 from ndescent.cli import main
-from ndescent.descent_funcs import CurveData
+from ndescent.descent_funcs import CurveData, affine_sample
 from ndescent.geometry import (KernelEmpty, KernelTooBig, PlaneCurveEquation,
                                RankNotOne, descend, extract_point, g_eval,
                                interpolate_plane_curve, lambda_eval,
@@ -53,8 +53,7 @@ def _oracle_cubic(field):
     coeffs = {(3, 0, 0): field.one(),
               (1, 0, 2): field.from_fraction(Fraction(1, 432)),
               (0, 3, 0): field.from_fraction(Fraction(-1, 432))}
-    return PlaneCurveEquation(field, 3, monos,
-                              [coeffs.get(m, field.zero()) for m in monos])
+    return PlaneCurveEquation(field, 3, [coeffs.get(m, field.zero()) for m in monos])
 
 
 def test_quadric_count_and_rank(curve, table):
@@ -226,6 +225,37 @@ def test_descend_golden_artifact(curve, table, eps, emb, tmp_path):
         "f244654ac24704fbb18352081eefd7e3bcf757d3c5bc3a1c04efef89e86b0e35")
 
 
+def test_quadrics_artifacts_pinned(curve, table, field, aux_curve, aux_field):
+    # quadrics_to_json of a seeded coboundary twist of the reference curve
+    # and of the aux curve's rho from (7, 17), byte for byte as the two
+    # group loops wrote them before the one rule by weight replaced them
+    aux_table = CurveData.of(aux_curve, 3).table
+    q = Point(aux_curve, aux_field.from_fraction(7), aux_field.from_fraction(17))
+    cases = [(curve, table, validate_rho(table, partial(table, _z_values(field, 44)).values),
+              "ab37d08b2cfed3a36b7aed081c0b4ea98205753db07e0988081af3c818a23357"),
+             (aux_curve, aux_table, rho_from_point(aux_table, q),
+              "939374eda163ce008a2422c82f2255835af00c12586c70af6c9d65483b7ed3f2")]
+    for c, t, rho, digest in cases:
+        body = ser.dumps_canonical(ser.quadrics_to_json(quadrics_for_C(c, t, rho), c, rho))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_quadric_rule_is_r_at_nP(curve, table, field, gbasis):
+    # rho(D) z_D1 z_D2 = r_D(nP) z_O z_W at the image of P for every
+    # decomposition W = D1 + D2 with D1, D2 != O, which the forms of
+    # quadrics_for_C chain by r's constants
+    rho = validate_rho(table, partial(table, _z_values(field, 45)).values)
+    gamma, L = rho.gamma
+    p = affine_sample(curve if L == field else curve.base_change(L), 3, random.Random(5), "s")
+    z = g_eval(curve, gbasis, gamma, p)
+    for d1 in table.indices[1:]:
+        for d2 in table.indices[1:]:
+            w = table.add_index(d1, d2)
+            r = r_eval(table.point(*d1), table.point(*d2), 3 * p)
+            assert rho.value(d1, d2) * z[table.flat(d1)] * z[table.flat(d2)] == \
+                r * z[0] * z[table.flat(w)]
+
+
 def test_descend_rejects_unsupported_n(curve, table, eps, emb):
     rho = RhoTable.trivial(table)
     with pytest.raises(ValueError):
@@ -292,7 +322,7 @@ _MUTANTS_UNDER_O = r"""
 import sys
 from ndescent.algebra import CertificationFailed
 from ndescent.curve import Curve
-from ndescent.descent_funcs import CurveData
+from ndescent.descent_funcs import CurveData, affine_sample
 from ndescent.fields import FieldTower, tower_extend
 from ndescent.geometry import descend
 from descend_mutants import WITNESSES, descend_mutants
@@ -365,7 +395,7 @@ _IN_PLACE_UNDER_O = r"""
 import sys
 from ndescent.algebra import CertificationFailed
 from ndescent.curve import Curve
-from ndescent.descent_funcs import CurveData
+from ndescent.descent_funcs import CurveData, affine_sample
 from ndescent.fields import FieldTower, tower_extend
 from ndescent.geometry import descend
 from descend_mutants import changed_in_place
@@ -642,8 +672,7 @@ def test_symmetric_cube_is_substitution(curve, field):
     # (Sym^3(A) c)(x) = F(A x) for F with coefficients c, at a few points x
     a = _ref_user_twist(curve, field)[2].M((1, 1))
     f = _oracle_cubic(field)
-    g = PlaneCurveEquation(field, 3, plane_monomials(3), geometry._symmetric_cube(a).mat_vec(
-        f.coeffs))
+    g = PlaneCurveEquation(field, 3, geometry._symmetric_cube(a).mat_vec(f.coeffs))
     rng = random.Random(11)
     for _ in range(4):
         x = [field.from_fraction(rng.randint(-9, 9)) for _ in range(3)]
@@ -664,8 +693,8 @@ def test_plane_curve_evaluate_matches_the_monomial_sum(curve, field):
     # the evaluation that skips zero coefficients and shares powers is
     # == to the plain sum of c x1^e1 x2^e2 x3^e3, over an extension too
     f = _oracle_cubic(field)
-    dense = PlaneCurveEquation(field, 3, f.monomials,
-                               [field.from_fraction(k - 4) * field.gen() for k in range(10)])
+    dense = PlaneCurveEquation(field, 3, [field.from_fraction(k - 4) * field.gen()
+                                          for k in range(10)])
     for p in _samples(curve, 2, seed=12):
         pt = [p.curve.field.one() + p.x, p.x * p.y, p.y]
         for cub in (f, dense):
