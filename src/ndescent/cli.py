@@ -179,15 +179,10 @@ def _verify_file(path, j, data, emit):
 def _verify_descent(path, j, data, emit):
     """The part checks on the quadrics, algebra and trivialisation of a
     descent file, against the rho of its trivialisation, then the checks
-    of the descent itself: gamma, the cubic and its pencil identities
-    (see geometry.descend), the report and one fresh image.
-
-    One image is enough.  The trivialisation has certified, so it is
-    multiplicative: each tau(delta_S) is a nonzero scalar times a product
-    of powers of A = tau(delta_T1) and B = tau(delta_T2).  The cubic F
-    has passed F o A = det(A) F and F o B = det(B) F, and these
-    determinants are nonzero, so F(tau(delta_S) u) is a nonzero multiple
-    of F(u), and the other images of u's orbit would check nothing more."""
+    of the descent itself: gamma, the cubic and its pencil identities, the
+    report, and one fresh image on the cubic, the check descend makes on
+    its second image; the pencil identities make one enough (see
+    geometry.descend)."""
     out = ser.descent_from_json(j, data.table)
     qs, triv, gamma, cubic = (out["quadrics"], out["trivialisation"], out["gamma"],
                               out["plane_curve"])
@@ -205,9 +200,8 @@ def _verify_descent(path, j, data, emit):
     gfield = next(iter(gamma.values())).tower
     emit(path, "report matches the descent",
          out["report"] == descent_report(data.n, out["seed"], len(qs), len(gfield.levels)))
-    # a fresh sample: the image of one fresh base point under the stored
-    # gamma and trivialisation must land on the stored cubic; it is drawn
-    # on the field descend samples on
+    # the image of one fresh base point under the stored gamma and
+    # trivialisation, drawn on the field descend samples on
     sample_gamma, _ = sampling_field(gamma, gfield, triv)
     images = sample_images(data.curve, data.gbasis, sample_gamma, qs, triv, out["seed"] + 1)
     try:

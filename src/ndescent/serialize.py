@@ -10,6 +10,7 @@ separators, one trailing newline.
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .fields import FieldTower, ReducibleExtension, tower_extend
@@ -65,12 +66,19 @@ def load(path):
     return obj
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the shape str(Fraction) writes
+
+
 def _rational(s):
+    """A "p/q" or "p" string as a Fraction; Fraction alone would also read
+    exponents (a huge 1e3000000 takes seconds), decimals, spaces and _."""
     if not isinstance(s, str):  # a JSON float is not the value it was written as
         raise ParseError("bad rational %r: rationals are stored as strings" % (s,))
+    if not _RATIONAL.fullmatch(s):
+        raise ParseError("bad rational %r: not of the form p/q" % (s,))
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
         raise ParseError("bad rational %r" % (s,))
 
 

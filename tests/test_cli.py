@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -26,6 +27,19 @@ def _idx():
     return [divmod(k, 3) for k in range(9)]
 
 
+def _coboundary_rho(table, field):
+    # rho = d(z) for a seeded cochain z with values in K
+    rng = random.Random(51)
+    z = {}
+    for ij in _idx():
+        while True:
+            e = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
+            if not e.is_zero():
+                break
+        z[ij] = e
+    return validate_rho(table, partial(table, z).values)
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory, curve, field, table, aux_curve, aux_field):
     """One full command line pipeline, shared by the assertions below."""
@@ -37,16 +51,7 @@ def work(tmp_path_factory, curve, field, table, aux_curve, aux_field):
     ser.save(paths["curveq"], ser.curve_to_json(Curve(FieldTower.rationals(), 0, -432)))
     ser.save(paths["aux"], ser.curve_to_json(aux_curve))
 
-    rng = random.Random(51)
-    z = {}
-    for ij in _idx():
-        while True:
-            e = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
-            if not e.is_zero():
-                break
-        z[ij] = e
-    rho = validate_rho(table, partial(table, z).values)
-    ser.save(paths["rho"], ser.rho_to_json(rho))
+    ser.save(paths["rho"], ser.rho_to_json(_coboundary_rho(table, field)))
 
     q = Point(aux_curve, aux_field.from_fraction(7), aux_field.from_fraction(17))
     ser.save(paths["point2"], ser.point_to_json(q))
@@ -67,6 +72,68 @@ def work(tmp_path_factory, curve, field, table, aux_curve, aux_field):
     rc["algebra2"] = main(["algebra", "--curve", paths["aux"], "--rho", paths["rho2"],
                            "--out", paths["csa2"]])
     return d, paths, rc
+
+
+# sha256 of each file in the pipeline's directory, and of verify's stdout
+_PIPELINE_SHA256 = {
+    "aux-csa.json": "b4efc8a8eef76116372dfb8344a05341cc48fcc31319586ab91250e66bcc7bea",
+    "aux-curve.json": "60008066ed9f921ac13b7117ffa70a3f968edae207623ce288037d2bd9df10ae",
+    "aux-descent.json": "5a72abe217e66b409d29a8c029e45aa06a5c21ce1e61d691df901751e66efdbd",
+    "aux-point.json": "bf4cf03c26ec270039a8f65bf74dd9bf42a10f68fc70d1e7d101cd2227cd1007",
+    "aux-quadC.json": "a70917eab76627676a507492d91d548e34236a954378b52529fea3100a0c7197",
+    "aux-quadE.json": "33a429022bacf9ad4da78222526e807f9c5960376a61cb770484deccf94cb4c6",
+    "aux-rho.json": "0ad777f238f596decb3a2e477f55401375a11dfea37689b69832f5d8c1ebf879",
+    "aux-torsion.json": "201f73905f6d10019d4297c0f5b8662e03312f76058d9d4bc978a8cc77f3b0d4",
+    "aux-triv.json": "3d7df406b5765f237e2a65eb59b23560494f1992f164d06dc4d01daeb2636502",
+    "aux-user.json": "8f8ccdad05011cad7f32f7664fca5e8732726402f781ff461d094199a4feba57",
+    "ref-csa.json": "95abc72b8e0ba05ab1976dfa5d6ee72bbc9d0bca856cf7b2dae3cba3a70d5422",
+    "ref-curve.json": "4175ac68b3480c33ea754ffe51805c0b31852268bcac7076634f67d6164e540e",
+    "ref-descent.json": "ee09dfdae97d81f55717de256c8e26887f5d0597225ef0c593aa257535de98a6",
+    "ref-quadC.json": "612e80a760ebb003775527861905d877479712ac455d0bee149f1afc79c5c766",
+    "ref-quadE.json": "8b199c9f01cb5692bbc9aab6453394f373385a92ff427ad44c16eda64c80585a",
+    "ref-rho.json": "eef46c44cc55db9e3af2c5f7f0f16cf5078de8dde266dbb979c7597ac777721a",
+    "ref-torsion.json": "3569e7a5f2836d66967a208eff3e47b7fd655d86869410424f250147146a759d",
+    "ref-triv.json": "d396d0585378e9b603e3c97811f21f81965b6f3933e4edf20c34a6bd6a77205c",
+    "ref-user.json": "17d750c54a525cecb67d739d9a7b9adeeb3497614f35848b890e87bb6121d748",
+    "verify": "f1b50f2eba24b38262011f1c368413cf85826e8c69851e3d00352a1791576606",
+}
+
+
+def test_cli_pipeline_bytes_are_pinned(curve, field, table, aux_curve, aux_field, tmp_path,
+                                       monkeypatch, capsys):
+    # a CLI pipeline on both curves, byte for byte: rho from the point
+    # (7, 17) on the aux curve and a coboundary rho on the reference
+    # curve, then per curve torsion, quadrics with and without --rho,
+    # algebra, trivialize in gamma and user mode, descend, and verify of
+    # all of them; relative paths keep verify's stdout free of tmp_path
+    monkeypatch.chdir(tmp_path)
+    ser.save("ref-curve.json", ser.curve_to_json(curve))
+    ser.save("ref-rho.json", ser.rho_to_json(_coboundary_rho(table, field)))
+    ser.save("aux-curve.json", ser.curve_to_json(aux_curve))
+    q = Point(aux_curve, aux_field.from_fraction(7), aux_field.from_fraction(17))
+    ser.save("aux-point.json", ser.point_to_json(q))
+    assert main(["rho-from-point", "--curve", "aux-curve.json", "--point", "aux-point.json",
+                 "--out", "aux-rho.json"]) == 0
+    for c, seed in (("ref", 5), ("aux", 3)):
+        rho, triv = ("--rho", c + "-rho.json"), c + "-triv.json"
+        for command, name, *extra in (("torsion", "torsion"), ("quadrics", "quadE"),
+                                      ("quadrics", "quadC", *rho), ("algebra", "csa", *rho),
+                                      ("trivialize", "triv", *rho, "--mode", "gamma"),
+                                      ("trivialize", "user", *rho, "--mode", "user",
+                                       "--triv", triv),
+                                      ("descend", "descent", *rho, "--triv", triv,
+                                       "--seed", str(seed))):
+            assert main([command, "--curve", c + "-curve.json", *extra,
+                         "--out", "%s-%s.json" % (c, name)]) == 0
+    capsys.readouterr()
+    for c in ("ref", "aux"):
+        assert main(["verify", "--curve", c + "-curve.json"] +
+                    ["%s-%s.json" % (c, name) for name in
+                     ("rho", "torsion", "quadE", "quadC", "csa", "triv", "user", "descent")]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.glob("*.json")}
+    digests["verify"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == _PIPELINE_SHA256
 
 
 def test_pipeline_return_codes(work):
@@ -552,6 +619,14 @@ _MUTATIONS = {
     # Q(i) has the degree of the curve's field, so gamma's values parse
     "descent-gamma-field-not-over-curve": (
         "out", lambda j: j["gamma"].update(field=[{"name": "i", "minpoly": ["1", "0", "1"]}]), 1),
+    # rationals have the shape str(Fraction) writes, -?[0-9]+(/[0-9]+)?:
+    # no exponent (past the digit limit, or seconds to expand), decimal
+    # point, padding or underscore
+    "curve-b-exponent": ("curve", lambda j: j["b"].__setitem__(0, "-1e5000"), 1),
+    "rho-value-exponent": ("rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, "1e3000000"), 1),
+    "rho-value-decimal": ("rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, "0.5"), 1),
+    "rho-value-padded": ("rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, " 1 "), 1),
+    "rho-value-underscore": ("rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, "1_0"), 1),
 }
 
 
@@ -611,12 +686,17 @@ _NEGATIVE_PATHS = {
     "trivialize-user-gamma-other": (3, lambda paths, tmp: [
         "trivialize", "--curve", paths["curve"], "--rho", paths["rho"], "--mode", "user",
         "--triv", _mutated(paths, tmp, "triv-gamma-other"), "--out", str(tmp / "u.json")]),
+    "curve-b-exponent": (1, lambda paths, tmp: [
+        "torsion", "--curve", _mutated(paths, tmp, "curve-b-exponent"),
+        "--out", str(tmp / "t.json")]),
 }
 _NEGATIVE_PATHS.update({name: (1, lambda paths, tmp, name=name: [
     "verify", "--curve", paths["curve"], _mutated(paths, tmp, name)])
     for name in ("quadrics-forms-empty", "descent-quadrics-empty",
                  "descent-quadric-form-empty", "descent-fields-incompatible",
-                 "torsion-n-1", "torsion-n-true", "torsion-n-0", "curve-level-x4-plus-1")})
+                 "torsion-n-1", "torsion-n-true", "torsion-n-0", "curve-level-x4-plus-1",
+                 "rho-value-exponent", "rho-value-decimal", "rho-value-padded",
+                 "rho-value-underscore")})
 
 
 @pytest.mark.parametrize("case", sorted(_NEGATIVE_PATHS))
@@ -777,6 +857,15 @@ def test_malformed_artifact_exit_1(work, tmp_path, key, damage, message, capsys)
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and "Traceback" not in err
+
+
+def test_exponent_rational_is_refused_at_once(field):
+    # Fraction("1e3000000") alone takes seconds; the loader refuses the
+    # shape before any digit is expanded
+    start = time.perf_counter()
+    with pytest.raises(ser.ParseError, match="p/q"):
+        ser.elem_from_json(field, ["1e3000000", "0"])
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("value", [0.5, True, 3], ids=["float", "bool", "int"])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import ndescent
-from ndescent import algebra, descent_funcs, geometry
+from ndescent import algebra, cli, descent_funcs, geometry
 from ndescent.fields import tower_extend
 from ndescent.curve import Curve, Point, r_eval, torsion_table
 from ndescent.linalg import ExactMatrix
@@ -436,6 +436,12 @@ def _normalized(v):
     return [unit * e for e in v]
 
 
+def _orbit_images(triv, u):
+    # the images tau(delta_S) u of the E[n] orbit of u's base point, S in
+    # table order
+    return [_normalized(triv.M(s).mat_vec(u)) for s in _idx()]
+
+
 def _ref_user_twist(curve, field):
     # a coboundary twist in user mode: the gamma-mode matrices conjugated
     # by a fixed invertible A, so the images are A times the gamma-mode ones
@@ -464,9 +470,10 @@ def _aux_point_twist(curve, field):
 @pytest.mark.parametrize("case, sample_degree", [("ref", 4), ("aux", 24)])
 def test_orbit_images_match_full_computation(case, sample_degree, curve, field,
                                              aux_curve, aux_field, monkeypatch):
-    # z(P + S) = D_S z(P) and the image of P + S is tau(delta_S) u: D_S z(P),
-    # computed here from the Weil pairing, is == g_eval at P + S, the
-    # quadrics vanish there, and the image is == lambda_eval's at P + S
+    # the identities descend's proof rests on: z(P + S) = D_S z(P) and the
+    # image of P + S is tau(delta_S) u.  D_S z(P), computed here from the
+    # Weil pairing, is == g_eval at P + S, the quadrics vanish there, and
+    # tau(delta_S) u is == lambda_eval's image at P + S
     if case == "ref":
         data, rho, triv, gamma = _ref_user_twist(curve, field)
     else:
@@ -476,8 +483,8 @@ def test_orbit_images_match_full_computation(case, sample_degree, curve, field,
     monkeypatch.setattr(geometry, "affine_sample",
                         lambda *a: drawn.append(real(*a)) or drawn[-1])
     qs = quadrics_for_C(data.curve, data.table, rho)
-    images = geometry.sample_images(data.curve, data.gbasis, gamma, qs, triv, 2)
-    orbit = [next(images) for _ in range(9)]
+    u = next(geometry.sample_images(data.curve, data.gbasis, gamma, qs, triv, 2))
+    orbit = _orbit_images(triv, u)
     p, = drawn
     assert p.x.tower.degree == sample_degree
     zp = g_eval(data.curve, data.gbasis, gamma, p)
@@ -488,6 +495,7 @@ def test_orbit_images_match_full_computation(case, sample_degree, curve, field,
         assert all(v.is_zero() for v in qs.evaluate_all(dz))
         _, col = lambda_eval(triv, z)
         assert orbit[k] == _normalized(col)
+    assert orbit[0] == u
     assert len(set(map(tuple, orbit))) == 9
 
 
@@ -524,14 +532,6 @@ def test_quadric_rank_rejects_a_zero_owned_coefficient(curve, table, field, pair
     with pytest.raises(CertificationFailed) as exc:
         quadrics_for_C(curve, table, RhoTable(table, values))
     assert exc.value.witness == ("quadric-rank",)
-
-
-def test_sample_images_rejects_a_mixed_weight_form(curve, table, eps, emb, gbasis, field):
-    # z_O z_(0,1) has weight (0,1), and form 0, of group 1, has weight O
-    rho, gamma, triv = _trivial_sampling(table, eps, emb)
-    qs = quadrics_for_C(curve, table, rho)
-    qs.forms[0][(0, 1)] = field.one()
-    assert _first_witness(curve, gbasis, gamma, qs, triv) == ("quadric-weight", 0)
 
 
 def test_sample_images_rejects_a_form_that_misses_the_sample(curve, table, eps, emb,
@@ -616,13 +616,14 @@ _PENCIL_CASES = {
 @pytest.mark.parametrize("case", sorted(_PENCIL_CASES))
 def test_pencil_cubic_equals_interpolation(case, curve, field, aux_curve, aux_field):
     # the cubic pinned in the pencil is == to the one interpolated through
-    # 10 images, the 10 that descend interpolated through before
+    # 10 images of the orbits of descend's two base points: the last four
+    # of the first orbit, and the first six of the second
     data, rho, triv, seed = _PENCIL_CASES[case](curve, field, aux_curve, aux_field)
     out = descend(data.curve, 3, rho, triv, seed=seed)
     images = geometry.sample_images(data.curve, data.gbasis, out["gamma"], out["quadrics"],
                                     triv, seed)
-    points = [next(images) for _ in range(15)]
-    want = interpolate_plane_curve(points[5:], data.curve.field)
+    first, second = (_orbit_images(triv, next(images)) for _ in range(2))
+    want = interpolate_plane_curve(first[5:] + second[:6], data.curve.field)
     assert out["plane_curve"] == want
     assert all(c.tower == data.curve.field for c in out["plane_curve"].coeffs)
 
@@ -704,14 +705,69 @@ def test_plane_curve_evaluate_matches_the_monomial_sum(curve, field):
 
 
 def test_descend_checks_every_image_past_the_pinning_one(curve, table, eps, emb, monkeypatch):
-    # the last of the 15 images, moved off C, fails its own check
+    # the second image, moved off C, fails the held-out check
     real = geometry.sample_images
 
     def moved(*args):
         for k, pt in enumerate(real(*args)):
-            yield [pt[0], pt[1] + 1, pt[2]] if k == 14 else pt
+            yield [pt[0], pt[1] + 1, pt[2]] if k == 1 else pt
     monkeypatch.setattr(geometry, "sample_images", moved)
     rho = RhoTable.trivial(table)
     with pytest.raises(CertificationFailed) as exc:
         descend(curve, 3, rho, trivialize(emb, eps, rho), seed=7)
-    assert exc.value.witness == ("held-out", 14)
+    assert exc.value.witness == ("held-out", 1)
+
+
+def test_descend_takes_two_images(curve, table, eps, emb, monkeypatch):
+    # one pins the cubic and one is checked on it: the rest of an image's
+    # orbit would check nothing more (see descend)
+    taken = []
+    real = geometry.sample_images
+
+    def counted(*args):
+        for pt in real(*args):
+            taken.append(pt)
+            yield pt
+    monkeypatch.setattr(geometry, "sample_images", counted)
+    rho = RhoTable.trivial(table)
+    descend(curve, 3, rho, trivialize(emb, eps, rho), seed=7)
+    assert len(taken) == 2
+
+
+def _base_x(monkeypatch, run):
+    # the x-coordinates, as Fractions, of the base points sample_images
+    # evaluates while run() runs
+    xs, real = [], geometry.g_eval
+    monkeypatch.setattr(geometry, "g_eval",
+                        lambda c, gb, gm, p: xs.append(p.x.as_fraction()) or real(c, gb, gm, p))
+    run()
+    return xs
+
+
+def test_descend_draws_are_pinned(curve, field, aux_curve, aux_field, monkeypatch):
+    # the base points of the golden descent (seed 7) and of the aux
+    # gamma-mode twist (seed 3): the draw filter keeps the sequence fixed
+    _, rho, triv = _golden_twist(curve, field)
+    assert _base_x(monkeypatch, lambda: descend(curve, 3, rho, triv, seed=7)) == \
+        [Fraction(1, 3), Fraction(10)]
+    _, rho, triv, _ = _aux_point_twist(aux_curve, aux_field)
+    assert _base_x(monkeypatch, lambda: descend(aux_curve, 3, rho, triv, seed=3)) == \
+        [Fraction(-10, 3), Fraction(7, 8)]
+
+
+def test_verify_fresh_image_is_pinned(curve, field, tmp_path, monkeypatch):
+    # the one image verify draws for the golden descent, with seed 7 + 1
+    _, rho, triv = _golden_twist(curve, field)
+    curve_path, out_path = tmp_path / "curve.json", tmp_path / "golden.json"
+    ser.save(curve_path, ser.curve_to_json(curve))
+    ser.save(out_path, ser.descent_to_json(descend(curve, 3, rho, triv, seed=7), curve))
+    drawn, real = [], cli.sample_images
+
+    def recorded(*args):
+        for pt in real(*args):
+            drawn.append([ser.elem_to_json(e) for e in pt])
+            yield pt
+    monkeypatch.setattr(cli, "sample_images", recorded)
+    assert main(["verify", "--curve", str(curve_path), str(out_path)]) == 0
+    assert drawn == [[["1", "0", "0", "0"], ["-39156/6889", "0", "2592/6889", "0"],
+                      ["-12543948/571787", "0", "-171072/571787", "0"]]]
