@@ -10,6 +10,7 @@ no prime certifies a root list the pipeline needs.
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from . import serialize as ser
 from .fields import ReducibleExtension
@@ -22,9 +23,14 @@ from .geometry import (quadrics_for_C, descend, descent_report, sample_images,
                        sampling_field, RankNotOne, _symmetric_cube)
 
 
+@contextmanager
 def _load_curve(args):
-    """The per-curve data of the --curve file for --n."""
-    return CurveData.of(ser.curve_from_json(ser.load(args.curve)), args.n)
+    """The per-curve data of the --curve file for --n, for the command."""
+    data = CurveData.of(ser.curve_from_json(ser.load(args.curve)), args.n)
+    try:
+        yield data
+    finally:  # curve._data and data.curve form a cycle: unlinked, refcounting frees both
+        data.curve._data.pop(data.n, None)
 
 
 def _load_rho(path, table):
@@ -37,8 +43,7 @@ def _load_rho(path, table):
     return validate_rho(table, values)
 
 
-def cmd_torsion(args):
-    data = _load_curve(args)
+def cmd_torsion(args, data):
     try:
         table = data.table
     except TorsionNotRational as e:
@@ -50,8 +55,7 @@ def cmd_torsion(args):
     return 0
 
 
-def cmd_quadrics(args):
-    data = _load_curve(args)
+def cmd_quadrics(args, data):
     table = data.table
     rho = _load_rho(args.rho, table) if args.rho else RhoTable.trivial(table)
     qs = quadrics_for_C(data.curve, table, rho)
@@ -60,17 +64,14 @@ def cmd_quadrics(args):
     return 0
 
 
-def cmd_algebra(args):
-    data = _load_curve(args)
-    rho = _load_rho(args.rho, data.table)
-    csa = build_csa(data.table, data.eps, rho)
+def cmd_algebra(args, data):
+    csa = build_csa(data.table, data.eps, _load_rho(args.rho, data.table))
     ser.save(args.out, ser.csa_to_json(csa))
     print("certified algebra -> %s" % args.out)
     return 0
 
 
-def cmd_rho_from_point(args):
-    data = _load_curve(args)
+def cmd_rho_from_point(args, data):
     q = ser.point_file_from_json(ser.load(args.point), data.curve)
     rho = rho_from_point(data.table, q)
     ser.save(args.out, ser.rho_to_json(rho))
@@ -78,8 +79,7 @@ def cmd_rho_from_point(args):
     return 0
 
 
-def cmd_trivialize(args):
-    data = _load_curve(args)
+def cmd_trivialize(args, data):
     rho = _load_rho(args.rho, data.table)
     matrices = gamma = None
     if args.mode == "user":
@@ -93,8 +93,7 @@ def cmd_trivialize(args):
     return 0
 
 
-def cmd_descend(args):
-    data = _load_curve(args)
+def cmd_descend(args, data):
     rho = _load_rho(args.rho, data.table)
     triv = ser.triv_from_json(ser.load(args.triv), data.table)
     out = descend(data.curve, args.n, rho, triv, seed=args.seed)
@@ -211,8 +210,7 @@ def _verify_descent(path, j, data, emit):
     emit(path, "fresh samples land on the stored cubic", fresh)
 
 
-def cmd_verify(args):
-    data = _load_curve(args)
+def cmd_verify(args, data):
     failures = []
 
     def emit(path, name, ok, detail=None):
@@ -223,11 +221,8 @@ def cmd_verify(args):
             failures.append((path, name))
         return ok
 
-    try:
-        for path in args.files:
-            _verify_file(path, ser.load(path), data, emit)
-    finally:  # curve._data and data.curve form a cycle: unlinked, refcounting frees both
-        data.curve._data.pop(data.n, None)
+    for path in args.files:
+        _verify_file(path, ser.load(path), data, emit)
     if failures:
         print("%d check(s) failed" % len(failures))
         return 3
@@ -280,7 +275,8 @@ def main(argv=None):
 
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        with _load_curve(args) as data:
+            return args.func(args, data)
     except (OSError, ser.ParseError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

@@ -262,7 +262,8 @@ def torsion_table(curve, n):
     distinct.  Then (i, j) -> i T1 + j T2 is a homomorphism
     (Z/n)^2 -> E[n] with n^2 distinct images, so a bijection, for every
     n.  A point extends to a basis of (Z/n)^2 exactly when it has order
-    n, so T1 is the first point of order n.
+    n, so T1 is the first point of order n.  No T2 in the cyclic group
+    of T1 gives n^2 distinct points, so TorsionTable is tried on none.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n = %d: only odd n >= 3 is supported" % n)
@@ -278,7 +279,8 @@ def torsion_table(curve, n):
         raise TorsionNotRational(len(pts))
     affine = sorted(pts[1:], key=lambda p: p.key())
     for t1 in affine:
-        for t2 in affine:
+        cyclic = {(k * t1).key() for k in range(n)}
+        for t2 in (t for t in affine if t.key() not in cyclic):
             try:
                 return TorsionTable(curve, n, t1, t2)
             except ValueError:

@@ -84,13 +84,21 @@ def _translated_coords(table, ij, d, f):
 
 
 def compute_miller_table(table):
-    """F_T for every table point; F_O = 1."""
-    out = {}
+    """F_T for every table point; F_O = 1.  A Miller chain gives F_T for
+    the first of each +-T in table order, and F_{-T} = -u + v y: u - v y
+    = F_T o [-1] has divisor n(-T) - n(O) and leads with (-1)^n at O, as
+    t = x/y goes to -t.  It passes the check ending a chain: order -n, lead 1."""
+    out, n = {}, table.n
     for ij, t in zip(table.indices, table):
+        neg = table.neg_index(ij)
         if t.is_infinity:
             out[ij] = FunctionFieldElement.const(table.curve, 1)
+        elif neg not in out:
+            out[ij] = miller_function(t, n)
         else:
-            out[ij] = miller_function(t, table.n)
+            out[ij] = FunctionFieldElement(t.curve, -out[neg].u, out[neg].v, out[neg].w)
+            if out[ij].laurent() != (-n, 1):
+                raise ArithmeticError("F_{-T} for %s does not lead with t^-%d at O" % ((ij,), n))
     return out
 
 
@@ -118,15 +126,15 @@ def compute_epsilon(table, millers):
     raises CertificationFailed(("epsilon", ij, kl))."""
     one = table.curve.field.one()
     values = {}
-    for ij, t1 in zip(table.indices, table):
+    for ij, t1, neg in zip(table.indices, table, [-t for t in table]):
         for kl in table.indices:
             try:
                 if t1.is_infinity:
                     den = one
                 elif table.add_index(ij, kl) == (0, 0):
-                    den = millers[ij].evaluate(-t1) * millers[kl].evaluate(-(t1 + t1))
+                    den = millers[ij].evaluate(neg) * millers[kl].evaluate(-(t1 + t1))
                 else:
-                    den = millers[kl].evaluate(-t1)
+                    den = millers[kl].evaluate(neg)
                 values[(ij, kl)] = den.inverse()
             except (PoleAtP, ZeroDivisionError):
                 raise CertificationFailed(("epsilon", ij, kl),

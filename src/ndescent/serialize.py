@@ -11,9 +11,9 @@ separators, one trailing newline.
 import hashlib
 import json
 import re
-from fractions import Fraction
+from math import gcd, lcm
 
-from .fields import FieldTower, ReducibleExtension, tower_extend
+from .fields import FieldElement, FieldTower, ReducibleExtension, tower_extend
 from .curve import Curve, Point, TorsionTable
 from .linalg import ExactMatrix
 from .algebra import MODES, RhoTable, CSA, Trivialisation
@@ -66,41 +66,28 @@ def load(path):
     return obj
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the shape str(Fraction) writes
-
-
-def _rational(s):
-    """A "p/q" or "p" string as a Fraction; Fraction alone would also read
-    exponents (a huge 1e3000000 takes seconds), decimals, spaces and _."""
-    if not isinstance(s, str):  # a JSON float is not the value it was written as
-        raise ParseError("bad rational %r: rationals are stored as strings" % (s,))
-    if not _RATIONAL.fullmatch(s):
-        raise ParseError("bad rational %r: not of the form p/q" % (s,))
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
-        raise ParseError("bad rational %r" % (s,))
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # the shape str(Fraction) writes
 
 
 def _nest(flat, degrees):
     """A coordinate vector as the nested lists of the file format: one
     list level per tower level, the outermost generator outermost."""
     if not degrees:
-        return str(flat[0])
+        return flat[0]
     step = len(flat) // degrees[-1]
     return [_nest(flat[k:k + step], degrees[:-1]) for k in range(0, len(flat), step)]
 
 
 def _unnest(j, degrees):
     if not degrees:
-        return [_rational(j)]
+        return [j]
     if not isinstance(j, list) or len(j) != degrees[-1]:
         raise ParseError("coefficient data does not match the tower")
     return [q for c in j for q in _unnest(c, degrees[:-1])]
 
 
 def tower_to_json(tower):
-    return [{"name": name, "minpoly": [_nest(c.flatten(), tower.degrees[:i]) for c in mp]}
+    return [{"name": name, "minpoly": [_nest(elem_to_json(c), tower.degrees[:i]) for c in mp]}
             for i, (name, mp) in enumerate(tower.levels)]
 
 
@@ -114,7 +101,7 @@ def tower_from_json(j):
         if not isinstance(lvl, dict) or not isinstance(lvl.get("name"), str) \
                 or not isinstance(lvl.get("minpoly"), list):
             raise ParseError("tower levels need a 'name' and a 'minpoly' list")
-        coeffs = [tower.element(_unnest(c, tower.degrees)) for c in lvl["minpoly"]]
+        coeffs = [elem_from_json(tower, _unnest(c, tower.degrees)) for c in lvl["minpoly"]]
         try:
             tower = tower_extend(tower, coeffs, name=lvl["name"])
         except (ReducibleExtension, ValueError) as e:
@@ -123,13 +110,30 @@ def tower_from_json(j):
 
 
 def elem_to_json(e):
-    return [str(c) for c in e.flatten()]
+    """Each coordinate p/q as str(Fraction(p, q)) writes it, with one gcd."""
+    q, gs = e._den, ((p, gcd(p, e._den)) for p in e._num)
+    return ["%d" % (p // g) if g == q else "%d/%d" % (p // g, q // g) for p, g in gs]
 
 
 def elem_from_json(tower, j):
+    """An element from its "p/q" strings in one pass over their integers.
+    Fraction would also read exponents (1e3000000 takes seconds) and _."""
     if not isinstance(j, list) or len(j) != tower.degree:
         raise ParseError("coordinate vector has wrong length for the tower")
-    return tower.element([_rational(c) for c in j])
+    parts = []
+    for s in j:
+        if not isinstance(s, str):  # a JSON float is not the value it was written as
+            raise ParseError("bad rational %r: rationals are stored as strings" % (s,))
+        if not (m := _RATIONAL.fullmatch(s)):
+            raise ParseError("bad rational %r: not of the form p/q" % (s,))
+        try:
+            parts.append((int(m[1]), int(m[2] or 1)))
+        except ValueError:  # past the digit limit
+            raise ParseError("bad rational %r" % (s,))
+    den = lcm(*(q for _, q in parts))
+    if not den:
+        raise ParseError("bad rational in %r: a zero denominator" % (j,))
+    return FieldElement(tower, [p * (den // q) for p, q in parts], den)
 
 
 def _ij_key(ij):

@@ -36,10 +36,13 @@ library's certificates against them:
     folds of the operators * and +: a dot product, a matrix times a
     vector, a matrix product and a polynomial product;
   - the determinant as the Leibniz sum over permutations, which
-    ExactMatrix.det takes from its one Gauss-Jordan pass.
+    ExactMatrix.det takes from its one Gauss-Jordan pass;
+  - the file reader of coordinates through one Fraction per string,
+    which serialize.elem_from_json replaces by one pass over integers.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 from ndescent.algebra import CertificationFailed
@@ -49,6 +52,7 @@ from ndescent.descent_funcs import (EigenspaceDimensionError, GBasis, _coords, _
 from ndescent.fields import FieldElement, Poly, poly_x
 from ndescent.funcfield import FunctionFieldElement, _ring_mul
 from ndescent.linalg import ExactMatrix
+from ndescent.serialize import ParseError
 
 
 def poly_gcd(p, q):
@@ -474,3 +478,22 @@ def naive_poly_mul(p, q):
     a, b = p.coeffs, q.coeffs
     return [naive_dot(*zip(*[(a[i], b[k - i]) for i in range(len(a)) if 0 <= k - i < len(b)]))
             for k in range(len(a) + len(b) - 1)] if a and b else []
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def fraction_elem_from_json(tower, j):
+    """An element from its "p/q" strings, each read by Fraction once its
+    shape has matched; ParseError for any string that one rejects."""
+    if not isinstance(j, list) or len(j) != tower.degree:
+        raise ParseError("coordinate vector has wrong length for the tower")
+    coords = []
+    for s in j:
+        if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+            raise ParseError("bad rational %r" % (s,))
+        try:
+            coords.append(Fraction(s))
+        except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
+            raise ParseError("bad rational %r" % (s,))
+    return tower.element(coords)

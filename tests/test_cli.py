@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import gc
 import hashlib
 import json
@@ -164,22 +165,33 @@ def test_verify_everything_passes(work, capsys):
         % paths["out"] in out
 
 
-def test_verify_frees_its_curve_without_gc(work, capsys, monkeypatch):
-    # curve._data and CurveData.curve form a cycle; verify unlinks it when
-    # it returns, so refcounting alone frees the curve it loaded
+def test_verify_frees_its_curve_without_gc(work, tmp_path, capsys, monkeypatch):
+    # curve._data and CurveData.curve form a cycle; every command unlinks
+    # it when it returns, so refcounting alone frees the curve it loaded
     _, paths, _ = work
+    curve, rho, out = paths["curve"], paths["rho"], str(tmp_path / "out.json")
+    argvs = [["torsion", "--curve", curve, "--out", out],
+             ["quadrics", "--curve", curve, "--rho", rho, "--out", out],
+             ["algebra", "--curve", curve, "--rho", rho, "--out", out],
+             ["rho-from-point", "--curve", paths["aux"], "--point", paths["point2"],
+              "--out", out],
+             ["trivialize", "--curve", curve, "--rho", rho, "--mode", "gamma", "--out", out],
+             ["descend", "--curve", curve, "--rho", rho, "--triv", paths["triv"], "--out", out],
+             ["verify", "--curve", curve, rho, paths["triv"], paths["out"]]]
     loaded, real = [], cli._load_curve
 
+    @contextlib.contextmanager
     def load(args):
-        data = real(args)
-        loaded.append(weakref.ref(data.curve))
-        return data
+        with real(args) as data:
+            loaded.append(weakref.ref(data.curve))
+            yield data
     monkeypatch.setattr(cli, "_load_curve", load)
     gc.disable()
     try:
-        assert main(["verify", "--curve", paths["curve"], paths["rho"], paths["triv"],
-                     paths["out"]]) == 0
-        assert len(loaded) == 1 and loaded[0]() is None
+        for argv in argvs:
+            assert main(argv) == 0, argv[0]
+            assert loaded[-1]() is None, argv[0]
+        assert len(loaded) == len(argvs)
     finally:
         gc.enable()
 
@@ -627,6 +639,9 @@ _MUTATIONS = {
     "rho-value-decimal": ("rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, "0.5"), 1),
     "rho-value-padded": ("rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, " 1 "), 1),
     "rho-value-underscore": ("rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, "1_0"), 1),
+    "rho-value-zero-denominator": (
+        "rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, "1/0"), 1),
+    "rho-value-plus-sign": ("rho", lambda j: j["values"]["1,0|0,1"].__setitem__(0, "+1"), 1),
 }
 
 
@@ -985,14 +1000,16 @@ def _cache_curves(cli_module):
     and recomputing the torsion and G-basis per case would dominate."""
     real, cache = cli_module._load_curve, {}
 
+    @contextlib.contextmanager
     def load(args):
         with open(args.curve, "rb") as fh:
             key = (fh.read(), args.n)
         if key not in cache:
-            cache[key] = real(args)
+            with real(args) as data:
+                cache[key] = data
         data = cache[key]
-        data.curve._data[args.n] = data  # verify unlinks it when it returns
-        return data
+        data.curve._data[args.n] = data  # the real loader unlinks it on exit
+        yield data
     return load
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ndescent
+from ndescent import curve as curve_module
 from ndescent.fields import FieldTower, Poly, tower_extend
 from ndescent.curve import (Curve, Point, PoleAtP, TorsionNotRational, _divpoly,
                             division_polynomial, r_constant, r_eval, slope, torsion_table)
@@ -106,6 +107,24 @@ def test_aux_torsion_basis_frozen(aux_table):
     assert [p.y.flatten() for p in (t1, t2)] == [[0, 0, -9, 0], [0, 0, -3, -6]]
     # an affine point of E[3] has order 3, so T1 extends to a basis
     assert (3 * t1).is_infinity and len(aux_table) == 9
+
+
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_torsion_table_builds_one_table(which, curve, aux_curve, table, aux_table,
+                                        monkeypatch):
+    # no T2 in the cyclic group of T1 is tried, so the first table built
+    # is the basis, the same one as before
+    built = []
+
+    class Counted(curve_module.TorsionTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(curve_module, "TorsionTable", Counted)
+    E, want = (curve, table) if which == "reference" else (aux_curve, aux_table)
+    got = torsion_table(E, 3)
+    assert len(built) == 1
+    assert got.t1 == want.t1 and got.t2 == want.t2 and got.points == want.points
 
 
 def test_table_group_structure(table):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import random
 from collections import Counter
@@ -224,6 +225,39 @@ def test_coordinate_ring_equals_function_field_oracles(which, curve, aux_curve):
         mtilde = ExactMatrix(translated_coords(table, ij, n, f), K)
         assert data.emb.M(ij) == mtilde.scale(eps.eps(ij, neg))
     assert descent_funcs.compute_epsilon(table, oracle_millers).values == eps.values
+
+
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_miller_table_chains_one_of_each_pair(which, curve, aux_curve, monkeypatch):
+    # a Miller chain runs for the first of each pair +-T in table order,
+    # (n^2 - 1)/2 in all, and every F_{-T} derived as -u + v y is == to
+    # the chain's own F_{-T}
+    table = CurveData.of(curve if which == "reference" else aux_curve, 3).table
+    chained, real = [], descent_funcs.miller_function
+    monkeypatch.setattr(descent_funcs, "miller_function",
+                        lambda t, n: chained.append(t.key()) or real(t, n))
+    millers = descent_funcs.compute_miller_table(table)
+    assert len(chained) == (table.n ** 2 - 1) // 2
+    derived = [(ij, t) for ij, t in zip(table.indices[1:], list(table)[1:])
+               if t.key() not in chained]
+    assert len(derived) == len(chained) and all((-t).key() in chained for _, t in derived)
+    for ij, t in derived:
+        f, g = millers[ij], funcfield.miller_function(t, table.n)
+        assert (f.u, f.v, f.w) == (g.u, g.v, g.w)
+
+
+@pytest.mark.parametrize("which", ["reference", "aux"])
+def test_miller_table_catches_an_unsigned_negation(which, curve, aux_curve, monkeypatch):
+    # F_T o [-1] = u - v y has the divisor of F_{-T} but leads at O with
+    # (-1)^n = -1: the Laurent check that ends a chain refuses it
+    table = CurveData.of(curve if which == "reference" else aux_curve, 3).table
+    source = inspect.getsource(descent_funcs.compute_miller_table)
+    derived = "-out[neg].u, out[neg].v"
+    assert source.count(derived) == 1
+    scope = dict(vars(descent_funcs))
+    exec(source.replace(derived, "out[neg].u, -out[neg].v"), scope)
+    with pytest.raises(ArithmeticError, match="does not lead"):
+        scope["compute_miller_table"](table)
 
 
 @pytest.mark.parametrize("d, pole", [(3, True), (9, False)])

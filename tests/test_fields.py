@@ -707,6 +707,26 @@ def test_tower_rule_lives_in_fields():
                      ("serialize", "descent_from_json", "is_prefix_of")]
 
 
+def test_serialize_builds_no_fraction():
+    # the file format's "p/q" strings are read into and written from a
+    # FieldElement's integers in one pass: serialize neither imports nor
+    # calls Fraction, nor calls the element methods that build one per
+    # coordinate
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    with open(os.path.join(pkg, "serialize.py")) as fh:
+        tree = ast.parse(fh.read())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used |= {node.module} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Call):
+            used.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    assert not used & {"fractions", "Fraction", "flatten", "element", "from_fraction",
+                       "as_fraction"}
+
+
 def _surface(path):
     """The public module-level functions defined in a file, and every
     (identifier or string constant, enclosing module-level def or None)

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ndescent.fields import tower_extend
+from ndescent.fields import FieldTower, tower_extend
 from ndescent.curve import Curve, Point
 from ndescent.algebra import (RhoTable, build_csa, partial, trivialize,
                               validate_rho)
 from ndescent.geometry import descend, quadrics_for_C
 from ndescent import serialize as ser
+from oracles import fraction_elem_from_json
 
 
 def _idx():
@@ -83,6 +85,45 @@ def test_elem_json_is_flat_strings(field):
     assert ser.elem_to_json(e) == ["1/3", "-7"]
     with pytest.raises(ser.ParseError):
         ser.elem_from_json(field, ["1/3"])
+
+
+_THIRTY_DIGITS = "-" + "1234567890" * 3
+
+
+@pytest.mark.parametrize("s", ["0", "-0", "007", "2/4", "-3/6", _THIRTY_DIGITS])
+def test_decoder_accepts_what_fraction_reads(field, s):
+    # one pass over the integers of each string decodes == to one Fraction
+    # per coordinate: the same coordinates over the same lowest denominator
+    for j in ([s, "5/6"], ["-7/4", s]):
+        assert ser.elem_from_json(field, j) == fraction_elem_from_json(field, j)
+
+
+@pytest.mark.parametrize("s", ["1/0", "+1", "1/-2", "", "/2", "1/", " 1", "1e3", "9" * 5000,
+                               1, None],
+                         ids=["zero-den", "plus", "neg-den", "empty", "no-num", "no-den",
+                              "space", "exponent", "5000-digits", "int", "none"])
+def test_decoder_rejects_what_fraction_rejects(field, s):
+    for decode in (ser.elem_from_json, fraction_elem_from_json):
+        with pytest.raises(ser.ParseError):
+            decode(field, ["1", s])
+
+
+_ZETA3 = tower_extend(FieldTower.rationals(), [1, 1, 1], name="zeta3")
+_AUX = tower_extend(_ZETA3, [-2, 0, 1], name="sqrt2")
+_COORDS = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                                                     st.integers(1, 10 ** 12)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from([_ZETA3, _AUX]).flatmap(
+    lambda K: st.tuples(st.just(K), st.lists(_COORDS, min_size=K.degree, max_size=K.degree))))
+def test_elem_json_round_trip(args):
+    # the encoder writes str(Fraction) of each coordinate, and the decoder
+    # reads it back to the same element
+    K, coords = args
+    e = K.element(coords)
+    assert ser.elem_to_json(e) == [str(c) for c in e.flatten()]
+    assert ser.elem_from_json(K, ser.elem_to_json(e)) == e
 
 
 def test_curve_hash_detects_mismatch(curve, field):
