@@ -41,9 +41,6 @@ class RhoTable:
         self.values = {k: K.from_fraction(v) if isinstance(v, (int, Fraction)) else v
                        for k, v in values.items()}
 
-    def value(self, ij, kl):
-        return self.values[(ij, kl)]
-
     @property
     def gamma(self):
         """(gamma, field) = solve_gamma(table, self), solved once per ==
@@ -144,7 +141,7 @@ def validate_rho(table, values):
     Raises CertificationFailed with a witness on the first violation."""
     idx = table.indices
     rho = RhoTable(table, {(a, b): values[(a, b)] for a in idx for b in idx})
-    c0 = rho.value((0, 0), (0, 0))
+    c0 = rho.values[(0, 0), (0, 0)]
     if not (c0 == 1 or c0.is_zero()):
         inv = c0.inverse()
         rho = RhoTable(table, {k: v * inv for k, v in rho.values.items()})
@@ -193,8 +190,11 @@ class CSA:
         self.rho = rho
         self.structure = structure  # dict (ij, kl) -> FieldElement
 
-    def c(self, a, b):
-        return self.structure[(a, b)]
+
+def _structure(table, eps, rho):
+    """The structure constants c = eps rho, keyed by pairs of table indices."""
+    idx = table.indices
+    return {(a, b): eps[a, b] * rho.values[a, b] for a in idx for b in idx}
 
 
 def build_csa(table, eps, rho):
@@ -211,23 +211,21 @@ def build_csa(table, eps, rho):
     having passed) it is the identity; so its trace is n^2 c(a,b) when
     b = -a and 0 otherwise, one entry per row of the Gram matrix, and c
     nowhere zero makes the form nondegenerate."""
-    idx = table.indices
-    structure = {(a, b): eps.eps(a, b) * rho.value(a, b) for a in idx for b in idx}
-    A = CSA(table, rho, structure)
+    idx, c = table.indices, _structure(table, eps, rho)
     # unit
     for a in idx:
-        if not (A.c((0, 0), a) == 1 and A.c(a, (0, 0)) == 1):
+        if not (c[(0, 0), a] == 1 and c[a, (0, 0)] == 1):
             raise CertificationFailed(("unit", a), "delta_O is not a unit")
-    _check_associative(table, structure)
+    _check_associative(table, c)
     # center: x commutes with every delta_U iff x_V (c(V,U) - c(U,V)) = 0
     # for every pair (U,V) separately (the products land on distinct
     # basis vectors), so the center is spanned by the delta_V with
     # c(V,U) = c(U,V) for all U
-    center_dim = sum(1 for v in idx if all(A.c(v, u) == A.c(u, v) for u in idx))
+    center_dim = sum(1 for v in idx if all(c[v, u] == c[u, v] for u in idx))
     if center_dim != 1:
         raise CertificationFailed(("center", center_dim),
                                   "center has dimension %d" % center_dim)
-    return A
+    return CSA(table, rho, c)
 
 
 def solve_gamma(table, rho):
@@ -243,14 +241,14 @@ def solve_gamma(table, rho):
     exactly on every pair of torsion points."""
     n = table.n
     K = table.curve.field
-    if not (rho.value((0, 0), (0, 0)) == 1):
+    if not (rho.values[(0, 0), (0, 0)] == 1):
         raise ValueError("rho must be normalized to rho(O, O) = 1")
     # c_m(i) = prod_{k=1}^{i-1} rho(T_m, k T_m); the empty products are 1
     c1 = [K.one(), K.one()]
     c2 = [K.one(), K.one()]
     for i in range(2, n + 1):
-        c1.append(c1[-1] * rho.value((1, 0), (i - 1, 0)))
-        c2.append(c2[-1] * rho.value((0, 1), (0, i - 1)))
+        c1.append(c1[-1] * rho.values[(1, 0), (i - 1, 0)])
+        c2.append(c2[-1] * rho.values[(0, 1), (0, i - 1)])
     alpha, L = root_or_extend(c1[n], n, "g1")  # c_1(n) = A_1
     beta, L = root_or_extend(c2[n].lift_to(L), n, "g2")
     gamma = {}
@@ -260,7 +258,7 @@ def solve_gamma(table, rho):
         apow.append(apow[-1] * alpha)
         bpow.append(bpow[-1] * beta)
     for i, j in table.indices:
-        gamma[(i, j)] = apow[i] * bpow[j] / (c1[i] * c2[j] * rho.value((i, 0), (0, j)))
+        gamma[(i, j)] = apow[i] * bpow[j] / (c1[i] * c2[j] * rho.values[(i, 0), (0, j)])
     check_coboundary(table, gamma, rho)
     return gamma, L
 
@@ -270,7 +268,7 @@ def check_coboundary(table, gamma, rho):
     the field of gamma.  Raises CertificationFailed(("coboundary", a, b))
     at the first pair where it fails."""
     for (a, b), v in partial(table, gamma).values.items():
-        if not (v == rho.value(a, b)):
+        if not (v == rho.values[a, b]):
             raise CertificationFailed(("coboundary", a, b),
                                       "gamma does not satisfy d(gamma) = rho")
 
@@ -280,8 +278,8 @@ MODES = ("standard", "gamma", "user")
 
 class Trivialisation:
     """An isomorphism of the twisted algebra with the n x n matrices,
-    given by its values M(ij) = tau(delta_ij) on the delta basis.  The
-    embedding's matrices M_T are the standard one of the untwisted
+    given by its values matrices[ij] = tau(delta_ij) on the delta basis.
+    The embedding's matrices M_T are the standard one of the untwisted
     algebra."""
 
     def __init__(self, table, rho, field, matrices, mode, gamma=None):
@@ -291,9 +289,8 @@ class Trivialisation:
         self.matrices = matrices  # dict ij -> ExactMatrix over field
         self.mode = mode
         self.gamma = gamma
-        self.n = table.n
 
-    def M(self, ij):
+    def M(self, ij):  # matrices[ij], which the library reads; perfbench/workload.py calls M
         return self.matrices[ij]
 
 
@@ -347,15 +344,13 @@ def certify_trivialisation(triv, eps):
     Raises CertificationFailed with witness ("unit",), ("nonzero", a, b),
     ("associativity", g, b, d), ("multiplicative", g, b) or ("span", a)
     at the first failure, in that order."""
-    table, n, L = triv.table, triv.n, triv.field
-    mats = triv.matrices
-    if not (mats[(0, 0)] == ExactMatrix.identity(n, L)):
+    table, mats = triv.table, triv.matrices
+    if not (mats[(0, 0)] == ExactMatrix.identity(table.n, triv.field)):
         raise CertificationFailed(("unit",), "trivialisation does not send delta_O to 1")
 
-    idx = table.indices
-    structure = {(a, b): eps.eps(a, b) * triv.rho.value(a, b) for a in idx for b in idx}
+    idx, structure = table.indices, _structure(table, eps, triv.rho)
     owner = _owner(table)
-    if not (owner.passed("cocycle", triv.rho.values) and owner.passed("cocycle", eps.values)):
+    if not (owner.passed("cocycle", triv.rho.values) and owner.passed("cocycle", eps)):
         _check_associative(table, structure)
     for g in table.generators:
         for b in idx:
@@ -375,7 +370,7 @@ def certify_once(triv, eps):
     and eps on the curve (CurveData.once): a copy of its result."""
     return dict(_owner(triv.table).once(lambda: certify_trivialisation(triv, eps),
                                         "trivialisation", triv.field, triv.matrices,
-                                        triv.rho.values, eps.values))
+                                        triv.rho.values, eps))
 
 
 def trivialize(emb, eps, rho, mode="standard", matrices=None, gamma=None):

@@ -20,7 +20,7 @@ from .algebra import (MODES, RhoTable, validate_rho, rho_from_point, build_csa,
                       check_coboundary, trivialize, certify_once,
                       CertificationFailed, BadBasePoint)
 from .geometry import (quadrics_for_C, descend, descent_report, sample_images,
-                       sampling_field, RankNotOne, _symmetric_cube)
+                       sampling_field, RankNotOne, _lead_one, _symmetric_cube)
 
 
 @contextmanager
@@ -44,12 +44,7 @@ def _load_rho(path, table):
 
 
 def cmd_torsion(args, data):
-    try:
-        table = data.table
-    except TorsionNotRational as e:
-        print("error: found %d of %d torsion points over the base field"
-              % (e.count, args.n * args.n), file=sys.stderr)
-        return 2
+    table = data.table
     ser.save(args.out, ser.torsion_to_json(table))
     print("%d torsion points -> %s" % (len(table), args.out))
     return 0
@@ -190,10 +185,9 @@ def _verify_descent(path, j, data, emit):
         return
     _, w = _certified(lambda: check_coboundary(data.table, gamma, rho))
     emit(path, "gamma is a coboundary for rho", w is None, w)
-    lead = next((c for c in cubic.coeffs if not c.is_zero()), None)
     emit(path, "plane cubic is nonzero and normalized",
-         lead is not None and lead == 1)
-    eigen = [(_symmetric_cube(a), a.det()) for a in map(triv.M, data.table.generators)]
+         not cubic.is_zero() and _lead_one(cubic.coeffs) == cubic.coeffs)
+    eigen = [(_symmetric_cube(a), a.det()) for a in map(triv.matrices.get, data.table.generators)]
     emit(path, "plane cubic is fixed by the generators up to their determinant",
          all(s.mat_vec(cubic.coeffs) == [d * c for c in cubic.coeffs] for s, d in eigen))
     gfield = next(iter(gamma.values())).tower

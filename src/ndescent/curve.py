@@ -15,9 +15,10 @@ class TorsionNotRational(Exception):
     .count is the number of rational n-torsion points found (including O).
     """
 
-    def __init__(self, count):
+    def __init__(self, count, n):
         self.count = count
-        super().__init__("only %d rational n-torsion points" % count)
+        super().__init__("found %d of %d rational n-torsion points over the base field"
+                         % (count, n * n))
 
 
 class PoleAtP(Exception):
@@ -130,6 +131,14 @@ class Point:
         return "Point(%r, %r)" % (self.x, self.y)
 
 
+def _multiples(t, n):
+    """[O, t, 2t, ..., (n-1)t], by chained additions."""
+    out = [Point.at_infinity(t.curve)]
+    for _ in range(n - 1):
+        out.append(out[-1] + t)
+    return out
+
+
 def slope(t1, t2):
     """The slope of the line through t1 and t2 (tangent if equal).
     Both points affine, t1 + t2 != O."""
@@ -226,7 +235,7 @@ class TorsionTable:
         self.t2 = t2
         self.indices = tuple((i, j) for i in range(n) for j in range(n))
         self.generators = ((1, 0), (0, 1))
-        m1, m2 = [i * t1 for i in range(n)], [j * t2 for j in range(n)]
+        m1, m2 = _multiples(t1, n), _multiples(t2, n)
         self.points = [m1[i] + m2[j] for i, j in self.indices]
         if len({p.key() for p in self.points}) != n * n:
             raise ValueError("torsion basis is not independent")
@@ -255,7 +264,7 @@ class TorsionTable:
 def torsion_table(curve, n):
     """Find the full rational n-torsion and pick a deterministic basis.
 
-    Raises TorsionNotRational(count) if fewer than n^2 points are rational
+    Raises TorsionNotRational(count, n) if fewer than n^2 points are rational
     (count includes O), and ValueError unless n is odd and at least 3.
     Basis: the first pair (T1, T2) of affine points, in the coordinate
     sort order, for which TorsionTable finds the n^2 points i T1 + j T2
@@ -276,10 +285,10 @@ def torsion_table(curve, n):
         for y0 in roots_in_field(x * x - curve.rhs(x0)):
             pts.append(Point(curve, x0, y0))
     if len(pts) < n * n:
-        raise TorsionNotRational(len(pts))
+        raise TorsionNotRational(len(pts), n)
     affine = sorted(pts[1:], key=lambda p: p.key())
     for t1 in affine:
-        cyclic = {(k * t1).key() for k in range(n)}
+        cyclic = {p.key() for p in _multiples(t1, n)}
         for t2 in (t for t in affine if t.key() not in cyclic):
             try:
                 return TorsionTable(curve, n, t1, t2)

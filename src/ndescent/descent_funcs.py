@@ -102,22 +102,15 @@ def compute_miller_table(table):
     return out
 
 
-class EpsilonTable:
-    """eps(T1,T2) for all pairs of table points, and the Weil pairing."""
-
-    def __init__(self, values):
-        self.values = values  # dict (ij, kl) -> FieldElement
-
-    def eps(self, ij, kl):
-        return self.values[(ij, kl)]
-
-    def weil(self, ij, kl):
-        return self.values[(ij, kl)] / self.values[(kl, ij)]
+def weil(eps, ij, kl):
+    """The Weil pairing e_n(T1,T2) = eps(T1,T2)/eps(T2,T1)."""
+    return eps[ij, kl] / eps[kl, ij]
 
 
 def compute_epsilon(table, millers):
     """The table of eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1)),
-    from the Miller functions of compute_miller_table.
+    from the Miller functions of compute_miller_table, as a dict keyed by
+    pairs of table indices.
 
     The value does not depend on P.  Every F_T leads at O with t^-n and
     coefficient 1, so P -> O gives eps(T1,T2) = 1/F_{T2}(-T1), unless
@@ -139,18 +132,7 @@ def compute_epsilon(table, millers):
             except (PoleAtP, ZeroDivisionError):
                 raise CertificationFailed(("epsilon", ij, kl),
                                           "a Miller value in epsilon is zero or a pole")
-    return EpsilonTable(values)
-
-
-class GBasis:
-    """G_T for all T in the table, with G_O = 1."""
-
-    def __init__(self, table, funcs):
-        self.table = table
-        self.funcs = funcs  # dict ij -> FunctionFieldElement
-
-    def __getitem__(self, ij):
-        return self.funcs[ij]
+    return values
 
 
 def _orbit(L1, L2, n, w):
@@ -189,7 +171,8 @@ def compute_G_basis(table, eps):
     independent and fill L(n^2(O)): every joint eigenspace is a line,
     and v is G_T psi_n up to the scalar the residue fixes.
 
-    G_T is stored as (u + v y)/den: den is psi_n made monic, and (u, v)
+    Returns the dict ij -> G_T, with G_O = 1.  Each G_T is stored as
+    (u + v y)/den: den is psi_n made monic, and (u, v)
     is the certified eigenvector scaled by (n lead)^{-1}, lead its
     leading coefficient at O, so the residue is 1/n.  This form is
     reduced with no gcd taken.  For T != O, u + v y = G_T psi_n has
@@ -215,7 +198,7 @@ def compute_G_basis(table, eps):
         op = ExactMatrix(_translated_coords(table, g, n * n, power), K).transpose()
         return op.scale(psi.lc() / op.mat_vec(psi_v)[nx - 1])
     L1, L2 = (translation(g) for g in table.generators)
-    chars = {ij: tuple(eps.weil(g, ij) for g in table.generators) for ij in table.indices}
+    chars = {ij: tuple(weil(eps, g, ij) for g in table.generators) for ij in table.indices}
     if len(set(chars.values())) != n * n:
         raise EigenspaceDimensionError("two translation characters coincide")
 
@@ -252,7 +235,7 @@ def compute_G_basis(table, eps):
         if ordv != -1:
             raise ArithmeticError("G_T for %s has pole order %d at O, not 1" % ((ij,), -ordv))
         funcs[ij] = g.scale((lead * n).inverse())
-    return GBasis(table, funcs)
+    return funcs
 
 
 def _frozen(x):
@@ -367,12 +350,12 @@ def compute_embedding(table, eps, millers, seed=0):
         f = millers[neg]
         if not (f.w == 1):
             raise CertificationFailed(("translation", ij), "F_{-T} is not in the coordinate ring")
-        scale, f_neg = eps.eps(ij, neg), (f.u, f.v)
+        scale, f_neg = eps[ij, neg], (f.u, f.v)
         if ij in table.generators:
             m = ExactMatrix(_translated_coords(table, ij, n, f_neg), K).scale(scale)
         else:
             g, b = ((0, 1), (ij[0], ij[1] - 1)) if ij[1] else ((1, 0), (ij[0] - 1, 0))
-            m = (matrices[g] * matrices[b]).scale(eps.eps(g, b).inverse())
+            m = (matrices[g] * matrices[b]).scale(eps[g, b].inverse())
         if not (m.rows[0] == [scale * c for c in _coords(f_neg, n, ij)]):
             raise CertificationFailed(("embedding", ij), "row 0 of M_T is not eps(T,-T) F_{-T}")
         matrices[ij] = m
@@ -390,7 +373,7 @@ def tau_1(triv, alpha):
     counting as zero.  Entry (r, c) of the sum is row n r + c of the
     matrix of all M_T entries applied to alpha, so one sum each."""
     n, ijs = triv.table.n, list(alpha)
-    stacked = ExactMatrix([[triv.M(ij).rows[r][c] for ij in ijs]
+    stacked = ExactMatrix([[triv.matrices[ij].rows[r][c] for ij in ijs]
                            for r in range(n) for c in range(n)])
     flat = stacked.mat_vec([alpha[ij] for ij in ijs])
     return ExactMatrix([flat[r * n:r * n + n] for r in range(n)])

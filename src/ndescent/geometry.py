@@ -42,7 +42,6 @@ class QuadricSystem:
     def __init__(self, field, n, forms):
         self.field = field
         self.n = n
-        self.dim = n * n
         self.forms = forms
 
     def __len__(self):
@@ -55,7 +54,8 @@ class QuadricSystem:
                 and self.forms == other.forms)
 
     def monomials(self):
-        return [(a, b) for a in range(self.dim) for b in range(a, self.dim)]
+        d = self.n * self.n
+        return [(a, b) for a in range(d) for b in range(a, d)]
 
     def rank(self):
         """The rank of the coefficient matrix, forms by monomials."""
@@ -109,7 +109,7 @@ def quadrics_for_C(curve, table, rho):
     for w in idx:
         decomps = [(d1, table.add_index(w, table.neg_index(d1))) for d1 in idx[1:]]
         # (c(D), rho(D), z_D) per decomposition D = (D1, D2)
-        terms = [(r_constant(table.point(*d1), table.point(*d2)), rho.value(d1, d2),
+        terms = [(r_constant(table.point(*d1), table.point(*d2)), rho.values[d1, d2],
                   (flat(d1), flat(d2)))
                  for d1, d2 in decomps if d2 != (0, 0) and flat(d1) <= flat(d2)]
         for t in terms[1:]:
@@ -131,17 +131,14 @@ def g_eval(curve, gbasis, gamma, p):
 
     P must stay away from the n^2-torsion, where the G_T share zeros
     and poles."""
-    table = gbasis.table
-    n = table.n
     if p.is_infinity:
         raise BadBasePoint("the covering coordinates degenerate at O")
-    psi = division_polynomial(curve, n * n)
-    if psi(p.x).is_zero():
+    if division_polynomial(curve, len(gbasis))(p.x).is_zero():  # len(gbasis) = n^2
         raise BadBasePoint("point lies over the n^2-torsion")
     out = []
-    for ij in table.indices:
+    for ij, g in gbasis.items():
         try:
-            val = gbasis[ij].evaluate(p)
+            val = g.evaluate(p)
         except PoleAtP:
             raise BadBasePoint("covering coordinate has a pole at the point")
         out.append(gamma[ij].inverse() * val)
@@ -171,18 +168,22 @@ def extract_point(m):
 
     Returns (column, row): the first nonzero column, and the row scaled
     so that col . row reassembles the matrix exactly."""
-    ncols = m.ncols
-    col = next((c for c in map(m.col, range(ncols)) if any(not e.is_zero() for e in c)), None)
+    col = next((c for c in map(list, zip(*m.rows)) if any(not e.is_zero() for e in c)), None)
     if col is None:
         raise RankNotOne("zero matrix has no column factor")
     i0 = next(i for i, e in enumerate(col) if not e.is_zero())
     piv = col[i0].inverse()
-    row = [piv * e for e in m.row(i0)]
-    for i in range(m.nrows):
-        for j in range(ncols):
-            if not (col[i] * row[j] == m[i, j]):
-                raise RankNotOne("matrix is not a column times a row")
+    row = [piv * e for e in m.rows[i0]]
+    for c, r in zip(col, m.rows):
+        if not all(c * e == f for e, f in zip(row, r)):
+            raise RankNotOne("matrix is not a column times a row")
     return col, row
+
+
+def _lead_one(v):
+    """v scaled so its first nonzero entry is 1; v must have one."""
+    lead = next(e for e in v if not e.is_zero()).inverse()
+    return [lead * e for e in v]
 
 
 def _x_key(x):
@@ -216,7 +217,7 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
     Raises RankNotOne if the Segre image of a base point is not a column
     times a row, and CertificationFailed(("quadric", i)) if form i does
     not vanish at z(P), before P's image is yielded."""
-    table = gbasis.table
+    table = triv.table
     L = next(iter(gamma.values())).tower
     cx = curve if L == curve.field else curve.base_change(L)
     rng = random.Random(seed)
@@ -231,8 +232,7 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
             if not val.is_zero():
                 raise CertificationFailed(("quadric", i),
                                           "quadric %d does not vanish at a sample" % i)
-        unit = next(e for e in u if not e.is_zero()).inverse()
-        yield [unit * e for e in u]
+        yield _lead_one(u)
         orbit_x.extend(_x_key((p + table.point(*s)).x) for s in table.indices)
 
 
@@ -301,9 +301,7 @@ def interpolate_plane_curve(points, field):
         raise KernelEmpty("no cubic through the sampled points")
     if len(kern) > 1:
         raise KernelTooBig("kernel has dimension %d" % len(kern))
-    v = kern[0]
-    lead = next(c for c in v if not c.is_zero()).inverse()
-    return PlaneCurveEquation(field, 3, [lead * c for c in v])
+    return PlaneCurveEquation(field, 3, _lead_one(kern[0]))
 
 
 def _symmetric_cube(a):
@@ -334,7 +332,7 @@ def _pencil(data, triv):
     it.  The kernel of the stacked Sym^3(A) - det(A) I must have dimension
     exactly 2, else CertificationFailed(("pencil", dim))."""
     mats = [a.scale(next(e for r in a.rows for e in r if not e.is_zero()).inverse())
-            for a in map(triv.M, data.table.generators)]
+            for a in map(triv.matrices.get, data.table.generators)]
     tower = mats[0].tower
 
     def build():
@@ -355,8 +353,7 @@ def _pin_cubic(pencil, u, field):
     if f1.is_zero() and f2.is_zero():
         raise PencilBasePoint("the image that pins the cubic is a base point of the pencil")
     coeffs = [f2 * a - f1 * b for a, b in zip(pencil[0].coeffs, pencil[1].coeffs)]
-    lead = next(c for c in coeffs if not c.is_zero()).inverse()
-    down = [(lead * c).coords_over(field) for c in coeffs]
+    down = [c.coords_over(field) for c in _lead_one(coeffs)]
     for k, c in enumerate(down):
         if any(not e.is_zero() for e in c[1:]):
             raise CertificationFailed(("cubic-field", k), "a cubic coefficient is not in K")

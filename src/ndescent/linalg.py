@@ -41,16 +41,6 @@ class ExactMatrix:
         one, zero = tower.one(), tower.zero()
         return ExactMatrix([[one if i == j else zero for j in range(n)] for i in range(n)], tower)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def row(self, i):
-        return list(self.rows[i])
-
-    def col(self, j):
-        return [r[j] for r in self.rows]
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

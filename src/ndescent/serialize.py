@@ -262,9 +262,10 @@ def point_from_json(j, curve):
     K = curve.field
     x = elem_from_json(K, _req(j, "x"))
     y = elem_from_json(K, _req(j, "y"))
-    if not curve.contains(x, y):
-        raise ParseError("point is not on the curve")
-    return Point(curve, x, y)
+    try:
+        return Point(curve, x, y)
+    except ValueError as e:
+        raise ParseError(str(e))
 
 
 def point_file_from_json(j, curve):
@@ -310,7 +311,7 @@ def matrix_from_json(tower, j, n):
 
 def triv_to_json(triv):
     return {"kind": "trivialisation", "hash": curve_hash(triv.table.curve),
-            "n": triv.n, "mode": triv.mode, "field": tower_to_json(triv.field),
+            "n": triv.table.n, "mode": triv.mode, "field": tower_to_json(triv.field),
             "rho": _pairs_to_json(triv.rho.values),
             "matrices": {_ij_key(ij): matrix_to_json(m) for ij, m in triv.matrices.items()},
             "gamma": None if triv.gamma is None else {_ij_key(ij): elem_to_json(g)

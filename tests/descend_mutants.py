@@ -28,7 +28,7 @@ def descend_mutants(data):
     def swap(ij):
         return ij[1], ij[0]
 
-    swapped = RhoTable(table, {(a, b): eps.eps(swap(a), swap(b)) / eps.eps(a, b)
+    swapped = RhoTable(table, {(a, b): eps[swap(a), swap(b)] / eps[a, b]
                                for a, b in trivial.values})
     zero = RhoTable(table, dict(trivial.values))
     zero.values[((1, 0), (0, 1))] = K.zero()

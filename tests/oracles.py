@@ -47,8 +47,8 @@ from fractions import Fraction
 
 from ndescent.algebra import CertificationFailed
 from ndescent.curve import Point, division_polynomial, slope
-from ndescent.descent_funcs import (EigenspaceDimensionError, GBasis, _coords, _exponents,
-                                    affine_sample)
+from ndescent.descent_funcs import (EigenspaceDimensionError, _coords, _exponents, affine_sample,
+                                    weil)
 from ndescent.fields import FieldElement, Poly, poly_x
 from ndescent.funcfield import FunctionFieldElement, _ring_mul
 from ndescent.linalg import ExactMatrix
@@ -187,7 +187,7 @@ def mult(csa, x, y):
             if yb.is_zero():
                 continue
             t = csa.table.add_index(a, b)
-            term = csa.c(a, b) * xa * yb
+            term = csa.structure[a, b] * xa * yb
             out[t] = term if out[t] is None else out[t] + term
     zero = csa.table.curve.field.zero()
     return {k: (v if v is not None else zero) for k, v in out.items()}
@@ -202,7 +202,7 @@ def left_mult_matrix(csa, x):
         for a, xa in x.items():
             t = table.add_index(a, b)
             trow = table.flat(t)
-            term = csa.c(a, b) * xa
+            term = csa.structure[a, b] * xa
             cur = rows[trow][bcol]
             rows[trow][bcol] = term if cur is None else cur + term
     rows = [[e if e is not None else zero for e in r] for r in rows]
@@ -301,12 +301,12 @@ def certify_trivialisation_all_pairs(triv, eps):
     on all n^4 pairs, c(a, -a) != 0 and tr tau(delta_a) = 0 for a != O.
     Returns c over the base field; raises CertificationFailed with
     witness ("unit",), ("multiplicative", a, b) or ("span", a)."""
-    table, n, L = triv.table, triv.n, triv.field
+    table, n, L = triv.table, triv.table.n, triv.field
     mats = triv.matrices
     if not (mats[(0, 0)] == ExactMatrix.identity(n, L)):
         raise CertificationFailed(("unit",))
     idx = table.indices
-    structure = {(a, b): eps.eps(a, b) * triv.rho.value(a, b) for a in idx for b in idx}
+    structure = {(a, b): eps[a, b] * triv.rho.values[a, b] for a in idx for b in idx}
     for a in idx:
         for b in idx:
             cab = structure[(a, b)].lift_to(L)
@@ -360,7 +360,7 @@ def kernel_G_basis(table, eps):
     ident = ExactMatrix.identity(n * n, K)
     funcs = {(0, 0): GeneralFunction.const(curve, 1)}
     for ij in table.indices[1:]:
-        ev1, ev2 = (eps.weil(g, ij) for g in table.generators)
+        ev1, ev2 = (weil(eps, g, ij) for g in table.generators)
         stacked = ExactMatrix((L1 - ident.scale(ev1)).rows + (L2 - ident.scale(ev2)).rows, K)
         kern = stacked.kernel_basis()
         if len(kern) != 1:
@@ -369,7 +369,7 @@ def kernel_G_basis(table, eps):
         g = GeneralFunction(curve, Poly(kern[0][:nx], K), Poly(kern[0][nx:], K), psi)
         _, lead = g.laurent()
         funcs[ij] = g * (lead.inverse() * Fraction(1, n))
-    return GBasis(table, funcs)
+    return funcs
 
 
 def line_through(p1, p2):
@@ -467,7 +467,7 @@ def leibniz_det(m):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         term = m.tower.one()
         for i, j in enumerate(perm):
-            term = term * m[i, j]
+            term = term * m.rows[i][j]
         total = total - term if inversions % 2 else total + term
     return total
 

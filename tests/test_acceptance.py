@@ -12,7 +12,7 @@ import pytest
 from ndescent.fields import FieldTower, tower_extend
 from ndescent.curve import Curve, Point, r_eval, torsion_table
 from ndescent.linalg import ExactMatrix
-from ndescent.descent_funcs import compute_epsilon, compute_miller_table
+from ndescent.descent_funcs import compute_epsilon, compute_miller_table, weil
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               build_csa, certify_trivialisation, partial,
                               rho_from_point, solve_gamma, trivialize,
@@ -60,7 +60,7 @@ def test_criterion_01_torsion():
         seen.add(p.key())
     assert len(seen) == 9
     eps = compute_epsilon(table, compute_miller_table(table))
-    w = eps.weil((1, 0), (0, 1))
+    w = weil(eps, (1, 0), (0, 1))
     assert not (w == field.one())
     assert w ** 3 == field.one()
     elapsed = time.monotonic() - t0
@@ -110,8 +110,8 @@ def test_criterion_04_epsilon_and_matrices(eps, emb, table, curve, field):
     big = r1.curve.field
     for a in _idx():
         for b in _idx():
-            quot = eps.eps(a, b) / eps.eps(b, a)
-            w = eps.weil(a, b)
+            quot = eps[a, b] / eps[b, a]
+            w = weil(eps, a, b)
             assert quot == w
             # independent Miller oracle; the library pairing is the
             # opposite orientation of f_S(D_T)/f_T(D_S)
@@ -124,8 +124,8 @@ def test_criterion_04_epsilon_and_matrices(eps, emb, table, curve, field):
     for a in _idx():
         for b in _idx():
             ab = table.add_index(a, b)
-            assert emb.M(a) * emb.M(b) == emb.M(ab).scale(eps.eps(a, b))
-    rows = [[emb.M(ij)[i, j] for i in range(3) for j in range(3)] for ij in _idx()]
+            assert emb.M(a) * emb.M(b) == emb.M(ab).scale(eps[a, b])
+    rows = [[emb.M(ij).rows[i][j] for i in range(3) for j in range(3)] for ij in _idx()]
     assert ExactMatrix(rows, field).rank() == 9
     print("criterion 4 PASS: epsilon quotient is the pairing (oracle checked), M identities hold")
 
@@ -151,7 +151,7 @@ def test_criterion_05_tau1_and_algebra(emb, eps, table, field):
     for b in _idx():
         for a in _idx():
             row = [field.zero()] * 9
-            row[_idx().index(a)] = csa.c(a, b) - csa.c(b, a)
+            row[_idx().index(a)] = csa.structure[a, b] - csa.structure[b, a]
             rows.append(row)
     kern = ExactMatrix(rows, field).kernel_basis()
     assert len(kern) == 1
@@ -182,8 +182,8 @@ def test_criterion_06_segre_factorisation(emb, eps, table, gbasis, curve):
         scale = None
         for i in range(3):
             for j in range(3):
-                if not outer[i, j].is_zero():
-                    scale = m[i, j] / outer[i, j]
+                if not outer.rows[i][j].is_zero():
+                    scale = m.rows[i][j] / outer.rows[i][j]
                     break
             if scale is not None:
                 break
@@ -221,7 +221,7 @@ def test_criterion_08_z_twist_coherence(table, eps, field):
         for a in _idx():
             for b in _idx():
                 ab = table.add_index(a, b)
-                assert twisted.c(a, b) * z[ab] == z[a] * z[b] * plain.c(a, b)
+                assert twisted.structure[a, b] * z[ab] == z[a] * z[b] * plain.structure[a, b]
     print("criterion 8 PASS: 3 random z twists certify and z intertwines the products")
 
 
@@ -258,7 +258,7 @@ def test_criterion_10_point_rho_path(aux_table, aux_field):
     for a in _idx():
         for b in _idx():
             ab = aux_table.add_index(a, b)
-            assert gamma[a] * gamma[b] / gamma[ab] == rho.value(a, b).lift_to(L)
+            assert gamma[a] * gamma[b] / gamma[ab] == rho.values[a, b].lift_to(L)
     print("criterion 10 PASS: point-derived rho validates, algebra certifies, "
           "d(gamma) = rho on 81 pairs")
 

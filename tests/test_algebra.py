@@ -1,12 +1,14 @@
+import ast
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ndescent
 from ndescent import algebra
 from ndescent.curve import Point
-from ndescent.descent_funcs import EpsilonTable
 from ndescent.linalg import ExactMatrix
 from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable,
                               Trivialisation, build_csa, certify_trivialisation,
@@ -37,7 +39,7 @@ def test_validate_trivial(table):
     rho = RhoTable.trivial(table)
     got = validate_rho(table, rho.values)
     assert all(v == 1 for v in got.values.values())
-    assert got.value((1, 2), (2, 2)) == 1
+    assert got.values[(1, 2), (2, 2)] == 1
 
 
 def test_rho_table_takes_rational_values(table):
@@ -80,7 +82,7 @@ def test_validate_normalizes(table, field):
     for five in (field.from_fraction(5), 5, Fraction(5)):
         vals = {k: five for k in RhoTable.trivial(table).values}
         got = validate_rho(table, vals)
-        assert got.value((0, 0), (0, 0)) == 1
+        assert got.values[(0, 0), (0, 0)] == 1
         assert all(v == 1 and v.tower == field for v in got.values.values())
 
 
@@ -90,20 +92,20 @@ def test_partial_is_coboundary(table, field):
     for a in _idx():
         for b in _idx():
             ab = table.add_index(a, b)
-            assert raw.value(a, b) == z[a] * z[b] / z[ab]
+            assert raw.values[a, b] == z[a] * z[b] / z[ab]
     # it passes validation after normalization
     rho = validate_rho(table, raw.values)
-    assert rho.value((0, 0), (0, 0)) == 1
+    assert rho.values[(0, 0), (0, 0)] == 1
 
 
 def test_rho_from_point_frozen(aux_table, aux_field):
     q = Point(aux_table.curve, aux_field.from_fraction(7), aux_field.from_fraction(17))
     rho = rho_from_point(aux_table, q)
-    assert rho.value((1, 0), (0, 1)) == aux_field.element(
+    assert rho.values[(1, 0), (0, 1)] == aux_field.element(
         [Fraction(221, 127), Fraction(102, 127), Fraction(10, 127), Fraction(200, 127)])
-    assert rho.value((1, 1), (2, 2)) == aux_field.element(
+    assert rho.values[(1, 1), (2, 2)] == aux_field.element(
         [Fraction(7), Fraction(-6), Fraction(0), Fraction(0)])
-    assert rho.value((0, 0), (2, 2)) == 1
+    assert rho.values[(0, 0), (2, 2)] == 1
 
 
 def test_rho_from_point_bad_base(aux_table, aux_curve):
@@ -123,7 +125,7 @@ def test_csa_trivial(table, eps, field):
     csa = build_csa(table, eps, RhoTable.trivial(table))
     for a in _idx():
         for b in _idx():
-            assert csa.c(a, b) == eps.eps(a, b)
+            assert csa.structure[a, b] == eps[a, b]
     unit = one(csa)
     assert trd(csa, unit) == field.from_fraction(3)
     for ij in _idx():
@@ -137,7 +139,7 @@ def test_csa_trivial(table, eps, field):
 def test_csa_commutative_center(table, eps):
     # rho = 1/eps makes every structure constant 1: the group algebra of
     # E[3], commutative, so its center is all nine delta lines
-    rho = RhoTable(table, {(a, b): eps.eps(a, b).inverse() for a in _idx() for b in _idx()})
+    rho = RhoTable(table, {(a, b): eps[a, b].inverse() for a in _idx() for b in _idx()})
     with pytest.raises(CertificationFailed) as ei:
         build_csa(table, eps, rho)
     assert ei.value.witness == ("center", 9)
@@ -196,7 +198,7 @@ def test_csa_twisted(table, eps, field):
     csa = build_csa(table, eps, rho)
     for a in _idx():
         for b in _idx():
-            assert csa.c(a, b) == eps.eps(a, b) * rho.value(a, b)
+            assert csa.structure[a, b] == eps[a, b] * rho.values[a, b]
 
 
 def test_solve_gamma_coboundary_stays_in_field(table, field):
@@ -207,7 +209,7 @@ def test_solve_gamma_coboundary_stays_in_field(table, field):
     for a in _idx():
         for b in _idx():
             ab = table.add_index(a, b)
-            assert gamma[a] * gamma[b] / gamma[ab] == rho.value(a, b)
+            assert gamma[a] * gamma[b] / gamma[ab] == rho.values[a, b]
 
 
 def test_solve_gamma_extends_for_point_rho(aux_table, aux_field):
@@ -218,7 +220,7 @@ def test_solve_gamma_extends_for_point_rho(aux_table, aux_field):
     for a in _idx():
         for b in _idx():
             ab = aux_table.add_index(a, b)
-            assert gamma[a] * gamma[b] / gamma[ab] == rho.value(a, b).lift_to(L)
+            assert gamma[a] * gamma[b] / gamma[ab] == rho.values[a, b].lift_to(L)
 
 
 def test_trivialize_standard(emb, eps, table):
@@ -319,8 +321,8 @@ def test_a_different_eps_gets_no_reuse(emb, eps, table, field, monkeypatch):
                         lambda *a: calls.append(a) or real(*a))
     trivialize(emb, eps, rho)
     assert calls == []
-    other = EpsilonTable(dict(eps.values))
-    other.values[((1, 0), (0, 1))] = other.values[((1, 0), (0, 1))] * 2
+    other = dict(eps)
+    other[((1, 0), (0, 1))] = other[((1, 0), (0, 1))] * 2
     with pytest.raises(CertificationFailed) as ei:
         trivialize(emb, other, rho)
     assert ei.value.witness[0] == "associativity"
@@ -330,7 +332,7 @@ def test_a_different_eps_gets_no_reuse(emb, eps, table, field, monkeypatch):
 def _commutative(table, eps, K):
     # rho = 1/eps makes every structure constant 1: the group algebra,
     # which the identity matrices represent without spanning
-    rho = RhoTable(table, {k: v.inverse() for k, v in eps.values.items()})
+    rho = RhoTable(table, {k: v.inverse() for k, v in eps.items()})
     return rho, {ij: ExactMatrix.identity(3, K) for ij in _idx()}
 
 
@@ -386,7 +388,7 @@ def test_generator_certificates_agree_with_all_pairs(emb, eps, table, field, see
     triv = Trivialisation(table, rho, field, mats, "user")
     ok = _accepts(certify_trivialisation, triv, eps)
     assert ok == _accepts(certify_trivialisation_all_pairs, triv, eps) == (kind == "none")
-    c = {k: eps.eps(*k) * v for k, v in rho.values.items()}
+    c = {k: eps[k] * v for k, v in rho.values.items()}
     on_generators = (algebra._zero_failure(table, c) is None
                      and algebra._cocycle_failure(table, c) is None)
     assert on_generators == (cocycle_failure_all_pairs(table, c) is None) == (kind != "zero"
@@ -402,3 +404,30 @@ def test_certify_rejects_a_map_multiplicative_along_T1_only(emb, eps, table, fie
         certify_trivialisation(triv, eps)
     assert ei.value.witness == ("multiplicative", (0, 1), (0, 2))
     assert not _accepts(certify_trivialisation_all_pairs, triv, eps)
+
+
+def test_e_n_tables_are_read_one_way():
+    # eps and the G-basis are plain dicts, rho and the structure constants
+    # are read through .values and .structure, and a matrix through .rows:
+    # no wrapper class or forwarding method is left, and c = eps rho is
+    # built by one function
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    classes, calls, products = [], [], []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef) and node.name in ("EpsilonTable", "GBasis"):
+                    classes.append((name[:-3], node.name))
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in ("value", "eps", "c", "row", "col"):
+                    calls.append((name[:-3], node.lineno, node.func.attr))
+                elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                        and {"eps", "rho"} <= {getattr(n, "id", getattr(n, "attr", None))
+                                               for n in ast.walk(node)}:
+                    products.append((name[:-3], getattr(top, "name", None)))
+    assert classes == [] and calls == []
+    assert products == [("algebra", "_structure")]

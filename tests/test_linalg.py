@@ -38,7 +38,7 @@ def test_rank_and_kernel_over_extension(field):
     assert len(kern) == 1
     v = kern[0]
     for i in range(2):
-        s = m.row(i)[0] * v[0] + m.row(i)[1] * v[1]
+        s = m.rows[i][0] * v[0] + m.rows[i][1] * v[1]
         assert s.is_zero()
 
 

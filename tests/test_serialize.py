@@ -182,7 +182,7 @@ def test_csa_roundtrip(table, eps, field):
     back = ser.csa_from_json(j, table)
     for a in _idx():
         for b in _idx():
-            assert back.c(a, b) == csa.c(a, b)
+            assert back.structure[a, b] == csa.structure[a, b]
     assert back.rho.values == rho.values
 
 
