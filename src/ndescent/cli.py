@@ -13,7 +13,6 @@ import sys
 from contextlib import contextmanager
 
 from . import serialize as ser
-from .fields import ReducibleExtension
 from .curve import TorsionNotRational
 from .descent_funcs import CurveData, EigenspaceDimensionError
 from .algebra import (MODES, RhoTable, validate_rho, rho_from_point, build_csa,
@@ -274,8 +273,7 @@ def main(argv=None):
     except (OSError, ser.ParseError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (TorsionNotRational, BadBasePoint, ReducibleExtension,
-            ValueError) as e:
+    except (TorsionNotRational, BadBasePoint, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (CertificationFailed, RankNotOne, EigenspaceDimensionError) as e:

@@ -20,10 +20,9 @@ Miller functions, epsilon, the G-basis and the embedding, and the one
 store of verdicts, CurveData.once.
 """
 
-from fractions import Fraction
 from functools import cached_property
 
-from .fields import Poly, poly_x, root_or_extend
+from .fields import FieldElement, Poly, poly_x, root_or_extend
 from .linalg import ExactMatrix
 from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, _exact_div, _ring_mul, miller_function
@@ -309,7 +308,7 @@ def affine_sample(curve, n, rng, name):
     psi_nn = division_polynomial(curve, n * n)
     K = curve.field
     while True:
-        xe = K.from_fraction(Fraction(rng.randint(-40, 40), rng.randint(1, 8)))
+        xe = FieldElement(K, (rng.randint(-40, 40),) + (0,) * (K.degree - 1), rng.randint(1, 8))
         if psi_nn(xe).is_zero():
             continue
         ysq = curve.rhs(xe)

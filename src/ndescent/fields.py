@@ -205,23 +205,23 @@ def _structure_constants(base, m):
     """The multiplication table of base[t]/(m) in the flat basis
     b_{k*S+i} = c_i t^k (c_i the basis of base, S its degree).  Returns
     (table, den): table[p][q] is a tuple of the pairs (k, c) with c != 0
-    and b_p b_q = sum c b_k / den."""
+    and b_p b_q = sum c b_k / den, den the lcm of the products' _den."""
     S, d = base.degree, m.degree
-    unit = [base.element([int(i == k) for k in range(S)]) for i in range(S)]
+    unit = [FieldElement(base, [int(i == k) for k in range(S)], 1) for i in range(S)]
     x = poly_x(base)
     powers = [(x ** e) % m for e in range(2 * d - 1)]
-    flat = {}
+    prods = {}
     for p in range(S * d):
         k, i = divmod(p, S)
         for q in range(p, S * d):
             l, j = divmod(q, S)
             c = _mul(unit[i], unit[j])
-            flat[p, q] = [f for e in range(d) for f in _mul(c, powers[k + l].coeff(e)).flatten()]
-    den = lcm(*(f.denominator for v in flat.values() for f in v))
+            prods[p, q] = [_mul(c, powers[k + l].coeff(e)) for e in range(d)]
+    den = lcm(*(f._den for v in prods.values() for f in v))
     table = [[None] * (S * d) for _ in range(S * d)]
-    for (p, q), v in flat.items():
-        table[p][q] = table[q][p] = tuple((k, f.numerator * (den // f.denominator))
-                                          for k, f in enumerate(v) if f)
+    for (p, q), v in prods.items():
+        table[p][q] = table[q][p] = tuple((e * S + t, y * (den // f._den)) for e, f in enumerate(v)
+                                          for t, y in enumerate(f._num) if y)
     return table, den
 
 

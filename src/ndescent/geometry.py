@@ -13,7 +13,7 @@ import itertools
 import random
 
 from .fields import _common_tower, _dot, _into, _larger
-from .linalg import ExactMatrix, split_row
+from .linalg import ExactMatrix
 from .curve import r_constant, division_polynomial, PoleAtP
 from .descent_funcs import CurveData, affine_sample, tau_1
 from .algebra import CSA, RhoTable, BadBasePoint, certify_once, CertificationFailed
@@ -284,9 +284,9 @@ def interpolate_plane_curve(points, field):
     """The ternary cubic through the given projective points, with
     coefficients in the given field.
 
-    Points may live in extension towers; each vanishing condition is
-    split into base-field conditions coordinatewise.  The kernel of the
-    monomial-evaluation matrix must be exactly a line."""
+    Points may live in an extension tower of the field; each vanishing
+    condition splits by coords_over into one per coordinate over it.
+    The kernel of the monomial-evaluation matrix must be exactly a line."""
     mono = plane_monomials(3)
     if len(points) < len(mono):
         raise ValueError("need at least %d points" % len(mono))
@@ -295,7 +295,7 @@ def interpolate_plane_curve(points, field):
         if len(pt) != 3:
             raise ValueError("a point of P^2 has 3 coordinates, not %d" % len(pt))
         vals = [pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] for e in mono]
-        rows.extend(split_row(vals, field))
+        rows.extend(zip(*(v.coords_over(field) for v in vals), strict=True))
     kern = ExactMatrix(rows, field).kernel_basis()
     if not kern:
         raise KernelEmpty("no cubic through the sampled points")

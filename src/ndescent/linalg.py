@@ -177,12 +177,3 @@ class ExactMatrix:
     def __repr__(self):
         return "ExactMatrix(%d x %d over %r)" % (self.nrows, self.ncols, self.tower)
 
-
-def split_row(row, field):
-    """A linear condition on unknowns from `field` whose coefficients lie
-    in an extension L of it, as the [L : field] conditions over `field`
-    it amounts to, one per coordinate over `field`."""
-    if row[0].tower == field:
-        return [row]
-    split = [c.coords_over(field) for c in row]
-    return [[s[b] for s in split] for b in range(len(split[0]))]

@@ -38,12 +38,18 @@ library's certificates against them:
   - the determinant as the Leibniz sum over permutations, which
     ExactMatrix.det takes from its one Gauss-Jordan pass;
   - the file reader of coordinates through one Fraction per string,
-    which serialize.elem_from_json replaces by one pass over integers.
+    which serialize.elem_from_json replaces by one pass over integers;
+  - a tower's structure constants through the Fraction coordinates of
+    each product, which fields._structure_constants reads as integers;
+  - the E[3] indices in table order, and a seeded cochain over a
+    quadratic field.
 """
 
 import itertools
+import random
 import re
 from fractions import Fraction
+from math import lcm
 
 from ndescent.algebra import CertificationFailed
 from ndescent.curve import Point, division_polynomial, slope
@@ -257,6 +263,26 @@ def zero_matrix(nrows, ncols, tower):
 
 def unit_cochain(table):
     return {ij: table.curve.field.one() for ij in table.indices}
+
+
+def index_pairs():
+    """The E[3] indices (i, j) in table order."""
+    return [divmod(k, 3) for k in range(9)]
+
+
+def seeded_cochain(field, seed):
+    """A cochain on E[3] with nonzero values in a quadratic field, each
+    coordinate drawn from -5..5 by random.Random(seed), in table order;
+    a zero draw is drawn again."""
+    rng = random.Random(seed)
+    z = {}
+    for ij in index_pairs():
+        while True:
+            e = field.element([rng.randint(-5, 5), rng.randint(-5, 5)])
+            if not e.is_zero():
+                break
+        z[ij] = e
+    return z
 
 
 def base_change(p, field):
@@ -497,3 +523,26 @@ def fraction_elem_from_json(tower, j):
         except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
             raise ParseError("bad rational %r" % (s,))
     return tower.element(coords)
+
+
+def fraction_structure_constants(base, m):
+    """The table and denominator of fields._structure_constants for
+    base[t]/(m), with every product flattened to Fractions and the table
+    scaled by the lcm of their denominators."""
+    S, d = base.degree, m.degree
+    unit = [base.element([int(i == k) for k in range(S)]) for i in range(S)]
+    x = poly_x(base)
+    powers = [(x ** e) % m for e in range(2 * d - 1)]
+    flat = {}
+    for p in range(S * d):
+        k, i = divmod(p, S)
+        for q in range(p, S * d):
+            l, j = divmod(q, S)
+            c = unit[i] * unit[j]
+            flat[p, q] = [f for e in range(d) for f in (c * powers[k + l].coeff(e)).flatten()]
+    den = lcm(*(f.denominator for v in flat.values() for f in v))
+    table = [[None] * (S * d) for _ in range(S * d)]
+    for (p, q), v in flat.items():
+        table[p][q] = table[q][p] = tuple((k, f.numerator * (den // f.denominator))
+                                          for k, f in enumerate(v) if f)
+    return table, den

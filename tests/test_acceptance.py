@@ -23,12 +23,8 @@ from ndescent.geometry import (RankNotOne, descend, extract_point, g_eval,
 from ndescent import serialize as ser
 from ndescent.cli import main
 from weil_oracle import aux_pair, weil_pairing_oracle
-from oracles import (GeneralFunction, delta, distinct_samples, dual_row, mult, one, trd,
-                     unit_cochain)
-
-
-def _idx():
-    return [divmod(k, 3) for k in range(9)]
+from oracles import (GeneralFunction, delta, distinct_samples, dual_row, index_pairs, mult, one,
+                     seeded_cochain, trd, unit_cochain)
 
 
 def _samples(curve, count, seed):
@@ -36,16 +32,7 @@ def _samples(curve, count, seed):
 
 
 def _unit_z(field, seed):
-    rng = random.Random(seed)
-    z = {}
-    for ij in _idx():
-        while True:
-            e = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
-            if not e.is_zero():
-                break
-        z[ij] = e
-    z[(0, 0)] = field.one()
-    return z
+    return seeded_cochain(field, seed) | {(0, 0): field.one()}
 
 
 def test_criterion_01_torsion():
@@ -71,12 +58,12 @@ def test_criterion_01_torsion():
 def test_criterion_02_g_basis(gbasis, table, field):
     assert gbasis[(0, 0)] == GeneralFunction.const(table.curve, 1)
     third = field.from_fraction(Fraction(1, 3))
-    for ij in _idx():
+    for ij in index_pairs():
         if ij == (0, 0):
             continue
         assert gbasis[ij].laurent() == (-1, third)
     rng = random.Random(202)
-    pairs = [(rng.choice(_idx()), rng.choice(_idx())) for _ in range(10)]
+    pairs = [(rng.choice(index_pairs()), rng.choice(index_pairs())) for _ in range(10)]
     for p in _samples(table.curve, 3, seed=203):
         q = 3 * p
         for a, b in pairs:
@@ -108,8 +95,8 @@ def test_criterion_03_quadrics(curve, table, gbasis, field):
 def test_criterion_04_epsilon_and_matrices(eps, emb, table, curve, field):
     r1, r2 = aux_pair(curve)
     big = r1.curve.field
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             quot = eps[a, b] / eps[b, a]
             w = weil(eps, a, b)
             assert quot == w
@@ -118,14 +105,14 @@ def test_criterion_04_epsilon_and_matrices(eps, emb, table, curve, field):
             o = weil_pairing_oracle(table.point(*b), table.point(*a), 3, r1, r2)
             assert w.lift_to(big) == o
     assert emb.M((0, 0)) == ExactMatrix.identity(3, field)
-    for ij in _idx():
+    for ij in index_pairs():
         if ij != (0, 0):
             assert emb.M(ij).trace().is_zero()
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             ab = table.add_index(a, b)
             assert emb.M(a) * emb.M(b) == emb.M(ab).scale(eps[a, b])
-    rows = [[emb.M(ij).rows[i][j] for i in range(3) for j in range(3)] for ij in _idx()]
+    rows = [[emb.M(ij).rows[i][j] for i in range(3) for j in range(3)] for ij in index_pairs()]
     assert ExactMatrix(rows, field).rank() == 9
     print("criterion 4 PASS: epsilon quotient is the pairing (oracle checked), M identities hold")
 
@@ -134,28 +121,29 @@ def test_criterion_05_tau1_and_algebra(emb, eps, table, field):
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     certify_trivialisation(triv, eps)  # multiplicativity on all 81 pairs
     csa = build_csa(table, eps, RhoTable.trivial(table))
-    deltas = {ij: delta(csa, ij) for ij in _idx()}
+    deltas = {ij: delta(csa, ij) for ij in index_pairs()}
     unit = one(csa)
-    for a in _idx():
+    for a in index_pairs():
         assert mult(csa, unit, deltas[a]) == deltas[a]
         assert mult(csa, deltas[a], unit) == deltas[a]
-        for b in _idx():
+        for b in index_pairs():
             ab = mult(csa, deltas[a], deltas[b])
-            for c in _idx():
+            for c in index_pairs():
                 left = mult(csa, ab, deltas[c])
                 right = mult(csa, deltas[a], mult(csa, deltas[b], deltas[c]))
                 assert left == right
     # center: both products x delta_b and delta_b x land on the same
     # basis vectors, so the commutator constraint is diagonal in a
     rows = []
-    for b in _idx():
-        for a in _idx():
+    for b in index_pairs():
+        for a in index_pairs():
             row = [field.zero()] * 9
-            row[_idx().index(a)] = csa.structure[a, b] - csa.structure[b, a]
+            row[index_pairs().index(a)] = csa.structure[a, b] - csa.structure[b, a]
             rows.append(row)
     kern = ExactMatrix(rows, field).kernel_basis()
     assert len(kern) == 1
-    bil = [[trd(csa, mult(csa, deltas[a], deltas[b])) for b in _idx()] for a in _idx()]
+    bil = [[trd(csa, mult(csa, deltas[a], deltas[b])) for b in index_pairs()]
+           for a in index_pairs()]
     assert ExactMatrix(bil, field).rank() == 9
     print("criterion 5 PASS: tau_1 multiplicative on 81 pairs; algebra associative, "
           "unit, center 1, trace form rank 9")
@@ -169,7 +157,7 @@ def test_criterion_06_segre_factorisation(emb, eps, table, gbasis, curve):
         assert m.rank() == 1
         # m equals lambda_E(P) = sum_{T != O} G_T(P) M_T
         direct = None
-        for ij in _idx():
+        for ij in index_pairs():
             if ij == (0, 0):
                 continue
             term = emb.M(ij).scale(gbasis[ij].evaluate(p))
@@ -197,14 +185,14 @@ def test_criterion_07_covering_diagram(table, gbasis, millers, curve):
     for p in _samples(curve, 3, seed=701):
         z = g_eval(p.curve, gbasis, unit_cochain(table), p)
         q = 3 * p
-        for a in _idx():
-            for b in _idx():
+        for a in index_pairs():
+            for b in index_pairs():
                 za = z[3 * a[0] + a[1]]
                 zb = z[3 * b[0] + b[1]]
                 ab = table.add_index(a, b)
                 zab = z[3 * ab[0] + ab[1]]
                 assert za * zb / zab == r_eval(table.point(*a), table.point(*b), q)
-        for ij in _idx():
+        for ij in index_pairs():
             if ij == (0, 0):
                 continue
             g = gbasis[ij].evaluate(p)
@@ -218,8 +206,8 @@ def test_criterion_08_z_twist_coherence(table, eps, field):
         rho = validate_rho(table, partial(table, z).values)
         twisted = build_csa(table, eps, rho)      # certification is built in
         plain = build_csa(table, eps, RhoTable.trivial(table))
-        for a in _idx():
-            for b in _idx():
+        for a in index_pairs():
+            for b in index_pairs():
                 ab = table.add_index(a, b)
                 assert twisted.structure[a, b] * z[ab] == z[a] * z[b] * plain.structure[a, b]
     print("criterion 8 PASS: 3 random z twists certify and z intertwines the products")
@@ -229,7 +217,7 @@ def test_criterion_09_end_to_end(curve, table, eps, emb, gbasis, field):
     t0 = time.monotonic()
     z = _unit_z(field, 901)
     rho = validate_rho(table, partial(table, z).values)
-    mats = {ij: emb.M(ij).scale(z[ij]) for ij in _idx()}
+    mats = {ij: emb.M(ij).scale(z[ij]) for ij in index_pairs()}
     triv = trivialize(emb, eps, rho, mode="user", matrices=mats)
     out = descend(curve, 3, rho, triv, seed=0, gbasis=gbasis)
     cubic = out["plane_curve"]
@@ -255,8 +243,8 @@ def test_criterion_10_point_rho_path(aux_table, aux_field):
     eps2 = compute_epsilon(aux_table, compute_miller_table(aux_table))
     build_csa(aux_table, eps2, rho)             # certification is built in
     gamma, L = solve_gamma(aux_table, rho)
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             ab = aux_table.add_index(a, b)
             assert gamma[a] * gamma[b] / gamma[ab] == rho.values[a, b].lift_to(L)
     print("criterion 10 PASS: point-derived rho validates, algebra certifies, "

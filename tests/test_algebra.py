@@ -15,24 +15,8 @@ from ndescent.algebra import (BadBasePoint, CertificationFailed, RhoTable,
                               partial, rho_from_point, solve_gamma, trivialize,
                               validate_rho)
 from oracles import (certify_trivialisation_all_pairs, cocycle_failure_all_pairs, delta,
-                     left_mult_matrix, mult, one, trd, zero_matrix)
+                     index_pairs, left_mult_matrix, mult, one, seeded_cochain, trd, zero_matrix)
 from test_fields import PROFILE
-
-
-def _idx():
-    return [divmod(k, 3) for k in range(9)]
-
-
-def _z_values(field, seed):
-    rng = random.Random(seed)
-    out = {}
-    for ij in _idx():
-        while True:
-            e = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
-            if not e.is_zero():
-                break
-        out[ij] = e
-    return out
 
 
 def test_validate_trivial(table):
@@ -87,10 +71,10 @@ def test_validate_normalizes(table, field):
 
 
 def test_partial_is_coboundary(table, field):
-    z = _z_values(field, 20)
+    z = seeded_cochain(field, 20)
     raw = partial(table, z)
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             ab = table.add_index(a, b)
             assert raw.values[a, b] == z[a] * z[b] / z[ab]
     # it passes validation after normalization
@@ -123,12 +107,12 @@ def test_rho_from_point_wrong_curve(aux_table, curve, field):
 
 def test_csa_trivial(table, eps, field):
     csa = build_csa(table, eps, RhoTable.trivial(table))
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             assert csa.structure[a, b] == eps[a, b]
     unit = one(csa)
     assert trd(csa, unit) == field.from_fraction(3)
-    for ij in _idx():
+    for ij in index_pairs():
         d = delta(csa, ij)
         if ij != (0, 0):
             assert trd(csa, d).is_zero()
@@ -139,7 +123,8 @@ def test_csa_trivial(table, eps, field):
 def test_csa_commutative_center(table, eps):
     # rho = 1/eps makes every structure constant 1: the group algebra of
     # E[3], commutative, so its center is all nine delta lines
-    rho = RhoTable(table, {(a, b): eps[a, b].inverse() for a in _idx() for b in _idx()})
+    rho = RhoTable(table, {(a, b): eps[a, b].inverse()
+                           for a in index_pairs() for b in index_pairs()})
     with pytest.raises(CertificationFailed) as ei:
         build_csa(table, eps, rho)
     assert ei.value.witness == ("center", 9)
@@ -174,7 +159,7 @@ def test_cocycle_check_needs_both_generators(table, field):
     # rho = 2 where both points have T2-coordinate 1: rho(T1, .) = 1, so
     # every identity on T1's rows holds, and only T2's rows fail
     rho = RhoTable(table, {(a, b): 2 if a[1] == b[1] == 1 else 1
-                           for a in _idx() for b in _idx()})
+                           for a in index_pairs() for b in index_pairs()})
     with pytest.raises(CertificationFailed) as ei:
         validate_rho(table, rho.values)
     assert ei.value.witness[:2] == ("cocycle", (0, 1))
@@ -184,30 +169,30 @@ def test_cocycle_check_needs_both_generators(table, field):
 def test_csa_left_mult_matrix(table, eps, field):
     csa = build_csa(table, eps, RhoTable.trivial(table))
     rng = random.Random(4)
-    x = {ij: field.from_fraction(rng.randint(-3, 3)) for ij in _idx()}
-    y = {ij: field.from_fraction(rng.randint(-3, 3)) for ij in _idx()}
+    x = {ij: field.from_fraction(rng.randint(-3, 3)) for ij in index_pairs()}
+    y = {ij: field.from_fraction(rng.randint(-3, 3)) for ij in index_pairs()}
     m = left_mult_matrix(csa, x)
-    got = m.mat_vec([y[ij] for ij in _idx()])
+    got = m.mat_vec([y[ij] for ij in index_pairs()])
     want = mult(csa, x, y)
-    assert got == [want[ij] for ij in _idx()]
+    assert got == [want[ij] for ij in index_pairs()]
 
 
 def test_csa_twisted(table, eps, field):
-    z = _z_values(field, 21)
+    z = seeded_cochain(field, 21)
     rho = validate_rho(table, partial(table, z).values)
     csa = build_csa(table, eps, rho)
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             assert csa.structure[a, b] == eps[a, b] * rho.values[a, b]
 
 
 def test_solve_gamma_coboundary_stays_in_field(table, field):
-    z = _z_values(field, 22)
+    z = seeded_cochain(field, 22)
     rho = validate_rho(table, partial(table, z).values)
     gamma, L = solve_gamma(table, rho)
     assert L == field  # the cube roots exist already
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             ab = table.add_index(a, b)
             assert gamma[a] * gamma[b] / gamma[ab] == rho.values[a, b]
 
@@ -217,8 +202,8 @@ def test_solve_gamma_extends_for_point_rho(aux_table, aux_field):
     rho = rho_from_point(aux_table, q)
     gamma, L = solve_gamma(aux_table, rho)
     assert aux_field.is_prefix_of(L)
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             ab = aux_table.add_index(a, b)
             assert gamma[a] * gamma[b] / gamma[ab] == rho.values[a, b].lift_to(L)
 
@@ -227,12 +212,12 @@ def test_trivialize_standard(emb, eps, table):
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     assert triv.mode == "standard"
     assert triv.field == table.curve.field
-    for ij in _idx():
+    for ij in index_pairs():
         assert triv.M(ij) == emb.M(ij)
 
 
 def test_trivialize_gamma_mode(emb, eps, table, field):
-    z = _z_values(field, 23)
+    z = seeded_cochain(field, 23)
     rho = validate_rho(table, partial(table, z).values)
     triv = trivialize(emb, eps, rho, mode="gamma")
     assert triv.mode == "gamma"
@@ -241,14 +226,14 @@ def test_trivialize_gamma_mode(emb, eps, table, field):
     # certify_trivialisation returns the structure constants it checked
     assert certify_trivialisation(triv, eps) == build_csa(table, eps, rho).structure
     # tau(delta_a) = gamma(a) M_a
-    for ij in _idx():
+    for ij in index_pairs():
         assert triv.M(ij) == emb.M(ij).scale(triv.gamma[ij])
 
 
 def _off_by_two_gamma(table):
     # gamma = 1 except gamma(T1) = 2: d(gamma) is not the trivial rho
     K = table.curve.field
-    gamma = {ij: K.one() for ij in _idx()}
+    gamma = {ij: K.one() for ij in index_pairs()}
     gamma[(1, 0)] = K.from_fraction(2)
     return gamma
 
@@ -261,21 +246,21 @@ def test_trivialize_checks_a_carried_gamma(emb, eps, table):
         trivialize(emb, eps, rho, mode="user", matrices=dict(emb.matrices),
                    gamma=_off_by_two_gamma(table))
     assert ei.value.witness == ("coboundary", (0, 1), (1, 0))
-    good = {ij: table.curve.field.one() for ij in _idx()}
+    good = {ij: table.curve.field.one() for ij in index_pairs()}
     triv = trivialize(emb, eps, rho, mode="user", matrices=dict(emb.matrices), gamma=good)
     assert triv.gamma is good
 
 
 def test_trivialize_user_mode(emb, eps, table, field):
-    z = _z_values(field, 24)
+    z = seeded_cochain(field, 24)
     rho = validate_rho(table, partial(table, z).values)
-    mats = {ij: emb.M(ij).scale(z[ij] / z[(0, 0)]) for ij in _idx()}
+    mats = {ij: emb.M(ij).scale(z[ij] / z[(0, 0)]) for ij in index_pairs()}
     triv = trivialize(emb, eps, rho, mode="user", matrices=mats)
     assert triv.mode == "user"
 
 
 def test_trivialize_rejects_wrong_rho(emb, eps, table, field):
-    z = _z_values(field, 25)
+    z = seeded_cochain(field, 25)
     rho = validate_rho(table, partial(table, z).values)
     # standard matrices do not trivialize a nontrivial twist
     with pytest.raises(CertificationFailed) as ei:
@@ -297,7 +282,7 @@ def test_validate_rho_runs_again_on_a_changed_value(table, field, monkeypatch):
     calls = []
     real = algebra._check_rho
     monkeypatch.setattr(algebra, "_check_rho", lambda *a: calls.append(a) or real(*a))
-    values = partial(table, _z_values(field, 64)).values
+    values = partial(table, seeded_cochain(field, 64)).values
     rho = validate_rho(table, values)
     assert validate_rho(table, dict(values)).values == rho.values
     assert len(calls) == 1
@@ -333,16 +318,16 @@ def _commutative(table, eps, K):
     # rho = 1/eps makes every structure constant 1: the group algebra,
     # which the identity matrices represent without spanning
     rho = RhoTable(table, {k: v.inverse() for k, v in eps.items()})
-    return rho, {ij: ExactMatrix.identity(3, K) for ij in _idx()}
+    return rho, {ij: ExactMatrix.identity(3, K) for ij in index_pairs()}
 
 
 def _unit_only(table, eps, K):
     # rho vanishes off the pairs that contain O, so every product of two
     # nonunit deltas is 0, as is every nonunit image
     rho = RhoTable(table, {(a, b): K.one() if (0, 0) in (a, b) else K.zero()
-                           for a in _idx() for b in _idx()})
+                           for a in index_pairs() for b in index_pairs()})
     return rho, {ij: ExactMatrix.identity(3, K) if ij == (0, 0) else zero_matrix(3, 3, K)
-                 for ij in _idx()}
+                 for ij in index_pairs()}
 
 
 @pytest.mark.parametrize("build, witness", [(_commutative, ("span", (0, 1))),
@@ -374,14 +359,14 @@ def test_generator_certificates_agree_with_all_pairs(emb, eps, table, field, see
     # a unit twist z: rho = d(z), normalised, and tau(delta_a) = z(a)/z(O) M_a;
     # then at most one entry is tampered with: one matrix scaled, one rho
     # value off the generator rows changed, or one c(a, b) set to zero
-    z = _z_values(field, seed)
+    z = seeded_cochain(field, seed)
     rho = validate_rho(table, partial(table, z).values)
-    mats = {ij: emb.M(ij).scale(z[ij] / z[(0, 0)]) for ij in _idx()}
-    a, b = _idx()[pos // 9], _idx()[pos % 9]
+    mats = {ij: emb.M(ij).scale(z[ij] / z[(0, 0)]) for ij in index_pairs()}
+    a, b = index_pairs()[pos // 9], index_pairs()[pos % 9]
     if kind == "matrix":
         mats[b] = mats[b].scale(field.from_fraction(2))
     elif kind == "rho":
-        off = [(u, v) for u in _idx() if u not in table.generators for v in _idx()]
+        off = [(u, v) for u in index_pairs() if u not in table.generators for v in index_pairs()]
         rho.values[off[pos % len(off)]] *= 2
     elif kind == "zero":
         rho.values[(a, b)] = field.zero()
@@ -398,7 +383,7 @@ def test_generator_certificates_agree_with_all_pairs(emb, eps, table, field, see
 def test_certify_rejects_a_map_multiplicative_along_T1_only(emb, eps, table, field):
     # tau(delta_{iT1 + jT2}) = 2^j M_{iT1 + jT2} keeps every product with
     # delta_T1, so only the products with delta_T2 can reject it
-    mats = {(i, j): emb.M((i, j)).scale(field.from_fraction(2 ** j)) for i, j in _idx()}
+    mats = {(i, j): emb.M((i, j)).scale(field.from_fraction(2 ** j)) for i, j in index_pairs()}
     triv = Trivialisation(table, RhoTable.trivial(table), field, mats, "user")
     with pytest.raises(CertificationFailed) as ei:
         certify_trivialisation(triv, eps)

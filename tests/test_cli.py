@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -22,23 +21,12 @@ from ndescent.curve import Curve, Point
 from ndescent.algebra import RhoTable, Trivialisation, partial, trivialize, validate_rho
 from ndescent.geometry import descend
 from ndescent import serialize as ser
-
-
-def _idx():
-    return [divmod(k, 3) for k in range(9)]
+from oracles import index_pairs, seeded_cochain
 
 
 def _coboundary_rho(table, field):
     # rho = d(z) for a seeded cochain z with values in K
-    rng = random.Random(51)
-    z = {}
-    for ij in _idx():
-        while True:
-            e = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
-            if not e.is_zero():
-                break
-        z[ij] = e
-    return validate_rho(table, partial(table, z).values)
+    return validate_rho(table, partial(table, seeded_cochain(field, 51)).values)
 
 
 @pytest.fixture(scope="module")
@@ -362,7 +350,7 @@ def test_tampered_cubic_exit_3(work, tmp_path, capsys):
 
 def test_descend_mismatched_rho_exit_2(work, tmp_path, field, table, capsys):
     d, paths, _ = work
-    z = {ij: field.from_fraction(k + 2) for k, ij in enumerate(_idx())}
+    z = {ij: field.from_fraction(k + 2) for k, ij in enumerate(index_pairs())}
     other = validate_rho(table, partial(table, z).values)
     rhopath = tmp_path / "other.json"
     ser.save(rhopath, ser.rho_to_json(other))
@@ -395,7 +383,7 @@ def test_trivialize_user_mode_rejects_a_bad_gamma_exit_3(work, tmp_path, table, 
     _, paths, _ = work
     K = table.curve.field
     rho = RhoTable.trivial(table)
-    gamma = {ij: K.one() for ij in _idx()}
+    gamma = {ij: K.one() for ij in index_pairs()}
     gamma[(1, 0)] = K.from_fraction(2)
     user = Trivialisation(table, rho, K, dict(emb.matrices), "user", gamma)
     rhopath, userpath = tmp_path / "trivial.json", tmp_path / "user.json"

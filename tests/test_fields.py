@@ -15,11 +15,13 @@ from ndescent import fields
 from ndescent.fields import (FieldTower, FieldElement, NoCertificate, Poly, ReducibleExtension,
                              factor_poly, poly_x, root_or_extend, roots_in_field, tower_extend)
 from ndescent.curve import Curve, Point, division_polynomial
+from ndescent.descent_funcs import affine_sample
 from ndescent.algebra import rho_from_point, solve_gamma
 from ndescent.geometry import QuadricSystem, sampling_field
 from ndescent.linalg import ExactMatrix
 from ndescent.serialize import tower_from_json, tower_to_json
-from oracles import naive_dot, naive_poly_mul, poly_derivative, poly_gcd
+from oracles import (fraction_structure_constants, naive_dot, naive_poly_mul, poly_derivative,
+                     poly_gcd)
 
 
 def test_rationals():
@@ -233,6 +235,18 @@ def test_no_root_proved_beyond_the_first_primes():
         assert roots_in_field(f) == []
         root, L = root_or_extend(_GAMMA12.from_fraction(x0 ** 3 - 54), 2, "w")
         assert L.degrees == (2, 2, 3, 2) and root * root == x0 ** 3 - 54
+
+
+def test_structure_constants_match_the_fraction_reference():
+    # each level's table and denominator, read from the integers of its
+    # products, are == to those built from their Fraction coordinates:
+    # Q(zeta3) over Q, Q(zeta3, sqrt2) over Q(zeta3), the field of gamma,
+    # and a draw tower of degree 4 over Q(zeta3) and of degree 24 over it
+    draws = [affine_sample(Curve(k, 0, b), 3, random.Random(0), "s").curve.field
+             for k, b in ((_ZETA3, -432), (_GAMMA12, -54))]
+    assert [t.degree for t in draws] == [4, 24]
+    for t in [_ZETA3, _AUX, _GAMMA12] + draws:
+        assert (t._table, t._tden) == fraction_structure_constants(t._base, t._minpoly)
 
 
 def test_poly_arithmetic(field):
@@ -707,14 +721,9 @@ def test_tower_rule_lives_in_fields():
                      ("serialize", "descent_from_json", "is_prefix_of")]
 
 
-def test_serialize_builds_no_fraction():
-    # the file format's "p/q" strings are read into and written from a
-    # FieldElement's integers in one pass: serialize neither imports nor
-    # calls Fraction, nor calls the element methods that build one per
-    # coordinate
-    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
-    with open(os.path.join(pkg, "serialize.py")) as fh:
-        tree = ast.parse(fh.read())
+def _fraction_names(tree):
+    """The names that build a Fraction, or a Fraction per coordinate, which
+    a syntax tree imports or calls."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -723,8 +732,31 @@ def test_serialize_builds_no_fraction():
             used |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Call):
             used.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
-    assert not used & {"fractions", "Fraction", "flatten", "element", "from_fraction",
-                       "as_fraction"}
+    return used & {"fractions", "Fraction", "flatten", "element", "from_fraction", "as_fraction"}
+
+
+def test_serialize_builds_no_fraction():
+    # the file format's "p/q" strings are read into and written from a
+    # FieldElement's integers in one pass: serialize neither imports nor
+    # calls Fraction, nor calls the element methods that build one per
+    # coordinate
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    with open(os.path.join(pkg, "serialize.py")) as fh:
+        assert not _fraction_names(ast.parse(fh.read()))
+
+
+def test_field_kernels_build_no_fraction():
+    # a tower's table is read from the integer coordinates of its
+    # products, and affine_sample draws x = p/q as an element over q:
+    # neither descent_funcs nor fields._structure_constants imports or
+    # calls Fraction, or an element method that builds one per coordinate
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    with open(os.path.join(pkg, "descent_funcs.py")) as fh:
+        assert not _fraction_names(ast.parse(fh.read()))
+    with open(os.path.join(pkg, "fields.py")) as fh:
+        tree = ast.parse(fh.read())
+    [table] = [f for f in tree.body if getattr(f, "name", None) == "_structure_constants"]
+    assert not _fraction_names(table)
 
 
 def _surface(path):

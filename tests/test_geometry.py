@@ -24,23 +24,7 @@ from ndescent.geometry import (KernelEmpty, KernelTooBig, PlaneCurveEquation,
                                interpolate_plane_curve, lambda_eval,
                                plane_monomials, quadrics_for_C, quadrics_for_E)
 from descend_mutants import WITNESSES, changed_in_place, descend_mutants
-from oracles import distinct_samples, unit_cochain, zero_matrix
-
-
-def _idx():
-    return [divmod(k, 3) for k in range(9)]
-
-
-def _z_values(field, seed):
-    rng = random.Random(seed)
-    out = {}
-    for ij in _idx():
-        while True:
-            e = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
-            if not e.is_zero():
-                break
-        out[ij] = e
-    return out
+from oracles import distinct_samples, index_pairs, seeded_cochain, unit_cochain, zero_matrix
 
 
 def _samples(curve, count, seed=0):
@@ -79,7 +63,7 @@ def test_quadrics_vanish_on_direct_images(curve, table, gbasis):
 
 
 def test_twisted_quadrics_vanish_on_twisted_images(curve, table, gbasis, field):
-    z = _z_values(field, 31)
+    z = seeded_cochain(field, 31)
     rho = validate_rho(table, partial(table, z).values)
     qs = quadrics_for_C(curve, table, rho)
     gamma, L = solve_gamma(table, rho)
@@ -191,7 +175,7 @@ def test_descend_trivial_rho(curve, table, eps, emb, gbasis, field):
 
 
 def test_descend_coboundary_rho(curve, table, eps, emb, gbasis, field):
-    z = _z_values(field, 33)
+    z = seeded_cochain(field, 33)
     rho = validate_rho(table, partial(table, z).values)
     triv = trivialize(emb, eps, rho, mode="gamma")
     out = descend(curve, 3, rho, triv, seed=1, gbasis=gbasis)
@@ -204,8 +188,8 @@ def test_descend_coboundary_rho(curve, table, eps, emb, gbasis, field):
 
 
 def test_descend_rejects_mismatched_rho(curve, table, eps, emb, gbasis, field):
-    z1 = _z_values(field, 34)
-    z2 = _z_values(field, 35)
+    z1 = seeded_cochain(field, 34)
+    z2 = seeded_cochain(field, 35)
     rho1 = validate_rho(table, partial(table, z1).values)
     rho2 = validate_rho(table, partial(table, z2).values)
     triv = trivialize(emb, eps, rho2, mode="gamma")
@@ -231,7 +215,7 @@ def test_quadrics_artifacts_pinned(curve, table, field, aux_curve, aux_field):
     # group loops wrote them before the one rule by weight replaced them
     aux_table = CurveData.of(aux_curve, 3).table
     q = Point(aux_curve, aux_field.from_fraction(7), aux_field.from_fraction(17))
-    cases = [(curve, table, validate_rho(table, partial(table, _z_values(field, 44)).values),
+    cases = [(curve, table, validate_rho(table, partial(table, seeded_cochain(field, 44)).values),
               "ab37d08b2cfed3a36b7aed081c0b4ea98205753db07e0988081af3c818a23357"),
              (aux_curve, aux_table, rho_from_point(aux_table, q),
               "939374eda163ce008a2422c82f2255835af00c12586c70af6c9d65483b7ed3f2")]
@@ -244,7 +228,7 @@ def test_quadric_rule_is_r_at_nP(curve, table, field, gbasis):
     # rho(D) z_D1 z_D2 = r_D(nP) z_O z_W at the image of P for every
     # decomposition W = D1 + D2 with D1, D2 != O, which the forms of
     # quadrics_for_C chain by r's constants
-    rho = validate_rho(table, partial(table, _z_values(field, 45)).values)
+    rho = validate_rho(table, partial(table, seeded_cochain(field, 45)).values)
     gamma, L = rho.gamma
     p = affine_sample(curve if L == field else curve.base_change(L), 3, random.Random(5), "s")
     z = g_eval(curve, gbasis, gamma, p)
@@ -298,7 +282,7 @@ def test_descend_builds_curve_data_once(field, monkeypatch):
                      "compute_epsilon": 1, "g_eval": 4, "affine_sample": 4,
                      "evaluate_all": 4, "solve_gamma": 1}
     # a gamma-mode trivialize and a descend on the same rho solve gamma once
-    z = _z_values(field, 36)
+    z = seeded_cochain(field, 36)
     twisted = validate_rho(data.table, partial(data.table, z).values)
     calls.clear()
     out = descend(curve, 3, twisted, trivialize(data.emb, data.eps, twisted, mode="gamma"),
@@ -369,14 +353,14 @@ def test_a_workload_twist_is_certified_once(field, monkeypatch):
     eps = descent_funcs.compute_epsilon(table, millers)
     gbasis = descent_funcs.compute_G_basis(table, eps)
     emb = descent_funcs.compute_embedding(table, eps, millers)
-    z = _z_values(field, 61)
+    z = seeded_cochain(field, 61)
     z[(0, 0)] = field.one()
     calls = Counter()
     for owner, name in ((ExactMatrix, "__mul__"), (algebra, "_cocycle_failure")):
         monkeypatch.setattr(owner, name, lambda *a, name=name, real=getattr(owner, name):
                             calls.update([name]) or real(*a))
     rho = validate_rho(table, partial(table, z).values)
-    mats = {ij: emb.M(ij).scale(z[ij]) for ij in _idx()}
+    mats = {ij: emb.M(ij).scale(z[ij]) for ij in index_pairs()}
     triv = trivialize(emb, eps, rho, mode="user", matrices=mats)
     descend(curve, 3, rho, triv, seed=5, gbasis=gbasis)
     assert calls == {"__mul__": 2 * 3 ** 2, "_cocycle_failure": 1}
@@ -421,11 +405,11 @@ def test_descend_solves_gamma_again_for_values_changed_in_place(curve, field):
     # of another coboundary d(z): descend samples with the gamma of the
     # new values
     data = CurveData.of(curve, 3)
-    rho = validate_rho(data.table, partial(data.table, _z_values(field, 62)).values)
+    rho = validate_rho(data.table, partial(data.table, seeded_cochain(field, 62)).values)
     assert rho.gamma
-    z = _z_values(field, 63)
+    z = seeded_cochain(field, 63)
     rho.values.update(validate_rho(data.table, partial(data.table, z).values).values)
-    mats = {ij: data.emb.M(ij).scale(z[ij] / z[(0, 0)]) for ij in _idx()}
+    mats = {ij: data.emb.M(ij).scale(z[ij] / z[(0, 0)]) for ij in index_pairs()}
     out = descend(curve, 3, rho, trivialize(data.emb, data.eps, rho, mode="user",
                                             matrices=mats), seed=2)
     check_coboundary(data.table, out["gamma"], rho)
@@ -439,14 +423,14 @@ def _normalized(v):
 def _orbit_images(triv, u):
     # the images tau(delta_S) u of the E[n] orbit of u's base point, S in
     # table order
-    return [_normalized(triv.M(s).mat_vec(u)) for s in _idx()]
+    return [_normalized(triv.M(s).mat_vec(u)) for s in index_pairs()]
 
 
 def _ref_user_twist(curve, field):
     # a coboundary twist in user mode: the gamma-mode matrices conjugated
     # by a fixed invertible A, so the images are A times the gamma-mode ones
     data = CurveData.of(curve, 3)
-    z = _z_values(field, 36)
+    z = seeded_cochain(field, 36)
     rho = validate_rho(data.table, partial(data.table, z).values)
     a = ExactMatrix([[field.from_fraction(x) for x in row]
                      for row in ([1, 1, 0], [0, 1, 2], [1, 0, 1])], field)
@@ -488,8 +472,8 @@ def test_orbit_images_match_full_computation(case, sample_degree, curve, field,
     p, = drawn
     assert p.x.tower.degree == sample_degree
     zp = g_eval(data.curve, data.gbasis, gamma, p)
-    for k, s in enumerate(_idx()):
-        dz = [weil(data.eps, s, t) * v for t, v in zip(_idx(), zp)]
+    for k, s in enumerate(index_pairs()):
+        dz = [weil(data.eps, s, t) * v for t, v in zip(index_pairs(), zp)]
         z = g_eval(data.curve, data.gbasis, gamma, p + data.table.point(*s))
         assert dz == z
         assert all(v.is_zero() for v in qs.evaluate_all(dz))
@@ -515,7 +499,7 @@ def test_each_quadric_owns_a_private_monomial(curve, table, field, aux_curve, au
     # the rank certificate of quadrics_for_C: every form has a monomial
     # that no other form has, with a nonzero coefficient
     data, rho, _, _ = _aux_point_twist(aux_curve, aux_field)
-    z = _z_values(field, 37)
+    z = seeded_cochain(field, 37)
     for qs in (quadrics_for_C(curve, table, validate_rho(table, partial(table, z).values)),
                quadrics_for_C(aux_curve, data.table, rho)):
         seen = Counter(m for f in qs.forms for m in f)
@@ -592,10 +576,10 @@ def test_descend_aux_point_rho_gamma_mode(aux_curve, aux_field, tmp_path):
 def _user_coboundary_twist(curve, field, seed):
     # a coboundary twist rho = dz in user mode, tau(delta_T) = z(T) M_T
     data = CurveData.of(curve, 3)
-    z = _z_values(field, seed)
+    z = seeded_cochain(field, seed)
     z[(0, 0)] = field.one()
     rho = validate_rho(data.table, partial(data.table, z).values)
-    mats = {ij: data.emb.M(ij).scale(z[ij]) for ij in _idx()}
+    mats = {ij: data.emb.M(ij).scale(z[ij]) for ij in index_pairs()}
     return data, rho, trivialize(data.emb, data.eps, rho, mode="user", matrices=mats)
 
 

@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,23 +10,7 @@ from ndescent.algebra import (RhoTable, build_csa, partial, trivialize,
                               validate_rho)
 from ndescent.geometry import descend, quadrics_for_C
 from ndescent import serialize as ser
-from oracles import fraction_elem_from_json
-
-
-def _idx():
-    return [divmod(k, 3) for k in range(9)]
-
-
-def _z_values(field, seed):
-    rng = random.Random(seed)
-    out = {}
-    for ij in _idx():
-        while True:
-            e = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
-            if not e.is_zero():
-                break
-        out[ij] = e
-    return out
+from oracles import fraction_elem_from_json, index_pairs, seeded_cochain
 
 
 def test_canonical_dumps_stable():
@@ -163,7 +146,7 @@ def test_point_roundtrip_and_guard(curve, field, table):
 
 
 def test_rho_roundtrip(table, field):
-    z = _z_values(field, 41)
+    z = seeded_cochain(field, 41)
     rho = validate_rho(table, partial(table, z).values)
     j = ser.rho_to_json(rho)
     back = ser.rho_from_json(j, table)
@@ -175,13 +158,13 @@ def test_rho_roundtrip(table, field):
 
 
 def test_csa_roundtrip(table, eps, field):
-    z = _z_values(field, 42)
+    z = seeded_cochain(field, 42)
     rho = validate_rho(table, partial(table, z).values)
     csa = build_csa(table, eps, rho)
     j = ser.csa_to_json(csa)
     back = ser.csa_from_json(j, table)
-    for a in _idx():
-        for b in _idx():
+    for a in index_pairs():
+        for b in index_pairs():
             assert back.structure[a, b] == csa.structure[a, b]
     assert back.rho.values == rho.values
 
@@ -189,7 +172,7 @@ def test_csa_roundtrip(table, eps, field):
 def test_triv_roundtrip_all_modes(table, eps, emb, field):
     trivial = RhoTable.trivial(table)
     t1 = trivialize(emb, eps, trivial)
-    z = _z_values(field, 43)
+    z = seeded_cochain(field, 43)
     rho = validate_rho(table, partial(table, z).values)
     t2 = trivialize(emb, eps, rho, mode="gamma")
     for t in (t1, t2):
@@ -197,16 +180,16 @@ def test_triv_roundtrip_all_modes(table, eps, emb, field):
         back = ser.triv_from_json(j, table)
         assert back.mode == t.mode
         assert back.field == t.field
-        for ij in _idx():
+        for ij in index_pairs():
             assert back.M(ij) == t.M(ij)
         if t.gamma is None:
             assert back.gamma is None
         else:
-            assert all(back.gamma[ij] == t.gamma[ij] for ij in _idx())
+            assert all(back.gamma[ij] == t.gamma[ij] for ij in index_pairs())
 
 
 def test_quadrics_roundtrip(curve, table, field):
-    z = _z_values(field, 44)
+    z = seeded_cochain(field, 44)
     rho = validate_rho(table, partial(table, z).values)
     qs = quadrics_for_C(curve, table, rho)
     j = ser.quadrics_to_json(qs, curve, rho)
