@@ -6,11 +6,11 @@ Builds, for a curve with fully rational n-torsion:
     which is 1/F_{T2}(-T1) (let P -> O) unless T1 + T2 = O, and the
     Weil pairing e_n(T1,T2) = eps(T1,T2)/eps(T2,T1);
   - G_T with divisor [n]*(T) - [n]*(O) and residue 1/n at O in t = x/y,
-    as joint eigenvectors of translation operators on L(n^2(O)), found
+    as joint eigenvectors of translation operators on L(n^2(O)), the
+    symmetric cubes of the 3 x 3 translation matrices of T1 and T2, found
     by projection onto each character of E[n];
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
-    read off for T1 and T2 in the coordinate ring by the helper that also
-    gives the G-basis its operators on L(n^2(O)), every other M_T a
+    read off for T1 and T2 in the coordinate ring, every other M_T a
     product of those, and row 0 certifying the scale (compute_embedding);
   - the embedding: the M_T as the standard trivialisation of the
     untwisted algebra, alpha -> sum alpha(T) M_T.
@@ -22,7 +22,7 @@ store of verdicts, CurveData.once.
 
 from functools import cached_property
 
-from .fields import FieldElement, Poly, poly_x, root_or_extend
+from .fields import FieldElement, Poly, _dot, poly_x, root_or_extend
 from .linalg import ExactMatrix
 from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, _exact_div, _ring_mul, miller_function
@@ -57,8 +57,8 @@ def _translated_coords(table, ij, d, f):
     (X/(x - s_x)^2, Y/(x - s_x)^3) with X, Y in the coordinate ring, so
     (x o tau_S)^i f is built one factor X at a time, each product divided
     exactly by (x - s_x)^2, and a y-column product by (x - s_x)^3.  If f
-    vanishes to order d at -S, as F_{-S} (d = n) and F_{-S}^n (d = n^2)
-    do, all is regular; else a remainder raises ("translation", ij)."""
+    vanishes to order d at -S, as F_{-S} does for d = n, all is regular;
+    else a remainder raises ("translation", ij)."""
     curve, s = table.curve, table.point(*ij)
     K, rhs = curve.field, curve.rhs_poly()
     lin = poly_x(K) - s.x
@@ -114,61 +114,116 @@ def compute_epsilon(table, millers):
     The value does not depend on P.  Every F_T leads at O with t^-n and
     coefficient 1, so P -> O gives eps(T1,T2) = 1/F_{T2}(-T1), unless
     T1 = O (eps = 1) or T1 + T2 = O (P = -T1 gives
-    1/(F_{T1}(-T1) F_{-T1}(-2T1))).  A zero or a pole among these values
-    raises CertificationFailed(("epsilon", ij, kl))."""
+    1/(F_{T1}(-T1) F_{-T1}(-2T1))).
+
+    Half of the values come from their mirrors.  compute_miller_table
+    builds F_{-T} = -u + v y from F_T = u + v y, so F_{-T}(P) = -F_T(-P)
+    exactly for T != O; F_O = 1 has no such mirror.  So for T1, T2 != O,
+    eps(-T1,-T2) = 1/F_{-T2}(T1) = -eps(T1,T2), and when T1 + T2 = O
+    both factors change sign and eps(-T1,-T2) = eps(T1,T2).  The first
+    pair of each mirror in table order is evaluated and the second read
+    off it.  A mirror's values are zero or a pole exactly when its first
+    pair's are, so a zero or a pole raises
+    CertificationFailed(("epsilon", ij, kl)) at the first such pair in
+    table order, as evaluating every pair would."""
     one = table.curve.field.one()
     values = {}
     for ij, t1, neg in zip(table.indices, table, [-t for t in table]):
         for kl in table.indices:
+            sum_zero = table.add_index(ij, kl) == (0, 0)
+            mirror = table.neg_index(ij), table.neg_index(kl)
+            if mirror in values and (0, 0) not in (ij, kl):
+                values[ij, kl] = values[mirror] if sum_zero else -values[mirror]
+                continue
             try:
                 if t1.is_infinity:
                     den = one
-                elif table.add_index(ij, kl) == (0, 0):
+                elif sum_zero:
                     den = millers[ij].evaluate(neg) * millers[kl].evaluate(-(t1 + t1))
                 else:
                     den = millers[kl].evaluate(neg)
-                values[(ij, kl)] = den.inverse()
+                values[ij, kl] = den.inverse()
             except (PoleAtP, ZeroDivisionError):
                 raise CertificationFailed(("epsilon", ij, kl),
                                           "a Miller value in epsilon is zero or a pole")
     return values
 
 
-def _orbit(L1, L2, n, w):
-    """L1^i L2^j e_w for (i, j) in table order, L1 and L2 of size n^2."""
-    K = L1.tower
-    e = [K.zero()] * (n * n)
+def _orbit(table, L1, L2, w):
+    """The matrix of columns o_S = L1^i L2^j e_w, S = (i, j) in table
+    order, certified to be shifted by the generators: L_g o_S = o_{S+g}
+    for every S and g = T1, T2.  Of these 2 n^2 identities, the n^2 - 1
+    that build the orbit hold as built, and each of the other n^2 + 1
+    costs one matrix-vector product.  EigenspaceDimensionError if one
+    fails."""
+    K, ops = L1.tower, dict(zip(table.generators, (L1, L2)))
+    e = [K.zero()] * len(table.indices)
     e[w] = K.one()
-    row = [e]
-    for _ in range(n - 1):
-        row.append(L2.mat_vec(row[-1]))
-    rows = [row]
-    for _ in range(n - 1):
-        rows.append([L1.mat_vec(u) for u in rows[-1]])
-    return [u for r in rows for u in r]
+    o, built = {(0, 0): e}, set()
+    for ij in table.indices[1:]:  # row 0 along T2, then each row from the one above
+        g = table.generators[0 if ij[0] else 1]
+        prev = table.add_index(ij, table.neg_index(g))
+        o[ij] = ops[g].mat_vec(o[prev])
+        built.add((prev, g))
+    if not all(ops[g].mat_vec(o[ij]) == o[table.add_index(ij, g)]
+               for ij in table.indices for g in table.generators if (ij, g) not in built):
+        raise EigenspaceDimensionError("the orbit of e_%d is not shifted by L1 and L2" % w)
+    return ExactMatrix([o[ij] for ij in table.indices], K).transpose()
+
+
+def _translation_operator(table, g):
+    """L_g: h -> (h o tau_g) psi_3/(psi_3 o tau_g) on L(9(O)), columns
+    indexed by the monomials 1, x, ..., x^4, y, ..., x^3 y of _exponents(9).
+
+    psi_3/(psi_3 o tau_g) and F_{-g}^3 have divisor 9(-g) - 9(O), so
+    L_g = c_g [h -> (h o tau_g) F_{-g}^3].  Column m of the symmetric
+    cube of Mtilde_g (row f: (f o tau_g) F_{-g} over 1, x, y, as in
+    compute_embedding) holds the cubic in (1, x, y) of
+    (m o tau_g) F_{-g}^3.  x^4 and x^3 y take the columns of
+    x y^2 - a x^2 - b x and y^3 - a x y - b y, and a cubic reduces to the
+    basis by y^2 = x^3 + a x + b, x y^2 = x^4 + a x^2 + b x and
+    y^3 = x^3 y + a x y + b y; coordinates over a basis are unique.
+    L_g psi_3 = psi_3, whose x^4 coordinate is its leading coefficient,
+    fixes c_g."""
+    from .geometry import _symmetric_cube  # that module imports this one
+    curve = table.curve
+    K, a, b = curve.field, curve.a, curve.b
+    f = miller_function(table.point(*table.neg_index(g)), 3)
+    cube = _symmetric_cube(ExactMatrix(_translated_coords(table, g, 3, (f.u, f.v)), K))
+
+    def reduced(c):  # a cubic in (1, x, y), plane_monomials(3) order
+        c1, cx, cy, cxx, cxy, cyy, cxxx, cxxy, cxyy, cyyy = c
+        return [c1 + b * cyy, cx + a * cyy + b * cxyy, cxx + a * cxyy, cxxx + cyy, cxyy,
+                cy + b * cyyy, cxy + a * cyyy, cxxy, cyyy]
+    s1, sx, sy, sxx, sxy, _, sxxx, sxxy, sxyy, syyy = map(reduced, zip(*cube.rows))
+    x4 = [p - a * q - b * r for p, q, r in zip(sxyy, sxx, sx)]
+    x3y = [p - a * q - b * r for p, q, r in zip(syyy, sxy, sy)]
+    op = ExactMatrix([s1, sx, sxx, sxxx, x4, sy, sxy, sxxy, x3y], K).transpose()
+    psi = division_polynomial(curve, 3)
+    return op.scale(psi.lc() / _dot(op.rows[4], [psi.coeff(k) for k in range(9)]))
 
 
 def compute_G_basis(table, eps):
-    """G_T with divisor [n]*(T) - [n]*(O), coefficient of t^{-1} equal 1/n.
+    """G_T with divisor [n]*(T) - [n]*(O), coefficient of t^{-1} equal 1/n,
+    for n = 3 (ValueError for any other n).
 
     G_T psi_n lies in L(n^2(O)), of dimension n^2, and is a joint
     eigenvector of the translation operators L1, L2 of T1, T2 with the
     character chi_T(S) = e_n(S, T) as eigenvalues: L1 v = chi_T(T1) v and
     L2 v = chi_T(T2) v.  L_g is h -> (h o tau_g) psi_n/(psi_n o tau_g),
-    that is c_g [h -> (h o tau_g) F_{-g}^n], as both factors have divisor
-    n^2(-g) - n^2(O).  L_g psi_n = psi_n, whose coordinate (n^2-1)/2 is
-    psi_n's leading coefficient, fixes c_g; the chi_O certificate below
-    checks the other coordinates.  The eigenvector is found by projection
-    (Serre, Linear Representations of Finite Groups, 2.6): S -> L_S is a
-    representation of E[n], exactly and with no scalars, and
-    L_S = L1^i L2^j for S = i T1 + j T2, so
-    v = sum_S chi_T(S)^{-1} L1^i L2^j w lies in the eigenspace of chi_T
-    for every w; w runs through e_1, e_2, ... until v != 0.  Each v is
-    then certified exactly by the two eigenvalue equations, and psi_n,
-    that is G_O psi_n, by those of chi_O.  The n^2 characters are checked
-    to be distinct, so the n^2 certified eigenvectors are linearly
-    independent and fill L(n^2(O)): every joint eigenspace is a line,
-    and v is G_T psi_n up to the scalar the residue fixes.
+    built from the 3 x 3 translation matrix (_translation_operator).  The
+    eigenvector is found by projection (Serre, Linear Representations of
+    Finite Groups, 2.6): v = sum_S chi_T(S)^{-1} o_S, S = i T1 + j T2,
+    over the orbit o_(i,j) = L1^i L2^j e_w; w runs through e_1, e_2, ...
+    until v != 0.  _orbit certifies L_g o_S = o_{S+g}, and every
+    chi_T(T1), chi_T(T2) is checked to be an n-th root of unity, so
+    S -> chi_T(T1)^i chi_T(T2)^j is a character of E[n] and
+    L1 v = chi_T(T1) v, L2 v = chi_T(T2) v hold exactly.  psi_n, that
+    is G_O psi_n, is certified by the eigenvalue equations of chi_O.  The
+    n^2 characters are checked to be distinct, so the n^2 certified
+    eigenvectors are linearly independent and fill L(n^2(O)): every joint
+    eigenspace is a line, and v is G_T psi_n up to the scalar the residue
+    fixes.
 
     Returns the dict ij -> G_T, with G_O = 1.  Each G_T is stored as
     (u + v y)/den: den is psi_n made monic, and (u, v)
@@ -179,56 +234,43 @@ def compute_G_basis(table, eps):
     roots of den are the x(S) of those S, and a common root x(S) of u
     and v would make u + v y vanish at S; so gcd(u, v, den) = 1.
 
-    Raises EigenspaceDimensionError if two characters coincide, or if no
-    w gives a certified eigenvector of chi_T: if chi_T is a character of
-    E[n], the projection is onto its eigenspace, which is then 0, and if
-    it is not, no eigenvalue of L1 or L2 (each of order n) matches."""
+    Raises EigenspaceDimensionError if two characters coincide, if one is
+    no character of E[n], if psi_n or an orbit fails its certificate, or
+    if no w gives v != 0 (the eigenspace is then 0)."""
     curve, n = table.curve, table.n
+    if n != 3:
+        raise ValueError("n = %d: the G-basis is built for n = 3 only" % n)
     K = curve.field
-    psi, rhs = division_polynomial(curve, n), curve.rhs_poly()
+    psi = division_polynomial(curve, n)
     nx = n * n // 2 + 1  # how many coordinates are those of u in (u + v y)/psi_n
-    psi_v = [psi.coeff(k) for k in range(nx)] + [K.zero()] * (n * n - nx)
-
-    def translation(g):  # L_g, columns indexed by the monomials of L(n^2(O))
-        f_neg = miller_function(table.point(*table.neg_index(g)), n)
-        f = power = (f_neg.u, f_neg.v)
-        for _ in range(n - 1):
-            power = _ring_mul(rhs, power, f)
-        op = ExactMatrix(_translated_coords(table, g, n * n, power), K).transpose()
-        return op.scale(psi.lc() / op.mat_vec(psi_v)[nx - 1])
-    L1, L2 = (translation(g) for g in table.generators)
+    psi_v = [psi.coeff(k) for k in range(n * n)]  # deg psi_n < nx: no y-part
+    L1, L2 = (_translation_operator(table, g) for g in table.generators)
     chars = {ij: tuple(weil(eps, g, ij) for g in table.generators) for ij in table.indices}
     if len(set(chars.values())) != n * n:
         raise EigenspaceDimensionError("two translation characters coincide")
+    if not all(ev ** n == 1 for ch in chars.values() for ev in ch):
+        raise EigenspaceDimensionError("a translation eigenvalue is no n-th root of unity")
+    if not (L1.mat_vec(psi_v) == psi_v and L2.mat_vec(psi_v) == psi_v):
+        raise EigenspaceDimensionError("psi_%d is not fixed by translation" % n)
 
-    orbits = []  # orbits[w]: the columns L1^i L2^j e_w, (i, j) in table order
+    orbits = []  # orbits[w]: the certified columns L1^i L2^j e_w
 
-    def projection(ev1, ev2):
-        """sum_S chi(S)^{-1} L1^i L2^j e_w for the first w that gives a
-        nonzero vector, or None."""
-        inv1, inv2 = ev1.inverse(), ev2.inverse()
+    def projection(ij):
+        """sum_S chi_T(S)^{-1} o_S for the first w with a nonzero sum."""
+        inv1, inv2 = (ev.inverse() for ev in chars[ij])
         weights = [inv1 ** i * inv2 ** j for i, j in table.indices]
         for w in range(n * n):
             if w == len(orbits):
-                orbits.append(ExactMatrix(_orbit(L1, L2, n, w), K).transpose())
+                orbits.append(_orbit(table, L1, L2, w))
             v = orbits[w].mat_vec(weights)
             if any(not e.is_zero() for e in v):
                 return v
-        return None
+        raise EigenspaceDimensionError("joint eigenspace for %s has dimension 0" % (ij,))
 
-    def certify(ij, v):
-        ev1, ev2 = chars[ij]
-        if v is None or not (L1.mat_vec(v) == [ev1 * e for e in v]
-                             and L2.mat_vec(v) == [ev2 * e for e in v]):
-            raise EigenspaceDimensionError(
-                "joint eigenspace for %s has dimension 0" % (ij,))
-        return v
-
-    certify((0, 0), psi_v)
     funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
     den = psi.monic()
     for ij in table.indices[1:]:
-        v = certify(ij, projection(*chars[ij]))
+        v = projection(ij)
         g = FunctionFieldElement(curve, Poly(v[:nx], K), Poly(v[nx:], K), den)
         ordv, lead = g.laurent()
         if ordv != -1:
@@ -265,12 +307,14 @@ class CurveData:
         and holds all it reads beyond this CurveData, copied by _frozen, so
         data changed in place is checked again."""
         key = tuple(map(_frozen, data))
-        if key not in self.kept:
+        kept = self.kept.get(key)  # a tuple's hash is not cached: hash the key once here
+        if kept is None:
             try:
-                self.kept[key] = check(), None
+                kept = check(), None
             except CertificationFailed as e:
-                self.kept[key] = None, (e.witness, str(e))
-        value, failure = self.kept[key]
+                kept = None, (e.witness, str(e))
+            self.kept[key] = kept
+        value, failure = kept
         if failure:
             raise CertificationFailed(*failure)
         return value

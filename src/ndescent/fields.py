@@ -453,7 +453,12 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._num[0], self._den))  # a lift keeps both
+        # a rational element is == to its int or Fraction, so hashes as it;
+        # any other by its rational coordinate and denominator, which a lift keeps
+        num, den = self._num, self._den
+        if any(num[1:]):
+            return hash((num[0], den))
+        return hash(num[0]) if den == 1 else hash(Fraction(num[0], den))
 
     def flatten(self):
         """Coordinate vector over Q, outermost generator most significant."""

@@ -1,8 +1,9 @@
 """Shared fixtures: the reference curve y^2 = x^3 - 432 over Q(zeta3)
-with full rational 3-torsion, and the auxiliary curve y^2 = x^3 - 54
-over Q(zeta3, sqrt2).  Everything is session scoped because the torsion
-table and the embedding are reused by most of the suite; the per-curve
-fixtures are those of the curve's CurveData, which descend reuses."""
+with full rational 3-torsion, the auxiliary curve y^2 = x^3 - 54 over
+Q(zeta3, sqrt2), and a Hesse curve with a != 0 over Q(zeta3).
+Everything is session scoped because the torsion table and the
+embedding are reused by most of the suite; the per-curve fixtures are
+those of the curve's CurveData, which descend reuses."""
 
 import pytest
 
@@ -59,3 +60,11 @@ def aux_curve(aux_field):
 @pytest.fixture(scope="session")
 def aux_table(aux_curve):
     return CurveData.of(aux_curve, 3).table
+
+
+@pytest.fixture(scope="session")
+def hesse_curve(field):
+    # k = 2 in the Hesse family y^2 = x^3 - 27k(k^3 + 8)x + 54(k^6 - 20k^3 - 8),
+    # whose 3-torsion is rational over Q(zeta3); k = 0 is the reference
+    # curve (Artebani and Dolgachev, Enseign. Math. 55 (2009))
+    return Curve(field, -864, -5616)

@@ -19,9 +19,10 @@ library's certificates against them:
     trivialisation on all n^4 pairs, and the G-basis as the kernels of
     the stacked translation eigen-equations;
   - the translation operator on L(n^2(O)) with the factor
-    psi_n/(psi_n o tau_S), which compute_G_basis replaces by
-    c_g F_{-g}^n, and the composition p o f of a polynomial with a
-    function that builds it (a Poly is evaluated only at scalars);
+    psi_n/(psi_n o tau_S), which compute_G_basis replaces by the
+    symmetric cube of the 3 x 3 translation matrix, and the composition
+    p o f of a polynomial with a function that builds it (a Poly is
+    evaluated only at scalars);
   - the coordinate functions x and y;
   - the general function field that the library's one stored form
     replaces: GeneralFunction, a FunctionFieldElement whose constructor

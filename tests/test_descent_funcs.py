@@ -18,8 +18,16 @@ from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, affine_
 from weil_oracle import aux_pair, weil_pairing_oracle
 from oracles import (GeneralFunction, base_change, coordinate_x, coordinate_y, derivative,
                      distinct_samples, dual_row, embedding_values, gcd_normalised, general,
-                     kernel_G_basis, miller_chain, psi_ratio, translated_coords)
+                     kernel_G_basis, miller_chain, psi_ratio, translated_coords,
+                     translation_operator)
 from test_funcfield import traced_calls
+
+
+_CURVES = {"reference": "curve", "aux": "aux_curve", "hesse": "hesse_curve"}
+
+
+def _curve_data(request, which):
+    return CurveData.of(request.getfixturevalue(_CURVES[which]), 3)
 
 
 def _sample_point(curve):
@@ -39,12 +47,12 @@ def test_epsilon_frozen_values(eps, field):
         assert eps[ij, (0, 0)] == field.one()
 
 
-@pytest.mark.parametrize("which", ["reference", "aux"])
-def test_epsilon_against_definition(which, curve, aux_curve):
+@pytest.mark.parametrize("which", list(_CURVES))
+def test_epsilon_against_definition(which, request):
     # eps is read off one Miller value per pair; the definition
     # F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P - T1)) must give the same value
     # at points over quadratic extensions
-    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    data = _curve_data(request, which)
     table, millers = data.table, data.millers
     for p in distinct_samples(data.curve, 3, random.Random(17), "e", 3):
         L = p.curve.field
@@ -126,21 +134,21 @@ def test_g_basis_eigenproperty(gbasis, eps, table):
                     assert g.evaluate(p + s) == w * base
 
 
-@pytest.mark.parametrize("which", ["reference", "aux"])
-def test_g_basis_equals_kernel_oracle(which, curve, aux_curve):
+@pytest.mark.parametrize("which", list(_CURVES))
+def test_g_basis_equals_kernel_oracle(which, request):
     # the projected eigenvectors, normalised, are the kernel vectors
-    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    data = _curve_data(request, which)
     want = kernel_G_basis(data.table, data.eps)
     for ij in data.table.indices:
         assert data.gbasis[ij] == want[ij]
 
 
-@pytest.mark.parametrize("which", ["reference", "aux"])
-def test_g_basis_stored_form_is_reduced(which, curve, aux_curve):
+@pytest.mark.parametrize("which", list(_CURVES))
+def test_g_basis_stored_form_is_reduced(which, request):
     # each G_T is stored as built, with no gcd: w is psi_n made monic,
     # and (u, v, w) is already the gcd-normalised form, for the reason
     # compute_G_basis gives
-    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    data = _curve_data(request, which)
     den = division_polynomial(data.curve, 3).monic()
     for ij in data.table.indices[1:]:
         g = data.gbasis[ij]
@@ -157,6 +165,35 @@ def test_g_basis_rejects_a_weil_value_that_is_no_eigenvalue(table, eps):
         compute_G_basis(table, bad)
     with pytest.raises(EigenspaceDimensionError):
         kernel_G_basis(table, bad)
+
+
+@pytest.mark.parametrize("which", list(_CURVES))
+def test_translation_operators_equal_the_psi_ratio_oracle(which, request):
+    # L_g from the symmetric cube of Mtilde_g, reduced to L(n^2(O)), is ==
+    # to h -> (h o tau_g) psi_n/(psi_n o tau_g) read off in the function field
+    data = _curve_data(request, which)
+    for g in data.table.generators:
+        assert descent_funcs._translation_operator(data.table, g) == (
+            translation_operator(data.table, data.table.point(*g)))
+
+
+def test_g_basis_rejects_every_perturbed_entry_of_L2(curve, monkeypatch):
+    # L2 with any one entry off by one fails a certificate: psi_n's
+    # eigenvalue equations, or the orbit's cycle checks, which must catch
+    # the entries in the columns where psi_n's coordinates are zero
+    data = CurveData.of(curve, 3)
+    L1, L2 = (descent_funcs._translation_operator(data.table, g) for g in data.table.generators)
+    caught = Counter()
+    for r in range(9):
+        for c in range(9):
+            bad = ExactMatrix(L2.rows, L2.tower)
+            bad.rows[r][c] = bad.rows[r][c] + 1
+            monkeypatch.setattr(descent_funcs, "_translation_operator",
+                                lambda table, g, bad=bad: L1 if g == (1, 0) else bad)
+            with pytest.raises(EigenspaceDimensionError) as err:
+                compute_G_basis(data.table, data.eps)
+            caught["orbit" in str(err.value)] += 1
+    assert caught[True] > 0 and sum(caught.values()) == 81
 
 
 def test_certificates_run_on_generators(curve, monkeypatch):
@@ -180,10 +217,10 @@ def test_certificates_run_on_generators(curve, monkeypatch):
 
 
 def test_translations_run_on_generators(curve, monkeypatch):
-    # a fresh CurveData translates in the function field twice on L(n(O))
-    # for the embedding and twice on L(n^2(O)) for the G-basis, each time
-    # with a power of a Miller function as the factor, never psi_n
-    # divided by its translate
+    # a fresh CurveData translates in the function field only on L(n(O)),
+    # twice for the G-basis (whose operators on L(n^2(O)) are symmetric
+    # cubes) and twice for the embedding, each time with F_{-g} as the
+    # factor, never psi_n divided by its translate
     assert not hasattr(descent_funcs, "translation_operator")
     translate = descent_funcs._translated_coords
     calls = []
@@ -194,21 +231,20 @@ def test_translations_run_on_generators(curve, monkeypatch):
     monkeypatch.setattr(descent_funcs, "_translated_coords", counted)
     data = CurveData(curve, 3)
     data.gbasis, data.emb  # build both, the G-basis first
-    assert Counter(d for _, d, _ in calls) == {3: 2, 9: 2}
+    assert Counter(d for _, d, _ in calls) == {3: 4}
     for ij, d, f in calls:
         assert ij in data.table.generators
-        f_neg = general(data.millers[data.table.neg_index(ij)])
-        want = f_neg if d == 3 else f_neg * f_neg * f_neg
+        want = general(data.millers[data.table.neg_index(ij)])
         assert want.w == 1 and f == (want.u, want.v)
 
 
-@pytest.mark.parametrize("which", ["reference", "aux"])
-def test_coordinate_ring_equals_function_field_oracles(which, curve, aux_curve):
+@pytest.mark.parametrize("which", list(_CURVES))
+def test_coordinate_ring_equals_function_field_oracles(which, request):
     # Miller functions, translated coordinates on L(n(O)) and L(n^2(O)),
     # every M_T and eps are == to the gcd-normalising function-field
     # chains, for every T != O; on L(n^2(O)) with F_{-T}^n and with the
     # factor psi_n/(psi_n o tau_T) of the translation operator oracle
-    data = CurveData.of(curve if which == "reference" else aux_curve, 3)
+    data = _curve_data(request, which)
     table, millers, eps = data.table, data.millers, data.eps
     n, K = table.n, data.curve.field
     oracle_millers = {(0, 0): millers[(0, 0)]}

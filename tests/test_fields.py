@@ -83,6 +83,18 @@ def test_tower_extension_and_lift(field):
     assert (field.gen() + c) - c == z
 
 
+def test_hash_agrees_with_eq(field, aux_field):
+    # a rational element is == to its int or Fraction, so it must hash
+    # alike and find the same dict entry; a lift is == to its source
+    one, third, minus = field.one(), field.from_fraction(Fraction(1, 3)), field.from_fraction(-1)
+    assert len({one, 1}) == 1 and len({third, Fraction(1, 3)}) == 1
+    assert {1: "v"}.get(one) == "v" and {Fraction(1, 3): "v"}.get(third) == "v"
+    assert {-1: "v"}.get(minus) == "v"
+    for e in (one, third, minus, field.gen(), field.gen() / 7 + third):
+        assert hash(e.lift_to(aux_field)) == hash(e)
+        assert len({e, e.lift_to(aux_field)}) == 1
+
+
 def test_coords_over(field):
     L = tower_extend(field, [-2, 0, 1], name="sqrt2")
     z = field.gen().lift_to(L)
