@@ -2,13 +2,10 @@
 
 Builds, for a curve with fully rational n-torsion:
   - F_T with divisor n(T) - n(O), leading Laurent coefficient 1;
-  - the epsilon table eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1)),
-    which is 1/F_{T2}(-T1) (let P -> O) unless T1 + T2 = O, and the
-    Weil pairing e_n(T1,T2) = eps(T1,T2)/eps(T2,T1);
+  - the epsilon table eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1))
+    and the Weil pairing e_n(T1,T2) = eps(T1,T2)/eps(T2,T1);
   - G_T with divisor [n]*(T) - [n]*(O) and residue 1/n at O in t = x/y,
-    as joint eigenvectors of translation operators on L(n^2(O)), the
-    symmetric cubes of the 3 x 3 translation matrices of T1 and T2, found
-    by projection onto each character of E[n];
+    a character sum of x^k/psi_n over the E[n]-orbit of the point;
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
     read off for T1 and T2 in the coordinate ring, every other M_T a
     product of those, and row 0 certifying the scale (compute_embedding);
@@ -22,7 +19,7 @@ store of verdicts, CurveData.once.
 
 from functools import cached_property
 
-from .fields import FieldElement, Poly, _dot, poly_x, root_or_extend
+from .fields import FieldElement, Poly, _dot, _inverses, poly_x, root_or_extend
 from .linalg import ExactMatrix
 from .curve import Point, division_polynomial, torsion_table, PoleAtP
 from .funcfield import FunctionFieldElement, _exact_div, _ring_mul, miller_function
@@ -30,7 +27,7 @@ from .algebra import CertificationFailed, RhoTable, Trivialisation, certify_once
 
 
 class EigenspaceDimensionError(Exception):
-    """A joint translation eigenspace did not have dimension one."""
+    """Two G-basis characters coincide, an e_n value is no n-th root of 1, or all lead_T(k) = 0."""
 
 
 def _exponents(d):
@@ -50,16 +47,15 @@ def _coords(f, d, ij):
     return [u.coeff(k) for k in range(nx)] + [v.coeff(k) for k in range(ny)]
 
 
-def _translated_coords(table, ij, d, f):
-    """For each monomial h of L(d(O)), the coordinates of (h o tau_S) f
-    over that basis, S the table point ij and f = (u, v) the function
-    u + v y of the coordinate ring.  P + S is
-    (X/(x - s_x)^2, Y/(x - s_x)^3) with X, Y in the coordinate ring, so
-    (x o tau_S)^i f is built one factor X at a time, each product divided
-    exactly by (x - s_x)^2, and a y-column product by (x - s_x)^3.  If f
-    vanishes to order d at -S, as F_{-S} does for d = n, all is regular;
-    else a remainder raises ("translation", ij)."""
-    curve, s = table.curve, table.point(*ij)
+def _translated_coords(table, ij, f):
+    """The coordinates of (h o tau_S) f over the monomials h of L(n(O)),
+    n = table.n, S the table point ij and f = (u, v) = u + v y in the
+    coordinate ring.  P + S is (X/(x - s_x)^2, Y/(x - s_x)^3) with X, Y
+    in the ring, so (x o tau_S)^i f is built one factor X at a time, each
+    product divided exactly by (x - s_x)^2, and a y-column product by
+    (x - s_x)^3.  If f vanishes to order n at -S, as F_{-S} does, all is
+    regular; else a remainder raises ("translation", ij)."""
+    curve, s, d = table.curve, table.point(*ij), table.n
     K, rhs = curve.field, curve.rhs_poly()
     lin = poly_x(K) - s.x
     sq = lin * lin
@@ -149,134 +145,65 @@ def compute_epsilon(table, millers):
     return values
 
 
-def _orbit(table, L1, L2, w):
-    """The matrix of columns o_S = L1^i L2^j e_w, S = (i, j) in table
-    order, certified to be shifted by the generators: L_g o_S = o_{S+g}
-    for every S and g = T1, T2.  Of these 2 n^2 identities, the n^2 - 1
-    that build the orbit hold as built, and each of the other n^2 + 1
-    costs one matrix-vector product.  EigenspaceDimensionError if one
-    fails."""
-    K, ops = L1.tower, dict(zip(table.generators, (L1, L2)))
-    e = [K.zero()] * len(table.indices)
-    e[w] = K.one()
-    o, built = {(0, 0): e}, set()
-    for ij in table.indices[1:]:  # row 0 along T2, then each row from the one above
-        g = table.generators[0 if ij[0] else 1]
-        prev = table.add_index(ij, table.neg_index(g))
-        o[ij] = ops[g].mat_vec(o[prev])
-        built.add((prev, g))
-    if not all(ops[g].mat_vec(o[ij]) == o[table.add_index(ij, g)]
-               for ij in table.indices for g in table.generators if (ij, g) not in built):
-        raise EigenspaceDimensionError("the orbit of e_%d is not shifted by L1 and L2" % w)
-    return ExactMatrix([o[ij] for ij in table.indices], K).transpose()
-
-
-def _translation_operator(table, g):
-    """L_g: h -> (h o tau_g) psi_3/(psi_3 o tau_g) on L(9(O)), columns
-    indexed by the monomials 1, x, ..., x^4, y, ..., x^3 y of _exponents(9).
-
-    psi_3/(psi_3 o tau_g) and F_{-g}^3 have divisor 9(-g) - 9(O), so
-    L_g = c_g [h -> (h o tau_g) F_{-g}^3].  Column m of the symmetric
-    cube of Mtilde_g (row f: (f o tau_g) F_{-g} over 1, x, y, as in
-    compute_embedding) holds the cubic in (1, x, y) of
-    (m o tau_g) F_{-g}^3.  x^4 and x^3 y take the columns of
-    x y^2 - a x^2 - b x and y^3 - a x y - b y, and a cubic reduces to the
-    basis by y^2 = x^3 + a x + b, x y^2 = x^4 + a x^2 + b x and
-    y^3 = x^3 y + a x y + b y; coordinates over a basis are unique.
-    L_g psi_3 = psi_3, whose x^4 coordinate is its leading coefficient,
-    fixes c_g."""
-    from .geometry import _symmetric_cube  # that module imports this one
-    curve = table.curve
-    K, a, b = curve.field, curve.a, curve.b
-    f = miller_function(table.point(*table.neg_index(g)), 3)
-    cube = _symmetric_cube(ExactMatrix(_translated_coords(table, g, 3, (f.u, f.v)), K))
-
-    def reduced(c):  # a cubic in (1, x, y), plane_monomials(3) order
-        c1, cx, cy, cxx, cxy, cyy, cxxx, cxxy, cxyy, cyyy = c
-        return [c1 + b * cyy, cx + a * cyy + b * cxyy, cxx + a * cxyy, cxxx + cyy, cxyy,
-                cy + b * cyyy, cxy + a * cyyy, cxxy, cyyy]
-    s1, sx, sy, sxx, sxy, _, sxxx, sxxy, sxyy, syyy = map(reduced, zip(*cube.rows))
-    x4 = [p - a * q - b * r for p, q, r in zip(sxyy, sxx, sx)]
-    x3y = [p - a * q - b * r for p, q, r in zip(syyy, sxy, sy)]
-    op = ExactMatrix([s1, sx, sxx, sxxx, x4, sy, sxy, sxxy, x3y], K).transpose()
-    psi = division_polynomial(curve, 3)
-    return op.scale(psi.lc() / _dot(op.rows[4], [psi.coeff(k) for k in range(9)]))
+def _leading(chi_inv, terms):
+    """(k, lead_T(k)) for the first k with lead_T(k) != 0, from chi_inv and
+    terms[k] = [x_S^k r_S] over S != O in table order (compute_G_basis)."""
+    for k, row in enumerate(terms):
+        lead = _dot(chi_inv, row)
+        if not lead.is_zero():
+            return k, lead
+    raise EigenspaceDimensionError("no x^k/psi, k < %d, has a nonzero chi_T part" % len(terms))
 
 
 def compute_G_basis(table, eps):
-    """G_T with divisor [n]*(T) - [n]*(O), coefficient of t^{-1} equal 1/n,
-    for n = 3 (ValueError for any other n).
-
-    G_T psi_n lies in L(n^2(O)), of dimension n^2, and is a joint
-    eigenvector of the translation operators L1, L2 of T1, T2 with the
-    character chi_T(S) = e_n(S, T) as eigenvalues: L1 v = chi_T(T1) v and
-    L2 v = chi_T(T2) v.  L_g is h -> (h o tau_g) psi_n/(psi_n o tau_g),
-    built from the 3 x 3 translation matrix (_translation_operator).  The
-    eigenvector is found by projection (Serre, Linear Representations of
-    Finite Groups, 2.6): v = sum_S chi_T(S)^{-1} o_S, S = i T1 + j T2,
-    over the orbit o_(i,j) = L1^i L2^j e_w; w runs through e_1, e_2, ...
-    until v != 0.  _orbit certifies L_g o_S = o_{S+g}, and every
-    chi_T(T1), chi_T(T2) is checked to be an n-th root of unity, so
-    S -> chi_T(T1)^i chi_T(T2)^j is a character of E[n] and
-    L1 v = chi_T(T1) v, L2 v = chi_T(T2) v hold exactly.  psi_n, that
-    is G_O psi_n, is certified by the eigenvalue equations of chi_O.  The
-    n^2 characters are checked to be distinct, so the n^2 certified
-    eigenvectors are linearly independent and fill L(n^2(O)): every joint
-    eigenspace is a line, and v is G_T psi_n up to the scalar the residue
-    fixes.
-
-    Returns the dict ij -> G_T, with G_O = 1.  Each G_T is stored as
-    (u + v y)/den: den is psi_n made monic, and (u, v)
-    is the certified eigenvector scaled by (n lead)^{-1}, lead its
-    leading coefficient at O, so the residue is 1/n.  This form is
-    reduced with no gcd taken.  For T != O, u + v y = G_T psi_n has
-    divisor [n]*(T) - n^2(O), so it vanishes at no S != O in E[n].  The
-    roots of den are the x(S) of those S, and a common root x(S) of u
-    and v would make u + v y vanish at S; so gcd(u, v, den) = 1.
-
-    Raises EigenspaceDimensionError if two characters coincide, if one is
-    no character of E[n], if psi_n or an orbit fails its certificate, or
-    if no w gives v != 0 (the eigenspace is then 0)."""
+    """G_T with divisor [n]*(T) - [n]*(O) and t^{-1} coefficient 1/n at O,
+    for n = 3 (ValueError for any other n), in closed form.  With psi =
+    psi_3 made monic, chi_T(i T1 + j T2) = e_3(T1, T)^i e_3(T2, T)^j and
+    r_S = -1/(2 y_S psi'(x_S)), k is the first in 0..4 with
+    lead_T(k) = sum_{S != O} chi_T(S)^{-1} x_S^k r_S != 0 (T != O), and
+    G_T = H_T / (3 lead_T(k)) for the character sum
+    H_T(P) = sum_{S in E[3]} chi_T(S)^{-1} x(P+S)^k / psi(x(P+S)); G_O = 1.
+    1. Reindexing S -> S - R gives H_T o tau_R = chi_T(R) H_T (a character).
+    2. x^k/psi is regular at O for k <= 4, since x^4/psi = 1 + O(t^4),
+       and its poles are simple, at E[3] - O.  So H_T lies in L([3]*(O)).
+    3. The nine characters are distinct, so the chi_T-eigenspace of
+       L([3]*(O)) is the line of G_T (Serre, Linear Representations, 2.6).
+    4. Only the terms with S != O have a pole at O.  There
+       x(P+S) = x_S - 2 y_S t + O(t^2), because dx/2y = -dt (1 + O(t)) is
+       translation invariant (Silverman, AEC, III.5 and IV.1), so x^k/psi
+       at P+S is x_S^k r_S t^{-1} + O(1).  H_T leads with lead_T(k) t^{-1}
+       and G_T with t^{-1}/3, so H_T = 3 lead_T(k) G_T.
+    5. Some k <= 4 works.  The x^k/psi, k = 0..4, have the distinct orders
+       8 - 2k at O, so they span the even part of L([3]*(O)), which holds
+       G_T - G_{-T}, since G_T o [-1] = -G_{-T}.  The chi_T part of
+       G_T - G_{-T} is G_T (chi_{-T} = chi_T^{-1} != chi_T), and that of
+       x^k/psi is H_T/9, so not every H_T is zero.
+    Checked: the characters are distinct and every e_3 value is a cube
+    root of unity; a failure, or no k, raises EigenspaceDimensionError.
+    Returns (table, psi, weights) for geometry.g_eval: weights[ij] = (k, c)
+    for T != O, c[S] = chi_T(S)^{-1} / (3 lead_T(k)), both in table order."""
     curve, n = table.curve, table.n
     if n != 3:
         raise ValueError("n = %d: the G-basis is built for n = 3 only" % n)
-    K = curve.field
-    psi = division_polynomial(curve, n)
-    nx = n * n // 2 + 1  # how many coordinates are those of u in (u + v y)/psi_n
-    psi_v = [psi.coeff(k) for k in range(n * n)]  # deg psi_n < nx: no y-part
-    L1, L2 = (_translation_operator(table, g) for g in table.generators)
-    chars = {ij: tuple(weil(eps, g, ij) for g in table.generators) for ij in table.indices}
+    # chi_T(T1)^{-1}, chi_T(T2)^{-1}: e_3(T, g) = e_3(g, T)^{-1}
+    chars = {ij: tuple(weil(eps, ij, g) for g in table.generators) for ij in table.indices}
     if len(set(chars.values())) != n * n:
         raise EigenspaceDimensionError("two translation characters coincide")
     if not all(ev ** n == 1 for ch in chars.values() for ev in ch):
         raise EigenspaceDimensionError("a translation eigenvalue is no n-th root of unity")
-    if not (L1.mat_vec(psi_v) == psi_v and L2.mat_vec(psi_v) == psi_v):
-        raise EigenspaceDimensionError("psi_%d is not fixed by translation" % n)
-
-    orbits = []  # orbits[w]: the certified columns L1^i L2^j e_w
-
-    def projection(ij):
-        """sum_S chi_T(S)^{-1} o_S for the first w with a nonzero sum."""
-        inv1, inv2 = (ev.inverse() for ev in chars[ij])
-        weights = [inv1 ** i * inv2 ** j for i, j in table.indices]
-        for w in range(n * n):
-            if w == len(orbits):
-                orbits.append(_orbit(table, L1, L2, w))
-            v = orbits[w].mat_vec(weights)
-            if any(not e.is_zero() for e in v):
-                return v
-        raise EigenspaceDimensionError("joint eigenspace for %s has dimension 0" % (ij,))
-
-    funcs = {(0, 0): FunctionFieldElement.const(curve, 1)}
-    den = psi.monic()
+    psi = division_polynomial(curve, n).monic()
+    dpsi = Poly([k * c for k, c in enumerate(psi.coeffs)][1:], curve.field)
+    torsion = list(table)[1:]
+    terms = [_inverses([-2 * s.y * dpsi(s.x) for s in torsion])]  # [r_S]
+    for _ in range(psi.degree):  # terms[k] = [x_S^k r_S], k = 0..4
+        terms.append([s.x * e for s, e in zip(torsion, terms[-1])])
+    weights = {}
     for ij in table.indices[1:]:
-        v = projection(ij)
-        g = FunctionFieldElement(curve, Poly(v[:nx], K), Poly(v[nx:], K), den)
-        ordv, lead = g.laurent()
-        if ordv != -1:
-            raise ArithmeticError("G_T for %s has pole order %d at O, not 1" % ((ij,), -ordv))
-        funcs[ij] = g.scale((lead * n).inverse())
-    return funcs
+        chi_inv = [chars[ij][0] ** i * chars[ij][1] ** j for i, j in table.indices]
+        k, lead = _leading(chi_inv[1:], terms)
+        scale = (n * lead).inverse()
+        weights[ij] = k, [scale * c for c in chi_inv]
+    return table, psi, weights
 
 
 def _frozen(x):
@@ -395,7 +322,7 @@ def compute_embedding(table, eps, millers, seed=0):
             raise CertificationFailed(("translation", ij), "F_{-T} is not in the coordinate ring")
         scale, f_neg = eps[ij, neg], (f.u, f.v)
         if ij in table.generators:
-            m = ExactMatrix(_translated_coords(table, ij, n, f_neg), K).scale(scale)
+            m = ExactMatrix(_translated_coords(table, ij, f_neg), K).scale(scale)
         else:
             g, b = ((0, 1), (ij[0], ij[1] - 1)) if ij[1] else ((1, 0), (ij[0] - 1, 0))
             m = (matrices[g] * matrices[b]).scale(eps[g, b].inverse())

@@ -30,7 +30,7 @@ uses the standard library only.
 
 import operator
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd, isqrt, lcm
 
 
@@ -263,11 +263,10 @@ def _into(e, tower):
     return e.lift_to(tower)
 
 
-# The three kernels below take elements of one tower (equal towers, not
+# The kernels below take elements of one tower (equal towers, not
 # merely prefix-related).  The operators coerce and then call them, and
-# every computation inside this module calls them directly; the sums of
-# products elsewhere bring their operands into one tower by _into and
-# call _dot.
+# every computation inside this module calls them directly; callers of
+# _dot or _inverses elsewhere bring their operands into one tower by _into.
 
 def _mul(a, b):
     """Multiply with the structure-constant table of the tower."""
@@ -353,6 +352,17 @@ def _inv(a):
     den = lcm(*(r[k] for k, r in enumerate(rows)))
     scale = a._den * tw._tden
     return FieldElement(tw, [r[d] * (den // r[k]) * scale for k, r in enumerate(rows)], den)
+
+
+def _inverses(xs):
+    """The inverses of a nonempty list over one tower by one _inv (Montgomery's
+    trick): x_k^{-1} = p_{k-1}/p_k for p_k = x_0 ... x_k, and p_{k-1} =
+    p_k/x_k.  ZeroDivisionError if an entry is zero."""
+    prefix, out = list(accumulate(xs, _mul)), [None] * len(xs)
+    out[0] = _inv(prefix[-1])  # p_k^{-1}, for k from the last down to 0
+    for k in range(len(xs) - 1, 0, -1):
+        out[k], out[0] = _mul(out[0], prefix[k - 1]), _mul(out[0], xs[k])
+    return out
 
 
 class FieldElement:

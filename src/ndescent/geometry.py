@@ -12,9 +12,9 @@ trivialisation's generators fix up to their determinant.
 import itertools
 import random
 
-from .fields import _common_tower, _dot, _into, _larger
+from .fields import _common_tower, _dot, _into, _inverses, _larger
 from .linalg import ExactMatrix
-from .curve import r_constant, division_polynomial, PoleAtP
+from .curve import r_constant
 from .descent_funcs import CurveData, affine_sample, tau_1
 from .algebra import CSA, RhoTable, BadBasePoint, certify_once, CertificationFailed
 
@@ -125,23 +125,41 @@ def quadrics_for_E(curve, table):
     return quadrics_for_C(curve, table, RhoTable.trivial(table))
 
 
+def _translates(table, p):
+    """(x, y) of P + S for S in table order, by chords whose slopes share
+    one inversion.  Raises BadBasePoint at O, and for P in E[n], where
+    x(P) = x(-P) makes a slope denominator zero."""
+    if p.is_infinity:
+        raise BadBasePoint("the covering coordinates degenerate at O")
+    L = p.curve.field
+    torsion = [(_into(s.x, L), _into(s.y, L)) for s in list(table)[1:]]
+    try:
+        inv = _inverses([p.x - sx for sx, _ in torsion])
+    except ZeroDivisionError:
+        raise BadBasePoint("the point lies in E[n]")
+    out = [(p.x, p.y)]
+    for (sx, sy), d in zip(torsion, inv):
+        lam = (p.y - sy) * d
+        x = lam * lam - p.x - sx
+        out.append((x, lam * (p.x - x) - p.y))
+    return out
+
+
 def g_eval(curve, gbasis, gamma, p):
     """Coordinates (gamma(T)^{-1} G_T(P))_T of the covering map, in
     table order; the unit cochain gamma = 1 gives the map on E itself.
-
-    P must stay away from the n^2-torsion, where the G_T share zeros
-    and poles."""
-    if p.is_infinity:
-        raise BadBasePoint("the covering coordinates degenerate at O")
-    if division_polynomial(curve, len(gbasis))(p.x).is_zero():  # len(gbasis) = n^2
-        raise BadBasePoint("point lies over the n^2-torsion")
-    out = []
-    for ij, g in gbasis.items():
-        try:
-            val = g.evaluate(p)
-        except PoleAtP:
-            raise BadBasePoint("covering coordinate has a pole at the point")
-        out.append(gamma[ij].inverse() * val)
+    For gbasis = (table, psi, weights) from compute_G_basis, G_O = 1 and
+    G_T(P) = sum_S c[S] x(P+S)^k / psi(x(P+S)) for T's weights (k, c).
+    BadBasePoint at O and on E[n] (_translates); curve is not read."""
+    table, psi, weights = gbasis
+    L = p.curve.field
+    xs = [x for x, _ in _translates(table, p)]
+    powers = [_inverses([psi(x) for x in xs])]  # powers[k] = [x(P+S)^k / psi(x(P+S))]
+    for _ in range(max(k for k, _ in weights.values())):
+        powers.append([x * e for x, e in zip(xs, powers[-1])])
+    out = [gamma[(0, 0)].inverse() * L.one()]
+    for ij, (k, c) in weights.items():
+        out.append(gamma[ij].inverse() * _dot([_into(e, L) for e in c], powers[k]))
     return out
 
 
@@ -233,7 +251,7 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
                 raise CertificationFailed(("quadric", i),
                                           "quadric %d does not vanish at a sample" % i)
         yield _lead_one(u)
-        orbit_x.extend(_x_key((p + table.point(*s)).x) for s in table.indices)
+        orbit_x.extend(_x_key(x) for x, _ in _translates(table, p))
 
 
 class PlaneCurveEquation:
@@ -321,7 +339,7 @@ def _symmetric_cube(a):
         powers.append([{(0, 0, 0): a.tower.one()}, lin, mul(lin, lin)])
         powers[-1].append(mul(powers[-1][2], lin))
     cols = [mul(mul(powers[0][i], powers[1][j]), powers[2][k]) for i, j, k in mono]
-    return ExactMatrix([[f.get(e, zero) for e in mono] for f in cols], a.tower).transpose()
+    return ExactMatrix([[f.get(e, zero) for f in cols] for e in mono], a.tower)
 
 
 def _pencil(data, triv):
@@ -382,10 +400,10 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     F o tau(delta_g) = det(tau(delta_g)) F, g = T1, T2 (Artebani and
     Dolgachev, Enseign. Math. 55 (2009); Fisher, Proc. LMS 97 (2008)).
     For S != O, A = tau(delta_S) maps C to itself, as the image of P + S
-    is A u, u that of P: compute_G_basis certifies G_T o tau_S =
-    e_n(S, T) G_T, so z(P + S) = D_S z(P), D_S = diag(e_n(S, T))_T, and
-    as rho is symmetric A conjugates tau(delta_T) by c(S, T)/c(T, S) =
-    e_n(S, T).  So F_C o A = lambda_S F_C.  A has trace 0 (certified) and
+    is A u, u that of P: G_T o tau_S = e_n(S, T) G_T by construction
+    (compute_G_basis), so z(P + S) = D_S z(P), D_S = diag(e_n(S, T))_T,
+    and as rho is symmetric A conjugates tau(delta_T) by c(S, T)/c(T, S)
+    = e_n(S, T).  So F_C o A = lambda_S F_C.  A has trace 0 (certified) and
     a scalar cube (3S = O), so its eigenvalues are mu, mu zeta, mu zeta^2
     and F_C(A v) = mu^3 F_C(v) = det(A) F_C(v) at its three fixed points
     v.  Translation by S != O has no fixed point on C, so some F_C(v) != 0

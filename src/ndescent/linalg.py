@@ -81,10 +81,6 @@ class ExactMatrix:
         v = [_into(e, tower) for e in v]
         return [_dot(r, v) for r in self._rows_over(tower)]
 
-    def transpose(self):
-        return ExactMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                            for j in range(self.ncols)], self.tower)
-
     def trace(self):
         _require(self.nrows == self.ncols, "only square matrices have a trace")
         s = self.tower.zero()

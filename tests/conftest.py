@@ -10,6 +10,7 @@ import pytest
 from ndescent.fields import FieldTower, tower_extend
 from ndescent.curve import Curve
 from ndescent.descent_funcs import CurveData
+from oracles import kernel_G_basis
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,14 @@ def eps(curve):
 @pytest.fixture(scope="session")
 def gbasis(curve):
     return CurveData.of(curve, 3).gbasis
+
+
+@pytest.fixture(scope="session")
+def oracle_gbasis(curve):
+    """The reference curve's G-basis as functions, read off the kernels of
+    the translation operators in the function field (tests/oracles.py)."""
+    data = CurveData.of(curve, 3)
+    return kernel_G_basis(data.table, data.eps)
 
 
 @pytest.fixture(scope="session")

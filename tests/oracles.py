@@ -19,8 +19,10 @@ library's certificates against them:
     trivialisation on all n^4 pairs, and the G-basis as the kernels of
     the stacked translation eigen-equations;
   - the translation operator on L(n^2(O)) with the factor
-    psi_n/(psi_n o tau_S), which compute_G_basis replaces by the
-    symmetric cube of the 3 x 3 translation matrix, and the composition
+    psi_n/(psi_n o tau_S), whose eigenvectors kernel_G_basis reads the
+    G-basis off as functions (compute_G_basis needs no operator: it
+    takes the projection onto each character on values, and g_eval's
+    values are tested against these functions), and the composition
     p o f of a polynomial with a function that builds it (a Poly is
     evaluated only at scalars);
   - the coordinate functions x and y;
@@ -371,7 +373,7 @@ def translation_operator(table, s):
         raise ValueError("the translation operator needs an affine torsion point, not O")
     ij = table.indices[table.points.index(s)]
     cols = translated_coords(table, ij, table.n ** 2, psi_ratio(table, s))
-    return ExactMatrix(cols, table.curve.field).transpose()
+    return ExactMatrix([list(r) for r in zip(*cols)], table.curve.field)
 
 
 def kernel_G_basis(table, eps):

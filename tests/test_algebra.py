@@ -392,10 +392,10 @@ def test_certify_rejects_a_map_multiplicative_along_T1_only(emb, eps, table, fie
 
 
 def test_e_n_tables_are_read_one_way():
-    # eps and the G-basis are plain dicts, rho and the structure constants
-    # are read through .values and .structure, and a matrix through .rows:
-    # no wrapper class or forwarding method is left, and c = eps rho is
-    # built by one function
+    # eps is a plain dict and the G-basis a plain tuple, rho and the
+    # structure constants are read through .values and .structure, and a
+    # matrix through .rows: no wrapper class or forwarding method is
+    # left, and c = eps rho is built by one function
     pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
     classes, calls, products = [], [], []
     for name in sorted(os.listdir(pkg)):

@@ -10,16 +10,17 @@ import pytest
 from ndescent import descent_funcs, fields, funcfield
 from ndescent import serialize as ser
 from ndescent.fields import tower_extend
-from ndescent.curve import Point, division_polynomial, r_eval
+from ndescent.curve import Point, r_eval
 from ndescent.linalg import ExactMatrix
-from ndescent.algebra import CertificationFailed, Trivialisation, certify_trivialisation
+from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
+                              certify_trivialisation, trivialize)
 from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, affine_sample,
                                     compute_G_basis, compute_embedding, tau_1, weil)
+from ndescent.geometry import RankNotOne, descend, g_eval
 from weil_oracle import aux_pair, weil_pairing_oracle
 from oracles import (GeneralFunction, base_change, coordinate_x, coordinate_y, derivative,
-                     distinct_samples, dual_row, embedding_values, gcd_normalised, general,
-                     kernel_G_basis, miller_chain, psi_ratio, translated_coords,
-                     translation_operator)
+                     distinct_samples, dual_row, embedding_values, general, kernel_G_basis,
+                     miller_chain, translated_coords, unit_cochain)
 from test_funcfield import traced_calls
 
 
@@ -28,6 +29,24 @@ _CURVES = {"reference": "curve", "aux": "aux_curve", "hesse": "hesse_curve"}
 
 def _curve_data(request, which):
     return CurveData.of(request.getfixturevalue(_CURVES[which]), 3)
+
+
+@pytest.fixture(scope="module")
+def oracle_G(request):
+    """kernel_G_basis(table, eps) of a curve of _CURVES, built on first use."""
+    built = {}
+
+    def get(which):
+        if which not in built:
+            data = _curve_data(request, which)
+            built[which] = kernel_G_basis(data.table, data.eps)
+        return built[which]
+    return get
+
+
+def _oracle_values(want, table, p):
+    """The oracle's G_T(P) in table order."""
+    return [want[ij].evaluate(p) for ij in table.indices]
 
 
 def _sample_point(curve):
@@ -108,52 +127,70 @@ def test_weil_against_miller_oracle(eps, table, curve):
                     assert got == want
 
 
-def test_g_basis_residue(gbasis, table, field):
+def test_g_basis_residue(oracle_gbasis, gbasis, table, field):
+    # the kernel oracle's G_T has G_O = 1 and leads at O with t^{-1}/3;
+    # g_eval's values are == to the oracle's
     third = field.from_fraction(Fraction(1, 3))
-    one = GeneralFunction.const(table.curve, 1)
-    assert gbasis[(0, 0)] == one
-    for i in range(3):
-        for j in range(3):
-            if (i, j) == (0, 0):
-                continue
-            assert gbasis[(i, j)].laurent() == (-1, third)
+    assert oracle_gbasis[(0, 0)] == GeneralFunction.const(table.curve, 1)
+    for ij in table.indices[1:]:
+        assert oracle_gbasis[ij].laurent() == (-1, third)
+    for p in distinct_samples(table.curve, 3, random.Random(23), "r", 3):
+        assert g_eval(p.curve, gbasis, unit_cochain(table), p) == (
+            _oracle_values(oracle_gbasis, table, p))
 
 
 def test_g_basis_eigenproperty(gbasis, eps, table):
+    # G_T o tau_S = e_n(S, T) G_T, on g_eval's values at P and P + S
     p = _sample_point(table.curve)
-    for i in range(3):
-        for j in range(3):
-            if (i, j) == (0, 0):
-                continue
-            g = gbasis[(i, j)]
-            base = g.evaluate(p)
-            for si in range(3):
-                for sj in range(3):
-                    s = base_change(table.point(si, sj), p.curve.field)
-                    w = weil(eps, (si, sj), (i, j))
-                    assert g.evaluate(p + s) == w * base
+    unit = unit_cochain(table)
+    base = g_eval(p.curve, gbasis, unit, p)
+    for s in table.indices:
+        z = g_eval(p.curve, gbasis, unit, p + base_change(table.point(*s), p.curve.field))
+        assert z == [weil(eps, s, ij) * v for ij, v in zip(table.indices, base)]
 
 
 @pytest.mark.parametrize("which", list(_CURVES))
-def test_g_basis_equals_kernel_oracle(which, request):
-    # the projected eigenvectors, normalised, are the kernel vectors
+def test_g_basis_equals_kernel_oracle(which, request, oracle_G):
+    # the closed form's values are those of the kernel vectors, normalised,
+    # at points over quadratic extensions
     data = _curve_data(request, which)
-    want = kernel_G_basis(data.table, data.eps)
-    for ij in data.table.indices:
-        assert data.gbasis[ij] == want[ij]
+    want = oracle_G(which)
+    for p in distinct_samples(data.curve, 3, random.Random(29), "k", 3):
+        assert p.curve.field.nlevels == data.curve.field.nlevels + 1
+        assert g_eval(p.curve, data.gbasis, unit_cochain(data.table), p) == (
+            _oracle_values(want, data.table, p))
 
 
-@pytest.mark.parametrize("which", list(_CURVES))
-def test_g_basis_stored_form_is_reduced(which, request):
-    # each G_T is stored as built, with no gcd: w is psi_n made monic,
-    # and (u, v, w) is already the gcd-normalised form, for the reason
-    # compute_G_basis gives
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("which", ["reference", "hesse"])
+def test_g_basis_with_each_power_equals_kernel_oracle(which, k, request, oracle_G,
+                                                      monkeypatch):
+    # H_T = 3 lead_T(k) G_T holds for every k, not only the first with
+    # lead_T(k) != 0: forced on every T where lead_T(k) != 0, each power
+    # gives the oracle's values.  Where lead_T(k) = 0 (on the reference
+    # curve, a = 0, for some T and k = 1..4) the sum H_T itself is zero
     data = _curve_data(request, which)
-    den = division_polynomial(data.curve, 3).monic()
-    for ij in data.table.indices[1:]:
-        g = data.gbasis[ij]
-        assert g.w == den
-        assert (g.u, g.v, g.w) == gcd_normalised(g.u, g.v, g.w)
+    real, calls, zero_sums = descent_funcs._leading, [], {}
+
+    def forced(chi_inv, terms):  # called for each T != O in table order
+        calls.append(data.table.indices[1 + len(calls)])
+        lead = fields._dot(chi_inv, terms[k])
+        if lead.is_zero():
+            zero_sums[calls[-1]] = k, [data.curve.field.one()] + chi_inv
+            return real(chi_inv, terms)
+        return k, lead
+    monkeypatch.setattr(descent_funcs, "_leading", forced)
+    gbasis = compute_G_basis(data.table, data.eps)
+    table, psi, weights = gbasis
+    assert k in {kk for kk, _ in weights.values()}
+    assert bool(zero_sums) == (which == "reference" and k > 0)
+    sums = table, psi, zero_sums
+    want = oracle_G(which)
+    for p in distinct_samples(data.curve, 3, random.Random(31), "f", 2):
+        assert g_eval(p.curve, gbasis, unit_cochain(data.table), p) == (
+            _oracle_values(want, data.table, p))
+        if zero_sums:
+            assert all(v.is_zero() for v in g_eval(p.curve, sums, unit_cochain(data.table), p)[1:])
 
 
 def test_g_basis_rejects_a_weil_value_that_is_no_eigenvalue(table, eps):
@@ -167,38 +204,43 @@ def test_g_basis_rejects_a_weil_value_that_is_no_eigenvalue(table, eps):
         kernel_G_basis(table, bad)
 
 
+def test_g_basis_rejects_coinciding_characters(table, eps):
+    # eps made symmetric: every Weil value is 1, a cube root of unity, and
+    # the nine characters coincide, so an eigenspace is no line
+    bad = {(a, b): eps[min(a, b), max(a, b)] for a, b in eps}
+    with pytest.raises(EigenspaceDimensionError, match="coincide"):
+        compute_G_basis(table, bad)
+
+
+def test_g_basis_rejects_a_zero_lead_for_every_power(table, eps, monkeypatch):
+    # with every x_S^k r_S zero, no k gives lead_T(k) != 0
+    real = descent_funcs._leading
+    monkeypatch.setattr(descent_funcs, "_leading",
+                        lambda chi_inv, terms: real(chi_inv, [[0 * e for e in row]
+                                                              for row in terms]))
+    with pytest.raises(EigenspaceDimensionError):
+        compute_G_basis(table, eps)
+
+
 @pytest.mark.parametrize("which", list(_CURVES))
-def test_translation_operators_equal_the_psi_ratio_oracle(which, request):
-    # L_g from the symmetric cube of Mtilde_g, reduced to L(n^2(O)), is ==
-    # to h -> (h o tau_g) psi_n/(psi_n o tau_g) read off in the function field
+def test_descend_rejects_every_doubled_weight_row(which, request):
+    # the closed form carries no certificate of its own: z(P) is certified
+    # at every base point by the rank-one Segre image and the quadrics, so
+    # G_T doubled for any one T != O, by its weight row, makes descend raise
     data = _curve_data(request, which)
-    for g in data.table.generators:
-        assert descent_funcs._translation_operator(data.table, g) == (
-            translation_operator(data.table, data.table.point(*g)))
-
-
-def test_g_basis_rejects_every_perturbed_entry_of_L2(curve, monkeypatch):
-    # L2 with any one entry off by one fails a certificate: psi_n's
-    # eigenvalue equations, or the orbit's cycle checks, which must catch
-    # the entries in the columns where psi_n's coordinates are zero
-    data = CurveData.of(curve, 3)
-    L1, L2 = (descent_funcs._translation_operator(data.table, g) for g in data.table.generators)
-    caught = Counter()
-    for r in range(9):
-        for c in range(9):
-            bad = ExactMatrix(L2.rows, L2.tower)
-            bad.rows[r][c] = bad.rows[r][c] + 1
-            monkeypatch.setattr(descent_funcs, "_translation_operator",
-                                lambda table, g, bad=bad: L1 if g == (1, 0) else bad)
-            with pytest.raises(EigenspaceDimensionError) as err:
-                compute_G_basis(data.table, data.eps)
-            caught["orbit" in str(err.value)] += 1
-    assert caught[True] > 0 and sum(caught.values()) == 81
+    rho = RhoTable.trivial(data.table)
+    triv = trivialize(data.emb, data.eps, rho)
+    descend(data.curve, 3, rho, triv, seed=7, gbasis=data.gbasis)
+    table, psi, weights = data.gbasis
+    for ij, (k, c) in weights.items():
+        doubled = table, psi, {**weights, ij: (k, [2 * e for e in c])}
+        with pytest.raises((RankNotOne, CertificationFailed)):
+            descend(data.curve, 3, rho, triv, seed=7, gbasis=doubled)
 
 
 def test_certificates_run_on_generators(curve, monkeypatch):
     # one certify_trivialisation makes 2 n^2 matrix products, and the
-    # G-basis is projected, with no kernel computed
+    # G-basis is a closed form, with no kernel computed
     data = CurveData.of(curve, 3)
     emb = data.emb  # built, and so certified once, before counting
     calls = Counter()
@@ -218,32 +260,36 @@ def test_certificates_run_on_generators(curve, monkeypatch):
 
 def test_translations_run_on_generators(curve, monkeypatch):
     # a fresh CurveData translates in the function field only on L(n(O)),
-    # twice for the G-basis (whose operators on L(n^2(O)) are symmetric
-    # cubes) and twice for the embedding, each time with F_{-g} as the
-    # factor, never psi_n divided by its translate
-    assert not hasattr(descent_funcs, "translation_operator")
-    translate = descent_funcs._translated_coords
-    calls = []
+    # twice, for the embedding's generators, each time with F_{-g} as the
+    # factor; the G-basis runs no translation and no Miller chain
+    assert not any(hasattr(descent_funcs, name) for name in
+                   ("translation_operator", "_translation_operator", "_orbit", "_symmetric_cube"))
+    translate, chain = descent_funcs._translated_coords, descent_funcs.miller_function
+    calls, chained = [], []
 
-    def counted(table, ij, d, f):
-        calls.append((ij, d, f))
-        return translate(table, ij, d, f)
+    def counted(table, ij, f):
+        calls.append((ij, f))
+        return translate(table, ij, f)
     monkeypatch.setattr(descent_funcs, "_translated_coords", counted)
+    monkeypatch.setattr(descent_funcs, "miller_function",
+                        lambda t, n: chained.append(t) or chain(t, n))
     data = CurveData(curve, 3)
-    data.gbasis, data.emb  # build both, the G-basis first
-    assert Counter(d for _, d, _ in calls) == {3: 4}
-    for ij, d, f in calls:
-        assert ij in data.table.generators
+    data.eps  # the Miller table, which the G-basis reads through eps
+    chained.clear()
+    data.gbasis
+    assert calls == [] and chained == []
+    data.emb
+    assert sorted(ij for ij, _ in calls) == sorted(data.table.generators)
+    for ij, f in calls:
         want = general(data.millers[data.table.neg_index(ij)])
         assert want.w == 1 and f == (want.u, want.v)
 
 
 @pytest.mark.parametrize("which", list(_CURVES))
 def test_coordinate_ring_equals_function_field_oracles(which, request):
-    # Miller functions, translated coordinates on L(n(O)) and L(n^2(O)),
-    # every M_T and eps are == to the gcd-normalising function-field
-    # chains, for every T != O; on L(n^2(O)) with F_{-T}^n and with the
-    # factor psi_n/(psi_n o tau_T) of the translation operator oracle
+    # Miller functions, translated coordinates on L(n(O)), every M_T and
+    # eps are == to the gcd-normalising function-field chains, for every
+    # T != O
     data = _curve_data(request, which)
     table, millers, eps = data.table, data.millers, data.eps
     n, K = table.n, data.curve.field
@@ -253,10 +299,9 @@ def test_coordinate_ring_equals_function_field_oracles(which, request):
         assert millers[ij] == oracle_millers[ij]
         neg = table.neg_index(ij)
         f = general(millers[neg])
-        for d, g in ((n, f), (n * n, f * f * f), (n * n, psi_ratio(table, t))):
-            assert g.w == 1
-            assert descent_funcs._translated_coords(table, ij, d, (g.u, g.v)) == (
-                translated_coords(table, ij, d, g))
+        assert f.w == 1
+        assert descent_funcs._translated_coords(table, ij, (f.u, f.v)) == (
+            translated_coords(table, ij, n, f))
         mtilde = ExactMatrix(translated_coords(table, ij, n, f), K)
         assert data.emb.M(ij) == mtilde.scale(eps[ij, neg])
     assert descent_funcs.compute_epsilon(table, oracle_millers) == eps
@@ -295,15 +340,16 @@ def test_miller_table_catches_an_unsigned_negation(which, curve, aux_curve, monk
         scope["compute_miller_table"](table)
 
 
-@pytest.mark.parametrize("d, pole", [(3, True), (9, False)])
+@pytest.mark.parametrize("d, pole", [(3, True)])
 def test_translation_remainder_certifies_the_ring(table, millers, d, pole):
-    # x o tau_{T1} has a double pole at -T1.  With pole, the factor is
-    # F_{-T2}, which does not vanish there, so (x o tau_{T1}) F_{-T2} is
-    # not in the coordinate ring; F_{-T1} vanishes to order 3 < 9 at -T1,
-    # so (x o tau_{T1})^4 F_{-T1} is not either.  Each leaves a remainder
-    f = millers[(0, 2) if pole else (2, 0)]
+    # x o tau_{T1} has a double pole at -T1.  On L(d(O)), d = n, the factor
+    # F_{-T2} leaves that pole, as it does not vanish there, so
+    # (x o tau_{T1}) F_{-T2} is not in the coordinate ring, and its exact
+    # division leaves a remainder
+    f = millers[(0, 2)]
+    assert (d, pole) == (table.n, not f.evaluate(-table.t1).is_zero())
     with pytest.raises(CertificationFailed) as err:
-        descent_funcs._translated_coords(table, (1, 0), d, (f.u, f.v))
+        descent_funcs._translated_coords(table, (1, 0), (f.u, f.v))
     assert err.value.witness == ("translation", (1, 0))
 
 
@@ -340,8 +386,8 @@ def test_embedding_rejects_a_twisted_generator(table, eps, millers, field, monke
     zeta = field.gen()
     translate = descent_funcs._translated_coords
 
-    def twisted(table, ij, d, f):
-        rows = translate(table, ij, d, f)
+    def twisted(table, ij, f):
+        rows = translate(table, ij, f)
         return [[zeta * c for c in r] for r in rows] if ij == (1, 0) else rows
     monkeypatch.setattr(descent_funcs, "_translated_coords", twisted)
     with pytest.raises(CertificationFailed) as err:
@@ -350,16 +396,17 @@ def test_embedding_rejects_a_twisted_generator(table, eps, millers, field, monke
 
 
 def test_g_r_identity(gbasis, table):
-    # G_{T1} G_{T2} = G_{T1+T2} (r_{(T1,T2)} o [3])
+    # G_{T1} G_{T2} = G_{T1+T2} (r_{(T1,T2)} o [3]), on g_eval's values
     p = _sample_point(table.curve)
     q = 3 * p
+    z = g_eval(p.curve, gbasis, unit_cochain(table), p)
     rng = random.Random(7)
     idx = [(i, j) for i in range(3) for j in range(3)]
     pairs = [(rng.choice(idx), rng.choice(idx)) for _ in range(10)]
     for a, b in pairs:
-        lhs = gbasis[a].evaluate(p) * gbasis[b].evaluate(p)
+        lhs = z[table.flat(a)] * z[table.flat(b)]
         ab = table.add_index(a, b)
-        rhs = gbasis[ab].evaluate(p) * r_eval(table.point(*a), table.point(*b), q)
+        rhs = z[table.flat(ab)] * r_eval(table.point(*a), table.point(*b), q)
         assert lhs == rhs
 
 

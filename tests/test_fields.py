@@ -357,6 +357,32 @@ def test_dot_is_the_fold_of_products_and_sums(pairs):
     assert same(fields._dot(xs, ys), naive_dot(xs, ys))
 
 
+# a degree-4 tower of a sample point: Q(zeta3) and y^2 = 1 - 432, the
+# level affine_sample adds at x = 1 on the reference curve
+_SAMPLE = tower_extend(_ZETA3, [431, 0, 1], name="y")
+
+
+@PROFILE
+@given(st.sampled_from([_ZETA3, _AUX, _SAMPLE]).flatmap(
+    lambda K: st.lists(sparse_elements(K), min_size=1, max_size=9)))
+def test_inverses_are_the_elementwise_inverses(xs):
+    # one _inv for the list, and the data of inverting each entry; an
+    # entry that is zero raises
+    if any(x.is_zero() for x in xs):
+        with pytest.raises(ZeroDivisionError):
+            fields._inverses(xs)
+    else:
+        assert all(same(a, x.inverse()) for a, x in zip(fields._inverses(xs), xs, strict=True))
+
+
+@pytest.mark.parametrize("K", [_ZETA3, _AUX, _SAMPLE], ids=["zeta3", "aux", "sample"])
+def test_inverses_refuse_a_zero_entry(K):
+    xs = [K.gen(), K.one() + K.gen(), K.from_fraction(Fraction(-2, 7))]
+    for k in range(len(xs) + 1):
+        with pytest.raises(ZeroDivisionError):
+            fields._inverses(xs[:k] + [K.zero()] + xs[k:])
+
+
 @PROFILE
 @given(st.tuples(st.sampled_from(_TOWERS + [_GAMMA12]), st.sampled_from(_TOWERS)).flatmap(
     lambda kl: st.tuples(*(st.tuples(st.lists(sparse_elements(K), min_size=1, max_size=4),
@@ -591,7 +617,7 @@ pole_w[(2, 0)] = GeneralFunction(data.curve, millers[(2, 0)].u, millers[(2, 0)].
 # F_T for T = (0, 1) replaced by zero: eps(T1, T) = 1/F_T(-T1) divides by zero
 zero_t = dict(millers)
 zero_t[(0, 1)] = FunctionFieldElement.const(data.curve, 0)
-# eps(T1, T2) doubled: e_n(T1, T2) is then no eigenvalue of L1
+# eps(T1, T2) doubled: e_n(T1, T2) is then no cube root of unity
 doubled = dict(eps)
 doubled[((1, 0), (0, 1))] = doubled[((1, 0), (0, 1))] * 2
 even = TorsionTable.__new__(TorsionTable)
@@ -601,7 +627,7 @@ zero_fn = FunctionFieldElement.const(data.curve, 0)
 zero_general = GeneralFunction.const(data.curve, 0)
 O = table.point(0, 0)
 i2, i3 = ExactMatrix.identity(2, K), ExactMatrix.identity(3, K)
-wide = ExactMatrix([ones[:2], ones[:2], ones[:2]], K).transpose()  # 2 x 3
+wide = ExactMatrix([ones, ones], K)  # 2 x 3
 Qi = tower_extend(Q, [1, 0, 1], name="i")  # neither Qi nor K extends the other
 x_other = coordinate_x(Curve(K, 0, -54))
 pencil = _pencil(data, data.emb)
@@ -617,7 +643,7 @@ cases = [
     (CertificationFailed, lambda: compute_embedding(table, eps, twist_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, pole_w)),
     (CertificationFailed, lambda: compute_epsilon(table, zero_t)),
-    (CertificationFailed, lambda: _translated_coords(table, (1, 0), 3, wrong_pair)),
+    (CertificationFailed, lambda: _translated_coords(table, (1, 0), wrong_pair)),
     (EigenspaceDimensionError, lambda: compute_G_basis(table, doubled)),
     (ValueError, lambda: division_polynomial(data.curve, 4)),
     (ValueError, lambda: TorsionTable(data.curve, 3, table.t1, table.t1)),
@@ -731,6 +757,36 @@ def test_tower_rule_lives_in_fields():
                      ("serialize", "descent_from_json", "is_prefix_of"),
                      ("serialize", "descent_from_json", "is_prefix_of"),
                      ("serialize", "descent_from_json", "is_prefix_of")]
+
+
+def _local_imports(tree, module):
+    """(module, qualified name) of each function whose body imports."""
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                found.append((module, ".".join(scope)))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name],
+                      in_function or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, scope, in_function)
+    visit(tree, [], False)
+    return found
+
+
+def test_only_algebra_owner_imports_inside_a_function():
+    # the modules import each other at the top, each from the layers
+    # below it; the one import that must wait for a call is algebra's of
+    # descent_funcs, which imports algebra
+    pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                found += _local_imports(ast.parse(fh.read()), name[:-3])
+    assert found == [("algebra", "_owner")]
 
 
 def _fraction_names(tree):

@@ -24,7 +24,8 @@ from ndescent.geometry import (KernelEmpty, KernelTooBig, PlaneCurveEquation,
                                interpolate_plane_curve, lambda_eval,
                                plane_monomials, quadrics_for_C, quadrics_for_E)
 from descend_mutants import WITNESSES, changed_in_place, descend_mutants
-from oracles import distinct_samples, index_pairs, seeded_cochain, unit_cochain, zero_matrix
+from oracles import (base_change, distinct_samples, index_pairs, seeded_cochain, unit_cochain,
+                     zero_matrix)
 
 
 def _samples(curve, count, seed=0):
@@ -78,6 +79,19 @@ def test_g_eval_bad_points(curve, table, gbasis):
         g_eval(curve, gbasis, unit_cochain(table), Point.at_infinity(curve))
     with pytest.raises(BadBasePoint):
         g_eval(curve, gbasis, unit_cochain(table), table.t1)
+
+
+@pytest.mark.parametrize("which", ["curve", "aux_curve", "hesse_curve"])
+def test_translates_are_the_point_sums(which, request):
+    # the orbit that g_eval and the draw filter share is P + S by the group
+    # law, S in table order; every affine point of E[n] is refused
+    data = CurveData.of(request.getfixturevalue(which), 3)
+    for p in _samples(data.curve, 2, seed=6):
+        sums = [p + base_change(t, p.curve.field) for t in data.table]
+        assert geometry._translates(data.table, p) == [(q.x, q.y) for q in sums]
+    for t in data.table:
+        with pytest.raises(BadBasePoint):
+            geometry._translates(data.table, t)
 
 
 def test_lambda_eval_rank_one(curve, table, eps, emb, gbasis):
