@@ -7,8 +7,8 @@ Builds, for a curve with fully rational n-torsion:
   - G_T with divisor [n]*(T) - [n]*(O) and residue 1/n at O in t = x/y,
     a character sum of x^k/psi_n over the E[n]-orbit of the point;
   - the translation matrices M_T with f(P+T) proportional to M_T f(P),
-    read off for T1 and T2 in the coordinate ring, every other M_T a
-    product of those, and row 0 certifying the scale (compute_embedding);
+    in closed form from the tangent at the flex T, row 0 checked against
+    F_{-T} and the generators' on E[n] (compute_embedding);
   - the embedding: the M_T as the standard trivialisation of the
     untwisted algebra, alpha -> sum alpha(T) M_T.
 
@@ -19,63 +19,15 @@ store of verdicts, CurveData.once.
 
 from functools import cached_property
 
-from .fields import FieldElement, Poly, _dot, _inverses, poly_x, root_or_extend
+from .fields import FieldElement, Poly, _dot, _inverses, root_or_extend
 from .linalg import ExactMatrix
-from .curve import Point, division_polynomial, torsion_table, PoleAtP
-from .funcfield import FunctionFieldElement, _exact_div, _ring_mul, miller_function
+from .curve import Point, division_polynomial, slope, torsion_table, PoleAtP
+from .funcfield import FunctionFieldElement, miller_function
 from .algebra import CertificationFailed, RhoTable, Trivialisation, certify_once
 
 
 class EigenspaceDimensionError(Exception):
     """Two G-basis characters coincide, an e_n value is no n-th root of 1, or all lead_T(k) = 0."""
-
-
-def _exponents(d):
-    """Exponents (i, j) with x^i y^j in L(d(O)): j <= 1, 2i + 3j <= d."""
-    return ([(i, 0) for i in range(d // 2 + 1)]
-            + [(i, 1) for i in range((d - 3) // 2 + 1)])
-
-
-def _coords(f, d, ij):
-    """Coordinates of u + v y, for the pair f = (u, v), over the monomial
-    basis of L(d(O)).  Raises CertificationFailed(("translation", ij))
-    if it is not in that space."""
-    (u, v), nx, ny = f, d // 2 + 1, (d - 1) // 2  # the x^i and x^i y of _exponents(d)
-    if u.degree >= nx or v.degree >= ny:
-        raise CertificationFailed(("translation", ij),
-                                  "a translated function is not in L(%d(O))" % d)
-    return [u.coeff(k) for k in range(nx)] + [v.coeff(k) for k in range(ny)]
-
-
-def _translated_coords(table, ij, f):
-    """The coordinates of (h o tau_S) f over the monomials h of L(n(O)),
-    n = table.n, S the table point ij and f = (u, v) = u + v y in the
-    coordinate ring.  P + S is (X/(x - s_x)^2, Y/(x - s_x)^3) with X, Y
-    in the ring, so (x o tau_S)^i f is built one factor X at a time, each
-    product divided exactly by (x - s_x)^2, and a y-column product by
-    (x - s_x)^3.  If f vanishes to order n at -S, as F_{-S} does, all is
-    regular; else a remainder raises ("translation", ij)."""
-    curve, s, d = table.curve, table.point(*ij), table.n
-    K, rhs = curve.field, curve.rhs_poly()
-    lin = poly_x(K) - s.x
-    sq = lin * lin
-    # lambda = (y - s_y)/(x - s_x), x o tau_S = lambda^2 - x - s_x and
-    # y o tau_S = lambda (s_x - x o tau_S) - s_y, over common denominators
-    dy = (Poly([-s.y], K), Poly([1], K))
-    u, v = _ring_mul(rhs, dy, dy)
-    X = (u - (lin + 2 * s.x) * sq, v)
-    u, v = _ring_mul(rhs, dy, (sq * s.x - X[0], -X[1]))
-    Y = (u - sq * lin * s.y, v)
-    try:
-        xpow = [f]
-        for _ in range(d // 2):
-            xpow.append(_exact_div(_ring_mul(rhs, X, xpow[-1]), sq))
-        cols = [_exact_div(_ring_mul(rhs, Y, xpow[i]), sq * lin) if j else xpow[i]
-                for i, j in _exponents(d)]
-    except ArithmeticError:
-        raise CertificationFailed(("translation", ij),
-                                  "a translated function is not regular off O")
-    return [_coords(c, d, ij) for c in cols]
 
 
 def compute_miller_table(table):
@@ -291,44 +243,66 @@ def affine_sample(curve, n, rng, name):
         return Point(curve, xe, y)
 
 
-def compute_embedding(table, eps, millers, seed=0):
-    """The matrices M_T with f(P+T) proportional to M_T f(P), scaled so
-    that F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)).
+def _tangent_translation(t):
+    """Mtilde_T on (1, x, y) for T != O in E[3], from the tangent
+    y = lam x + nu at the flex T (compute_embedding)."""
+    lam = slope(t, t)
+    nu = t.y - lam * t.x
+    c = 2 * lam * t.x + 3 * nu
+    return [[nu, lam, 1], [t.x * c, -(lam * t.x + 2 * nu), t.x], [-t.y * c, -lam * t.y, t.y]]
 
-    F_{-T} has divisor n(-T) - n(O), so (h o tau_T) F_{-T} lies in
-    L(n(O)) for each basis function h of L(n(O)); its coordinates are
-    the row of h in Mtilde_T, and Mtilde_T f(P) = F_{-T}(P) f(P+T).
-    Only the constants of L(n(O)) have no pole at O, so fdual_O is e_1,
-    and the first coordinate of Mtilde_T^{-1} f(P) = f(P-T)/F_{-T}(P-T)
-    is 1/F_{-T}(P-T).  The scale is therefore
-    1/(F_T(P) F_{-T}(P-T)) = eps(T, -T), and M_T = eps(T, -T) Mtilde_T.
-    Mtilde_g is read off for g = T1, T2 only; in table order every other M_T
-    is eps(g, b)^{-1} M_g M_b, T = g + b, so a scalar times eps(T, -T)
-    Mtilde_T.  Row 0 of Mtilde_T holds the coordinates of F_{-T}, and
-    checking row 0 of every M_T against the Miller table certifies that
-    scalar to be 1, or raises CertificationFailed(("embedding", T)); the
-    products alone pass a character twist {chi(T) M_T}.  A Miller function
-    with w != 1 is not in the coordinate ring and raises
-    CertificationFailed(("translation", T)).  M_O is the identity.
-    Returns the standard trivialisation of the untwisted algebra,
-    certified by certify_once.  seed has no effect; it is
-    accepted for older callers."""
-    n, K = table.n, table.curve.field
-    matrices = {(0, 0): ExactMatrix.identity(n, K)}
-    for ij in table.indices[1:]:
+
+def compute_embedding(table, eps, millers, seed=0):
+    """The matrices M_T with f(P+T) proportional to M_T f(P), f = (1, x, y),
+    scaled so that F_T(P) = (fdual_O . M_T^{-1} f(P)) / (fdual_O . f(P)),
+    for n = 3 (ValueError for any other n).  M_O is the identity.
+
+    F_{-T} has divisor n(-T) - n(O), so (h o tau_T) F_{-T} lies in L(n(O))
+    for h in L(n(O)), and Mtilde_T f(P) = F_{-T}(P) f(P+T) defines Mtilde_T.
+    Only the constants of L(n(O)) have no pole at O, so fdual_O = e_1, and
+    the first coordinate of Mtilde_T^{-1} f(P) = f(P-T)/F_{-T}(P-T) is
+    1/F_{-T}(P-T): the scale is 1/(F_T(P) F_{-T}(P-T)) = eps(T, -T), and
+    M_T = eps(T, -T) Mtilde_T.
+
+    Each T != O is a flex, with tangent y = lam x + nu, lam = slope(T, T):
+    F_T = y - lam x - nu, s = F_{-T} = y + lam x + nu and, with u = x - x_T,
+    F_T s = u^3, whose x^2 coefficient gives lam^2 = 3 x_T.  The chord
+    through P and T has slope m = (y - y_T)/u = lam + F_T/u = lam + u^2/s.
+    So x(P+T) = m^2 - x - x_T gives, with c = 2 lam x_T + 3 nu and term by
+    term in 1, x, x^2, y and x y,
+      s x(P+T) = (lam^2 - x - x_T) s + 2 lam u^2 + u F_T
+               = x_T c - (lam x_T + 2 nu) x + x_T y,
+    then x_T s - s x(P+T) = 2 y_T u, and y(P+T) = m (x_T - x(P+T)) - y_T
+    gives s y(P+T) = 2 y_T (y - y_T) - y_T s = -y_T c - lam y_T x + y_T y.
+    With s = nu + lam x + y, these are the rows of _tangent_translation.
+
+    Checks, each raising CertificationFailed: row 0 of every M_T is
+    eps(T, -T) times the coordinates of the Miller table's F_{-T}, which
+    lies in span(1, x, y) (("embedding", T); this fixes the scale); for
+    g = T1, T2 and all S in E[3], M_g f(S) is a nonzero multiple of
+    f(S + g), f(O) = (0, 0, 1) (("translation", g); O, T1, T2 and T1 + T2
+    are in general position, so with row 0 this fixes M_g); and
+    certify_once, whose products M_g M_b = c(g, b) M_{g+b} fix every
+    other M_T.  Returns the standard trivialisation of the untwisted
+    algebra.  seed has no effect; it is accepted for older callers."""
+    if table.n != 3:
+        raise ValueError("n = %d: the embedding is built for n = 3 only" % table.n)
+    K = table.curve.field
+    matrices, fs = {(0, 0): ExactMatrix.identity(3, K)}, {(0, 0): [K.zero(), K.zero(), K.one()]}
+    for ij, t in zip(table.indices[1:], list(table)[1:]):
         neg = table.neg_index(ij)
-        f = millers[neg]
-        if not (f.w == 1):
-            raise CertificationFailed(("translation", ij), "F_{-T} is not in the coordinate ring")
-        scale, f_neg = eps[ij, neg], (f.u, f.v)
-        if ij in table.generators:
-            m = ExactMatrix(_translated_coords(table, ij, f_neg), K).scale(scale)
-        else:
-            g, b = ((0, 1), (ij[0], ij[1] - 1)) if ij[1] else ((1, 0), (ij[0] - 1, 0))
-            m = (matrices[g] * matrices[b]).scale(eps[g, b].inverse())
-        if not (m.rows[0] == [scale * c for c in _coords(f_neg, n, ij)]):
+        f, scale = millers[neg], eps[ij, neg]
+        m = ExactMatrix(_tangent_translation(t), K).scale(scale)
+        if not (f.w == 1 and f.u.degree <= 1 and f.v.degree <= 0 and m.rows[0] == [
+                scale * c for c in (f.u.coeff(0), f.u.coeff(1), f.v.coeff(0))]):
             raise CertificationFailed(("embedding", ij), "row 0 of M_T is not eps(T,-T) F_{-T}")
-        matrices[ij] = m
+        matrices[ij], fs[ij] = m, [K.one(), t.x, t.y]
+    for g in table.generators:
+        for ij in table.indices:
+            kl = table.add_index(g, ij)
+            v, k = matrices[g].mat_vec(fs[ij]), 2 if kl == (0, 0) else 0  # fs[kl][k] = 1
+            if v[k].is_zero() or not (v == [v[k] * e for e in fs[kl]]):
+                raise CertificationFailed(("translation", g), "M_g f(S) is no multiple of f(S + g)")
     emb = Trivialisation(table, RhoTable.trivial(table), K, matrices, "standard")
     certify_once(emb, eps)
     return emb

@@ -9,13 +9,13 @@ they never cancel, and the leading term at O (all the pipeline
 normalises by) is read off the degrees with no series expansion.
 
 A function is stored as (u + v y)/w with a monic w that its builder
-fixes, and no gcd is taken.  The library builds only functions regular
-off O, with w = 1, in the coordinate ring K[x, y]/(y^2 - x^3 - a x - b):
-Miller functions here and translated functions in descent_funcs, on
-pairs (u, v), by ring products and exact division by polynomials in x;
-a zero remainder certifies membership in the ring (Hess, JSC 33
-(2002)).  A stored function is only scaled, evaluated and expanded at
-O, so it has no field arithmetic.
+fixes, and no gcd is taken.  The library builds only Miller functions,
+regular off O, with w = 1, in the coordinate ring
+K[x, y]/(y^2 - x^3 - a x - b): on pairs (u, v), by ring products and
+exact division by polynomials in x; a zero remainder certifies
+membership in the ring (Hess, JSC 33 (2002)).  A stored function is
+only scaled, evaluated and expanded at O, so it has no field
+arithmetic.
 """
 
 from .fields import Poly, poly_x

@@ -145,15 +145,16 @@ def _translates(table, p):
     return out
 
 
-def g_eval(curve, gbasis, gamma, p):
+def g_eval(gbasis, gamma, p):
     """Coordinates (gamma(T)^{-1} G_T(P))_T of the covering map, in
     table order; the unit cochain gamma = 1 gives the map on E itself.
     For gbasis = (table, psi, weights) from compute_G_basis, G_O = 1 and
     G_T(P) = sum_S c[S] x(P+S)^k / psi(x(P+S)) for T's weights (k, c).
-    BadBasePoint at O and on E[n] (_translates); curve is not read."""
+    BadBasePoint at O and on E[n] (_translates)."""
     table, psi, weights = gbasis
     L = p.curve.field
     xs = [x for x, _ in _translates(table, p)]
+    psi = psi.lift_to(L)  # once, not at each of the n^2 values
     powers = [_inverses([psi(x) for x in xs])]  # powers[k] = [x(P+S)^k / psi(x(P+S))]
     for _ in range(max(k for k, _ in weights.values())):
         powers.append([x * e for x, e in zip(xs, powers[-1])])
@@ -165,7 +166,7 @@ def g_eval(curve, gbasis, gamma, p):
 
 def lambda_eval(triv, z):
     """The Segre image of a point P from its covering coordinates
-    z = g_eval(curve, gbasis, gamma, P):
+    z = g_eval(gbasis, gamma, P):
 
         sum_{T != O} z_T tau(delta_T).
 
@@ -244,7 +245,7 @@ def sample_images(curve, gbasis, gamma, qs, triv, seed):
         p = affine_sample(cx, table.n, rng, "w%d" % k)
         if _x_key(p.x) in orbit_x:
             continue
-        z = g_eval(curve, gbasis, gamma, p)
+        z = g_eval(gbasis, gamma, p)
         _, u = lambda_eval(triv, z)
         for i, val in enumerate(qs.evaluate_all(z)):
             if not val.is_zero():

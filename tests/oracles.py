@@ -30,11 +30,13 @@ library's certificates against them:
     replaces: GeneralFunction, a FunctionFieldElement whose constructor
     coerces scalars and divides by gcd(u, v, w), with +, -, *, /,
     inverse, == and is_zero, and the polynomial gcd poly_gcd;
-  - the function-field forms that the coordinate ring replaces, with a
-    gcd normalisation after every product: the Miller chain over line
-    and vertical functions, and the translated coordinates built from
-    the addition formulas as functions of P; and that normalisation
-    itself, taken whatever the denominator;
+  - the function-field forms that the coordinate ring and the closed
+    forms replace, with a gcd normalisation after every product: the
+    Miller chain over line and vertical functions, and the translated
+    coordinates on L(d(O)) built from the addition formulas as functions
+    of P, which the tangent-line M_T of compute_embedding are tested
+    against; and that normalisation itself, taken whatever the
+    denominator;
   - the sums of products that fields._dot takes in one pass, as left
     folds of the operators * and +: a dot product, a matrix times a
     vector, a matrix product and a polynomial product;
@@ -56,8 +58,7 @@ from math import lcm
 
 from ndescent.algebra import CertificationFailed
 from ndescent.curve import Point, division_polynomial, slope
-from ndescent.descent_funcs import (EigenspaceDimensionError, _coords, _exponents, affine_sample,
-                                    weil)
+from ndescent.descent_funcs import EigenspaceDimensionError, affine_sample, weil
 from ndescent.fields import FieldElement, Poly, poly_x
 from ndescent.funcfield import FunctionFieldElement, _ring_mul
 from ndescent.linalg import ExactMatrix
@@ -441,11 +442,30 @@ def miller_chain(t, n):
     return f * lead.inverse()
 
 
+def _exponents(d):
+    """Exponents (i, j) with x^i y^j in L(d(O)): j <= 1, 2i + 3j <= d."""
+    return ([(i, 0) for i in range(d // 2 + 1)]
+            + [(i, 1) for i in range((d - 3) // 2 + 1)])
+
+
+def _coords(f, d, ij):
+    """Coordinates of u + v y, for the pair f = (u, v), over the monomial
+    basis of L(d(O)).  Raises CertificationFailed(("translation", ij))
+    if it is not in that space."""
+    (u, v), nx, ny = f, d // 2 + 1, (d - 1) // 2  # the x^i and x^i y of _exponents(d)
+    if u.degree >= nx or v.degree >= ny:
+        raise CertificationFailed(("translation", ij),
+                                  "a translated function is not in L(%d(O))" % d)
+    return [u.coeff(k) for k in range(nx)] + [v.coeff(k) for k in range(ny)]
+
+
 def translated_coords(table, ij, d, f):
-    """_translated_coords in the function field: x o tau_S and y o tau_S
+    """The coordinates of (h o tau_S) f over the monomials h of L(d(O)),
+    S the table point ij, in the function field: x o tau_S and y o tau_S
     from the addition formulas as functions of P, and each (h o tau_S) f
     normalised by a gcd; a column with a pole off O raises
-    ("translation", ij), as one outside L(d(O)) does."""
+    ("translation", ij), as one outside L(d(O)) does.  For d = n and
+    f = F_{-S}, the rows are those of Mtilde_S in compute_embedding."""
     curve, s = table.curve, table.point(*ij)
     fx = coordinate_x(curve)
     fy = coordinate_y(curve)

@@ -67,7 +67,7 @@ def test_criterion_02_g_basis(gbasis, oracle_gbasis, table, field):
     rng = random.Random(202)
     pairs = [(rng.choice(index_pairs()), rng.choice(index_pairs())) for _ in range(10)]
     for p in _samples(table.curve, 3, seed=203):
-        z = g_eval(p.curve, gbasis, unit_cochain(table), p)
+        z = g_eval(gbasis, unit_cochain(table), p)
         assert z == [oracle_gbasis[ij].evaluate(p) for ij in index_pairs()]
         q = 3 * p
         for a, b in pairs:
@@ -84,7 +84,7 @@ def test_criterion_03_quadrics(curve, table, gbasis, field):
     assert len(qs) == 27
     assert qs.rank() == 27
     for p in _samples(curve, 3, seed=301):
-        z = g_eval(p.curve, gbasis, unit_cochain(table), p)
+        z = g_eval(gbasis, unit_cochain(table), p)
         assert all(v.is_zero() for v in qs.evaluate_all(z))
     z = _unit_z(field, 302)
     rho = validate_rho(table, partial(table, z).values)
@@ -92,7 +92,7 @@ def test_criterion_03_quadrics(curve, table, gbasis, field):
     assert len(qt) == 27 and qt.rank() == 27
     gamma, L = solve_gamma(table, rho)
     for p in _samples(curve, 2, seed=303):
-        vec = g_eval(p.curve, gbasis, gamma, p)
+        vec = g_eval(gbasis, gamma, p)
         assert all(v.is_zero() for v in qt.evaluate_all(vec))
     print("criterion 3 PASS: 27 quadrics of rank 27, vanishing on direct and twisted images")
 
@@ -157,7 +157,7 @@ def test_criterion_05_tau1_and_algebra(emb, eps, table, field):
 def test_criterion_06_segre_factorisation(emb, eps, table, gbasis, oracle_gbasis, curve):
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     for p in _samples(curve, 3, seed=601):
-        m, _ = lambda_eval(triv, g_eval(curve, gbasis, unit_cochain(table), p))
+        m, _ = lambda_eval(triv, g_eval(gbasis, unit_cochain(table), p))
         assert m.trace().is_zero()
         assert m.rank() == 1
         # m equals lambda_E(P) = sum_{T != O} G_T(P) M_T
@@ -188,7 +188,7 @@ def test_criterion_06_segre_factorisation(emb, eps, table, gbasis, oracle_gbasis
 
 def test_criterion_07_covering_diagram(table, gbasis, millers, curve):
     for p in _samples(curve, 3, seed=701):
-        z = g_eval(p.curve, gbasis, unit_cochain(table), p)
+        z = g_eval(gbasis, unit_cochain(table), p)
         q = 3 * p
         for a in index_pairs():
             for b in index_pairs():
@@ -273,7 +273,7 @@ def test_criterion_11_negative_paths(table, eps, emb, gbasis, field, curve, tmp_
     # and produces RankNotOne when pushed through the Segre map
     p = _samples(curve, 1, seed=1101)[0]
     with pytest.raises(RankNotOne):
-        lambda_eval(bad, g_eval(curve, gbasis, unit_cochain(table), p))
+        lambda_eval(bad, g_eval(gbasis, unit_cochain(table), p))
     # cmd_verify exits 3 on a tampered artifact
     rhopath = tmp_path / "rho.json"
     curvepath = tmp_path / "curve.json"

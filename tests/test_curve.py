@@ -231,7 +231,8 @@ def test_torsion_indices_have_one_owner():
 def test_r_constants_have_one_owner():
     # curve.r_constant holds r's constants, x(T1) or slope(T1, T2), for
     # r_eval and the quadrics alike: outside curve.py a slope is taken
-    # only for Miller's lines, and quadrics_for_C reads r_constant
+    # only for Miller's lines and the tangent at a flex that gives M_T,
+    # and quadrics_for_C reads r_constant
     pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
     calls = []
     for name in sorted(os.listdir(pkg)):
@@ -245,5 +246,6 @@ def test_r_constants_have_one_owner():
                         called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                         if called in ("slope", "r_constant"):
                             calls.append((name[:-3], getattr(top, "name", None), called))
-    assert calls == [("funcfield", "miller_function", "slope"),
+    assert calls == [("descent_funcs", "_tangent_translation", "slope"),
+                     ("funcfield", "miller_function", "slope"),
                      ("geometry", "quadrics_for_C", "r_constant")]

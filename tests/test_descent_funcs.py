@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import os
@@ -10,7 +11,7 @@ import pytest
 from ndescent import descent_funcs, fields, funcfield
 from ndescent import serialize as ser
 from ndescent.fields import tower_extend
-from ndescent.curve import Point, r_eval
+from ndescent.curve import Curve, Point, r_eval
 from ndescent.linalg import ExactMatrix
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               certify_trivialisation, trivialize)
@@ -135,7 +136,7 @@ def test_g_basis_residue(oracle_gbasis, gbasis, table, field):
     for ij in table.indices[1:]:
         assert oracle_gbasis[ij].laurent() == (-1, third)
     for p in distinct_samples(table.curve, 3, random.Random(23), "r", 3):
-        assert g_eval(p.curve, gbasis, unit_cochain(table), p) == (
+        assert g_eval(gbasis, unit_cochain(table), p) == (
             _oracle_values(oracle_gbasis, table, p))
 
 
@@ -143,9 +144,9 @@ def test_g_basis_eigenproperty(gbasis, eps, table):
     # G_T o tau_S = e_n(S, T) G_T, on g_eval's values at P and P + S
     p = _sample_point(table.curve)
     unit = unit_cochain(table)
-    base = g_eval(p.curve, gbasis, unit, p)
+    base = g_eval(gbasis, unit, p)
     for s in table.indices:
-        z = g_eval(p.curve, gbasis, unit, p + base_change(table.point(*s), p.curve.field))
+        z = g_eval(gbasis, unit, p + base_change(table.point(*s), p.curve.field))
         assert z == [weil(eps, s, ij) * v for ij, v in zip(table.indices, base)]
 
 
@@ -157,7 +158,7 @@ def test_g_basis_equals_kernel_oracle(which, request, oracle_G):
     want = oracle_G(which)
     for p in distinct_samples(data.curve, 3, random.Random(29), "k", 3):
         assert p.curve.field.nlevels == data.curve.field.nlevels + 1
-        assert g_eval(p.curve, data.gbasis, unit_cochain(data.table), p) == (
+        assert g_eval(data.gbasis, unit_cochain(data.table), p) == (
             _oracle_values(want, data.table, p))
 
 
@@ -187,10 +188,10 @@ def test_g_basis_with_each_power_equals_kernel_oracle(which, k, request, oracle_
     sums = table, psi, zero_sums
     want = oracle_G(which)
     for p in distinct_samples(data.curve, 3, random.Random(31), "f", 2):
-        assert g_eval(p.curve, gbasis, unit_cochain(data.table), p) == (
+        assert g_eval(gbasis, unit_cochain(data.table), p) == (
             _oracle_values(want, data.table, p))
         if zero_sums:
-            assert all(v.is_zero() for v in g_eval(p.curve, sums, unit_cochain(data.table), p)[1:])
+            assert all(v.is_zero() for v in g_eval(sums, unit_cochain(data.table), p)[1:])
 
 
 def test_g_basis_rejects_a_weil_value_that_is_no_eigenvalue(table, eps):
@@ -259,37 +260,35 @@ def test_certificates_run_on_generators(curve, monkeypatch):
 
 
 def test_translations_run_on_generators(curve, monkeypatch):
-    # a fresh CurveData translates in the function field only on L(n(O)),
-    # twice, for the embedding's generators, each time with F_{-g} as the
-    # factor; the G-basis runs no translation and no Miller chain
+    # a fresh CurveData builds no matrix product: each M_T is the closed
+    # form of the tangent at T, so the 2 n^2 products of data.emb are those
+    # of its one certificate; the G-basis runs no Miller chain, and no
+    # translation in the function field or the coordinate ring is left
     assert not any(hasattr(descent_funcs, name) for name in
-                   ("translation_operator", "_translation_operator", "_orbit", "_symmetric_cube"))
-    translate, chain = descent_funcs._translated_coords, descent_funcs.miller_function
-    calls, chained = [], []
-
-    def counted(table, ij, f):
-        calls.append((ij, f))
-        return translate(table, ij, f)
-    monkeypatch.setattr(descent_funcs, "_translated_coords", counted)
+                   ("translation_operator", "_translation_operator", "_orbit", "_symmetric_cube",
+                    "_translated_coords", "_coords", "_exponents"))
+    tangent, chain, mul = (descent_funcs._tangent_translation, descent_funcs.miller_function,
+                           ExactMatrix.__mul__)
+    closed, chained, products = [], [], []
+    monkeypatch.setattr(descent_funcs, "_tangent_translation",
+                        lambda t: closed.append(t) or tangent(t))
     monkeypatch.setattr(descent_funcs, "miller_function",
                         lambda t, n: chained.append(t) or chain(t, n))
-    data = CurveData(curve, 3)
+    monkeypatch.setattr(ExactMatrix, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+    data = CurveData.of(Curve(curve.field, curve.a, curve.b), 3)  # its own store of verdicts
     data.eps  # the Miller table, which the G-basis reads through eps
     chained.clear()
     data.gbasis
-    assert calls == [] and chained == []
+    assert closed == [] and chained == []
     data.emb
-    assert sorted(ij for ij, _ in calls) == sorted(data.table.generators)
-    for ij, f in calls:
-        want = general(data.millers[data.table.neg_index(ij)])
-        assert want.w == 1 and f == (want.u, want.v)
+    assert closed == list(data.table)[1:] and len(products) == 2 * 3 ** 2
 
 
 @pytest.mark.parametrize("which", list(_CURVES))
 def test_coordinate_ring_equals_function_field_oracles(which, request):
-    # Miller functions, translated coordinates on L(n(O)), every M_T and
-    # eps are == to the gcd-normalising function-field chains, for every
-    # T != O
+    # Miller functions, every M_T and eps are == to the gcd-normalising
+    # function-field chains, M_T as eps(T, -T) times the translated
+    # coordinates of F_{-T} on L(n(O)), for every T != O
     data = _curve_data(request, which)
     table, millers, eps = data.table, data.millers, data.eps
     n, K = table.n, data.curve.field
@@ -300,11 +299,28 @@ def test_coordinate_ring_equals_function_field_oracles(which, request):
         neg = table.neg_index(ij)
         f = general(millers[neg])
         assert f.w == 1
-        assert descent_funcs._translated_coords(table, ij, (f.u, f.v)) == (
-            translated_coords(table, ij, n, f))
         mtilde = ExactMatrix(translated_coords(table, ij, n, f), K)
         assert data.emb.M(ij) == mtilde.scale(eps[ij, neg])
     assert descent_funcs.compute_epsilon(table, oracle_millers) == eps
+
+
+@pytest.mark.parametrize("k", [k for k in range(-6, 7) if k != 1])
+def test_hesse_family_equals_the_oracles(k, field):
+    # y^2 = x^3 - 27k(k^3 + 8)x + 54(k^6 - 20k^3 - 8) has rational
+    # 3-torsion over Q(zeta3), and is singular only at k = 1.  On each
+    # curve every F_T is == to the oracle's Miller chain, every M_T to
+    # eps(T, -T) times the oracle's translated coordinates of its F_{-T},
+    # and descend passes on the trivial rho
+    curve = Curve(field, -27 * k * (k ** 3 + 8), 54 * (k ** 6 - 20 * k ** 3 - 8))
+    data = CurveData.of(curve, 3)
+    table = data.table
+    for ij, t in zip(table.indices[1:], list(table)[1:]):
+        assert data.millers[ij] == miller_chain(t, 3)
+        mtilde = ExactMatrix(translated_coords(table, ij, 3, miller_chain(-t, 3)), field)
+        assert data.emb.M(ij) == mtilde.scale(data.eps[ij, table.neg_index(ij)])
+    rho = RhoTable.trivial(table)
+    out = descend(curve, 3, rho, trivialize(data.emb, data.eps, rho), seed=7)
+    assert out["report"]["held_out_pass"]
 
 
 @pytest.mark.parametrize("which", ["reference", "aux"])
@@ -340,19 +356,6 @@ def test_miller_table_catches_an_unsigned_negation(which, curve, aux_curve, monk
         scope["compute_miller_table"](table)
 
 
-@pytest.mark.parametrize("d, pole", [(3, True)])
-def test_translation_remainder_certifies_the_ring(table, millers, d, pole):
-    # x o tau_{T1} has a double pole at -T1.  On L(d(O)), d = n, the factor
-    # F_{-T2} leaves that pole, as it does not vanish there, so
-    # (x o tau_{T1}) F_{-T2} is not in the coordinate ring, and its exact
-    # division leaves a remainder
-    f = millers[(0, 2)]
-    assert (d, pole) == (table.n, not f.evaluate(-table.t1).is_zero())
-    with pytest.raises(CertificationFailed) as err:
-        descent_funcs._translated_coords(table, (1, 0), (f.u, f.v))
-    assert err.value.witness == ("translation", (1, 0))
-
-
 @pytest.mark.parametrize("which", ["reference", "aux"])
 def test_curve_data_takes_no_gcd(which, curve, aux_curve):
     # every function a fresh CurveData builds is stored in the form its
@@ -380,26 +383,87 @@ def test_certificates_miss_a_character_twist(emb, eps, table, field):
     certify_trivialisation(twisted, eps)
 
 
-def test_embedding_rejects_a_twisted_generator(table, eps, millers, field, monkeypatch):
-    # the T1 translation scaled by zeta3 twists every M_T by a character;
-    # the products are certified as before, and row 0 of M_{T1} fails
-    zeta = field.gen()
-    translate = descent_funcs._translated_coords
+def _patch_tangent(monkeypatch, table, change):
+    """compute_embedding's closed form, with rows -> change(ij, rows) for
+    the table point ij."""
+    real = descent_funcs._tangent_translation
+    monkeypatch.setattr(descent_funcs, "_tangent_translation",
+                        lambda t: change(table.indices[table.points.index(t)], real(t)))
 
-    def twisted(table, ij, f):
-        rows = translate(table, ij, f)
-        return [[zeta * c for c in r] for r in rows] if ij == (1, 0) else rows
-    monkeypatch.setattr(descent_funcs, "_translated_coords", twisted)
+
+def test_embedding_rejects_a_twisted_generator(table, eps, millers, field, monkeypatch):
+    # the closed form twisted by chi(i T1 + j T2) = zeta3^i has the
+    # products of the embedding, so the certificate passes it
+    # (test_certificates_miss_a_character_twist), and row 0 of M_{T1} fails
+    zeta = field.gen()
+    _patch_tangent(monkeypatch, table,
+                   lambda ij, rows: [[zeta ** ij[0] * c for c in r] for r in rows])
     with pytest.raises(CertificationFailed) as err:
         compute_embedding(table, eps, millers)
     assert err.value.witness == ("embedding", (1, 0))
+
+
+@pytest.mark.parametrize("entry", range(9))
+@pytest.mark.parametrize("target, kind", [((1, 0), "translation"), ((1, 1), "multiplicative")])
+def test_embedding_rejects_every_entry_mutant(target, kind, entry, table, eps, millers,
+                                              monkeypatch):
+    # 1 added to any one entry of Mtilde_T is caught: in row 0 by the
+    # Miller table, in the other rows of the generator T1 by the E[3]
+    # check, and in those of T1 + T2 by the products of certify_once
+    r, c = divmod(entry, 3)
+
+    def mutant(ij, rows):
+        if ij == target:
+            rows[r][c] = rows[r][c] + 1
+        return rows
+    _patch_tangent(monkeypatch, table, mutant)
+    with pytest.raises(CertificationFailed) as err:
+        compute_embedding(table, eps, millers)
+    assert err.value.witness[0] == ("embedding" if r == 0 else kind)
+
+
+def test_embedding_checks_the_translations_on_e3(table, eps, millers, monkeypatch):
+    # the E[3] check alone: M_{T2} with rows 1 and 2 swapped keeps row 0,
+    # so the Miller table passes it, and f(O) = (0, 0, 1) goes to
+    # (1, y_{T2}, x_{T2}) up to the scale, which is no multiple of f(T2)
+    _patch_tangent(monkeypatch, table,
+                   lambda ij, rows: [rows[0], rows[2], rows[1]] if ij == (0, 1) else rows)
+    with pytest.raises(CertificationFailed) as err:
+        compute_embedding(table, eps, millers)
+    assert err.value.witness == ("translation", (0, 1))
+
+
+def test_embedding_refuses_an_f_outside_the_span(table, eps, millers, curve):
+    # F_{-T1} + x^2 has the coordinates of F_{-T1} on 1, x and y, but it is
+    # not in span(1, x, y), so row 0 of M_{T1} does not certify it
+    bad = dict(millers)
+    bad[(2, 0)] = general(millers[(2, 0)]) + coordinate_x(curve) * coordinate_x(curve)
+    with pytest.raises(CertificationFailed) as err:
+        compute_embedding(table, eps, bad)
+    assert err.value.witness == ("embedding", (1, 0))
+
+
+def test_descent_funcs_imports_no_private_funcfield_name():
+    # the translation matrices need no coordinate-ring arithmetic: what
+    # descent_funcs imports from funcfield is public
+    tree = ast.parse(inspect.getsource(descent_funcs))
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "funcfield"
+             for a in node.names]
+    assert names and not [name for name in names if name.startswith("_")]
+
+
+def test_embedding_refuses_n_other_than_3(table, eps, millers, monkeypatch):
+    monkeypatch.setattr(table, "n", 5)
+    with pytest.raises(ValueError, match="n = 5"):
+        compute_embedding(table, eps, millers)
 
 
 def test_g_r_identity(gbasis, table):
     # G_{T1} G_{T2} = G_{T1+T2} (r_{(T1,T2)} o [3]), on g_eval's values
     p = _sample_point(table.curve)
     q = 3 * p
-    z = g_eval(p.curve, gbasis, unit_cochain(table), p)
+    z = g_eval(gbasis, unit_cochain(table), p)
     rng = random.Random(7)
     idx = [(i, j) for i in range(3) for j in range(3)]
     pairs = [(rng.choice(idx), rng.choice(idx)) for _ in range(10)]

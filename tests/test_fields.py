@@ -563,9 +563,9 @@ from ndescent.fields import (FieldTower, NoCertificate, Poly, ReducibleExtension
 from ndescent.curve import Curve, Point, TorsionTable, division_polynomial, slope
 from ndescent.funcfield import FunctionFieldElement, miller_function
 from ndescent.linalg import ExactMatrix
-from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError,
-                                    _translated_coords, compute_G_basis, compute_embedding,
-                                    compute_epsilon)
+from ndescent import descent_funcs
+from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, compute_G_basis,
+                                    compute_embedding, compute_epsilon)
 from ndescent.serialize import point_to_json
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               certify_trivialisation, partial, solve_gamma, trivialize)
@@ -588,27 +588,47 @@ zeros = Trivialisation(table, one_rho, K, {ij: identities.M(ij) if ij == (0, 0)
                                            else ExactMatrix([[K.zero()] * 3] * 3, K)
                                            for ij in idx},
                        "standard")
-# F_T for T = (0, 1) times y: F_T is F_{-T} for T = (0, 2), which is
-# not a generator, so M_{(0, 2)} is a product and the row-0 check's
-# _coords call fails with ("translation", (0, 2)): F_{-T} y is not in L(3(O))
+# F_T for T = (0, 1) times y: F_T is F_{-T} for T = (0, 2), and F_{-T} y
+# is not in span(1, x, y): row 0 of M_{(0, 2)} fails, ("embedding", (0, 2))
 wrong_f = dict(millers)
 wrong_f[(0, 1)] = millers[(0, 1)] * coordinate_y(data.curve)
-# F_{-T} for T = (0, 1) times y: (h o tau_T) F_{-T} y leaves L(3(O))
+# F_{-T} for T = (0, 1) times y: not in span(1, x, y), ("embedding", (0, 1))
 pole_f = dict(millers)
 pole_f[(0, 2)] = millers[(0, 2)] * coordinate_y(data.curve)
-# F_{-T} for T = (0, 1) replaced by zero: M_T is zero, and so is the
-# product M_{(0, 2)}, whose row 0 fails against F_{(0, 1)}
+# F_{-T} for T = (0, 1) replaced by zero: row 0 of M_T, eps(T, -T)
+# (nu, lam, 1), fails against it
 zero_f = dict(millers)
 zero_f[(0, 2)] = FunctionFieldElement.const(data.curve, 0)
-# F_{-T} for T = T1 times zeta3: M_{T1}, and with it every M_T, is twisted
-# by a character, and row 0 of M_{(1, 1)}, the first product with M_{T1},
-# no longer matches F_{(2, 2)}: ("embedding", (1, 1))
+# F_{-T} for T = T1 times zeta3: row 0 of M_{T1} no longer matches it,
+# ("embedding", (1, 0))
 twist_f = dict(millers)
 twist_f[(2, 0)] = millers[(2, 0)].scale(K.gen())
-# F_{-T2} has no zero at -T1, where x o tau_{T1} has a double pole: the
-# exact division that keeps (x o tau_{T1}) F_{-T2} in the coordinate ring
-# leaves a remainder
-wrong_pair = (millers[(0, 2)].u, millers[(0, 2)].v)
+# compute_embedding with its closed form changed to change(ij, rows) at
+# the table point ij: twisted by the character chi(i T1 + j T2) = zeta3^i,
+# which the certificate's products pass and row 0 of M_{T1} fails, or
+# with 1 added to one entry of Mtilde_T for T = T1 or T1 + T2
+tangent = descent_funcs._tangent_translation
+
+
+def patched_embedding(change):
+    def run():
+        descent_funcs._tangent_translation = (
+            lambda t: change(table.indices[table.points.index(t)], tangent(t)))
+        try:
+            compute_embedding(table, eps, millers)
+        finally:
+            descent_funcs._tangent_translation = tangent
+    return run
+
+
+def plus_one(target, r, c):
+    def change(ij, rows):
+        if ij == target:
+            rows[r][c] = rows[r][c] + 1
+        return rows
+    return change
+
+
 # F_{-T1} over x - x(T1) has a pole at T1: it is not in the coordinate
 # ring, and compute_embedding refuses it rather than read its numerator
 pole_w = dict(millers)
@@ -643,7 +663,9 @@ cases = [
     (CertificationFailed, lambda: compute_embedding(table, eps, twist_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, pole_w)),
     (CertificationFailed, lambda: compute_epsilon(table, zero_t)),
-    (CertificationFailed, lambda: _translated_coords(table, (1, 0), wrong_pair)),
+    (CertificationFailed, patched_embedding(
+        lambda ij, rows: [[K.gen() ** ij[0] * c for c in r] for r in rows])),
+    (ValueError, lambda: compute_embedding(even, eps, millers)),
     (EigenspaceDimensionError, lambda: compute_G_basis(table, doubled)),
     (ValueError, lambda: division_polynomial(data.curve, 4)),
     (ValueError, lambda: TorsionTable(data.curve, 3, table.t1, table.t1)),
@@ -702,6 +724,8 @@ cases = [
     (TypeError, lambda: table.t1 + 1),
     (ValueError, lambda: slope(O, table.t1)),
 ]
+cases += [(CertificationFailed, patched_embedding(plus_one(ij, r, c)))
+          for ij in [(1, 0), (1, 1)] for r in range(3) for c in range(3)]
 for k, (exc, run) in enumerate(cases):
     try:
         run()
@@ -740,7 +764,8 @@ def test_tower_rule_lives_in_fields():
     # values from two towers meet by fields._larger and fields._into
     # alone: outside fields.py, is_prefix_of only checks a file's towers
     # in the serialize loaders, and lift_to only brings A_2 into gamma's
-    # field for root_or_extend in solve_gamma
+    # field for root_or_extend in solve_gamma, and psi into the base
+    # point's field once per g_eval
     pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
     calls = []
     for name in sorted(os.listdir(pkg)):
@@ -753,6 +778,7 @@ def test_tower_rule_lives_in_fields():
                             and node.func.attr in ("is_prefix_of", "lift_to")):
                         calls.append((name[:-3], getattr(top, "name", None), node.func.attr))
     assert calls == [("algebra", "solve_gamma", "lift_to"),
+                     ("geometry", "g_eval", "lift_to"),
                      ("serialize", "triv_from_json", "is_prefix_of"),
                      ("serialize", "descent_from_json", "is_prefix_of"),
                      ("serialize", "descent_from_json", "is_prefix_of"),

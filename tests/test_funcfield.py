@@ -118,7 +118,7 @@ def test_every_funcfield_function_is_reached(curve):
 
     def run():
         p = affine_sample(curve, 3, random.Random(0), "g")
-        g_eval(p.curve, data.gbasis, unit_cochain(data.table), p)
+        g_eval(data.gbasis, unit_cochain(data.table), p)
         data.emb
     here = os.path.abspath(funcfield.__file__)
     reached = {name for path, name in traced_calls(run) if path == here}

@@ -10,7 +10,7 @@ import pytest
 
 import ndescent
 from ndescent import algebra, cli, descent_funcs, geometry
-from ndescent.fields import tower_extend
+from ndescent.fields import Poly, tower_extend
 from ndescent.curve import Curve, Point, r_eval, torsion_table
 from ndescent.linalg import ExactMatrix
 from ndescent import serialize as ser
@@ -58,7 +58,7 @@ def test_quadrics_trivial_rho_match(curve, table):
 def test_quadrics_vanish_on_direct_images(curve, table, gbasis):
     qs = quadrics_for_E(curve, table)
     for p in _samples(curve, 3, seed=2):
-        z = g_eval(p.curve, gbasis, unit_cochain(table), p)
+        z = g_eval(gbasis, unit_cochain(table), p)
         vals = qs.evaluate_all(z)
         assert all(v.is_zero() for v in vals)
 
@@ -70,15 +70,32 @@ def test_twisted_quadrics_vanish_on_twisted_images(curve, table, gbasis, field):
     gamma, L = solve_gamma(table, rho)
     assert L == field
     for p in _samples(curve, 2, seed=3):
-        vec = g_eval(p.curve, gbasis, gamma, p)
+        vec = g_eval(gbasis, gamma, p)
         assert all(v.is_zero() for v in qs.evaluate_all(vec))
 
 
 def test_g_eval_bad_points(curve, table, gbasis):
     with pytest.raises(BadBasePoint):
-        g_eval(curve, gbasis, unit_cochain(table), Point.at_infinity(curve))
+        g_eval(gbasis, unit_cochain(table), Point.at_infinity(curve))
     with pytest.raises(BadBasePoint):
-        g_eval(curve, gbasis, unit_cochain(table), table.t1)
+        g_eval(gbasis, unit_cochain(table), table.t1)
+
+
+def test_g_eval_lifts_psi_once(table, gbasis, monkeypatch):
+    # psi is lifted to the point's field once per call, not at each of its
+    # n^2 values, and nothing is kept past the call
+    lifts, real = [], Poly.lift_to
+
+    def counted(f, tower):
+        lifted = real(f, tower)
+        if lifted is not f:
+            lifts.append(f)
+        return lifted
+    monkeypatch.setattr(Poly, "lift_to", counted)
+    for p in _samples(table.curve, 2, seed=8):
+        assert p.curve.field != table.curve.field
+        g_eval(gbasis, unit_cochain(table), p)
+    assert lifts == [gbasis[1]] * 2
 
 
 @pytest.mark.parametrize("which", ["curve", "aux_curve", "hesse_curve"])
@@ -98,7 +115,7 @@ def test_lambda_eval_rank_one(curve, table, eps, emb, gbasis):
     from ndescent.algebra import RhoTable
     triv = trivialize(emb, eps, RhoTable.trivial(table))
     for p in _samples(curve, 3, seed=4):
-        m, u = lambda_eval(triv, g_eval(curve, gbasis, unit_cochain(table), p))
+        m, u = lambda_eval(triv, g_eval(gbasis, unit_cochain(table), p))
         assert m.trace().is_zero()
         assert m.rank() == 1
         col, row = extract_point(m)
@@ -122,7 +139,7 @@ def test_lambda_eval_rejects_bad_trivialisation(curve, table, eps, emb, gbasis, 
     bad = Trivialisation(table, RhoTable.trivial(table), field, mats, "user")
     p = _samples(curve, 1, seed=5)[0]
     with pytest.raises(RankNotOne):
-        lambda_eval(bad, g_eval(curve, gbasis, unit_cochain(table), p))
+        lambda_eval(bad, g_eval(gbasis, unit_cochain(table), p))
 
 
 def test_extract_point_shapes(field):
@@ -183,7 +200,7 @@ def test_descend_trivial_rho(curve, table, eps, emb, gbasis, field):
     assert rep["held_out"] == 5 and rep["held_out_pass"]
     # direct images of E lie on the output cubic
     for p in _samples(curve, 2, seed=8):
-        z = g_eval(p.curve, gbasis, unit_cochain(table), p)
+        z = g_eval(gbasis, unit_cochain(table), p)
         _, col = lambda_eval(triv, z)
         assert out["plane_curve"].evaluate(col).is_zero()
 
@@ -245,7 +262,7 @@ def test_quadric_rule_is_r_at_nP(curve, table, field, gbasis):
     rho = validate_rho(table, partial(table, seeded_cochain(field, 45)).values)
     gamma, L = rho.gamma
     p = affine_sample(curve if L == field else curve.base_change(L), 3, random.Random(5), "s")
-    z = g_eval(curve, gbasis, gamma, p)
+    z = g_eval(gbasis, gamma, p)
     for d1 in table.indices[1:]:
         for d2 in table.indices[1:]:
             w = table.add_index(d1, d2)
@@ -485,10 +502,10 @@ def test_orbit_images_match_full_computation(case, sample_degree, curve, field,
     orbit = _orbit_images(triv, u)
     p, = drawn
     assert p.x.tower.degree == sample_degree
-    zp = g_eval(data.curve, data.gbasis, gamma, p)
+    zp = g_eval(data.gbasis, gamma, p)
     for k, s in enumerate(index_pairs()):
         dz = [weil(data.eps, s, t) * v for t, v in zip(index_pairs(), zp)]
-        z = g_eval(data.curve, data.gbasis, gamma, p + data.table.point(*s))
+        z = g_eval(data.gbasis, gamma, p + data.table.point(*s))
         assert dz == z
         assert all(v.is_zero() for v in qs.evaluate_all(dz))
         _, col = lambda_eval(triv, z)
@@ -552,9 +569,9 @@ def test_descend_skips_a_base_point_in_an_earlier_orbit(curve, table, eps, emb, 
         drawn.append(drawn[0] + table.t1 if len(drawn) == 1 else real_sample(*args))
         return drawn[-1]
 
-    def g_eval_at(curve, gbasis, gamma, p):
+    def g_eval_at(gbasis, gamma, p):
         evaluated.append(p)
-        return real_g_eval(curve, gbasis, gamma, p)
+        return real_g_eval(gbasis, gamma, p)
     monkeypatch.setattr(geometry, "affine_sample", sample)
     monkeypatch.setattr(geometry, "g_eval", g_eval_at)
     rho = RhoTable.trivial(table)
@@ -737,7 +754,7 @@ def _base_x(monkeypatch, run):
     # evaluates while run() runs
     xs, real = [], geometry.g_eval
     monkeypatch.setattr(geometry, "g_eval",
-                        lambda c, gb, gm, p: xs.append(p.x.as_fraction()) or real(c, gb, gm, p))
+                        lambda gb, gm, p: xs.append(p.x.as_fraction()) or real(gb, gm, p))
     run()
     return xs
 
