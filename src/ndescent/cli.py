@@ -175,7 +175,25 @@ def _verify_descent(path, j, data, emit):
     of the descent itself: gamma, the cubic and its pencil identities, the
     report, and one fresh image on the cubic, the check descend makes on
     its second image; the pencil identities make one enough (see
-    geometry.descend)."""
+    geometry.descend).
+
+    That premise, a pencil of dimension 2, follows from what verify
+    certifies.  With c = eps rho nowhere zero, the certified A =
+    tau(delta_T1) and B = tau(delta_T2) are units with A B = c(T1, T2)
+    tau(delta_{T1+T2}) and B A = c(T2, T1) tau(delta_{T1+T2}); rho is
+    symmetric, so A B = zeta B A, zeta = e_3(T1, T2).  compute_G_basis,
+    run for the fresh image, certifies that the nine characters are
+    distinct and every e_3 value a cube root of 1, so zeta is primitive
+    (zeta = 1 gives chi_T1 = chi_O).  If A v = a v, then A B v = zeta a B v,
+    so over Kbar A has the distinct eigenvalues a, zeta a, zeta^2 a on v,
+    B v, B^2 v, and B^3 v = b v, as B^3 commutes with A.  In the basis v,
+    B v / b^(1/3), B^2 v / b^(2/3), A = a diag(1, zeta, zeta^2) and B is
+    b^(1/3) times the cyclic shift, both of determinant 1 once scaled.
+    F o (sA) = s^3 F o A and det(sA) = s^3 det(A), so the cubics with
+    F o A = det(A) F and F o B = det(B) F are, in that basis, those fixed
+    by diag(1, zeta, zeta^2) (spanned by x^3, y^3, z^3, xyz) and by the
+    shift: the span of x^3 + y^3 + z^3 and xyz (Artebani and Dolgachev,
+    Enseign. Math. 55 (2009)), of dimension 2 over Kbar and so over K."""
     out = ser.descent_from_json(j, data.table)
     qs, triv, gamma, cubic = (out["quadrics"], out["trivialisation"], out["gamma"],
                               out["plane_curve"])

@@ -1,7 +1,8 @@
 """Torsion-indexed functions and matrices attached to the degree-n embedding.
 
 Builds, for a curve with fully rational n-torsion:
-  - F_T with divisor n(T) - n(O), leading Laurent coefficient 1;
+  - F_T with divisor n(T) - n(O), leading Laurent coefficient 1: for
+    n = 3 the tangent at the flex T (funcfield.miller_function);
   - the epsilon table eps(T1,T2) = F_{T1+T2}(P) / (F_{T1}(P) F_{T2}(P-T1))
     and the Weil pairing e_n(T1,T2) = eps(T1,T2)/eps(T2,T1);
   - G_T with divisor [n]*(T) - [n]*(O) and residue 1/n at O in t = x/y,
@@ -31,22 +32,10 @@ class EigenspaceDimensionError(Exception):
 
 
 def compute_miller_table(table):
-    """F_T for every table point; F_O = 1.  A Miller chain gives F_T for
-    the first of each +-T in table order, and F_{-T} = -u + v y: u - v y
-    = F_T o [-1] has divisor n(-T) - n(O) and leads with (-1)^n at O, as
-    t = x/y goes to -t.  It passes the check ending a chain: order -n, lead 1."""
-    out, n = {}, table.n
-    for ij, t in zip(table.indices, table):
-        neg = table.neg_index(ij)
-        if t.is_infinity:
-            out[ij] = FunctionFieldElement.const(table.curve, 1)
-        elif neg not in out:
-            out[ij] = miller_function(t, n)
-        else:
-            out[ij] = FunctionFieldElement(t.curve, -out[neg].u, out[neg].v, out[neg].w)
-            if out[ij].laurent() != (-n, 1):
-                raise ArithmeticError("F_{-T} for %s does not lead with t^-%d at O" % ((ij,), n))
-    return out
+    """F_T for every table point: F_O = 1, and the tangent of
+    miller_function at every other T."""
+    return {ij: FunctionFieldElement.const(table.curve, 1) if t.is_infinity
+            else miller_function(t, table.n) for ij, t in zip(table.indices, table)}
 
 
 def weil(eps, ij, kl):
@@ -64,16 +53,13 @@ def compute_epsilon(table, millers):
     T1 = O (eps = 1) or T1 + T2 = O (P = -T1 gives
     1/(F_{T1}(-T1) F_{-T1}(-2T1))).
 
-    Half of the values come from their mirrors.  compute_miller_table
-    builds F_{-T} = -u + v y from F_T = u + v y, so F_{-T}(P) = -F_T(-P)
-    exactly for T != O; F_O = 1 has no such mirror.  So for T1, T2 != O,
-    eps(-T1,-T2) = 1/F_{-T2}(T1) = -eps(T1,T2), and when T1 + T2 = O
-    both factors change sign and eps(-T1,-T2) = eps(T1,T2).  The first
-    pair of each mirror in table order is evaluated and the second read
-    off it.  A mirror's values are zero or a pole exactly when its first
-    pair's are, so a zero or a pole raises
-    CertificationFailed(("epsilon", ij, kl)) at the first such pair in
-    table order, as evaluating every pair would."""
+    Half of the values come from their mirrors.  The tangent at -T is
+    F_{-T} = y + lam x + nu, so F_{-T}(P) = -F_T(-P) for T != O, and for
+    T1, T2 != O eps(-T1,-T2) = -eps(T1,T2), or +eps(T1,T2) when
+    T1 + T2 = O, where both factors change sign.  The first pair of each
+    mirror in table order is evaluated; a mirror is zero or a pole exactly
+    when its first pair is, so CertificationFailed(("epsilon", ij, kl))
+    names the first failing pair in table order, as evaluating all would."""
     one = table.curve.field.one()
     values = {}
     for ij, t1, neg in zip(table.indices, table, [-t for t in table]):
@@ -284,7 +270,8 @@ def compute_embedding(table, eps, millers, seed=0):
     are in general position, so with row 0 this fixes M_g); and
     certify_once, whose products M_g M_b = c(g, b) M_{g+b} fix every
     other M_T.  Returns the standard trivialisation of the untwisted
-    algebra.  seed has no effect; it is accepted for older callers."""
+    algebra.  seed has no effect.  No library code passes it; it stays
+    because perfbench/workload.py does."""
     if table.n != 3:
         raise ValueError("n = %d: the embedding is built for n = 3 only" % table.n)
     K = table.curve.field

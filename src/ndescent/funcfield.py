@@ -1,24 +1,18 @@
-"""The function field of an elliptic curve, and leading terms at O.
+"""The Miller functions of E[3], stored as functions on the curve.
 
-Elements are (u(x) + v(x) y)/w(x) with y^2 reduced to x^3 + a x + b.
-The local parameter at O is t = x/y.  There x = t^-2 (1 + O(t^4)) and
-y = t^-3 (1 + O(t^4)) (Silverman, AEC IV.1), so u(x) leads at order
--2 deg u and v(x) y at order -3 - 2 deg v, each with the leading
-coefficient of its polynomial.  The two orders differ in parity, so
-they never cancel, and the leading term at O (all the pipeline
-normalises by) is read off the degrees with no series expansion.
+A function is stored as (u(x) + v(x) y)/w(x) on y^2 = x^3 + a x + b,
+in the form its builder fixes, with no gcd taken.  The library builds
+only the constant 1 and, for T != O in E[3], F_T with divisor
+3(T) - 3(O): the tangent y - lam x - nu at the flex T (miller_function).
+A stored function is only evaluated, so there is no field arithmetic.
 
-A function is stored as (u + v y)/w with a monic w that its builder
-fixes, and no gcd is taken.  The library builds only Miller functions,
-regular off O, with w = 1, in the coordinate ring
-K[x, y]/(y^2 - x^3 - a x - b): on pairs (u, v), by ring products and
-exact division by polynomials in x; a zero remainder certifies
-membership in the ring (Hess, JSC 33 (2002)).  A stored function is
-only scaled, evaluated and expanded at O, so it has no field
-arithmetic.
+At O, in t = x/y, x = t^-2 (1 + O(t^4)) and y = t^-3 (1 + O(t^4))
+(Silverman, AEC IV.1), so u(x) leads at order -2 deg u and v(x) y at
+-3 - 2 deg v, each with its polynomial's leading coefficient; the
+parities differ, so the two never cancel.
 """
 
-from .fields import Poly, poly_x
+from .fields import Poly
 from .curve import PoleAtP, slope
 
 
@@ -36,10 +30,6 @@ class FunctionFieldElement:
         K = curve.field
         return cls(curve, Poly([c], K), Poly([], K), Poly([1], K))
 
-    def scale(self, c):
-        """c times the function, for a constant c."""
-        return FunctionFieldElement(self.curve, c * self.u, c * self.v, self.w)
-
     def evaluate(self, p):
         """Value at an affine point (over any extension of the base field).
         Raises PoleAtP if the point is at infinity or the reduced
@@ -55,7 +45,9 @@ class FunctionFieldElement:
         """The leading term (order, coefficient) of the expansion at O in
         t = x/y, exact.  w is monic, so the order is the larger pole of
         u and v y (module docstring) plus 2 deg w, and the coefficient is
-        that of u or of v.  Raises ValueError on the zero function."""
+        that of u or of v.  Raises ValueError on the zero function.  No
+        library code calls it; it stays because perfbench/spans.py times
+        it by name."""
         u, v = self.u, self.v
         if v.is_zero() or (not u.is_zero() and u.degree > v.degree + 1):
             order, lead = -2 * u.degree, u.lc()
@@ -67,50 +59,28 @@ class FunctionFieldElement:
         return "FunctionFieldElement((%r) + (%r) y, / %r)" % (self.u, self.v, self.w)
 
 
-def _ring_mul(rhs, a, b):
-    """The product of u1 + v1 y and u2 + v2 y, as pairs (u, v) of
-    polynomials in x, with y^2 = rhs."""
-    (u1, v1), (u2, v2) = a, b
-    return u1 * u2 + rhs * (v1 * v2), u1 * v2 + v1 * u2
-
-
-def _exact_div(a, w):
-    """(u + v y)/w for a = (u, v) and a nonzero polynomial w.  Raises
-    ArithmeticError unless w divides u and v, that is unless the
-    quotient lies in the coordinate ring."""
-    (qu, ru), (qv, rv) = divmod(a[0], w), divmod(a[1], w)
-    if not (ru.is_zero() and rv.is_zero()):
-        raise ArithmeticError("(u + v y)/w is not in the coordinate ring")
-    return qu, qv
-
-
 def miller_function(t, n):
-    """A function with divisor n(t) - n(O) for an n-torsion point t,
-    normalized so its Laurent expansion at O is t^{-n}(1 + O(t)).
+    """F_T = y - lam x - nu, the tangent at T != O in E[3] (n = 3), with
+    lam = slope(T, T) and nu = y_T - lam x_T: div F_T = 3(T) - 3(O), and
+    F_T = t^-3 (1 + O(t)) at O.
 
-    Built by the chain f_{m+1} = f_m l_{mT,T} / v_{(m+1)T} in the
-    coordinate ring: the lines multiply into one numerator, divided
-    exactly by the product of the verticals at the end; a remainder
-    raises ArithmeticError."""
+    The certificate is the flex identity rhs(x) - (lam x + nu)^2 =
+    (x - x_T)^3, as lam^2 = 3 x_T, 2 lam nu = a - 3 x_T^2 and
+    nu^2 = b + x_T^3.  Proof: F_T is a polynomial in x and y, so its
+    only pole is O, of order 3, with leading coefficient v = 1 (module
+    docstring).  At a zero P, y_P = lam x_P + nu, so the identity gives
+    (x_P - x_T)^3 = y_P^2 - y_P^2 = 0, then y_P = y_T: P = T.  A divisor
+    has degree 0, so div F_T = 3(T) - 3(O), which also certifies 3T = O.
+
+    Raises ValueError for n != 3, for O or y_T = 0 (slope), and for a
+    point whose flex identity fails."""
+    if n != 3:
+        raise ValueError("n = %d: Miller functions are the tangents at flexes, n = 3" % n)
     curve = t.curve
-    if t.is_infinity:
-        raise ValueError("no function for the zero point")
-    if not (n * t).is_infinity:
-        raise ValueError("point is not n-torsion")
-    K, rhs = curve.field, curve.rhs_poly()
-    x, one, zero = poly_x(K), Poly([1], K), Poly([], K)
-    num, den, acc = (one, zero), one, t
-    for _ in range(1, n):
-        nxt = acc + t
-        if nxt.is_infinity:  # t = -acc: the vertical x - x(acc)
-            num = _ring_mul(rhs, num, (x - acc.x, zero))
-        else:  # y - lam x - nu through acc and t, over x - x(acc + t)
-            lam = slope(acc, t)
-            num = _ring_mul(rhs, num, (-(lam * x) - (acc.y - lam * acc.x), one))
-            den = den * (x - nxt.x)
-        acc = nxt
-    f = FunctionFieldElement(curve, *_exact_div(num, den), one)
-    ordv, lead = f.laurent()
-    if ordv != -n:
-        raise ArithmeticError("miller chain has pole order %d at O, not %d" % (-ordv, n))
-    return f.scale(lead.inverse())
+    lam = slope(t, t)
+    nu = t.y - lam * t.x
+    if not (lam * lam == 3 * t.x and 2 * lam * nu == curve.a - 3 * t.x ** 2
+            and nu * nu == curve.b + t.x ** 3):
+        raise ValueError("the tangent at the point is no flex: it is not in E[3]")
+    one = Poly([1], curve.field)
+    return FunctionFieldElement(curve, Poly([-nu, -lam], curve.field), one, one)

@@ -420,6 +420,9 @@ def descend(curve, n, rho, triv, seed=0, gbasis=None):
     point outside the first one's orbit, must lie on the cubic, else
     CertificationFailed(("held-out", 1)); verify checks one fresh image.
 
+    A gbasis from compute_G_basis replaces data.gbasis.  No library code
+    passes one; it stays because perfbench/workload.py does.
+
     Returns a dict with the quadric system, the algebra, the
     cubic, gamma, and a report of every check run."""
     if n != 3:

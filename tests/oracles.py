@@ -29,10 +29,13 @@ library's certificates against them:
   - the general function field that the library's one stored form
     replaces: GeneralFunction, a FunctionFieldElement whose constructor
     coerces scalars and divides by gcd(u, v, w), with +, -, *, /,
-    inverse, == and is_zero, and the polynomial gcd poly_gcd;
-  - the function-field forms that the coordinate ring and the closed
-    forms replace, with a gcd normalisation after every product: the
-    Miller chain over line and vertical functions, and the translated
+    inverse, == and is_zero, the product _ring_mul of the coordinate
+    ring K[x, y]/(y^2 - x^3 - a x - b) that its * takes, and the
+    polynomial gcd poly_gcd;
+  - the function-field forms that the closed forms replace, with a gcd
+    normalisation after every product: the Miller chain, double and add
+    over line and vertical functions, which the tangents of
+    funcfield.miller_function are tested against, and the translated
     coordinates on L(d(O)) built from the addition formulas as functions
     of P, which the tangent-line M_T of compute_embedding are tested
     against; and that normalisation itself, taken whatever the
@@ -60,7 +63,7 @@ from ndescent.algebra import CertificationFailed
 from ndescent.curve import Point, division_polynomial, slope
 from ndescent.descent_funcs import EigenspaceDimensionError, affine_sample, weil
 from ndescent.fields import FieldElement, Poly, poly_x
-from ndescent.funcfield import FunctionFieldElement, _ring_mul
+from ndescent.funcfield import FunctionFieldElement
 from ndescent.linalg import ExactMatrix
 from ndescent.serialize import ParseError
 
@@ -70,6 +73,13 @@ def poly_gcd(p, q):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def _ring_mul(rhs, a, b):
+    """The product of u1 + v1 y and u2 + v2 y, as pairs (u, v) of
+    polynomials in x, with y^2 = rhs."""
+    (u1, v1), (u2, v2) = a, b
+    return u1 * u2 + rhs * (v1 * v2), u1 * v2 + v1 * u2
 
 
 class GeneralFunction(FunctionFieldElement):
@@ -426,7 +436,8 @@ def vertical_through(p):
 
 
 def miller_chain(t, n):
-    """miller_function in the function field: the double-and-add chain
+    """A function with divisor n(t) - n(O) and leading coefficient 1 at O,
+    for an n-torsion point t, in the function field: the chain
     f_{m+1} = f_m l_{mT,T} / v_{(m+1)T}, normalised after every step."""
     curve = t.curve
     f = GeneralFunction.const(curve, 1)

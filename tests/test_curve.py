@@ -231,8 +231,8 @@ def test_torsion_indices_have_one_owner():
 def test_r_constants_have_one_owner():
     # curve.r_constant holds r's constants, x(T1) or slope(T1, T2), for
     # r_eval and the quadrics alike: outside curve.py a slope is taken
-    # only for Miller's lines and the tangent at a flex that gives M_T,
-    # and quadrics_for_C reads r_constant
+    # only for the tangent at a flex, which gives F_T and M_T, and
+    # quadrics_for_C reads r_constant
     pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
     calls = []
     for name in sorted(os.listdir(pkg)):

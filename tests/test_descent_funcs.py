@@ -8,20 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from ndescent import descent_funcs, fields, funcfield
+from ndescent import cli, descent_funcs, fields, funcfield
 from ndescent import serialize as ser
-from ndescent.fields import tower_extend
-from ndescent.curve import Curve, Point, r_eval
+from ndescent.fields import Poly, tower_extend
+from ndescent.curve import Curve, Point, PoleAtP, r_eval, slope
 from ndescent.linalg import ExactMatrix
 from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
-                              certify_trivialisation, trivialize)
+                              certify_trivialisation, partial, trivialize, validate_rho)
 from ndescent.descent_funcs import (CurveData, EigenspaceDimensionError, affine_sample,
                                     compute_G_basis, compute_embedding, tau_1, weil)
 from ndescent.geometry import RankNotOne, descend, g_eval
 from weil_oracle import aux_pair, weil_pairing_oracle
 from oracles import (GeneralFunction, base_change, coordinate_x, coordinate_y, derivative,
                      distinct_samples, dual_row, embedding_values, general, kernel_G_basis,
-                     miller_chain, translated_coords, unit_cochain)
+                     miller_chain, seeded_cochain, translated_coords, unit_cochain)
 from test_funcfield import traced_calls
 
 
@@ -305,55 +305,88 @@ def test_coordinate_ring_equals_function_field_oracles(which, request):
 
 
 @pytest.mark.parametrize("k", [k for k in range(-6, 7) if k != 1])
-def test_hesse_family_equals_the_oracles(k, field):
+def test_hesse_family_equals_the_oracles(k, field, tmp_path, capsys):
     # y^2 = x^3 - 27k(k^3 + 8)x + 54(k^6 - 20k^3 - 8) has rational
     # 3-torsion over Q(zeta3), and is singular only at k = 1.  On each
     # curve every F_T is == to the oracle's Miller chain, every M_T to
     # eps(T, -T) times the oracle's translated coordinates of its F_{-T},
-    # and descend passes on the trivial rho
+    # and eps to compute_epsilon over the oracle's chains
     curve = Curve(field, -27 * k * (k ** 3 + 8), 54 * (k ** 6 - 20 * k ** 3 - 8))
     data = CurveData.of(curve, 3)
-    table = data.table
+    table, eps = data.table, data.eps
+    chains = {(0, 0): data.millers[(0, 0)]}
     for ij, t in zip(table.indices[1:], list(table)[1:]):
-        assert data.millers[ij] == miller_chain(t, 3)
+        chains[ij] = miller_chain(t, 3)
+        assert data.millers[ij] == chains[ij]
         mtilde = ExactMatrix(translated_coords(table, ij, 3, miller_chain(-t, 3)), field)
-        assert data.emb.M(ij) == mtilde.scale(data.eps[ij, table.neg_index(ij)])
+        assert data.emb.M(ij) == mtilde.scale(eps[ij, table.neg_index(ij)])
+    assert descent_funcs.compute_epsilon(table, chains) == eps
+    # the Weil values are e_3(i T1 + j T2, k T1 + l T2) = e_3(T1, T2)^(il - jk),
+    # so the oracle's e_3(T1, T) for every T fixes all 81 (aux_pair builds
+    # its two quadratic levels on each of the 12 curves)
+    e12 = weil(eps, (1, 0), (0, 1))
+    for (i, j) in table.indices:
+        for (m, l) in table.indices:
+            assert weil(eps, (i, j), (m, l)) == e12 ** ((i * l - j * m) % 3)
+    r1, r2 = aux_pair(curve)
+    for ij, t in zip(table.indices, table):
+        want = weil(eps, ij, (1, 0)).lift_to(r1.curve.field)
+        assert weil_pairing_oracle(table.t1, t, 3, r1, r2) == want
+    # g_eval is == to the kernel G-basis at 2 points over quadratic extensions
+    oracle = kernel_G_basis(table, eps)
+    for p in distinct_samples(curve, 3, random.Random(k), "h", 2):
+        assert g_eval(data.gbasis, unit_cochain(table), p) == _oracle_values(oracle, table, p)
+    # descend passes on the trivial rho and on a seeded coboundary twist,
+    # whose saved artifact verify passes in-process
     rho = RhoTable.trivial(table)
-    out = descend(curve, 3, rho, trivialize(data.emb, data.eps, rho), seed=7)
+    out = descend(curve, 3, rho, trivialize(data.emb, eps, rho), seed=7)
     assert out["report"]["held_out_pass"]
+    z = seeded_cochain(field, 40 + k)
+    rho = validate_rho(table, partial(table, z).values)
+    mats = {ij: data.emb.M(ij).scale(z[ij] / z[(0, 0)]) for ij in table.indices}
+    out = descend(curve, 3, rho, trivialize(data.emb, eps, rho, mode="user", matrices=mats),
+                  seed=k + 10)
+    paths = [str(tmp_path / "curve.json"), str(tmp_path / "descent.json")]
+    ser.save(paths[0], ser.curve_to_json(curve))
+    ser.save(paths[1], ser.descent_to_json(out, curve))
+    capsys.readouterr()
+    assert cli.main(["verify", "--curve", *paths]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("which", ["reference", "aux"])
-def test_miller_table_chains_one_of_each_pair(which, curve, aux_curve, monkeypatch):
-    # a Miller chain runs for the first of each pair +-T in table order,
-    # (n^2 - 1)/2 in all, and every F_{-T} derived as -u + v y is == to
-    # the chain's own F_{-T}
+def test_miller_table_takes_one_tangent_per_point(which, curve, aux_curve, monkeypatch):
+    # miller_function runs once for every T != O, in table order, and
+    # each F_T is stored as its tangent y - lam x - nu: u = -lam x - nu,
+    # v = 1 and w = 1, with lam = slope(T, T) and nu = y_T - lam x_T
     table = CurveData.of(curve if which == "reference" else aux_curve, 3).table
-    chained, real = [], descent_funcs.miller_function
+    K = table.curve.field
+    called, real = [], descent_funcs.miller_function
     monkeypatch.setattr(descent_funcs, "miller_function",
-                        lambda t, n: chained.append(t.key()) or real(t, n))
+                        lambda t, n: called.append(t) or real(t, n))
     millers = descent_funcs.compute_miller_table(table)
-    assert len(chained) == (table.n ** 2 - 1) // 2
-    derived = [(ij, t) for ij, t in zip(table.indices[1:], list(table)[1:])
-               if t.key() not in chained]
-    assert len(derived) == len(chained) and all((-t).key() in chained for _, t in derived)
-    for ij, t in derived:
-        f, g = millers[ij], funcfield.miller_function(t, table.n)
-        assert (f.u, f.v, f.w) == (g.u, g.v, g.w)
+    assert called == list(table)[1:]
+    assert millers[(0, 0)].u == Poly([1], K) and millers[(0, 0)].v.is_zero()
+    for ij, t in zip(table.indices[1:], called):
+        lam = slope(t, t)
+        f = millers[ij]
+        assert (f.u, f.v, f.w) == (Poly([lam * t.x - t.y, -lam], K), Poly([1], K), Poly([1], K))
 
 
-@pytest.mark.parametrize("which", ["reference", "aux"])
-def test_miller_table_catches_an_unsigned_negation(which, curve, aux_curve, monkeypatch):
-    # F_T o [-1] = u - v y has the divisor of F_{-T} but leads at O with
-    # (-1)^n = -1: the Laurent check that ends a chain refuses it
-    table = CurveData.of(curve if which == "reference" else aux_curve, 3).table
-    source = inspect.getsource(descent_funcs.compute_miller_table)
-    derived = "-out[neg].u, out[neg].v"
-    assert source.count(derived) == 1
-    scope = dict(vars(descent_funcs))
-    exec(source.replace(derived, "out[neg].u, -out[neg].v"), scope)
-    with pytest.raises(ArithmeticError, match="does not lead"):
-        scope["compute_miller_table"](table)
+def test_library_has_no_miller_chain():
+    # funcfield keeps no coordinate-ring product, exact division or
+    # scaling, and compute_miller_table calls miller_function once and
+    # derives no F_{-T} from a stored F_T
+    tree = ast.parse(inspect.getsource(funcfield))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined and not defined & {"_ring_mul", "_exact_div", "scale"}
+    body = ast.parse(inspect.getsource(descent_funcs.compute_miller_table))
+    calls = [node.func.id for node in ast.walk(body)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("miller_function") == 1
+    reads = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert not reads & {"u", "v", "w", "neg_index", "laurent"}
 
 
 @pytest.mark.parametrize("which", ["reference", "aux"])
@@ -443,6 +476,19 @@ def test_embedding_refuses_an_f_outside_the_span(table, eps, millers, curve):
     assert err.value.witness == ("embedding", (1, 0))
 
 
+def test_epsilon_refuses_a_pole_in_a_caller_table(table, millers):
+    # F_{T2} over x - x(T2) has a pole at -T2, where eps(T2, T2) =
+    # 1/F_{T2}(-T2) evaluates it: the pole half of the certificate
+    bad = dict(millers)
+    f = millers[(0, 1)]
+    bad[(0, 1)] = funcfield.FunctionFieldElement(table.curve, f.u, f.v,
+                                                 Poly([-table.t2.x, 1], table.curve.field))
+    with pytest.raises(CertificationFailed) as err:
+        descent_funcs.compute_epsilon(table, bad)
+    assert err.value.witness == ("epsilon", (0, 1), (0, 1))
+    assert isinstance(err.value.__context__, PoleAtP)
+
+
 def test_descent_funcs_imports_no_private_funcfield_name():
     # the translation matrices need no coordinate-ring arithmetic: what
     # descent_funcs imports from funcfield is public
@@ -490,10 +536,9 @@ def test_embedding_matrices(emb, eps, table, field):
 
 @pytest.mark.parametrize("which", ["reference", "aux"])
 def test_translation_matrices_at_fresh_points(which, curve, aux_curve):
-    # M_T is read off in the function field for T1 and T2 and built as
-    # a product of those for every other T, with its scale certified by
-    # row 0 against the Miller table; its defining properties must hold
-    # at points over quadratic extensions it never saw
+    # M_T is the closed form of the tangent at T, with its scale
+    # certified by row 0 against the Miller table; its defining
+    # properties must hold at points over quadratic extensions it never saw
     data = CurveData.of(curve if which == "reference" else aux_curve, 3)
     emb = data.emb
     for p in distinct_samples(data.curve, 3, random.Random(11), "m", 3):

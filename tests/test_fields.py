@@ -571,7 +571,8 @@ from ndescent.algebra import (CertificationFailed, RhoTable, Trivialisation,
                               certify_trivialisation, partial, solve_gamma, trivialize)
 from ndescent.geometry import (PencilBasePoint, PlaneCurveEquation, _pencil, _pin_cubic,
                                interpolate_plane_curve, quadrics_for_C)
-from oracles import GeneralFunction, coordinate_x, coordinate_y, line_through, vertical_through
+from oracles import (GeneralFunction, coordinate_x, coordinate_y, general, line_through,
+                     vertical_through)
 
 if not sys.flags.optimize:
     sys.exit("run under python -O")
@@ -602,7 +603,7 @@ zero_f[(0, 2)] = FunctionFieldElement.const(data.curve, 0)
 # F_{-T} for T = T1 times zeta3: row 0 of M_{T1} no longer matches it,
 # ("embedding", (1, 0))
 twist_f = dict(millers)
-twist_f[(2, 0)] = millers[(2, 0)].scale(K.gen())
+twist_f[(2, 0)] = general(millers[(2, 0)]) * K.gen()
 # compute_embedding with its closed form changed to change(ij, rows) at
 # the table point ij: twisted by the character chi(i T1 + j T2) = zeta3^i,
 # which the certificate's products pass and row 0 of M_{T1} fails, or
@@ -637,6 +638,25 @@ pole_w[(2, 0)] = GeneralFunction(data.curve, millers[(2, 0)].u, millers[(2, 0)].
 # F_T for T = (0, 1) replaced by zero: eps(T1, T) = 1/F_T(-T1) divides by zero
 zero_t = dict(millers)
 zero_t[(0, 1)] = FunctionFieldElement.const(data.curve, 0)
+# F_T for T = T2 over x - x(T2), which vanishes at -T2: eps(T2, T2) =
+# 1/F_{T2}(-T2) meets a pole, the PoleAtP half of the epsilon certificate
+pole_t = dict(millers)
+pole_t[(0, 1)] = FunctionFieldElement(data.curve, millers[(0, 1)].u, millers[(0, 1)].v,
+                                      poly_x(K) - table.t2.x)
+
+
+# compute_epsilon on the Miller table f, which must fail with an
+# ("epsilon", ...) witness; any other witness counts as no raise
+def epsilon_fails(f):
+    def run():
+        try:
+            compute_epsilon(table, f)
+        except CertificationFailed as e:
+            if e.witness[0] == "epsilon":
+                raise
+    return run
+
+
 # eps(T1, T2) doubled: e_n(T1, T2) is then no cube root of unity
 doubled = dict(eps)
 doubled[((1, 0), (0, 1))] = doubled[((1, 0), (0, 1))] * 2
@@ -662,7 +682,8 @@ cases = [
     (CertificationFailed, lambda: compute_embedding(table, eps, zero_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, twist_f)),
     (CertificationFailed, lambda: compute_embedding(table, eps, pole_w)),
-    (CertificationFailed, lambda: compute_epsilon(table, zero_t)),
+    (CertificationFailed, epsilon_fails(zero_t)),
+    (CertificationFailed, epsilon_fails(pole_t)),
     (CertificationFailed, patched_embedding(
         lambda ij, rows: [[K.gen() ** ij[0] * c for c in r] for r in rows])),
     (ValueError, lambda: compute_embedding(even, eps, millers)),
@@ -703,6 +724,8 @@ cases = [
     (ValueError, lambda: zero_fn.laurent()),
     (ValueError, lambda: miller_function(table.point(0, 0), 3)),
     (ValueError, lambda: miller_function(table.t1, 2)),
+    # (7, 17) on y^2 = x^3 - 54 is no flex: its tangent fails the flex identity
+    (ValueError, lambda: miller_function(Point(Curve(K, 0, -54), 7, 17), 3)),
     (ValueError, lambda: point_to_json(table.point(0, 0))),
     (ValueError, lambda: data.curve.base_change(Q)),
     # checks that were asserts
