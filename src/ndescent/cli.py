@@ -6,11 +6,19 @@ failed mathematical preconditions, 3 for certification failures.
 fields.NoCertificate, the refusal of the l-adic root rule, is a
 ValueError: 1 when it rejects a tower level read from a file, 2 when
 no prime certifies a root list the pipeline needs.
+
+Each command works on the CurveData of the curve file it loads
+(_load_curve), dropped when the command returns.  It keeps the verdicts
+of verify's checks (CurveData.once) and the serialize memo
+(CurveData.decoded), so one call decodes each distinct pair table
+once, and nothing crosses calls.  A field equal to the curve's is read
+as the curve's own tower.
 """
 
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from . import serialize as ser
 from .curve import TorsionNotRational
@@ -32,14 +40,14 @@ def _load_curve(args):
         data.curve._data.pop(data.n, None)
 
 
-def _load_rho(path, table):
+def _load_rho(path, data):
     """A rho table from either a rho file or an algebra file."""
     j = ser.load(path)
     if j.get("kind") == "csa":
-        values = ser.csa_from_json(j, table).rho.values
+        values = ser.csa_from_json(j, data.table, data.decoded).rho.values
     else:
-        values = ser.rho_from_json(j, table).values
-    return validate_rho(table, values)
+        values = ser.rho_from_json(j, data.table, data.decoded).values
+    return validate_rho(data.table, values)
 
 
 def cmd_torsion(args, data):
@@ -51,7 +59,7 @@ def cmd_torsion(args, data):
 
 def cmd_quadrics(args, data):
     table = data.table
-    rho = _load_rho(args.rho, table) if args.rho else RhoTable.trivial(table)
+    rho = _load_rho(args.rho, data) if args.rho else RhoTable.trivial(table)
     qs = quadrics_for_C(data.curve, table, rho)
     ser.save(args.out, ser.quadrics_to_json(qs, data.curve, rho))
     print("%d independent quadrics -> %s" % (len(qs), args.out))
@@ -59,7 +67,7 @@ def cmd_quadrics(args, data):
 
 
 def cmd_algebra(args, data):
-    csa = build_csa(data.table, data.eps, _load_rho(args.rho, data.table))
+    csa = build_csa(data.table, data.eps, _load_rho(args.rho, data))
     ser.save(args.out, ser.csa_to_json(csa))
     print("certified algebra -> %s" % args.out)
     return 0
@@ -74,12 +82,12 @@ def cmd_rho_from_point(args, data):
 
 
 def cmd_trivialize(args, data):
-    rho = _load_rho(args.rho, data.table)
+    rho = _load_rho(args.rho, data)
     matrices = gamma = None
     if args.mode == "user":
         if not args.triv:
             raise ser.ParseError("user mode needs --triv with the matrices")
-        user = ser.triv_from_json(ser.load(args.triv), data.table)
+        user = ser.triv_from_json(ser.load(args.triv), data.table, data.decoded)
         matrices, gamma = user.matrices, user.gamma
     triv = trivialize(data.emb, data.eps, rho, mode=args.mode, matrices=matrices, gamma=gamma)
     ser.save(args.out, ser.triv_to_json(triv))
@@ -88,8 +96,8 @@ def cmd_trivialize(args, data):
 
 
 def cmd_descend(args, data):
-    rho = _load_rho(args.rho, data.table)
-    triv = ser.triv_from_json(ser.load(args.triv), data.table)
+    rho = _load_rho(args.rho, data)
+    triv = ser.triv_from_json(ser.load(args.triv), data.table, data.decoded)
     out = descend(data.curve, args.n, rho, triv, seed=args.seed)
     ser.save(args.out, ser.descent_to_json(out, data.curve))
     print("%s -> %s" % (out["report"]["summary"], args.out))
@@ -153,16 +161,17 @@ def _verify_file(path, j, data, emit):
         ok = (data.n * torsion.t1).is_infinity and (data.n * torsion.t2).is_infinity
         emit(path, "basis points are n-torsion", ok)
     elif kind == "rho":
-        _check_parts(path, ser.rho_from_json(j, data.table).values, data, emit)
+        _check_parts(path, ser.rho_from_json(j, data.table, data.decoded).values, data, emit)
     elif kind == "csa":
-        csa = ser.csa_from_json(j, data.table)
+        csa = ser.csa_from_json(j, data.table, data.decoded)
         _check_parts(path, csa.rho.values, data, emit, csa=csa)
     elif kind == "trivialisation":
-        triv = ser.triv_from_json(j, data.table)
+        triv = ser.triv_from_json(j, data.table, data.decoded)
         _check_parts(path, triv.rho.values, data, emit, triv=triv)
     elif kind == "quadrics":
         qs = ser.quadrics_from_json(j, data.table)
-        _check_parts(path, ser.quadrics_rho_from_json(j, data.table).values, data, emit, qs=qs)
+        rho = ser.quadrics_rho_from_json(j, data.table, data.decoded)
+        _check_parts(path, rho.values, data, emit, qs=qs)
     elif kind == "descent":
         _verify_descent(path, j, data, emit)
     else:
@@ -194,7 +203,7 @@ def _verify_descent(path, j, data, emit):
     by diag(1, zeta, zeta^2) (spanned by x^3, y^3, z^3, xyz) and by the
     shift: the span of x^3 + y^3 + z^3 and xyz (Artebani and Dolgachev,
     Enseign. Math. 55 (2009)), of dimension 2 over Kbar and so over K."""
-    out = ser.descent_from_json(j, data.table)
+    out = ser.descent_from_json(j, data.table, data.decoded)
     qs, triv, gamma, cubic = (out["quadrics"], out["trivialisation"], out["gamma"],
                               out["plane_curve"])
     rho = _check_parts(path, triv.rho.values, data, emit, qs, out["csa"], triv)
@@ -241,7 +250,11 @@ def cmd_verify(args, data):
     return 0
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The command line parser, built once per process rather than on
+    every call: it holds no data of any call.  Each command names its
+    function, which main looks up in this module when it runs."""
     ap = argparse.ArgumentParser(
         prog="ndescent",
         description="Exact descent pipeline: torsion, coverings, "
@@ -254,40 +267,44 @@ def main(argv=None):
     out.add_argument("--out", required=True, help="output artifact file")
 
     p = sub.add_parser("torsion", parents=[out], help="enumerate the rational n-torsion")
-    p.set_defaults(func=cmd_torsion)
+    p.set_defaults(func="cmd_torsion")
 
     p = sub.add_parser("quadrics", parents=[out], help="quadrics for the (twisted) covering")
     p.add_argument("--rho", help="rho or algebra file; omitted means trivial")
-    p.set_defaults(func=cmd_quadrics)
+    p.set_defaults(func="cmd_quadrics")
 
     p = sub.add_parser("algebra", parents=[out], help="structure constants of the twisted algebra")
     p.add_argument("--rho", required=True)
-    p.set_defaults(func=cmd_algebra)
+    p.set_defaults(func="cmd_algebra")
 
     p = sub.add_parser("rho-from-point", parents=[out], help="the twist attached to a base point")
     p.add_argument("--point", required=True, help="point artifact file")
-    p.set_defaults(func=cmd_rho_from_point)
+    p.set_defaults(func="cmd_rho_from_point")
 
     p = sub.add_parser("trivialize", parents=[out], help="build and certify a trivialisation")
     p.add_argument("--rho", required=True)
     p.add_argument("--mode", default="standard", choices=MODES)
     p.add_argument("--triv", help="matrices file for user mode")
-    p.set_defaults(func=cmd_trivialize)
+    p.set_defaults(func="cmd_trivialize")
 
     p = sub.add_parser("descend", parents=[out], help="full pipeline to a plane curve")
     p.add_argument("--rho", required=True)
     p.add_argument("--triv", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_descend)
+    p.set_defaults(func="cmd_descend")
 
     p = sub.add_parser("verify", parents=[curve], help="re-run all checks on artifact files")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    command = globals()[args.func]
     try:
         with _load_curve(args) as data:
-            return args.func(args, data)
+            return command(args, data)
     except (OSError, ser.ParseError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

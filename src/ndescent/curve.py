@@ -5,6 +5,7 @@ n-torsion table, and the two-torsion-argument function r.
 """
 
 import operator
+from functools import reduce
 
 from .fields import Poly, _into, _ladder, poly_x, roots_in_field
 
@@ -180,45 +181,68 @@ def r_eval(t1, t2, p):
     return h - r_constant(t1, t2)
 
 
-def _divpoly(curve, m):
-    """f_m = psi_m for odd m and psi_m/(2y) for even m, a polynomial in x
-    either way, cached on the curve.  With (2y)^4 = 16 rhs^2 the usual
-    recursions (Washington, Elliptic Curves, 3.2) stay in x alone:
+def _division(f, m, y4):
+    """f_m = psi_m for odd m and psi_m/(2y) for even m, into the dict f
+    that holds f_0 .. f_4 (_divpoly), polynomials or values, with
+    y4 = 16 rhs^2 = (2y)^4.  The usual recursions (Washington, Elliptic
+    Curves, 3.2) then stay in x alone:
 
         f_{2k}   = f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2),
         f_{2k+1} = f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3,
 
-    the odd one with its term of even-index factors times 16 rhs^2."""
+    the odd one with its term of even-index factors times y4.  Products
+    skip the factors f_1 = f_2 = 1; for m >= 5 each keeps a factor."""
+    if m not in f:
+        def prod(*idx):
+            return reduce(operator.mul, [_division(f, i, y4) for i in idx if i > 2])
+        k = m // 2
+        if m % 2 == 0:
+            f[m] = prod(k) * (prod(k + 2, k - 1, k - 1) - prod(k - 2, k + 1, k + 1))
+        else:
+            t1, t2 = prod(k + 2, k, k, k), prod(k - 1, k + 1, k + 1, k + 1)
+            f[m] = y4 * t1 - t2 if k % 2 == 0 else t1 - y4 * t2
+    return f[m]
+
+
+def _divpoly(curve, m):
+    """f_m as a polynomial in x (_division), cached on the curve, from
+    f_0 = 0, f_1 = f_2 = 1, f_3 = 3x^4 + 6ax^2 + 12bx - a^2 and
+    f_4 = 2(x^6 + 5ax^4 + 20bx^3 - 5a^2x^2 - 4abx - 8b^2 - a^3)."""
     cache = curve._divpoly
     if not cache:
         K, a, b = curve.field, curve.a, curve.b
-        x, one = poly_x(K), Poly([1], K)
-        cache.update(enumerate([
-            Poly([], K), one, one,
-            3 * x ** 4 + 6 * a * x ** 2 + 12 * b * x - a * a * one,
-            2 * (x ** 6 + 5 * a * x ** 4 + 20 * b * x ** 3 - 5 * a * a * x ** 2
-                 - 4 * a * b * x - Poly([8 * b * b + a ** 3], K))]))
+        one = Poly([1], K)
+        cache.update(enumerate([  # coefficients from the constant term up
+            Poly([], K), one, one, Poly([-a * a, 12 * b, 6 * a, 0, 3], K),
+            Poly([-2 * (8 * b * b + a ** 3), -8 * a * b, -10 * a * a, 40 * b, 10 * a, 0, 2], K)]))
     if m not in cache:
-        def f(i):
-            return _divpoly(curve, i)
-        k = m // 2
-        if m % 2 == 0:
-            cache[m] = f(k) * (f(k + 2) * f(k - 1) * f(k - 1) - f(k - 2) * f(k + 1) * f(k + 1))
-        else:
-            t1 = f(k + 2) * f(k) * f(k) * f(k)
-            t2 = f(k - 1) * f(k + 1) * f(k + 1) * f(k + 1)
-            rhs = curve.rhs_poly()
-            y4 = 16 * rhs * rhs
-            cache[m] = y4 * t1 - t2 if k % 2 == 0 else t1 - y4 * t2
+        rhs = curve.rhs_poly()
+        _division(cache, m, 16 * rhs * rhs)
     return cache[m]
+
+
+def _odd(m):
+    if m < 1 or m % 2 == 0:
+        raise ValueError("division polynomials are taken for odd m >= 1, not %d" % m)
 
 
 def division_polynomial(curve, m):
     """The division polynomial psi_m as a polynomial in x, for odd m >= 1.
     Raises ValueError for other m (for even m, psi_m has a factor y)."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError("division_polynomial takes an odd m >= 1, not %d" % m)
+    _odd(m)
     return _divpoly(curve, m)
+
+
+def division_value(curve, m, x):
+    """psi_m(x) for odd m >= 1 and x in the curve's field or an extension:
+    the recursion of _divpoly run on values from f_3(x) and f_4(x), so
+    == division_polynomial(curve, m)(x) with no f_m, m > 4, built and no
+    value kept.  ValueError for other m."""
+    _odd(m)
+    one, f3, f4 = x.tower.one(), _divpoly(curve, 3), _divpoly(curve, 4)
+    f = {0: x.tower.zero(), 1: one, 2: one, 3: f3(x), 4: f4(x)}
+    r = curve.rhs(x)
+    return _division(f, m, 16 * r * r)
 
 
 class TorsionTable:

@@ -22,7 +22,8 @@ from functools import cached_property
 
 from .fields import FieldElement, Poly, _dot, _inverses, root_or_extend
 from .linalg import ExactMatrix
-from .curve import Point, division_polynomial, slope, torsion_table, PoleAtP
+from .curve import (Point, division_polynomial, division_value, slope, torsion_table,
+                    PoleAtP)
 from .funcfield import FunctionFieldElement, miller_function
 from .algebra import CertificationFailed, RhoTable, Trivialisation, certify_once
 
@@ -154,12 +155,15 @@ def _frozen(x):
 class CurveData:
     """The per-(curve, n) data of the pipeline, each computed on first
     use: the torsion table, the Miller functions, epsilon, the G-basis and
-    the embedding; and what once keeps.  Get it with CurveData.of."""
+    the embedding; what once keeps; and decoded, the memo that the CLI
+    hands the serialize loaders, so that each distinct pair table is
+    decoded once while the CurveData lives.  Get it with CurveData.of."""
 
     def __init__(self, curve, n):
         self.curve = curve
         self.n = n
         self.kept = {}  # once's key -> (value, failure)
+        self.decoded = {}  # the serialize memo: canonical JSON -> decoded pair table
 
     @classmethod
     def of(cls, curve, n):
@@ -213,12 +217,13 @@ def affine_sample(curve, n, rng, name):
     """A deterministic-random affine point off E[n^2], over the base field
     when the cubic is a square there, else over a quadratic extension.
     psi_n divides psi_{n^2}, so the one psi_{n^2} check also rejects
-    E[n]; callers that need distinct points skip repeated x themselves."""
-    psi_nn = division_polynomial(curve, n * n)
+    E[n]; it is taken at x by value (curve.division_value), so no
+    polynomial of degree (n^4 - 1)/2 is built.  Callers that need distinct
+    points skip repeated x themselves."""
     K = curve.field
     while True:
         xe = FieldElement(K, (rng.randint(-40, 40),) + (0,) * (K.degree - 1), rng.randint(1, 8))
-        if psi_nn(xe).is_zero():
+        if division_value(curve, n * n, xe).is_zero():
             continue
         ysq = curve.rhs(xe)
         if ysq.is_zero():

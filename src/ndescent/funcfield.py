@@ -31,15 +31,17 @@ class FunctionFieldElement:
         return cls(curve, Poly([c], K), Poly([], K), Poly([1], K))
 
     def evaluate(self, p):
-        """Value at an affine point (over any extension of the base field).
-        Raises PoleAtP if the point is at infinity or the reduced
+        """Value at an affine point (over any extension of the base field),
+        with no division when w(x) = 1, as for every function the library
+        builds.  Raises PoleAtP if the point is at infinity or the reduced
         denominator vanishes there (even a removable 0/0 is refused)."""
         if p.is_infinity:
             raise PoleAtP("evaluation at O")
         wx = self.w(p.x)
         if wx.is_zero():
             raise PoleAtP("denominator vanishes at the point")
-        return (self.u(p.x) + self.v(p.x) * p.y) / wx
+        value = self.u(p.x) + self.v(p.x) * p.y
+        return value if wx == 1 else value / wx
 
     def laurent(self):
         """The leading term (order, coefficient) of the expansion at O in

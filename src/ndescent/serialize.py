@@ -6,6 +6,12 @@ declared tower (strings "p/q", never decimals).  Every file carries the
 content hash of the curve it belongs to, so artifacts from different
 curves cannot be mixed.  Dumps are canonical: sorted keys, fixed
 separators, one trailing newline.
+
+The loaders of files that carry pair tables take a memo, a dict kept
+for one table (cli passes CurveData.decoded, which lives for one call):
+each distinct pair table, keyed by its canonical JSON, is decoded once
+through it.  A field equal to the curve's is the curve's own tower;
+any other field is decoded where it is read.
 """
 
 import hashlib
@@ -160,9 +166,29 @@ def _pairs_to_json(values):
     return {_pair_key(a, b): elem_to_json(v) for (a, b), v in values.items()}
 
 
-def _pairs_from_json(j, table):
+def _extension_from_json(j, K, what):
+    """A tower that extends the curve's field K: K itself when j is K's
+    own JSON (tower_to_json writes only lists, objects and strings, so ==
+    is JSON equality), else tower_from_json(j)."""
+    L = K if j == tower_to_json(K) else tower_from_json(j)
+    if not K.is_prefix_of(L):
+        raise ParseError("%s does not extend the curve's" % what)
+    return L
+
+
+def _pairs_from_json(j, table, memo):
     """The inverse of _pairs_to_json over the curve's field: exactly the
-    keys "i,j|k,l" of pairs of the table's indices."""
+    keys "i,j|k,l" of pairs of the table's indices.  Decoded once per
+    canonical JSON in memo, a dict kept for one table (a decode that
+    raises stores nothing); each caller gets its own dict of the shared,
+    immutable elements."""
+    key = dumps_canonical(j)
+    if key not in memo:
+        memo[key] = _decode_pairs(j, table)
+    return dict(memo[key])
+
+
+def _decode_pairs(j, table):
     if not isinstance(j, dict):
         raise ParseError("pair tables are objects keyed by 'i,j|k,l'")
     idx = table.indices
@@ -279,9 +305,9 @@ def rho_to_json(rho):
             "values": _pairs_to_json(rho.values)}
 
 
-def rho_from_json(j, table):
+def rho_from_json(j, table, memo):
     _check_table_kind(j, "rho", table)
-    return RhoTable(table, _pairs_from_json(_req(j, "values"), table))
+    return RhoTable(table, _pairs_from_json(_req(j, "values"), table, memo))
 
 
 def csa_to_json(csa):
@@ -291,10 +317,10 @@ def csa_to_json(csa):
             "structure": _pairs_to_json(csa.structure)}
 
 
-def csa_from_json(j, table):
+def csa_from_json(j, table, memo):
     _check_table_kind(j, "csa", table)
-    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table))
-    structure = _pairs_from_json(_req(j, "structure"), table)
+    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table, memo))
+    structure = _pairs_from_json(_req(j, "structure"), table, memo)
     return CSA(table, rho, structure)
 
 
@@ -318,13 +344,11 @@ def triv_to_json(triv):
                                                       for ij, g in triv.gamma.items()}}
 
 
-def triv_from_json(j, table):
+def triv_from_json(j, table, memo):
     _check_table_kind(j, "trivialisation", table)
-    K = table.curve.field
-    L = tower_from_json(_req(j, "field"))
-    if not K.is_prefix_of(L):
-        raise ParseError("the trivialisation's field does not extend the curve's")
-    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table))
+    L = _extension_from_json(_req(j, "field"), table.curve.field,
+                             "the trivialisation's field")
+    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table, memo))
     matrices = _indexed_from_json(_req(j, "matrices"), table,
                                   lambda m: matrix_from_json(L, m, table.n), "matrix")
     gamma = j.get("gamma")
@@ -375,8 +399,8 @@ def quadrics_from_json(j, table):
     return quadrics_from_json_forms(table.curve.field, table.n, _req(j, "forms"))
 
 
-def quadrics_rho_from_json(j, table):
-    return RhoTable(table, _pairs_from_json(_req(j, "rho"), table))
+def quadrics_rho_from_json(j, table, memo):
+    return RhoTable(table, _pairs_from_json(_req(j, "rho"), table, memo))
 
 
 def plane_to_json(cub):
@@ -415,21 +439,19 @@ def descent_to_json(out, curve):
             "report": out["report"]}
 
 
-def descent_from_json(j, table):
+def descent_from_json(j, table, memo):
     curve, n = table.curve, table.n
     _check_table_kind(j, "descent", table)
     K = curve.field
     gj = _req(j, "gamma")
-    gfield = tower_from_json(_req(gj, "field"))
-    if not K.is_prefix_of(gfield):
-        raise ParseError("gamma's field does not extend the curve's")
+    gfield = _extension_from_json(_req(gj, "field"), K, "gamma's field")
     gamma = _gamma_from_json(gfield, _req(gj, "values"), table)
     seed = _req(j, "seed")
     if type(seed) is not int:
         raise ParseError("descent seed %r is not an integer" % (seed,))
     out = {"quadrics": quadrics_from_json_forms(K, n, _req(j, "quadrics")),
-           "csa": csa_from_json(_req(j, "csa"), table),
-           "trivialisation": triv_from_json(_req(j, "trivialisation"), table),
+           "csa": csa_from_json(_req(j, "csa"), table, memo),
+           "trivialisation": triv_from_json(_req(j, "trivialisation"), table, memo),
            "gamma": gamma,
            "plane_curve": plane_from_json(_req(j, "plane_curve"), K, n),
            "report": _req(j, "report"), "seed": seed}

@@ -322,6 +322,24 @@ def distinct_samples(curve, n, rng, prefix, count):
     return points
 
 
+def psi_at_point(p, m):
+    """psi_m at an affine point p = (x, y), by Washington's recursions
+    (Elliptic Curves, 3.2) on values with psi_2 = 2y itself: no f_m form,
+    no (2y)^4 = 16 rhs^2 and no factor skipped, unlike curve._division."""
+    a, b, x, y = p.curve.a, p.curve.b, p.x, p.y
+    psi = [0, 1, 2 * y, 3 * x ** 4 + 6 * a * x ** 2 + 12 * b * x - a * a,
+           4 * y * (x ** 6 + 5 * a * x ** 4 + 20 * b * x ** 3 - 5 * a * a * x ** 2
+                    - 4 * a * b * x - 8 * b * b - a ** 3)]
+    for j in range(5, m + 1):
+        k = j // 2
+        if j % 2:
+            psi.append(psi[k + 2] * psi[k] ** 3 - psi[k - 1] * psi[k + 1] ** 3)
+        else:
+            psi.append(psi[k] * (psi[k + 2] * psi[k - 1] ** 2 - psi[k - 2] * psi[k + 1] ** 2)
+                       / (2 * y))
+    return psi[m]
+
+
 def cocycle_failure_all_pairs(table, c):
     """The first (a, b, d) in table order at which c(a,b) c(a+b,d) =
     c(a,b+d) c(b,d) fails, or None: all n^6 triples."""

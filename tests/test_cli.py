@@ -202,6 +202,44 @@ def test_verify_validates_each_rho_once(work, tmp_path, capsys, monkeypatch):
     assert out.count("FAIL %s: rho is a symmetric cocycle (('symmetry'" % bad) == 2
 
 
+def test_verify_decodes_each_table_once(work, tmp_path, capsys, monkeypatch):
+    # the good call's five files carry one rho table, twice one structure
+    # table, and fields equal to the curve's: it decodes 2 pair tables and
+    # certifies no tower but the curve file's; a second call decodes
+    # again, and a csa whose rho differs from rho.json in one entry is
+    # decoded and checked on its own
+    _, paths, _ = work
+    decoded, levels = [], []
+    for name, calls in (("_decode_pairs", decoded), ("tower_extend", levels)):
+        monkeypatch.setattr(ser, name, lambda *a, real=getattr(ser, name), calls=calls, **k:
+                            calls.append(a) or real(*a, **k))
+    good = ["verify", "--curve", paths["curve"], paths["rho"], paths["csa"], paths["triv"],
+            paths["quadC"], paths["out"]]
+    assert main(good) == 0
+    assert (len(decoded), len(levels)) == (2, 1)
+    assert main(good) == 0
+    assert (len(decoded), len(levels)) == (4, 2)
+    capsys.readouterr()
+    bad = _tampered_csa(paths, tmp_path)
+    assert main(["verify", "--curve", paths["curve"], paths["rho"], bad]) == 3
+    out = capsys.readouterr().out
+    assert len(decoded) == 7
+    assert "PASS %s: rho is a symmetric cocycle" % paths["rho"] in out
+    assert "FAIL %s: rho is a symmetric cocycle (('symmetry'" % bad in out
+
+
+def test_main_builds_its_parser_once_and_runs_the_command_bound_now(work, monkeypatch):
+    # the parser holds no data of a call, so main builds it once per
+    # process; it looks the command up when it runs, so a patched
+    # command is the one that runs
+    _, paths, _ = work
+    argv = ["verify", "--curve", paths["curve"], paths["curve"]]
+    assert main(argv) == 0
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, data: 7)
+    assert main(argv) == 7
+
+
 def test_verify_rebuilds_each_part_once(work, capsys, monkeypatch):
     # the quadrics, algebra and trivialisation files and the descent file
     # carry one rho: its quadrics and algebra are rebuilt once, and the
@@ -282,6 +320,16 @@ def test_torsion_not_rational_exit_2(work, tmp_path, capsys):
 def _garbage(tmp_path, data=b"{oops"):
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
+    return str(bad)
+
+
+def _tampered_csa(paths, tmp_path):
+    """csa.json with one entry of its rho changed."""
+    j = json.loads(open(paths["csa"]).read())
+    assert j["rho"]["1,0|0,1"] != ["19", "0"]
+    j["rho"]["1,0|0,1"] = ["19", "0"]
+    bad = tmp_path / "badcsa.json"
+    bad.write_text(json.dumps(j))
     return str(bad)
 
 
@@ -667,6 +715,9 @@ _NEGATIVE_PATHS = {
         "torsion", "--curve", paths["curve"], "--n", "4", "--out", str(tmp / "t.json")]),
     "tampered-rho": (3, lambda paths, tmp: [
         "verify", "--curve", paths["curve"], _tampered_rho(paths, tmp)]),
+    # rho.json's table and the csa's rho differ in one entry: decoded apart
+    "tampered-csa": (3, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], paths["rho"], _tampered_csa(paths, tmp)]),
     "repeated-json-key": (1, lambda paths, tmp: [
         "verify", "--curve", paths["curve"], _repeated_key(paths, tmp)]),
     "empty-matrix": (1, lambda paths, tmp: [

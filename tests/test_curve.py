@@ -8,10 +8,12 @@ import pytest
 
 import ndescent
 from ndescent import curve as curve_module
-from ndescent.fields import FieldTower, Poly, tower_extend
+from ndescent.fields import FieldTower, Poly, root_or_extend, tower_extend
 from ndescent.curve import (Curve, Point, PoleAtP, TorsionNotRational, _divpoly,
-                            division_polynomial, r_constant, r_eval, slope, torsion_table)
-from oracles import base_change, distinct_samples
+                            division_polynomial, division_value, r_constant, r_eval, slope,
+                            torsion_table)
+from ndescent.descent_funcs import CurveData, affine_sample
+from oracles import base_change, distinct_samples, psi_at_point
 
 
 def F(x):
@@ -75,6 +77,42 @@ def test_division_polynomials_give_x_of_multiples(which, curve, aux_curve, field
             else:
                 want = x - f[m - 1] * f[m + 1] / (4 * rhs * f[m] * f[m])
             assert (m * p).x == want
+
+
+_CURVES = {"reference": "curve", "aux": "aux_curve", "hesse": "hesse_curve"}
+
+
+@pytest.mark.parametrize("which", sorted(_CURVES))
+def test_division_value_equals_the_polynomial(which, request):
+    # psi_m(x) by value is == to psi_m as a polynomial at x, for odd m up
+    # to 11: at 20 seeded x over the curve's field, at an x over a
+    # quadratic extension, and at x(T) for T in E[3], where psi_3 and
+    # psi_9 vanish; at E[3] and at 3 of the seeded x it is also == to
+    # psi_at_point, the textbook recursion with psi_2 = 2y
+    c = request.getfixturevalue(_CURVES[which])
+    K, rng = c.field, random.Random(38)
+    xs = [K.element([Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+                     for _ in range(K.degree)]) for _ in range(20)]
+    lifted = affine_sample(c, 3, random.Random(2), "q")
+    assert lifted.curve.field.degree == 2 * K.degree
+    torsion = list(CurveData.of(c, 3).table)[1:]
+    points = torsion + [Point(c.base_change(L), x, y) for x in xs[:3]
+                        for y, L in [root_or_extend(c.rhs(x), 2, "r")]]
+    for x in xs + [lifted.y] + [t.x for t in torsion]:
+        for m in range(1, 12, 2):
+            assert division_value(c, m, x) == division_polynomial(c, m)(x)
+    for p in points:
+        assert [division_value(c, m, p.x) for m in range(1, 12, 2)] == \
+            [psi_at_point(p, m) for m in range(1, 12, 2)]
+    for t in torsion:
+        assert division_value(c, 3, t.x).is_zero() and division_value(c, 9, t.x).is_zero()
+        assert not division_value(c, 5, t.x).is_zero()
+
+
+def test_division_value_refuses_even_m(curve, field):
+    for m in (-1, 0, 2, 10):
+        with pytest.raises(ValueError):
+            division_value(curve, m, field.one())
 
 
 def test_torsion_table_frozen(table, field):

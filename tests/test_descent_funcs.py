@@ -489,6 +489,24 @@ def test_epsilon_refuses_a_pole_in_a_caller_table(table, millers):
     assert isinstance(err.value.__context__, PoleAtP)
 
 
+def test_epsilon_inverts_only_its_values(curve, monkeypatch):
+    # evaluate divides by w(x) only when w(x) != 1, and every Miller
+    # function has w = 1: compute_epsilon on the reference curve inverts
+    # 53 times (97 when evaluate also divided by w(x) = 1), and every
+    # value is == to the one of the dividing evaluate
+    data = CurveData.of(Curve(curve.field, curve.a, curve.b), 3)
+    table, millers = data.table, data.millers
+    inverted = []
+    real = fields._inv
+    monkeypatch.setattr(fields, "_inv", lambda a: inverted.append(a) or real(a))
+    eps = descent_funcs.compute_epsilon(table, millers)
+    assert len(inverted) == 53
+    monkeypatch.setattr(funcfield.FunctionFieldElement, "evaluate", lambda f, p: (
+        f.u(p.x) + f.v(p.x) * p.y) / f.w(p.x))
+    assert descent_funcs.compute_epsilon(table, millers) == eps
+    assert len(inverted) == 53 + 97
+
+
 def test_descent_funcs_imports_no_private_funcfield_name():
     # the translation matrices need no coordinate-ring arithmetic: what
     # descent_funcs imports from funcfield is public
@@ -608,6 +626,30 @@ def test_affine_sample(curve):
     assert not (9 * p).is_infinity  # off E[9], so off E[3] too
     q = affine_sample(p.curve, 3, rng, "s1")
     assert q.curve.field.nlevels == curve.field.nlevels + 2
+
+
+# sha256 over affine_sample seeds 0..59 of (x.key(), y.key(), the field's
+# degree, the key of the new level's minimal polynomial), recorded with
+# psi_9 tested as a polynomial, so the value form must draw the same points
+_DRAWS_SHA256 = {
+    "reference": "86b1c9064bc0551a49deae447ccc8eb91988d2115fc27231872f319f80ae4dc0",
+    "aux": "563806cbab26e3ed98a05ae48b50bace690ca6fc7e4da49a7518ede7800f89fa",
+    "hesse": "d78812f1a49f7eaa3365098034ff9e329271f6451755b2980a34158d1f3e5e89"}
+
+
+@pytest.mark.parametrize("which", sorted(_DRAWS_SHA256))
+def test_affine_sample_draws_are_pinned(which, request):
+    # psi_9 is tested at the drawn x by value: the draws are unchanged,
+    # and a fresh curve object builds no f_m past the base cases f_0..f_4
+    c = request.getfixturevalue(_CURVES[which])
+    fresh = Curve(c.field, c.a, c.b)
+    rows = []
+    for seed in range(60):
+        p = affine_sample(fresh, 3, random.Random(seed), "s")
+        L = p.curve.field
+        rows.append((p.x.key(), p.y.key(), L.degree, tuple(e.key() for e in L.levels[-1][1])))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _DRAWS_SHA256[which]
+    assert max(fresh._divpoly) == 4
 
 
 def test_affine_sample_witnessed_without_factoring(curve, monkeypatch):

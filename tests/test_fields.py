@@ -786,9 +786,10 @@ def test_library_assert_count_does_not_grow():
 def test_tower_rule_lives_in_fields():
     # values from two towers meet by fields._larger and fields._into
     # alone: outside fields.py, is_prefix_of only checks a file's towers
-    # in the serialize loaders, and lift_to only brings A_2 into gamma's
-    # field for root_or_extend in solve_gamma, and psi into the base
-    # point's field once per g_eval
+    # in the serialize loaders (_extension_from_json for the
+    # trivialisation's and gamma's fields), and lift_to only brings A_2
+    # into gamma's field for root_or_extend in solve_gamma, and psi into
+    # the base point's field once per g_eval
     pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
     calls = []
     for name in sorted(os.listdir(pkg)):
@@ -802,8 +803,7 @@ def test_tower_rule_lives_in_fields():
                         calls.append((name[:-3], getattr(top, "name", None), node.func.attr))
     assert calls == [("algebra", "solve_gamma", "lift_to"),
                      ("geometry", "g_eval", "lift_to"),
-                     ("serialize", "triv_from_json", "is_prefix_of"),
-                     ("serialize", "descent_from_json", "is_prefix_of"),
+                     ("serialize", "_extension_from_json", "is_prefix_of"),
                      ("serialize", "descent_from_json", "is_prefix_of"),
                      ("serialize", "descent_from_json", "is_prefix_of")]
 

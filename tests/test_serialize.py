@@ -149,12 +149,34 @@ def test_rho_roundtrip(table, field):
     z = seeded_cochain(field, 41)
     rho = validate_rho(table, partial(table, z).values)
     j = ser.rho_to_json(rho)
-    back = ser.rho_from_json(j, table)
+    back = ser.rho_from_json(j, table, {})
     assert back.values == rho.values
     j2 = json.loads(json.dumps(j))
     del j2["values"][next(iter(j2["values"]))]
     with pytest.raises(ser.ParseError):
-        ser.rho_from_json(j2, table)
+        ser.rho_from_json(j2, table, {})
+
+
+def test_memo_decodes_each_table_once(table, field, aux_field):
+    # equal JSON is decoded once per memo and each caller gets its own
+    # dict of the shared elements; a table that differs in one entry is
+    # decoded on its own; a field equal to the curve's is the curve's
+    # tower, and any other is decoded where it is read
+    rho = validate_rho(table, partial(table, seeded_cochain(field, 45)).values)
+    j = ser.rho_to_json(rho)
+    memo = {}
+    a = ser.rho_from_json(j, table, memo)
+    b = ser.rho_from_json(json.loads(json.dumps(j)), table, memo)
+    assert a.values == rho.values and a.values is not b.values
+    assert all(a.values[k] is b.values[k] for k in a.values)
+    b.values.clear()
+    assert ser.rho_from_json(j, table, memo).values == rho.values
+    j["values"]["1,0|0,1"] = ["19", "0"]
+    assert ser.rho_from_json(j, table, memo).values[(1, 0), (0, 1)] == 19
+    assert len(memo) == 2
+    assert ser._extension_from_json(ser.tower_to_json(field), field, "f") is field
+    aux = ser._extension_from_json(ser.tower_to_json(aux_field), field, "f")
+    assert aux == aux_field and aux is not aux_field
 
 
 def test_csa_roundtrip(table, eps, field):
@@ -162,7 +184,7 @@ def test_csa_roundtrip(table, eps, field):
     rho = validate_rho(table, partial(table, z).values)
     csa = build_csa(table, eps, rho)
     j = ser.csa_to_json(csa)
-    back = ser.csa_from_json(j, table)
+    back = ser.csa_from_json(j, table, {})
     for a in index_pairs():
         for b in index_pairs():
             assert back.structure[a, b] == csa.structure[a, b]
@@ -177,7 +199,7 @@ def test_triv_roundtrip_all_modes(table, eps, emb, field):
     t2 = trivialize(emb, eps, rho, mode="gamma")
     for t in (t1, t2):
         j = ser.triv_to_json(t)
-        back = ser.triv_from_json(j, table)
+        back = ser.triv_from_json(j, table, {})
         assert back.mode == t.mode
         assert back.field == t.field
         for ij in index_pairs():
@@ -195,7 +217,7 @@ def test_quadrics_roundtrip(curve, table, field):
     j = ser.quadrics_to_json(qs, curve, rho)
     back = ser.quadrics_from_json(j, table)
     assert back == qs
-    rback = ser.quadrics_rho_from_json(j, table)
+    rback = ser.quadrics_rho_from_json(j, table, {})
     assert rback.values == rho.values
 
 
@@ -204,7 +226,7 @@ def test_descent_roundtrip(curve, table, eps, emb, gbasis, field):
     triv = trivialize(emb, eps, rho)
     out = descend(curve, 3, rho, triv, seed=0, gbasis=gbasis)
     j = ser.descent_to_json(out, curve)
-    back = ser.descent_from_json(j, table)
+    back = ser.descent_from_json(j, table, {})
     assert back["plane_curve"] == out["plane_curve"]
     assert back["quadrics"] == out["quadrics"]
     assert back["report"] == out["report"]
