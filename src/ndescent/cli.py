@@ -8,11 +8,11 @@ ValueError: 1 when it rejects a tower level read from a file, 2 when
 no prime certifies a root list the pipeline needs.
 
 Each command works on the CurveData of the curve file it loads
-(_load_curve), dropped when the command returns.  It keeps the verdicts
-of verify's checks (CurveData.once) and the serialize memo
-(CurveData.decoded), so one call decodes each distinct pair table
-once, and nothing crosses calls.  A field equal to the curve's is read
-as the curve's own tower.
+(_load_curve), dropped when the command returns.  Its one store,
+CurveData.once, keeps the verdicts of verify's checks and the tables
+the serialize loaders decode, so one call checks and decodes each
+distinct table once, and nothing crosses calls.  A field equal to the
+curve's is read as the curve's own tower.
 """
 
 import argparse
@@ -44,9 +44,9 @@ def _load_rho(path, data):
     """A rho table from either a rho file or an algebra file."""
     j = ser.load(path)
     if j.get("kind") == "csa":
-        values = ser.csa_from_json(j, data.table, data.decoded).rho.values
+        values = ser.csa_from_json(j, data.table).rho.values
     else:
-        values = ser.rho_from_json(j, data.table, data.decoded).values
+        values = ser.rho_from_json(j, data.table).values
     return validate_rho(data.table, values)
 
 
@@ -87,7 +87,7 @@ def cmd_trivialize(args, data):
     if args.mode == "user":
         if not args.triv:
             raise ser.ParseError("user mode needs --triv with the matrices")
-        user = ser.triv_from_json(ser.load(args.triv), data.table, data.decoded)
+        user = ser.triv_from_json(ser.load(args.triv), data.table)
         matrices, gamma = user.matrices, user.gamma
     triv = trivialize(data.emb, data.eps, rho, mode=args.mode, matrices=matrices, gamma=gamma)
     ser.save(args.out, ser.triv_to_json(triv))
@@ -97,7 +97,7 @@ def cmd_trivialize(args, data):
 
 def cmd_descend(args, data):
     rho = _load_rho(args.rho, data)
-    triv = ser.triv_from_json(ser.load(args.triv), data.table, data.decoded)
+    triv = ser.triv_from_json(ser.load(args.triv), data.table)
     out = descend(data.curve, args.n, rho, triv, seed=args.seed)
     ser.save(args.out, ser.descent_to_json(out, data.curve))
     print("%s -> %s" % (out["report"]["summary"], args.out))
@@ -161,16 +161,15 @@ def _verify_file(path, j, data, emit):
         ok = (data.n * torsion.t1).is_infinity and (data.n * torsion.t2).is_infinity
         emit(path, "basis points are n-torsion", ok)
     elif kind == "rho":
-        _check_parts(path, ser.rho_from_json(j, data.table, data.decoded).values, data, emit)
+        _check_parts(path, ser.rho_from_json(j, data.table).values, data, emit)
     elif kind == "csa":
-        csa = ser.csa_from_json(j, data.table, data.decoded)
+        csa = ser.csa_from_json(j, data.table)
         _check_parts(path, csa.rho.values, data, emit, csa=csa)
     elif kind == "trivialisation":
-        triv = ser.triv_from_json(j, data.table, data.decoded)
+        triv = ser.triv_from_json(j, data.table)
         _check_parts(path, triv.rho.values, data, emit, triv=triv)
     elif kind == "quadrics":
-        qs = ser.quadrics_from_json(j, data.table)
-        rho = ser.quadrics_rho_from_json(j, data.table, data.decoded)
+        qs, rho = ser.quadrics_from_json(j, data.table)
         _check_parts(path, rho.values, data, emit, qs=qs)
     elif kind == "descent":
         _verify_descent(path, j, data, emit)
@@ -203,7 +202,7 @@ def _verify_descent(path, j, data, emit):
     by diag(1, zeta, zeta^2) (spanned by x^3, y^3, z^3, xyz) and by the
     shift: the span of x^3 + y^3 + z^3 and xyz (Artebani and Dolgachev,
     Enseign. Math. 55 (2009)), of dimension 2 over Kbar and so over K."""
-    out = ser.descent_from_json(j, data.table, data.decoded)
+    out = ser.descent_from_json(j, data.table)
     qs, triv, gamma, cubic = (out["quadrics"], out["trivialisation"], out["gamma"],
                               out["plane_curve"])
     rho = _check_parts(path, triv.rho.values, data, emit, qs, out["csa"], triv)

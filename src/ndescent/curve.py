@@ -37,18 +37,10 @@ class Curve:
             raise ValueError("singular curve: discriminant is zero")
         self.disc = disc
         self._divpoly = {}  # m -> f_m, see _divpoly
-        self._rhs_poly = None
         self._data = {}  # n -> descent_funcs.CurveData
 
     def rhs(self, x):
         return x ** 3 + self.a * x + self.b
-
-    def rhs_poly(self):
-        """x^3 + a x + b as a Poly, built on first use."""
-        if self._rhs_poly is None:
-            x = poly_x(self.field)
-            self._rhs_poly = x ** 3 + self.a * x + self.b
-        return self._rhs_poly
 
     def contains(self, x, y):
         return (y * y - self.rhs(x)).is_zero()
@@ -216,7 +208,7 @@ def _divpoly(curve, m):
             Poly([], K), one, one, Poly([-a * a, 12 * b, 6 * a, 0, 3], K),
             Poly([-2 * (8 * b * b + a ** 3), -8 * a * b, -10 * a * a, 40 * b, 10 * a, 0, 2], K)]))
     if m not in cache:
-        rhs = curve.rhs_poly()
+        rhs = Poly([curve.b, curve.a, 0, 1], curve.field)
         _division(cache, m, 16 * rhs * rhs)
     return cache[m]
 

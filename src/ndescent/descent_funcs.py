@@ -155,15 +155,14 @@ def _frozen(x):
 class CurveData:
     """The per-(curve, n) data of the pipeline, each computed on first
     use: the torsion table, the Miller functions, epsilon, the G-basis and
-    the embedding; what once keeps; and decoded, the memo that the CLI
-    hands the serialize loaders, so that each distinct pair table is
-    decoded once while the CurveData lives.  Get it with CurveData.of."""
+    the embedding; and what once keeps, the one store of the verdicts of
+    the checks and of the tables the serialize loaders decode, for as
+    long as the CurveData lives.  Get it with CurveData.of."""
 
     def __init__(self, curve, n):
         self.curve = curve
         self.n = n
         self.kept = {}  # once's key -> (value, failure)
-        self.decoded = {}  # the serialize memo: canonical JSON -> decoded pair table
 
     @classmethod
     def of(cls, curve, n):

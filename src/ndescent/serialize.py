@@ -7,11 +7,10 @@ content hash of the curve it belongs to, so artifacts from different
 curves cannot be mixed.  Dumps are canonical: sorted keys, fixed
 separators, one trailing newline.
 
-The loaders of files that carry pair tables take a memo, a dict kept
-for one table (cli passes CurveData.decoded, which lives for one call):
-each distinct pair table, keyed by its canonical JSON, is decoded once
-through it.  A field equal to the curve's is the curve's own tower;
-any other field is decoded where it is read.
+The loaders of files over a torsion table take (j, table), and decode
+each table a file carries once per call (_decoded).  A field equal to
+the curve's is the curve's own tower; any other field is decoded where
+it is read.
 """
 
 import hashlib
@@ -23,6 +22,7 @@ from .fields import FieldElement, FieldTower, ReducibleExtension, tower_extend
 from .curve import Curve, Point, TorsionTable
 from .linalg import ExactMatrix
 from .algebra import MODES, RhoTable, CSA, Trivialisation
+from .descent_funcs import CurveData
 from .geometry import QuadricSystem, PlaneCurveEquation, plane_monomials
 
 
@@ -176,16 +176,19 @@ def _extension_from_json(j, K, what):
     return L
 
 
-def _pairs_from_json(j, table, memo):
+def _decoded(table, kind, j, decode, *field):
+    """decode(j), once per (kind, canonical JSON of j, *field) in the one
+    store of the table's curve and n, CurveData.once, which keeps nothing
+    of a decode that raises ParseError.  Callers share what it keeps."""
+    return CurveData.of(table.curve, table.n).once(lambda: decode(j), kind,
+                                                   dumps_canonical(j), *field)
+
+
+def _pairs_from_json(j, table):
     """The inverse of _pairs_to_json over the curve's field: exactly the
-    keys "i,j|k,l" of pairs of the table's indices.  Decoded once per
-    canonical JSON in memo, a dict kept for one table (a decode that
-    raises stores nothing); each caller gets its own dict of the shared,
-    immutable elements."""
-    key = dumps_canonical(j)
-    if key not in memo:
-        memo[key] = _decode_pairs(j, table)
-    return dict(memo[key])
+    keys "i,j|k,l" of pairs of the table's indices, in a dict of the
+    caller's own."""
+    return dict(_decoded(table, "pair table", j, lambda j: _decode_pairs(j, table)))
 
 
 def _decode_pairs(j, table):
@@ -305,9 +308,9 @@ def rho_to_json(rho):
             "values": _pairs_to_json(rho.values)}
 
 
-def rho_from_json(j, table, memo):
+def rho_from_json(j, table):
     _check_table_kind(j, "rho", table)
-    return RhoTable(table, _pairs_from_json(_req(j, "values"), table, memo))
+    return RhoTable(table, _pairs_from_json(_req(j, "values"), table))
 
 
 def csa_to_json(csa):
@@ -317,10 +320,10 @@ def csa_to_json(csa):
             "structure": _pairs_to_json(csa.structure)}
 
 
-def csa_from_json(j, table, memo):
+def csa_from_json(j, table):
     _check_table_kind(j, "csa", table)
-    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table, memo))
-    structure = _pairs_from_json(_req(j, "structure"), table, memo)
+    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table))
+    structure = _pairs_from_json(_req(j, "structure"), table)
     return CSA(table, rho, structure)
 
 
@@ -344,13 +347,15 @@ def triv_to_json(triv):
                                                       for ij, g in triv.gamma.items()}}
 
 
-def triv_from_json(j, table, memo):
+def triv_from_json(j, table):
     _check_table_kind(j, "trivialisation", table)
     L = _extension_from_json(_req(j, "field"), table.curve.field,
                              "the trivialisation's field")
-    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table, memo))
-    matrices = _indexed_from_json(_req(j, "matrices"), table,
-                                  lambda m: matrix_from_json(L, m, table.n), "matrix")
+    rho = RhoTable(table, _pairs_from_json(_req(j, "rho"), table))
+    def decode(mj):
+        return _indexed_from_json(mj, table, lambda m: matrix_from_json(L, m, table.n), "matrix")
+    # keyed by L too: two towers of one degree write the same matrix JSON
+    matrices = dict(_decoded(table, "matrices", _req(j, "matrices"), decode, L))
     gamma = j.get("gamma")
     if gamma is not None:
         gamma = _gamma_from_json(L, gamma, table)
@@ -394,13 +399,16 @@ def quadrics_to_json(qs, curve, rho):
             "forms": quadrics_to_json_forms(qs)}
 
 
+def _forms_from_json(forms, table):
+    return _decoded(table, "quadric forms", forms,
+                    lambda f: quadrics_from_json_forms(table.curve.field, table.n, f))
+
+
 def quadrics_from_json(j, table):
+    """(qs, rho): the quadrics and the rho table they were built for."""
     _check_table_kind(j, "quadrics", table)
-    return quadrics_from_json_forms(table.curve.field, table.n, _req(j, "forms"))
-
-
-def quadrics_rho_from_json(j, table, memo):
-    return RhoTable(table, _pairs_from_json(_req(j, "rho"), table, memo))
+    return (_forms_from_json(_req(j, "forms"), table),
+            RhoTable(table, _pairs_from_json(_req(j, "rho"), table)))
 
 
 def plane_to_json(cub):
@@ -439,7 +447,7 @@ def descent_to_json(out, curve):
             "report": out["report"]}
 
 
-def descent_from_json(j, table, memo):
+def descent_from_json(j, table):
     curve, n = table.curve, table.n
     _check_table_kind(j, "descent", table)
     K = curve.field
@@ -449,9 +457,9 @@ def descent_from_json(j, table, memo):
     seed = _req(j, "seed")
     if type(seed) is not int:
         raise ParseError("descent seed %r is not an integer" % (seed,))
-    out = {"quadrics": quadrics_from_json_forms(K, n, _req(j, "quadrics")),
-           "csa": csa_from_json(_req(j, "csa"), table, memo),
-           "trivialisation": triv_from_json(_req(j, "trivialisation"), table, memo),
+    out = {"quadrics": _forms_from_json(_req(j, "quadrics"), table),
+           "csa": csa_from_json(_req(j, "csa"), table),
+           "trivialisation": triv_from_json(_req(j, "trivialisation"), table),
            "gamma": gamma,
            "plane_curve": plane_from_json(_req(j, "plane_curve"), K, n),
            "report": _req(j, "report"), "seed": seed}

@@ -30,8 +30,8 @@ library's certificates against them:
     replaces: GeneralFunction, a FunctionFieldElement whose constructor
     coerces scalars and divides by gcd(u, v, w), with +, -, *, /,
     inverse, == and is_zero, the product _ring_mul of the coordinate
-    ring K[x, y]/(y^2 - x^3 - a x - b) that its * takes, and the
-    polynomial gcd poly_gcd;
+    ring K[x, y]/(y^2 - x^3 - a x - b) that its * takes, x^3 + a x + b
+    as a Poly (rhs_poly), and the polynomial gcd poly_gcd;
   - the function-field forms that the closed forms replace, with a gcd
     normalisation after every product: the Miller chain, double and add
     over line and vertical functions, which the tangents of
@@ -73,6 +73,11 @@ def poly_gcd(p, q):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def rhs_poly(curve):
+    """x^3 + a x + b as a Poly."""
+    return Poly([curve.b, curve.a, 0, 1], curve.field)
 
 
 def _ring_mul(rhs, a, b):
@@ -151,7 +156,7 @@ class GeneralFunction(FunctionFieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        u, v = _ring_mul(self.curve.rhs_poly(), (self.u, self.v), (o.u, o.v))
+        u, v = _ring_mul(rhs_poly(self.curve), (self.u, self.v), (o.u, o.v))
         return GeneralFunction(self.curve, u, v, self.w * o.w)
 
     __rmul__ = __mul__
@@ -159,7 +164,7 @@ class GeneralFunction(FunctionFieldElement):
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero function")
-        rhs = self.curve.rhs_poly()
+        rhs = rhs_poly(self.curve)
         # 1/(u + vy) = (u - vy)/(u^2 - v^2 rhs)
         den = self.u * self.u - rhs * (self.v * self.v)
         # cannot fire: u + v y != 0, and u^2 = v^2 (x^3 + a x + b) with v != 0
@@ -265,7 +270,7 @@ def derivative(f):
     du, dv, dw = poly_derivative(f.u), poly_derivative(f.v), poly_derivative(f.w)
     main = GeneralFunction(c, du * f.w - f.u * dw, dv * f.w - f.v * dw, f.w * f.w)
     # v * y' = v * rhs' / (2y) = (v rhs' / 2) * y / rhs
-    rhs = c.rhs_poly()
+    rhs = rhs_poly(c)
     vterm = GeneralFunction(c, 0, Fraction(1, 2) * (f.v * poly_derivative(rhs)), rhs * f.w)
     return main + vterm
 

@@ -204,21 +204,23 @@ def test_verify_validates_each_rho_once(work, tmp_path, capsys, monkeypatch):
 
 def test_verify_decodes_each_table_once(work, tmp_path, capsys, monkeypatch):
     # the good call's five files carry one rho table, twice one structure
-    # table, and fields equal to the curve's: it decodes 2 pair tables and
-    # certifies no tower but the curve file's; a second call decodes
-    # again, and a csa whose rho differs from rho.json in one entry is
-    # decoded and checked on its own
+    # table, twice the nine matrices of one trivialisation, twice one list
+    # of quadric forms, and fields equal to the curve's: it decodes 2 pair
+    # tables, 9 matrices and 1 list of forms, and certifies no tower but
+    # the curve file's; a second call decodes again, and a csa whose rho
+    # differs from rho.json in one entry is decoded and checked on its own
     _, paths, _ = work
-    decoded, levels = [], []
-    for name, calls in (("_decode_pairs", decoded), ("tower_extend", levels)):
+    decoded, matrices, forms, levels = [], [], [], []
+    for name, calls in (("_decode_pairs", decoded), ("matrix_from_json", matrices),
+                        ("quadrics_from_json_forms", forms), ("tower_extend", levels)):
         monkeypatch.setattr(ser, name, lambda *a, real=getattr(ser, name), calls=calls, **k:
                             calls.append(a) or real(*a, **k))
     good = ["verify", "--curve", paths["curve"], paths["rho"], paths["csa"], paths["triv"],
             paths["quadC"], paths["out"]]
     assert main(good) == 0
-    assert (len(decoded), len(levels)) == (2, 1)
+    assert (len(decoded), len(matrices), len(forms), len(levels)) == (2, 9, 1, 1)
     assert main(good) == 0
-    assert (len(decoded), len(levels)) == (4, 2)
+    assert (len(decoded), len(matrices), len(forms), len(levels)) == (4, 18, 2, 2)
     capsys.readouterr()
     bad = _tampered_csa(paths, tmp_path)
     assert main(["verify", "--curve", paths["curve"], paths["rho"], bad]) == 3
@@ -258,22 +260,6 @@ def test_verify_rebuilds_each_part_once(work, capsys, monkeypatch):
     assert out.count(": quadrics match recomputation") == 2
     assert out.count(": structure constants certify and match") == 2
     assert out.count(": trivialisation certifies") == 2
-
-
-def test_verify_certifies_an_embedded_trivialisation_that_differs(work, tmp_path, capsys):
-    # a descent file whose trivialisation differs from triv.json in one
-    # entry: the verdict of triv.json is not reused for it
-    _, paths, _ = work
-    j = json.loads(open(paths["out"]).read())
-    e = j["trivialisation"]["matrices"]["1,0"][0][1]
-    e[0] = str(Fraction(e[0]) + 1)
-    bad = tmp_path / "badembedded.json"
-    bad.write_text(json.dumps(j))
-    rc = main(["verify", "--curve", paths["curve"], paths["triv"], str(bad)])
-    out = capsys.readouterr().out
-    assert rc == 3
-    assert "PASS %s: trivialisation certifies" % paths["triv"] in out
-    assert "FAIL %s: trivialisation certifies (('multiplicative'" % bad in out
 
 
 def test_verify_reads_e_n_only_for_kinds_that_need_it(work, tmp_path, capsys):
@@ -508,11 +494,16 @@ def _called_name(node):
     return getattr(f, "id", None) or getattr(f, "attr", None)
 
 
+# the decoders of the tables whose decodes CurveData.once keeps
+_TABLE_DECODERS = ("_decode_pairs", "matrix_from_json", "quadrics_from_json_forms")
+
+
 def _verdict_bypasses(tree):
     """(line, what) for each import or call of a raw check, and each
-    verdict kept in a container of the module's own: a value stored by
-    subscript, or by .append, .add, .setdefault, .update or .insert, or
-    held in a dict, list or set display, that calls a kept check."""
+    verdict or decoded table kept in a container of the module's own: a
+    value stored by subscript, or by .append, .add, .setdefault, .update
+    or .insert, or held in a dict, list or set display, that calls a kept
+    check or a table decoder."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -532,19 +523,21 @@ def _verdict_bypasses(tree):
             stored = node.values
         elif isinstance(node, (ast.List, ast.Set)):
             stored = node.elts
-        out += [(node.lineno, "keeps a verdict of " + _called_name(n))
-                for v in stored for n in ast.walk(v) if _called_name(n) in _KEPT_CHECKS]
+        out += [(node.lineno, "keeps a result of " + _called_name(n))
+                for v in stored for n in ast.walk(v)
+                if _called_name(n) in _KEPT_CHECKS + _TABLE_DECODERS]
     return out
 
 
 def test_certification_verdicts_have_one_owner():
-    # CurveData.once is the one keeper of certification verdicts: cli and
-    # geometry reach the checks through validate_rho, certify_once and
-    # trivialize, never call the raw checks behind them, and keep no
-    # verdict in a container of their own
+    # CurveData.once is the one keeper of certification verdicts and of
+    # decoded tables: cli and geometry reach the checks through
+    # validate_rho, certify_once and trivialize, never call the raw checks
+    # behind them, and keep no verdict in a container of their own, and
+    # serialize keeps no decoded table in one
     pkg = os.path.dirname(os.path.abspath(ndescent.__file__))
     found = []
-    for name in ("cli", "geometry"):
+    for name in ("cli", "geometry", "serialize"):
         with open(os.path.join(pkg, name + ".py")) as fh:
             found += [(name,) + hit for hit in _verdict_bypasses(ast.parse(fh.read()))]
     assert found == []
@@ -620,6 +613,11 @@ def _x4_plus_1_level(j):
     j.update(body, hash=hashlib.sha256(ser.dumps_canonical(body).encode()).hexdigest()[:16])
 
 
+def _bump(e):
+    """Add 1 to the rational coordinate of an element's JSON."""
+    e[0] = str(Fraction(e[0]) + 1)
+
+
 # one-field mutations of CLI-written artifacts: (artifact, mutation, exit
 # code).  Loaders reject a wrong key set, mode or seed type (exit 1); the
 # checks behind verify reject a well-formed file that does not certify
@@ -656,6 +654,10 @@ _MUTATIONS = {
     "descent-triv-rho-missing-pair": (
         "out", lambda j: j["trivialisation"]["rho"].pop("1,0|0,1"), 1),
     "descent-csa-rho-missing-pair": ("out", lambda j: j["csa"]["rho"].pop("1,0|0,1"), 1),
+    # one entry of the embedded trivialisation, one quadric coefficient
+    "descent-triv-matrix-entry": (
+        "out", lambda j: _bump(j["trivialisation"]["matrices"]["1,0"][0][1]), 3),
+    "descent-quadric-coefficient": ("out", lambda j: _bump(j["quadrics"][0][0][2]), 3),
     # the trivial twist's rho, with the structure constants of the stored one
     "descent-csa-other-rho": (
         "out", lambda j: j["csa"].update(rho={k: ["1", "0"] for k in j["csa"]["rho"]}), 3),
@@ -743,7 +745,18 @@ _NEGATIVE_PATHS = {
     "curve-b-exponent": (1, lambda paths, tmp: [
         "torsion", "--curve", _mutated(paths, tmp, "curve-b-exponent"),
         "--out", str(tmp / "t.json")]),
+    # a descent file whose part differs from the file before it in one
+    # entry: the verdict of the first is not reused for it
+    "embedded-triv-differs": (3, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], paths["triv"],
+        _mutated(paths, tmp, "descent-triv-matrix-entry")]),
+    "embedded-quadrics-differ": (3, lambda paths, tmp: [
+        "verify", "--curve", paths["curve"], paths["quadC"],
+        _mutated(paths, tmp, "descent-quadric-coefficient")]),
 }
+# the check the first of the last two files passes and the second fails
+_PASS_THEN_FAIL = {"embedded-triv-differs": ("trivialisation certifies", " (('multiplicative'"),
+                   "embedded-quadrics-differ": ("quadrics match recomputation", "")}
 _NEGATIVE_PATHS.update({name: (1, lambda paths, tmp, name=name: [
     "verify", "--curve", paths["curve"], _mutated(paths, tmp, name)])
     for name in ("quadrics-forms-empty", "descent-quadrics-empty",
@@ -759,12 +772,18 @@ def test_negative_paths_under_python_O(work, tmp_path, case):
     # they hold when python -O strips every assert
     _, paths, _ = work
     code, argv = _NEGATIVE_PATHS[case]
+    argv = argv(paths, tmp_path)
     src = os.path.dirname(os.path.dirname(os.path.abspath(ndescent.__file__)))
-    run = subprocess.run([sys.executable, "-O", "-m", "ndescent.cli"] + argv(paths, tmp_path),
+    run = subprocess.run([sys.executable, "-O", "-m", "ndescent.cli"] + argv,
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == code, run.stdout + run.stderr
     assert "Traceback" not in run.stderr
+    if case in _PASS_THEN_FAIL:
+        first, second = argv[-2:]
+        check, witness = _PASS_THEN_FAIL[case]
+        assert "PASS %s: %s" % (first, check) in run.stdout
+        assert "FAIL %s: %s%s" % (second, check, witness) in run.stdout
 
 
 def test_rho_without_values_exit_1(work, tmp_path, capsys):

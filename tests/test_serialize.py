@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ndescent.fields import FieldTower, tower_extend
+from ndescent.descent_funcs import CurveData
 from ndescent.curve import Curve, Point
 from ndescent.algebra import (RhoTable, build_csa, partial, trivialize,
                               validate_rho)
@@ -149,34 +150,66 @@ def test_rho_roundtrip(table, field):
     z = seeded_cochain(field, 41)
     rho = validate_rho(table, partial(table, z).values)
     j = ser.rho_to_json(rho)
-    back = ser.rho_from_json(j, table, {})
+    back = ser.rho_from_json(j, table)
     assert back.values == rho.values
     j2 = json.loads(json.dumps(j))
     del j2["values"][next(iter(j2["values"]))]
     with pytest.raises(ser.ParseError):
-        ser.rho_from_json(j2, table, {})
+        ser.rho_from_json(j2, table)
 
 
-def test_memo_decodes_each_table_once(table, field, aux_field):
-    # equal JSON is decoded once per memo and each caller gets its own
+def _store(table):
+    """The keys of the one store of the table's curve and n."""
+    return set(CurveData.of(table.curve, table.n).kept)
+
+
+def test_store_decodes_each_table_once(table, field, aux_field):
+    # equal JSON is decoded once per store and each caller gets its own
     # dict of the shared elements; a table that differs in one entry is
     # decoded on its own; a field equal to the curve's is the curve's
     # tower, and any other is decoded where it is read
     rho = validate_rho(table, partial(table, seeded_cochain(field, 45)).values)
     j = ser.rho_to_json(rho)
-    memo = {}
-    a = ser.rho_from_json(j, table, memo)
-    b = ser.rho_from_json(json.loads(json.dumps(j)), table, memo)
+    before = _store(table)
+    a = ser.rho_from_json(j, table)
+    b = ser.rho_from_json(json.loads(json.dumps(j)), table)
     assert a.values == rho.values and a.values is not b.values
     assert all(a.values[k] is b.values[k] for k in a.values)
     b.values.clear()
-    assert ser.rho_from_json(j, table, memo).values == rho.values
+    assert ser.rho_from_json(j, table).values == rho.values
     j["values"]["1,0|0,1"] = ["19", "0"]
-    assert ser.rho_from_json(j, table, memo).values[(1, 0), (0, 1)] == 19
-    assert len(memo) == 2
+    assert ser.rho_from_json(j, table).values[(1, 0), (0, 1)] == 19
+    assert len(_store(table) - before) == 2
     assert ser._extension_from_json(ser.tower_to_json(field), field, "f") is field
     aux = ser._extension_from_json(ser.tower_to_json(aux_field), field, "f")
     assert aux == aux_field and aux is not aux_field
+
+
+def test_store_keeps_nothing_of_a_decode_that_raises(table):
+    j = ser.rho_to_json(RhoTable.trivial(table))
+    del j["values"]["1,0|0,1"]
+    before = _store(table)
+    for _ in range(2):
+        with pytest.raises(ser.ParseError):
+            ser.rho_from_json(j, table)
+    assert _store(table) == before
+
+
+def test_store_keys_matrices_by_their_field(table, emb, eps, field, aux_field):
+    # Q(zeta3, sqrt2) and Q(zeta3, sqrt3) write their generators, and so
+    # the matrices sqrt2 I and sqrt3 I, as the same JSON; each file's
+    # matrices are read over its own field
+    fields = [aux_field, tower_extend(field, [-3, 0, 1], name="sqrt3")]
+    j = ser.triv_to_json(trivialize(emb, eps, RhoTable.trivial(table)))
+    gens = [ser.elem_to_json(L.gen()) for L in fields]
+    assert gens[0] == gens[1]
+    zero = ["0"] * 4
+    scalar = [[gens[0] if r == c else zero for c in range(3)] for r in range(3)]
+    j["matrices"] = {k: scalar for k in j["matrices"]}
+    for L, square in zip(fields, (2, 3)):
+        j["field"] = ser.tower_to_json(L)
+        m = ser.triv_from_json(json.loads(json.dumps(j)), table).M((1, 0))
+        assert m.tower == L and m.rows[0][0] ** 2 == square
 
 
 def test_csa_roundtrip(table, eps, field):
@@ -184,7 +217,7 @@ def test_csa_roundtrip(table, eps, field):
     rho = validate_rho(table, partial(table, z).values)
     csa = build_csa(table, eps, rho)
     j = ser.csa_to_json(csa)
-    back = ser.csa_from_json(j, table, {})
+    back = ser.csa_from_json(j, table)
     for a in index_pairs():
         for b in index_pairs():
             assert back.structure[a, b] == csa.structure[a, b]
@@ -199,7 +232,7 @@ def test_triv_roundtrip_all_modes(table, eps, emb, field):
     t2 = trivialize(emb, eps, rho, mode="gamma")
     for t in (t1, t2):
         j = ser.triv_to_json(t)
-        back = ser.triv_from_json(j, table, {})
+        back = ser.triv_from_json(j, table)
         assert back.mode == t.mode
         assert back.field == t.field
         for ij in index_pairs():
@@ -215,9 +248,8 @@ def test_quadrics_roundtrip(curve, table, field):
     rho = validate_rho(table, partial(table, z).values)
     qs = quadrics_for_C(curve, table, rho)
     j = ser.quadrics_to_json(qs, curve, rho)
-    back = ser.quadrics_from_json(j, table)
+    back, rback = ser.quadrics_from_json(j, table)
     assert back == qs
-    rback = ser.quadrics_rho_from_json(j, table, {})
     assert rback.values == rho.values
 
 
@@ -226,7 +258,7 @@ def test_descent_roundtrip(curve, table, eps, emb, gbasis, field):
     triv = trivialize(emb, eps, rho)
     out = descend(curve, 3, rho, triv, seed=0, gbasis=gbasis)
     j = ser.descent_to_json(out, curve)
-    back = ser.descent_from_json(j, table, {})
+    back = ser.descent_from_json(j, table)
     assert back["plane_curve"] == out["plane_curve"]
     assert back["quadrics"] == out["quadrics"]
     assert back["report"] == out["report"]
